@@ -228,50 +228,6 @@ def reference_supercluster(vg: VirtualClusterGraph, ruling: Iterable[int],
 # ---------------------------------------------------------------------------
 # Distributed superclustering through the simulator.
 
-class _ExploreListen(comm.NodeProgram):
-    """Member of an unjoined cluster listens for exploration arrivals.
-
-    Keeps, per (root, smaller endpoint) pair, the smallest other endpoint,
-    so the three-stage aggregation below can reconstruct the exact minimal
-    (root, witness edge) candidate.
-    """
-
-    __slots__ = ("own_pop", "cands")
-
-    def __init__(self, own_pop: bool):
-        self.own_pop = own_pop
-        self.cands: Dict[Tuple[int, int], int] = {}
-
-    def on_round(self, api, inbox):
-        me = api.vertex
-        for sender, msg in inbox.items():
-            if msg.tag != comm.TAG_EXPLORE:
-                continue
-            sender_pop = bool(msg.scalar & 1)
-            if not (sender_pop or self.own_pop):
-                continue
-            root = msg.ids[0]
-            m, mm = (sender, me) if sender < me else (me, sender)
-            cur = self.cands.get((root, m))
-            if cur is None or mm < cur:
-                self.cands[(root, m)] = mm
-        api.halt()
-
-
-class _ExploreSend(comm.NodeProgram):
-    """Frontier member broadcasts the exploration once."""
-
-    __slots__ = ("root", "scalar")
-
-    def __init__(self, root: int, hops_left: int, own_pop: bool):
-        self.root = root
-        self.scalar = (hops_left << 1) | (1 if own_pop else 0)
-
-    def on_start(self, api):
-        api.broadcast(comm.TAG_EXPLORE, (self.root,), self.scalar)
-        api.halt()
-
-
 def run_supercluster_bfs(net: Net, orient: Orientation, ruling: Set[int],
                          delta: int, popular: Set[int],
                          vgraph: Optional[VirtualClusterGraph] = None
@@ -292,6 +248,7 @@ def run_supercluster_bfs(net: Net, orient: Orientation, ruling: Set[int],
     joins: Dict[int, JoinInfo] = {r: JoinInfo(r, None, None, 0) for r in roots}
     member_center = orient.center_of
     frontier: List[Tuple[int, int]] = [(r, delta) for r in roots]  # (center, hops left)
+    unjoined = member_center.keys() - {v for r in roots for v in orient.members[r]}
 
     for wave in range(1, delta + 1):
         senders = [(c, h) for c, h in frontier if h >= 1]
@@ -299,32 +256,32 @@ def run_supercluster_bfs(net: Net, orient: Orientation, ruling: Set[int],
             break
         # stage 0: the frontier centers stream <root, hops> to their members
         payload = {c: ((joins[c].root,), h - 1) for c, h in senders}
-        received = comm.downcast_single(net, orient, payload.keys(), comm.TAG_RELAY,
-                                        f"w{wave}.relay", payload)
-        # stage 1: frontier members broadcast the exploration
-        senders_progs: Dict[int, comm.NodeProgram] = {}
-        listen_progs: Dict[int, _ExploreListen] = {}
-        for c, h in senders:
-            pop = c in popular
-            root = joins[c].root
-            for v in orient.members[c]:
-                senders_progs[v] = _ExploreSend(root, h - 1, pop)
-        for v, c in member_center.items():
-            if c not in joins and v not in senders_progs:
-                listen_progs[v] = _ExploreListen(c in popular)
-        net.episode(f"w{wave}.explore", {**senders_progs, **listen_progs},
-                    mode=comm.sim.BROADCAST)
+        comm.downcast_single(net, orient, payload.keys(), comm.TAG_RELAY,
+                             f"w{wave}.relay", payload)
+        # stage 1: frontier members broadcast the exploration; a member of an
+        # unjoined cluster keeps, per (root, smaller endpoint) pair, the
+        # smallest other endpoint, so the aggregation below can reconstruct
+        # the exact minimal (root, witness edge) candidate
+        cands: Dict[int, Dict[Tuple[int, int], int]] = {}
+
+        def fold(v: int, arrivals: List[Tuple[int, int, int]]) -> None:
+            mine = cands[v] = {}
+            for sender, root, _ in arrivals:
+                m, mm = (sender, v) if sender < v else (v, sender)
+                cur = mine.get((root, m))
+                if cur is None or mm < cur:
+                    mine[(root, m)] = mm
+
+        comm.cluster_broadcast(net, orient, f"w{wave}.explore", comm.TAG_EXPLORE,
+                               [(c, joins[c].root, h - 1) for c, h in senders],
+                               popular, unjoined, fold)
 
         # stage 2: three-stage minimal-candidate aggregation per reached cluster
-        cands: Dict[int, Dict[Tuple[int, int], int]] = {}
-        for v, prog in listen_progs.items():
-            if prog.cands:
-                cands.setdefault(member_center[v], {})
-        reached = sorted(cands)
+        reached = sorted({member_center[v] for v in cands})
         if not reached:
             frontier = []
             continue
-        vals1 = {v: min(p.cands) for v, p in listen_progs.items() if p.cands}
+        vals1 = {v: min(pairs) for v, pairs in cands.items()}
         best1 = comm.upcast_best(net, orient, vals1, f"w{wave}.min1",
                                  width=2, centers=reached)
         # ask the members for the matching smallest other endpoint
@@ -332,11 +289,11 @@ def run_supercluster_bfs(net: Net, orient: Orientation, ruling: Set[int],
         comm.downcast_single(net, orient, down1.keys(), comm.TAG_WIN1,
                              f"w{wave}.win1", down1)
         vals2: Dict[int, Tuple[int, ...]] = {}
-        for v, prog in listen_progs.items():
+        for v, pairs in cands.items():
             c = member_center[v]
             if c in down1:
                 key = tuple(best1[c])
-                mm = prog.cands.get((key[0], key[1]))
+                mm = pairs.get((key[0], key[1]))
                 if mm is not None:
                     vals2[v] = (mm,)
         best2 = comm.upcast_best(net, orient, vals2, f"w{wave}.min2",
@@ -359,6 +316,7 @@ def run_supercluster_bfs(net: Net, orient: Orientation, ruling: Set[int],
             outside = wedge[0] if wedge[1] == inside else wedge[1]
             pred = member_center[outside]
             joins[c] = JoinInfo(root, pred, wedge, wave)
+            unjoined.difference_update(orient.members[c])
             h = delta - wave
             new_frontier.append((c, h))
         frontier = new_frontier

@@ -3,7 +3,10 @@
 A phase of either construction is orchestrated as a sequence of short
 simulator episodes over the same graph: orient the cluster trees, exchange
 cluster IDs with neighbors, converge flags or keyed items to the centers,
-stream payloads back down. Each episode runs every participating vertex as a
+stream payloads back down, announce new spanner edges. One one-shot
+broadcast round (broadcast_once) serves the ID exchange and, through
+cluster_broadcast, every hop of the knock-out floods and explorations on the
+virtual cluster graph. Each episode runs every participating vertex as a
 small program; the orchestrator only moves results between episodes, never
 inventing knowledge a vertex could not have accumulated locally.
 
@@ -16,7 +19,8 @@ after a run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (AbstractSet, Callable, Dict, Iterable, List, Optional,
+                    Sequence, Set, Tuple)
 
 from .graph import Graph
 from . import sim
@@ -178,12 +182,9 @@ def orient_clusters(net: Net, raw: Sequence[Tuple[int, Sequence[int], Dict[int, 
             programs[v] = _OrientFlood(tree_adj.get(v, ()), v == center)
     net.episode(label, programs)
 
-    center_of: Dict[int, int] = {}
-    parent: Dict[int, Optional[int]] = {}
-    depth: Dict[int, int] = {}
-    children: Dict[int, List[int]] = {}
-    members_map: Dict[int, List[int]] = {}
+    parent_maps: Dict[int, Dict[int, Optional[int]]] = {}
     for center, members, _ in raw:
+        pmap = parent_maps[center] = {}
         for v in sorted(members):
             prog = programs[v]
             if prog.center is None:
@@ -191,91 +192,121 @@ def orient_clusters(net: Net, raw: Sequence[Tuple[int, Sequence[int], Dict[int, 
                                    f"(cluster tree of {center} is not connected)")
             if prog.center != center:
                 raise RuntimeError(f"vertex {v} oriented to foreign center {prog.center}")
-            center_of[v] = center
-            parent[v] = prog.parent
-            depth[v] = prog.depth
-            children.setdefault(v, [])
-            if prog.parent is not None:
-                children.setdefault(prog.parent, []).append(v)
-            members_map.setdefault(center, []).append(v)
-    heights = _heights(parent, children)
-    return Orientation(
-        center_of=center_of,
-        parent=parent,
-        children={v: tuple(sorted(cs)) for v, cs in children.items()},
-        depth=depth,
-        height=heights,
-        members={c: tuple(ms) for c, ms in members_map.items()},
-    )
+            pmap[v] = prog.parent
+    return orientation_from_parents(parent_maps)
 
 
 def orientation_from_parents(parent_maps: Dict[int, Dict[int, Optional[int]]]) -> Orientation:
     """Build an Orientation from already-known parent maps (no episode).
 
     Used when the caller starts from materialized Cluster objects whose trees
-    were oriented in an earlier phase.
+    were oriented in an earlier phase. Depths come from one top-down pass
+    from the centers, heights from the same visiting order reversed.
     """
     center_of: Dict[int, int] = {}
     parent: Dict[int, Optional[int]] = {}
     children: Dict[int, List[int]] = {}
-    depth: Dict[int, int] = {}
-    members_map: Dict[int, Tuple[int, ...]] = {}
     for center, pmap in parent_maps.items():
-        members_map[center] = tuple(sorted(pmap))
-        for v in pmap:
+        for v in sorted(pmap):
             center_of[v] = center
             parent[v] = pmap[v]
             children.setdefault(v, [])
             if pmap[v] is not None:
                 children.setdefault(pmap[v], []).append(v)
-        # depths by walking up; trees are small
-        for v in pmap:
-            d, w = 0, v
-            while pmap[w] is not None:
-                w = pmap[w]
-                d += 1
-            depth[v] = d
-    heights = _heights(parent, children)
-    return Orientation(center_of, parent,
-                       {v: tuple(sorted(cs)) for v, cs in children.items()},
-                       depth, heights, members_map)
-
-
-def _heights(parent: Dict[int, Optional[int]],
-             children: Dict[int, List[int]]) -> Dict[int, int]:
-    height = {v: 0 for v in parent}
-    for v in sorted(parent, key=lambda u: -_depth_of(u, parent)):
+    kids = {v: tuple(sorted(cs)) for v, cs in children.items()}
+    depth = dict.fromkeys(parent_maps, 0)
+    order = list(parent_maps)
+    for v in order:   # breadth first: the list grows while it is walked
+        for u in kids[v]:
+            depth[u] = depth[v] + 1
+            order.append(u)
+    height = dict.fromkeys(parent, 0)
+    for v in reversed(order):
         p = parent[v]
-        if p is not None and height[p] < height[v] + 1:
+        if p is not None and height[p] <= height[v]:
             height[p] = height[v] + 1
-    return height
+    members = {c: tuple(sorted(pmap)) for c, pmap in parent_maps.items()}
+    return Orientation(center_of, parent, kids, depth, height, members)
 
 
-def _depth_of(v: int, parent: Dict[int, Optional[int]]) -> int:
-    d = 0
-    while parent[v] is not None:
-        v = parent[v]
-        d += 1
-    return d
+class _BroadcastOnce(NodeProgram):
+    """Broadcast a message at the start, fold the inbox of the next round.
 
+    Either part may be absent: msg None listens only, fold None sends only.
+    """
 
-class _ExchangeOnce(NodeProgram):
-    """Broadcast own cluster center once; record who reported what."""
+    __slots__ = ("msg", "fold")
 
-    __slots__ = ("center", "heard")
-
-    def __init__(self, center: int):
-        self.center = center
-        self.heard: Dict[int, int] = {}
+    def __init__(self, msg: Optional[Message],
+                 fold: Optional[Callable[[int, Dict[int, Message]], None]]):
+        self.msg = msg
+        self.fold = fold
 
     def on_start(self, api: NodeApi) -> None:
-        api.broadcast(TAG_MYCLUSTER, (self.center,))
+        if self.msg is not None:
+            api.broadcast(self.msg.tag, self.msg.ids, self.msg.scalar)
+        if self.fold is None:
+            api.halt()
 
     def on_round(self, api: NodeApi, inbox: Dict[int, Message]) -> None:
-        for sender, msg in inbox.items():
-            if msg.tag == TAG_MYCLUSTER:
-                self.heard[sender] = msg.ids[0]
+        self.fold(api.vertex, inbox)
         api.halt()
+
+
+def broadcast_once(net: Net, label: str, sends: Dict[int, Message],
+                   listeners: AbstractSet[int],
+                   fold: Callable[[int, Dict[int, Message]], None]) -> None:
+    """One broadcast-mode round: every sender broadcasts its message once.
+
+    Each listener that hears anything calls fold(vertex, inbox) with the
+    inbox in ascending sender order. A vertex may both send and listen. Only
+    listeners adjacent to a sender are given a program; the others could not
+    hear anything.
+    """
+    programs: Dict[int, NodeProgram] = {
+        v: _BroadcastOnce(msg, fold if v in listeners else None)
+        for v, msg in sends.items()}
+    quiet = listeners - sends.keys()
+    if quiet:
+        adj = net.g.adjacency
+        # keep the listeners' own ID objects (not the equal ints of the
+        # adjacency tuples): they end up in spanner edges, and dict lookups
+        # on identical keys are faster for every later reader
+        deaf = quiet - set().union(*(adj[u] for u in sends))
+        for v in quiet - deaf:
+            programs[v] = _BroadcastOnce(None, fold)
+    net.episode(label, programs, mode=sim.BROADCAST)
+
+
+def cluster_broadcast(net: Net, orient: Orientation, label: str, tag: int,
+                      frontier: Iterable[Tuple[int, int, int]],
+                      popular: Optional[AbstractSet[int]],
+                      listeners: AbstractSet[int],
+                      fold: Callable[[int, List[Tuple[int, int, int]]], None]) -> None:
+    """One hop on the virtual cluster graph, in a single broadcast round.
+
+    frontier holds (center, key, hops) triples: every member of each such
+    cluster broadcasts the key with the hop count and its cluster's popular
+    bit (popular None makes every cluster popular). A listener outside the
+    frontier keeps only the arrivals that cross a superedge, i.e. where the
+    sender's or its own cluster is popular, and calls fold(vertex, arrivals)
+    with the (sender, key, hops) triples it kept, if any.
+    """
+    sends: Dict[int, Message] = {}
+    for c, key, hops in frontier:
+        pop = popular is None or c in popular
+        msg = Message(tag, (key,), (hops << 1) | (1 if pop else 0))
+        for v in orient.members[c]:
+            sends[v] = msg
+
+    def hear(v: int, inbox: Dict[int, Message]) -> None:
+        own_pop = popular is None or orient.center_of[v] in popular
+        arrivals = [(u, msg.ids[0], msg.scalar >> 1) for u, msg in inbox.items()
+                    if own_pop or msg.scalar & 1]
+        if arrivals:
+            fold(v, arrivals)
+
+    broadcast_once(net, label, sends, listeners - sends.keys(), hear)
 
 
 def exchange_cluster_ids(net: Net, orient: Orientation, label: str) -> Dict[int, Dict[int, int]]:
@@ -284,9 +315,34 @@ def exchange_cluster_ids(net: Net, orient: Orientation, label: str) -> Dict[int,
     Returns, per active vertex, the map neighbor -> neighbor's cluster center.
     Dormant vertices stay silent, so only active neighbors appear.
     """
-    programs = {v: _ExchangeOnce(c) for v, c in orient.center_of.items()}
-    net.episode(label, programs, mode=sim.BROADCAST)
-    return {v: programs[v].heard for v in programs}
+    heard: Dict[int, Dict[int, int]] = {v: {} for v in orient.center_of}
+    sends = {v: Message(TAG_MYCLUSTER, (c,)) for v, c in orient.center_of.items()}
+
+    def fold(v: int, inbox: Dict[int, Message]) -> None:
+        heard[v] = {u: msg.ids[0] for u, msg in inbox.items()}
+
+    broadcast_once(net, label, sends, heard.keys(), fold)
+    return heard
+
+
+class _EdgeAnnounce(NodeProgram):
+    """One round: tell each chosen neighbor that the shared edge joined H."""
+
+    __slots__ = ("targets",)
+
+    def __init__(self, targets: Sequence[int]):
+        self.targets = targets
+
+    def on_start(self, api: NodeApi) -> None:
+        for u in self.targets:
+            api.send(u, TAG_EDGEADD)
+        api.halt()
+
+
+def announce_edges(net: Net, label: str, targets: Dict[int, Sequence[int]]) -> None:
+    """One round: each vertex tells every listed neighbor that their shared
+    edge joined the spanner."""
+    net.episode(label, {v: _EdgeAnnounce(ts) for v, ts in targets.items()})
 
 
 class _FlagUpcast(NodeProgram):

@@ -25,7 +25,6 @@ from .comm import Net, Orientation
 from .exact import ceil_log2_int, count_ge_pow, count_le_pow
 from .graph import Graph, edge_key
 from .rulingset import RulingParams
-from .sim import NodeApi, NodeProgram
 from .spanner import INTER, BuildResult, SpannerEdgeSet, run_phases, trivial_result
 
 
@@ -51,20 +50,6 @@ class PolylogParams:
     @property
     def tau_expo(self) -> Fraction:
         return Fraction(1, self.kappa)
-
-
-class _EdgeAnnounce(NodeProgram):
-    """One round: tell each chosen neighbor that the shared edge joined H."""
-
-    __slots__ = ("targets",)
-
-    def __init__(self, targets: List[int]):
-        self.targets = targets
-
-    def on_start(self, api: NodeApi) -> None:
-        for u in self.targets:
-            api.send(u, comm.TAG_EDGEADD)
-        api.halt()
 
 
 class _PolylogVariant:
@@ -105,7 +90,7 @@ class _PolylogVariant:
             return
         comm.downcast_single(net, orient, sorted(settled), comm.TAG_SETTLED,
                              f"p{phase}.settle")
-        programs: Dict[int, NodeProgram] = {}
+        targets: Dict[int, List[int]] = {}
         for c in sorted(settled):
             for v in orient.members[c]:
                 best: Dict[int, int] = {}
@@ -115,10 +100,10 @@ class _PolylogVariant:
                     if cc not in best or u < best[cc]:
                         best[cc] = u
                 if best:
-                    programs[v] = _EdgeAnnounce(sorted(best.values()))
-        net.episode(f"p{phase}.inter", programs)
-        for v in sorted(programs):
-            for u in programs[v].targets:
+                    targets[v] = sorted(best.values())
+        comm.announce_edges(net, f"p{phase}.inter", targets)
+        for v in sorted(targets):
+            for u in targets[v]:
                 spanner.add(edge_key(v, u), vertex=v, kind=INTER, phase=phase)
 
 

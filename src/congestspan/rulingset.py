@@ -14,14 +14,17 @@ type, relayed with a decrementing hop counter by candidates and
 non-candidates alike). On a virtual cluster graph each flood hop costs one
 down-cast, one exchange round, and one up-cast within the cluster trees.
 
-Empty blocks produce no flood and therefore consume no rounds; the
-orchestrator can see they are empty, so skipping them needs no messages.
+Empty blocks would produce no flood and consume no rounds, so the
+orchestrator never visits them: per level it walks only the blocks that hold
+an alive candidate. Its work therefore grows with the number of candidates,
+not with the width of the ID range.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from . import comm
@@ -29,7 +32,6 @@ from .clusters import ClusterSet, verify_cluster_tree
 from .comm import Net, Orientation
 from .exact import ceil_log2_int, nth_root_ceil
 from .graph import Graph, bfs_on_adjacency
-from .sim import NodeApi, NodeProgram, Message
 
 
 class RulingError(ValueError):
@@ -124,40 +126,6 @@ def _child_block(ident: int, lo: int, widths: List[int], level: int) -> int:
 # ---------------------------------------------------------------------------
 # The knock-out flood over the (virtual) cluster structure.
 
-class _KnockSend(NodeProgram):
-    __slots__ = ("center", "scalar")
-
-    def __init__(self, center: int, hops_left: int, own_pop: bool):
-        self.center = center
-        self.scalar = (hops_left << 1) | (1 if own_pop else 0)
-
-    def on_start(self, api: NodeApi) -> None:
-        api.broadcast(comm.TAG_KNOCK, (self.center,), self.scalar)
-        api.halt()
-
-
-class _KnockListen(NodeProgram):
-    __slots__ = ("center", "own_pop", "heard")
-
-    def __init__(self, center: int, own_pop: bool):
-        self.center = center
-        self.own_pop = own_pop
-        self.heard: Optional[int] = None   # max hops-left received
-
-    def on_round(self, api: NodeApi, inbox: Dict[int, Message]) -> None:
-        for _, msg in inbox.items():
-            if msg.tag != comm.TAG_KNOCK:
-                continue
-            if msg.ids[0] == self.center:
-                continue
-            if not (bool(msg.scalar & 1) or self.own_pop):
-                continue
-            h = msg.scalar >> 1
-            if self.heard is None or h > self.heard:
-                self.heard = h
-        api.halt()
-
-
 def _flood(net: Net, orient: Orientation, initiators: Sequence[int], depth: int,
            popular: Optional[Set[int]], label: str) -> Set[int]:
     """Flood a knock-out from the initiator clusters to the given virtual
@@ -177,31 +145,22 @@ def _flood(net: Net, orient: Orientation, initiators: Sequence[int], depth: int,
             payload = {c: ((), h) for c, h in frontier}
             comm.downcast_single(net, orient, payload.keys(), comm.TAG_KNOCK_SEND,
                                  f"{label}.k{wave}.down", payload)
-        send_progs: Dict[int, NodeProgram] = {}
-        listen_progs: Dict[int, _KnockListen] = {}
-        for c, h in frontier:
-            pop = popular is None or c in popular
-            for v in orient.members[c]:
-                send_progs[v] = _KnockSend(c, h, pop)
-        for v, c in orient.center_of.items():
-            if v not in send_progs:
-                listen_progs[v] = _KnockListen(
-                    c, popular is None or c in popular)
-        net.episode(f"{label}.k{wave}.x", {**send_progs, **listen_progs},
-                    mode=comm.sim.BROADCAST)
-        got: Dict[int, int] = {}
-        if trivial:
-            for v, prog in listen_progs.items():
-                if prog.heard is not None:
-                    got[v] = prog.heard
-        else:
-            vals = {v: (prog.heard,) for v, prog in listen_progs.items()
-                    if prog.heard is not None}
-            touched = sorted({orient.center_of[v] for v in vals})
-            if touched:
-                best = comm.upcast_best(net, orient, vals, f"{label}.k{wave}.up",
-                                        prefer_max=True, width=0, centers=touched)
-                got = {c: b[0] for c, b in best.items() if b is not None}
+        hops_at: Dict[int, int] = {}   # listener -> max hops left it heard
+
+        def fold(v: int, arrivals: List[Tuple[int, int, int]]) -> None:
+            hops_at[v] = max(map(itemgetter(2), arrivals))
+
+        comm.cluster_broadcast(net, orient, f"{label}.k{wave}.x", comm.TAG_KNOCK,
+                               [(c, c, h) for c, h in frontier], popular,
+                               orient.center_of.keys(), fold)
+        got = hops_at
+        if not trivial and hops_at:
+            touched = sorted({orient.center_of[v] for v in hops_at})
+            best = comm.upcast_best(net, orient,
+                                    {v: (h,) for v, h in hops_at.items()},
+                                    f"{label}.k{wave}.up", prefer_max=True,
+                                    width=0, centers=touched)
+            got = {c: b[0] for c, b in best.items() if b is not None}
         heard.update(got)
         frontier = [(c, h - 1) for c, h in sorted(got.items())
                     if h >= 1 and c not in relayed]
@@ -213,7 +172,11 @@ def run_knockout_schedule(net: Net, orient: Orientation, candidates: Set[int],
                           params: RulingParams, id_range: Tuple[int, int],
                           popular: Optional[Set[int]] = None,
                           label: str = "rs") -> Set[int]:
-    """Execute the full merge timetable; returns the surviving candidates."""
+    """Execute the full merge timetable; returns the surviving candidates.
+
+    Per level, only the blocks holding an alive candidate are visited, in
+    ascending order, so the work never depends on the ID-range width.
+    """
     lo, hi = id_range
     width = hi - lo + 1
     alive: Set[int] = set(candidates)
@@ -222,9 +185,11 @@ def run_knockout_schedule(net: Net, orient: Orientation, candidates: Set[int],
     t = max(2, nth_root_ceil(width, params.q))
     widths = _block_widths(width, t)
     for level in range(len(widths) - 2, -1, -1):
-        for block in range(t):
-            senders = sorted(c for c in alive
-                             if _child_block(c, lo, widths, level) == block)
+        blocks: Dict[int, List[int]] = {}
+        for c in sorted(alive):
+            blocks.setdefault(_child_block(c, lo, widths, level), []).append(c)
+        for block in sorted(blocks):
+            senders = [c for c in blocks[block] if c in alive]
             if not senders:
                 continue
             heard = _flood(net, orient, senders, params.c, popular,
@@ -252,14 +217,7 @@ def congest_ruling_set(g: Graph, a: Iterable[int], params: RulingParams,
     if unknown:
         raise RulingError(f"candidates outside the graph: {sorted(unknown)[:4]}")
     net = net or Net(g)
-    orient = Orientation(
-        center_of={v: v for v in g.vertices},
-        parent={v: None for v in g.vertices},
-        children={v: () for v in g.vertices},
-        depth={v: 0 for v in g.vertices},
-        height={v: 0 for v in g.vertices},
-        members={v: (v,) for v in g.vertices},
-    )
+    orient = comm.orientation_from_parents({v: {v: None} for v in g.vertices})
     rounds0 = net.trace.rounds_total
     members = run_knockout_schedule(net, orient, set(target), params,
                                     g.id_range, popular=None, label="rs")

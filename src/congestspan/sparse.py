@@ -28,10 +28,9 @@ from .exact import (as_fraction, ceil_fraction, ceil_log2_int, count_le_pow,
                     floor_log2, npow_decimal, pow_ceil)
 from .graph import Graph, edge_key
 from .rulingset import RulingParams
-from .sim import Message, NodeProgram
+from .sim import Message
 from .spanner import INTER, BuildResult, PhaseSnapshot, SpannerEdgeSet, \
     run_phases, trivial_result
-from .polylog import _EdgeAnnounce
 
 
 @dataclass(frozen=True)
@@ -135,7 +134,7 @@ class _SparseVariant:
         received = comm.downcast_payloads(net, orient, payloads,
                                           f"p{phase}.intercast")
         adds: List[Tuple[int, int, int]] = []   # (adder, target, charged center)
-        programs: Dict[int, NodeProgram] = {}
+        announce: Dict[int, List[int]] = {}
         for c in sorted(payloads):
             for v in orient.members[c]:
                 targets = []
@@ -146,8 +145,8 @@ class _SparseVariant:
                         targets.append(u)
                         adds.append((v, u, c))
                 if targets:
-                    programs[v] = _EdgeAnnounce(sorted(targets))
-        net.episode(f"p{phase}.inter", programs)
+                    announce[v] = sorted(targets)
+        comm.announce_edges(net, f"p{phase}.inter", announce)
         for v, u, c in adds:
             spanner.add(edge_key(v, u), vertex=c, kind=INTER, phase=phase)
 

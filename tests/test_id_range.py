@@ -1,0 +1,47 @@
+"""Build cost must not depend on the width of the vertex-ID range.
+
+The knock-out schedule splits the ID range into blocks; it must visit only
+the blocks that hold a candidate. With IDs up to 2**63 - 1 a walk over every
+block would never finish, so each build here runs under a generous wall bound.
+"""
+
+import random
+import time
+from fractions import Fraction
+
+import pytest
+
+from congestspan import graph as gr
+from congestspan import polylog, sparse
+from congestspan.verify import verify_build
+
+MAX_ID = 2 ** 63 - 1
+WALL_BOUND_S = 10.0
+
+
+def _k4_wide() -> gr.Graph:
+    ids = (1, 2, 3, MAX_ID)
+    return gr.from_edges((u, v) for u in ids for v in ids if u < v)
+
+
+def _gnp_wide() -> gr.Graph:
+    g = gr.generate_graph("gnp_connected", n=40, p=0.15, seed=11)
+    ids = random.Random(11).sample(range(1, MAX_ID + 1), g.n - 1) + [MAX_ID]
+    new_id = dict(zip(g.vertices, ids))
+    return gr.from_edges((new_id[u], new_id[v]) for u, v in g.edges())
+
+
+@pytest.mark.parametrize("make", [_k4_wide, _gnp_wide], ids=["K4", "gnp40"])
+@pytest.mark.parametrize("build", [
+    lambda g: polylog.build_spanner(g, 2),
+    lambda g: sparse.build_skeleton(g, Fraction(34, 100)),
+], ids=["polylog2", "skeleton"])
+def test_ids_up_to_2_pow_63_build_and_verify(make, build):
+    g = make()
+    assert g.id_range[1] == MAX_ID
+    start = time.perf_counter()
+    result = build(g)
+    report = verify_build(g, result)
+    elapsed = time.perf_counter() - start
+    assert report["passed"], [v for v in report["verdicts"] if not v["ok"]]
+    assert elapsed < WALL_BOUND_S

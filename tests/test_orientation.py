@@ -1,0 +1,49 @@
+"""The two ways to obtain an Orientation must agree field by field.
+
+orient_clusters learns the trees through a simulated flood from the centers;
+orientation_from_parents starts from parent maps that are already known.
+Depths and heights are also checked against their definitions, computed
+here by walking each tree directly.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from corpus import voronoi_clusters
+
+from congestspan import graph as gr
+from congestspan.comm import Net, orient_clusters, orientation_from_parents
+
+FIELDS = ("center_of", "parent", "children", "depth", "height", "members")
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 40), seed=st.integers(0, 99), data=st.data())
+def test_orientation_from_parents_matches_flood(n, seed, data):
+    g = gr.generate_graph("gnp_connected", n=n, p=0.15, seed=seed)
+    centers = data.draw(st.sets(st.sampled_from(g.vertices), min_size=1,
+                                max_size=max(1, n // 3)))
+    parent_maps = voronoi_clusters(g, centers)
+    raw = []
+    for center, pmap in sorted(parent_maps.items()):
+        tree_adj = {v: [] for v in pmap}
+        for v, p in pmap.items():
+            if p is not None:
+                tree_adj[v].append(p)
+                tree_adj[p].append(v)
+        raw.append((center, sorted(pmap), tree_adj))
+
+    flooded = orient_clusters(Net(g), raw, "orient")
+    known = orientation_from_parents(parent_maps)
+    for name in FIELDS:
+        assert getattr(known, name) == getattr(flooded, name), name
+
+    parent = {v: p for pmap in parent_maps.values() for v, p in pmap.items()}
+    depth, height = {}, dict.fromkeys(parent, 0)
+    for v in parent:
+        u, up = v, 0
+        while parent[u] is not None:
+            u, up = parent[u], up + 1
+            height[u] = max(height[u], up)
+        depth[v] = up
+    assert known.depth == depth
+    assert known.height == height
