@@ -338,3 +338,22 @@ def bfs_on_adjacency(adj: Dict[int, Iterable[int]], source: int,
             if v not in dist:
                 dist[v] = INF
     return dist
+
+
+def bfs_layers(adj: Dict[int, Iterable[int]], sources: Iterable[int]) -> Iterator[Set[int]]:
+    """Yield the BFS layers around sources: layer d is the set of vertices at
+    hop distance exactly d from the nearest source, layer 0 the sources.
+
+    A layer is computed only when the caller asks for it, so a search that
+    stops iterating (or takes an islice) expands no further than it looked.
+    """
+    seen = set(sources)
+    layer = set(seen)
+    while layer:
+        yield layer
+        nxt: Set[int] = set()
+        for v in layer:
+            nxt.update(adj[v])
+        nxt -= seen
+        seen |= nxt
+        layer = nxt

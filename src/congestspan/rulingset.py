@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -31,7 +32,7 @@ from . import comm
 from .clusters import ClusterSet, verify_cluster_tree
 from .comm import Net, Orientation
 from .exact import ceil_log2_int, nth_root_ceil
-from .graph import Graph, bfs_on_adjacency
+from .graph import Graph, bfs_layers
 
 
 class RulingError(ValueError):
@@ -76,30 +77,37 @@ class RulingVerdict:
 def check_ruling(adjacency: Dict[int, Sequence[int]], members: Iterable[int],
                  target: Iterable[int], alpha: int,
                  beta: Optional[int] = None) -> RulingVerdict:
-    """Brute-force verification: alpha-separation and beta-domination.
+    """Exact verification: alpha-separation and beta-domination.
 
-    adjacency may come from a Graph or a VirtualClusterGraph. beta=None skips
-    the domination clause (used for precondition checks).
+    Separation searches from each member only to depth alpha - 1, the
+    radius a violation can lie within; domination takes exact distances from
+    one multi-source BFS of all members. A failure names the first offending
+    pair or target in ID order. adjacency may come from a Graph or a
+    VirtualClusterGraph. beta=None skips the domination clause (used for
+    precondition checks).
     """
-    members = sorted(set(members))
-    target = sorted(set(target))
-    extra = [m for m in members if m not in set(target)]
+    member_set = set(members)
+    target_set = set(target)
+    members = sorted(member_set)
+    extra = [m for m in members if m not in target_set]
     if extra:
         return RulingVerdict(False, "membership",
                              f"member {extra[0]} is outside the target set")
-    dist_from_member: Dict[int, Dict[int, float]] = {}
     for m in members:
-        dist_from_member[m] = bfs_on_adjacency(adjacency, m)
-    for i, m in enumerate(members):
-        for m2 in members[i + 1:]:
-            d = dist_from_member[m].get(m2, math.inf)
-            if d < alpha:
-                return RulingVerdict(False, "separation",
-                                     f"members {m} and {m2} at distance {d} < {alpha}")
+        near: Dict[int, int] = {}
+        for d, layer in enumerate(islice(bfs_layers(adjacency, (m,)), alpha)):
+            near.update(dict.fromkeys(layer & member_set, d))
+        later = [m2 for m2 in near if m2 > m]
+        if later:
+            m2 = min(later)
+            return RulingVerdict(False, "separation",
+                                 f"members {m} and {m2} at distance {near[m2]} < {alpha}")
     if beta is not None:
-        for t in target:
-            d = min((dist_from_member[m].get(t, math.inf) for m in members),
-                    default=math.inf)
+        dist: Dict[int, float] = {}
+        for d, layer in enumerate(bfs_layers(adjacency, members)):
+            dist.update(dict.fromkeys(layer, d))
+        for t in sorted(target_set):
+            d = dist.get(t, math.inf)
             if d > beta:
                 return RulingVerdict(False, "domination",
                                      f"target {t} at distance {d} > {beta} from every member")
