@@ -26,6 +26,13 @@ from .spanner import BuildResult
 SCHEMA_VERSION = 1
 
 
+def _input_error(message: str) -> int:
+    """Report malformed input on stderr; its exit code is 2, so that 1 keeps
+    meaning a failed verdict."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def parse_graph_spec(spec: str) -> Graph:
     if spec.startswith("gen:"):
         parts = spec.split(":", 2)
@@ -134,18 +141,21 @@ def cmd_build(args: argparse.Namespace) -> int:
     try:
         g = parse_graph_spec(args.graph)
         result = run_build(args.alg, g, args.kappa, args.rho)
-    except (ValueError, GraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (ValueError, GraphError, OSError) as exc:
+        return _input_error(str(exc))
     report = build_report(g, result)
     outdir = Path(args.out or "out")
-    outdir.mkdir(parents=True, exist_ok=True)
-    save_edgelist(result.spanner.edges, str(outdir / "spanner.edges"),
-                  header=f"spanner of {args.graph} via {args.alg}")
-    (outdir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True))
-    if args.dump_clusters:
-        snaps = [s.cluster_set.as_dict() for s in result.snapshots]
-        (outdir / "clusters.json").write_text(json.dumps(snaps, indent=2))
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        save_edgelist(result.spanner.edges, str(outdir / "spanner.edges"),
+                      header=f"spanner of {args.graph} via {args.alg}")
+        (outdir / "report.json").write_text(json.dumps(report, indent=2,
+                                                       sort_keys=True))
+        if args.dump_clusters:
+            snaps = [s.cluster_set.as_dict() for s in result.snapshots]
+            (outdir / "clusters.json").write_text(json.dumps(snaps, indent=2))
+    except OSError as exc:
+        return _input_error(f"--out {outdir}: {exc}")
     status = "PASS" if report["passed"] else "FAIL"
     print(f"{status} {args.alg} n={g.n} |H|={result.spanner.size()} "
           f"rounds={result.rounds_total} -> {outdir}")
@@ -168,8 +178,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 u, v = (int(x) for x in line.split())
                 spanner_graph_edges.add((min(u, v), max(u, v)))
     except (ValueError, GraphError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _input_error(str(exc))
     report = verify.verify_spanner_file(g, spanner_graph_edges, bound=args.bound)
     report["schema_version"] = SCHEMA_VERSION
     out = json.dumps(report, indent=2, sort_keys=True)
@@ -206,10 +215,12 @@ def _bench_point(point: dict) -> dict:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    series = json.loads(Path(args.series).read_text())
+    try:
+        series = json.loads(Path(args.series).read_text())
+    except (OSError, ValueError) as exc:
+        return _input_error(f"--series {args.series}: {exc}")
     if not isinstance(series, list):
-        print("error: series file must hold a JSON list", file=sys.stderr)
-        return 2
+        return _input_error("series file must hold a JSON list")
     workers = args.workers or int(os.environ.get("CONGESTSPAN_WORKERS", "0")) \
         or (os.cpu_count() or 1)
     if series and workers > 1:
@@ -278,7 +289,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.config:
         # the config file supplies values for flags the user left unset
-        defaults = json.loads(Path(args.config).read_text())
+        try:
+            defaults = json.loads(Path(args.config).read_text())
+        except (OSError, ValueError) as exc:
+            return _input_error(f"--config {args.config}: {exc}")
+        if not isinstance(defaults, dict):
+            return _input_error(f"--config {args.config}: expected a JSON object")
         for key, val in defaults.items():
             if getattr(args, key, None) is None:
                 setattr(args, key, val)

@@ -6,9 +6,11 @@ cluster IDs with neighbors, converge flags or keyed items to the centers,
 stream payloads back down, announce new spanner edges. One one-shot
 broadcast round (broadcast_once) serves the ID exchange and, through
 cluster_broadcast, every hop of the knock-out floods and explorations on the
-virtual cluster graph. Each episode runs every participating vertex as a
-small program; the orchestrator only moves results between episodes, never
-inventing knowledge a vertex could not have accumulated locally.
+virtual cluster graph; it is delivered by sim.broadcast_round, with the
+listeners' folds in place of programs. Every other episode runs each
+participating vertex as a small program through sim.run. The orchestrator
+only moves results between episodes, never inventing knowledge a vertex
+could not have accumulated locally.
 
 Round accounting sums episode traces into a BuildTrace, which also remembers
 per-episode labels and modes so model-compliance checks (message size, one
@@ -97,14 +99,27 @@ class Net:
         self.max_rounds = max_rounds_per_episode
         self.trace = BuildTrace()
 
+    def _config(self, mode: str) -> SimConfig:
+        return SimConfig(ids_per_message=self.ids_per_message, mode=mode,
+                         max_rounds=self.max_rounds)
+
     def episode(self, label: str, programs: Dict[int, NodeProgram],
                 mode: str = sim.CONGEST) -> int:
         """Run one episode; returns rounds used."""
         if not programs:
             return 0
-        cfg = SimConfig(ids_per_message=self.ids_per_message, mode=mode,
-                        max_rounds=self.max_rounds)
-        trace = sim.run(self.g, programs, cfg, label=label)
+        trace = sim.run(self.g, programs, self._config(mode), label=label)
+        self.trace.absorb(trace)
+        return trace.rounds_elapsed
+
+    def broadcast_round(self, label: str, sends: Dict[int, Message],
+                        listeners: AbstractSet[int],
+                        fold: Callable[[int, Dict[int, Message]], None]) -> int:
+        """One sim.broadcast_round episode; returns rounds used."""
+        if not sends:
+            return 0
+        trace = sim.broadcast_round(self.g, sends, listeners, fold,
+                                    self._config(sim.BROADCAST), label)
         self.trace.absorb(trace)
         return trace.rounds_elapsed
 
@@ -229,53 +244,17 @@ def orientation_from_parents(parent_maps: Dict[int, Dict[int, Optional[int]]]) -
     return Orientation(center_of, parent, kids, depth, height, members)
 
 
-class _BroadcastOnce(NodeProgram):
-    """Broadcast a message at the start, fold the inbox of the next round.
-
-    Either part may be absent: msg None listens only, fold None sends only.
-    """
-
-    __slots__ = ("msg", "fold")
-
-    def __init__(self, msg: Optional[Message],
-                 fold: Optional[Callable[[int, Dict[int, Message]], None]]):
-        self.msg = msg
-        self.fold = fold
-
-    def on_start(self, api: NodeApi) -> None:
-        if self.msg is not None:
-            api.broadcast(self.msg.tag, self.msg.ids, self.msg.scalar)
-        if self.fold is None:
-            api.halt()
-
-    def on_round(self, api: NodeApi, inbox: Dict[int, Message]) -> None:
-        self.fold(api.vertex, inbox)
-        api.halt()
-
-
 def broadcast_once(net: Net, label: str, sends: Dict[int, Message],
                    listeners: AbstractSet[int],
                    fold: Callable[[int, Dict[int, Message]], None]) -> None:
     """One broadcast-mode round: every sender broadcasts its message once.
 
     Each listener that hears anything calls fold(vertex, inbox) with the
-    inbox in ascending sender order. A vertex may both send and listen. Only
-    listeners adjacent to a sender are given a program; the others could not
-    hear anything.
+    inbox in ascending sender order, listeners in ascending order. A vertex
+    may both send and listen. The round is delivered by sim.broadcast_round,
+    with no program per vertex; no episode is recorded when nobody sends.
     """
-    programs: Dict[int, NodeProgram] = {
-        v: _BroadcastOnce(msg, fold if v in listeners else None)
-        for v, msg in sends.items()}
-    quiet = listeners - sends.keys()
-    if quiet:
-        adj = net.g.adjacency
-        # keep the listeners' own ID objects (not the equal ints of the
-        # adjacency tuples): they end up in spanner edges, and dict lookups
-        # on identical keys are faster for every later reader
-        deaf = quiet - set().union(*(adj[u] for u in sends))
-        for v in quiet - deaf:
-            programs[v] = _BroadcastOnce(None, fold)
-    net.episode(label, programs, mode=sim.BROADCAST)
+    net.broadcast_round(label, sends, listeners, fold)
 
 
 def cluster_broadcast(net: Net, orient: Orientation, label: str, tag: int,

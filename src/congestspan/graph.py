@@ -9,6 +9,7 @@ an explicit ID range. All neighbor lists are sorted ascending so that every
 
 from __future__ import annotations
 
+import inspect
 import math
 import random
 from collections import deque
@@ -159,6 +160,10 @@ def generate_graph(kind: str, seed: int = 0, **params) -> Graph:
         fn = _GENERATORS[kind]
     except KeyError:
         raise GraphError(f"unknown generator kind {kind!r}") from None
+    try:
+        inspect.signature(fn).bind(seed=seed, **params)
+    except TypeError as exc:
+        raise GraphError(f"generator {kind!r}: {exc}") from None
     return fn(seed=seed, **params)
 
 
@@ -192,8 +197,9 @@ def _gen_grid(n: Optional[int] = None, rows: Optional[int] = None,
         if n is None:
             raise GraphError("grid needs n or rows+cols")
         rows, cols = _near_square(n)
-    if rows < 1 or cols < 1:
-        raise GraphError("grid needs rows, cols >= 1")
+    if not all(isinstance(x, int) and x >= 1 for x in (rows, cols)):
+        raise GraphError(f"grid needs integer rows, cols >= 1, "
+                         f"got {rows!r}, {cols!r}")
     if rows * cols == 1:
         return Graph({1: []}, meta={"kind": "grid", "rows": rows, "cols": cols})
     edges = []

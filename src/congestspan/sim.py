@@ -15,6 +15,12 @@ call) ends when every program has halted, or when the network is quiescent
 scheduled wakeups still count toward the round total but cost no work, so a
 run's wall time is proportional to the traffic, not to the round count.
 
+One-shot broadcast rounds (every sender broadcasts once, every listener
+folds the inbox it hears) use ``broadcast_round`` instead of ``run``: it
+delivers the round directly, without a program or an API object per vertex,
+applies the same message checks and returns the same trace that ``run``
+gives for one program per vertex.
+
 Determinism: vertices are stepped in ascending ID order, inboxes are keyed by
 sender in ascending order, and per-edge FIFO order is preserved by the
 pipelined tree casts. Two runs with identical inputs produce identical traces
@@ -23,8 +29,10 @@ and final states.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (AbstractSet, Callable, Dict, List, Optional, Sequence,
+                    Tuple)
 
 from .graph import Graph
 
@@ -240,6 +248,54 @@ def run(g: Graph, programs: Dict[int, NodeProgram], config: SimConfig,
             last_activity = rnd
 
     trace.rounds_elapsed = last_activity
+    return trace
+
+
+def broadcast_round(g: Graph, sends: Dict[int, Message],
+                    listeners: AbstractSet[int],
+                    fold: Callable[[int, Dict[int, Message]], None],
+                    config: SimConfig, label: str = "") -> SimTrace:
+    """One broadcast-mode round without programs.
+
+    Every sender broadcasts its message once on all its edges; each listener
+    that hears anything then gets fold(vertex, inbox), in ascending vertex
+    order, with the inbox keyed by sender in ascending order. vertex is the
+    listener's own ID object from listeners. The message checks and the
+    returned trace are those of run() stepping one program per vertex that
+    broadcasts at round 0 and folds its round-1 inbox.
+    """
+    if config.mode != BROADCAST:
+        raise ValueError(f"broadcast_round needs mode {BROADCAST!r}, "
+                         f"not {config.mode!r}")
+    max_scalar = max(g.n, 2) ** 3
+    cap = config.ids_per_message
+    adjacency = g.adjacency
+    trace = SimTrace(label=label, mode=BROADCAST)
+    inboxes: Dict[int, Dict[int, Message]] = defaultdict(dict)
+    sent = 0
+    # walking the senders in ascending order fills every inbox in ascending
+    # sender order, so no inbox needs a sort
+    for v in sorted(sends):
+        nbrs = adjacency.get(v)
+        if nbrs is None:
+            raise ValueError(f"broadcast from unknown vertex {v}")
+        msg = sends[v]
+        _check_message(v, msg, cap, max_scalar, trace)
+        sent += len(nbrs)
+        for u in nbrs:
+            if u in listeners:
+                inboxes[u][v] = msg
+    if sent:
+        trace.rounds_elapsed = 1
+        trace.messages_total = sent
+        trace.per_round_message_counts.append(sent)
+        trace.messages_per_edge_per_round_max = 1
+    if inboxes:
+        # the difference keeps the listeners' own ID objects, not the equal
+        # ints of the adjacency tuples: callers store them, and later dict
+        # lookups on identical keys are faster
+        for v in sorted(listeners - (listeners - inboxes.keys())):
+            fold(v, inboxes[v])
     return trace
 
 

@@ -1,19 +1,23 @@
-"""Test-only reference implementations of the verifier's searches.
+"""Test-only reference implementations of the package's fast paths.
 
-These are the straightforward all-sources versions that the package's
-bounded searches replaced: one full BFS of H from every vertex for the edge
-stretch, and one full BFS from every member for a ruling set. They are slow
-but obviously right, so the tests hold the fast versions to them verdict for
-verdict.
+These are the straightforward versions that the package's fast paths
+replaced: one full BFS of H from every vertex for the edge stretch, one full
+BFS from every member for a ruling set, and one program per vertex stepped
+through the event loop for a one-shot broadcast round. They are slow but
+obviously right, so the tests hold the fast versions to them result for
+result.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Optional, Sequence, Set, Tuple
+from typing import (AbstractSet, Callable, Dict, Iterable, Optional, Sequence,
+                    Set, Tuple)
 
+from congestspan import sim
 from congestspan.graph import Edge, Graph, bfs_on_adjacency, subgraph_adjacency
 from congestspan.rulingset import RulingVerdict
+from congestspan.sim import Message, NodeApi, NodeProgram, SimConfig, SimTrace
 
 
 def max_edge_stretch(g: Graph, spanner_edges: Set[Edge]) -> Tuple[float, Optional[Edge]]:
@@ -65,3 +69,46 @@ def check_ruling(adjacency: Dict[int, Sequence[int]], members: Iterable[int],
                 return RulingVerdict(False, "domination",
                                      f"target {t} at distance {d} > {beta} from every member")
     return RulingVerdict(True)
+
+
+class BroadcastOnce(NodeProgram):
+    """Broadcast a message at the start, fold the inbox of the next round.
+
+    Either part may be absent: msg None listens only, fold None sends only.
+    """
+
+    __slots__ = ("msg", "fold")
+
+    def __init__(self, msg: Optional[Message],
+                 fold: Optional[Callable[[int, Dict[int, Message]], None]]):
+        self.msg = msg
+        self.fold = fold
+
+    def on_start(self, api: NodeApi) -> None:
+        if self.msg is not None:
+            api.broadcast(self.msg.tag, self.msg.ids, self.msg.scalar)
+        if self.fold is None:
+            api.halt()
+
+    def on_round(self, api: NodeApi, inbox: Dict[int, Message]) -> None:
+        self.fold(api.vertex, inbox)
+        api.halt()
+
+
+def broadcast_round(g: Graph, sends: Dict[int, Message],
+                    listeners: AbstractSet[int],
+                    fold: Callable[[int, Dict[int, Message]], None],
+                    config: SimConfig, label: str = "") -> SimTrace:
+    """One broadcast round as sim.run steps it: a program per sender, and one
+    per listener adjacent to a sender, which keeps the listener's own ID
+    object."""
+    programs: Dict[int, NodeProgram] = {
+        v: BroadcastOnce(msg, fold if v in listeners else None)
+        for v, msg in sends.items()}
+    quiet = listeners - sends.keys()
+    if quiet:
+        adj = g.adjacency
+        deaf = quiet - set().union(*(adj[u] for u in sends if u in adj))
+        for v in quiet - deaf:
+            programs[v] = BroadcastOnce(None, fold)
+    return sim.run(g, programs, config, label=label)

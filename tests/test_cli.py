@@ -1,6 +1,8 @@
 import json
+import string
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from congestspan import cli
 from congestspan import graph as gr
@@ -71,6 +73,74 @@ class TestBuild:
                        "--graph", "gen:cycle:n=8"])
         assert rc == 0
         assert (tmp_path / "o" / "report.json").exists()
+
+
+RANDOM_TEXT = st.text(
+    alphabet=st.sampled_from(string.digits + " \t\n#-+_.x")
+    | st.characters(blacklist_categories=("Cs",)), max_size=80)
+# "u v" lines over a few IDs, some out of range or past 2**63, with comments
+# and extra fields; some of these files hold a valid connected graph
+_ID = st.sampled_from([0, 1, 2, 3, 4, 5, 2 ** 63 - 1, 2 ** 80])
+RANDOM_EDGE_LINES = st.lists(
+    st.tuples(_ID, _ID, st.sampled_from(["", "", "", " # c", " 3"])),
+    unique_by=lambda line: frozenset(line[:2]), max_size=12,
+).map(lambda lines: "".join(f"{u} {v}{tail}\n" for u, v, tail in lines))
+
+
+class TestMalformedInput:
+    """Bad input exits 2 with one error line, never a traceback; exit 1
+    stays reserved for a failed verification."""
+
+    @pytest.mark.parametrize("spec", [
+        "missing.edges", ".", "gen:path", "gen:path:foo=1", "gen:path:n=3,foo=1",
+        "gen:grid:rows=2.5,cols=2"])
+    def test_bad_graph_exits_2(self, spec, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rc = cli.main(["build", "--alg", "polylog", "--kappa", "2",
+                       "--graph", spec, "--out", "o"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("text", [None, "{", "[1, 2]"],
+                             ids=["missing", "not json", "not an object"])
+    def test_bad_config_exits_2(self, text, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        if text is not None:
+            cfg.write_text(text)
+        rc = cli.main(["--config", str(cfg), "build", "--alg", "polylog",
+                       "--kappa", "2", "--graph", "gen:cycle:n=8",
+                       "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: --config")
+
+    def test_out_is_a_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        out.write_text("")
+        rc = cli.main(["build", "--alg", "polylog", "--kappa", "2",
+                       "--graph", "gen:cycle:n=8", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: --out")
+
+    @pytest.mark.parametrize("text", [None, "{", "{}"],
+                             ids=["missing", "not json", "not a list"])
+    def test_bad_series_exits_2(self, text, tmp_path, capsys):
+        series = tmp_path / "series.json"
+        if text is not None:
+            series.write_text(text)
+        rc = cli.main(["bench", "--series", str(series), "--out",
+                       str(tmp_path / "b"), "--workers", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=st.one_of(RANDOM_TEXT, RANDOM_EDGE_LINES))
+    def test_random_edge_list_text_never_crashes(self, text, tmp_path):
+        path = tmp_path / "g.edges"
+        path.write_text(text, encoding="utf-8")
+        rc = cli.main(["build", "--alg", "polylog", "--kappa", "2",
+                       "--graph", str(path), "--out", str(tmp_path / "o")])
+        assert rc in (0, 1, 2)
 
 
 class TestVerify:

@@ -3,6 +3,8 @@
 The knock-out schedule splits the ID range into blocks; it must visit only
 the blocks that hold a candidate. With IDs up to 2**63 - 1 a walk over every
 block would never finish, so each build here runs under a generous wall bound.
+Any relabelling with distinct positive IDs up to 2**63 - 1 must still build
+and verify.
 """
 
 import random
@@ -10,6 +12,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from congestspan import graph as gr
 from congestspan import polylog, sparse
@@ -24,11 +27,15 @@ def _k4_wide() -> gr.Graph:
     return gr.from_edges((u, v) for u in ids for v in ids if u < v)
 
 
-def _gnp_wide() -> gr.Graph:
-    g = gr.generate_graph("gnp_connected", n=40, p=0.15, seed=11)
-    ids = random.Random(11).sample(range(1, MAX_ID + 1), g.n - 1) + [MAX_ID]
+def _relabel(g: gr.Graph, ids) -> gr.Graph:
     new_id = dict(zip(g.vertices, ids))
     return gr.from_edges((new_id[u], new_id[v]) for u, v in g.edges())
+
+
+def _gnp_wide() -> gr.Graph:
+    g = gr.generate_graph("gnp_connected", n=40, p=0.15, seed=11)
+    return _relabel(g, random.Random(11).sample(range(1, MAX_ID + 1), g.n - 1)
+                    + [MAX_ID])
 
 
 @pytest.mark.parametrize("make", [_k4_wide, _gnp_wide], ids=["K4", "gnp40"])
@@ -45,3 +52,21 @@ def test_ids_up_to_2_pow_63_build_and_verify(make, build):
     elapsed = time.perf_counter() - start
     assert report["passed"], [v for v in report["verdicts"] if not v["ok"]]
     assert elapsed < WALL_BOUND_S
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["path", "cycle", "grid", "random_tree",
+                             "complete", "gnp_connected"]),
+       n=st.integers(3, 40), seed=st.integers(0, 10 ** 6),
+       ids=st.lists(st.integers(1, MAX_ID), min_size=40, max_size=40,
+                    unique=True))
+def test_random_relabelling_builds_and_verifies(kind, n, seed, ids):
+    # complete graphs stop at 12 vertices to keep every example cheap
+    params = {"n": min(n, 12) if kind == "complete" else n, "seed": seed}
+    if kind == "gnp_connected":
+        params["p"] = 0.15
+    g = _relabel(gr.generate_graph(kind, **params), ids)
+    for build in (lambda: polylog.build_spanner(g, 2),
+                  lambda: sparse.build_skeleton(g, Fraction(34, 100))):
+        report = verify_build(g, build())
+        assert report["passed"], [v for v in report["verdicts"] if not v["ok"]]
