@@ -7,10 +7,13 @@ stream payloads back down, announce new spanner edges. One one-shot
 broadcast round (broadcast_once) serves the ID exchange and, through
 cluster_broadcast, every hop of the knock-out floods and explorations on the
 virtual cluster graph; it is delivered by sim.broadcast_round, with the
-listeners' folds in place of programs. Every other episode runs each
-participating vertex as a small program through sim.run. The orchestrator
-only moves results between episodes, never inventing knowledge a vertex
-could not have accumulated locally.
+listeners' folds in place of programs. Every other episode is a tree cast or
+a one-round per-edge send, delivered through Net.cast by one of the sim
+kernels next to it (orient_flood, tree_downcast, best_upcast, flag_upcast,
+tree_collect, send_round), again without a program per vertex; an episode
+in which no vertex takes part is not recorded. The orchestrator only moves
+results between episodes, never inventing knowledge a vertex could not have
+accumulated locally.
 
 Round accounting sums episode traces into a BuildTrace, which also remembers
 per-episode labels and modes so model-compliance checks (message size, one
@@ -26,17 +29,11 @@ from typing import (AbstractSet, Callable, Dict, Iterable, List, Optional,
 
 from .graph import Graph
 from . import sim
-from .sim import Message, NodeApi, NodeProgram, SimConfig
+from .sim import Message, SimConfig
 
 # message tags shared by the phase protocols
-TAG_ORIENT = 10
 TAG_MYCLUSTER = 11
-TAG_FLAG = 12
 TAG_POPBIT = 13
-TAG_COLLECT = sim.TAG_COLLECT
-TAG_MAXSCALAR = 14
-TAG_MINPAIR = 15
-TAG_MINSCALAR = 16
 TAG_PAYLOAD = 17
 TAG_KNOCK = 18
 TAG_KNOCK_SEND = 19
@@ -45,7 +42,6 @@ TAG_RELAY = 21
 TAG_WIN1 = 22
 TAG_WIN2 = 23
 TAG_SETTLED = 24
-TAG_EDGEADD = 25
 
 
 @dataclass
@@ -103,14 +99,13 @@ class Net:
         return SimConfig(ids_per_message=self.ids_per_message, mode=mode,
                          max_rounds=self.max_rounds)
 
-    def episode(self, label: str, programs: Dict[int, NodeProgram],
-                mode: str = sim.CONGEST) -> int:
-        """Run one episode; returns rounds used."""
-        if not programs:
-            return 0
-        trace = sim.run(self.g, programs, self._config(mode), label=label)
+    def cast(self, label: str, kernel: Callable, *args):
+        """One congest-mode episode delivered by a sim kernel:
+        kernel(g, *args, config, label) returns (trace, result); the trace
+        is recorded and the result returned."""
+        trace, result = kernel(self.g, *args, self._config(sim.CONGEST), label)
         self.trace.absorb(trace)
-        return trace.rounds_elapsed
+        return result
 
     def broadcast_round(self, label: str, sends: Dict[int, Message],
                         listeners: AbstractSet[int],
@@ -146,68 +141,33 @@ class Orientation:
         return max(self.depth.values(), default=0)
 
 
-class _OrientFlood(NodeProgram):
-    """Flood the center ID through the (undirected) cluster tree.
-
-    Each vertex learns its parent (the vertex it first heard from), its
-    cluster center, and its depth; children are the remaining tree neighbors.
-    """
-
-    __slots__ = ("tree_nbrs", "is_root", "center", "parent", "depth")
-
-    def __init__(self, tree_nbrs: Sequence[int], is_root: bool):
-        self.tree_nbrs = tuple(tree_nbrs)
-        self.is_root = is_root
-        self.center: Optional[int] = None
-        self.parent: Optional[int] = None
-        self.depth = 0
-
-    def on_start(self, api: NodeApi) -> None:
-        if self.is_root:
-            self.center = api.vertex
-            for u in self.tree_nbrs:
-                api.send(u, TAG_ORIENT, (api.vertex,), 0)
-            api.halt()
-
-    def on_round(self, api: NodeApi, inbox: Dict[int, Message]) -> None:
-        if self.center is not None:
-            return
-        for sender, msg in inbox.items():
-            if msg.tag == TAG_ORIENT:
-                self.center = msg.ids[0]
-                self.parent = sender
-                self.depth = msg.scalar + 1
-                for u in self.tree_nbrs:
-                    if u != sender:
-                        api.send(u, TAG_ORIENT, (self.center,), self.depth)
-                api.halt()
-                return
-
-
 def orient_clusters(net: Net, raw: Sequence[Tuple[int, Sequence[int], Dict[int, List[int]]]],
                     label: str) -> Orientation:
     """Orient every cluster tree at its center in one parallel episode.
 
     raw holds (center, members, tree_adj) triples; tree_adj maps each member
-    to its tree neighbors within that cluster.
+    to its tree neighbors within that cluster. Each member learns its center
+    and its parent, the tree neighbor it first heard the flood from.
     """
-    programs: Dict[int, NodeProgram] = {}
+    tree_nbrs: Dict[int, Sequence[int]] = {}
+    roots: List[int] = []
     for center, members, tree_adj in raw:
         for v in members:
-            programs[v] = _OrientFlood(tree_adj.get(v, ()), v == center)
-    net.episode(label, programs)
+            tree_nbrs[v] = tree_adj.get(v, ())
+            if v == center:
+                roots.append(v)
+    found = net.cast(label, sim.orient_flood, roots, tree_nbrs) if tree_nbrs else {}
 
     parent_maps: Dict[int, Dict[int, Optional[int]]] = {}
     for center, members, _ in raw:
         pmap = parent_maps[center] = {}
         for v in sorted(members):
-            prog = programs[v]
-            if prog.center is None:
+            if v not in found:
                 raise RuntimeError(f"orientation never reached vertex {v} "
                                    f"(cluster tree of {center} is not connected)")
-            if prog.center != center:
-                raise RuntimeError(f"vertex {v} oriented to foreign center {prog.center}")
-            pmap[v] = prog.parent
+            got, pmap[v] = found[v]
+            if got != center:
+                raise RuntimeError(f"vertex {v} oriented to foreign center {got}")
     return orientation_from_parents(parent_maps)
 
 
@@ -304,91 +264,50 @@ def exchange_cluster_ids(net: Net, orient: Orientation, label: str) -> Dict[int,
     return heard
 
 
-class _EdgeAnnounce(NodeProgram):
-    """One round: tell each chosen neighbor that the shared edge joined H."""
-
-    __slots__ = ("targets",)
-
-    def __init__(self, targets: Sequence[int]):
-        self.targets = targets
-
-    def on_start(self, api: NodeApi) -> None:
-        for u in self.targets:
-            api.send(u, TAG_EDGEADD)
-        api.halt()
-
-
 def announce_edges(net: Net, label: str, targets: Dict[int, Sequence[int]]) -> None:
     """One round: each vertex tells every listed neighbor that their shared
     edge joined the spanner."""
-    net.episode(label, {v: _EdgeAnnounce(ts) for v, ts in targets.items()})
-
-
-class _FlagUpcast(NodeProgram):
-    """OR-converge a boolean to the center: forward at most once."""
-
-    __slots__ = ("parent", "flag", "sent")
-
-    def __init__(self, parent: Optional[int], flag: bool):
-        self.parent = parent
-        self.flag = flag
-        self.sent = False
-
-    def on_start(self, api: NodeApi) -> None:
-        self._maybe_send(api)
-
-    def on_round(self, api: NodeApi, inbox: Dict[int, Message]) -> None:
-        if any(m.tag == TAG_FLAG for m in inbox.values()):
-            self.flag = True
-        self._maybe_send(api)
-
-    def _maybe_send(self, api: NodeApi) -> None:
-        if self.flag and not self.sent and self.parent is not None:
-            api.send(self.parent, TAG_FLAG)
-            self.sent = True
-            api.halt()
+    if targets:
+        net.cast(label, sim.send_round, targets)
 
 
 def upcast_flags(net: Net, orient: Orientation, flagged: Set[int], label: str) -> Set[int]:
     """Centers whose cluster contains at least one flagged vertex."""
-    programs = {v: _FlagUpcast(orient.parent[v], v in flagged)
-                for v in orient.center_of}
-    net.episode(label, programs)
-    return {c for c in orient.centers
-            if programs[c].flag}
+    if not orient.center_of:
+        return set()
+    raised = net.cast(label, sim.flag_upcast, orient.parent, flagged)
+    return {c for c in orient.centers if c in raised}
 
 
 def downcast_single(net: Net, orient: Orientation, centers: Iterable[int],
                     tag: int, label: str,
                     payload: Optional[Dict[int, Tuple[Tuple[int, ...], int]]] = None
-                    ) -> Dict[int, List[Message]]:
+                    ) -> None:
     """Stream one message from each listed center down its tree.
 
     payload maps center -> (ids, scalar); default is an empty flag message.
-    Returns per-vertex received messages.
+    Every member of those clusters receives its center's message.
     """
-    programs: Dict[int, NodeProgram] = {}
-    targets = set(centers)
-    for c in targets:
+    queues = {}
+    for c in set(centers):
         ids, scalar = (payload or {}).get(c, ((), 0))
-        for v in orient.members[c]:
-            msgs = [Message(tag, ids, scalar)] if v == c else []
-            programs[v] = sim.TreeDowncast(orient.parent[v], orient.children.get(v, ()), msgs)
-    net.episode(label, programs)
-    return {v: programs[v].received for v in programs}
+        queues[c] = (Message(tag, ids, scalar),)
+    if queues:
+        net.cast(label, sim.tree_downcast, orient.children, queues)
 
 
 def downcast_payloads(net: Net, orient: Orientation,
                       center_payloads: Dict[int, Sequence[Message]],
                       label: str) -> Dict[int, List[Message]]:
-    """Pipelined downcast of a payload list from each center to its members."""
-    programs: Dict[int, NodeProgram] = {}
-    for c, payloads in center_payloads.items():
-        for v in orient.members[c]:
-            msgs = payloads if v == c else []
-            programs[v] = sim.TreeDowncast(orient.parent[v], orient.children.get(v, ()), msgs)
-    net.episode(label, programs)
-    return {v: programs[v].received for v in programs}
+    """Pipelined downcast of a payload list from each center to its members.
+
+    Returns, per member, the messages it received: its center's list.
+    """
+    if not center_payloads:
+        return {}
+    net.cast(label, sim.tree_downcast, orient.children, center_payloads)
+    return {v: payloads for c, payloads in center_payloads.items()
+            for v in orient.members[c]}
 
 
 def upcast_collect(net: Net, orient: Orientation,
@@ -399,64 +318,12 @@ def upcast_collect(net: Net, orient: Orientation,
 
     Returns center -> {key: payload} in admission order.
     """
-    programs: Dict[int, NodeProgram] = {}
     wanted = set(centers) if centers is not None else set(orient.members)
-    for c in wanted:
-        for v in orient.members[c]:
-            programs[v] = sim.TreeCollect(orient.parent[v], items.get(v, ()), cap)
-    net.episode(label, programs)
-    return {c: dict(programs[c].store) for c in wanted}
-
-
-class _BestUpcast(NodeProgram):
-    """Single-shot aggregation upcast, scheduled by height below.
-
-    A vertex of height h sends its best value (smallest or largest tuple,
-    folding in everything received from its subtree) at round h, so each
-    vertex transmits at most once and the center holds the final answer
-    after depth rounds.
-    """
-
-    __slots__ = ("parent", "height", "best", "prefer_max", "width")
-
-    def __init__(self, parent: Optional[int], height: int,
-                 value: Optional[Tuple[int, ...]], prefer_max: bool, width: int):
-        self.parent = parent
-        self.height = height
-        self.best = value
-        self.prefer_max = prefer_max
-        self.width = width
-
-    def _fold(self, value: Tuple[int, ...]) -> None:
-        if self.best is None:
-            self.best = value
-        elif self.prefer_max:
-            self.best = max(self.best, value)
-        else:
-            self.best = min(self.best, value)
-
-    def on_start(self, api: NodeApi) -> None:
-        if self.parent is None:
-            return
-        if self.height == 0:
-            self._emit(api)
-        else:
-            api.wake_at(self.height)
-
-    def on_round(self, api: NodeApi, inbox: Dict[int, Message]) -> None:
-        for msg in inbox.values():
-            if msg.tag == TAG_MAXSCALAR:
-                self._fold((msg.scalar,) if self.width == 0 else tuple(msg.ids))
-        if self.parent is not None and api.round == self.height:
-            self._emit(api)
-
-    def _emit(self, api: NodeApi) -> None:
-        if self.best is not None:
-            if self.width == 0:
-                api.send(self.parent, TAG_MAXSCALAR, (), self.best[0])
-            else:
-                api.send(self.parent, TAG_MAXSCALAR, self.best)
-        api.halt()
+    if not wanted:
+        return {}
+    members = [v for c in wanted for v in orient.members[c]]
+    stores = net.cast(label, sim.tree_collect, members, orient.parent, items, cap)
+    return {c: stores[c] for c in wanted}
 
 
 def upcast_best(net: Net, orient: Orientation,
@@ -469,10 +336,9 @@ def upcast_best(net: Net, orient: Orientation,
     the scalar slot instead (for hop counters and similar non-ID data).
     """
     wanted = set(centers) if centers is not None else set(orient.members)
-    programs: Dict[int, NodeProgram] = {}
-    for c in wanted:
-        for v in orient.members[c]:
-            programs[v] = _BestUpcast(orient.parent[v], orient.height[v],
-                                      values.get(v), prefer_max, width)
-    net.episode(label, programs)
-    return {c: programs[c].best for c in wanted}
+    if not wanted:
+        return {}
+    center_of = orient.center_of
+    values = {v: val for v, val in values.items() if center_of.get(v) in wanted}
+    return net.cast(label, sim.best_upcast, wanted, orient.parent,
+                    orient.height, values, prefer_max, width)

@@ -15,11 +15,14 @@ call) ends when every program has halted, or when the network is quiescent
 scheduled wakeups still count toward the round total but cost no work, so a
 run's wall time is proportional to the traffic, not to the round count.
 
-One-shot broadcast rounds (every sender broadcasts once, every listener
-folds the inbox it hears) use ``broadcast_round`` instead of ``run``: it
-delivers the round directly, without a program or an API object per vertex,
-applies the same message checks and returns the same trace that ``run``
-gives for one program per vertex.
+The episodes of a build run on kernels instead, which deliver them without a
+program or an API object per vertex, apply the checks of ``run`` and return
+the trace ``run`` gives for the programs they stand for: ``broadcast_round``
+for a one-shot broadcast round; ``orient_flood``, ``tree_downcast``,
+``best_upcast``, ``flag_upcast`` and ``tree_collect`` for the casts inside
+cluster trees, walked level by level (the collect round by round); and
+``send_round`` for one round of per-edge sends. The tests run those programs
+through ``run`` and hold the kernels to them.
 
 Determinism: vertices are stepped in ascending ID order, inboxes are keyed by
 sender in ascending order, and per-edge FIFO order is preserved by the
@@ -29,10 +32,11 @@ and final states.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import (AbstractSet, Callable, Dict, List, Optional, Sequence,
-                    Tuple)
+from itertools import accumulate
+from typing import (AbstractSet, Callable, Deque, Dict, Iterable, List,
+                    Mapping, Optional, Sequence, Set, Tuple)
 
 from .graph import Graph
 
@@ -174,10 +178,9 @@ def run(g: Graph, programs: Dict[int, NodeProgram], config: SimConfig,
             dests = set()
             for to, msg in api._sends:
                 if to not in g.adjacency[v]:
-                    raise ModelViolation(f"vertex {v}: send to non-neighbor {to}")
+                    raise _non_neighbor(v, to)
                 if to in dests:
-                    raise ModelViolation(
-                        f"vertex {v}: two messages on edge ({v},{to}) in one round")
+                    raise _two_on_edge(v, to)
                 dests.add(to)
                 _check_message(v, msg, cap, max_scalar, trace)
                 nxt.setdefault(to, []).append((v, msg))
@@ -219,8 +222,7 @@ def run(g: Graph, programs: Dict[int, NodeProgram], config: SimConfig,
         else:
             break  # quiescent (or fully halted with nothing in flight)
         if next_round > config.max_rounds:
-            raise RoundBudgetExceeded(
-                f"episode {label!r} exceeded {config.max_rounds} rounds")
+            raise _over_budget(config, label)
         rnd = next_round
 
         inboxes = pending
@@ -264,9 +266,7 @@ def broadcast_round(g: Graph, sends: Dict[int, Message],
     returned trace are those of run() stepping one program per vertex that
     broadcasts at round 0 and folds its round-1 inbox.
     """
-    if config.mode != BROADCAST:
-        raise ValueError(f"broadcast_round needs mode {BROADCAST!r}, "
-                         f"not {config.mode!r}")
+    _require_mode(config, BROADCAST, "broadcast_round")
     max_scalar = max(g.n, 2) ** 3
     cap = config.ids_per_message
     adjacency = g.adjacency
@@ -301,101 +301,301 @@ def broadcast_round(g: Graph, sends: Dict[int, Message],
 
 def _check_message(v: int, msg: Message, cap: int, max_scalar: int,
                    trace: SimTrace) -> None:
-    if len(msg.ids) > cap:
-        raise ModelViolation(
-            f"vertex {v}: message carries {len(msg.ids)} ids, capacity {cap}")
-    if abs(msg.scalar) > max_scalar:
-        raise ModelViolation(f"vertex {v}: scalar {msg.scalar} out of range")
+    if len(msg.ids) > cap or abs(msg.scalar) > max_scalar:
+        raise _message_fault(v, msg, cap)
     if len(msg.ids) > trace.max_ids_per_message:
         trace.max_ids_per_message = len(msg.ids)
 
 
+def _message_fault(v: int, msg: Message, cap: int) -> ModelViolation:
+    """What run() raises when v sends msg, which carries more than cap IDs or
+    a scalar out of range."""
+    if len(msg.ids) > cap:
+        return ModelViolation(
+            f"vertex {v}: message carries {len(msg.ids)} ids, capacity {cap}")
+    return ModelViolation(f"vertex {v}: scalar {msg.scalar} out of range")
+
+
+def _non_neighbor(v: int, to: int) -> ModelViolation:
+    return ModelViolation(f"vertex {v}: send to non-neighbor {to}")
+
+
+def _two_on_edge(v: int, to: int) -> ModelViolation:
+    return ModelViolation(
+        f"vertex {v}: two messages on edge ({v},{to}) in one round")
+
+
+def _over_budget(config: SimConfig, label: str) -> RoundBudgetExceeded:
+    return RoundBudgetExceeded(
+        f"episode {label!r} exceeded {config.max_rounds} rounds")
+
+
+def _require_mode(config: SimConfig, mode: str, kernel: str) -> None:
+    if config.mode != mode:
+        raise ValueError(f"{kernel} needs mode {mode!r}, not {config.mode!r}")
+
+
 # ---------------------------------------------------------------------------
-# Pipelined tree casts, reusable inside phases and standalone.
+# Tree-cast kernels. Each returns (trace, result), the trace being the one
+# run() returns for the program per vertex the kernel stands for (kept in
+# tests/oracles.py), and raises what run() raises first: run() meets
+# violations round by round, in vertex order within a round, and stops on
+# entering a round past max_rounds.
 
-TAG_CAST = 1
-TAG_COLLECT = 2
-
-
-class TreeDowncast(NodeProgram):
-    """The root streams a payload queue down the tree, one message per round.
-
-    Every vertex stores the payloads it sees in arrival order; relays forward
-    FIFO to all children simultaneously (one edge each).
-    """
-
-    __slots__ = ("parent", "children", "queue", "received")
-
-    def __init__(self, parent: Optional[int], children: Sequence[int],
-                 payloads: Sequence[Message] = ()):
-        self.parent = parent
-        self.children = tuple(children)
-        self.queue: List[Message] = list(payloads) if parent is None else []
-        self.received: List[Message] = list(self.queue)
-
-    def on_start(self, api: NodeApi) -> None:
-        self._pump(api)
-
-    def on_round(self, api: NodeApi, inbox: Dict[int, Message]) -> None:
-        if self.parent in inbox:
-            msg = inbox[self.parent]
-            self.received.append(msg)
-            self.queue.append(msg)
-        self._pump(api)
-
-    def _pump(self, api: NodeApi) -> None:
-        if self.queue:
-            msg = self.queue.pop(0)
-            for c in self.children:
-                api.send(c, msg.tag, msg.ids, msg.scalar)
-            if self.queue:
-                api.wake_at(api.round + 1)
+def _account(trace: SimTrace, counts: List[int], rounds: int) -> SimTrace:
+    """trace, with the messages sent per round and the rounds elapsed."""
+    while counts and not counts[-1]:
+        counts.pop()
+    trace.per_round_message_counts = counts
+    trace.messages_total = sum(counts)
+    trace.messages_per_edge_per_round_max = 1 if counts else 0
+    trace.rounds_elapsed = rounds
+    return trace
 
 
-class TreeCollect(NodeProgram):
-    """Upcast of keyed items with dedup and a per-vertex storage cap.
+def _per_edge(v: int, nbrs: Sequence[int], targets: Iterable[int]) -> int:
+    """The number of v's messages to targets, after run()'s checks on them."""
+    dests: Set[int] = set()
+    for u in targets:
+        if u not in nbrs:
+            raise _non_neighbor(v, u)
+        if u in dests:
+            raise _two_on_edge(v, u)
+        dests.add(u)
+    return len(dests)
 
-    Items are (key, payload) pairs; a vertex saves an item only if the key is
-    new to it and it has stored fewer than ``cap`` items, then forwards it to
-    the parent, one per round. Own items are admitted before relayed ones, in
-    ascending key order. The root's store is the collected knowledge.
-    """
 
-    __slots__ = ("parent", "cap", "store", "outq")
+def tree_downcast(g: Graph, children: Mapping[int, Sequence[int]],
+                  payloads: Mapping[int, Sequence[Message]],
+                  config: SimConfig, label: str = "") -> Tuple[SimTrace, None]:
+    """Pipelined downcast: each root of payloads streams its queue down its
+    tree (children maps a vertex to its children); a vertex at depth d sends
+    payload j to all its children at round d + j. Walks trees by levels."""
+    _require_mode(config, CONGEST, "tree_downcast")
+    cap, max_scalar, adjacency = config.ids_per_message, max(g.n, 2) ** 3, g.adjacency
+    trace = SimTrace(label=label)
+    steps: List[int] = []   # steps[r]: the change in messages per round at r
+    faults: List[Tuple[int, int, ModelViolation]] = []   # (round, vertex, error)
+    rounds = last = 0
+    for root, queue in payloads.items():
+        k = len(queue)
+        if not k:
+            continue
+        bad = next((j for j, msg in enumerate(queue) if len(msg.ids) > cap
+                    or abs(msg.scalar) > max_scalar), None)
+        kids = children[root]
+        # the root sends payload j at round j, checking its first child's
+        # edge before the message; this fault goes first on a tie
+        if kids and bad is not None and (bad or kids[0] in adjacency[root]):
+            faults.append((bad, root, _message_fault(root, queue[bad], cap)))
+        level, depth = [root], 0
+        while True:
+            below: List[int] = []
+            for v in level:
+                kids = children[v]
+                if kids:
+                    below += kids
+                    nbrs = adjacency[v]
+                    for u in kids:
+                        if u not in nbrs:
+                            faults.append((depth, v, _non_neighbor(v, u)))
+                            break
+            if not below:
+                break
+            steps += [0] * (depth + k + 1 - len(steps))
+            steps[depth] += len(below)
+            steps[depth + k] -= len(below)
+            level, depth = below, depth + 1
+        last = max(last, k - 1 + depth)   # the root wakes for every payload
+        if depth:
+            rounds = max(rounds, k - 1 + depth)
+            trace.max_ids_per_message = max(trace.max_ids_per_message,
+                                            *(len(msg.ids) for msg in queue))
+    first = min(faults, key=lambda f: f[:2], default=None)
+    if first and first[0] <= config.max_rounds:
+        raise first[2]
+    if last > config.max_rounds:
+        raise _over_budget(config, label)
+    return _account(trace, list(accumulate(steps)), rounds), None
 
-    def __init__(self, parent: Optional[int], own_items: Sequence[Tuple[int, int]],
-                 cap: int):
-        self.parent = parent
-        self.cap = cap
-        self.store: Dict[int, int] = {}
-        self.outq: List[Tuple[int, int]] = []
-        for key, payload in sorted(own_items):
-            self._admit(key, payload)
 
-    def _admit(self, key: int, payload: int) -> None:
-        if key in self.store or len(self.store) >= self.cap:
-            return
-        self.store[key] = payload
-        if self.parent is not None:
-            self.outq.append((key, payload))
+def best_upcast(g: Graph, roots: Iterable[int],
+                parent: Mapping[int, Optional[int]], height: Mapping[int, int],
+                values: Mapping[int, Tuple[int, ...]], prefer_max: bool,
+                width: int, config: SimConfig, label: str = ""
+                ) -> Tuple[SimTrace, Dict[int, Optional[Tuple[int, ...]]]]:
+    """Height-scheduled upcast of the best (least, or greatest with
+    prefer_max) value to each root: every other vertex of their trees wakes
+    at the round of its height and, if it has a value, sends its parent the
+    best of its own and its children's, as IDs or, with width 0, the first
+    entry as the scalar. values holds vertices of those trees only."""
+    _require_mode(config, CONGEST, "best_upcast")
+    cap, max_scalar, adjacency = config.ids_per_message, max(g.n, 2) ** 3, g.adjacency
+    trace = SimTrace(label=label)
+    fold = max if prefer_max else min
+    best = dict(values)
+    carriers: Set[int] = set()
+    at_height: Dict[int, List[int]] = defaultdict(list)
+    for v in values:
+        while v is not None and v not in carriers:
+            carriers.add(v)
+            at_height[height[v]].append(v)
+            v = parent[v]
+    counts: List[int] = []
+    for h in sorted(at_height):
+        for v in sorted(at_height[h]):
+            p = parent[v]
+            if p is None:
+                continue
+            if h > config.max_rounds:
+                raise _over_budget(config, label)
+            ids, scalar = (tuple(best[v]), 0) if width else ((), best[v][0])
+            if p not in adjacency[v]:
+                raise _non_neighbor(v, p)
+            if len(ids) > cap or abs(scalar) > max_scalar:
+                raise _message_fault(v, Message(0, ids, scalar), cap)
+            trace.max_ids_per_message = max(trace.max_ids_per_message, len(ids))
+            got = ids if width else (scalar,)
+            held = best.get(p)
+            best[p] = got if held is None else fold(held, got)
+            counts += [0] * (h + 1 - len(counts))
+            counts[h] += 1
+    roots = list(roots)
+    # the last wake-up is that of a child of the highest root
+    woken = max((height[r] for r in roots), default=0) - 1
+    if max(len(counts), woken) > config.max_rounds:
+        raise _over_budget(config, label)
+    return _account(trace, counts, len(counts)), {r: best.get(r) for r in roots}
 
-    def on_start(self, api: NodeApi) -> None:
-        self._pump(api)
 
-    def on_round(self, api: NodeApi, inbox: Dict[int, Message]) -> None:
-        for sender in inbox:
-            msg = inbox[sender]
-            if msg.tag == TAG_COLLECT:
-                self._admit(msg.ids[0], msg.ids[1])
-        self._pump(api)
+def flag_upcast(g: Graph, parent: Mapping[int, Optional[int]],
+                flagged: Iterable[int], config: SimConfig, label: str = ""
+                ) -> Tuple[SimTrace, Set[int]]:
+    """OR upcast: a flagged vertex of parent's trees sends its parent a flag
+    at round 0, any other vertex the round it first hears one. Returns the
+    roots that are flagged or hear a flag."""
+    _require_mode(config, CONGEST, "flag_upcast")
+    raised: Set[int] = set()
+    senders = []
+    for v in flagged:
+        if v in parent:
+            if parent[v] is None:
+                raised.add(v)
+            else:
+                senders.append(v)
+    done = set(senders)
+    counts: List[int] = []
+    while senders:
+        counts.append(len(senders))
+        above = []
+        for v in sorted(senders):
+            p = parent[v]
+            if p not in g.adjacency[v]:
+                raise _non_neighbor(v, p)
+            if parent[p] is None:
+                raised.add(p)
+            elif p not in done:
+                done.add(p)
+                above.append(p)
+        if len(counts) > config.max_rounds:
+            raise _over_budget(config, label)
+        senders = above
+    return _account(SimTrace(label=label), counts, len(counts)), raised
 
-    def _pump(self, api: NodeApi) -> None:
-        if self.outq:
-            key, payload = self.outq.pop(0)
-            api.send(self.parent, TAG_COLLECT, (key, payload))
-            if self.outq:
-                api.wake_at(api.round + 1)
 
+def tree_collect(g: Graph, members: Iterable[int],
+                 parent: Mapping[int, Optional[int]],
+                 items: Mapping[int, Sequence[Tuple[int, int]]], cap: int,
+                 config: SimConfig, label: str = ""
+                 ) -> Tuple[SimTrace, Dict[int, Dict[int, int]]]:
+    """Capped, deduplicating keyed collect: each member admits (key, payload)
+    items, its own in ascending order, then each round those its children
+    relay, in child order; it keeps those with a new key while it holds
+    fewer than cap and forwards them to its parent FIFO, one per round.
+    Returns member -> its store in admission order."""
+    _require_mode(config, CONGEST, "tree_collect")
+    stores: Dict[int, Dict[int, int]] = {v: {} for v in members}
+    queues: Dict[int, Deque[Tuple[int, int]]] = {v: deque() for v in stores}
+
+    def admit(v: int, arrivals: Iterable[Tuple[int, int]]) -> None:
+        store, queue, forward = stores[v], queues[v], parent[v] is not None
+        for key, payload in arrivals:
+            if key not in store and len(store) < cap:
+                store[key] = payload
+                if forward:
+                    queue.append((key, payload))
+
+    for v in stores:
+        if items.get(v):
+            admit(v, sorted(items[v]))
+    busy = {v for v in stores if queues[v]}
+    counts: List[int] = []
+    while busy:
+        senders = sorted(busy)
+        inbox: Dict[int, List[Tuple[int, int]]] = defaultdict(list)
+        for v in senders:
+            item = queues[v].popleft()
+            if parent[v] not in g.adjacency[v]:
+                raise _non_neighbor(v, parent[v])
+            if len(item) > config.ids_per_message:
+                raise _message_fault(v, Message(0, item), config.ids_per_message)
+            if not queues[v]:
+                busy.discard(v)
+            inbox[parent[v]].append(item)
+        counts.append(len(senders))
+        if len(counts) > config.max_rounds:
+            raise _over_budget(config, label)
+        for p, arrivals in inbox.items():
+            admit(p, arrivals)
+            if queues[p]:
+                busy.add(p)
+    trace = SimTrace(label=label, max_ids_per_message=2 if counts else 0)
+    return _account(trace, counts, len(counts)), stores
+
+
+def orient_flood(g: Graph, roots: Iterable[int],
+                 tree_nbrs: Mapping[int, Sequence[int]], config: SimConfig,
+                 label: str = "") -> Tuple[SimTrace, Dict[int, Tuple[int, Optional[int]]]]:
+    """Orientation flood: each root sends its ID to its tree neighbours at
+    round 0; a vertex of tree_nbrs that hears it takes the center and, as
+    parent, the least vertex it first hears from, and relays to its other
+    tree neighbours. Returns vertex -> (center, parent) for every vertex the
+    flood reached, roots included."""
+    _require_mode(config, CONGEST, "orient_flood")
+    found: Dict[int, Tuple[int, Optional[int]]] = {r: (r, None) for r in roots}
+    senders, counts = sorted(found), []
+    while senders:
+        heard: Dict[int, int] = {}
+        sent = 0
+        for v in senders:
+            targets = [u for u in tree_nbrs[v] if u != found[v][1]]
+            sent += _per_edge(v, g.adjacency[v], targets)
+            for u in targets:
+                heard.setdefault(u, v)
+        if not sent:
+            break
+        counts.append(sent)
+        if len(counts) > config.max_rounds:
+            raise _over_budget(config, label)
+        senders = sorted(u for u in heard if u in tree_nbrs and u not in found)
+        for u in senders:
+            found[u] = (found[heard[u]][0], heard[u])
+    # one ID and the sender's depth, which is below the scalar bound
+    trace = SimTrace(label=label, max_ids_per_message=1 if counts else 0)
+    return _account(trace, counts, len(counts)), found
+
+
+def send_round(g: Graph, targets: Mapping[int, Sequence[int]],
+               config: SimConfig, label: str = "") -> Tuple[SimTrace, None]:
+    """One congest-mode round: every vertex of targets sends one empty
+    message to each neighbour it lists."""
+    _require_mode(config, CONGEST, "send_round")
+    sent = sum(_per_edge(v, g.adjacency[v], targets[v]) for v in sorted(targets))
+    return _account(SimTrace(label=label), [sent], 1 if sent else 0), None
+
+
+# ---------------------------------------------------------------------------
+# Standalone tree casts over a parent map.
 
 def pipelined_downcast(g: Graph, parent: Dict[int, Optional[int]],
                        payloads: Sequence[Message],
@@ -407,13 +607,14 @@ def pipelined_downcast(g: Graph, parent: Dict[int, Optional[int]],
     Returns (rounds used, per-vertex received payloads in order). Rounds are
     at most len(payloads) + tree depth.
     """
-    config = config or SimConfig()
-    children = _children_of(parent)
-    programs: Dict[int, NodeProgram] = {
-        v: TreeDowncast(parent[v], children[v], payloads) for v in parent
-    }
-    trace = run(g, programs, config, label="downcast")
-    received = {v: programs[v].received for v in parent}
+    root, children = _tree_of(parent)
+    trace, _ = tree_downcast(g, children, {root: payloads},
+                             config or SimConfig(), "downcast")
+    received: Dict[int, List[Message]] = {v: [] for v in parent}
+    reached = [root]
+    for v in reached:   # the list grows while it is walked
+        reached += children[v]
+        received[v] = list(payloads)
     return trace.rounds_elapsed, received
 
 
@@ -425,26 +626,19 @@ def pipelined_upcast(g: Graph, parent: Dict[int, Optional[int]],
     Returns (rounds used, the root's collected key -> payload mapping).
     Rounds are at most cap + tree depth.
     """
-    config = config or SimConfig()
-    children = _children_of(parent)
-    programs: Dict[int, NodeProgram] = {
-        v: TreeCollect(parent[v], items.get(v, ()), cap) for v in parent
-    }
-    trace = run(g, programs, config, label="upcast")
-    root = next(v for v in parent if parent[v] is None)
-    return trace.rounds_elapsed, dict(programs[root].store)
+    root, _ = _tree_of(parent)
+    trace, stores = tree_collect(g, parent, parent, items, cap,
+                                 config or SimConfig(), "upcast")
+    return trace.rounds_elapsed, stores[root]
 
 
-def _children_of(parent: Dict[int, Optional[int]]) -> Dict[int, List[int]]:
+def _tree_of(parent: Dict[int, Optional[int]]) -> Tuple[int, Dict[int, List[int]]]:
+    """The one root of a parent map, and each vertex's sorted children."""
     children: Dict[int, List[int]] = {v: [] for v in parent}
-    roots = 0
-    for v, p in parent.items():
-        if p is None:
-            roots += 1
-        else:
-            children[p].append(v)
-    if roots != 1:
-        raise ValueError(f"parent map must have exactly one root, found {roots}")
-    for v in children:
-        children[v].sort()
-    return children
+    roots = [v for v, p in parent.items() if p is None]
+    if len(roots) != 1:
+        raise ValueError(f"parent map must have exactly one root, found {len(roots)}")
+    for v in sorted(parent):
+        if parent[v] is not None:
+            children[parent[v]].append(v)
+    return roots[0], children

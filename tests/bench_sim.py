@@ -1,21 +1,27 @@
-"""Micro-benchmark of one broadcast round: the kernel against the oracle.
+"""Micro-benchmarks of the sim kernels against their program oracles.
 
 Not collected by the test suite (the file name does not match test_*.py).
 Run it with
 
     python -m pytest tests/bench_sim.py --benchmark-only
 
-Both sides deliver the same round on a fixed G(512, 0.25), about 65k
-messages: every vertex broadcasts its own ID and every vertex folds its inbox
-into a neighbor -> ID map, as the cluster-ID exchange does.
+The broadcast round: both sides deliver the same round on a fixed
+G(512, 0.25), about 65k messages: every vertex broadcasts its own ID and
+every vertex folds its inbox into a neighbor -> ID map, as the cluster-ID
+exchange does.
+
+The tree casts: both sides run, on the BFS tree from vertex 1 of the 48 x 48
+grid, a pipelined downcast of 64 payloads from the root (147k messages in
+157 rounds) and then a collect of one item per vertex capped at 64 (57k
+messages in 64 rounds).
 """
 
 import pytest
 
 import oracles
 
+from congestspan import comm, sim
 from congestspan import graph as gr
-from congestspan import sim
 from congestspan.sim import Message, SimConfig
 
 
@@ -41,3 +47,34 @@ def test_broadcast_round(benchmark, round_inputs, impl):
                       "exchange")
     assert trace.messages_total == 2 * g.num_edges()
     assert len(heard) == g.n
+
+
+@pytest.fixture(scope="module")
+def grid_tree():
+    g = gr.generate_graph("grid", rows=48, cols=48)
+    dist = gr.bfs_distances(g, 1)
+    parent = {v: min((u for u in g.adjacency[v] if dist[u] == dist[v] - 1),
+                     default=None) for v in g.vertices}
+    orient = comm.orientation_from_parents({1: parent})
+    payloads = {1: [Message(1, (i + 1,), i) for i in range(64)]}
+    items = {v: [(v, v)] for v in g.vertices}
+    return g, orient, payloads, items
+
+
+@pytest.mark.parametrize("impl", [(sim.tree_downcast, sim.tree_collect),
+                                  (oracles.tree_downcast, oracles.tree_collect)],
+                         ids=["kernel", "oracle"])
+def test_tree_casts(benchmark, grid_tree, impl):
+    g, orient, payloads, items = grid_tree
+    downcast, collect = impl
+    config = SimConfig()
+
+    def casts():
+        down, _ = downcast(g, orient.children, payloads, config, "down")
+        up, stores = collect(g, g.vertices, orient.parent, items, 64, config,
+                             "collect")
+        return down, up, stores
+
+    down, up, stores = benchmark(casts)
+    assert down.messages_total == 64 * (g.n - 1)
+    assert len(stores[1]) == 64

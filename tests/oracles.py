@@ -3,18 +3,20 @@
 These are the straightforward versions that the package's fast paths
 replaced: one full BFS of H from every vertex for the edge stretch, one full
 BFS from every member for a ruling set, and one program per vertex stepped
-through the event loop for a one-shot broadcast round. They are slow but
-obviously right, so the tests hold the fast versions to them result for
-result.
+through the event loop for a one-shot broadcast round and for each tree-cast
+episode. They are slow but obviously right, so the tests hold the fast
+versions to them result for result. Each episode oracle takes the arguments
+of the sim kernel it checks and returns sim.run's trace with the programs'
+results.
 """
 
 from __future__ import annotations
 
 import math
-from typing import (AbstractSet, Callable, Dict, Iterable, Optional, Sequence,
-                    Set, Tuple)
+from typing import (AbstractSet, Callable, Dict, Iterable, List, Mapping,
+                    Optional, Sequence, Set, Tuple)
 
-from congestspan import sim
+from congestspan import comm, sim
 from congestspan.graph import Edge, Graph, bfs_on_adjacency, subgraph_adjacency
 from congestspan.rulingset import RulingVerdict
 from congestspan.sim import Message, NodeApi, NodeProgram, SimConfig, SimTrace
@@ -112,3 +114,331 @@ def broadcast_round(g: Graph, sends: Dict[int, Message],
         for v in quiet - deaf:
             programs[v] = BroadcastOnce(None, fold)
     return sim.run(g, programs, config, label=label)
+
+
+# ---------------------------------------------------------------------------
+# Tree casts: one program per tree vertex.
+
+TAG_COLLECT = 2
+TAG_ORIENT = 10
+TAG_FLAG = 12
+TAG_MAXSCALAR = 14
+TAG_EDGEADD = 25
+
+
+class TreeDowncast(NodeProgram):
+    """The root streams a payload queue down the tree, one message per round.
+
+    Every vertex stores the payloads it sees in arrival order; relays forward
+    FIFO to all children simultaneously (one edge each).
+    """
+
+    __slots__ = ("parent", "children", "queue", "received")
+
+    def __init__(self, parent: Optional[int], children: Sequence[int],
+                 payloads: Sequence[Message] = ()):
+        self.parent = parent
+        self.children = tuple(children)
+        self.queue: List[Message] = list(payloads) if parent is None else []
+        self.received: List[Message] = list(self.queue)
+
+    def on_start(self, api: NodeApi) -> None:
+        self._pump(api)
+
+    def on_round(self, api: NodeApi, inbox: Dict[int, Message]) -> None:
+        if self.parent in inbox:
+            msg = inbox[self.parent]
+            self.received.append(msg)
+            self.queue.append(msg)
+        self._pump(api)
+
+    def _pump(self, api: NodeApi) -> None:
+        if self.queue:
+            msg = self.queue.pop(0)
+            for c in self.children:
+                api.send(c, msg.tag, msg.ids, msg.scalar)
+            if self.queue:
+                api.wake_at(api.round + 1)
+
+
+class TreeCollect(NodeProgram):
+    """Upcast of keyed items with dedup and a per-vertex storage cap.
+
+    Items are (key, payload) pairs; a vertex saves an item only if the key is
+    new to it and it has stored fewer than ``cap`` items, then forwards it to
+    the parent, one per round. Own items are admitted before relayed ones, in
+    ascending key order. The root's store is the collected knowledge.
+    """
+
+    __slots__ = ("parent", "cap", "store", "outq")
+
+    def __init__(self, parent: Optional[int], own_items: Sequence[Tuple[int, int]],
+                 cap: int):
+        self.parent = parent
+        self.cap = cap
+        self.store: Dict[int, int] = {}
+        self.outq: List[Tuple[int, int]] = []
+        for key, payload in sorted(own_items):
+            self._admit(key, payload)
+
+    def _admit(self, key: int, payload: int) -> None:
+        if key in self.store or len(self.store) >= self.cap:
+            return
+        self.store[key] = payload
+        if self.parent is not None:
+            self.outq.append((key, payload))
+
+    def on_start(self, api: NodeApi) -> None:
+        self._pump(api)
+
+    def on_round(self, api: NodeApi, inbox: Dict[int, Message]) -> None:
+        for sender in inbox:
+            msg = inbox[sender]
+            if msg.tag == TAG_COLLECT:
+                self._admit(msg.ids[0], msg.ids[1])
+        self._pump(api)
+
+    def _pump(self, api: NodeApi) -> None:
+        if self.outq:
+            key, payload = self.outq.pop(0)
+            api.send(self.parent, TAG_COLLECT, (key, payload))
+            if self.outq:
+                api.wake_at(api.round + 1)
+
+
+class BestUpcast(NodeProgram):
+    """Single-shot aggregation upcast, scheduled by height below.
+
+    A vertex of height h sends its best value (smallest or largest tuple,
+    folding in everything received from its subtree) at round h, so each
+    vertex transmits at most once and the center holds the final answer
+    after depth rounds.
+    """
+
+    __slots__ = ("parent", "height", "best", "prefer_max", "width")
+
+    def __init__(self, parent: Optional[int], height: int,
+                 value: Optional[Tuple[int, ...]], prefer_max: bool, width: int):
+        self.parent = parent
+        self.height = height
+        self.best = value
+        self.prefer_max = prefer_max
+        self.width = width
+
+    def _fold(self, value: Tuple[int, ...]) -> None:
+        if self.best is None:
+            self.best = value
+        elif self.prefer_max:
+            self.best = max(self.best, value)
+        else:
+            self.best = min(self.best, value)
+
+    def on_start(self, api: NodeApi) -> None:
+        if self.parent is None:
+            return
+        if self.height == 0:
+            self._emit(api)
+        else:
+            api.wake_at(self.height)
+
+    def on_round(self, api: NodeApi, inbox: Dict[int, Message]) -> None:
+        for msg in inbox.values():
+            if msg.tag == TAG_MAXSCALAR:
+                self._fold((msg.scalar,) if self.width == 0 else tuple(msg.ids))
+        if self.parent is not None and api.round == self.height:
+            self._emit(api)
+
+    def _emit(self, api: NodeApi) -> None:
+        if self.best is not None:
+            if self.width == 0:
+                api.send(self.parent, TAG_MAXSCALAR, (), self.best[0])
+            else:
+                api.send(self.parent, TAG_MAXSCALAR, self.best)
+        api.halt()
+
+
+class FlagUpcast(NodeProgram):
+    """OR-converge a boolean to the center: forward at most once."""
+
+    __slots__ = ("parent", "flag", "sent")
+
+    def __init__(self, parent: Optional[int], flag: bool):
+        self.parent = parent
+        self.flag = flag
+        self.sent = False
+
+    def on_start(self, api: NodeApi) -> None:
+        self._maybe_send(api)
+
+    def on_round(self, api: NodeApi, inbox: Dict[int, Message]) -> None:
+        if any(m.tag == TAG_FLAG for m in inbox.values()):
+            self.flag = True
+        self._maybe_send(api)
+
+    def _maybe_send(self, api: NodeApi) -> None:
+        if self.flag and not self.sent and self.parent is not None:
+            api.send(self.parent, TAG_FLAG)
+            self.sent = True
+            api.halt()
+
+
+class OrientFlood(NodeProgram):
+    """Flood the center ID through the (undirected) cluster tree.
+
+    Each vertex learns its parent (the vertex it first heard from), its
+    cluster center, and its depth; children are the remaining tree neighbors.
+    """
+
+    __slots__ = ("tree_nbrs", "is_root", "center", "parent", "depth")
+
+    def __init__(self, tree_nbrs: Sequence[int], is_root: bool):
+        self.tree_nbrs = tuple(tree_nbrs)
+        self.is_root = is_root
+        self.center: Optional[int] = None
+        self.parent: Optional[int] = None
+        self.depth = 0
+
+    def on_start(self, api: NodeApi) -> None:
+        if self.is_root:
+            self.center = api.vertex
+            for u in self.tree_nbrs:
+                api.send(u, TAG_ORIENT, (api.vertex,), 0)
+            api.halt()
+
+    def on_round(self, api: NodeApi, inbox: Dict[int, Message]) -> None:
+        if self.center is not None:
+            return
+        for sender, msg in inbox.items():
+            if msg.tag == TAG_ORIENT:
+                self.center = msg.ids[0]
+                self.parent = sender
+                self.depth = msg.scalar + 1
+                for u in self.tree_nbrs:
+                    if u != sender:
+                        api.send(u, TAG_ORIENT, (self.center,), self.depth)
+                api.halt()
+                return
+
+
+class EdgeAnnounce(NodeProgram):
+    """One round: tell each chosen neighbor that the shared edge joined H."""
+
+    __slots__ = ("targets",)
+
+    def __init__(self, targets: Sequence[int]):
+        self.targets = targets
+
+    def on_start(self, api: NodeApi) -> None:
+        for u in self.targets:
+            api.send(u, TAG_EDGEADD)
+        api.halt()
+
+
+def tree_downcast(g: Graph, children: Mapping[int, Sequence[int]],
+                  payloads: Mapping[int, Sequence[Message]],
+                  config: SimConfig, label: str = ""
+                  ) -> Tuple[SimTrace, Dict[int, List[Message]]]:
+    """One TreeDowncast per vertex of the roots' trees; the result is every
+    such vertex's received list."""
+    parent: Dict[int, Optional[int]] = {}
+    for root in payloads:
+        parent[root] = None
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for u in children.get(v, ()):
+                parent[u] = v
+                stack.append(u)
+    programs = {v: TreeDowncast(p, children.get(v, ()),
+                                payloads[v] if p is None else ())
+                for v, p in parent.items()}
+    trace = sim.run(g, programs, config, label=label)
+    return trace, {v: prog.received for v, prog in programs.items()}
+
+
+def _root_of(parent: Mapping[int, Optional[int]], v: int) -> int:
+    while parent[v] is not None:
+        v = parent[v]
+    return v
+
+
+def best_upcast(g: Graph, roots: Iterable[int],
+                parent: Mapping[int, Optional[int]], height: Mapping[int, int],
+                values: Mapping[int, Tuple[int, ...]], prefer_max: bool,
+                width: int, config: SimConfig, label: str = ""
+                ) -> Tuple[SimTrace, Dict[int, Optional[Tuple[int, ...]]]]:
+    """One BestUpcast per vertex of the roots' trees; the result is each
+    root's best value."""
+    roots = list(roots)
+    wanted = set(roots)
+    programs = {v: BestUpcast(p, height[v], values.get(v), prefer_max, width)
+                for v, p in parent.items() if _root_of(parent, v) in wanted}
+    trace = sim.run(g, programs, config, label=label)
+    return trace, {r: programs[r].best for r in roots}
+
+
+def flag_upcast(g: Graph, parent: Mapping[int, Optional[int]],
+                flagged: Iterable[int], config: SimConfig, label: str = ""
+                ) -> Tuple[SimTrace, Set[int]]:
+    """One FlagUpcast per vertex of parent; the result is the roots that end
+    up flagged."""
+    flagged = set(flagged)
+    programs = {v: FlagUpcast(p, v in flagged) for v, p in parent.items()}
+    trace = sim.run(g, programs, config, label=label)
+    return trace, {v for v, prog in programs.items()
+                   if parent[v] is None and prog.flag}
+
+
+def tree_collect(g: Graph, members: Iterable[int],
+                 parent: Mapping[int, Optional[int]],
+                 items: Mapping[int, Sequence[Tuple[int, int]]], cap: int,
+                 config: SimConfig, label: str = ""
+                 ) -> Tuple[SimTrace, Dict[int, Dict[int, int]]]:
+    """One TreeCollect per member; the result is every non-empty store."""
+    programs = {v: TreeCollect(parent[v], items.get(v, ()), cap)
+                for v in members}
+    trace = sim.run(g, programs, config, label=label)
+    return trace, {v: prog.store for v, prog in programs.items() if prog.store}
+
+
+def orient_flood(g: Graph, roots: Iterable[int],
+                 tree_nbrs: Mapping[int, Sequence[int]], config: SimConfig,
+                 label: str = "") -> Tuple[SimTrace, Dict[int, Tuple[int, Optional[int]]]]:
+    """One OrientFlood per vertex of tree_nbrs; the result is (center,
+    parent) of every vertex that learned a center."""
+    roots = set(roots)
+    programs = {v: OrientFlood(nbrs, v in roots) for v, nbrs in tree_nbrs.items()}
+    trace = sim.run(g, programs, config, label=label)
+    return trace, {v: (prog.center, prog.parent) for v, prog in programs.items()
+                   if prog.center is not None}
+
+
+def send_round(g: Graph, targets: Mapping[int, Sequence[int]],
+               config: SimConfig, label: str = "") -> Tuple[SimTrace, None]:
+    """One EdgeAnnounce per vertex of targets."""
+    programs = {v: EdgeAnnounce(ts) for v, ts in targets.items()}
+    return sim.run(g, programs, config, label=label), None
+
+
+def orient_clusters(g: Graph, raw, config: SimConfig, label: str = ""
+                    ) -> Tuple[SimTrace, "comm.Orientation"]:
+    """comm.orient_clusters as it ran on programs: one OrientFlood per member
+    of each (center, members, tree_adj) triple, then every member checked for
+    its center, cluster by cluster."""
+    programs: Dict[int, OrientFlood] = {}
+    for center, members, tree_adj in raw:
+        for v in members:
+            programs[v] = OrientFlood(tree_adj.get(v, ()), v == center)
+    trace = sim.run(g, programs, config, label=label)
+    parent_maps: Dict[int, Dict[int, Optional[int]]] = {}
+    for center, members, _ in raw:
+        pmap = parent_maps[center] = {}
+        for v in sorted(members):
+            prog = programs[v]
+            if prog.center is None:
+                raise RuntimeError(f"orientation never reached vertex {v} "
+                                   f"(cluster tree of {center} is not connected)")
+            if prog.center != center:
+                raise RuntimeError(f"vertex {v} oriented to foreign center {prog.center}")
+            pmap[v] = prog.parent
+    return trace, comm.orientation_from_parents(parent_maps)

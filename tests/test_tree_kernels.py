@@ -1,0 +1,525 @@
+"""The tree-cast kernels against the programs they replaced.
+
+Each sim kernel (tree_downcast, best_upcast, flag_upcast, tree_collect,
+orient_flood, send_round) must return the trace that ``sim.run`` returns for
+one program per vertex (the oracles in oracles.py), every field of it, and
+the same result, or raise what ``sim.run`` raises, with the same text. The
+comm functions built on the kernels must return what the program versions
+returned and record the same episodes, and none when no vertex takes part.
+"""
+
+import dataclasses
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
+
+from congestspan import comm, sim
+from congestspan import graph as gr
+from congestspan.sim import (Message, ModelViolation, RoundBudgetExceeded,
+                             SimConfig)
+
+MAX_ID = 2 ** 63 - 1
+BIG_BUDGET = 10 ** 6
+
+
+# ---------------------------------------------------------------------------
+# Random inputs.
+
+def _random_graph(data) -> gr.Graph:
+    n = data.draw(st.integers(1, 40), label="n")
+    if n == 1:
+        g = gr.generate_graph("path", n=1)
+    else:
+        p = data.draw(st.sampled_from([0.05, 0.15, 0.4, 1.0]), label="p")
+        seed = data.draw(st.integers(0, 10 ** 6), label="seed")
+        g = gr.generate_graph("gnp_connected", n=n, p=p, seed=seed)
+    if data.draw(st.booleans(), label="wide ids"):
+        ids = random.Random(n).sample(range(1, MAX_ID + 1), g.n)
+        if g.n == 1:
+            return gr.Graph({ids[0]: []})
+        new_id = dict(zip(g.vertices, ids))
+        g = gr.from_edges((new_id[u], new_id[v]) for u, v in g.edges())
+    return g
+
+
+def _forest(rng: random.Random, g: gr.Graph):
+    """center -> parent map of random cluster trees grown along graph edges.
+
+    About a tenth of the vertices stay outside every cluster; most vertices
+    no tree reaches become single-vertex clusters.
+    """
+    active = [v for v in g.vertices if rng.random() < 0.9] or [g.vertices[0]]
+    centers = rng.sample(active, rng.randint(1, max(1, len(active) // 3)))
+    owner = {c: c for c in centers}
+    parent_maps = {c: {c: None} for c in centers}
+    free = set(active) - set(centers)
+    grown = list(centers)
+    for _ in range(len(active)):
+        v = rng.choice(grown)
+        options = [u for u in g.adjacency[v] if u in free]
+        if options:
+            u = rng.choice(options)
+            free.discard(u)
+            owner[u] = owner[v]
+            parent_maps[owner[v]][u] = v
+            grown.append(u)
+    for v in sorted(free):
+        if rng.random() < 0.7:
+            parent_maps[v] = {v: None}
+    return parent_maps
+
+
+def _rewire(rng: random.Random, parent_maps) -> None:
+    """Give one non-root vertex a new parent in its cluster outside its own
+    subtree, which is often not a graph neighbour."""
+    clusters = [pm for pm in parent_maps.values() if len(pm) > 2]
+    if not clusters:
+        return
+    pm = rng.choice(clusters)
+    v = rng.choice(sorted(u for u in pm if pm[u] is not None))
+
+    def under_v(u):
+        while u is not None:
+            if u == v:
+                return True
+            u = pm[u]
+        return False
+
+    pm[v] = rng.choice(sorted(u for u in pm if not under_v(u)))
+
+
+def _setup(data):
+    """(graph, parent maps, orientation, config, rng) for one example."""
+    g = _random_graph(data)
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="rng"))
+    parent_maps = _forest(rng, g)
+    if data.draw(st.integers(0, 4), label="rewire") == 0:
+        _rewire(rng, parent_maps)
+    ids_cap = data.draw(st.sampled_from([1, 2, 2, 3]), label="ids cap")
+    budget = data.draw(st.sampled_from([1, 2, 4, BIG_BUDGET, BIG_BUDGET]),
+                       label="budget")
+    config = SimConfig(ids_per_message=ids_cap, max_rounds=budget)
+    return g, parent_maps, comm.orientation_from_parents(parent_maps), config, rng
+
+
+def _some(rng: random.Random, items):
+    """A random subset of items, in ascending order; empty now and then."""
+    items = sorted(items)
+    if rng.random() < 0.1:
+        return []
+    keep = rng.choice([0.2, 0.5, 1.0])
+    return [x for x in items if rng.random() < keep]
+
+
+def _faulty(data) -> bool:
+    return data.draw(st.integers(0, 4), label="faulty") == 0
+
+
+# ---------------------------------------------------------------------------
+# Running both sides.
+
+def _run(impl, *args):
+    """(trace as a dict, result), or ((exception type, text), None)."""
+    try:
+        trace, result = impl(*args)
+    except RuntimeError as exc:   # ModelViolation, RoundBudgetExceeded, orient
+        return (type(exc), str(exc)), None
+    return dataclasses.asdict(trace), result
+
+
+def _net(g, config) -> comm.Net:
+    return comm.Net(g, config.ids_per_message, config.max_rounds)
+
+
+def _episodes(net: comm.Net):
+    return [(e.label, e.mode, e.rounds, e.messages, e.max_ids)
+            for e in net.trace.episodes]
+
+
+def _episode(trace: dict):
+    return (trace["label"], trace["mode"], trace["rounds_elapsed"],
+            trace["messages_total"], trace["max_ids_per_message"])
+
+
+def _comm(call):
+    """call()'s result, or (exception type, text)."""
+    try:
+        return call()
+    except RuntimeError as exc:
+        return type(exc), str(exc)
+
+
+def _random_message(rng, g, cap, max_scalar, bad) -> Message:
+    width = rng.randint(0, cap + (1 if bad and rng.random() < 0.3 else 0))
+    scalar = rng.randint(-max_scalar, max_scalar)
+    if bad and rng.random() < 0.3:
+        scalar = rng.choice([-1, 1]) * (max_scalar + 1)
+    return Message(rng.randint(0, 30),
+                   tuple(rng.choice(g.vertices) for _ in range(width)), scalar)
+
+
+# ---------------------------------------------------------------------------
+# Kernel against oracle, on random inputs.
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_downcast_equals_oracle(data):
+    g, _, orient, config, rng = _setup(data)
+    bad = _faulty(data)
+    max_scalar = max(g.n, 2) ** 3
+    payloads = {c: [_random_message(rng, g, config.ids_per_message, max_scalar, bad)
+                    for _ in range(rng.choice([0, 1, 1, 2, 5]))]
+                for c in _some(rng, orient.centers)}
+
+    kernel, _ = _run(sim.tree_downcast, g, orient.children, payloads, config, "lbl")
+    oracle, received = _run(oracles.tree_downcast, g, orient.children,
+                            payloads, config, "lbl")
+    assert kernel == oracle
+
+    net = _net(g, config)
+    got = _comm(lambda: comm.downcast_payloads(net, orient, payloads, "lbl"))
+    if received is None:
+        assert got == oracle
+        return
+    assert {v: list(msgs) for v, msgs in got.items()} == received
+    assert _episodes(net) == ([_episode(oracle)] if payloads else [])
+
+    # downcast_single is the one-payload case, with no result
+    tag = rng.randint(0, 30)
+    single = {c: (q[0].ids, q[0].scalar) for c, q in payloads.items() if q}
+    queues = {c: [Message(tag, *single.get(c, ((), 0)))] for c in payloads}
+    oracle, _ = _run(oracles.tree_downcast, g, orient.children, queues, config, "one")
+    net = _net(g, config)
+    got = _comm(lambda: comm.downcast_single(net, orient, list(payloads), tag,
+                                             "one", single))
+    if got is not None:
+        assert got == oracle
+    else:
+        assert _episodes(net) == ([_episode(oracle)] if payloads else [])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_best_upcast_equals_oracle(data):
+    g, _, orient, config, rng = _setup(data)
+    bad = _faulty(data)
+    width = data.draw(st.integers(0, 2), label="width")
+    prefer_max = data.draw(st.booleans(), label="prefer max")
+    max_scalar = max(g.n, 2) ** 3
+    values = {}
+    for v in orient.center_of:
+        if rng.random() < 0.4:
+            if width:
+                n_ids = width + (1 if bad and rng.random() < 0.3 else 0)
+                values[v] = tuple(rng.choice(g.vertices) for _ in range(n_ids))
+            else:
+                top = max_scalar + (1 if bad and rng.random() < 0.3 else 0)
+                values[v] = tuple(rng.choice([-1, 1]) * rng.randint(0, top)
+                                  for _ in range(rng.choice([1, 1, 2])))
+    wanted = set(_some(rng, orient.centers))
+    inside = {v: x for v, x in values.items() if orient.center_of[v] in wanted}
+    args = (wanted, orient.parent, orient.height, inside, prefer_max, width,
+            config, "lbl")
+
+    kernel = _run(sim.best_upcast, g, *args)
+    oracle = _run(oracles.best_upcast, g, *args)
+    assert kernel == oracle
+    assert kernel[1] is None or list(kernel[1]) == list(oracle[1])
+
+    net = _net(g, config)
+    got = _comm(lambda: comm.upcast_best(net, orient, values, "lbl", prefer_max,
+                                         width, centers=wanted))
+    if oracle[1] is None:
+        assert got == oracle[0]
+    else:
+        assert got == oracle[1]
+        assert _episodes(net) == ([_episode(oracle[0])] if wanted else [])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_flag_upcast_equals_oracle(data):
+    g, _, orient, config, rng = _setup(data)
+    share = data.draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]), label="share")
+    flagged = {v for v in orient.center_of if rng.random() < share}
+    if rng.random() < 0.3:
+        flagged.add(rng.choice(sorted(orient.centers)))
+
+    kernel = _run(sim.flag_upcast, g, orient.parent, flagged, config, "lbl")
+    oracle = _run(oracles.flag_upcast, g, orient.parent, flagged, config, "lbl")
+    assert kernel == oracle
+
+    net = _net(g, config)
+    got = _comm(lambda: comm.upcast_flags(net, orient, flagged, "lbl"))
+    if oracle[1] is None:
+        assert got == oracle[0]
+    else:
+        assert got == {c for c in orient.centers if c in oracle[1]}
+        assert _episodes(net) == [_episode(oracle[0])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_collect_equals_oracle(data):
+    g, _, orient, config, rng = _setup(data)
+    cap = data.draw(st.sampled_from([0, 1, 2, 3, 50]), label="cap")
+    keys = rng.sample(range(1, 10 ** 6), 6)
+    items = {v: [(rng.choice(keys), rng.choice(g.vertices))
+                 for _ in range(rng.randint(0, 3))]
+             for v in orient.center_of if rng.random() < 0.6}
+    wanted = _some(rng, orient.centers)
+    members = [v for c in wanted for v in orient.members[c]]
+
+    def in_order(stores):
+        return {v: list(s.items()) for v, s in stores.items() if s}
+
+    kernel, stores = _run(sim.tree_collect, g, members, orient.parent, items,
+                          cap, config, "lbl")
+    oracle, expected = _run(oracles.tree_collect, g, members, orient.parent,
+                            items, cap, config, "lbl")
+    assert kernel == oracle
+    if expected is None:
+        return
+    assert in_order(stores) == in_order(expected)
+
+    net = _net(g, config)
+    got = comm.upcast_collect(net, orient, items, cap, "lbl", centers=wanted)
+    assert [(c, list(s.items())) for c, s in got.items()] == [
+        (c, list(expected.get(c, {}).items())) for c in set(wanted)]
+    assert _episodes(net) == ([_episode(oracle)] if wanted else [])
+
+
+def _raw(rng, parent_maps, mutation):
+    """(center, members, tree_adj) triples of the trees, with one mutation:
+    a tree edge dropped, a chord that closes a cycle, a neighbour in another
+    cluster added, a neighbour listed twice, or none."""
+    raw = []
+    for c, pm in parent_maps.items():
+        tree_adj = {v: [] for v in pm}
+        for v, p in pm.items():
+            if p is not None:
+                tree_adj[v].append(p)
+                tree_adj[p].append(v)
+        members = list(pm)
+        rng.shuffle(members)
+        raw.append((c, members, tree_adj))
+    lists = [(adj, v) for _, _, adj in raw for v in adj]
+    if mutation == "drop":
+        edges = [(adj, v, u) for adj, v in lists for u in adj[v]]
+        if edges:
+            adj, v, u = rng.choice(edges)
+            adj[v].remove(u)
+            adj[u].remove(v)
+    elif mutation == "chord":
+        _, members, adj = rng.choice(raw)
+        if len(members) > 2:
+            v, u = rng.sample(members, 2)
+            if u not in adj[v]:
+                adj[v].append(u)
+                adj[u].append(v)
+    elif mutation == "cross" and len(raw) > 1:
+        (_, members_a, adj_a), (_, members_b, _) = rng.sample(raw, 2)
+        adj_a[rng.choice(members_a)].append(rng.choice(members_b))
+    elif mutation == "twice":
+        adj, v = rng.choice(lists)
+        if adj[v]:
+            adj[v].append(rng.choice(adj[v]))
+    return raw
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_orient_equals_oracle(data):
+    g, parent_maps, _, config, rng = _setup(data)
+    mutation = data.draw(st.sampled_from(["none", "none", "drop", "chord", "cross",
+                                          "twice"]), label="mutation")
+    raw = _raw(rng, parent_maps, mutation)
+    tree_nbrs = {v: adj.get(v, ()) for _, members, adj in raw for v in members}
+    roots = [c for c, _, _ in raw]
+
+    kernel = _run(sim.orient_flood, g, roots, tree_nbrs, config, "lbl")
+    oracle = _run(oracles.orient_flood, g, roots, tree_nbrs, config, "lbl")
+    assert kernel == oracle
+
+    net = _net(g, config)
+    got = _comm(lambda: dataclasses.asdict(comm.orient_clusters(net, raw, "lbl")))
+    expected = _comm(lambda: oracles.orient_clusters(g, raw, config, "lbl"))
+    if isinstance(expected, tuple) and isinstance(expected[1], str):
+        assert got == expected
+        return
+    assert got == dataclasses.asdict(expected[1])
+    assert _episodes(net) == [_episode(dataclasses.asdict(expected[0]))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_send_round_equals_oracle(data):
+    g, _, _, config, rng = _setup(data)
+    bad = _faulty(data)
+    targets = {}
+    for v in _some(rng, g.vertices):
+        nbrs = list(g.adjacency[v])
+        ts = rng.sample(nbrs, rng.randint(0, len(nbrs)))
+        if bad and rng.random() < 0.3:
+            ts.insert(rng.randint(0, len(ts)), rng.choice(g.vertices + tuple(ts)))
+        targets[v] = ts
+
+    kernel = _run(sim.send_round, g, targets, config, "lbl")
+    oracle = _run(oracles.send_round, g, targets, config, "lbl")
+    assert kernel == oracle
+
+    net = _net(g, config)
+    got = _comm(lambda: comm.announce_edges(net, "lbl", targets))
+    if got is not None:
+        assert got == oracle[0]
+    else:
+        assert _episodes(net) == ([_episode(oracle[0])] if targets else [])
+
+
+# ---------------------------------------------------------------------------
+# Each check sim.run makes, on a path 1 - 2 - 3 - 4 - 5.
+
+PATH = gr.generate_graph("path", n=5)
+CHAIN = comm.orientation_from_parents({1: {1: None, 2: 1, 3: 2, 4: 3, 5: 4}})
+# 3 hangs off 1, which is not its graph neighbour
+BENT = comm.orientation_from_parents({1: {1: None, 2: 1, 3: 1, 4: 3, 5: 4}})
+CHAIN_ADJ = {1: [2], 2: [1, 3], 3: [2, 4], 4: [3, 5], 5: [4]}
+
+
+def _cases():
+    """(name, kernel, oracle, args, config, expected exception type)."""
+    ok, tight = SimConfig(), SimConfig(max_rounds=2)
+    four = [Message(1, (v,)) for v in range(1, 5)]
+    yield ("downcast: too many ids", sim.tree_downcast, oracles.tree_downcast,
+           (CHAIN.children, {1: [Message(1, (1,)), Message(1, (1, 2, 3))]}),
+           ok, ModelViolation)
+    yield ("downcast: scalar out of range", sim.tree_downcast, oracles.tree_downcast,
+           (CHAIN.children, {1: [Message(1, (), 10 ** 9)]}), ok, ModelViolation)
+    yield ("downcast: parent not a neighbour", sim.tree_downcast,
+           oracles.tree_downcast, (BENT.children, {1: four}), ok, ModelViolation)
+    yield ("downcast: round budget", sim.tree_downcast, oracles.tree_downcast,
+           (CHAIN.children, {1: four}), tight, RoundBudgetExceeded)
+    for name, orient in (("chain", CHAIN), ("bent", BENT)):
+        args = ([1], orient.parent, orient.height, {5: (4, 5, 1)}, False, 3)
+        yield (f"best upcast ({name}): too many ids", sim.best_upcast,
+               oracles.best_upcast, args, ok, ModelViolation)
+    yield ("best upcast: scalar out of range", sim.best_upcast, oracles.best_upcast,
+           ([1], CHAIN.parent, CHAIN.height, {4: (-10 ** 9,)}, True, 0), ok,
+           ModelViolation)
+    yield ("best upcast: parent not a neighbour", sim.best_upcast,
+           oracles.best_upcast,
+           ([1], BENT.parent, BENT.height, {5: (7,)}, False, 1), ok, ModelViolation)
+    yield ("best upcast: round budget, no value", sim.best_upcast,
+           oracles.best_upcast,
+           ([1], CHAIN.parent, CHAIN.height, {}, False, 1), tight,
+           RoundBudgetExceeded)
+    yield ("flag upcast: parent not a neighbour", sim.flag_upcast,
+           oracles.flag_upcast, (BENT.parent, {5}), ok, ModelViolation)
+    yield ("flag upcast: round budget", sim.flag_upcast, oracles.flag_upcast,
+           (CHAIN.parent, {5}), tight, RoundBudgetExceeded)
+    yield ("collect: too many ids", sim.tree_collect, oracles.tree_collect,
+           (CHAIN.parent, CHAIN.parent, {3: [(9, 3)]}, 5),
+           SimConfig(ids_per_message=1), ModelViolation)
+    yield ("collect: parent not a neighbour", sim.tree_collect, oracles.tree_collect,
+           (BENT.parent, BENT.parent, {5: [(9, 5), (8, 5)]}, 5), ok, ModelViolation)
+    yield ("collect: round budget", sim.tree_collect, oracles.tree_collect,
+           (CHAIN.parent, CHAIN.parent, {5: [(9, 5)], 4: [(8, 4)]}, 5), tight,
+           RoundBudgetExceeded)
+    yield ("orient: tree neighbour not a neighbour", sim.orient_flood,
+           oracles.orient_flood, ([1], {**CHAIN_ADJ, 2: [1, 3, 5]}), ok,
+           ModelViolation)
+    yield ("orient: two messages on one edge", sim.orient_flood,
+           oracles.orient_flood, ([1], {**CHAIN_ADJ, 3: [2, 4, 4]}), ok,
+           ModelViolation)
+    yield ("orient: round budget", sim.orient_flood, oracles.orient_flood,
+           ([1], CHAIN_ADJ), tight, RoundBudgetExceeded)
+    yield ("send round: not a neighbour", sim.send_round, oracles.send_round,
+           ({2: [1, 3], 4: [3, 1]},), ok, ModelViolation)
+    yield ("send round: two messages on one edge", sim.send_round,
+           oracles.send_round, ({2: [1, 3, 1]},), ok, ModelViolation)
+
+
+@pytest.mark.parametrize("name, kernel, oracle, args, config, expected",
+                         list(_cases()), ids=[c[0] for c in _cases()])
+def test_kernel_raises_what_run_raises(name, kernel, oracle, args, config,
+                                       expected):
+    got = _run(kernel, PATH, *args, config, "lbl")
+    assert got == _run(oracle, PATH, *args, config, "lbl")
+    assert got[0][0] is expected
+
+
+def test_best_upcast_round_budget_counts_sends_and_wakeups_only():
+    # 1 has height 3 through the chain 3 - 4 - 5, but the only value is at
+    # its leaf child 2, which sends at round 0; the last event is 3's wake-up
+    # at round 2
+    g = gr.from_edges([(1, 2), (1, 3), (3, 4), (4, 5)])
+    spider = comm.orientation_from_parents({1: {1: None, 2: 1, 3: 1, 4: 3, 5: 4}})
+    args = ([1], spider.parent, spider.height, {2: (6,)}, False, 1)
+    for budget, expected in ((2, {1: (6,)}), (1, None)):
+        kernel = _run(sim.best_upcast, g, *args, SimConfig(max_rounds=budget), "lbl")
+        assert kernel == _run(oracles.best_upcast, g, *args,
+                              SimConfig(max_rounds=budget), "lbl")
+        assert kernel[1] == expected
+
+
+def test_orient_takes_the_smallest_first_sender():
+    # on a 4-cycle the flood from 1 reaches 3 from 2 and from 4 in one round
+    g = gr.generate_graph("cycle", n=4)
+    cycle = {1: [2, 4], 2: [1, 3], 3: [2, 4], 4: [3, 1]}
+    kernel = _run(sim.orient_flood, g, [1], cycle, SimConfig(), "lbl")
+    assert kernel == _run(oracles.orient_flood, g, [1], cycle, SimConfig(), "lbl")
+    assert kernel[1][3] == (1, 2)
+
+
+def test_orient_runtime_errors_match():
+    config = SimConfig()
+    split = [(1, [1, 2, 3], {1: [2], 2: [1], 3: []})]
+    foreign = [(1, [1, 2], {1: [2], 2: [1, 3]}), (4, [3, 4, 5], {4: [5], 5: [4]})]
+    for raw, text in ((split, "never reached vertex 3"),
+                      (foreign, "vertex 3 oriented to foreign center 1")):
+        net = comm.Net(PATH)
+        with pytest.raises(RuntimeError, match=text) as got:
+            comm.orient_clusters(net, raw, "lbl")
+        with pytest.raises(RuntimeError) as expected:
+            oracles.orient_clusters(PATH, raw, config, "lbl")
+        assert str(got.value) == str(expected.value)
+        # the flood itself ran and is on the record
+        assert len(net.trace.episodes) == 1
+
+
+KERNEL_ARGS = [
+    (sim.tree_downcast, (CHAIN.children, {1: [Message(1)]})),
+    (sim.best_upcast, ([1], CHAIN.parent, CHAIN.height, {}, False, 1)),
+    (sim.flag_upcast, (CHAIN.parent, {5})),
+    (sim.tree_collect, (CHAIN.parent, CHAIN.parent, {}, 1)),
+    (sim.orient_flood, ([1], CHAIN_ADJ)),
+    (sim.send_round, ({1: [2]},)),
+]
+
+
+@pytest.mark.parametrize("kernel, args", KERNEL_ARGS,
+                         ids=[k.__name__ for k, _ in KERNEL_ARGS])
+def test_kernels_need_congest_mode(kernel, args):
+    with pytest.raises(ValueError, match="needs mode 'congest'"):
+        kernel(PATH, *args, SimConfig(mode=sim.BROADCAST), "lbl")
+
+
+def test_episodes_only_when_a_vertex_takes_part():
+    net = comm.Net(PATH)
+    comm.downcast_single(net, CHAIN, [], comm.TAG_POPBIT, "none")
+    comm.downcast_payloads(net, CHAIN, {}, "none")
+    comm.upcast_collect(net, CHAIN, {1: [(5, 1)]}, 3, "none", centers=[])
+    comm.upcast_best(net, CHAIN, {1: (1,)}, "none", centers=[])
+    comm.announce_edges(net, "none", {})
+    empty = comm.orient_clusters(net, [], "none")
+    assert comm.upcast_flags(net, empty, set(), "none") == set()
+    assert net.trace.episodes == []
+
+    # a vertex that takes part but sends nothing still makes an episode
+    single = comm.orientation_from_parents({3: {3: None}})
+    comm.downcast_single(net, single, [3], comm.TAG_POPBIT, "quiet")
+    comm.announce_edges(net, "quiet", {2: []})
+    assert _episodes(net) == [("quiet", sim.CONGEST, 0, 0, 0)] * 2
