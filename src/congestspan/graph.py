@@ -44,15 +44,16 @@ class Graph:
         self.adjacency: Dict[int, Tuple[int, ...]] = {
             v: tuple(sorted(adjacency[v])) for v in self.vertices
         }
-        self.id_range: Tuple[int, int] = (self.vertices[0], self.vertices[-1])
         self.meta: dict = dict(meta or {})
         self._edge_set: Optional[Set[Edge]] = None
         self._validate()
+        self.id_range: Tuple[int, int] = (self.vertices[0], self.vertices[-1])
 
     def _validate(self) -> None:
         if self.n == 0:
             raise GraphError("graph has no vertices")
         seen: Set[Edge] = set()
+        degree_sum = 0
         for v, nbrs in self.adjacency.items():
             if v <= 0:
                 raise GraphError(f"vertex id {v} is not a positive integer")
@@ -64,9 +65,15 @@ class Graph:
                 seen.add(edge_key(u, v))
             if len(set(nbrs)) != len(nbrs):
                 raise GraphError(f"parallel edge at vertex {v}")
-        for u, v in seen:
-            if u not in self.adjacency[v] or v not in self.adjacency[u]:
-                raise GraphError(f"asymmetric adjacency on edge ({u},{v})")
+            degree_sum += len(nbrs)
+        # With no self-loops or parallel entries, each edge is listed once or
+        # twice, so the lists are symmetric exactly when each is listed twice.
+        # Only then is the O(deg) membership test per edge needed, to name the
+        # first one-sided edge.
+        if 2 * len(seen) != degree_sum:
+            for u, v in seen:
+                if u not in self.adjacency[v] or v not in self.adjacency[u]:
+                    raise GraphError(f"asymmetric adjacency on edge ({u},{v})")
         if not self.is_connected():
             raise GraphError("graph is disconnected")
 
@@ -240,11 +247,10 @@ def _gen_gnp_connected(n: int, p: float, seed: int = 0) -> Graph:
     if not (0.0 < p <= 1.0):
         raise GraphError(f"gnp_connected needs p in (0, 1], got {p}")
     rnd = random.Random(seed)
+    draw = rnd.random
     edges: Set[Edge] = set()
     for u in range(1, n + 1):
-        for v in range(u + 1, n + 1):
-            if rnd.random() < p:
-                edges.add((u, v))
+        edges.update([(u, v) for v in range(u + 1, n + 1) if draw() < p])
     added = 0
     comps = _components(n, edges)
     while len(comps) > 1:

@@ -2,7 +2,8 @@
 
 These are the straightforward versions that the package's fast paths
 replaced: one full BFS of H from every vertex for the edge stretch, one full
-BFS from every member for a ruling set, and one program per vertex stepped
+BFS from every member for a ruling set, a membership test per edge for the
+symmetry of a graph's adjacency lists, and one program per vertex stepped
 through the event loop for a one-shot broadcast round and for each tree-cast
 episode. They are slow but obviously right, so the tests hold the fast
 versions to them result for result. Each episode oracle takes the arguments
@@ -17,7 +18,8 @@ from typing import (AbstractSet, Callable, Dict, Iterable, List, Mapping,
                     Optional, Sequence, Set, Tuple)
 
 from congestspan import comm, sim
-from congestspan.graph import Edge, Graph, bfs_on_adjacency, subgraph_adjacency
+from congestspan.graph import (Edge, Graph, GraphError, bfs_on_adjacency, edge_key,
+                               subgraph_adjacency)
 from congestspan.rulingset import RulingVerdict
 from congestspan.sim import Message, NodeApi, NodeProgram, SimConfig, SimTrace
 
@@ -41,6 +43,33 @@ def max_edge_stretch(g: Graph, spanner_edges: Set[Edge]) -> Tuple[float, Optiona
                 if d == math.inf:
                     return worst, worst_edge
     return worst, worst_edge
+
+
+def validate_graph(adjacency: Mapping[int, Sequence[int]]) -> None:
+    """Raise the GraphError that Graph(adjacency) raises, if any: the checks
+    of Graph._validate with the symmetry of every edge tested by membership
+    in both sorted adjacency tuples."""
+    adjacency = {v: tuple(sorted(adjacency[v])) for v in sorted(adjacency)}
+    if not adjacency:
+        raise GraphError("graph has no vertices")
+    seen: Set[Edge] = set()
+    for v, nbrs in adjacency.items():
+        if v <= 0:
+            raise GraphError(f"vertex id {v} is not a positive integer")
+        for u in nbrs:
+            if u == v:
+                raise GraphError(f"self-loop at vertex {v}")
+            if u not in adjacency:
+                raise GraphError(f"edge ({v},{u}) points outside the vertex set")
+            seen.add(edge_key(u, v))
+        if len(set(nbrs)) != len(nbrs):
+            raise GraphError(f"parallel edge at vertex {v}")
+    for u, v in seen:
+        if u not in adjacency[v] or v not in adjacency[u]:
+            raise GraphError(f"asymmetric adjacency on edge ({u},{v})")
+    start = next(iter(adjacency))
+    if len(bfs_on_adjacency(adjacency, start)) != len(adjacency):
+        raise GraphError("graph is disconnected")
 
 
 def check_ruling(adjacency: Dict[int, Sequence[int]], members: Iterable[int],

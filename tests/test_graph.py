@@ -3,6 +3,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+
 from congestspan import graph as gr
 
 
@@ -159,3 +161,68 @@ def test_bfs_triangle_inequality_and_subgraph_dominance(n, seed, data):
     dr = gr.bfs_distances(g, a, restricted_to=rest)
     for v in g.vertices:
         assert dr[v] >= da[v]
+
+
+class TestValidate:
+    def test_one_sided_edge_rejected(self):
+        with pytest.raises(gr.GraphError) as exc:
+            gr.Graph({1: [2, 3], 2: [1], 3: [], 4: [3]})
+        assert str(exc.value) == "asymmetric adjacency on edge (1,3)"
+
+    def test_parallel_entries_rejected(self):
+        with pytest.raises(gr.GraphError) as exc:
+            gr.Graph({1: [2], 2: [1, 3, 3], 3: [2, 2]})
+        assert str(exc.value) == "parallel edge at vertex 2"
+
+    def test_no_vertices_rejected(self):
+        with pytest.raises(gr.GraphError) as exc:
+            gr.Graph({})
+        assert str(exc.value) == "graph has no vertices"
+
+
+def _error_text(fn, adjacency):
+    try:
+        fn(adjacency)
+    except gr.GraphError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_validation_errors_match_membership_oracle(data):
+    """Random adjacency dicts, some of them symmetric, the others broken by a
+    self-loop, an out-of-set neighbour, a parallel entry, a one-sided edge, a
+    dropped side of an edge or a non-positive ID, get the same GraphError
+    text (or none) from Graph as from the per-edge membership checks."""
+    ids = data.draw(st.lists(st.integers(1, 2 ** 63 - 1), min_size=1,
+                             max_size=12, unique=True), label="ids")
+    adjacency = {v: [] for v in ids}
+    if len(ids) >= 2:
+        pairs = data.draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids))
+                                   .filter(lambda e: e[0] != e[1]), max_size=30),
+                          label="edges")
+        for u, v in {gr.edge_key(u, v) for u, v in pairs}:
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+    # the symmetry faults twice as often: other faults are found first
+    kinds = ["self-loop", "outside", "parallel", "non-positive",
+             "one-sided", "one-sided", "drop side", "drop side"]
+    for kind in data.draw(st.lists(st.sampled_from(kinds), max_size=3), label="faults"):
+        v = data.draw(st.sampled_from(ids), label="at")
+        if kind == "non-positive":
+            adjacency.setdefault(data.draw(st.integers(-1, 0), label="bad id"), [])
+        elif kind == "self-loop":
+            adjacency[v].append(v)
+        elif kind == "outside":
+            adjacency[v].append(data.draw(st.integers(1, 2 ** 63 - 1)
+                                          .filter(lambda u: u not in adjacency),
+                                          label="outside id"))
+        elif kind == "parallel" and adjacency[v]:
+            adjacency[v].append(data.draw(st.sampled_from(adjacency[v]), label="twin"))
+        elif kind == "one-sided" and len(ids) > 1:
+            adjacency[v].append(data.draw(st.sampled_from(ids).filter(lambda u: u != v),
+                                          label="target"))
+        elif kind == "drop side" and adjacency[v]:
+            adjacency[v].remove(data.draw(st.sampled_from(adjacency[v]), label="drop"))
+    assert _error_text(gr.Graph, adjacency) == _error_text(oracles.validate_graph, adjacency)

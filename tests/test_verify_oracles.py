@@ -1,8 +1,9 @@
 """The verifier's bounded searches against slow, obviously right oracles.
 
-``max_edge_stretch`` stops each per-source BFS once the source's higher-ID
-neighbours are measured, and ``check_ruling`` searches separation only to
-depth alpha - 1. Both must return exactly what the all-sources versions in
+``max_edge_stretch`` walks to the lowest common ancestor when the spanner is a
+forest, and otherwise stops each per-source BFS once the source's higher-ID
+neighbours are measured; ``check_ruling`` searches separation only to depth
+alpha - 1. Both must return exactly what the all-sources versions in
 ``oracles.py`` return, witness edge and failure text included; the stretch
 value is also checked against networkx shortest paths.
 """
@@ -86,6 +87,84 @@ def test_edge_stretch_on_built_spanners_matches_networkx():
                     sparse.build_skeleton(g, Fraction(34, 100))):
             stretch, _ = verify.max_edge_stretch(g, res.spanner.edges)
             assert stretch == _networkx_edge_stretch(g, res.spanner.edges)
+
+
+def _tree_and_spanner(data, max_n: int = 40):
+    """G = a random tree T plus up to 20 extra edges; H = T, or T less a few
+    edges (a forest), possibly with some of the extra edges (cycles)."""
+    n = data.draw(st.integers(1, max_n), label="n")
+    seed = data.draw(st.integers(0, 10 ** 6), label="seed")
+    tree = set(gr.generate_graph("random_tree", n=n, seed=seed).edges())
+    chords = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+              if (u, v) not in tree]
+    extra = data.draw(st.lists(st.sampled_from(chords), max_size=20, unique=True)
+                      if chords else st.just([]), label="extra")
+    dropped = data.draw(st.sets(st.sampled_from(sorted(tree)), max_size=3)
+                        if tree else st.just(set()), label="dropped")
+    chords_in_h = data.draw(st.sets(st.sampled_from(extra), max_size=3)
+                            if extra else st.just(set()), label="chords in H")
+    ids = list(range(1, n + 1))
+    if data.draw(st.booleans(), label="wide ids"):
+        ids = random.Random(seed).sample(range(1, 2 ** 63), n)
+    new_id = dict(zip(range(1, n + 1), ids))
+
+    def relabel(edges):
+        return {gr.edge_key(new_id[u], new_id[v]) for u, v in edges}
+
+    edges = relabel(tree | set(extra))
+    g = gr.from_edges(edges) if edges else gr.Graph({ids[0]: []})
+    return g, relabel((tree - dropped) | chords_in_h)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_forest_stretch_equals_all_sources_oracle(data):
+    g, sub = _tree_and_spanner(data)
+    # repr, not ==: the value must also keep its type (0.0, an int or inf)
+    assert repr(verify.max_edge_stretch(g, sub)) == repr(oracles.max_edge_stretch(g, sub))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_forest_stretch_matches_networkx(data):
+    g, sub = _tree_and_spanner(data, max_n=30)
+    stretch, witness = verify.max_edge_stretch(g, sub)
+    assert stretch == _networkx_edge_stretch(g, sub)
+    h = _spanner_nx(g, sub)
+    if witness is None:
+        assert g.num_edges() == 0
+    elif stretch == math.inf:
+        assert not nx.has_path(h, *witness)
+    else:
+        assert nx.shortest_path_length(h, *witness) == stretch
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_forest_search_exactly_on_forests(data):
+    """The forest path is taken exactly when H is a forest, and then gives
+    every pair's networkx distance, leaving out pairs in two components."""
+    if data.draw(st.booleans(), label="tree based"):
+        g, sub = _tree_and_spanner(data, max_n=25)
+    else:
+        g = _random_graph(data, max_n=25)
+        sub = _random_subgraph(data, g)
+    adj_h = subgraph_adjacency(g.vertices, sub)
+    search = verify._forest_distances(adj_h, g.vertices, len(sub))
+    h = _spanner_nx(g, sub)
+    assert (search is not None) == nx.is_forest(h)
+    if search is not None:
+        dist = dict(nx.all_pairs_shortest_path_length(h))
+        for u in g.vertices:
+            others = [v for v in g.vertices if v != u]
+            assert search(u, others) == {v: d for v, d in dist[u].items() if v != u}
+
+
+@pytest.mark.parametrize("vertex", [1, 2 ** 63 - 1])
+def test_single_vertex_stretch_is_float_zero(vertex):
+    g = gr.Graph({vertex: []})
+    result = verify.max_edge_stretch(g, set())
+    assert repr(result) == repr(oracles.max_edge_stretch(g, set())) == "(0.0, None)"
 
 
 @settings(max_examples=200, deadline=None)
