@@ -23,7 +23,7 @@ from .exact import as_fraction
 from .graph import Graph, GraphError, generate_graph, load_graph, save_edgelist
 from .spanner import BuildResult
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _input_error(message: str) -> int:
@@ -221,8 +221,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return _input_error(f"--series {args.series}: {exc}")
     if not isinstance(series, list):
         return _input_error("series file must hold a JSON list")
-    workers = args.workers or int(os.environ.get("CONGESTSPAN_WORKERS", "0")) \
-        or (os.cpu_count() or 1)
+    if not all(isinstance(point, dict) for point in series):
+        return _input_error("every series entry must be a JSON object")
+    try:
+        workers = args.workers or int(os.environ.get("CONGESTSPAN_WORKERS", "0")) \
+            or (os.cpu_count() or 1)
+    except ValueError as exc:
+        return _input_error(f"CONGESTSPAN_WORKERS: {exc}")
     if series and workers > 1:
         with Pool(processes=min(workers, len(series))) as pool:
             rows = pool.map(_bench_point, series)

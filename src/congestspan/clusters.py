@@ -186,7 +186,6 @@ class JoinInfo:
 @dataclass
 class SuperclusterOutcome:
     joins: Dict[int, JoinInfo]      # center of joined cluster -> how it joined
-    rounds: int = 0
 
     def witness_edges(self) -> List[Tuple[int, Edge]]:
         """(joining center, witness edge) for every non-root join."""
@@ -243,7 +242,6 @@ def run_supercluster_bfs(net: Net, orient: Orientation, ruling: Set[int],
     """
     if vgraph is not None:
         _require_separated(vgraph, ruling)
-    rounds0 = net.trace.rounds_total
     roots = sorted(ruling)
     joins: Dict[int, JoinInfo] = {r: JoinInfo(r, None, None, 0) for r in roots}
     member_center = orient.center_of
@@ -321,7 +319,7 @@ def run_supercluster_bfs(net: Net, orient: Orientation, ruling: Set[int],
             new_frontier.append((c, h))
         frontier = new_frontier
 
-    return SuperclusterOutcome(joins=joins, rounds=net.trace.rounds_total - rounds0)
+    return SuperclusterOutcome(joins=joins)
 
 
 def _require_separated(vgraph: VirtualClusterGraph, ruling: Set[int]) -> None:

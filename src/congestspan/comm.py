@@ -4,7 +4,7 @@ A phase of either construction is orchestrated as a sequence of short
 simulator episodes over the same graph: orient the cluster trees, exchange
 cluster IDs with neighbors, converge flags or keyed items to the centers,
 stream payloads back down, announce new spanner edges. One one-shot
-broadcast round (broadcast_once) serves the ID exchange and, through
+broadcast round (Net.broadcast_round) serves the ID exchange and, through
 cluster_broadcast, every hop of the knock-out floods and explorations on the
 virtual cluster graph; it is delivered by sim.broadcast_round, with the
 listeners' folds in place of programs. Every other episode is a tree cast or
@@ -16,9 +16,9 @@ results between episodes, never inventing knowledge a vertex could not have
 accumulated locally.
 
 Round accounting sums episode traces into a BuildTrace, which also remembers
-per-episode labels and modes so model-compliance checks (message size, one
-message per edge per round, broadcast-only knockout rounds) can be audited
-after a run.
+per-episode labels and modes so model-compliance checks (message size,
+broadcast-only knockout rounds) can be audited after a run. A second message
+on one edge in one round never reaches the trace: the kernels refuse it.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ class BuildTrace:
     rounds_total: int = 0
     messages_total: int = 0
     max_ids_per_message: int = 0
-    messages_per_edge_per_round_max: int = 0
 
     def absorb(self, trace: sim.SimTrace) -> None:
         self.episodes.append(EpisodeStat(trace.label, trace.mode,
@@ -71,9 +70,6 @@ class BuildTrace:
         self.messages_total += trace.messages_total
         self.max_ids_per_message = max(self.max_ids_per_message,
                                        trace.max_ids_per_message)
-        self.messages_per_edge_per_round_max = max(
-            self.messages_per_edge_per_round_max,
-            trace.messages_per_edge_per_round_max)
 
     def summary(self) -> dict:
         return {
@@ -81,7 +77,6 @@ class BuildTrace:
             "rounds_total": self.rounds_total,
             "messages_total": self.messages_total,
             "max_ids_per_message": self.max_ids_per_message,
-            "messages_per_edge_per_round_max": self.messages_per_edge_per_round_max,
         }
 
 
@@ -109,14 +104,18 @@ class Net:
 
     def broadcast_round(self, label: str, sends: Dict[int, Message],
                         listeners: AbstractSet[int],
-                        fold: Callable[[int, Dict[int, Message]], None]) -> int:
-        """One sim.broadcast_round episode; returns rounds used."""
-        if not sends:
-            return 0
-        trace = sim.broadcast_round(self.g, sends, listeners, fold,
-                                    self._config(sim.BROADCAST), label)
-        self.trace.absorb(trace)
-        return trace.rounds_elapsed
+                        fold: Callable[[int, Dict[int, Message]], None]) -> None:
+        """One broadcast-mode round: every sender broadcasts its message once.
+
+        Each listener that hears anything calls fold(vertex, inbox) with the
+        inbox in ascending sender order, listeners in ascending order. A
+        vertex may both send and listen. The round is delivered by
+        sim.broadcast_round, with no program per vertex; no episode is
+        recorded when nobody sends.
+        """
+        if sends:
+            self.trace.absorb(sim.broadcast_round(
+                self.g, sends, listeners, fold, self._config(sim.BROADCAST), label))
 
 
 @dataclass
@@ -204,19 +203,6 @@ def orientation_from_parents(parent_maps: Dict[int, Dict[int, Optional[int]]]) -
     return Orientation(center_of, parent, kids, depth, height, members)
 
 
-def broadcast_once(net: Net, label: str, sends: Dict[int, Message],
-                   listeners: AbstractSet[int],
-                   fold: Callable[[int, Dict[int, Message]], None]) -> None:
-    """One broadcast-mode round: every sender broadcasts its message once.
-
-    Each listener that hears anything calls fold(vertex, inbox) with the
-    inbox in ascending sender order, listeners in ascending order. A vertex
-    may both send and listen. The round is delivered by sim.broadcast_round,
-    with no program per vertex; no episode is recorded when nobody sends.
-    """
-    net.broadcast_round(label, sends, listeners, fold)
-
-
 def cluster_broadcast(net: Net, orient: Orientation, label: str, tag: int,
                       frontier: Iterable[Tuple[int, int, int]],
                       popular: Optional[AbstractSet[int]],
@@ -245,7 +231,7 @@ def cluster_broadcast(net: Net, orient: Orientation, label: str, tag: int,
         if arrivals:
             fold(v, arrivals)
 
-    broadcast_once(net, label, sends, listeners - sends.keys(), hear)
+    net.broadcast_round(label, sends, listeners - sends.keys(), hear)
 
 
 def exchange_cluster_ids(net: Net, orient: Orientation, label: str) -> Dict[int, Dict[int, int]]:
@@ -260,7 +246,7 @@ def exchange_cluster_ids(net: Net, orient: Orientation, label: str) -> Dict[int,
     def fold(v: int, inbox: Dict[int, Message]) -> None:
         heard[v] = {u: msg.ids[0] for u, msg in inbox.items()}
 
-    broadcast_once(net, label, sends, heard.keys(), fold)
+    net.broadcast_round(label, sends, heard.keys(), fold)
     return heard
 
 

@@ -45,7 +45,6 @@ class Graph:
             v: tuple(sorted(adjacency[v])) for v in self.vertices
         }
         self.meta: dict = dict(meta or {})
-        self._edge_set: Optional[Set[Edge]] = None
         self._validate()
         self.id_range: Tuple[int, int] = (self.vertices[0], self.vertices[-1])
 
@@ -76,12 +75,7 @@ class Graph:
                     raise GraphError(f"asymmetric adjacency on edge ({u},{v})")
         if not self.is_connected():
             raise GraphError("graph is disconnected")
-
-    def neighbors(self, v: int) -> Tuple[int, ...]:
-        return self.adjacency[v]
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        self._edge_set = seen
 
     def edges(self) -> Iterator[Edge]:
         for v in self.vertices:
@@ -90,15 +84,10 @@ class Graph:
                     yield (v, u)
 
     def edge_set(self) -> Set[Edge]:
-        if self._edge_set is None:
-            self._edge_set = set(self.edges())
         return self._edge_set
 
     def num_edges(self) -> int:
         return len(self.edge_set())
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return edge_key(u, v) in self.edge_set()
 
     def is_connected(self) -> bool:
         start = self.vertices[0]

@@ -21,8 +21,9 @@ the trace ``run`` gives for the programs they stand for: ``broadcast_round``
 for a one-shot broadcast round; ``orient_flood``, ``tree_downcast``,
 ``best_upcast``, ``flag_upcast`` and ``tree_collect`` for the casts inside
 cluster trees, walked level by level (the collect round by round); and
-``send_round`` for one round of per-edge sends. The tests run those programs
-through ``run`` and hold the kernels to them.
+``send_round`` for one round of per-edge sends. No build calls ``run``: it
+is the tests' reference engine, which runs those programs and holds the
+kernels to them.
 
 Determinism: vertices are stepped in ascending ID order, inboxes are keyed by
 sender in ascending order, and per-edge FIFO order is preserved by the
@@ -79,15 +80,13 @@ class SimTrace:
     """Accounting for one episode.
 
     per_round_message_counts[r] is the number of messages sent at round r
-    (delivered at round r+1). messages_per_edge_per_round_max can never
-    exceed 1 because a second message on a directed edge raises.
+    (delivered at round r+1).
     """
     label: str = ""
     mode: str = CONGEST
     rounds_elapsed: int = 0
     messages_total: int = 0
     max_ids_per_message: int = 0
-    messages_per_edge_per_round_max: int = 0
     per_round_message_counts: List[int] = field(default_factory=list)
 
 
@@ -198,7 +197,6 @@ def run(g: Graph, programs: Dict[int, NodeProgram], config: SimConfig,
         while len(trace.per_round_message_counts) < rnd:
             trace.per_round_message_counts.append(0)
         trace.per_round_message_counts.append(sent)
-        trace.messages_per_edge_per_round_max = 1
 
     # round 0: every program starts, possibly sending into round 1
     pending: Dict[int, List[Tuple[int, Message]]] = {}
@@ -289,7 +287,6 @@ def broadcast_round(g: Graph, sends: Dict[int, Message],
         trace.rounds_elapsed = 1
         trace.messages_total = sent
         trace.per_round_message_counts.append(sent)
-        trace.messages_per_edge_per_round_max = 1
     if inboxes:
         # the difference keeps the listeners' own ID objects, not the equal
         # ints of the adjacency tuples: callers store them, and later dict
@@ -348,7 +345,6 @@ def _account(trace: SimTrace, counts: List[int], rounds: int) -> SimTrace:
         counts.pop()
     trace.per_round_message_counts = counts
     trace.messages_total = sum(counts)
-    trace.messages_per_edge_per_round_max = 1 if counts else 0
     trace.rounds_elapsed = rounds
     return trace
 
@@ -592,53 +588,3 @@ def send_round(g: Graph, targets: Mapping[int, Sequence[int]],
     _require_mode(config, CONGEST, "send_round")
     sent = sum(_per_edge(v, g.adjacency[v], targets[v]) for v in sorted(targets))
     return _account(SimTrace(label=label), [sent], 1 if sent else 0), None
-
-
-# ---------------------------------------------------------------------------
-# Standalone tree casts over a parent map.
-
-def pipelined_downcast(g: Graph, parent: Dict[int, Optional[int]],
-                       payloads: Sequence[Message],
-                       config: Optional[SimConfig] = None
-                       ) -> Tuple[int, Dict[int, List[Message]]]:
-    """Send payloads from the tree root to every tree vertex.
-
-    parent maps each tree vertex to its tree parent (None for the root).
-    Returns (rounds used, per-vertex received payloads in order). Rounds are
-    at most len(payloads) + tree depth.
-    """
-    root, children = _tree_of(parent)
-    trace, _ = tree_downcast(g, children, {root: payloads},
-                             config or SimConfig(), "downcast")
-    received: Dict[int, List[Message]] = {v: [] for v in parent}
-    reached = [root]
-    for v in reached:   # the list grows while it is walked
-        reached += children[v]
-        received[v] = list(payloads)
-    return trace.rounds_elapsed, received
-
-
-def pipelined_upcast(g: Graph, parent: Dict[int, Optional[int]],
-                     items: Dict[int, Sequence[Tuple[int, int]]], cap: int,
-                     config: Optional[SimConfig] = None) -> Tuple[int, Dict[int, int]]:
-    """Converge keyed items to the tree root with dedup and cap.
-
-    Returns (rounds used, the root's collected key -> payload mapping).
-    Rounds are at most cap + tree depth.
-    """
-    root, _ = _tree_of(parent)
-    trace, stores = tree_collect(g, parent, parent, items, cap,
-                                 config or SimConfig(), "upcast")
-    return trace.rounds_elapsed, stores[root]
-
-
-def _tree_of(parent: Dict[int, Optional[int]]) -> Tuple[int, Dict[int, List[int]]]:
-    """The one root of a parent map, and each vertex's sorted children."""
-    children: Dict[int, List[int]] = {v: [] for v in parent}
-    roots = [v for v, p in parent.items() if p is None]
-    if len(roots) != 1:
-        raise ValueError(f"parent map must have exactly one root, found {len(roots)}")
-    for v in sorted(parent):
-        if parent[v] is not None:
-            children[parent[v]].append(v)
-    return roots[0], children

@@ -10,8 +10,10 @@ everything that remains. Clusters that interconnect become dormant: their
 vertices stay silent in all later exchanges, which makes "neighboring
 cluster" always mean a cluster of the current phase.
 
-Every edge enters the spanner with a charge record (vertex, kind, phase);
-the verification layer audits the charging rules against these records.
+Every edge enters the spanner with a charge record (vertex, kind, phase),
+charged to the phase that adds it. The verification layer audits the
+charging rules against these records, and reads the spanner at the start of
+each phase off them: the edges charged in earlier phases.
 """
 
 from __future__ import annotations
@@ -83,7 +85,8 @@ class PhaseReport:
 
 @dataclass
 class PhaseSnapshot:
-    """Everything the verifier needs to re-derive and audit one phase."""
+    """What the verifier needs, with the charge ledger, to re-derive and
+    audit one phase."""
     phase: int
     cluster_set: ClusterSet
     popular: FrozenSet[int]
@@ -92,7 +95,6 @@ class PhaseSnapshot:
     joins: Dict[int, JoinInfo]
     vgraph: Optional[VirtualClusterGraph]
     knowledge: Optional[Dict[int, Dict[int, int]]]
-    spanner_edges_at_start: FrozenSet[Edge]
     radius_bound: int
     threshold_expo: Optional[Fraction]
 
@@ -105,7 +107,6 @@ class BuildResult:
     spanner: SpannerEdgeSet
     reports: List[PhaseReport]
     snapshots: List[PhaseSnapshot]
-    partition: Dict[int, Tuple[int, int]]   # vertex -> (settle phase, cluster center)
     trace: comm.BuildTrace
 
     @property
@@ -134,11 +135,10 @@ class Variant(Protocol):
 
 def trivial_result(g: Graph, algorithm: str, params: dict) -> BuildResult:
     """Single-vertex graphs need no phases and no edges."""
-    v = g.vertices[0]
     return BuildResult(
         algorithm=algorithm, params=params, graph_meta=dict(g.meta),
         spanner=SpannerEdgeSet(g), reports=[], snapshots=[],
-        partition={v: (0, v)}, trace=comm.BuildTrace())
+        trace=comm.BuildTrace())
 
 
 def run_phases(g: Graph, variant: Variant, params: dict,
@@ -153,7 +153,6 @@ def run_phases(g: Graph, variant: Variant, params: dict,
     ]
     reports: List[PhaseReport] = []
     snapshots: List[PhaseSnapshot] = []
-    partition: Dict[int, Tuple[int, int]] = {}
 
     for i in range(variant.ell + 1):
         rounds_mark = net.trace.rounds_total
@@ -162,7 +161,6 @@ def run_phases(g: Graph, variant: Variant, params: dict,
 
         orient = comm.orient_clusters(net, raw, f"p{i}.orient")
         cluster_set = _materialize(orient, i)
-        spanner_at_start = frozenset(spanner.edges)
         nbrmap = comm.exchange_cluster_ids(net, orient, f"p{i}.exchange")
         active = set(orient.members)
 
@@ -189,10 +187,6 @@ def run_phases(g: Graph, variant: Variant, params: dict,
 
         variant.interconnect(net, orient, nbrmap, settled, knowledge, i, spanner)
 
-        for c in sorted(settled):
-            for v in orient.members[c]:
-                partition[v] = (i, c)
-
         phase_charges = spanner.charges[edges_mark:]
         expo = variant.threshold_expo(i)
         reports.append(PhaseReport(
@@ -217,7 +211,6 @@ def run_phases(g: Graph, variant: Variant, params: dict,
             joins=dict(outcome.joins),
             vgraph=vgraph,
             knowledge=knowledge,
-            spanner_edges_at_start=spanner_at_start,
             radius_bound=variant.radius_bounds[i],
             threshold_expo=expo,
         ))
@@ -227,7 +220,7 @@ def run_phases(g: Graph, variant: Variant, params: dict,
     return BuildResult(
         algorithm=variant.name, params=params, graph_meta=dict(g.meta),
         spanner=spanner, reports=reports, snapshots=snapshots,
-        partition=partition, trace=net.trace)
+        trace=net.trace)
 
 
 def _materialize(orient: Orientation, phase: int) -> ClusterSet:

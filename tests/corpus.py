@@ -166,7 +166,8 @@ def run_supergraph_ruling_point(task: tuple) -> dict:
         mode = "all-clusters"
     rs = supergraph_ruling_set(g, p, a, RulingParams(q=q, c=2),
                                r_bound=snap.radius_bound,
-                               spanner_edges=set(snap.spanner_edges_at_start),
+                               spanner_edges={ch.edge for ch in result.spanner.charges
+                                              if ch.phase < snap.phase},
                                popular=popular)
     vg = build_cluster_graph(p, popular if popular is not None else set(p.by_center()), g)
     verdict = check_ruling(vg.adjacency, rs.members, a, 3, 2 * q)

@@ -121,8 +121,9 @@ class TestMalformedInput:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: --out")
 
-    @pytest.mark.parametrize("text", [None, "{", "{}"],
-                             ids=["missing", "not json", "not a list"])
+    @pytest.mark.parametrize("text", [None, "{", "{}", "[1]"],
+                             ids=["missing", "not json", "not a list",
+                                  "entry not an object"])
     def test_bad_series_exits_2(self, text, tmp_path, capsys):
         series = tmp_path / "series.json"
         if text is not None:
@@ -131,6 +132,15 @@ class TestMalformedInput:
                        str(tmp_path / "b"), "--workers", "1"])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_bad_workers_variable_exits_2(self, tmp_path, capsys, monkeypatch):
+        series = tmp_path / "series.json"
+        series.write_text("[]")
+        monkeypatch.setenv("CONGESTSPAN_WORKERS", "abc")
+        rc = cli.main(["bench", "--series", str(series), "--out",
+                       str(tmp_path / "b")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: CONGESTSPAN_WORKERS")
 
     @settings(max_examples=80, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

