@@ -228,13 +228,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
             or (os.cpu_count() or 1)
     except ValueError as exc:
         return _input_error(f"CONGESTSPAN_WORKERS: {exc}")
+    outdir = Path(args.out or "bench_out")
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _input_error(f"--out {outdir}: {exc}")
     if series and workers > 1:
         with Pool(processes=min(workers, len(series))) as pool:
             rows = pool.map(_bench_point, series)
     else:
         rows = [_bench_point(p) for p in series]
-    outdir = Path(args.out or "bench_out")
-    outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "bench.json").write_text(json.dumps(
         {"schema_version": SCHEMA_VERSION, "rows": rows}, indent=2, sort_keys=True))
     fields = ["alg", "graph", "kappa", "rho", "n", "graph_edges", "spanner_edges",

@@ -2,13 +2,14 @@
 
 Every check here is independent of the construction code paths it audits:
 stretch exactly for every graph edge (by a walk to the lowest common ancestor
-when the spanner is a forest, otherwise by one BFS of the spanner per vertex,
-stopped once every higher-ID neighbour of that vertex is reached), cluster
-radii via tree walks against the spanner at each phase start (the edges the
-charge ledger records for earlier phases), superclustering against the
-centralized reference exploration, neighbor knowledge against a direct edge
-scan, and the charge ledger against the counting rules. A report whose
-verdicts all pass is the acceptance currency of the package.
+when the spanner is a forest, otherwise by one bit-parallel BFS of the
+spanner per batch of sources, in which a source stops spreading once its
+edges to higher-ID neighbours are measured), cluster radii via tree walks
+against the spanner at each phase start (the edges the charge ledger records
+for earlier phases), superclustering against the centralized reference
+exploration, neighbor knowledge against a direct edge scan, and the charge
+ledger against the counting rules. A report whose verdicts all pass is the
+acceptance currency of the package.
 """
 
 from __future__ import annotations
@@ -17,14 +18,13 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from . import polylog as polylog_mod
 from . import sparse as sparse_mod
 from .clusters import reference_supercluster, verify_cluster_tree
 from .exact import as_fraction, count_lt_pow
-from .graph import Edge, Graph, bfs_layers, bfs_on_adjacency, subgraph_adjacency
+from .graph import Edge, Graph, bfs_on_adjacency, subgraph_adjacency
 from .rulingset import check_ruling
 from .spanner import INTER, SUPER, BuildResult
 
@@ -47,14 +47,17 @@ def max_edge_stretch(g: Graph, spanner_edges: Set[Edge]) -> Tuple[float, Optiona
     Returns (inf, edge) if some graph edge's endpoints are disconnected in
     the spanner. Every edge is measured exactly. When H is a forest, d_H(u,v)
     comes from a walk of u and v up to their lowest common ancestor in one
-    BFS forest of H. Otherwise each vertex u runs one BFS of H that stops as
-    soon as it has reached all of u's higher-ID neighbours in g (or has used
-    up u's component of H). The witness is the first edge, in vertex then
-    adjacency order, that attains the maximum.
+    BFS forest of H. Any other H is searched from a batch of sources at a
+    time, with one bit per source in each vertex's int (_batched_stretch);
+    a source stops spreading once its edges to higher-ID neighbours are
+    measured. The witness is the first edge, in vertex then adjacency order,
+    that attains the maximum.
     """
     adj_h = subgraph_adjacency(g.vertices, spanner_edges)
-    search = (_forest_distances(adj_h, g.vertices, len(spanner_edges))
-              or partial(_distances_to, adj_h))
+    search = _forest_distances(adj_h, g.vertices, len(spanner_edges))
+    if search is None:
+        del adj_h   # the batched search keeps its own copy, by vertex index
+        return _batched_stretch(g, spanner_edges)
     worst: float = 0.0
     worst_edge: Optional[Edge] = None
     for u in g.vertices:
@@ -70,10 +73,115 @@ def max_edge_stretch(g: Graph, spanner_edges: Set[Edge]) -> Tuple[float, Optiona
     return worst, worst_edge
 
 
+# sources per bit-parallel BFS of _batched_stretch: each vertex holds ints of
+# this many bits, whatever the range of the vertex IDs. Wider batches share
+# more work for O(n * STRETCH_BATCH) bits of memory. On the polylog spanners
+# of G(2048, 2 ln n / n), 1024 took about a quarter longer than 2048 and 256
+# over three times as long.
+STRETCH_BATCH = 2048
+
+
+def _batched_stretch(g: Graph, spanner_edges: Set[Edge]) -> Tuple[float, Optional[Edge]]:
+    """max_edge_stretch on H = (g.vertices, spanner_edges), by bit-parallel
+    BFS.
+
+    Vertices are indexed by their position in g.vertices, and the sources
+    are taken in batches of STRETCH_BATCH; bit i of an int stands for source
+    lo + i of the batch starting at lo. pending[x] holds the sources u < x of
+    the batch whose edge (u, x) of g is not yet measured, and frontier[y] the
+    sources at distance exactly k - 1 from y. In round k every pending x
+    takes the sources in the frontier of its H-neighbours: those edges have
+    d_H = k. Only then does the frontier advance, and only for the sources
+    that still have an edge pending. The batch maximum is the last round
+    with a hit, and its witness the least (source, target) hit in that
+    round. If the frontier dies with edges pending, the least of them is
+    disconnected in H.
+    """
+    vertices = g.vertices
+    n = len(vertices)
+    index = {v: i for i, v in enumerate(vertices)}
+    nbrs: List[List[int]] = [[] for _ in vertices]
+    for u, v in spanner_edges:
+        i, j = index[u], index[v]
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    worst: float = 0.0
+    worst_edge: Optional[Edge] = None
+    for lo in range(0, n, STRETCH_BATCH):
+        hi = min(n, lo + STRETCH_BATCH)
+        pending: Dict[int, int] = {}
+        for u in range(lo, hi):
+            bit = 1 << (u - lo)
+            v = vertices[u]
+            for y in g.adjacency[v]:
+                if y > v:
+                    x = index[y]
+                    pending[x] = pending.get(x, 0) | bit
+        frontier = [0] * n
+        seen = [0] * n
+        for u in range(lo, hi):
+            frontier[u] = seen[u] = 1 << (u - lo)
+        live = list(range(lo, hi))
+        k = 0
+        batch_max = 0
+        batch_edge: Tuple[int, int] = (0, 0)
+        while pending:
+            if not live:
+                i, x = min(((want & -want).bit_length() - 1, x)
+                           for x, want in pending.items())
+                return math.inf, (vertices[lo + i], vertices[x])
+            k += 1
+            hit: Optional[Tuple[int, int]] = None
+            for x in list(pending):
+                want = pending[x]
+                reach = 0
+                for y in nbrs[x]:
+                    reach |= frontier[y]
+                got = want & reach
+                if got:
+                    first = ((got & -got).bit_length() - 1, x)
+                    if hit is None or first < hit:
+                        hit = first
+                    if want == got:
+                        del pending[x]
+                    else:
+                        pending[x] = want & ~got
+            if hit is not None:
+                batch_max, batch_edge = k, hit
+            if not pending:
+                break
+            active = 0
+            for want in pending.values():
+                active |= want
+            reached = [0] * n
+            touched = []
+            for y in live:
+                f = frontier[y] & active
+                frontier[y] = 0   # frees the old frontier while the new one grows
+                if f:
+                    for z in nbrs[y]:
+                        if not reached[z]:
+                            touched.append(z)
+                        reached[z] |= f
+            live = []
+            for z in touched:
+                fresh = reached[z] = reached[z] & ~seen[z]
+                if fresh:
+                    seen[z] |= fresh
+                    live.append(z)
+            frontier = reached
+        if batch_max > worst:
+            worst = batch_max
+            i, x = batch_edge
+            worst_edge = (vertices[lo + i], vertices[x])
+    return worst, worst_edge
+
+
 def _forest_distances(adj: Dict[int, List[int]], vertices: Sequence[int],
                       num_edges: int) -> Optional[Callable[[int, List[int]], Dict[int, int]]]:
-    """A search with the contract of _distances_to on H = (vertices, adj),
-    if H (with num_edges edges) is a forest; None otherwise.
+    """A search on H = (vertices, adj), if H (with num_edges edges) is a
+    forest; None otherwise. The search maps (source, targets) to the hop
+    distances from source to those targets it reaches.
 
     A forest has fewer than n edges, so H with n or more is rejected at
     once. Otherwise one BFS pass over the vertices in order gives every
@@ -130,33 +238,6 @@ def _forest_distances(adj: Dict[int, List[int]], vertices: Sequence[int],
         return dist
 
     return distances
-
-
-def _distances_to(adj: Dict[int, List[int]], source: int,
-                  targets: List[int]) -> Dict[int, int]:
-    """Hop distances from source to those targets it can reach (source
-    itself not among them).
-
-    A target not yet reached that has a neighbour in BFS layer d is at
-    distance exactly d + 1, so each layer is tested against the targets'
-    own adjacency lists, and the search stops one layer short of the
-    farthest target instead of expanding the largest layer just to find it.
-    """
-    dist: Dict[int, int] = {}
-    remaining = targets
-    if not remaining:
-        return dist
-    for d, layer in enumerate(bfs_layers(adj, (source,)), 1):
-        left = []
-        for v in remaining:
-            if layer.isdisjoint(adj[v]):
-                left.append(v)
-            else:
-                dist[v] = d
-        remaining = left
-        if not remaining:
-            break
-    return dist
 
 
 def max_pair_stretch(g: Graph, spanner_edges: Set[Edge]) -> float:
@@ -340,6 +421,13 @@ def _charge_verdict(result: BuildResult) -> Verdict:
     final_phase = len(result.reports) - 1
     final_sizes = {rep.phase: rep.num_clusters for rep in result.reports}
     by_vertex = result.spanner.charges_by_vertex()
+    # the cap exponents, once per verdict; only a build with charges needs
+    # them, and its construction has validated n >= 2, kappa and rho
+    if by_vertex and is_sparse:
+        deg_expos = sparse_mod.degree_schedule(
+            n, kappa, as_fraction(result.params["rho"])).deg_expos
+    elif by_vertex:
+        inter_expo = Fraction(1, kappa)
     for v, charges in by_vertex.items():
         supers = [ch for ch in charges if ch.kind == SUPER]
         inters = [ch for ch in charges if ch.kind == INTER]
@@ -354,9 +442,7 @@ def _charge_verdict(result: BuildResult) -> Verdict:
             if inters:
                 ph = inters[0].phase
                 if ph < final_phase:
-                    expo = as_fraction(result.params["rho"])
-                    sched = sparse_mod.degree_schedule(n, kappa, expo)
-                    if not count_lt_pow(len(inters), n, sched.deg_expos[ph]):
+                    if not count_lt_pow(len(inters), n, deg_expos[ph]):
                         return Verdict("charges", False,
                                        f"center {v} charged {len(inters)} "
                                        f"interconnection edges in phase {ph}, "
@@ -366,7 +452,7 @@ def _charge_verdict(result: BuildResult) -> Verdict:
                                    f"center {v} charged {len(inters)} edges in the "
                                    f"final phase with {final_sizes[ph]} clusters")
         else:
-            if inters and not count_lt_pow(len(inters), n, Fraction(1, kappa)):
+            if inters and not count_lt_pow(len(inters), n, inter_expo):
                 return Verdict("charges", False,
                                f"vertex {v} charged {len(inters)} interconnection "
                                f"edges, not below n^(1/{kappa})")

@@ -14,7 +14,13 @@ a spanning tree, so the verifier takes the walk to the lowest common
 ancestor.
 
 The near-tree: the skeleton of the 32 x 32 grid, with 43 edges more than a
-spanning tree, so the verifier falls back to its bounded BFS per vertex.
+spanning tree, so the verifier takes its bit-parallel BFS per batch of
+sources, over as many rounds as the largest stretch.
+
+The low-stretch non-forest: the polylog spanner (kappa = 3) of
+G(1024, 2 ln n / n), seed 1, thousands of edges more than a spanning tree but
+with a small stretch, so the bit-parallel BFS shares nearly all of its few
+rounds across the sources of a batch.
 """
 
 import math
@@ -24,7 +30,7 @@ import pytest
 
 import oracles
 
-from congestspan import sparse, verify
+from congestspan import polylog, sparse, verify
 from congestspan import graph as gr
 
 RHO = Fraction(34, 100)
@@ -45,10 +51,21 @@ def _near_tree_instance():
     return g, edges
 
 
-@pytest.fixture(scope="module", params=["tree", "near-tree"])
+def _low_stretch_instance():
+    n = 1024
+    g = gr.generate_graph("gnp_connected", n=n, p=2 * math.log(n) / n, seed=1)
+    edges = polylog.build_spanner(g, 3).spanner.edges
+    assert len(edges) >= g.n
+    return g, edges
+
+
+INSTANCES = {"tree": _tree_instance, "near-tree": _near_tree_instance,
+             "low-stretch": _low_stretch_instance}
+
+
+@pytest.fixture(scope="module", params=list(INSTANCES))
 def instance(request):
-    make = _tree_instance if request.param == "tree" else _near_tree_instance
-    g, edges = make()
+    g, edges = INSTANCES[request.param]()
     return g, edges, oracles.max_edge_stretch(g, edges)
 
 

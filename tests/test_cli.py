@@ -133,6 +133,16 @@ class TestMalformedInput:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_bench_out_is_a_file_exits_2(self, tmp_path, capsys):
+        series = tmp_path / "series.json"
+        series.write_text("[]")
+        out = tmp_path / "o"
+        out.write_text("")
+        rc = cli.main(["bench", "--series", str(series), "--out", str(out),
+                       "--workers", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: --out")
+
     def test_bad_workers_variable_exits_2(self, tmp_path, capsys, monkeypatch):
         series = tmp_path / "series.json"
         series.write_text("[]")

@@ -1,8 +1,10 @@
 """The verifier's bounded searches against slow, obviously right oracles.
 
 ``max_edge_stretch`` walks to the lowest common ancestor when the spanner is a
-forest, and otherwise stops each per-source BFS once the source's higher-ID
-neighbours are measured; ``check_ruling`` searches separation only to depth
+forest, and otherwise runs one bit-parallel BFS per batch of sources, each
+source stopping once its higher-ID neighbours are measured (the batch width
+is narrowed in the tests so that sources span several batches);
+``check_ruling`` searches separation only to depth
 alpha - 1. Both must return exactly what the all-sources versions in
 ``oracles.py`` return, witness edge and failure text included; the stretch
 value is also checked against networkx shortest paths.
@@ -15,7 +17,7 @@ from fractions import Fraction
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from corpus import _rho, build_tasks, make_graph
@@ -158,6 +160,57 @@ def test_forest_search_exactly_on_forests(data):
         for u in g.vertices:
             others = [v for v in g.vertices if v != u]
             assert search(u, others) == {v: d for v, d in dist[u].items() if v != u}
+
+
+def _non_forest_spanner(data, max_n: int = 40):
+    """A random graph with a cycle, and H = a random edge subset (often
+    disconnecting) plus the edges of one cycle of g, so H is never a forest."""
+    g = _random_graph(data, max_n)
+    g_nx = _spanner_nx(g, g.edges())
+    assume(not nx.is_forest(g_nx))
+    cycle = {gr.edge_key(u, v) for u, v in nx.find_cycle(g_nx)}
+    return g, _random_subgraph(data, g) | cycle
+
+
+@settings(max_examples=250, deadline=None)
+@given(data=st.data())
+def test_batched_stretch_equals_all_sources_oracle(data):
+    """The bit-parallel search, with batches as narrow as one source, so the
+    maximum or the disconnected edge often lands in a later batch."""
+    g, sub = _non_forest_spanner(data)
+    width = data.draw(st.sampled_from([1, 2, 3, 4, 5, verify.STRETCH_BATCH]),
+                      label="batch width")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "STRETCH_BATCH", width)
+        got = verify.max_edge_stretch(g, sub)
+    assert repr(got) == repr(oracles.max_edge_stretch(g, sub))
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, verify.STRETCH_BATCH])
+@pytest.mark.parametrize("wide_ids", [False, True], ids=["ids 1..n", "wide ids"])
+@pytest.mark.parametrize("cut", [False, True], ids=["connected", "disconnected"])
+def test_batched_stretch_later_batches(width, wide_ids, cut):
+    """G: a triangle 1-2-3 (so H is no forest), joined by (3, 4) to a 6-cycle
+    4..9, then (9, 10), (10, 11) and a second 6-cycle 11..16. H lacks the
+    cycle edges (4, 9) and (11, 16), so the maximum d_H = 5 is attained
+    first by (4, 9), after the stretch-1 edges of earlier batches, and again
+    in a later batch by (11, 16). With cut, H also lacks (9, 10), and the
+    witness is that disconnected edge."""
+    edges = [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8),
+             (8, 9), (4, 9), (9, 10), (10, 11), (11, 12), (12, 13), (13, 14),
+             (14, 15), (15, 16), (11, 16)]
+    ids = list(range(1, 17))
+    if wide_ids:
+        ids = [2 ** 63 - 17 + i for i in range(1, 17)]
+    new_id = dict(zip(range(1, 17), ids))
+    g = gr.from_edges((new_id[u], new_id[v]) for u, v in edges)
+    dropped = {(4, 9), (11, 16)} | ({(9, 10)} if cut else set())
+    sub = {gr.edge_key(new_id[u], new_id[v]) for u, v in edges if (u, v) not in dropped}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "STRETCH_BATCH", width)
+        got = verify.max_edge_stretch(g, sub)
+    expected = (math.inf, (ids[8], ids[9])) if cut else (5, (ids[3], ids[8]))
+    assert repr(got) == repr(expected) == repr(oracles.max_edge_stretch(g, sub))
 
 
 @pytest.mark.parametrize("vertex", [1, 2 ** 63 - 1])
