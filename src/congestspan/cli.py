@@ -16,12 +16,13 @@ import os
 import sys
 from multiprocessing import Pool
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from . import __version__, polylog, sparse, verify
 from .exact import as_fraction
-from .graph import Graph, GraphError, generate_graph, load_graph, save_edgelist
-from .spanner import BuildResult
+from .clusters import forest_centers
+from .graph import Edge, Graph, GraphError, generate_graph, load_graph, save_edgelist
+from .spanner import BuildResult, PhaseSnapshot
 
 SCHEMA_VERSION = 2
 
@@ -72,12 +73,8 @@ def _bounds_block(result: BuildResult) -> dict:
             "rounds_model": float(4 * math.ceil(math.log2(max(n, 2))) + 1) ** (kappa - 1),
         }
     rho = as_fraction(result.params["rho"])
-    if n >= 2:
-        sched = sparse.degree_schedule(n, kappa, rho)
-        ell = sched.ell
-        exact = sparse.stretch_bound_exact(n, kappa, rho)
-    else:
-        ell, exact = 0, 1
+    ell = sparse.degree_schedule(n, kappa, rho).ell if n >= 2 else 0
+    exact = sparse.stretch_bound_exact(n, kappa, rho)
     return {
         "stretch_checked": exact,
         "stretch_checked_formula":
@@ -121,6 +118,19 @@ def build_report(g: Graph, result: BuildResult) -> dict:
     }
 
 
+def _cluster_dump(snap: PhaseSnapshot, spanner_edges: Set[Edge]) -> dict:
+    """One phase's clusters, by center, from the snapshot's parent map."""
+    # every tree edge is in the final spanner, and no depth reaches n
+    center_of = forest_centers(snap.parent, spanner_edges, len(snap.parent))
+    members: Dict[int, List[int]] = {}
+    for v in sorted(snap.parent):
+        members.setdefault(center_of[v], []).append(v)
+    return {"phase": snap.phase, "clusters": [
+        {"center": c, "members": vs,
+         "tree_parents": {str(v): snap.parent[v] for v in vs}}
+        for c, vs in sorted(members.items())]}
+
+
 def run_build(alg: str, g: Graph, kappa: Optional[int], rho) -> BuildResult:
     if alg == "polylog":
         if kappa is None:
@@ -152,7 +162,8 @@ def cmd_build(args: argparse.Namespace) -> int:
         (outdir / "report.json").write_text(json.dumps(report, indent=2,
                                                        sort_keys=True))
         if args.dump_clusters:
-            snaps = [s.cluster_set.as_dict() for s in result.snapshots]
+            snaps = [_cluster_dump(s, result.spanner.edges)
+                     for s in result.snapshots]
             (outdir / "clusters.json").write_text(json.dumps(snaps, indent=2))
     except OSError as exc:
         return _input_error(f"--out {outdir}: {exc}")

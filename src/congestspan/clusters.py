@@ -1,12 +1,15 @@
-"""Clusters, partitions, the virtual cluster graph, and superclustering.
+"""The cluster forest, the virtual cluster graph, and superclustering.
 
 Both spanner constructions work phase by phase on a collection of disjoint
 clusters, each with a designated center and a spanning tree living inside the
-spanner built so far. Popular clusters are merged into superclusters by a
-bounded-depth BFS over the virtual cluster graph; the merge is executed
-through the simulator (run_supercluster_bfs), while reference_supercluster is
-a centralized implementation of the same tie-breaking used purely as a test
-oracle.
+spanner built so far. A phase's clusters are recorded once, as the parent map
+of the orientation: every active vertex maps to its tree parent and a center
+to None. forest_centers checks such a map against a spanner edge set and a
+depth bound and derives each vertex's center from it. Popular clusters are
+merged into superclusters by a bounded-depth BFS over the virtual cluster
+graph; the merge is executed through the simulator (run_supercluster_bfs),
+while reference_supercluster is a centralized implementation of the same
+tie-breaking used purely as a test oracle.
 
 Tie-breaking is deterministic everywhere: on simultaneous arrivals a cluster
 joins the exploration with the smallest root-center ID, then the smallest
@@ -16,92 +19,11 @@ witness edge in canonical (min endpoint, max endpoint) order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .graph import Edge, Graph, edge_key
 from . import comm
 from .comm import Net, Orientation
-
-
-@dataclass(frozen=True)
-class Cluster:
-    """A cluster: center, members, and a tree over the members rooted at
-    the center, stored as a parent map (None for the center)."""
-    center: int
-    members: FrozenSet[int]
-    parent: Dict[int, Optional[int]]
-
-    def depth_map(self) -> Dict[int, int]:
-        depths: Dict[int, int] = {}
-        for v in self.members:
-            d, w, seen = 0, v, set()
-            while self.parent.get(w) is not None:
-                if w in seen:
-                    raise ValueError(f"cycle in tree of cluster {self.center}")
-                seen.add(w)
-                w = self.parent[w]
-                d += 1
-            depths[v] = d
-        return depths
-
-    def radius(self) -> int:
-        return max(self.depth_map().values(), default=0)
-
-    def tree_edges(self) -> Set[Edge]:
-        return {edge_key(v, p) for v, p in self.parent.items() if p is not None}
-
-    def as_dict(self) -> dict:
-        return {
-            "center": self.center,
-            "members": sorted(self.members),
-            "tree_parents": {str(v): p for v, p in sorted(self.parent.items())},
-        }
-
-
-@dataclass(frozen=True)
-class ClusterSet:
-    """The phase input: pairwise-disjoint clusters."""
-    clusters: Tuple[Cluster, ...]
-    phase: int
-
-    def __post_init__(self):
-        seen: Set[int] = set()
-        for c in self.clusters:
-            if c.center not in c.members:
-                raise ValueError(f"center {c.center} outside its member set")
-            overlap = seen & c.members
-            if overlap:
-                raise ValueError(f"clusters overlap on {sorted(overlap)[:4]}")
-            seen |= c.members
-
-    def by_center(self) -> Dict[int, Cluster]:
-        return {c.center: c for c in self.clusters}
-
-    def member_center(self) -> Dict[int, int]:
-        out: Dict[int, int] = {}
-        for c in self.clusters:
-            for v in c.members:
-                out[v] = c.center
-        return out
-
-    def covered(self) -> Set[int]:
-        out: Set[int] = set()
-        for c in self.clusters:
-            out |= c.members
-        return out
-
-    def as_dict(self) -> dict:
-        return {"phase": self.phase,
-                "clusters": [c.as_dict() for c in self.clusters]}
-
-    def __len__(self) -> int:
-        return len(self.clusters)
-
-
-def singleton_partition(g: Graph) -> ClusterSet:
-    """One radius-0 cluster per vertex: the phase-0 input."""
-    clusters = tuple(Cluster(v, frozenset([v]), {v: None}) for v in g.vertices)
-    return ClusterSet(clusters, phase=0)
 
 
 @dataclass(frozen=True)
@@ -128,6 +50,60 @@ def radius_sequence(delta: int, ell: int) -> RadiusSequence:
     return RadiusSequence(delta, tuple(values))
 
 
+class ForestError(ValueError):
+    """A parent map that fails forest_centers. failure names the check: span
+    (a cycle), members-only (a parent that is not an active vertex),
+    tree-not-in-spanner or depth."""
+
+    def __init__(self, failure: str, detail: str, cluster: Optional[int] = None):
+        where = "" if cluster is None else f"cluster {cluster}: "
+        super().__init__(f"{where}{failure}: {detail}")
+        self.failure = failure
+
+
+def forest_centers(parent: Dict[int, Optional[int]], spanner_edges: Set[Edge],
+                   bound: int) -> Dict[int, int]:
+    """Check that a phase's parent map is a forest of cluster trees inside
+    the spanner, and return each vertex's center, the root of its tree.
+
+    The keys of parent are the active vertices; each maps to its tree parent,
+    and a center to None. Every parent must be an active vertex, the parent
+    pointers must not cycle, every tree edge must lie in spanner_edges, and
+    no vertex may lie deeper than bound. A walk up stops at the first vertex
+    of known depth, so every tree edge is checked once. Raises ForestError on
+    the first failure.
+    """
+    center: Dict[int, int] = {}
+    depth: Dict[int, int] = {}
+    for v in parent:
+        path = []
+        w = v
+        while w not in depth:
+            p = parent[w]
+            if p is None:
+                center[w], depth[w] = w, 0
+                break
+            if p not in parent:
+                raise ForestError("members-only",
+                                  f"parent {p} of {w} is not an active vertex")
+            depth[w] = -1   # on this walk's path: reaching it again is a cycle
+            path.append(w)
+            w = p
+        d = depth[w]
+        if d < 0:
+            raise ForestError("span", f"the parent pointers cycle through {w}")
+        c = center[w]
+        for x in reversed(path):
+            if edge_key(x, parent[x]) not in spanner_edges:
+                raise ForestError("tree-not-in-spanner", f"tree edge ({x},"
+                                  f"{parent[x]}) missing from the spanner", c)
+            d += 1
+            center[x], depth[x] = c, d
+        if d > bound:
+            raise ForestError("depth", f"vertex {v} at depth {d} > bound {bound}", c)
+    return center
+
+
 @dataclass(frozen=True)
 class VirtualClusterGraph:
     """Supervertices are cluster centers; superedges connect each popular
@@ -142,18 +118,20 @@ class VirtualClusterGraph:
         return len(self.witness)
 
 
-def build_cluster_graph(p: ClusterSet, popular: Iterable[int], g: Graph) -> VirtualClusterGraph:
+def build_cluster_graph(center_of: Dict[int, int], popular: Iterable[int],
+                        g: Graph) -> VirtualClusterGraph:
     """Superedges are exactly the adjacent cluster pairs with a popular side.
 
-    Edges touching vertices outside the partition (dormant vertices) are
-    ignored; they connect no current clusters.
+    center_of maps every active vertex to its cluster center. Edges touching
+    other vertices (dormant ones) are ignored; they connect no current
+    clusters.
     """
     popular_set = frozenset(popular)
-    center_of = p.member_center()
-    unknown = popular_set - set(c.center for c in p.clusters)
+    centers = sorted(set(center_of.values()))
+    unknown = popular_set.difference(centers)
     if unknown:
         raise ValueError(f"popular clusters not in the partition: {sorted(unknown)}")
-    adj: Dict[int, Set[int]] = {c.center: set() for c in p.clusters}
+    adj: Dict[int, Set[int]] = {c: set() for c in centers}
     witness: Dict[Tuple[int, int], Edge] = {}
     for u, v in g.edges():
         cu, cv = center_of.get(u), center_of.get(v)
@@ -168,7 +146,7 @@ def build_cluster_graph(p: ClusterSet, popular: Iterable[int], g: Graph) -> Virt
         adj[cu].add(cv)
         adj[cv].add(cu)
     return VirtualClusterGraph(
-        supervertices=tuple(c.center for c in p.clusters),
+        supervertices=tuple(centers),
         adjacency={c: tuple(sorted(ns)) for c, ns in adj.items()},
         witness=witness,
         popular=popular_set,
@@ -336,61 +314,20 @@ def _require_separated(vgraph: VirtualClusterGraph, ruling: Set[int]) -> None:
                 f"in the virtual cluster graph")
 
 
-def stitch_superclusters(p: ClusterSet, outcome: SuperclusterOutcome,
+def stitch_superclusters(members: Dict[int, Sequence[int]],
+                         outcome: SuperclusterOutcome,
                          tree_adj: Dict[int, List[int]]) -> List[Tuple[int, List[int], Dict[int, List[int]]]]:
     """Assemble raw (center, members, tree_adj) triples for the next phase.
 
+    members maps each center of this phase to its cluster's members, and
     tree_adj is the global per-vertex tree adjacency, already extended with
     this phase's witness edges.
     """
-    by_center = p.by_center()
     groups: Dict[int, List[int]] = {}
     for c, info in outcome.joins.items():
         groups.setdefault(info.root, []).append(c)
     raw = []
     for root in sorted(groups):
-        members: List[int] = []
-        for c in groups[root]:
-            members.extend(by_center[c].members)
-        members.sort()
-        raw.append((root, members, {v: tree_adj[v] for v in members}))
+        merged = sorted(v for c in groups[root] for v in members[c])
+        raw.append((root, merged, {v: tree_adj[v] for v in merged}))
     return raw
-
-
-@dataclass(frozen=True)
-class TreeVerdict:
-    ok: bool
-    failure: Optional[str] = None
-    detail: str = ""
-
-
-def verify_cluster_tree(c: Cluster, spanner_edges: Set[Edge], bound: int) -> TreeVerdict:
-    """Check the per-cluster tree invariant against a spanner edge set.
-
-    Verifies: the parent map spans exactly the members and is rooted at the
-    center, every tree edge lies in the spanner, paths stay inside the member
-    set, and the depth is at most bound.
-    """
-    if c.center not in c.members or c.parent.get(c.center, "x") is not None:
-        return TreeVerdict(False, "root", f"center {c.center} is not the tree root")
-    if set(c.parent) != set(c.members):
-        return TreeVerdict(False, "span", "tree does not span exactly the members")
-    for v, p in c.parent.items():
-        if p is None:
-            continue
-        if p not in c.members:
-            return TreeVerdict(False, "members-only",
-                               f"parent {p} of {v} is outside the cluster")
-        if edge_key(v, p) not in spanner_edges:
-            return TreeVerdict(False, "tree-not-in-spanner",
-                               f"tree edge ({v},{p}) missing from the spanner")
-    try:
-        depths = c.depth_map()
-    except ValueError as exc:
-        return TreeVerdict(False, "span", str(exc))
-    worst = max(depths.values(), default=0)
-    if worst > bound:
-        deep = max(depths, key=lambda v: depths[v])
-        return TreeVerdict(False, "depth",
-                           f"vertex {deep} at depth {depths[deep]} > bound {bound}")
-    return TreeVerdict(True)

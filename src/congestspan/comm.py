@@ -173,9 +173,10 @@ def orient_clusters(net: Net, raw: Sequence[Tuple[int, Sequence[int], Dict[int, 
 def orientation_from_parents(parent_maps: Dict[int, Dict[int, Optional[int]]]) -> Orientation:
     """Build an Orientation from already-known parent maps (no episode).
 
-    Used when the caller starts from materialized Cluster objects whose trees
-    were oriented in an earlier phase. Depths come from one top-down pass
-    from the centers, heights from the same visiting order reversed.
+    Used when the caller already holds one parent map per cluster (center ->
+    {member: parent}, None for the center), e.g. trees oriented earlier.
+    Depths come from one top-down pass from the centers, heights from the
+    same visiting order reversed.
     """
     center_of: Dict[int, int] = {}
     parent: Dict[int, Optional[int]] = {}

@@ -36,8 +36,6 @@ class PolylogParams:
     def __post_init__(self):
         if not isinstance(self.kappa, int) or self.kappa < 2:
             raise ValueError(f"kappa must be an integer >= 2, got {self.kappa}")
-        if self.n < 2:
-            raise ValueError("need at least two vertices")
 
     @property
     def ell(self) -> int:
@@ -108,10 +106,11 @@ class _PolylogVariant:
 
 
 def build_spanner(g: Graph, kappa: int, net: Optional[Net] = None) -> BuildResult:
-    """Run the construction; returns the spanner with reports and snapshots."""
+    """Run the construction; returns the spanner with reports and snapshots.
+    kappa is checked even on a single vertex, which needs no phases."""
+    params = PolylogParams(n=g.n, kappa=kappa)
     if g.n == 1:
         return trivial_result(g, "polylog", {"kappa": kappa, "n": 1})
-    params = PolylogParams(n=g.n, kappa=kappa)
     run_info = {"kappa": kappa, "n": g.n, "delta": params.delta,
                 "ell": params.ell, "ruling_q": max(1, ceil_log2_int(g.n))}
     return run_phases(g, _PolylogVariant(params), run_info, net=net)

@@ -29,7 +29,7 @@ from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from . import comm
-from .clusters import ClusterSet, verify_cluster_tree
+from .clusters import ForestError, forest_centers
 from .comm import Net, Orientation
 from .exact import ceil_log2_int, nth_root_ceil
 from .graph import Graph, bfs_layers
@@ -75,16 +75,14 @@ class RulingVerdict:
 
 
 def check_ruling(adjacency: Dict[int, Sequence[int]], members: Iterable[int],
-                 target: Iterable[int], alpha: int,
-                 beta: Optional[int] = None) -> RulingVerdict:
+                 target: Iterable[int], alpha: int, beta: int) -> RulingVerdict:
     """Exact verification: alpha-separation and beta-domination.
 
     Separation searches from each member only to depth alpha - 1, the
     radius a violation can lie within; domination takes exact distances from
     one multi-source BFS of all members. A failure names the first offending
     pair or target in ID order. adjacency may come from a Graph or a
-    VirtualClusterGraph. beta=None skips the domination clause (used for
-    precondition checks).
+    VirtualClusterGraph.
     """
     member_set = set(members)
     target_set = set(target)
@@ -102,15 +100,14 @@ def check_ruling(adjacency: Dict[int, Sequence[int]], members: Iterable[int],
             m2 = min(later)
             return RulingVerdict(False, "separation",
                                  f"members {m} and {m2} at distance {near[m2]} < {alpha}")
-    if beta is not None:
-        dist: Dict[int, float] = {}
-        for d, layer in enumerate(bfs_layers(adjacency, members)):
-            dist.update(dict.fromkeys(layer, d))
-        for t in sorted(target_set):
-            d = dist.get(t, math.inf)
-            if d > beta:
-                return RulingVerdict(False, "domination",
-                                     f"target {t} at distance {d} > {beta} from every member")
+    dist: Dict[int, float] = {}
+    for d, layer in enumerate(bfs_layers(adjacency, members)):
+        dist.update(dict.fromkeys(layer, d))
+    for t in sorted(target_set):
+        d = dist.get(t, math.inf)
+        if d > beta:
+            return RulingVerdict(False, "domination",
+                                 f"target {t} at distance {d} > {beta} from every member")
     return RulingVerdict(True)
 
 
@@ -239,31 +236,38 @@ def aglp_ruling_set(g: Graph, a: Iterable[int], net: Optional[Net] = None) -> Ru
     return congest_ruling_set(g, a, RulingParams(q=q, c=2), net=net)
 
 
-def supergraph_ruling_set(g: Graph, p: ClusterSet, a: Iterable[int],
-                          params: RulingParams, r_bound: int,
+def supergraph_ruling_set(g: Graph, parent_maps: Dict[int, Dict[int, Optional[int]]],
+                          a: Iterable[int], params: RulingParams, r_bound: int,
                           spanner_edges: Optional[Set] = None,
                           popular: Optional[Set[int]] = None,
                           net: Optional[Net] = None) -> RulingSet:
     """Ruling set over clusters, simulated on the host graph.
 
-    Clusters are identified by their center IDs. Every cluster must carry a
-    tree of depth at most r_bound inside spanner_edges (checked when the edge
-    set is supplied); each virtual flood hop is simulated by tree casts.
+    parent_maps maps each cluster's center to its tree as a parent map (None
+    for the center), the shape comm.orientation_from_parents takes. Every
+    tree must have depth at most r_bound inside spanner_edges and be rooted
+    at its center (checked when the edge set is supplied); each virtual
+    flood hop is simulated by tree casts.
     """
     target = frozenset(a)
-    by_center = p.by_center()
-    unknown = target - set(by_center)
+    unknown = target.difference(parent_maps)
     if unknown:
         raise RulingError(f"candidate clusters not in the partition: {sorted(unknown)[:4]}")
     if spanner_edges is not None:
-        for c in p.clusters:
-            verdict = verify_cluster_tree(c, spanner_edges, r_bound)
-            if not verdict.ok:
-                raise RulingError(
-                    f"cluster {c.center} violates the tree precondition "
-                    f"({verdict.failure}): {verdict.detail}")
+        flat = {v: p for pmap in parent_maps.values() for v, p in pmap.items()}
+        try:
+            center_of = forest_centers(flat, spanner_edges, r_bound)
+        except ForestError as exc:
+            raise RulingError(
+                f"cluster trees violate the tree precondition: {exc}") from None
+        stray = [(c, v) for c, pmap in parent_maps.items() for v in pmap
+                 if center_of[v] != c]
+        if stray:
+            c, v = stray[0]
+            raise RulingError(f"cluster {c} violates the tree precondition "
+                              f"(members-only): {v} is in the tree of {center_of[v]}")
     net = net or Net(g)
-    orient = comm.orientation_from_parents({c.center: c.parent for c in p.clusters})
+    orient = comm.orientation_from_parents(parent_maps)
     rounds0 = net.trace.rounds_total
     members = run_knockout_schedule(net, orient, set(target), params,
                                     g.id_range, popular=popular, label="srs")

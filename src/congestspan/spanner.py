@@ -8,7 +8,9 @@ bounded-depth exploration of the virtual cluster graph, then interconnect
 the clusters left behind (variant-specific). The final phase interconnects
 everything that remains. Clusters that interconnect become dormant: their
 vertices stay silent in all later exchanges, which makes "neighboring
-cluster" always mean a cluster of the current phase.
+cluster" always mean a cluster of the current phase. A phase's clusters are
+recorded once, as the parent map of its orientation; the phase snapshot holds
+that map, not a copy.
 
 Every edge enters the spanner with a charge record (vertex, kind, phase),
 charged to the phase that adds it. The verification layer audits the
@@ -23,9 +25,9 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Protocol, Set, Tuple
 
 from . import comm, rulingset
-from .clusters import (Cluster, ClusterSet, JoinInfo, SuperclusterOutcome,
-                       VirtualClusterGraph, build_cluster_graph,
-                       run_supercluster_bfs, stitch_superclusters)
+from .clusters import (JoinInfo, SuperclusterOutcome, VirtualClusterGraph,
+                       build_cluster_graph, run_supercluster_bfs,
+                       stitch_superclusters)
 from .comm import Net, Orientation
 from .graph import Edge, Graph
 from .rulingset import RulingParams
@@ -86,9 +88,11 @@ class PhaseReport:
 @dataclass
 class PhaseSnapshot:
     """What the verifier needs, with the charge ledger, to re-derive and
-    audit one phase."""
+    audit one phase. parent, the only record of the phase's clusters, is the
+    orientation's parent map itself: every active vertex maps to its tree
+    parent and a center to None."""
     phase: int
-    cluster_set: ClusterSet
+    parent: Dict[int, Optional[int]]
     popular: FrozenSet[int]
     selected: FrozenSet[int]
     settled: FrozenSet[int]
@@ -143,8 +147,6 @@ def trivial_result(g: Graph, algorithm: str, params: dict) -> BuildResult:
 
 def run_phases(g: Graph, variant: Variant, params: dict,
                net: Optional[Net] = None) -> BuildResult:
-    if g.n == 1:
-        return trivial_result(g, variant.name, params)
     net = net or Net(g)
     spanner = SpannerEdgeSet(g)
     tree_adj: Dict[int, List[int]] = {v: [] for v in g.vertices}
@@ -160,7 +162,6 @@ def run_phases(g: Graph, variant: Variant, params: dict,
         is_final = i == variant.ell
 
         orient = comm.orient_clusters(net, raw, f"p{i}.orient")
-        cluster_set = _materialize(orient, i)
         nbrmap = comm.exchange_cluster_ids(net, orient, f"p{i}.exchange")
         active = set(orient.members)
 
@@ -169,7 +170,7 @@ def run_phases(g: Graph, variant: Variant, params: dict,
         selected: Set[int] = set()
         outcome = SuperclusterOutcome(joins={})
         if not is_final and popular:
-            vgraph = build_cluster_graph(cluster_set, popular, g)
+            vgraph = build_cluster_graph(orient.center_of, popular, g)
             selected = rulingset.run_knockout_schedule(
                 net, orient, set(popular), variant.ruling_params, g.id_range,
                 popular=set(popular), label=f"p{i}.rs")
@@ -191,7 +192,7 @@ def run_phases(g: Graph, variant: Variant, params: dict,
         expo = variant.threshold_expo(i)
         reports.append(PhaseReport(
             phase=i,
-            num_clusters=len(cluster_set),
+            num_clusters=len(orient.members),
             num_popular=len(popular),
             num_selected=len(selected),
             num_settled=len(settled),
@@ -204,7 +205,7 @@ def run_phases(g: Graph, variant: Variant, params: dict,
         ))
         snapshots.append(PhaseSnapshot(
             phase=i,
-            cluster_set=cluster_set,
+            parent=orient.parent,
             popular=frozenset(popular),
             selected=frozenset(selected),
             settled=frozenset(settled),
@@ -215,18 +216,10 @@ def run_phases(g: Graph, variant: Variant, params: dict,
             threshold_expo=expo,
         ))
 
-        raw = stitch_superclusters(cluster_set, outcome, tree_adj) if joined else []
+        raw = stitch_superclusters(orient.members, outcome, tree_adj) if joined else []
 
     return BuildResult(
         algorithm=variant.name, params=params, graph_meta=dict(g.meta),
         spanner=spanner, reports=reports, snapshots=snapshots,
         trace=net.trace)
 
-
-def _materialize(orient: Orientation, phase: int) -> ClusterSet:
-    clusters = []
-    for center in sorted(orient.members):
-        members = orient.members[center]
-        parent = {v: orient.parent[v] for v in members}
-        clusters.append(Cluster(center, frozenset(members), parent))
-    return ClusterSet(tuple(clusters), phase=phase)

@@ -29,8 +29,7 @@ from .exact import (as_fraction, ceil_fraction, ceil_log2_int, count_le_pow,
 from .graph import Graph, edge_key
 from .rulingset import RulingParams
 from .sim import Message
-from .spanner import INTER, BuildResult, PhaseSnapshot, SpannerEdgeSet, \
-    run_phases, trivial_result
+from .spanner import INTER, BuildResult, SpannerEdgeSet, run_phases, trivial_result
 
 
 @dataclass(frozen=True)
@@ -59,8 +58,6 @@ def degree_schedule(n: int, kappa: int, rho) -> SparseParams:
     """Compute and validate the phase schedule for given (kappa, rho)."""
     if not isinstance(kappa, int) or kappa < 2:
         raise ValueError(f"kappa must be an integer >= 2, got {kappa}")
-    if n < 2:
-        raise ValueError("need at least two vertices")
     rho = as_fraction(rho)
     if not (Fraction(1, kappa) <= rho < Fraction(1, 2)):
         raise ValueError(
@@ -152,10 +149,11 @@ class _SparseVariant:
 
 
 def build_spanner(g: Graph, kappa: int, rho, net: Optional[Net] = None) -> BuildResult:
-    """Run the construction; rho may be a Fraction, float, or 'p/q' string."""
+    """Run the construction; rho may be a Fraction, float, or 'p/q' string.
+    kappa and rho are checked even on a single vertex, which needs no phases."""
+    params = degree_schedule(g.n, kappa, rho)
     if g.n == 1:
         return trivial_result(g, "sparse", {"kappa": kappa, "rho": str(rho), "n": 1})
-    params = degree_schedule(g.n, kappa, rho)
     run_info = {
         "kappa": kappa, "rho": str(params.rho), "rho_float": float(params.rho),
         "n": g.n, "delta": params.delta, "ell": params.ell, "i0": params.i0,
@@ -261,22 +259,3 @@ def phase_size_assertions(result: BuildResult) -> List[str]:
             f"the aggregate bound {bound:.4f}")
     return failures
 
-
-def oracle_center_knowledge(snapshot: PhaseSnapshot,
-                            g: Graph) -> Dict[int, Dict[int, Set[int]]]:
-    """Centrally computed neighboring clusters with all witness vertices.
-
-    For each cluster center: foreign center -> the set of own members with an
-    edge into that cluster. The convergecast result must name one of these
-    witnesses per foreign center, for every non-popular cluster.
-    """
-    center_of = snapshot.cluster_set.member_center()
-    out: Dict[int, Dict[int, Set[int]]] = {
-        c.center: {} for c in snapshot.cluster_set.clusters}
-    for u, v in g.edges():
-        cu, cv = center_of.get(u), center_of.get(v)
-        if cu is None or cv is None or cu == cv:
-            continue
-        out[cu].setdefault(cv, set()).add(u)
-        out[cv].setdefault(cu, set()).add(v)
-    return out

@@ -4,25 +4,25 @@ Every check here is independent of the construction code paths it audits:
 stretch exactly for every graph edge (by a walk to the lowest common ancestor
 when the spanner is a forest, otherwise by one bit-parallel BFS of the
 spanner per batch of sources, in which a source stops spreading once its
-edges to higher-ID neighbours are measured), cluster radii via tree walks
-against the spanner at each phase start (the edges the charge ledger records
-for earlier phases), superclustering against the centralized reference
-exploration, neighbor knowledge against a direct edge scan, and the charge
-ledger against the counting rules. A report whose verdicts all pass is the
-acceptance currency of the package.
+edges to higher-ID neighbours are measured), each phase's parent map as a
+forest of cluster trees inside the spanner at that phase's start (the edges
+the charge ledger records for earlier phases), which gives the centers the
+partition and knowledge checks use, superclustering against the centralized
+reference exploration, neighbor knowledge against a direct edge scan, and the
+charge ledger against the counting rules. A report whose verdicts all pass is
+the acceptance currency of the package.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from . import polylog as polylog_mod
 from . import sparse as sparse_mod
-from .clusters import reference_supercluster, verify_cluster_tree
+from .clusters import ForestError, forest_centers, reference_supercluster
 from .exact import as_fraction, count_lt_pow
 from .graph import Edge, Graph, bfs_on_adjacency, subgraph_adjacency
 from .rulingset import check_ruling
@@ -329,8 +329,9 @@ def verify_build(g: Graph, result: BuildResult) -> dict:
                     f"= {n ** (1 + 1 / kappa) + (n if is_sparse else 0):.2f}"))
 
     # per-phase structure
-    verdicts.append(_radius_verdict(result))
-    verdicts.append(_partition_verdict(g, result))
+    centers: List[Dict[int, int]] = []
+    verdicts.append(_radius_verdict(result, centers))
+    verdicts.append(_partition_verdict(g, result, centers))
     verdicts.append(_popular_settled_verdict(result))
     verdicts.append(_ruling_verdict(result))
     verdicts.append(_charge_verdict(result))
@@ -339,7 +340,7 @@ def verify_build(g: Graph, result: BuildResult) -> dict:
     if n <= ALL_PAIRS_LIMIT:
         verdicts.append(_supercluster_oracle_verdict(result))
         if is_sparse:
-            verdicts.append(_knowledge_oracle_verdict(g, result))
+            verdicts.append(_knowledge_oracle_verdict(g, result, centers))
 
     return {
         "verdicts": [v.as_dict() for v in verdicts],
@@ -350,7 +351,10 @@ def verify_build(g: Graph, result: BuildResult) -> dict:
     }
 
 
-def _radius_verdict(result: BuildResult) -> Verdict:
+def _radius_verdict(result: BuildResult,
+                    centers: Optional[List[Dict[int, int]]] = None) -> Verdict:
+    """Check each snapshot's parent map against the spanner at its phase
+    start; appends to centers, if given, each forest's map to the centers."""
     # one walk of the ledger in phase order: before each snapshot is checked,
     # at_start has grown to the edges charged in the phases before it
     charges = sorted(result.spanner.charges, key=lambda ch: ch.phase)
@@ -360,23 +364,25 @@ def _radius_verdict(result: BuildResult) -> Verdict:
         while k < len(charges) and charges[k].phase < snap.phase:
             at_start.add(charges[k].edge)
             k += 1
-        for c in snap.cluster_set.clusters:
-            tv = verify_cluster_tree(c, at_start, snap.radius_bound)
-            if not tv.ok:
-                return Verdict("radius", False,
-                               f"phase {snap.phase}, cluster {c.center}: "
-                               f"{tv.failure}: {tv.detail}")
+        try:
+            center_of = forest_centers(snap.parent, at_start, snap.radius_bound)
+        except ForestError as exc:
+            return Verdict("radius", False, f"phase {snap.phase}, {exc}")
+        if centers is not None:
+            centers.append(center_of)
     return Verdict("radius", True, "all cluster trees within the phase radius bound")
 
 
-def _partition_verdict(g: Graph, result: BuildResult) -> Verdict:
+def _partition_verdict(g: Graph, result: BuildResult,
+                       centers: List[Dict[int, int]]) -> Verdict:
+    if len(centers) < len(result.snapshots):
+        broken = result.snapshots[len(centers)].phase
+        return Verdict("partition", False, f"phase {broken} has no cluster "
+                                           f"forest (see the radius verdict)")
     covered: Dict[int, int] = {}
-    for snap in result.snapshots:
-        members_of: Dict[int, List[int]] = defaultdict(list)
-        for v, cc in snap.cluster_set.member_center().items():
-            members_of[cc].append(v)
-        for c in snap.settled:
-            for v in members_of.get(c, ()):
+    for snap, center_of in zip(result.snapshots, centers):
+        for v in snap.parent:
+            if center_of[v] in snap.settled:
                 if v in covered:
                     return Verdict("partition", False,
                                    f"vertex {v} settled twice "
@@ -404,10 +410,8 @@ def _ruling_verdict(result: BuildResult) -> Verdict:
     for snap in result.snapshots:
         if not snap.selected:
             continue
-        q = result.params["ruling_q"]
-        beta = 2 * q
         rv = check_ruling(snap.vgraph.adjacency, snap.selected, snap.popular,
-                          alpha=3, beta=beta)
+                          alpha=3, beta=2 * result.params["ruling_q"])
         if not rv.ok:
             return Verdict("ruling", False,
                            f"phase {snap.phase}: {rv.failure}: {rv.detail}")
@@ -420,15 +424,13 @@ def _charge_verdict(result: BuildResult) -> Verdict:
     is_sparse = result.algorithm == "sparse"
     final_phase = len(result.reports) - 1
     final_sizes = {rep.phase: rep.num_clusters for rep in result.reports}
-    by_vertex = result.spanner.charges_by_vertex()
-    # the cap exponents, once per verdict; only a build with charges needs
-    # them, and its construction has validated n >= 2, kappa and rho
-    if by_vertex and is_sparse:
+    # the cap exponents, once per verdict
+    if is_sparse:
         deg_expos = sparse_mod.degree_schedule(
             n, kappa, as_fraction(result.params["rho"])).deg_expos
-    elif by_vertex:
+    else:
         inter_expo = Fraction(1, kappa)
-    for v, charges in by_vertex.items():
+    for v, charges in result.spanner.charges_by_vertex().items():
         supers = [ch for ch in charges if ch.kind == SUPER]
         inters = [ch for ch in charges if ch.kind == INTER]
         if len(supers) > 1:
@@ -505,16 +507,36 @@ def _supercluster_oracle_verdict(result: BuildResult) -> Verdict:
                    "simulated exploration matches the centralized reference")
 
 
-def _knowledge_oracle_verdict(g: Graph, result: BuildResult) -> Verdict:
-    for snap in result.snapshots:
+def oracle_center_knowledge(center_of: Dict[int, int],
+                            g: Graph) -> Dict[int, Dict[int, Set[int]]]:
+    """Centrally computed neighboring clusters with all witness vertices.
+
+    center_of maps each active vertex to its center. For each center: foreign
+    center -> the set of own members with an edge into that cluster. The
+    convergecast result must name one of these witnesses per foreign center,
+    for every non-popular cluster.
+    """
+    out: Dict[int, Dict[int, Set[int]]] = {
+        c: {} for c in sorted(set(center_of.values()))}
+    for u, v in g.edges():
+        cu, cv = center_of.get(u), center_of.get(v)
+        if cu is None or cv is None or cu == cv:
+            continue
+        out[cu].setdefault(cv, set()).add(u)
+        out[cv].setdefault(cu, set()).add(v)
+    return out
+
+
+def _knowledge_oracle_verdict(g: Graph, result: BuildResult,
+                              centers: List[Dict[int, int]]) -> Verdict:
+    for snap, center_of in zip(result.snapshots, centers):
         if snap.knowledge is None:
             continue
-        oracle = sparse_mod.oracle_center_knowledge(snap, g)
-        for c in snap.cluster_set.by_center():
+        oracle = oracle_center_knowledge(center_of, g)
+        for c, expected in oracle.items():
             if c in snap.popular:
                 continue
             learned = snap.knowledge.get(c, {})
-            expected = oracle.get(c, {})
             if set(learned) != set(expected):
                 return Verdict("knowledge_oracle", False,
                                f"phase {snap.phase}: center {c} learned "

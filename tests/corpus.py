@@ -12,7 +12,7 @@ from typing import Iterator, List, Tuple
 
 from congestspan import graph as gr
 from congestspan import polylog, sparse, verify
-from congestspan.clusters import build_cluster_graph
+from congestspan.clusters import build_cluster_graph, forest_centers
 from congestspan.exact import ceil_log2_int
 from congestspan.rulingset import (RulingParams, check_ruling,
                                    congest_ruling_set, supergraph_ruling_set)
@@ -153,23 +153,26 @@ def run_supergraph_ruling_point(task: tuple) -> dict:
     n, seed = task
     g = make_graph({"kind": "gnp_connected", "n": n, "p": gnp_p(n), "seed": seed})
     result = polylog.build_spanner(g, 3)
-    if len(result.snapshots) < 2 or not result.snapshots[1].cluster_set.clusters:
+    if len(result.snapshots) < 2 or not result.snapshots[1].parent:
         return {"n": n, "seed": seed, "ok": True, "mode": "no-phase-1-clusters"}
     snap = result.snapshots[1]
-    p = snap.cluster_set
+    at_start = {ch.edge for ch in result.spanner.charges if ch.phase < snap.phase}
+    center_of = forest_centers(snap.parent, at_start, snap.radius_bound)
+    p = {}
+    for v, parent in snap.parent.items():
+        p.setdefault(center_of[v], {})[v] = parent
     q = max(2, ceil_log2_int(n))
     if snap.popular:
         a, popular = set(snap.popular), set(snap.popular)
         mode = "popular"
     else:
-        a, popular = set(p.by_center()), None
+        a, popular = set(p), None
         mode = "all-clusters"
     rs = supergraph_ruling_set(g, p, a, RulingParams(q=q, c=2),
                                r_bound=snap.radius_bound,
-                               spanner_edges={ch.edge for ch in result.spanner.charges
-                                              if ch.phase < snap.phase},
+                               spanner_edges=at_start,
                                popular=popular)
-    vg = build_cluster_graph(p, popular if popular is not None else set(p.by_center()), g)
+    vg = build_cluster_graph(center_of, popular if popular is not None else set(p), g)
     verdict = check_ruling(vg.adjacency, rs.members, a, 3, 2 * q)
     return {"n": n, "seed": seed, "ok": verdict.ok, "mode": mode,
             "detail": verdict.detail, "members": len(rs.members)}

@@ -73,8 +73,7 @@ def validate_graph(adjacency: Mapping[int, Sequence[int]]) -> None:
 
 
 def check_ruling(adjacency: Dict[int, Sequence[int]], members: Iterable[int],
-                 target: Iterable[int], alpha: int,
-                 beta: Optional[int] = None) -> RulingVerdict:
+                 target: Iterable[int], alpha: int, beta: int) -> RulingVerdict:
     """Brute-force alpha-separation and beta-domination from a full BFS of
     every member."""
     members = sorted(set(members))
@@ -92,13 +91,12 @@ def check_ruling(adjacency: Dict[int, Sequence[int]], members: Iterable[int],
             if d < alpha:
                 return RulingVerdict(False, "separation",
                                      f"members {m} and {m2} at distance {d} < {alpha}")
-    if beta is not None:
-        for t in target:
-            d = min((dist_from_member[m].get(t, math.inf) for m in members),
-                    default=math.inf)
-            if d > beta:
-                return RulingVerdict(False, "domination",
-                                     f"target {t} at distance {d} > {beta} from every member")
+    for t in target:
+        d = min((dist_from_member[m].get(t, math.inf) for m in members),
+                default=math.inf)
+        if d > beta:
+            return RulingVerdict(False, "domination",
+                                 f"target {t} at distance {d} > {beta} from every member")
     return RulingVerdict(True)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import string
 
@@ -66,6 +67,20 @@ class TestBuild:
         text = (out / "report.json").read_text()
         assert json.dumps(json.loads(text), indent=2, sort_keys=True) == text
 
+    def test_dump_clusters_is_pinned(self, tmp_path):
+        # phases 1 and 2 both hold clusters of several members, so the dump
+        # covers tree parents across two phases of superclustering
+        out = tmp_path / "o"
+        rc = cli.main(["build", "--alg", "skeleton", "--graph",
+                       "gen:gnp_connected:n=128,p=0.05,seed=3", "--rho", "0.34",
+                       "--out", str(out), "--dump-clusters"])
+        assert rc == 0
+        data = (out / "clusters.json").read_bytes()
+        phases = json.loads(data)
+        assert [len(s["clusters"]) for s in phases] == [128, 6, 1, 0, 0]
+        assert hashlib.sha256(data).hexdigest() == (
+            "bdcc6043e2d4dc62721e4bb33720b9b76d61a4a96e3e930208f325beb7c792ef")
+
     def test_config_file_supplies_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"kappa": 2, "out": str(tmp_path / "o")}))
@@ -112,6 +127,20 @@ class TestMalformedInput:
                        "--out", str(tmp_path / "o")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: --config")
+
+    @pytest.mark.parametrize("flags", [
+        ["--alg", "sparse", "--kappa", "1", "--rho", "0.9"],
+        ["--alg", "polylog", "--kappa", "0"]], ids=["sparse", "polylog"])
+    def test_bad_parameters_exit_2_at_one_vertex(self, flags, tmp_path, capsys):
+        # a single vertex needs no phases, but its parameters are still
+        # checked, with the same error line as on two vertices
+        errors = []
+        for n in (1, 2):
+            rc = cli.main(["build", *flags, "--graph", f"gen:path:n={n}",
+                           "--out", str(tmp_path / f"o{n}")])
+            assert rc == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0].startswith("error: ") and errors[0] == errors[1]
 
     def test_out_is_a_file_exits_2(self, tmp_path, capsys):
         out = tmp_path / "o"

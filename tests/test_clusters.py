@@ -4,29 +4,30 @@ from hypothesis import given, settings, strategies as st
 from corpus import voronoi_clusters
 
 from congestspan import graph as gr
-from congestspan.clusters import (Cluster, ClusterSet, RadiusSequence,
-                                  build_cluster_graph, radius_sequence,
-                                  reference_supercluster, singleton_partition,
-                                  verify_cluster_tree)
+from congestspan import polylog
+from congestspan.clusters import (ForestError, RadiusSequence,
+                                  build_cluster_graph, forest_centers,
+                                  radius_sequence, reference_supercluster)
+
+
+def singletons(g):
+    """The phase-0 partition as a center map: every vertex is its own center."""
+    return {v: v for v in g.vertices}
 
 
 class TestSingletons:
+    """A build's phase 0 is one radius-0 cluster per vertex."""
+
     def test_complete_graph(self):
         g = gr.generate_graph("complete", n=5)
-        p = singleton_partition(g)
-        assert len(p) == 5
-        assert all(c.radius() == 0 for c in p.clusters)
-
-    def test_single_vertex(self):
-        g = gr.generate_graph("path", n=1)
-        p = singleton_partition(g)
-        assert len(p) == 1
+        # bound 0 with no spanner edges: every tree is its center alone
+        p = polylog.build_spanner(g, 2).snapshots[0].parent
+        assert len(forest_centers(p, set(), 0)) == 5
 
     def test_covers_everything_radius_zero(self):
         g = gr.generate_graph("gnp_connected", n=24, p=0.2, seed=9)
-        p = singleton_partition(g)
-        assert p.covered() == set(g.vertices)
-        assert all(c.radius() == 0 for c in p.clusters)
+        p = polylog.build_spanner(g, 3).snapshots[0].parent
+        assert set(forest_centers(p, set(), 0)) == set(g.vertices)
 
 
 class TestRadiusSequence:
@@ -64,38 +65,34 @@ class TestRadiusSequence:
 class TestVirtualGraph:
     def test_complete_all_popular(self):
         g = gr.generate_graph("complete", n=5)
-        p = singleton_partition(g)
+        p = singletons(g)
         vg = build_cluster_graph(p, set(g.vertices), g)
         assert vg.edge_count() == 10
         assert all(len(vg.adjacency[c]) == 4 for c in vg.supervertices)
 
     def test_path_one_popular(self):
         g = gr.generate_graph("path", n=3)
-        p = singleton_partition(g)
+        p = singletons(g)
         vg = build_cluster_graph(p, {2}, g)
         assert set(vg.witness) == {(1, 2), (2, 3)}
 
     def test_no_popular_no_edges(self):
         g = gr.generate_graph("path", n=3)
-        p = singleton_partition(g)
+        p = singletons(g)
         vg = build_cluster_graph(p, set(), g)
         assert vg.edge_count() == 0
 
     def test_witness_is_lexicographically_smallest(self):
         # two clusters joined by several edges keep the smallest one
         g = gr.from_edges([(1, 4), (2, 3), (1, 2), (3, 4), (2, 4)])
-        clusters = (Cluster(1, frozenset({1, 2}), {1: None, 2: 1}),
-                    Cluster(3, frozenset({3, 4}), {3: None, 4: 3}))
-        p = ClusterSet(clusters, phase=1)
+        p = {1: 1, 2: 1, 3: 3, 4: 3}
         vg = build_cluster_graph(p, {1, 3}, g)
         assert vg.witness[(1, 3)] == (1, 4)
 
     def test_dormant_vertices_carry_no_superedges(self):
         # vertex 2 is in no cluster: 1 and 3 only connect through it
         g = gr.generate_graph("path", n=3)
-        clusters = (Cluster(1, frozenset({1}), {1: None}),
-                    Cluster(3, frozenset({3}), {3: None}))
-        p = ClusterSet(clusters, phase=1)
+        p = {1: 1, 3: 3}
         vg = build_cluster_graph(p, {1, 3}, g)
         assert vg.edge_count() == 0
 
@@ -103,7 +100,7 @@ class TestVirtualGraph:
 class TestReferenceSupercluster:
     def test_everything_ruling_yields_identity(self):
         g = gr.generate_graph("complete", n=5)
-        p = singleton_partition(g)
+        p = singletons(g)
         vg = build_cluster_graph(p, set(g.vertices), g)
         out = reference_supercluster(vg, set(g.vertices), delta=3)
         assert all(j.witness is None for j in out.joins.values())
@@ -111,7 +108,7 @@ class TestReferenceSupercluster:
 
     def test_star_hub_absorbs_leaves(self):
         g = gr.from_edges([(1, v) for v in range(2, 6)])
-        p = singleton_partition(g)
+        p = singletons(g)
         vg = build_cluster_graph(p, {1}, g)
         out = reference_supercluster(vg, {1}, delta=1)
         assert set(out.joins) == {1, 2, 3, 4, 5}
@@ -119,7 +116,7 @@ class TestReferenceSupercluster:
 
     def test_path_depth_two(self):
         g = gr.generate_graph("path", n=3)
-        p = singleton_partition(g)
+        p = singletons(g)
         vg = build_cluster_graph(p, {1, 2, 3}, g)
         out = reference_supercluster(vg, {1}, delta=2)
         assert set(out.joins) == {1, 2, 3}
@@ -127,7 +124,7 @@ class TestReferenceSupercluster:
 
     def test_depth_limit_respected(self):
         g = gr.generate_graph("path", n=5)
-        p = singleton_partition(g)
+        p = singletons(g)
         vg = build_cluster_graph(p, set(g.vertices), g)
         out = reference_supercluster(vg, {1}, delta=2)
         assert set(out.joins) == {1, 2, 3}
@@ -135,38 +132,53 @@ class TestReferenceSupercluster:
     def test_min_root_wins_ties(self):
         # vertex 3 is reached by roots 2 and 4 simultaneously
         g = gr.generate_graph("path", n=5)
-        p = singleton_partition(g)
+        p = singletons(g)
         vg = build_cluster_graph(p, set(g.vertices), g)
         out = reference_supercluster(vg, {2, 4}, delta=1)
         assert out.joins[3].root == 2
 
 
+def forest_failure(parent, edges, bound):
+    """The failure name forest_centers raises, or None if it passes."""
+    try:
+        forest_centers(parent, edges, bound)
+    except ForestError as exc:
+        return exc.failure
+    return None
+
+
 class TestVerifyClusterTree:
+    """The cluster-tree checks, made by forest_centers on a flat parent map."""
+
     def test_singleton_passes(self):
-        c = Cluster(7, frozenset({7}), {7: None})
-        assert verify_cluster_tree(c, set(), 0).ok
+        assert forest_failure({7: None}, set(), 0) is None
 
     def test_non_member_parent_fails(self):
-        c = Cluster(1, frozenset({1, 2}), {1: None, 2: 9})
-        v = verify_cluster_tree(c, {(2, 9)}, 5)
-        assert not v.ok and v.failure == "members-only"
+        assert forest_failure({1: None, 2: 9}, {(2, 9)}, 5) == "members-only"
 
     def test_edge_outside_spanner_fails(self):
-        c = Cluster(1, frozenset({1, 2}), {1: None, 2: 1})
-        v = verify_cluster_tree(c, set(), 5)
-        assert not v.ok and v.failure == "tree-not-in-spanner"
+        assert forest_failure({1: None, 2: 1}, set(), 5) == "tree-not-in-spanner"
 
     def test_depth_bound(self):
-        c = Cluster(1, frozenset({1, 2, 3}), {1: None, 2: 1, 3: 2})
+        parent = {1: None, 2: 1, 3: 2}
         edges = {(1, 2), (2, 3)}
-        assert verify_cluster_tree(c, edges, 2).ok
-        v = verify_cluster_tree(c, edges, 1)
-        assert not v.ok and v.failure == "depth"
+        assert forest_failure(parent, edges, 2) is None
+        assert forest_failure(parent, edges, 1) == "depth"
 
-    def test_span_mismatch(self):
-        c = Cluster(1, frozenset({1, 2, 3}), {1: None, 2: 1})
-        v = verify_cluster_tree(c, {(1, 2)}, 5)
-        assert not v.ok and v.failure == "span"
+    def test_cycle_fails(self):
+        parent = {1: None, 2: 3, 3: 4, 4: 2}
+        edges = {(2, 3), (3, 4), (2, 4)}
+        assert forest_failure(parent, edges, 5) == "span"
+
+    def test_centers_of_several_trees(self):
+        # walks that meet a vertex of known depth stop there
+        parent = {5: 4, 4: 1, 1: None, 2: 1, 7: None, 3: 7, 6: 3}
+        edges = {(1, 4), (4, 5), (1, 2), (3, 7), (3, 6)}
+        assert forest_centers(parent, edges, 2) == {
+            1: 1, 2: 1, 4: 1, 5: 1, 3: 7, 6: 7, 7: 7}
+        with pytest.raises(ForestError, match=r"^cluster 1: depth: vertex 5 "
+                                              r"at depth 2 > bound 1$"):
+            forest_centers(parent, edges, 1)
 
 
 @settings(max_examples=20, deadline=None)
@@ -181,8 +193,7 @@ def test_distributed_supercluster_matches_reference(n, seed, data):
     centers = sorted(data.draw(st.sets(st.sampled_from(verts), min_size=1,
                                        max_size=max(1, n // 4))))
     parent_maps = voronoi_clusters(g, centers)
-    p = ClusterSet(tuple(Cluster(c, frozenset(pm), dict(pm))
-                         for c, pm in sorted(parent_maps.items())), phase=1)
+    p = {v: c for c, pm in parent_maps.items() for v in pm}
     popular = data.draw(st.sets(st.sampled_from(centers), min_size=1))
     vg = build_cluster_graph(p, popular, g)
     ruling = []
@@ -202,7 +213,7 @@ def test_distributed_supercluster_matches_reference(n, seed, data):
 @given(n=st.integers(4, 28), seed=st.integers(0, 99), data=st.data())
 def test_reference_supercluster_properties(n, seed, data):
     g = gr.generate_graph("gnp_connected", n=n, p=0.25, seed=seed)
-    p = singleton_partition(g)
+    p = singletons(g)
     popular = set(g.vertices)
     vg = build_cluster_graph(p, popular, g)
     roots = data.draw(st.sets(st.sampled_from(sorted(g.vertices)), min_size=1, max_size=3))

@@ -4,8 +4,7 @@ from hypothesis import given, settings, strategies as st
 from corpus import voronoi_clusters
 
 from congestspan import graph as gr
-from congestspan.clusters import singleton_partition
-from congestspan.comm import Net
+from congestspan.comm import Net, orientation_from_parents
 from congestspan.exact import ceil_log2_int
 from congestspan.rulingset import (RulingError, RulingParams,
                                    aglp_ruling_set, check_ruling,
@@ -32,10 +31,6 @@ class TestCheckRuling:
         g = gr.generate_graph("path", n=4)
         v = check_ruling(g.adjacency, {4}, {1, 2}, alpha=3, beta=4)
         assert not v.ok and v.failure == "membership"
-
-    def test_separation_only_mode(self):
-        g = gr.generate_graph("path", n=9)
-        assert check_ruling(g.adjacency, {1, 9}, {1, 9}, alpha=3, beta=None).ok
 
 
 class TestCongestRulingSet:
@@ -91,7 +86,7 @@ class TestCongestRulingSet:
 class TestSupergraphRulingSet:
     def test_singleton_clusters_match_base_variant(self):
         g = gr.generate_graph("gnp_connected", n=36, p=0.15, seed=12)
-        p = singleton_partition(g)
+        p = {v: {v: None} for v in g.vertices}
         a = set(g.vertices)
         base = congest_ruling_set(g, a, RulingParams(q=3))
         sup = supergraph_ruling_set(g, p, a, RulingParams(q=3), r_bound=0,
@@ -100,16 +95,13 @@ class TestSupergraphRulingSet:
 
     def test_two_adjacent_clusters_pick_one(self):
         g = gr.generate_graph("path", n=2)
-        p = singleton_partition(g)
+        p = {v: {v: None} for v in g.vertices}
         rs = supergraph_ruling_set(g, p, {1, 2}, RulingParams(q=2), r_bound=0)
         assert len(rs.members) == 1
 
     def test_tree_depth_precondition(self):
-        from congestspan.clusters import Cluster, ClusterSet
         g = gr.generate_graph("path", n=4)
-        clusters = (Cluster(1, frozenset({1, 2, 3}), {1: None, 2: 1, 3: 2}),
-                    Cluster(4, frozenset({4}), {4: None}))
-        p = ClusterSet(clusters, phase=1)
+        p = {1: {1: None, 2: 1, 3: 2}, 4: {4: None}}
         with pytest.raises(RulingError, match="depth"):
             supergraph_ruling_set(g, p, {1}, RulingParams(q=2), r_bound=1,
                                   spanner_edges={(1, 2), (2, 3)})
@@ -131,23 +123,20 @@ def test_ruling_guarantee_random_graphs(n, q, seed, data):
 @given(n=st.integers(8, 36), q=st.integers(2, 3), seed=st.integers(0, 99),
        data=st.data())
 def test_supergraph_ruling_guarantee_random_clusters(n, q, seed, data):
-    from congestspan.clusters import Cluster, ClusterSet, build_cluster_graph
+    from congestspan.clusters import build_cluster_graph
 
     g = gr.generate_graph("gnp_connected", n=n, p=0.2, seed=seed)
     verts = sorted(g.vertices)
     centers = sorted(data.draw(st.sets(st.sampled_from(verts), min_size=2,
                                        max_size=max(2, n // 3))))
-    maps = voronoi_clusters(g, centers)
-    p = ClusterSet(tuple(Cluster(c, frozenset(pm), dict(pm))
-                         for c, pm in sorted(maps.items())), phase=1)
+    p = voronoi_clusters(g, centers)
     a = data.draw(st.sets(st.sampled_from(centers), min_size=1))
-    tree_edges = set()
-    r_bound = 0
-    for c in p.clusters:
-        tree_edges |= c.tree_edges()
-        r_bound = max(r_bound, c.radius())
+    tree_edges = {gr.edge_key(v, u) for pm in p.values()
+                  for v, u in pm.items() if u is not None}
+    r_bound = orientation_from_parents(p).max_depth()
     rs = supergraph_ruling_set(g, p, a, RulingParams(q=q), r_bound=r_bound,
                                spanner_edges=tree_edges)
-    vg = build_cluster_graph(p, set(centers), g)
+    vg = build_cluster_graph({v: c for c, pm in p.items() for v in pm},
+                             set(centers), g)
     verdict = check_ruling(vg.adjacency, rs.members, a, 3, 2 * q)
     assert verdict.ok, verdict.detail

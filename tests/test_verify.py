@@ -8,8 +8,7 @@ import pytest
 
 from congestspan import graph as gr
 from congestspan import polylog, sparse, verify
-from congestspan.clusters import (build_cluster_graph, singleton_partition,
-                                  run_supercluster_bfs)
+from congestspan.clusters import build_cluster_graph, run_supercluster_bfs
 from congestspan.comm import Net
 from congestspan.exact import ceil_log2_int
 from congestspan.rulingset import aglp_ruling_set
@@ -64,8 +63,8 @@ def test_radius_verdict_reads_the_phase_start_spanner_off_the_ledger():
     g = gr.generate_graph("gnp_connected", n=128, p=0.08, seed=4)
     res = sparse.build_skeleton(g, Fraction(34, 100))
     assert verify._radius_verdict(res).ok
-    trees = set().union(*(c.tree_edges()
-                          for c in res.snapshots[1].cluster_set.clusters))
+    trees = {gr.edge_key(v, u) for v, u in res.snapshots[1].parent.items()
+             if u is not None}
     k = next(i for i, ch in enumerate(res.spanner.charges)
              if ch.phase == 0 and ch.kind == SUPER and ch.edge in trees)
     moved = res.spanner.charges[k] = res.spanner.charges[k]._replace(phase=1)
@@ -79,7 +78,7 @@ def test_radius_verdict_reads_the_phase_start_spanner_off_the_ledger():
 
 def test_supercluster_requires_separated_ruling():
     g = gr.generate_graph("path", n=4)
-    p = singleton_partition(g)
+    p = {v: v for v in g.vertices}
     vg = build_cluster_graph(p, set(g.vertices), g)
     net = Net(g)
     from congestspan.comm import orient_clusters

@@ -24,6 +24,7 @@ from corpus import _rho, build_tasks, make_graph
 
 from congestspan import graph as gr
 from congestspan import polylog, sparse, verify
+from congestspan.clusters import forest_centers
 from congestspan.graph import subgraph_adjacency
 from congestspan.rulingset import check_ruling
 
@@ -232,7 +233,7 @@ def test_check_ruling_equals_brute_force_oracle(data):
     if data.draw(st.booleans(), label="members in target"):
         target |= members
     alpha = data.draw(st.integers(1, 5), label="alpha")
-    beta = data.draw(st.one_of(st.none(), st.integers(0, 8)), label="beta")
+    beta = data.draw(st.integers(0, 8), label="beta")
     assert (check_ruling(adjacency, members, target, alpha, beta)
             == oracles.check_ruling(adjacency, members, target, alpha, beta))
 
@@ -275,12 +276,15 @@ def test_corpus_stretch_and_ruling_match_oracles(alg):
 def test_partition_names_first_vertex_settled_twice():
     g = gr.generate_graph("gnp_connected", n=48, p=0.1, seed=2)
     result = polylog.build_spanner(g, 3)
+    def center_of(s):
+        return forest_centers(s.parent, result.spanner.edges, s.radius_bound)
+
     # a phase whose first settled cluster (in set order) has several members
     first = next(s for s in result.snapshots if s.settled and
-                 len(s.cluster_set.by_center()[next(iter(s.settled))].members) > 1)
+                 list(center_of(s).values()).count(next(iter(s.settled))) > 1)
     result.snapshots.append(dataclasses.replace(first, phase=99))
-    center = next(iter(first.settled))
-    vertex = next(v for v, c in first.cluster_set.member_center().items() if c == center)
+    # the verdict walks the vertices in parent-map order
+    vertex = next(v for v in first.parent if center_of(first)[v] in first.settled)
     report = verify.verify_build(g, result)
     partition = next(v for v in report["verdicts"] if v["name"] == "partition")
     assert not partition["ok"]
