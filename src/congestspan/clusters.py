@@ -9,7 +9,7 @@ depth bound and derives each vertex's center from it. Popular clusters are
 merged into superclusters by a bounded-depth BFS over the virtual cluster
 graph; the merge is executed through the simulator (run_supercluster_bfs),
 while reference_supercluster is a centralized implementation of the same
-tie-breaking used purely as a test oracle.
+tie-breaking used purely as a test oracle. Both return the joins by center.
 
 Tie-breaking is deterministic everywhere: on simultaneous arrivals a cluster
 joins the exploration with the smallest root-center ID, then the smallest
@@ -19,7 +19,7 @@ witness edge in canonical (min endpoint, max endpoint) order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .graph import Edge, Graph, edge_key
 from . import comm
@@ -58,7 +58,12 @@ class ForestError(ValueError):
     def __init__(self, failure: str, detail: str, cluster: Optional[int] = None):
         where = "" if cluster is None else f"cluster {cluster}: "
         super().__init__(f"{where}{failure}: {detail}")
-        self.failure = failure
+        self.failure, self.detail, self.cluster = failure, detail, cluster
+
+    def __reduce__(self):
+        # args holds the message only; a worker's exception is rebuilt in the
+        # parent from the constructor's own arguments
+        return type(self), (self.failure, self.detail, self.cluster)
 
 
 def forest_centers(parent: Dict[int, Optional[int]], spanner_edges: Set[Edge],
@@ -106,16 +111,11 @@ def forest_centers(parent: Dict[int, Optional[int]], spanner_edges: Set[Edge],
 
 @dataclass(frozen=True)
 class VirtualClusterGraph:
-    """Supervertices are cluster centers; superedges connect each popular
-    cluster to its neighboring clusters, with the lexicographically smallest
-    connecting graph edge kept as witness."""
-    supervertices: Tuple[int, ...]
+    """Supervertices are cluster centers, the keys of adjacency; superedges
+    connect each popular cluster to its neighboring clusters, with the
+    lexicographically smallest connecting graph edge kept as witness."""
     adjacency: Dict[int, Tuple[int, ...]]
     witness: Dict[Tuple[int, int], Edge]
-    popular: FrozenSet[int]
-
-    def edge_count(self) -> int:
-        return len(self.witness)
 
 
 def build_cluster_graph(center_of: Dict[int, int], popular: Iterable[int],
@@ -146,10 +146,8 @@ def build_cluster_graph(center_of: Dict[int, int], popular: Iterable[int],
         adj[cu].add(cv)
         adj[cv].add(cu)
     return VirtualClusterGraph(
-        supervertices=tuple(centers),
         adjacency={c: tuple(sorted(ns)) for c, ns in adj.items()},
         witness=witness,
-        popular=popular_set,
     )
 
 
@@ -161,19 +159,10 @@ class JoinInfo:
     wave: int
 
 
-@dataclass
-class SuperclusterOutcome:
-    joins: Dict[int, JoinInfo]      # center of joined cluster -> how it joined
-
-    def witness_edges(self) -> List[Tuple[int, Edge]]:
-        """(joining center, witness edge) for every non-root join."""
-        return [(c, j.witness) for c, j in sorted(self.joins.items())
-                if j.witness is not None]
-
-
 def reference_supercluster(vg: VirtualClusterGraph, ruling: Iterable[int],
-                           delta: int) -> SuperclusterOutcome:
-    """Centralized BFS oracle for the superclustering step.
+                           delta: int) -> Dict[int, JoinInfo]:
+    """Centralized BFS oracle for the superclustering step; maps the center
+    of every joined cluster to how it joined.
 
     Wave k joins every unjoined cluster adjacent to the wave-(k-1) frontier,
     choosing the minimal (root ID, witness edge) candidate.
@@ -199,7 +188,7 @@ def reference_supercluster(vg: VirtualClusterGraph, ruling: Iterable[int],
             root, wedge, pred = best[t]
             joins[t] = JoinInfo(root, pred, wedge, wave)
             frontier.append(t)
-    return SuperclusterOutcome(joins=joins)
+    return joins
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +197,9 @@ def reference_supercluster(vg: VirtualClusterGraph, ruling: Iterable[int],
 def run_supercluster_bfs(net: Net, orient: Orientation, ruling: Set[int],
                          delta: int, popular: Set[int],
                          vgraph: Optional[VirtualClusterGraph] = None
-                         ) -> SuperclusterOutcome:
-    """Simulate the depth-delta exploration of the virtual cluster graph.
+                         ) -> Dict[int, JoinInfo]:
+    """Simulate the depth-delta exploration of the virtual cluster graph;
+    maps the center of every joined cluster to how it joined.
 
     ruling must be 3-separated in the virtual graph; passing vgraph enforces
     that as a hard error. Per wave: the frontier clusters stream the root ID
@@ -297,7 +287,7 @@ def run_supercluster_bfs(net: Net, orient: Orientation, ruling: Set[int],
             new_frontier.append((c, h))
         frontier = new_frontier
 
-    return SuperclusterOutcome(joins=joins)
+    return joins
 
 
 def _require_separated(vgraph: VirtualClusterGraph, ruling: Set[int]) -> None:
@@ -315,16 +305,17 @@ def _require_separated(vgraph: VirtualClusterGraph, ruling: Set[int]) -> None:
 
 
 def stitch_superclusters(members: Dict[int, Sequence[int]],
-                         outcome: SuperclusterOutcome,
+                         joins: Dict[int, JoinInfo],
                          tree_adj: Dict[int, List[int]]) -> List[Tuple[int, List[int], Dict[int, List[int]]]]:
     """Assemble raw (center, members, tree_adj) triples for the next phase.
 
-    members maps each center of this phase to its cluster's members, and
-    tree_adj is the global per-vertex tree adjacency, already extended with
-    this phase's witness edges.
+    members maps each center of this phase to its cluster's members, joins
+    each superclustered center to how it joined, and tree_adj is the global
+    per-vertex tree adjacency, already extended with this phase's witness
+    edges.
     """
     groups: Dict[int, List[int]] = {}
-    for c, info in outcome.joins.items():
+    for c, info in joins.items():
         groups.setdefault(info.root, []).append(c)
     raw = []
     for root in sorted(groups):

@@ -106,7 +106,7 @@ class _PolylogVariant:
 
 
 def build_spanner(g: Graph, kappa: int, net: Optional[Net] = None) -> BuildResult:
-    """Run the construction; returns the spanner with reports and snapshots.
+    """Run the construction; returns the spanner with its phase snapshots.
     kappa is checked even on a single vertex, which needs no phases."""
     params = PolylogParams(n=g.n, kappa=kappa)
     if g.n == 1:
@@ -146,10 +146,11 @@ def size_assertions(result: BuildResult) -> List[str]:
     n = result.params["n"]
     kappa = result.params["kappa"]
     failures = []
-    for rep in result.reports:
-        expo = Fraction(kappa - rep.phase, kappa)
-        if not count_le_pow(rep.num_clusters, n, expo):
+    for snap in result.snapshots:
+        expo = Fraction(kappa - snap.phase, kappa)
+        clusters = len(snap.centers())
+        if not count_le_pow(clusters, n, expo):
             failures.append(
-                f"phase {rep.phase}: {rep.num_clusters} clusters exceed "
-                f"n^({kappa - rep.phase}/{kappa})")
+                f"phase {snap.phase}: {clusters} clusters exceed "
+                f"n^({kappa - snap.phase}/{kappa})")
     return failures

@@ -8,9 +8,10 @@ bounded-depth exploration of the virtual cluster graph, then interconnect
 the clusters left behind (variant-specific). The final phase interconnects
 everything that remains. Clusters that interconnect become dormant: their
 vertices stay silent in all later exchanges, which makes "neighboring
-cluster" always mean a cluster of the current phase. A phase's clusters are
-recorded once, as the parent map of its orientation; the phase snapshot holds
-that map, not a copy.
+cluster" always mean a cluster of the current phase. Each phase leaves one
+record, its snapshot: the orientation's parent map, the only record of the
+phase's clusters, and the sets the phase chose. The report's per-phase rows
+and the verifier's counts are derived from the snapshots and the charges.
 
 Every edge enters the spanner with a charge record (vertex, kind, phase),
 charged to the phase that adds it. The verification layer audits the
@@ -25,9 +26,8 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Protocol, Set, Tuple
 
 from . import comm, rulingset
-from .clusters import (JoinInfo, SuperclusterOutcome, VirtualClusterGraph,
-                       build_cluster_graph, run_supercluster_bfs,
-                       stitch_superclusters)
+from .clusters import (JoinInfo, VirtualClusterGraph, build_cluster_graph,
+                       run_supercluster_bfs, stitch_superclusters)
 from .comm import Net, Orientation
 from .graph import Edge, Graph
 from .rulingset import RulingParams
@@ -68,29 +68,14 @@ class SpannerEdgeSet:
 
 
 @dataclass
-class PhaseReport:
-    phase: int
-    num_clusters: int
-    num_popular: int
-    num_selected: int
-    num_settled: int
-    radius_bound: int
-    radius_actual: int
-    threshold: float
-    edges_super: int
-    edges_inter: int
-    rounds: int
-
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
-
-
-@dataclass
 class PhaseSnapshot:
-    """What the verifier needs, with the charge ledger, to re-derive and
-    audit one phase. parent, the only record of the phase's clusters, is the
-    orientation's parent map itself: every active vertex maps to its tree
-    parent and a center to None."""
+    """The build's one record of a phase: what the verifier needs, with the
+    charge ledger, to re-derive and audit it, and what the report counts.
+    parent, the only record of the phase's clusters, is the orientation's
+    parent map itself: every active vertex maps to its tree parent and a
+    center to None. settled is the set the build passed to interconnect;
+    joins maps each superclustered center to how it joined. rounds is the
+    simulated rounds the phase took, and radius_actual its deepest tree."""
     phase: int
     parent: Dict[int, Optional[int]]
     popular: FrozenSet[int]
@@ -100,7 +85,13 @@ class PhaseSnapshot:
     vgraph: Optional[VirtualClusterGraph]
     knowledge: Optional[Dict[int, Dict[int, int]]]
     radius_bound: int
+    radius_actual: int
     threshold_expo: Optional[Fraction]
+    rounds: int
+
+    def centers(self) -> Set[int]:
+        """The phase's cluster centers: the roots of parent."""
+        return {v for v, p in self.parent.items() if p is None}
 
 
 @dataclass
@@ -109,7 +100,6 @@ class BuildResult:
     params: dict
     graph_meta: dict
     spanner: SpannerEdgeSet
-    reports: List[PhaseReport]
     snapshots: List[PhaseSnapshot]
     trace: comm.BuildTrace
 
@@ -141,7 +131,7 @@ def trivial_result(g: Graph, algorithm: str, params: dict) -> BuildResult:
     """Single-vertex graphs need no phases and no edges."""
     return BuildResult(
         algorithm=algorithm, params=params, graph_meta=dict(g.meta),
-        spanner=SpannerEdgeSet(g), reports=[], snapshots=[],
+        spanner=SpannerEdgeSet(g), snapshots=[],
         trace=comm.BuildTrace())
 
 
@@ -153,73 +143,56 @@ def run_phases(g: Graph, variant: Variant, params: dict,
     raw: List[Tuple[int, List[int], Dict[int, List[int]]]] = [
         (v, [v], {v: []}) for v in g.vertices
     ]
-    reports: List[PhaseReport] = []
     snapshots: List[PhaseSnapshot] = []
 
     for i in range(variant.ell + 1):
         rounds_mark = net.trace.rounds_total
-        edges_mark = len(spanner.charges)
         is_final = i == variant.ell
 
         orient = comm.orient_clusters(net, raw, f"p{i}.orient")
         nbrmap = comm.exchange_cluster_ids(net, orient, f"p{i}.exchange")
-        active = set(orient.members)
 
         popular, knowledge = variant.detect(net, orient, nbrmap, i, is_final)
         vgraph: Optional[VirtualClusterGraph] = None
         selected: Set[int] = set()
-        outcome = SuperclusterOutcome(joins={})
+        joins: Dict[int, JoinInfo] = {}
         if not is_final and popular:
             vgraph = build_cluster_graph(orient.center_of, popular, g)
             selected = rulingset.run_knockout_schedule(
                 net, orient, set(popular), variant.ruling_params, g.id_range,
                 popular=set(popular), label=f"p{i}.rs")
-            outcome = run_supercluster_bfs(net, orient, selected,
-                                           variant.delta, set(popular),
-                                           vgraph=vgraph)
-        joined = set(outcome.joins)
-        settled = active - joined
+            joins = run_supercluster_bfs(net, orient, selected, variant.delta,
+                                         set(popular), vgraph=vgraph)
+        settled = orient.members.keys() - joins.keys()
 
-        for c, wedge in outcome.witness_edges():
-            spanner.add(wedge, vertex=c, kind=SUPER, phase=i)
-            a, b = wedge
-            tree_adj[a].append(b)
-            tree_adj[b].append(a)
+        for c, info in sorted(joins.items()):
+            if info.witness is not None:
+                spanner.add(info.witness, vertex=c, kind=SUPER, phase=i)
+                a, b = info.witness
+                tree_adj[a].append(b)
+                tree_adj[b].append(a)
 
         variant.interconnect(net, orient, nbrmap, settled, knowledge, i, spanner)
 
-        phase_charges = spanner.charges[edges_mark:]
-        expo = variant.threshold_expo(i)
-        reports.append(PhaseReport(
-            phase=i,
-            num_clusters=len(orient.members),
-            num_popular=len(popular),
-            num_selected=len(selected),
-            num_settled=len(settled),
-            radius_bound=variant.radius_bounds[i],
-            radius_actual=orient.max_depth(),
-            threshold=float(g.n) ** float(expo) if expo is not None else 0.0,
-            edges_super=sum(1 for ch in phase_charges if ch.kind == SUPER),
-            edges_inter=sum(1 for ch in phase_charges if ch.kind == INTER),
-            rounds=net.trace.rounds_total - rounds_mark,
-        ))
         snapshots.append(PhaseSnapshot(
             phase=i,
             parent=orient.parent,
             popular=frozenset(popular),
             selected=frozenset(selected),
             settled=frozenset(settled),
-            joins=dict(outcome.joins),
+            joins=joins,
             vgraph=vgraph,
             knowledge=knowledge,
             radius_bound=variant.radius_bounds[i],
-            threshold_expo=expo,
+            radius_actual=orient.max_depth(),
+            threshold_expo=variant.threshold_expo(i),
+            rounds=net.trace.rounds_total - rounds_mark,
         ))
 
-        raw = stitch_superclusters(orient.members, outcome, tree_adj) if joined else []
+        raw = stitch_superclusters(orient.members, joins, tree_adj) if joins else []
 
     return BuildResult(
         algorithm=variant.name, params=params, graph_meta=dict(g.meta),
-        spanner=spanner, reports=reports, snapshots=snapshots,
+        spanner=spanner, snapshots=snapshots,
         trace=net.trace)
 

@@ -208,15 +208,15 @@ def phase_size_assertions(result: BuildResult) -> List[str]:
     """
     if result.algorithm != "sparse":
         raise ValueError("phase size assertions apply to sparse runs")
-    if not result.reports:
+    if not result.snapshots:
         return []
     n = result.params["n"]
     params = degree_schedule(n, result.params["kappa"],
                              as_fraction(result.params["rho"]))
     kappa, rho, i0, ell = params.kappa, params.rho, params.i0, params.ell
-    sizes = {rep.phase: rep.num_clusters for rep in result.reports}
-    selected = {rep.phase: rep.num_selected for rep in result.reports}
-    settled = {rep.phase: rep.num_settled for rep in result.reports}
+    sizes = {snap.phase: len(snap.centers()) for snap in result.snapshots}
+    selected = {snap.phase: len(snap.selected) for snap in result.snapshots}
+    settled = {snap.phase: len(snap.settled) for snap in result.snapshots}
     failures: List[str] = []
 
     def deg_pow(count: int, expo: Fraction) -> int:
@@ -249,7 +249,8 @@ def phase_size_assertions(result: BuildResult) -> List[str]:
     if not count_le_pow(sizes[ell], n, rho):
         failures.append(f"final phase holds {sizes[ell]} clusters, more than n^rho")
 
-    inter_early = sum(rep.edges_inter for rep in result.reports if rep.phase < ell)
+    inter_early = sum(1 for ch in result.spanner.charges
+                      if ch.kind == INTER and ch.phase < ell)
     e0, el = params.deg_expos[0], params.deg_expos[ell - 1]
     bound = (Decimal(sizes[0]) * npow_decimal(n, e0)
              - Decimal(sizes[ell]) * (npow_decimal(n, 2 * el) + npow_decimal(n, el)))

@@ -422,8 +422,8 @@ def _charge_verdict(result: BuildResult) -> Verdict:
     n = result.params["n"]
     kappa = result.params["kappa"]
     is_sparse = result.algorithm == "sparse"
-    final_phase = len(result.reports) - 1
-    final_sizes = {rep.phase: rep.num_clusters for rep in result.reports}
+    final_phase = len(result.snapshots) - 1
+    final_sizes = {snap.phase: len(snap.centers()) for snap in result.snapshots}
     # the cap exponents, once per verdict
     if is_sparse:
         deg_expos = sparse_mod.degree_schedule(
@@ -466,9 +466,10 @@ def _phase_counting_verdict(result: BuildResult) -> Verdict:
         failures = sparse_mod.phase_size_assertions(result)
     else:
         failures = polylog_mod.size_assertions(result)
-    # settled + superclustered must account for every cluster of the phase
-    for snap, rep in zip(result.snapshots, result.reports):
-        if len(snap.settled) + len(snap.joins) != rep.num_clusters:
+    # the settled and the superclustered clusters split the phase's clusters
+    for snap in result.snapshots:
+        joined = snap.joins.keys()
+        if snap.settled & joined or snap.settled | joined != snap.centers():
             failures.append(f"phase {snap.phase}: settled + joined != cluster count")
     if failures:
         return Verdict("phase_counts", False, "; ".join(failures[:3]))
@@ -497,9 +498,9 @@ def _supercluster_oracle_verdict(result: BuildResult) -> Verdict:
             continue
         delta = result.params["delta"]
         ref = reference_supercluster(snap.vgraph, snap.selected, delta)
-        if ref.joins != snap.joins:
-            diff = {c for c in set(ref.joins) | set(snap.joins)
-                    if ref.joins.get(c) != snap.joins.get(c)}
+        if ref != snap.joins:
+            diff = {c for c in set(ref) | set(snap.joins)
+                    if ref.get(c) != snap.joins.get(c)}
             return Verdict("supercluster_oracle", False,
                            f"phase {snap.phase}: exploration differs from the "
                            f"reference on clusters {sorted(diff)[:4]}")

@@ -78,7 +78,7 @@ def run_build_point(task: tuple) -> dict:
     report = verify.verify_build(g, result)
     failures = [v["name"] for v in report["verdicts"] if not v["ok"]]
     details = {v["name"]: v["detail"] for v in report["verdicts"] if not v["ok"]}
-    last = result.reports[-1] if result.reports else None
+    last = result.snapshots[-1] if result.snapshots else None
     return {
         "alg": alg, "name": name, "n": g.n, "kappa": kappa, "rho": rho,
         "graph_edges": g.num_edges(),
@@ -87,7 +87,7 @@ def run_build_point(task: tuple) -> dict:
         "max_ids": result.trace.max_ids_per_message,
         "max_stretch": report["max_edge_stretch"],
         "stretch_bound": report["stretch_bound"],
-        "final_clusters": last.num_clusters if last else 0,
+        "final_clusters": len(last.centers()) if last else 0,
         "failures": failures,
         "failure_details": details,
     }

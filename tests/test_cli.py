@@ -81,6 +81,22 @@ class TestBuild:
         assert hashlib.sha256(data).hexdigest() == (
             "bdcc6043e2d4dc62721e4bb33720b9b76d61a4a96e3e930208f325beb7c792ef")
 
+    @pytest.mark.parametrize("alg_args, digest", [
+        (["polylog", "--kappa", "3"],
+         "4cc2cd6cd87430b3c6dbf782da8b4045a8de1dd80f84690b0604ae6d484b8883"),
+        (["skeleton", "--rho", "0.34"],
+         "c3dd310d434e7399770e4cf8d7a8fb4e8fd2c3cc5dda7388cf297d21eba1997f"),
+    ], ids=["polylog", "skeleton"])
+    def test_report_is_pinned(self, tmp_path, alg_args, digest):
+        # the whole report, per-phase rows included
+        out = tmp_path / "o"
+        rc = cli.main(["build", "--alg", *alg_args, "--graph",
+                       "gen:gnp_connected:n=128,p=0.05,seed=3", "--out", str(out)])
+        assert rc == 0
+        data = (out / "report.json").read_bytes()
+        assert len(json.loads(data)["phases"]) > 1
+        assert hashlib.sha256(data).hexdigest() == digest
+
     def test_config_file_supplies_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"kappa": 2, "out": str(tmp_path / "o")}))

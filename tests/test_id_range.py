@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from congestspan import graph as gr
 from congestspan import polylog, sparse
@@ -54,7 +54,10 @@ def test_ids_up_to_2_pow_63_build_and_verify(make, build):
     assert elapsed < WALL_BOUND_S
 
 
-@settings(max_examples=40, deadline=None)
+# no shrink phase: each shrink step of 40 IDs runs two full builds, so a
+# failing example would take minutes to shrink instead of failing at once
+@settings(max_examples=40, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(kind=st.sampled_from(["path", "cycle", "grid", "random_tree",
                              "complete", "gnp_connected"]),
        n=st.integers(3, 40), seed=st.integers(0, 10 ** 6),

@@ -1,6 +1,7 @@
 """Cross-checks of the verification layer itself against a second,
 independently written distance oracle (Floyd-Warshall on a dense matrix)."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -8,7 +9,8 @@ import pytest
 
 from congestspan import graph as gr
 from congestspan import polylog, sparse, verify
-from congestspan.clusters import build_cluster_graph, run_supercluster_bfs
+from congestspan.clusters import (JoinInfo, build_cluster_graph,
+                                  run_supercluster_bfs)
 from congestspan.comm import Net
 from congestspan.exact import ceil_log2_int
 from congestspan.rulingset import aglp_ruling_set
@@ -74,6 +76,36 @@ def test_radius_verdict_reads_the_phase_start_spanner_off_the_ledger():
     assert "tree-not-in-spanner" in verdict.detail
     u, v = moved.edge
     assert f"({u},{v})" in verdict.detail or f"({v},{u})" in verdict.detail
+
+
+def _join_copied_into_settled(snaps):
+    snap = snaps[0]
+    c = min(c for c, j in snap.joins.items() if j.witness is not None)
+    return 0, dataclasses.replace(snap, settled=snap.settled | {c})
+
+
+def _join_keyed_by_a_member(snaps):
+    snap = snaps[1]
+    v = min(v for v, p in snap.parent.items() if p is not None)
+    return 1, dataclasses.replace(snap, joins={**snap.joins,
+                                               v: JoinInfo(v, None, None, 0)})
+
+
+@pytest.mark.parametrize("mutate", [_join_copied_into_settled,
+                                    _join_keyed_by_a_member])
+def test_phase_counts_verdict_needs_settled_and_joins_to_split_the_centers(
+        mutate):
+    """Phase 0 of this build settles one cluster and superclusters the other
+    127; phase 1 has 3 clusters over 127 vertices. Settled and joined
+    clusters must be disjoint and together be the phase's clusters."""
+    g = gr.generate_graph("gnp_connected", n=128, p=0.05, seed=3)
+    res = polylog.build_spanner(g, 3)
+    assert verify._phase_counting_verdict(res).ok
+    phase, snap = mutate(res.snapshots)
+    res.snapshots[phase] = snap
+    verdict = verify._phase_counting_verdict(res)
+    assert not verdict.ok
+    assert verdict.detail == f"phase {phase}: settled + joined != cluster count"
 
 
 def test_supercluster_requires_separated_ruling():
