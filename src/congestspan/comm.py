@@ -5,15 +5,16 @@ simulator episodes over the same graph: orient the cluster trees, exchange
 cluster IDs with neighbors, converge flags or keyed items to the centers,
 stream payloads back down, announce new spanner edges. One one-shot
 broadcast round (Net.broadcast_round) serves the ID exchange and, through
-cluster_broadcast, every hop of the knock-out floods and explorations on the
-virtual cluster graph; it is delivered by sim.broadcast_round, with the
-listeners' folds in place of programs. Every other episode is a tree cast or
-a one-round per-edge send, delivered through Net.cast by one of the sim
-kernels next to it (orient_flood, tree_downcast, best_upcast, flag_upcast,
-tree_collect, send_round), again without a program per vertex; an episode
-in which no vertex takes part is not recorded. The orchestrator only moves
-results between episodes, never inventing knowledge a vertex could not have
-accumulated locally.
+cluster_broadcast, every exploration hop on the virtual cluster graph; it is
+delivered by sim.broadcast_round, with the listeners' folds in place of
+programs. A knock-out hop (knockout_hop) keeps only the most hops each
+listener hears, so sim.broadcast_max delivers it, through Net.cast. Every
+other episode is a tree cast or a one-round per-edge send, delivered through
+Net.cast by one of the sim kernels next to it (orient_flood, tree_downcast,
+best_upcast, flag_upcast, tree_collect, send_round), again without a program
+per vertex; an episode in which no vertex takes part is not recorded. The
+orchestrator only moves results between episodes, never inventing knowledge
+a vertex could not have accumulated locally.
 
 Round accounting sums episode traces into a BuildTrace, which also remembers
 per-episode labels and modes so model-compliance checks (message size,
@@ -94,11 +95,11 @@ class Net:
         return SimConfig(ids_per_message=self.ids_per_message, mode=mode,
                          max_rounds=self.max_rounds)
 
-    def cast(self, label: str, kernel: Callable, *args):
-        """One congest-mode episode delivered by a sim kernel:
+    def cast(self, label: str, kernel: Callable, *args, mode: str = sim.CONGEST):
+        """One episode in mode (congest by default) delivered by a sim kernel:
         kernel(g, *args, config, label) returns (trace, result); the trace
         is recorded and the result returned."""
-        trace, result = kernel(self.g, *args, self._config(sim.CONGEST), label)
+        trace, result = kernel(self.g, *args, self._config(mode), label)
         self.trace.absorb(trace)
         return result
 
@@ -209,7 +210,7 @@ def cluster_broadcast(net: Net, orient: Orientation, label: str, tag: int,
                       popular: Optional[AbstractSet[int]],
                       listeners: AbstractSet[int],
                       fold: Callable[[int, List[Tuple[int, int, int]]], None]) -> None:
-    """One hop on the virtual cluster graph, in a single broadcast round.
+    """One exploration hop on the virtual cluster graph, in one broadcast round.
 
     frontier holds (center, key, hops) triples: every member of each such
     cluster broadcasts the key with the hop count and its cluster's popular
@@ -233,6 +234,23 @@ def cluster_broadcast(net: Net, orient: Orientation, label: str, tag: int,
             fold(v, arrivals)
 
     net.broadcast_round(label, sends, listeners - sends.keys(), hear)
+
+
+def knockout_hop(net: Net, orient: Orientation, label: str,
+                 frontier: Iterable[Tuple[int, int]],
+                 accept_all: AbstractSet[int]) -> Dict[int, int]:
+    """One knock-out hop on the virtual cluster graph, in a single broadcast
+    round: every member of each frontier cluster (center, hops) broadcasts
+    the center, the hops and, as the low bit, whether the cluster is popular
+    (its vertices are in accept_all). Returns, per active vertex that does
+    not send, the most hops it heard across a superedge with a popular side."""
+    sends: Dict[int, Message] = {}
+    for c, hops in frontier:
+        msg = Message(TAG_KNOCK, (c,), (hops << 1) | (c in accept_all))
+        sends.update(dict.fromkeys(orient.members[c], msg))
+    best = net.cast(label, sim.broadcast_max, sends, orient.center_of.keys(),
+                    accept_all, mode=sim.BROADCAST) if sends else {}
+    return {v: s >> 1 for v, s in best.items()}
 
 
 def exchange_cluster_ids(net: Net, orient: Orientation, label: str) -> Dict[int, Dict[int, int]]:

@@ -11,8 +11,9 @@ Because the recursion tree is pure ID arithmetic on the globally known range,
 every vertex can compute the whole merge timetable locally; the only traffic
 is the knock-out flood itself, which runs in broadcast mode (one message
 type, relayed with a decrementing hop counter by candidates and
-non-candidates alike). On a virtual cluster graph each flood hop costs one
-down-cast, one exchange round, and one up-cast within the cluster trees.
+non-candidates alike). A listener keeps only the most hops it hears, so a
+hop is one comm.knockout_hop round. On a virtual cluster graph each flood
+hop costs one down-cast, that round, and one up-cast within the cluster trees.
 
 Empty blocks would produce no flood and consume no rounds, so the
 orchestrator never visits them: per level it walks only the blocks that hold
@@ -25,8 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
-from operator import itemgetter
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (AbstractSet, Dict, FrozenSet, Iterable, List, Optional,
+                    Sequence, Set, Tuple)
 
 from . import comm
 from .clusters import ForestError, forest_centers
@@ -132,12 +133,12 @@ def _child_block(ident: int, lo: int, widths: List[int], level: int) -> int:
 # The knock-out flood over the (virtual) cluster structure.
 
 def _flood(net: Net, orient: Orientation, initiators: Sequence[int], depth: int,
-           popular: Optional[Set[int]], label: str) -> Set[int]:
+           accept_all: AbstractSet[int], label: str) -> Set[int]:
     """Flood a knock-out from the initiator clusters to the given virtual
     depth; returns every cluster (center) that heard it.
 
-    With popular given, the flood travels only superedges with a popular
-    side, matching the virtual cluster graph of the phase.
+    accept_all holds the vertices of popular clusters: hops cross only the
+    superedges with a popular side, as in the phase's virtual cluster graph.
     """
     heard: Set[int] = set()
     relayed: Set[int] = set(initiators)
@@ -150,15 +151,8 @@ def _flood(net: Net, orient: Orientation, initiators: Sequence[int], depth: int,
             payload = {c: ((), h) for c, h in frontier}
             comm.downcast_single(net, orient, payload.keys(), comm.TAG_KNOCK_SEND,
                                  f"{label}.k{wave}.down", payload)
-        hops_at: Dict[int, int] = {}   # listener -> max hops left it heard
-
-        def fold(v: int, arrivals: List[Tuple[int, int, int]]) -> None:
-            hops_at[v] = max(map(itemgetter(2), arrivals))
-
-        comm.cluster_broadcast(net, orient, f"{label}.k{wave}.x", comm.TAG_KNOCK,
-                               [(c, c, h) for c, h in frontier], popular,
-                               orient.center_of.keys(), fold)
-        got = hops_at
+        got = hops_at = comm.knockout_hop(net, orient, f"{label}.k{wave}.x",
+                                          frontier, accept_all)
         if not trivial and hops_at:
             touched = sorted({orient.center_of[v] for v in hops_at})
             best = comm.upcast_best(net, orient,
@@ -189,6 +183,8 @@ def run_knockout_schedule(net: Net, orient: Orientation, candidates: Set[int],
         return alive
     t = max(2, nth_root_ceil(width, params.q))
     widths = _block_widths(width, t)
+    accept_all = orient.center_of.keys() if popular is None else {
+        v for v, c in orient.center_of.items() if c in popular}
     for level in range(len(widths) - 2, -1, -1):
         blocks: Dict[int, List[int]] = {}
         for c in sorted(alive):
@@ -197,7 +193,7 @@ def run_knockout_schedule(net: Net, orient: Orientation, candidates: Set[int],
             senders = [c for c in blocks[block] if c in alive]
             if not senders:
                 continue
-            heard = _flood(net, orient, senders, params.c, popular,
+            heard = _flood(net, orient, senders, params.c, accept_all,
                            f"{label}.L{level}.b{block}")
             for c in heard:
                 if c in alive and _child_block(c, lo, widths, level) > block:

@@ -18,7 +18,8 @@ run's wall time is proportional to the traffic, not to the round count.
 The episodes of a build run on kernels instead, which deliver them without a
 program or an API object per vertex, apply the checks of ``run`` and return
 the trace ``run`` gives for the programs they stand for: ``broadcast_round``
-for a one-shot broadcast round; ``orient_flood``, ``tree_downcast``,
+for a one-shot broadcast round; ``broadcast_max`` for one in which listeners
+keep only the largest scalar they accept; ``orient_flood``, ``tree_downcast``,
 ``best_upcast``, ``flag_upcast`` and ``tree_collect`` for the casts inside
 cluster trees, walked level by level (the collect round by round); and
 ``send_round`` for one round of per-edge sends. No build calls ``run``: it
@@ -294,6 +295,42 @@ def broadcast_round(g: Graph, sends: Dict[int, Message],
         for v in sorted(listeners - (listeners - inboxes.keys())):
             fold(v, inboxes[v])
     return trace
+
+
+def broadcast_max(g: Graph, sends: Mapping[int, Message],
+                  listeners: AbstractSet[int], accept_all: AbstractSet[int],
+                  config: SimConfig, label: str = ""
+                  ) -> Tuple[SimTrace, Dict[int, int]]:
+    """One broadcast round in which each listener that does not send keeps
+    the largest scalar it accepts: any in accept_all, odd ones elsewhere.
+    Returns broadcast_round's trace, senders deaf, and listener -> that
+    scalar in ascending order. One set union per scalar delivers its senders,
+    so the work grows with their degrees and the listeners reached, not n."""
+    _require_mode(config, BROADCAST, "broadcast_max")
+    cap, max_scalar, adjacency = config.ids_per_message, max(g.n, 2) ** 3, g.adjacency
+    trace = SimTrace(label=label, mode=BROADCAST)
+    checked: Set[int] = set()   # the ids of the message objects checked
+    classes: Dict[int, List[Sequence[int]]] = defaultdict(list)   # scalar -> senders' neighbours
+    for v in sorted(sends):   # run() meets the senders in ascending order
+        nbrs = adjacency.get(v)
+        if nbrs is None:
+            raise ValueError(f"broadcast from unknown vertex {v}")
+        msg = sends[v]
+        if id(msg) not in checked:
+            checked.add(id(msg))
+            _check_message(v, msg, cap, max_scalar, trace)
+        classes[msg.scalar].append(nbrs)
+    best: Dict[int, int] = {}
+    done = set(sends)   # the senders and the listeners already served
+    for scalar in sorted(classes, reverse=True):
+        reached = set().union(*classes[scalar]) & listeners
+        if not scalar & 1:
+            reached &= accept_all
+        reached -= done
+        done |= reached
+        best.update(dict.fromkeys(reached, scalar))
+    sent = sum(len(nbrs) for adjs in classes.values() for nbrs in adjs)
+    return _account(trace, [sent], 1 if sent else 0), dict(sorted(best.items()))
 
 
 def _check_message(v: int, msg: Message, cap: int, max_scalar: int,

@@ -98,7 +98,6 @@ class PhaseSnapshot:
 class BuildResult:
     algorithm: str
     params: dict
-    graph_meta: dict
     spanner: SpannerEdgeSet
     snapshots: List[PhaseSnapshot]
     trace: comm.BuildTrace
@@ -130,9 +129,8 @@ class Variant(Protocol):
 def trivial_result(g: Graph, algorithm: str, params: dict) -> BuildResult:
     """Single-vertex graphs need no phases and no edges."""
     return BuildResult(
-        algorithm=algorithm, params=params, graph_meta=dict(g.meta),
-        spanner=SpannerEdgeSet(g), snapshots=[],
-        trace=comm.BuildTrace())
+        algorithm=algorithm, params=params, spanner=SpannerEdgeSet(g),
+        snapshots=[], trace=comm.BuildTrace())
 
 
 def run_phases(g: Graph, variant: Variant, params: dict,
@@ -192,7 +190,6 @@ def run_phases(g: Graph, variant: Variant, params: dict,
         raw = stitch_superclusters(orient.members, joins, tree_adj) if joins else []
 
     return BuildResult(
-        algorithm=variant.name, params=params, graph_meta=dict(g.meta),
-        spanner=spanner, snapshots=snapshots,
-        trace=net.trace)
+        algorithm=variant.name, params=params, spanner=spanner,
+        snapshots=snapshots, trace=net.trace)
 

@@ -10,6 +10,12 @@ G(512, 0.25), about 65k messages: every vertex broadcasts its own ID and
 every vertex folds its inbox into a neighbor -> ID map, as the cluster-ID
 exchange does.
 
+The knock-out hop: both sides deliver, on the same graph, a round shaped like
+a hop of the knock-out flood, folded to the largest accepted scalar. Every
+eighth vertex sends its ID with one hop left and its popular bit, which makes
+two scalar classes; the lower half of the vertices accept every scalar, the
+others odd ones only (about 8k messages).
+
 The tree casts: both sides run, on the BFS tree from vertex 1 of the 48 x 48
 grid, a pipelined downcast of 64 payloads from the root (147k messages in
 157 rounds) and then a collect of one item per vertex capped at 64 (57k
@@ -47,6 +53,19 @@ def test_broadcast_round(benchmark, round_inputs, impl):
                       "exchange")
     assert trace.messages_total == 2 * g.num_edges()
     assert len(heard) == g.n
+
+
+@pytest.mark.parametrize("impl", [sim.broadcast_max, oracles.broadcast_max],
+                         ids=["kernel", "oracle"])
+def test_knockout_hop(benchmark, round_inputs, impl):
+    g, _, listeners, config = round_inputs
+    vertices = sorted(g.vertices)
+    accept_all = set(vertices[:g.n // 2])
+    sends = {v: Message(comm.TAG_KNOCK, (v,), 2 | (v in accept_all))
+             for v in vertices[::8]}
+    trace, best = benchmark(impl, g, sends, listeners, accept_all, config, "k1.x")
+    assert trace.messages_total == sum(len(g.adjacency[v]) for v in sends)
+    assert len(best) == g.n - len(sends)   # every other vertex hears a 3
 
 
 @pytest.fixture(scope="module")

@@ -4,11 +4,11 @@ These are the straightforward versions that the package's fast paths
 replaced: one full BFS of H from every vertex for the edge stretch, one full
 BFS from every member for a ruling set, a membership test per edge for the
 symmetry of a graph's adjacency lists, and one program per vertex stepped
-through the event loop for a one-shot broadcast round and for each tree-cast
-episode. They are slow but obviously right, so the tests hold the fast
-versions to them result for result. Each episode oracle takes the arguments
-of the sim kernel it checks and returns sim.run's trace with the programs'
-results.
+through the event loop for a one-shot broadcast round (also folded to the
+largest accepted scalar) and for each tree-cast episode. They are slow but
+obviously right, so the tests hold the fast versions to them result for
+result. Each episode oracle takes the arguments of the sim kernel it checks
+and returns sim.run's trace with the programs' results.
 """
 
 from __future__ import annotations
@@ -141,6 +141,26 @@ def broadcast_round(g: Graph, sends: Dict[int, Message],
         for v in quiet - deaf:
             programs[v] = BroadcastOnce(None, fold)
     return sim.run(g, programs, config, label=label)
+
+
+def broadcast_max(g: Graph, sends: Dict[int, Message],
+                  listeners: AbstractSet[int], accept_all: AbstractSet[int],
+                  config: SimConfig, label: str = ""
+                  ) -> Tuple[SimTrace, Dict[int, int]]:
+    """The broadcast round above with the senders deaf, each listener
+    folding its inbox to the largest scalar it accepts: any if it is in
+    accept_all, odd ones otherwise."""
+    best: Dict[int, int] = {}
+
+    def fold(v: int, inbox: Dict[int, Message]) -> None:
+        accepted = [msg.scalar for msg in inbox.values()
+                    if v in accept_all or msg.scalar & 1]
+        if accepted:
+            best[v] = max(accepted)
+
+    trace = broadcast_round(g, sends, set(listeners) - sends.keys(), fold,
+                            config, label)
+    return trace, best
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
-"""The one-round broadcast kernel against the program-per-vertex oracle.
+"""The one-round broadcast kernels against the program-per-vertex oracle.
 
 ``sim.broadcast_round`` delivers a one-shot broadcast round directly. It must
 return the trace that ``sim.run`` returns for one ``BroadcastOnce`` program
 per sender and per listener next to a sender (``oracles.broadcast_round``),
 call fold on the same vertices with the same inboxes in the same order, pass
 each listener's own ID object, and reject what ``sim.run`` rejects.
+``sim.broadcast_max``, the knock-out hop's round, must equal that oracle
+with the senders deaf and each inbox folded to the largest accepted scalar.
 """
 
 import dataclasses
@@ -141,6 +143,8 @@ def test_kernel_needs_broadcast_mode():
     with pytest.raises(ValueError, match="broadcast"):
         sim.broadcast_round(g, {1: Message(1)}, {2}, lambda v, inbox: None,
                             SimConfig(), "lbl")
+    with pytest.raises(ValueError, match="broadcast_max needs mode 'broadcast'"):
+        sim.broadcast_max(g, {1: Message(1, (), 3)}, {2}, {2}, SimConfig(), "lbl")
 
 
 def test_no_episode_without_senders():
@@ -155,3 +159,115 @@ def test_no_episode_without_senders():
     assert [(e.label, e.mode, e.rounds, e.messages, e.max_ids)
             for e in net.trace.episodes] == [("loud", sim.BROADCAST, 1, 2, 1)]
     assert calls == [2, 8]
+    # a knock-out hop: vertex 1 sends 2 hops left, to 2 and 8; only 2 hears
+    # it when 1's singleton cluster is not popular
+    orient = comm.orientation_from_parents({v: {v: None} for v in g.vertices})
+    assert comm.knockout_hop(net, orient, "quiet", [], set(g.vertices)) == {}
+    assert comm.knockout_hop(net, orient, "pop", [(1, 2)], {1}) == {2: 2, 8: 2}
+    assert comm.knockout_hop(net, orient, "unpop", [(1, 2)], {2}) == {2: 2}
+    assert [(e.label, e.mode, e.rounds, e.messages, e.max_ids)
+            for e in net.trace.episodes[1:]] == [
+        ("pop", sim.BROADCAST, 1, 2, 1), ("unpop", sim.BROADCAST, 1, 2, 1)]
+
+
+# ---------------------------------------------------------------------------
+# sim.broadcast_max: the largest accepted scalar per listener.
+
+def _max_both(g, sends, listeners, accept_all, config):
+    """(trace, listener -> scalar items) of the kernel and of the oracle, or
+    the exception each raised."""
+    out = []
+    for impl in (sim.broadcast_max, oracles.broadcast_max):
+        try:
+            trace, best = impl(g, sends, listeners, accept_all, config, "lbl")
+        except (ModelViolation, ValueError) as exc:
+            out.append((type(exc), str(exc)))
+        else:
+            out.append((dataclasses.asdict(trace), list(best.items())))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_max_kernel_equals_folded_program_oracle(data):
+    g = _random_graph(data)
+    cap = data.draw(st.integers(1, 3), label="cap")
+    max_scalar = max(g.n, 2) ** 3
+    vertices = st.sampled_from(g.vertices)
+    # a few message objects, each shared by the senders that draw it, as the
+    # members of one cluster share theirs; few scalars, so that they repeat
+    scalars = st.one_of(st.integers(-4, 9),
+                        st.integers(-max_scalar, max_scalar))
+    pool = [Message(data.draw(st.integers(0, 30), label="tag"),
+                    tuple(data.draw(st.lists(vertices, max_size=cap), label="ids")),
+                    data.draw(scalars, label="scalar"))
+            for _ in range(data.draw(st.integers(1, 4), label="messages"))]
+    if data.draw(st.booleans(), label="fault"):
+        pool[-1] = data.draw(st.sampled_from([
+            Message(1, tuple(g.vertices[:1]) * (cap + 1)),
+            Message(1, (), max_scalar + 1), Message(1, (), -max_scalar - 1)]),
+            label="faulty message")
+    sends = {v: data.draw(st.sampled_from(pool), label="message")
+             for v in data.draw(st.sets(vertices, min_size=1), label="senders")}
+    # most vertices listen; accept-all is a random subset or its complement
+    listeners = set(g.vertices) - data.draw(st.sets(vertices), label="deaf")
+    accept_all = data.draw(st.sets(vertices), label="accept all")
+    if data.draw(st.booleans(), label="complement"):
+        accept_all = set(g.vertices) - accept_all
+    if data.draw(st.booleans(), label="keys views"):
+        listeners = dict.fromkeys(listeners).keys()
+        accept_all = dict.fromkeys(accept_all).keys()
+    config = SimConfig(ids_per_message=cap, mode=sim.BROADCAST)
+
+    kernel, oracle = _max_both(g, sends, listeners, accept_all, config)
+    assert kernel == oracle
+    if kernel[0] is ModelViolation:
+        return
+    trace, best = kernel
+    assert trace["messages_total"] == sum(len(g.adjacency[v]) for v in sends)
+    assert [v for v, _ in best] == sorted(v for v, _ in best)
+    assert not sends.keys() & {v for v, _ in best}
+
+
+def test_max_kernel_without_senders_returns_an_empty_trace():
+    g = gr.generate_graph("cycle", n=8)
+    config = SimConfig(mode=sim.BROADCAST)
+    assert _max_both(g, {}, set(g.vertices), set(g.vertices), config) \
+        == [(dataclasses.asdict(sim.SimTrace("lbl", sim.BROADCAST)), [])] * 2
+
+
+@pytest.mark.parametrize("bad", [Message(1, (1, 2, 3)), Message(1, (), 10 ** 9)],
+                         ids=["too many ids", "scalar out of range"])
+def test_max_kernel_rejects_what_run_rejects(bad):
+    """Each message object is checked once, for the least of its senders."""
+    g = gr.generate_graph("cycle", n=8)
+    ok = Message(1, (4,), 3)
+    sends = {7: bad, 2: ok, 5: bad, 3: ok}
+    kernel, oracle = _max_both(g, sends, set(g.vertices), {2, 4},
+                               SimConfig(mode=sim.BROADCAST))
+    assert kernel[0] is ModelViolation
+    assert kernel == oracle
+    assert kernel[1].startswith("vertex 5:")
+
+
+@pytest.mark.parametrize("sends, error", [
+    ({3: Message(1), 99: Message(1)}, "broadcast from unknown vertex 99"),
+    ({99: Message(1), 5: Message(1, (), 10 ** 9)},
+     "vertex 5: scalar 1000000000 out of range"),
+    ({6: Message(1, (), 10 ** 9), 0: Message(1)},
+     "broadcast from unknown vertex 0"),
+], ids=["unknown", "fault below the unknown", "unknown below the fault"])
+def test_max_kernel_raises_for_the_least_faulty_sender(sends, error):
+    """The unknown-sender error is broadcast_round's: sim.run refuses a
+    program for an unknown vertex before it steps any, whatever the order."""
+    g = gr.generate_graph("cycle", n=8)
+    config = SimConfig(mode=sim.BROADCAST)
+    errors = []
+    for call in (lambda: sim.broadcast_max(g, sends, {1, 2}, {1}, config),
+                 lambda: sim.broadcast_round(g, sends, {1, 2},
+                                             lambda v, inbox: None, config)):
+        with pytest.raises((ModelViolation, ValueError)) as exc:
+            call()
+        errors.append((type(exc.value), str(exc.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][1] == error

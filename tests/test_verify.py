@@ -1,6 +1,7 @@
 """Cross-checks of the verification layer itself against a second,
 independently written distance oracle (Floyd-Warshall on a dense matrix)."""
 
+import copy
 import dataclasses
 import math
 from fractions import Fraction
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from congestspan import graph as gr
-from congestspan import polylog, sparse, verify
+from congestspan import polylog, sim, sparse, verify
 from congestspan.clusters import (JoinInfo, build_cluster_graph,
                                   run_supercluster_bfs)
 from congestspan.comm import Net
@@ -131,3 +132,43 @@ def test_aglp_round_regression():
         rs = aglp_ruling_set(g, set(g.vertices))
         q = ceil_log2_int(n)
         assert rs.rounds <= locked_K * q * n ** (1.0 / q), (n, kind, rs.rounds)
+
+
+@pytest.fixture(scope="module", params=["polylog", "skeleton"])
+def clean_build(request):
+    """A build on G(64, 0.1) whose every verdict passes."""
+    g = gr.generate_graph("gnp_connected", n=64, p=0.1, seed=1)
+    res = (polylog.build_spanner(g, 3) if request.param == "polylog"
+           else sparse.build_skeleton(g, Fraction(34, 100)))
+    assert verify.verify_build(g, res)["passed"]
+    return g, res
+
+
+def _in_congest_mode(suffix):
+    def tamper(trace):
+        i = max(i for i, ep in enumerate(trace.episodes)
+                if ep.label.endswith(suffix))
+        trace.episodes[i] = dataclasses.replace(trace.episodes[i],
+                                                mode=sim.CONGEST)
+    return tamper
+
+
+def _three_ids(trace):
+    trace.max_ids_per_message = 3
+
+
+@pytest.mark.parametrize("tamper", [_in_congest_mode(".k1.x"),
+                                    _in_congest_mode(".explore"), _three_ids],
+                         ids=["knock-out hop in congest mode",
+                              "exploration hop in congest mode",
+                              "three ids in a message"])
+def test_congestion_verdict_alone_fails_a_tampered_trace(clean_build, tamper):
+    """The build's last knock-out or exploration hop recorded in congest
+    mode, or a message with three IDs, fails congestion and no other
+    verdict."""
+    g, res = clean_build
+    trace = copy.deepcopy(res.trace)
+    tamper(trace)
+    report = verify.verify_build(g, dataclasses.replace(res, trace=trace))
+    assert [v["name"] for v in report["verdicts"] if not v["ok"]] \
+        == ["congestion"]
