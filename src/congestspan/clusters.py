@@ -9,7 +9,8 @@ depth bound and derives each vertex's center from it. Popular clusters are
 merged into superclusters by a bounded-depth BFS over the virtual cluster
 graph; the merge is executed through the simulator (run_supercluster_bfs),
 while reference_supercluster is a centralized implementation of the same
-tie-breaking used purely as a test oracle. Both return the joins by center.
+tie-breaking used purely as a test oracle. Both return the joins by center,
+from which stitch_superclusters maps the next phase's vertices to centers.
 
 Tie-breaking is deterministic everywhere: on simultaneous arrivals a cluster
 joins the exploration with the smallest root-center ID, then the smallest
@@ -19,7 +20,7 @@ witness edge in canonical (min endpoint, max endpoint) order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .graph import Edge, Graph, edge_key
 from . import comm
@@ -229,18 +230,16 @@ def run_supercluster_bfs(net: Net, orient: Orientation, ruling: Set[int],
         # smallest other endpoint, so the aggregation below can reconstruct
         # the exact minimal (root, witness edge) candidate
         cands: Dict[int, Dict[Tuple[int, int], int]] = {}
-
-        def fold(v: int, arrivals: List[Tuple[int, int, int]]) -> None:
+        arrivals = comm.cluster_broadcast(
+            net, orient, f"w{wave}.explore", comm.TAG_EXPLORE,
+            [(c, joins[c].root, h - 1) for c, h in senders], popular, unjoined)
+        for v, heard in arrivals.items():
             mine = cands[v] = {}
-            for sender, root, _ in arrivals:
+            for sender, root, _ in heard:
                 m, mm = (sender, v) if sender < v else (v, sender)
                 cur = mine.get((root, m))
                 if cur is None or mm < cur:
                     mine[(root, m)] = mm
-
-        comm.cluster_broadcast(net, orient, f"w{wave}.explore", comm.TAG_EXPLORE,
-                               [(c, joins[c].root, h - 1) for c, h in senders],
-                               popular, unjoined, fold)
 
         # stage 2: three-stage minimal-candidate aggregation per reached cluster
         reached = sorted({member_center[v] for v in cands})
@@ -304,21 +303,9 @@ def _require_separated(vgraph: VirtualClusterGraph, ruling: Set[int]) -> None:
                 f"in the virtual cluster graph")
 
 
-def stitch_superclusters(members: Dict[int, Sequence[int]],
-                         joins: Dict[int, JoinInfo],
-                         tree_adj: Dict[int, List[int]]) -> List[Tuple[int, List[int], Dict[int, List[int]]]]:
-    """Assemble raw (center, members, tree_adj) triples for the next phase.
-
-    members maps each center of this phase to its cluster's members, joins
-    each superclustered center to how it joined, and tree_adj is the global
-    per-vertex tree adjacency, already extended with this phase's witness
-    edges.
-    """
-    groups: Dict[int, List[int]] = {}
-    for c, info in joins.items():
-        groups.setdefault(info.root, []).append(c)
-    raw = []
-    for root in sorted(groups):
-        merged = sorted(v for c in groups[root] for v in members[c])
-        raw.append((root, merged, {v: tree_adj[v] for v in merged}))
-    return raw
+def stitch_superclusters(center_of: Dict[int, int],
+                         joins: Dict[int, JoinInfo]) -> Dict[int, int]:
+    """The next phase's vertex -> center map: each vertex of a superclustered
+    cluster (center_of maps this phase's vertices to their centers, joins
+    each superclustered center to how it joined) goes to its root."""
+    return {v: joins[c].root for v, c in center_of.items() if c in joins}

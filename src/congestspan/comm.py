@@ -3,16 +3,15 @@
 A phase of either construction is orchestrated as a sequence of short
 simulator episodes over the same graph: orient the cluster trees, exchange
 cluster IDs with neighbors, converge flags or keyed items to the centers,
-stream payloads back down, announce new spanner edges. One one-shot
-broadcast round (Net.broadcast_round) serves the ID exchange and, through
-cluster_broadcast, every exploration hop on the virtual cluster graph; it is
-delivered by sim.broadcast_round, with the listeners' folds in place of
-programs. A knock-out hop (knockout_hop) keeps only the most hops each
-listener hears, so sim.broadcast_max delivers it, through Net.cast. Every
-other episode is a tree cast or a one-round per-edge send, delivered through
-Net.cast by one of the sim kernels next to it (orient_flood, tree_downcast,
-best_upcast, flag_upcast, tree_collect, send_round), again without a program
-per vertex; an episode in which no vertex takes part is not recorded. The
+stream payloads back down, announce new spanner edges. Every episode goes
+through Net.cast, the one place that records episodes, and is delivered by a
+sim kernel without a program per vertex: sim.broadcast_round returns each
+listener's inbox for the ID exchange and, through cluster_broadcast, for every
+exploration hop on the virtual cluster graph; a knock-out hop (knockout_hop)
+keeps only the most hops each listener hears, so sim.broadcast_max delivers
+it; every other episode is a tree cast or a one-round per-edge send
+(orient_flood, tree_downcast, best_upcast, flag_upcast, tree_collect,
+send_round). An episode in which no vertex takes part is not recorded. The
 orchestrator only moves results between episodes, never inventing knowledge
 a vertex could not have accumulated locally.
 
@@ -25,8 +24,8 @@ on one edge in one round never reaches the trace: the kernels refuse it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (AbstractSet, Callable, Dict, Iterable, List, Optional,
-                    Sequence, Set, Tuple)
+from typing import (AbstractSet, Callable, Dict, Iterable, List, Mapping,
+                    Optional, Sequence, Set, Tuple)
 
 from .graph import Graph
 from . import sim
@@ -103,21 +102,6 @@ class Net:
         self.trace.absorb(trace)
         return result
 
-    def broadcast_round(self, label: str, sends: Dict[int, Message],
-                        listeners: AbstractSet[int],
-                        fold: Callable[[int, Dict[int, Message]], None]) -> None:
-        """One broadcast-mode round: every sender broadcasts its message once.
-
-        Each listener that hears anything calls fold(vertex, inbox) with the
-        inbox in ascending sender order, listeners in ascending order. A
-        vertex may both send and listen. The round is delivered by
-        sim.broadcast_round, with no program per vertex; no episode is
-        recorded when nobody sends.
-        """
-        if sends:
-            self.trace.absorb(sim.broadcast_round(
-                self.g, sends, listeners, fold, self._config(sim.BROADCAST), label))
-
 
 @dataclass
 class Orientation:
@@ -141,27 +125,25 @@ class Orientation:
         return max(self.depth.values(), default=0)
 
 
-def orient_clusters(net: Net, raw: Sequence[Tuple[int, Sequence[int], Dict[int, List[int]]]],
-                    label: str) -> Orientation:
+def orient_clusters(net: Net, center_of: Dict[int, int],
+                    tree_adj: Mapping[int, Sequence[int]], label: str) -> Orientation:
     """Orient every cluster tree at its center in one parallel episode.
 
-    raw holds (center, members, tree_adj) triples; tree_adj maps each member
-    to its tree neighbors within that cluster. Each member learns its center
-    and its parent, the tree neighbor it first heard the flood from.
+    center_of maps each vertex of the clusters to its center, and tree_adj
+    each vertex to its tree neighbours. Each vertex learns its center and its
+    parent, the tree neighbour it first heard the flood from.
     """
-    tree_nbrs: Dict[int, Sequence[int]] = {}
-    roots: List[int] = []
-    for center, members, tree_adj in raw:
-        for v in members:
-            tree_nbrs[v] = tree_adj.get(v, ())
-            if v == center:
-                roots.append(v)
+    tree_nbrs = {v: tree_adj.get(v, ()) for v in center_of}
+    roots = [v for v, c in center_of.items() if v == c]
     found = net.cast(label, sim.orient_flood, roots, tree_nbrs) if tree_nbrs else {}
 
+    groups: Dict[int, List[int]] = {}
+    for v in sorted(center_of):
+        groups.setdefault(center_of[v], []).append(v)
     parent_maps: Dict[int, Dict[int, Optional[int]]] = {}
-    for center, members, _ in raw:
+    for center in sorted(groups):
         pmap = parent_maps[center] = {}
-        for v in sorted(members):
+        for v in groups[center]:
             if v not in found:
                 raise RuntimeError(f"orientation never reached vertex {v} "
                                    f"(cluster tree of {center} is not connected)")
@@ -208,16 +190,16 @@ def orientation_from_parents(parent_maps: Dict[int, Dict[int, Optional[int]]]) -
 def cluster_broadcast(net: Net, orient: Orientation, label: str, tag: int,
                       frontier: Iterable[Tuple[int, int, int]],
                       popular: Optional[AbstractSet[int]],
-                      listeners: AbstractSet[int],
-                      fold: Callable[[int, List[Tuple[int, int, int]]], None]) -> None:
+                      listeners: AbstractSet[int]
+                      ) -> Dict[int, List[Tuple[int, int, int]]]:
     """One exploration hop on the virtual cluster graph, in one broadcast round.
 
     frontier holds (center, key, hops) triples: every member of each such
     cluster broadcasts the key with the hop count and its cluster's popular
     bit (popular None makes every cluster popular). A listener outside the
     frontier keeps only the arrivals that cross a superedge, i.e. where the
-    sender's or its own cluster is popular, and calls fold(vertex, arrivals)
-    with the (sender, key, hops) triples it kept, if any.
+    sender's or its own cluster is popular. Returns, in ascending order, each
+    listener that kept any -> its (sender, key, hops) arrivals.
     """
     sends: Dict[int, Message] = {}
     for c, key, hops in frontier:
@@ -225,15 +207,16 @@ def cluster_broadcast(net: Net, orient: Orientation, label: str, tag: int,
         msg = Message(tag, (key,), (hops << 1) | (1 if pop else 0))
         for v in orient.members[c]:
             sends[v] = msg
-
-    def hear(v: int, inbox: Dict[int, Message]) -> None:
+    inboxes = net.cast(label, sim.broadcast_round, sends, listeners - sends.keys(),
+                       mode=sim.BROADCAST) if sends else {}
+    kept: Dict[int, List[Tuple[int, int, int]]] = {}
+    for v, inbox in inboxes.items():
         own_pop = popular is None or orient.center_of[v] in popular
         arrivals = [(u, msg.ids[0], msg.scalar >> 1) for u, msg in inbox.items()
                     if own_pop or msg.scalar & 1]
         if arrivals:
-            fold(v, arrivals)
-
-    net.broadcast_round(label, sends, listeners - sends.keys(), hear)
+            kept[v] = arrivals
+    return kept
 
 
 def knockout_hop(net: Net, orient: Orientation, label: str,
@@ -261,11 +244,10 @@ def exchange_cluster_ids(net: Net, orient: Orientation, label: str) -> Dict[int,
     """
     heard: Dict[int, Dict[int, int]] = {v: {} for v in orient.center_of}
     sends = {v: Message(TAG_MYCLUSTER, (c,)) for v, c in orient.center_of.items()}
-
-    def fold(v: int, inbox: Dict[int, Message]) -> None:
+    inboxes = net.cast(label, sim.broadcast_round, sends, heard.keys(),
+                       mode=sim.BROADCAST) if sends else {}
+    for v, inbox in inboxes.items():
         heard[v] = {u: msg.ids[0] for u, msg in inbox.items()}
-
-    net.broadcast_round(label, sends, heard.keys(), fold)
     return heard
 
 

@@ -73,12 +73,6 @@ def pow_ceil(n: int, expo: Fraction) -> int:
     return k
 
 
-def pow_floor(n: int, expo: Fraction) -> int:
-    """Largest integer <= n**expo."""
-    k = pow_ceil(n, expo)
-    return k if count_le_pow(k, n, expo) else k - 1
-
-
 def nth_root_ceil(x: int, q: int) -> int:
     """Smallest integer t with t**q >= x."""
     if x < 1 or q < 1:

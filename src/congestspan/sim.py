@@ -17,9 +17,10 @@ run's wall time is proportional to the traffic, not to the round count.
 
 The episodes of a build run on kernels instead, which deliver them without a
 program or an API object per vertex, apply the checks of ``run`` and return
-the trace ``run`` gives for the programs they stand for: ``broadcast_round``
-for a one-shot broadcast round; ``broadcast_max`` for one in which listeners
-keep only the largest scalar they accept; ``orient_flood``, ``tree_downcast``,
+the trace ``run`` gives for the programs they stand for, with the programs'
+results: ``broadcast_round`` for a one-shot broadcast round, returning each
+listener's inbox; ``broadcast_max`` for one in which listeners keep only the
+largest scalar they accept; ``orient_flood``, ``tree_downcast``,
 ``best_upcast``, ``flag_upcast`` and ``tree_collect`` for the casts inside
 cluster trees, walked level by level (the collect round by round); and
 ``send_round`` for one round of per-edge sends. No build calls ``run``: it
@@ -37,10 +38,10 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import (AbstractSet, Callable, Deque, Dict, Iterable, List,
-                    Mapping, Optional, Sequence, Set, Tuple)
+from typing import (AbstractSet, Deque, Dict, Iterable, List, Mapping,
+                    Optional, Sequence, Set, Tuple)
 
-from .graph import Graph
+from .graph import Edge, Graph, edge_key
 
 CONGEST = "congest"
 BROADCAST = "broadcast"
@@ -252,18 +253,16 @@ def run(g: Graph, programs: Dict[int, NodeProgram], config: SimConfig,
     return trace
 
 
-def broadcast_round(g: Graph, sends: Dict[int, Message],
-                    listeners: AbstractSet[int],
-                    fold: Callable[[int, Dict[int, Message]], None],
-                    config: SimConfig, label: str = "") -> SimTrace:
+def broadcast_round(g: Graph, sends: Mapping[int, Message],
+                    listeners: AbstractSet[int], config: SimConfig,
+                    label: str = "") -> Tuple[SimTrace, Dict[int, Dict[int, Message]]]:
     """One broadcast-mode round without programs.
 
-    Every sender broadcasts its message once on all its edges; each listener
-    that hears anything then gets fold(vertex, inbox), in ascending vertex
-    order, with the inbox keyed by sender in ascending order. vertex is the
-    listener's own ID object from listeners. The message checks and the
-    returned trace are those of run() stepping one program per vertex that
-    broadcasts at round 0 and folds its round-1 inbox.
+    Every sender broadcasts its message once on all its edges. Returns the
+    trace run() returns for one program per vertex that broadcasts at round
+    0 and keeps its round-1 inbox, and each listener that hears anything, in
+    ascending order, -> its inbox, keyed by sender in ascending order. The
+    listener keys are the listeners' own ID objects.
     """
     _require_mode(config, BROADCAST, "broadcast_round")
     max_scalar = max(g.n, 2) ** 3
@@ -284,17 +283,12 @@ def broadcast_round(g: Graph, sends: Dict[int, Message],
         for u in nbrs:
             if u in listeners:
                 inboxes[u][v] = msg
-    if sent:
-        trace.rounds_elapsed = 1
-        trace.messages_total = sent
-        trace.per_round_message_counts.append(sent)
-    if inboxes:
-        # the difference keeps the listeners' own ID objects, not the equal
-        # ints of the adjacency tuples: callers store them, and later dict
-        # lookups on identical keys are faster
-        for v in sorted(listeners - (listeners - inboxes.keys())):
-            fold(v, inboxes[v])
-    return trace
+    # the difference keeps the listeners' own ID objects, not the equal ints
+    # of the adjacency tuples: callers store them, and later dict lookups on
+    # identical keys are faster
+    heard = sorted(listeners - (listeners - inboxes.keys())) if inboxes else ()
+    return (_account(trace, [sent], 1 if sent else 0),
+            {v: inboxes[v] for v in heard})
 
 
 def broadcast_max(g: Graph, sends: Mapping[int, Message],
@@ -386,11 +380,12 @@ def _account(trace: SimTrace, counts: List[int], rounds: int) -> SimTrace:
     return trace
 
 
-def _per_edge(v: int, nbrs: Sequence[int], targets: Iterable[int]) -> int:
-    """The number of v's messages to targets, after run()'s checks on them."""
+def _per_edge(v: int, edges: AbstractSet[Edge], targets: Iterable[int]) -> int:
+    """The number of v's messages to targets, after run()'s checks on them;
+    edges is the graph's edge set."""
     dests: Set[int] = set()
     for u in targets:
-        if u not in nbrs:
+        if edge_key(v, u) not in edges:
             raise _non_neighbor(v, u)
         if u in dests:
             raise _two_on_edge(v, u)
@@ -405,7 +400,7 @@ def tree_downcast(g: Graph, children: Mapping[int, Sequence[int]],
     tree (children maps a vertex to its children); a vertex at depth d sends
     payload j to all its children at round d + j. Walks trees by levels."""
     _require_mode(config, CONGEST, "tree_downcast")
-    cap, max_scalar, adjacency = config.ids_per_message, max(g.n, 2) ** 3, g.adjacency
+    cap, max_scalar, edges = config.ids_per_message, max(g.n, 2) ** 3, g.edge_set()
     trace = SimTrace(label=label)
     steps: List[int] = []   # steps[r]: the change in messages per round at r
     faults: List[Tuple[int, int, ModelViolation]] = []   # (round, vertex, error)
@@ -419,7 +414,7 @@ def tree_downcast(g: Graph, children: Mapping[int, Sequence[int]],
         kids = children[root]
         # the root sends payload j at round j, checking its first child's
         # edge before the message; this fault goes first on a tie
-        if kids and bad is not None and (bad or kids[0] in adjacency[root]):
+        if kids and bad is not None and (bad or edge_key(root, kids[0]) in edges):
             faults.append((bad, root, _message_fault(root, queue[bad], cap)))
         level, depth = [root], 0
         while True:
@@ -428,9 +423,8 @@ def tree_downcast(g: Graph, children: Mapping[int, Sequence[int]],
                 kids = children[v]
                 if kids:
                     below += kids
-                    nbrs = adjacency[v]
                     for u in kids:
-                        if u not in nbrs:
+                        if edge_key(v, u) not in edges:
                             faults.append((depth, v, _non_neighbor(v, u)))
                             break
             if not below:
@@ -463,7 +457,7 @@ def best_upcast(g: Graph, roots: Iterable[int],
     best of its own and its children's, as IDs or, with width 0, the first
     entry as the scalar. values holds vertices of those trees only."""
     _require_mode(config, CONGEST, "best_upcast")
-    cap, max_scalar, adjacency = config.ids_per_message, max(g.n, 2) ** 3, g.adjacency
+    cap, max_scalar, edges = config.ids_per_message, max(g.n, 2) ** 3, g.edge_set()
     trace = SimTrace(label=label)
     fold = max if prefer_max else min
     best = dict(values)
@@ -483,7 +477,7 @@ def best_upcast(g: Graph, roots: Iterable[int],
             if h > config.max_rounds:
                 raise _over_budget(config, label)
             ids, scalar = (tuple(best[v]), 0) if width else ((), best[v][0])
-            if p not in adjacency[v]:
+            if edge_key(v, p) not in edges:
                 raise _non_neighbor(v, p)
             if len(ids) > cap or abs(scalar) > max_scalar:
                 raise _message_fault(v, Message(0, ids, scalar), cap)
@@ -508,6 +502,7 @@ def flag_upcast(g: Graph, parent: Mapping[int, Optional[int]],
     at round 0, any other vertex the round it first hears one. Returns the
     roots that are flagged or hear a flag."""
     _require_mode(config, CONGEST, "flag_upcast")
+    edges = g.edge_set()
     raised: Set[int] = set()
     senders = []
     for v in flagged:
@@ -523,7 +518,7 @@ def flag_upcast(g: Graph, parent: Mapping[int, Optional[int]],
         above = []
         for v in sorted(senders):
             p = parent[v]
-            if p not in g.adjacency[v]:
+            if edge_key(v, p) not in edges:
                 raise _non_neighbor(v, p)
             if parent[p] is None:
                 raised.add(p)
@@ -547,6 +542,7 @@ def tree_collect(g: Graph, members: Iterable[int],
     fewer than cap and forwards them to its parent FIFO, one per round.
     Returns member -> its store in admission order."""
     _require_mode(config, CONGEST, "tree_collect")
+    edges = g.edge_set()
     stores: Dict[int, Dict[int, int]] = {v: {} for v in members}
     queues: Dict[int, Deque[Tuple[int, int]]] = {v: deque() for v in stores}
 
@@ -568,7 +564,7 @@ def tree_collect(g: Graph, members: Iterable[int],
         inbox: Dict[int, List[Tuple[int, int]]] = defaultdict(list)
         for v in senders:
             item = queues[v].popleft()
-            if parent[v] not in g.adjacency[v]:
+            if edge_key(v, parent[v]) not in edges:
                 raise _non_neighbor(v, parent[v])
             if len(item) > config.ids_per_message:
                 raise _message_fault(v, Message(0, item), config.ids_per_message)
@@ -595,6 +591,7 @@ def orient_flood(g: Graph, roots: Iterable[int],
     tree neighbours. Returns vertex -> (center, parent) for every vertex the
     flood reached, roots included."""
     _require_mode(config, CONGEST, "orient_flood")
+    edges = g.edge_set()
     found: Dict[int, Tuple[int, Optional[int]]] = {r: (r, None) for r in roots}
     senders, counts = sorted(found), []
     while senders:
@@ -602,7 +599,7 @@ def orient_flood(g: Graph, roots: Iterable[int],
         sent = 0
         for v in senders:
             targets = [u for u in tree_nbrs[v] if u != found[v][1]]
-            sent += _per_edge(v, g.adjacency[v], targets)
+            sent += _per_edge(v, edges, targets)
             for u in targets:
                 heard.setdefault(u, v)
         if not sent:
@@ -623,5 +620,6 @@ def send_round(g: Graph, targets: Mapping[int, Sequence[int]],
     """One congest-mode round: every vertex of targets sends one empty
     message to each neighbour it lists."""
     _require_mode(config, CONGEST, "send_round")
-    sent = sum(_per_edge(v, g.adjacency[v], targets[v]) for v in sorted(targets))
+    edges = g.edge_set()
+    sent = sum(_per_edge(v, edges, targets[v]) for v in sorted(targets))
     return _account(SimTrace(label=label), [sent], 1 if sent else 0), None

@@ -12,6 +12,8 @@ cluster" always mean a cluster of the current phase. Each phase leaves one
 record, its snapshot: the orientation's parent map, the only record of the
 phase's clusters, and the sets the phase chose. The report's per-phase rows
 and the verifier's counts are derived from the snapshots and the charges.
+A phase hands the next one its clusters as one vertex -> center map; their
+trees are the global tree adjacency, which the witness edges extend.
 
 Every edge enters the spanner with a charge record (vertex, kind, phase),
 charged to the phase that adds it. The verification layer audits the
@@ -138,16 +140,14 @@ def run_phases(g: Graph, variant: Variant, params: dict,
     net = net or Net(g)
     spanner = SpannerEdgeSet(g)
     tree_adj: Dict[int, List[int]] = {v: [] for v in g.vertices}
-    raw: List[Tuple[int, List[int], Dict[int, List[int]]]] = [
-        (v, [v], {v: []}) for v in g.vertices
-    ]
+    center_of: Dict[int, int] = {v: v for v in g.vertices}   # the next clusters
     snapshots: List[PhaseSnapshot] = []
 
     for i in range(variant.ell + 1):
         rounds_mark = net.trace.rounds_total
         is_final = i == variant.ell
 
-        orient = comm.orient_clusters(net, raw, f"p{i}.orient")
+        orient = comm.orient_clusters(net, center_of, tree_adj, f"p{i}.orient")
         nbrmap = comm.exchange_cluster_ids(net, orient, f"p{i}.exchange")
 
         popular, knowledge = variant.detect(net, orient, nbrmap, i, is_final)
@@ -187,7 +187,7 @@ def run_phases(g: Graph, variant: Variant, params: dict,
             rounds=net.trace.rounds_total - rounds_mark,
         ))
 
-        raw = stitch_superclusters(orient.members, joins, tree_adj) if joins else []
+        center_of = stitch_superclusters(orient.center_of, joins)
 
     return BuildResult(
         algorithm=variant.name, params=params, spanner=spanner,

@@ -4,17 +4,17 @@ These are the straightforward versions that the package's fast paths
 replaced: one full BFS of H from every vertex for the edge stretch, one full
 BFS from every member for a ruling set, a membership test per edge for the
 symmetry of a graph's adjacency lists, and one program per vertex stepped
-through the event loop for a one-shot broadcast round (also folded to the
-largest accepted scalar) and for each tree-cast episode. They are slow but
-obviously right, so the tests hold the fast versions to them result for
-result. Each episode oracle takes the arguments of the sim kernel it checks
-and returns sim.run's trace with the programs' results.
+through the event loop for a one-shot broadcast round (also with each inbox
+folded to the largest accepted scalar) and for each tree-cast episode. They
+are slow but obviously right, so the tests hold the fast versions to them
+result for result. Each episode oracle takes the arguments of the sim kernel
+it checks and returns sim.run's trace with the programs' results.
 """
 
 from __future__ import annotations
 
 import math
-from typing import (AbstractSet, Callable, Dict, Iterable, List, Mapping,
+from typing import (AbstractSet, Dict, Iterable, List, Mapping,
                     Optional, Sequence, Set, Tuple)
 
 from congestspan import comm, sim
@@ -101,65 +101,61 @@ def check_ruling(adjacency: Dict[int, Sequence[int]], members: Iterable[int],
 
 
 class BroadcastOnce(NodeProgram):
-    """Broadcast a message at the start, fold the inbox of the next round.
+    """Broadcast a message at the start and, if it listens, keep the inbox of
+    the next round. msg None listens only."""
 
-    Either part may be absent: msg None listens only, fold None sends only.
-    """
+    __slots__ = ("msg", "listens", "inbox")
 
-    __slots__ = ("msg", "fold")
-
-    def __init__(self, msg: Optional[Message],
-                 fold: Optional[Callable[[int, Dict[int, Message]], None]]):
+    def __init__(self, msg: Optional[Message], listens: bool):
         self.msg = msg
-        self.fold = fold
+        self.listens = listens
+        self.inbox: Optional[Dict[int, Message]] = None
 
     def on_start(self, api: NodeApi) -> None:
         if self.msg is not None:
             api.broadcast(self.msg.tag, self.msg.ids, self.msg.scalar)
-        if self.fold is None:
+        if not self.listens:
             api.halt()
 
     def on_round(self, api: NodeApi, inbox: Dict[int, Message]) -> None:
-        self.fold(api.vertex, inbox)
+        self.inbox = inbox
         api.halt()
 
 
 def broadcast_round(g: Graph, sends: Dict[int, Message],
-                    listeners: AbstractSet[int],
-                    fold: Callable[[int, Dict[int, Message]], None],
-                    config: SimConfig, label: str = "") -> SimTrace:
+                    listeners: AbstractSet[int], config: SimConfig,
+                    label: str = "") -> Tuple[SimTrace, Dict[int, Dict[int, Message]]]:
     """One broadcast round as sim.run steps it: a program per sender, and one
-    per listener adjacent to a sender, which keeps the listener's own ID
-    object."""
-    programs: Dict[int, NodeProgram] = {
-        v: BroadcastOnce(msg, fold if v in listeners else None)
-        for v, msg in sends.items()}
+    per listener adjacent to a sender. The result maps each listener whose
+    program kept an inbox, by the listener's own ID object, to that inbox."""
+    programs: Dict[int, BroadcastOnce] = {
+        v: BroadcastOnce(msg, v in listeners) for v, msg in sends.items()}
     quiet = listeners - sends.keys()
     if quiet:
         adj = g.adjacency
         deaf = quiet - set().union(*(adj[u] for u in sends if u in adj))
         for v in quiet - deaf:
-            programs[v] = BroadcastOnce(None, fold)
-    return sim.run(g, programs, config, label=label)
+            programs[v] = BroadcastOnce(None, True)
+    trace = sim.run(g, programs, config, label=label)
+    return trace, {v: programs[v].inbox for v in sorted(listeners)
+                   if v in programs and programs[v].inbox is not None}
 
 
 def broadcast_max(g: Graph, sends: Dict[int, Message],
                   listeners: AbstractSet[int], accept_all: AbstractSet[int],
                   config: SimConfig, label: str = ""
                   ) -> Tuple[SimTrace, Dict[int, int]]:
-    """The broadcast round above with the senders deaf, each listener
-    folding its inbox to the largest scalar it accepts: any if it is in
+    """The broadcast round above with the senders deaf, each listener's
+    inbox folded to the largest scalar it accepts: any if it is in
     accept_all, odd ones otherwise."""
+    trace, inboxes = broadcast_round(g, sends, set(listeners) - sends.keys(),
+                                     config, label)
     best: Dict[int, int] = {}
-
-    def fold(v: int, inbox: Dict[int, Message]) -> None:
+    for v, inbox in inboxes.items():
         accepted = [msg.scalar for msg in inbox.values()
                     if v in accept_all or msg.scalar & 1]
         if accepted:
             best[v] = max(accepted)
-
-    trace = broadcast_round(g, sends, set(listeners) - sends.keys(), fold,
-                            config, label)
     return trace, best
 
 
@@ -467,20 +463,19 @@ def send_round(g: Graph, targets: Mapping[int, Sequence[int]],
     return sim.run(g, programs, config, label=label), None
 
 
-def orient_clusters(g: Graph, raw, config: SimConfig, label: str = ""
-                    ) -> Tuple[SimTrace, "comm.Orientation"]:
-    """comm.orient_clusters as it ran on programs: one OrientFlood per member
-    of each (center, members, tree_adj) triple, then every member checked for
-    its center, cluster by cluster."""
-    programs: Dict[int, OrientFlood] = {}
-    for center, members, tree_adj in raw:
-        for v in members:
-            programs[v] = OrientFlood(tree_adj.get(v, ()), v == center)
+def orient_clusters(g: Graph, center_of: Mapping[int, int],
+                    tree_adj: Mapping[int, Sequence[int]], config: SimConfig,
+                    label: str = "") -> Tuple[SimTrace, "comm.Orientation"]:
+    """comm.orient_clusters as it ran on programs: one OrientFlood per vertex
+    of center_of, then every vertex checked for its center, cluster by
+    cluster in center order."""
+    programs = {v: OrientFlood(tree_adj.get(v, ()), v == c)
+                for v, c in center_of.items()}
     trace = sim.run(g, programs, config, label=label)
     parent_maps: Dict[int, Dict[int, Optional[int]]] = {}
-    for center, members, _ in raw:
+    for center in sorted(set(center_of.values())):
         pmap = parent_maps[center] = {}
-        for v in sorted(members):
+        for v in sorted(u for u, c in center_of.items() if c == center):
             prog = programs[v]
             if prog.center is None:
                 raise RuntimeError(f"orientation never reached vertex {v} "

@@ -3,7 +3,7 @@
 ``sim.broadcast_round`` delivers a one-shot broadcast round directly. It must
 return the trace that ``sim.run`` returns for one ``BroadcastOnce`` program
 per sender and per listener next to a sender (``oracles.broadcast_round``),
-call fold on the same vertices with the same inboxes in the same order, pass
+return the same inboxes for the same listeners in the same order, keyed by
 each listener's own ID object, and reject what ``sim.run`` rejects.
 ``sim.broadcast_max``, the knock-out hop's round, must equal that oracle
 with the senders deaf and each inbox folded to the largest accepted scalar.
@@ -54,29 +54,29 @@ def _subset(data, items, label):
     return [x for x in items if data.draw(st.booleans(), label=label)]
 
 
-def _recorder(listeners):
-    calls = []
+def _heard(listeners, inboxes):
+    """inboxes as a list of (listener, inbox items), each listener checked to
+    be one of listeners' own ID objects and each inbox in sender order."""
     own = {id(v) for v in listeners}
-
-    def fold(v, inbox):
-        assert id(v) in own, f"fold got a foreign ID object for {v}"
+    calls = []
+    for v, inbox in inboxes.items():
+        assert id(v) in own, f"a foreign ID object for {v}"
         assert list(inbox) == sorted(inbox)
         calls.append((v, list(inbox.items())))
-    return calls, fold
+    return calls
 
 
 def _both(g, sends, listeners, config):
-    """(trace, fold calls) of the kernel and of the oracle, or the exception
-    each raised."""
+    """(trace, listener inboxes) of the kernel and of the oracle, or the
+    exception each raised."""
     out = []
     for impl in (sim.broadcast_round, oracles.broadcast_round):
-        calls, fold = _recorder(listeners)
         try:
-            trace = impl(g, sends, listeners, fold, config, "lbl")
+            trace, inboxes = impl(g, sends, listeners, config, "lbl")
         except (ModelViolation, ValueError) as exc:
             out.append((type(exc), str(exc)))
         else:
-            out.append((dataclasses.asdict(trace), calls))
+            out.append((dataclasses.asdict(trace), _heard(listeners, inboxes)))
     return out
 
 
@@ -141,8 +141,7 @@ def test_unknown_sender_raises_value_error():
 def test_kernel_needs_broadcast_mode():
     g = gr.generate_graph("cycle", n=8)
     with pytest.raises(ValueError, match="broadcast"):
-        sim.broadcast_round(g, {1: Message(1)}, {2}, lambda v, inbox: None,
-                            SimConfig(), "lbl")
+        sim.broadcast_round(g, {1: Message(1)}, {2}, SimConfig(), "lbl")
     with pytest.raises(ValueError, match="broadcast_max needs mode 'broadcast'"):
         sim.broadcast_max(g, {1: Message(1, (), 3)}, {2}, {2}, SimConfig(), "lbl")
 
@@ -150,18 +149,21 @@ def test_kernel_needs_broadcast_mode():
 def test_no_episode_without_senders():
     g = gr.generate_graph("cycle", n=8)
     net = comm.Net(g)
-    calls = []
-    net.broadcast_round("quiet", {}, set(g.vertices),
-                        lambda v, inbox: calls.append(v))
-    assert net.trace.episodes == [] and calls == []
-    net.broadcast_round("loud", {1: Message(1, (1,))}, set(g.vertices),
-                        lambda v, inbox: calls.append(v))
+    orient = comm.orientation_from_parents({v: {v: None} for v in g.vertices})
+    nobody = comm.orientation_from_parents({})
+    assert comm.exchange_cluster_ids(net, nobody, "quiet") == {}
+    assert comm.cluster_broadcast(net, orient, "quiet", 1, [], None,
+                                  set(g.vertices)) == {}
+    assert net.trace.episodes == []
+    # an exploration hop: vertex 1 sends key 1 with 0 hops left
+    heard = comm.cluster_broadcast(net, orient, "loud", 1, [(1, 1, 0)], None,
+                                   set(g.vertices))
     assert [(e.label, e.mode, e.rounds, e.messages, e.max_ids)
             for e in net.trace.episodes] == [("loud", sim.BROADCAST, 1, 2, 1)]
-    assert calls == [2, 8]
+    assert list(heard) == [2, 8]
+    assert heard == {2: [(1, 1, 0)], 8: [(1, 1, 0)]}
     # a knock-out hop: vertex 1 sends 2 hops left, to 2 and 8; only 2 hears
     # it when 1's singleton cluster is not popular
-    orient = comm.orientation_from_parents({v: {v: None} for v in g.vertices})
     assert comm.knockout_hop(net, orient, "quiet", [], set(g.vertices)) == {}
     assert comm.knockout_hop(net, orient, "pop", [(1, 2)], {1}) == {2: 2, 8: 2}
     assert comm.knockout_hop(net, orient, "unpop", [(1, 2)], {2}) == {2: 2}
@@ -264,8 +266,7 @@ def test_max_kernel_raises_for_the_least_faulty_sender(sends, error):
     config = SimConfig(mode=sim.BROADCAST)
     errors = []
     for call in (lambda: sim.broadcast_max(g, sends, {1, 2}, {1}, config),
-                 lambda: sim.broadcast_round(g, sends, {1, 2},
-                                             lambda v, inbox: None, config)):
+                 lambda: sim.broadcast_round(g, sends, {1, 2}, config)):
         with pytest.raises((ModelViolation, ValueError)) as exc:
             call()
         errors.append((type(exc.value), str(exc.value)))

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from congestspan.exact import (as_fraction, ceil_fraction, ceil_log2_int,
                                count_ge_pow, count_le_pow, count_lt_pow,
                                floor_log2, npow_decimal, nth_root_ceil,
-                               pow_ceil, pow_floor)
+                               pow_ceil)
 
 
 class TestAsFraction:
@@ -47,9 +47,7 @@ class TestPowerComparisons:
 
     def test_pow_ceil_and_floor(self):
         assert pow_ceil(256, Fraction(1, 8)) == 2
-        assert pow_floor(256, Fraction(1, 8)) == 2
         assert pow_ceil(5, Fraction(1, 3)) == 2     # 5^(1/3) ~ 1.71
-        assert pow_floor(5, Fraction(1, 3)) == 1
         assert pow_ceil(1, Fraction(7, 2)) == 1
 
     def test_nth_root_ceil(self):

@@ -23,16 +23,15 @@ def test_orientation_from_parents_matches_flood(n, seed, data):
     centers = data.draw(st.sets(st.sampled_from(g.vertices), min_size=1,
                                 max_size=max(1, n // 3)))
     parent_maps = voronoi_clusters(g, centers)
-    raw = []
-    for center, pmap in sorted(parent_maps.items()):
-        tree_adj = {v: [] for v in pmap}
-        for v, p in pmap.items():
-            if p is not None:
-                tree_adj[v].append(p)
-                tree_adj[p].append(v)
-        raw.append((center, sorted(pmap), tree_adj))
+    center_of = {v: c for c, pmap in parent_maps.items() for v in pmap}
+    tree_adj = {v: [] for v in center_of}
+    for v, c in center_of.items():
+        p = parent_maps[c][v]
+        if p is not None:
+            tree_adj[v].append(p)
+            tree_adj[p].append(v)
 
-    flooded = orient_clusters(Net(g), raw, "orient")
+    flooded = orient_clusters(Net(g), center_of, tree_adj, "orient")
     known = orientation_from_parents(parent_maps)
     for name in FIELDS:
         assert getattr(known, name) == getattr(flooded, name), name

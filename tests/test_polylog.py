@@ -8,8 +8,7 @@ from congestspan.polylog import PolylogParams, _PolylogVariant
 
 def detect_on_singletons(g, kappa):
     net = Net(g)
-    raw = [(v, [v], {v: []}) for v in g.vertices]
-    orient = orient_clusters(net, raw, "orient")
+    orient = orient_clusters(net, {v: v for v in g.vertices}, {}, "orient")
     nbrmap = exchange_cluster_ids(net, orient, "exchange")
     variant = _PolylogVariant(PolylogParams(n=g.n, kappa=kappa))
     popular, _ = variant.detect(net, orient, nbrmap, 0, False)
@@ -81,11 +80,12 @@ class TestBuild:
 
 
 def interconnect_directly(g, settled, clusters=None):
-    """Run only the vertex-wise interconnection step on given clusters."""
+    """Run only the vertex-wise interconnection step on given clusters, a
+    (vertex -> center, tree adjacency) pair; singletons by default."""
     from congestspan.spanner import SpannerEdgeSet
     net = Net(g)
-    raw = clusters or [(v, [v], {v: []}) for v in g.vertices]
-    orient = orient_clusters(net, raw, "orient")
+    center_of, tree_adj = clusters or ({v: v for v in g.vertices}, {})
+    orient = orient_clusters(net, center_of, tree_adj, "orient")
     nbrmap = exchange_cluster_ids(net, orient, "exchange")
     variant = _PolylogVariant(PolylogParams(n=g.n, kappa=2))
     spanner = SpannerEdgeSet(g)
@@ -98,7 +98,8 @@ class TestInterconnect:
         # a single cluster covering everything has no foreign neighbors
         g = gr.generate_graph("path", n=3)
         spanner = interconnect_directly(
-            g, settled={1}, clusters=[(1, [1, 2, 3], {1: [2], 2: [1, 3], 3: [2]})])
+            g, settled={1},
+            clusters=({1: 1, 2: 1, 3: 1}, {1: [2], 2: [1, 3], 3: [2]}))
         assert spanner.size() == 0
 
     def test_k5_settled_singleton_adds_degree_many_edges(self):
@@ -111,8 +112,7 @@ class TestInterconnect:
         # vertex 1 has three edges into the cluster {2,3,4}: exactly one edge
         # is added, to the smallest endpoint
         g = gr.from_edges([(1, 2), (1, 3), (1, 4), (2, 3), (3, 4)])
-        clusters = [(1, [1], {1: []}),
-                    (2, [2, 3, 4], {2: [3], 3: [2, 4], 4: [3]})]
+        clusters = ({1: 1, 2: 2, 3: 2, 4: 2}, {2: [3], 3: [2, 4], 4: [3]})
         spanner = interconnect_directly(g, settled={1}, clusters=clusters)
         assert spanner.edges == {(1, 2)}
         assert spanner.charges[0].vertex == 1

@@ -54,11 +54,10 @@ class TestDegreeSchedule:
         assert degree_schedule(64, 3, "1/3").rho == Fraction(1, 3)
 
 
-def detect_directly(g, cap_expo_kappa_rho, clusters=None, final=False):
+def detect_directly(g, cap_expo_kappa_rho, final=False):
     kappa, rho = cap_expo_kappa_rho
     net = Net(g)
-    raw = clusters or [(v, [v], {v: []}) for v in g.vertices]
-    orient = orient_clusters(net, raw, "orient")
+    orient = orient_clusters(net, {v: v for v in g.vertices}, {}, "orient")
     nbrmap = exchange_cluster_ids(net, orient, "exchange")
     variant = _SparseVariant(degree_schedule(g.n, kappa, rho))
     return variant.detect(net, orient, nbrmap, 0, final)
@@ -142,8 +141,7 @@ class TestInterconnectCenterwise:
     def test_leaf_cluster_adds_one_edge_to_hub(self):
         g = gr.from_edges([(1, v) for v in range(2, 6)])
         net = Net(g)
-        raw = [(v, [v], {v: []}) for v in g.vertices]
-        orient = orient_clusters(net, raw, "orient")
+        orient = orient_clusters(net, {v: v for v in g.vertices}, {}, "orient")
         nbrmap = exchange_cluster_ids(net, orient, "exchange")
         variant = _SparseVariant(degree_schedule(5, 3, Fraction(1, 3)))
         popular, knowledge = variant.detect(net, orient, nbrmap, 0, False)
@@ -156,10 +154,9 @@ class TestInterconnectCenterwise:
     def test_three_neighbors_three_edges_charged_to_center(self):
         # cluster {4,5} with center 4 neighbors three singleton clusters
         g = gr.from_edges([(4, 5), (1, 4), (2, 5), (3, 5)])
-        clusters = [(4, [4, 5], {4: [5], 5: [4]}), (1, [1], {1: []}),
-                    (2, [2], {2: []}), (3, [3], {3: []})]
         net = Net(g)
-        orient = orient_clusters(net, clusters, "orient")
+        orient = orient_clusters(net, {1: 1, 2: 2, 3: 3, 4: 4, 5: 4},
+                                 {4: [5], 5: [4]}, "orient")
         nbrmap = exchange_cluster_ids(net, orient, "exchange")
         variant = _SparseVariant(degree_schedule(5, 3, Fraction(1, 3)))
         popular, knowledge = variant.detect(net, orient, nbrmap, 0, True)

@@ -292,42 +292,43 @@ def test_collect_equals_oracle(data):
     assert _episodes(net) == ([_episode(oracle)] if wanted else [])
 
 
-def _raw(rng, parent_maps, mutation):
-    """(center, members, tree_adj) triples of the trees, with one mutation:
-    a tree edge dropped, a chord that closes a cycle, a neighbour in another
-    cluster added, a neighbour listed twice, or none."""
-    raw = []
-    for c, pm in parent_maps.items():
-        tree_adj = {v: [] for v in pm}
+def _clusters(rng, parent_maps, mutation):
+    """(vertex -> center, tree adjacency) of the trees, the vertices in a
+    random order, with one mutation: a tree edge dropped, a chord that closes
+    a cycle, a neighbour in another cluster added, a neighbour listed twice,
+    or none."""
+    members = {c: list(pm) for c, pm in parent_maps.items()}
+    owner = {v: c for c, ms in members.items() for v in ms}
+    vertices = list(owner)
+    rng.shuffle(vertices)
+    center_of = {v: owner[v] for v in vertices}
+    tree_adj = {v: [] for v in vertices}
+    for pm in parent_maps.values():
         for v, p in pm.items():
             if p is not None:
                 tree_adj[v].append(p)
                 tree_adj[p].append(v)
-        members = list(pm)
-        rng.shuffle(members)
-        raw.append((c, members, tree_adj))
-    lists = [(adj, v) for _, _, adj in raw for v in adj]
     if mutation == "drop":
-        edges = [(adj, v, u) for adj, v in lists for u in adj[v]]
+        edges = [(v, u) for v in tree_adj for u in tree_adj[v]]
         if edges:
-            adj, v, u = rng.choice(edges)
-            adj[v].remove(u)
-            adj[u].remove(v)
+            v, u = rng.choice(edges)
+            tree_adj[v].remove(u)
+            tree_adj[u].remove(v)
     elif mutation == "chord":
-        _, members, adj = rng.choice(raw)
-        if len(members) > 2:
-            v, u = rng.sample(members, 2)
-            if u not in adj[v]:
-                adj[v].append(u)
-                adj[u].append(v)
-    elif mutation == "cross" and len(raw) > 1:
-        (_, members_a, adj_a), (_, members_b, _) = rng.sample(raw, 2)
-        adj_a[rng.choice(members_a)].append(rng.choice(members_b))
+        ms = rng.choice(list(members.values()))
+        if len(ms) > 2:
+            v, u = rng.sample(ms, 2)
+            if u not in tree_adj[v]:
+                tree_adj[v].append(u)
+                tree_adj[u].append(v)
+    elif mutation == "cross" and len(members) > 1:
+        a, b = rng.sample(list(members.values()), 2)
+        tree_adj[rng.choice(a)].append(rng.choice(b))
     elif mutation == "twice":
-        adj, v = rng.choice(lists)
-        if adj[v]:
-            adj[v].append(rng.choice(adj[v]))
-    return raw
+        v = rng.choice(vertices)
+        if tree_adj[v]:
+            tree_adj[v].append(rng.choice(tree_adj[v]))
+    return center_of, tree_adj
 
 
 @settings(max_examples=150, deadline=None)
@@ -336,17 +337,19 @@ def test_orient_equals_oracle(data):
     g, parent_maps, _, config, rng = _setup(data)
     mutation = data.draw(st.sampled_from(["none", "none", "drop", "chord", "cross",
                                           "twice"]), label="mutation")
-    raw = _raw(rng, parent_maps, mutation)
-    tree_nbrs = {v: adj.get(v, ()) for _, members, adj in raw for v in members}
-    roots = [c for c, _, _ in raw]
+    center_of, tree_adj = _clusters(rng, parent_maps, mutation)
+    tree_nbrs = {v: tree_adj[v] for v in center_of}
+    roots = list(parent_maps)
 
     kernel = _run(sim.orient_flood, g, roots, tree_nbrs, config, "lbl")
     oracle = _run(oracles.orient_flood, g, roots, tree_nbrs, config, "lbl")
     assert kernel == oracle
 
     net = _net(g, config)
-    got = _comm(lambda: dataclasses.asdict(comm.orient_clusters(net, raw, "lbl")))
-    expected = _comm(lambda: oracles.orient_clusters(g, raw, config, "lbl"))
+    got = _comm(lambda: dataclasses.asdict(
+        comm.orient_clusters(net, center_of, tree_adj, "lbl")))
+    expected = _comm(lambda: oracles.orient_clusters(g, center_of, tree_adj,
+                                                     config, "lbl"))
     if isinstance(expected, tuple) and isinstance(expected[1], str):
         assert got == expected
         return
@@ -400,6 +403,10 @@ def _cases():
            (CHAIN.children, {1: [Message(1, (), 10 ** 9)]}), ok, ModelViolation)
     yield ("downcast: parent not a neighbour", sim.tree_downcast,
            oracles.tree_downcast, (BENT.children, {1: four}), ok, ModelViolation)
+    # the root checks its first child's edge before its first message
+    yield ("downcast: bad first payload to a non-neighbour", sim.tree_downcast,
+           oracles.tree_downcast, ({1: (3,), 3: ()}, {1: [Message(1, (1, 2, 3))]}),
+           ok, ModelViolation)
     yield ("downcast: round budget", sim.tree_downcast, oracles.tree_downcast,
            (CHAIN.children, {1: four}), tight, RoundBudgetExceeded)
     for name, orient in (("chain", CHAIN), ("bent", BENT)):
@@ -476,15 +483,16 @@ def test_orient_takes_the_smallest_first_sender():
 
 def test_orient_runtime_errors_match():
     config = SimConfig()
-    split = [(1, [1, 2, 3], {1: [2], 2: [1], 3: []})]
-    foreign = [(1, [1, 2], {1: [2], 2: [1, 3]}), (4, [3, 4, 5], {4: [5], 5: [4]})]
-    for raw, text in ((split, "never reached vertex 3"),
-                      (foreign, "vertex 3 oriented to foreign center 1")):
+    split = ({1: 1, 2: 1, 3: 1}, {1: [2], 2: [1], 3: []})
+    foreign = ({1: 1, 2: 1, 3: 4, 4: 4, 5: 4}, {1: [2], 2: [1, 3], 4: [5], 5: [4]})
+    for (center_of, tree_adj), text in (
+            (split, "never reached vertex 3"),
+            (foreign, "vertex 3 oriented to foreign center 1")):
         net = comm.Net(PATH)
         with pytest.raises(RuntimeError, match=text) as got:
-            comm.orient_clusters(net, raw, "lbl")
+            comm.orient_clusters(net, center_of, tree_adj, "lbl")
         with pytest.raises(RuntimeError) as expected:
-            oracles.orient_clusters(PATH, raw, config, "lbl")
+            oracles.orient_clusters(PATH, center_of, tree_adj, config, "lbl")
         assert str(got.value) == str(expected.value)
         # the flood itself ran and is on the record
         assert len(net.trace.episodes) == 1
@@ -514,7 +522,7 @@ def test_episodes_only_when_a_vertex_takes_part():
     comm.upcast_collect(net, CHAIN, {1: [(5, 1)]}, 3, "none", centers=[])
     comm.upcast_best(net, CHAIN, {1: (1,)}, "none", centers=[])
     comm.announce_edges(net, "none", {})
-    empty = comm.orient_clusters(net, [], "none")
+    empty = comm.orient_clusters(net, {}, {}, "none")
     assert comm.upcast_flags(net, empty, set(), "none") == set()
     assert net.trace.episodes == []
 

@@ -1,8 +1,10 @@
 """Cross-checks of the verification layer itself against a second,
 independently written distance oracle (Floyd-Warshall on a dense matrix)."""
 
+import collections
 import copy
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -15,7 +17,7 @@ from congestspan.clusters import (JoinInfo, build_cluster_graph,
 from congestspan.comm import Net
 from congestspan.exact import ceil_log2_int
 from congestspan.rulingset import aglp_ruling_set
-from congestspan.spanner import SUPER
+from congestspan.spanner import INTER, SUPER
 
 
 def floyd_warshall_edge_stretch(g, spanner_edges):
@@ -115,7 +117,7 @@ def test_supercluster_requires_separated_ruling():
     vg = build_cluster_graph(p, set(g.vertices), g)
     net = Net(g)
     from congestspan.comm import orient_clusters
-    orient = orient_clusters(net, [(v, [v], {v: []}) for v in g.vertices], "o")
+    orient = orient_clusters(net, {v: v for v in g.vertices}, {}, "o")
     with pytest.raises(ValueError, match="3-separated"):
         run_supercluster_bfs(net, orient, {1, 2}, delta=2,
                              popular=set(g.vertices), vgraph=vg)
@@ -172,3 +174,104 @@ def test_congestion_verdict_alone_fails_a_tampered_trace(clean_build, tamper):
     report = verify.verify_build(g, dataclasses.replace(res, trace=trace))
     assert [v["name"] for v in report["verdicts"] if not v["ok"]] \
         == ["congestion"]
+
+
+@pytest.fixture(scope="module", params=["polylog", "sparse"])
+def sparse_gnp_build(request):
+    """A build on G(128, 0.02), whose every verdict passes. The graph is
+    sparse enough that phase 0's virtual graph is long (one ruling member
+    alone dominates some popular clusters) and that some vertices reach
+    their interconnection cap in phase 0: five charges, since
+    5^3 < 128 <= 6^3 and both caps are below n^(1/3) there."""
+    g = gr.generate_graph("gnp_connected", n=128, p=0.02, seed=1)
+    if request.param == "polylog":
+        res = polylog.build_spanner(g, 3)
+    else:
+        res = sparse.build_spanner(g, 3, Fraction(1, 3))
+        assert sparse.degree_schedule(128, 3, Fraction(1, 3)).deg_expos[0] \
+            == Fraction(1, 3)
+    assert verify.verify_build(g, res)["passed"]
+    return g, res
+
+
+def _failing(g, res):
+    return sorted(v["name"] for v in verify.verify_build(g, res)["verdicts"]
+                  if not v["ok"])
+
+
+def _ruling_phase(res):
+    return next(s for s in res.snapshots if len(s.selected) >= 2)
+
+
+def _popular_settled(g, res):
+    snap = next(s for s in res.snapshots if s.popular)
+    snap.settled = snap.settled | {min(snap.popular)}
+
+
+def _member_dropped(g, res):
+    """Drops the least member without which some popular cluster lies
+    farther than 2q from every member in the virtual graph."""
+    snap = _ruling_phase(res)
+    beta = 2 * res.params["ruling_q"]
+    for m in sorted(snap.selected):
+        near = set().union(*itertools.islice(
+            gr.bfs_layers(snap.vgraph.adjacency, snap.selected - {m}), beta + 1))
+        if snap.popular - near:
+            snap.selected = snap.selected - {m}
+            return
+    raise AssertionError("every member is dominated by the others")
+
+
+def _neighbour_added(g, res):
+    snap = _ruling_phase(res)
+    c = min(snap.selected)
+    snap.selected = snap.selected | {min(
+        u for u in snap.vgraph.adjacency[c]
+        if u in snap.popular and u not in snap.selected)}
+
+
+def _charge_over_cap(g, res):
+    """One more INTER charge for the least vertex with five in a phase."""
+    per = collections.defaultdict(list)
+    for ch in res.spanner.charges:
+        if ch.kind == INTER:
+            per[ch.vertex, ch.phase].append(ch)
+    at_cap = min(k for k, chs in per.items() if len(chs) == 5)
+    res.spanner.charges.append(per[at_cap][0])
+
+
+@pytest.mark.parametrize("tamper, failing", [
+    # a popular cluster is also superclustered, so marking it settled also
+    # overlaps settled with joined and settles its vertices twice
+    (_popular_settled, ["partition", "phase_counts", "popular_superclustered"]),
+    (_member_dropped, ["ruling"]),
+    (_neighbour_added, ["ruling"]),
+    (_charge_over_cap, ["charges"]),
+], ids=["popular center settled", "ruling member dropped",
+        "virtual neighbour of a member added", "one charge over the cap"])
+def test_verdicts_fail_on_a_tampered_phase(sparse_gnp_build, tamper, failing):
+    g, res = sparse_gnp_build
+    res = copy.deepcopy(res)
+    tamper(g, res)
+    assert _failing(g, res) == failing
+
+
+def _root_redirected(snap, info, g):
+    return dataclasses.replace(info, root=min(snap.centers() - {info.root}))
+
+
+def _witness_redirected(snap, info, g):
+    return dataclasses.replace(info, witness=min(g.edge_set() - {info.witness}))
+
+
+@pytest.mark.parametrize("redirect", [_root_redirected, _witness_redirected],
+                         ids=["root", "witness"])
+def test_supercluster_oracle_fails_a_redirected_join(clean_build, redirect):
+    """The first cluster that joined in a wave, with its root or its witness
+    edge changed, fails the supercluster oracle and no other verdict."""
+    g, res = clean_build
+    res = copy.deepcopy(res)
+    snap = next(s for s in res.snapshots if s.selected)
+    c = min(c for c, info in snap.joins.items() if info.wave >= 1)
+    snap.joins[c] = redirect(snap, snap.joins[c], g)
+    assert _failing(g, res) == ["supercluster_oracle"]
