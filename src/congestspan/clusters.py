@@ -19,6 +19,7 @@ witness edge in canonical (min endpoint, max endpoint) order.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -132,20 +133,26 @@ def build_cluster_graph(center_of: Dict[int, int], popular: Iterable[int],
     unknown = popular_set.difference(centers)
     if unknown:
         raise ValueError(f"popular clusters not in the partition: {sorted(unknown)}")
-    adj: Dict[int, Set[int]] = {c: set() for c in centers}
+    # vertices and adjacency tuples ascend, so the first edge (v, u), v < u,
+    # met for a cluster pair is its smallest
     witness: Dict[Tuple[int, int], Edge] = {}
-    for u, v in g.edges():
-        cu, cv = center_of.get(u), center_of.get(v)
-        if cu is None or cv is None or cu == cv:
+    for v in g.vertices:
+        cv = center_of.get(v)
+        if cv is None:
             continue
-        if cu not in popular_set and cv not in popular_set:
-            continue
-        key = (cu, cv) if cu < cv else (cv, cu)
-        e = edge_key(u, v)
-        if key not in witness or e < witness[key]:
-            witness[key] = e
-        adj[cu].add(cv)
-        adj[cv].add(cu)
+        nbrs = g.adjacency[v]
+        pv = cv in popular_set
+        for u in nbrs[bisect_right(nbrs, v):]:
+            cu = center_of.get(u)
+            if cu is None or cu == cv or not (pv or cu in popular_set):
+                continue
+            key = (cu, cv) if cu < cv else (cv, cu)
+            if key not in witness:
+                witness[key] = (v, u)
+    adj: Dict[int, List[int]] = {c: [] for c in centers}
+    for a, b in witness:
+        adj[a].append(b)
+        adj[b].append(a)
     return VirtualClusterGraph(
         adjacency={c: tuple(sorted(ns)) for c, ns in adj.items()},
         witness=witness,

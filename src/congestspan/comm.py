@@ -5,15 +5,16 @@ simulator episodes over the same graph: orient the cluster trees, exchange
 cluster IDs with neighbors, converge flags or keyed items to the centers,
 stream payloads back down, announce new spanner edges. Every episode goes
 through Net.cast, the one place that records episodes, and is delivered by a
-sim kernel without a program per vertex: sim.broadcast_round returns each
-listener's inbox for the ID exchange and, through cluster_broadcast, for every
-exploration hop on the virtual cluster graph; a knock-out hop (knockout_hop)
-keeps only the most hops each listener hears, so sim.broadcast_max delivers
-it; every other episode is a tree cast or a one-round per-edge send
-(orient_flood, tree_downcast, best_upcast, flag_upcast, tree_collect,
-send_round). An episode in which no vertex takes part is not recorded. The
-orchestrator only moves results between episodes, never inventing knowledge
-a vertex could not have accumulated locally.
+sim kernel without a program per vertex: sim.broadcast_ids delivers the
+cluster-ID exchange as sender -> ID maps; sim.broadcast_round returns each
+listener's inbox for every exploration hop on the virtual cluster graph
+(cluster_broadcast); a knock-out hop (knockout_hop) keeps only the most hops
+each listener hears, so sim.broadcast_max delivers it; every other episode is
+a tree cast or a one-round per-edge send (orient_flood, tree_downcast,
+best_upcast, flag_upcast, tree_collect, send_round). An episode in which no
+vertex takes part is not recorded. The orchestrator only moves results
+between episodes, never inventing knowledge a vertex could not have
+accumulated locally.
 
 Round accounting sums episode traces into a BuildTrace, which also remembers
 per-episode labels and modes so model-compliance checks (message size,
@@ -32,7 +33,6 @@ from . import sim
 from .sim import Message, SimConfig
 
 # message tags shared by the phase protocols
-TAG_MYCLUSTER = 11
 TAG_POPBIT = 13
 TAG_PAYLOAD = 17
 TAG_KNOCK = 18
@@ -242,13 +242,11 @@ def exchange_cluster_ids(net: Net, orient: Orientation, label: str) -> Dict[int,
     Returns, per active vertex, the map neighbor -> neighbor's cluster center.
     Dormant vertices stay silent, so only active neighbors appear.
     """
-    heard: Dict[int, Dict[int, int]] = {v: {} for v in orient.center_of}
-    sends = {v: Message(TAG_MYCLUSTER, (c,)) for v, c in orient.center_of.items()}
-    inboxes = net.cast(label, sim.broadcast_round, sends, heard.keys(),
-                       mode=sim.BROADCAST) if sends else {}
-    for v, inbox in inboxes.items():
-        heard[v] = {u: msg.ids[0] for u, msg in inbox.items()}
-    return heard
+    center_of = orient.center_of
+    heard = net.cast(label, sim.broadcast_ids, center_of, center_of.keys(),
+                     mode=sim.BROADCAST) if center_of else {}
+    # a vertex that hears nothing gets a dict of its own
+    return {v: heard.get(v) or {} for v in center_of}
 
 
 def announce_edges(net: Net, label: str, targets: Dict[int, Sequence[int]]) -> None:

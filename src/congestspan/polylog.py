@@ -71,7 +71,8 @@ class _PolylogVariant:
         n = self.params.n
         flagged = set()
         for v, c in orient.center_of.items():
-            foreign = {cc for cc in nbrmap[v].values() if cc != c}
+            foreign = set(nbrmap[v].values())
+            foreign.discard(c)
             if count_ge_pow(len(foreign), n, self.params.tau_expo):
                 flagged.add(v)
         popular = comm.upcast_flags(net, orient, flagged, f"p{phase}.popflag")

@@ -19,8 +19,9 @@ The episodes of a build run on kernels instead, which deliver them without a
 program or an API object per vertex, apply the checks of ``run`` and return
 the trace ``run`` gives for the programs they stand for, with the programs'
 results: ``broadcast_round`` for a one-shot broadcast round, returning each
-listener's inbox; ``broadcast_max`` for one in which listeners keep only the
-largest scalar they accept; ``orient_flood``, ``tree_downcast``,
+listener's inbox; ``broadcast_ids`` for one in which every message is one ID,
+returning sender -> ID maps; ``broadcast_max`` for one in which listeners keep
+the largest scalar they accept; ``orient_flood``, ``tree_downcast``,
 ``best_upcast``, ``flag_upcast`` and ``tree_collect`` for the casts inside
 cluster trees, walked level by level (the collect round by round); and
 ``send_round`` for one round of per-edge sends. No build calls ``run``: it
@@ -289,6 +290,26 @@ def broadcast_round(g: Graph, sends: Mapping[int, Message],
     heard = sorted(listeners - (listeners - inboxes.keys())) if inboxes else ()
     return (_account(trace, [sent], 1 if sent else 0),
             {v: inboxes[v] for v in heard})
+
+
+def broadcast_ids(g: Graph, ids: Mapping[int, int], listeners: AbstractSet[int],
+                  config: SimConfig, label: str = ""
+                  ) -> Tuple[SimTrace, Dict[int, Dict[int, int]]]:
+    """broadcast_round for senders v that each send one message carrying the
+    single ID ids[v]: its trace, and each listener that hears anything, in
+    ascending order, -> {sender: ID} in ascending sender order. A listener's
+    map is one pass over its sorted adjacency tuple."""
+    _require_mode(config, BROADCAST, "broadcast_ids")
+    adjacency = g.adjacency
+    try:
+        sent = sum(len(adjacency[v]) for v in ids)
+    except KeyError:
+        unknown = min(ids.keys() - adjacency.keys())
+        raise ValueError(f"broadcast from unknown vertex {unknown}") from None
+    heard = {u: got for u in sorted(listeners)
+             if (got := {v: ids[v] for v in adjacency.get(u, ()) if v in ids})}
+    trace = SimTrace(label=label, mode=BROADCAST, max_ids_per_message=1 if ids else 0)
+    return _account(trace, [sent], 1 if sent else 0), heard
 
 
 def broadcast_max(g: Graph, sends: Mapping[int, Message],

@@ -100,8 +100,9 @@ class _SparseVariant:
                is_final: bool) -> Tuple[Set[int], Dict[int, Dict[int, int]]]:
         items: Dict[int, List[Tuple[int, int]]] = {}
         for v, c in orient.center_of.items():
-            foreign = sorted({cc for cc in nbrmap[v].values() if cc != c})
-            items[v] = [(cc, v) for cc in foreign]
+            foreign = set(nbrmap[v].values())
+            foreign.discard(c)
+            items[v] = [(cc, v) for cc in sorted(foreign)]
         # the final phase needs complete neighbor knowledge: no binding cap
         cap = self.params.n + 1 if is_final else self.params.degree_cap(phase)
         knowledge = comm.upcast_collect(net, orient, items, cap,

@@ -408,7 +408,7 @@ def _popular_settled_verdict(result: BuildResult) -> Verdict:
 
 def _ruling_verdict(result: BuildResult) -> Verdict:
     for snap in result.snapshots:
-        if not snap.selected:
+        if snap.vgraph is None:
             continue
         rv = check_ruling(snap.vgraph.adjacency, snap.selected, snap.popular,
                           alpha=3, beta=2 * result.params["ruling_q"])
@@ -494,7 +494,7 @@ def _congestion_verdict(result: BuildResult) -> Verdict:
 
 def _supercluster_oracle_verdict(result: BuildResult) -> Verdict:
     for snap in result.snapshots:
-        if not snap.selected:
+        if snap.vgraph is None:
             continue
         delta = result.params["delta"]
         ref = reference_supercluster(snap.vgraph, snap.selected, delta)

@@ -7,7 +7,10 @@ Run it with
 
 The broadcast round: both sides deliver the same round on a fixed
 G(512, 0.25), about 65k messages: every vertex broadcasts its own ID and
-every vertex listens and gets its inbox back, as in the cluster-ID exchange.
+every vertex listens and gets its inbox back.
+
+The exchange round: the same round as the cluster-ID exchange delivers it,
+every vertex sending only its ID and every vertex getting sender -> ID back.
 
 The knock-out hop: both sides deliver, on the same graph, a round shaped like
 a hop of the knock-out flood, folded to the largest accepted scalar. Every
@@ -44,6 +47,16 @@ def test_broadcast_round(benchmark, round_inputs, impl):
     trace, heard = benchmark(impl, g, sends, listeners, config, "exchange")
     assert trace.messages_total == 2 * g.num_edges()
     assert len(heard) == g.n
+
+
+@pytest.mark.parametrize("impl", [sim.broadcast_ids, oracles.broadcast_ids],
+                         ids=["kernel", "oracle"])
+def test_exchange_round(benchmark, round_inputs, impl):
+    g, _, listeners, config = round_inputs
+    ids = {v: v for v in g.vertices}
+    trace, heard = benchmark(impl, g, ids, listeners, config, "p0.exchange")
+    assert trace.messages_total == 2 * g.num_edges()
+    assert heard == {u: {v: v for v in g.adjacency[u]} for u in g.vertices}
 
 
 @pytest.mark.parametrize("impl", [sim.broadcast_max, oracles.broadcast_max],

@@ -3,12 +3,14 @@
 These are the straightforward versions that the package's fast paths
 replaced: one full BFS of H from every vertex for the edge stretch, one full
 BFS from every member for a ruling set, a membership test per edge for the
-symmetry of a graph's adjacency lists, and one program per vertex stepped
-through the event loop for a one-shot broadcast round (also with each inbox
-folded to the largest accepted scalar) and for each tree-cast episode. They
-are slow but obviously right, so the tests hold the fast versions to them
-result for result. Each episode oracle takes the arguments of the sim kernel
-it checks and returns sim.run's trace with the programs' results.
+symmetry of a graph's adjacency lists, every cluster pair's edges gathered
+from the whole edge set for the virtual cluster graph, and one program per
+vertex stepped through the event loop for a one-shot broadcast round (also
+with each inbox folded to the largest accepted scalar, or projected to its
+IDs) and for each tree-cast episode. They are slow but obviously right, so
+the tests hold the fast versions to them result for result. Each episode
+oracle takes the arguments of the sim kernel it checks and returns sim.run's
+trace with the programs' results.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from typing import (AbstractSet, Dict, Iterable, List, Mapping,
                     Optional, Sequence, Set, Tuple)
 
 from congestspan import comm, sim
+from congestspan.clusters import VirtualClusterGraph
 from congestspan.graph import (Edge, Graph, GraphError, bfs_on_adjacency, edge_key,
                                subgraph_adjacency)
 from congestspan.rulingset import RulingVerdict
@@ -100,6 +103,27 @@ def check_ruling(adjacency: Dict[int, Sequence[int]], members: Iterable[int],
     return RulingVerdict(True)
 
 
+def build_cluster_graph(center_of: Mapping[int, int], popular: Iterable[int],
+                        g: Graph) -> VirtualClusterGraph:
+    """Every pair of distinct centers with a popular side and an edge of G
+    between their clusters, with its least such edge of g.edge_set() as
+    witness. The witnesses are listed by edge, the centers ascending."""
+    popular = set(popular)
+    edges: Dict[Tuple[int, int], List[Edge]] = {}
+    for u, v in g.edge_set():
+        cu, cv = center_of.get(u), center_of.get(v)
+        if cu is not None and cv is not None and cu != cv \
+                and (cu in popular or cv in popular):
+            edges.setdefault((min(cu, cv), max(cu, cv)), []).append((u, v))
+    witness = dict(sorted(((pair, min(es)) for pair, es in edges.items()),
+                          key=lambda item: item[1]))
+    return VirtualClusterGraph(
+        adjacency={c: tuple(sorted({b for a, b in witness if a == c}
+                                   | {a for a, b in witness if b == c}))
+                   for c in sorted(set(center_of.values()))},
+        witness=witness)
+
+
 class BroadcastOnce(NodeProgram):
     """Broadcast a message at the start and, if it listens, keep the inbox of
     the next round. msg None listens only."""
@@ -159,11 +183,23 @@ def broadcast_max(g: Graph, sends: Dict[int, Message],
     return trace, best
 
 
+def broadcast_ids(g: Graph, ids: Mapping[int, int],
+                  listeners: AbstractSet[int], config: SimConfig,
+                  label: str = "") -> Tuple[SimTrace, Dict[int, Dict[int, int]]]:
+    """The broadcast round above with each sender v's ID ids[v] in a message
+    of its own, each inbox projected to the IDs."""
+    sends = {v: Message(TAG_CLUSTER_ID, (c,)) for v, c in ids.items()}
+    trace, inboxes = broadcast_round(g, sends, listeners, config, label)
+    return trace, {u: {v: msg.ids[0] for v, msg in inbox.items()}
+                   for u, inbox in inboxes.items()}
+
+
 # ---------------------------------------------------------------------------
 # Tree casts: one program per tree vertex.
 
 TAG_COLLECT = 2
 TAG_ORIENT = 10
+TAG_CLUSTER_ID = 11
 TAG_FLAG = 12
 TAG_MAXSCALAR = 14
 TAG_EDGEADD = 25

@@ -7,6 +7,8 @@ return the same inboxes for the same listeners in the same order, keyed by
 each listener's own ID object, and reject what ``sim.run`` rejects.
 ``sim.broadcast_max``, the knock-out hop's round, must equal that oracle
 with the senders deaf and each inbox folded to the largest accepted scalar.
+``sim.broadcast_ids``, the cluster-ID exchange's round, must equal it with
+one single-ID message per sender and each inbox projected to the IDs.
 """
 
 import dataclasses
@@ -144,6 +146,8 @@ def test_kernel_needs_broadcast_mode():
         sim.broadcast_round(g, {1: Message(1)}, {2}, SimConfig(), "lbl")
     with pytest.raises(ValueError, match="broadcast_max needs mode 'broadcast'"):
         sim.broadcast_max(g, {1: Message(1, (), 3)}, {2}, {2}, SimConfig(), "lbl")
+    with pytest.raises(ValueError, match="broadcast_ids needs mode 'broadcast'"):
+        sim.broadcast_ids(g, {1: 1}, {2}, SimConfig(), "lbl")
 
 
 def test_no_episode_without_senders():
@@ -170,6 +174,81 @@ def test_no_episode_without_senders():
     assert [(e.label, e.mode, e.rounds, e.messages, e.max_ids)
             for e in net.trace.episodes[1:]] == [
         ("pop", sim.BROADCAST, 1, 2, 1), ("unpop", sim.BROADCAST, 1, 2, 1)]
+
+
+# ---------------------------------------------------------------------------
+# sim.broadcast_ids: one ID per sender, as in the cluster-ID exchange.
+
+def _ids_both(g, ids, listeners, config):
+    """(trace, listener maps) of the kernel and of the oracle, or the
+    exception each raised."""
+    out = []
+    for impl in (sim.broadcast_ids, oracles.broadcast_ids):
+        try:
+            trace, heard = impl(g, ids, listeners, config, "lbl")
+        except (ModelViolation, ValueError) as exc:
+            out.append((type(exc), str(exc)))
+        else:
+            out.append((dataclasses.asdict(trace), _heard(listeners, heard)))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_id_kernel_equals_projected_program_oracle(data):
+    g = _random_graph(data)
+    own = _own_ids(g)
+    ids = {own[v]: data.draw(st.sampled_from(g.vertices), label="id")
+           for v in _subset(data, g.vertices, "sender")}
+    listeners = {own[v] for v in _subset(data, g.vertices, "listener")}
+    if data.draw(st.booleans(), label="keys view"):
+        listeners = dict.fromkeys(listeners).keys()
+    config = SimConfig(ids_per_message=data.draw(st.integers(1, 3), label="cap"),
+                       mode=sim.BROADCAST)
+
+    kernel, oracle = _ids_both(g, ids, listeners, config)
+    assert kernel == oracle
+    trace, calls = kernel
+    sent = sum(len(g.adjacency[v]) for v in ids)
+    assert (trace["rounds_elapsed"], trace["messages_total"]) == (1 if sent else 0, sent)
+    assert trace["max_ids_per_message"] == (1 if ids else 0)
+    heard = {u for v in ids for u in g.adjacency[v]} & set(listeners)
+    assert [v for v, _ in calls] == sorted(heard)
+
+
+def test_id_kernel_unknown_sender_and_empty_round():
+    """An unknown sender raises ValueError with broadcast_round's text, for
+    the least unknown sender (sim.run names the first program it meets)."""
+    g = gr.generate_graph("cycle", n=8)
+    config = SimConfig(mode=sim.BROADCAST)
+    ids = {3: 1, 120: 1, 99: 5}
+    kernel, oracle = _ids_both(g, ids, {1, 2}, config)
+    assert kernel[0] is oracle[0] is ValueError
+    with pytest.raises(ValueError) as exc:
+        sim.broadcast_round(g, {v: Message(11, (c,)) for v, c in ids.items()},
+                            {1, 2}, config)
+    assert kernel[1] == str(exc.value) == "broadcast from unknown vertex 99"
+    assert _ids_both(g, {}, set(g.vertices), config) \
+        == [(dataclasses.asdict(sim.SimTrace("lbl", sim.BROADCAST)), [])] * 2
+
+
+def test_exchange_gives_each_silent_vertex_its_own_dict():
+    """On the 8-cycle: vertices 1 and 2 hear each other and 6 hears nobody;
+    then 1, 4 and 6 hear nobody, and each gets an empty dict of its own."""
+    g = gr.generate_graph("cycle", n=8)
+    net = comm.Net(g)
+    orient = comm.orientation_from_parents({1: {1: None, 2: 1}, 6: {6: None}})
+    heard = comm.exchange_cluster_ids(net, orient, "p0.exchange")
+    assert heard == {1: {2: 1}, 2: {1: 1}, 6: {}}
+    orient = comm.orientation_from_parents({1: {1: None}, 4: {4: None},
+                                            6: {6: None}})
+    heard = comm.exchange_cluster_ids(net, orient, "p1.exchange")
+    assert heard == {1: {}, 4: {}, 6: {}}
+    assert len({id(m) for m in heard.values()}) == 3
+    assert [(e.label, e.mode, e.rounds, e.messages, e.max_ids)
+            for e in net.trace.episodes] == [
+        ("p0.exchange", sim.BROADCAST, 1, 6, 1),
+        ("p1.exchange", sim.BROADCAST, 1, 6, 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from corpus import voronoi_clusters
 
 from congestspan import graph as gr
@@ -96,6 +99,36 @@ class TestVirtualGraph:
         p = {1: 1, 3: 3}
         vg = build_cluster_graph(p, {1, 3}, g)
         assert len(vg.witness) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_cluster_graph_equals_the_edge_scan_oracle(data):
+    """Random partitions of random graphs, some vertices dormant, IDs up to
+    2^63 - 1: the same superedges and witnesses as the oracle, in the same
+    order, since the verifier reads both."""
+    n = data.draw(st.integers(2, 40), label="n")
+    g = gr.generate_graph("gnp_connected", n=n,
+                          p=data.draw(st.sampled_from([0.05, 0.2, 0.5, 1.0]), label="p"),
+                          seed=data.draw(st.integers(0, 10 ** 6), label="seed"))
+    if data.draw(st.booleans(), label="wide ids"):
+        new_id = dict(zip(g.vertices, random.Random(n).sample(range(1, 2 ** 63), n)))
+        g = gr.from_edges((new_id[u], new_id[v]) for u, v in g.edges())
+    vertices = st.sampled_from(g.vertices)
+    centers = data.draw(st.lists(vertices, min_size=1, unique=True), label="centers")
+    center_of = dict.fromkeys(centers)
+    for v in data.draw(st.permutations(g.vertices), label="order"):
+        c = data.draw(st.sampled_from([None, *centers]), label="center")
+        if v in center_of:
+            center_of[v] = v
+        elif c is not None:
+            center_of[v] = c
+    popular = data.draw(st.sets(st.sampled_from(centers)), label="popular")
+
+    vg = build_cluster_graph(center_of, popular, g)
+    expected = oracles.build_cluster_graph(center_of, popular, g)
+    assert list(vg.adjacency.items()) == list(expected.adjacency.items())
+    assert list(vg.witness.items()) == list(expected.witness.items())
 
 
 class TestReferenceSupercluster:

@@ -6,9 +6,12 @@ from congestspan.comm import Net, exchange_cluster_ids, orient_clusters
 from congestspan.polylog import PolylogParams, _PolylogVariant
 
 
-def detect_on_singletons(g, kappa):
+def detect_on_singletons(g, kappa, clusters=None):
+    """The popular centers phase 0 detects on given clusters, a (vertex ->
+    center, tree adjacency) pair; singletons by default."""
     net = Net(g)
-    orient = orient_clusters(net, {v: v for v in g.vertices}, {}, "orient")
+    center_of, tree_adj = clusters or ({v: v for v in g.vertices}, {})
+    orient = orient_clusters(net, center_of, tree_adj, "orient")
     nbrmap = exchange_cluster_ids(net, orient, "exchange")
     variant = _PolylogVariant(PolylogParams(n=g.n, kappa=kappa))
     popular, _ = variant.detect(net, orient, nbrmap, 0, False)
@@ -25,6 +28,12 @@ class TestDetectPopular:
         # sqrt(3) ~ 1.73: the middle vertex has 2 foreign clusters, ends have 1
         g = gr.generate_graph("path", n=3)
         assert detect_on_singletons(g, 2) == {2}
+
+    def test_own_cluster_is_not_foreign(self):
+        # sqrt(3) ~ 1.73: vertex 2 hears its own center 1 and one foreign, 3
+        g = gr.generate_graph("path", n=3)
+        clusters = ({1: 1, 2: 1, 3: 3}, {1: [2], 2: [1]})
+        assert detect_on_singletons(g, 2, clusters) == set()
 
     def test_threshold_above_every_degree(self):
         # path on 12 vertices: two foreign clusters < 12^(1/2), nobody popular

@@ -256,6 +256,24 @@ def test_verdicts_fail_on_a_tampered_phase(sparse_gnp_build, tamper, failing):
     assert _failing(g, res) == failing
 
 
+@pytest.mark.parametrize("n, p, seed, failing", [
+    (128, 0.05, 4, ["ruling"]),
+    (64, 0.1, 1, ["ruling", "supercluster_oracle"]),
+], ids=["G(128, 0.05)", "G(64, 0.1)"])
+def test_an_emptied_ruling_set_fails(n, p, seed, failing):
+    """Phase 0 of these polylog builds has popular clusters and a single
+    ruling member. With no member left, the popular clusters are dominated
+    by nobody, and at n <= 64 the joins no longer match the reference
+    exploration from an empty ruling set."""
+    g = gr.generate_graph("gnp_connected", n=n, p=p, seed=seed)
+    res = polylog.build_spanner(g, 3)
+    snap = res.snapshots[0]
+    assert snap.popular and len(snap.selected) == 1
+    assert _failing(g, res) == []
+    snap.selected = frozenset()
+    assert _failing(g, res) == failing
+
+
 def _root_redirected(snap, info, g):
     return dataclasses.replace(info, root=min(snap.centers() - {info.root}))
 
