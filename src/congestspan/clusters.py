@@ -37,10 +37,6 @@ class RadiusSequence:
     def __getitem__(self, i: int) -> int:
         return self.values[i]
 
-    @staticmethod
-    def closed_form(delta: int, i: int) -> int:
-        return delta * sum((2 * delta + 1) ** j for j in range(i))
-
 
 def radius_sequence(delta: int, ell: int) -> RadiusSequence:
     """R_0 = 0 and R_{i+1} = (2*delta+1)*R_i + delta, for i in [0, ell]."""
@@ -210,88 +206,74 @@ def run_supercluster_bfs(net: Net, orient: Orientation, ruling: Set[int],
     maps the center of every joined cluster to how it joined.
 
     ruling must be 3-separated in the virtual graph; passing vgraph enforces
-    that as a hard error. Per wave: the frontier clusters stream the root ID
-    down their trees, members broadcast one exploration message, reached
-    clusters converge the minimal candidate in three aggregation stages
-    (pair, then tie-breaking endpoint, then the winning edge back down), and
-    the vertex holding the winning edge adds it to the spanner.
+    that as a hard error. Per wave: the frontier clusters, those that joined
+    in the last wave, stream the root ID down their trees, members broadcast
+    it in one exploration hop, reached clusters converge the minimal
+    candidate in three aggregation stages (pair, then tie-breaking endpoint,
+    then the winning edge back down), and the vertex holding the winning
+    edge adds it to the spanner. Every wave is a fixed slot of the schedule,
+    so no message carries the hops left.
     """
     if vgraph is not None:
         _require_separated(vgraph, ruling)
     roots = sorted(ruling)
     joins: Dict[int, JoinInfo] = {r: JoinInfo(r, None, None, 0) for r in roots}
     member_center = orient.center_of
-    frontier: List[Tuple[int, int]] = [(r, delta) for r in roots]  # (center, hops left)
+    frontier = roots   # the centers that joined in the last wave
     unjoined = member_center.keys() - {v for r in roots for v in orient.members[r]}
 
     for wave in range(1, delta + 1):
-        senders = [(c, h) for c, h in frontier if h >= 1]
-        if not senders:
+        if not frontier:
             break
-        # stage 0: the frontier centers stream <root, hops> to their members
-        payload = {c: ((joins[c].root,), h - 1) for c, h in senders}
-        comm.downcast_single(net, orient, payload.keys(), comm.TAG_RELAY,
+        # stage 0: the frontier centers stream the root ID to their members
+        payload = {c: ((joins[c].root,), 0) for c in frontier}
+        comm.downcast_single(net, orient, frontier, comm.TAG_RELAY,
                              f"w{wave}.relay", payload)
         # stage 1: frontier members broadcast the exploration; a member of an
         # unjoined cluster keeps, per (root, smaller endpoint) pair, the
         # smallest other endpoint, so the aggregation below can reconstruct
         # the exact minimal (root, witness edge) candidate
         cands: Dict[int, Dict[Tuple[int, int], int]] = {}
-        arrivals = comm.cluster_broadcast(
-            net, orient, f"w{wave}.explore", comm.TAG_EXPLORE,
-            [(c, joins[c].root, h - 1) for c, h in senders], popular, unjoined)
+        arrivals = comm.explore_hop(net, orient, f"w{wave}.explore",
+                                    [(c, joins[c].root) for c in frontier],
+                                    popular, unjoined)
         for v, heard in arrivals.items():
             mine = cands[v] = {}
-            for sender, root, _ in heard:
+            for sender, root in heard.items():
                 m, mm = (sender, v) if sender < v else (v, sender)
                 cur = mine.get((root, m))
                 if cur is None or mm < cur:
                     mine[(root, m)] = mm
 
-        # stage 2: three-stage minimal-candidate aggregation per reached cluster
+        # stage 2: three-stage minimal-candidate aggregation per reached
+        # cluster; each has a member with a candidate, so every stage
+        # returns a value for each of them
         reached = sorted({member_center[v] for v in cands})
-        if not reached:
-            frontier = []
-            continue
         vals1 = {v: min(pairs) for v, pairs in cands.items()}
         best1 = comm.upcast_best(net, orient, vals1, f"w{wave}.min1",
                                  width=2, centers=reached)
         # ask the members for the matching smallest other endpoint
-        down1 = {c: (best1[c], 0) for c in reached if best1[c] is not None}
-        comm.downcast_single(net, orient, down1.keys(), comm.TAG_WIN1,
+        down1 = {c: (best1[c], 0) for c in reached}
+        comm.downcast_single(net, orient, reached, comm.TAG_WIN1,
                              f"w{wave}.win1", down1)
-        vals2: Dict[int, Tuple[int, ...]] = {}
-        for v, pairs in cands.items():
-            c = member_center[v]
-            if c in down1:
-                key = tuple(best1[c])
-                mm = pairs.get((key[0], key[1]))
-                if mm is not None:
-                    vals2[v] = (mm,)
+        vals2 = {v: (mm,) for v, pairs in cands.items()
+                 if (mm := pairs.get(best1[member_center[v]])) is not None}
         best2 = comm.upcast_best(net, orient, vals2, f"w{wave}.min2",
-                                 width=1, centers=sorted(down1))
+                                 width=1, centers=reached)
         # announce the winning edge; the endpoint inside the cluster adds it
         down2 = {}
-        for c in sorted(down1):
+        for c in reached:
             root, m = best1[c]
             mm = best2[c][0]
             down2[c] = ((m, mm), 0)
-        comm.downcast_single(net, orient, down2.keys(), comm.TAG_WIN2,
-                             f"w{wave}.win2", down2)
-
-        new_frontier: List[Tuple[int, int]] = []
-        for c in sorted(down1):
-            root, m = best1[c]
-            mm = best2[c][0]
             wedge = edge_key(m, mm)
             inside = m if member_center.get(m) == c else mm
             outside = wedge[0] if wedge[1] == inside else wedge[1]
-            pred = member_center[outside]
-            joins[c] = JoinInfo(root, pred, wedge, wave)
+            joins[c] = JoinInfo(root, member_center[outside], wedge, wave)
             unjoined.difference_update(orient.members[c])
-            h = delta - wave
-            new_frontier.append((c, h))
-        frontier = new_frontier
+        comm.downcast_single(net, orient, reached, comm.TAG_WIN2,
+                             f"w{wave}.win2", down2)
+        frontier = reached
 
     return joins
 

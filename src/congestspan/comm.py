@@ -6,15 +6,14 @@ cluster IDs with neighbors, converge flags or keyed items to the centers,
 stream payloads back down, announce new spanner edges. Every episode goes
 through Net.cast, the one place that records episodes, and is delivered by a
 sim kernel without a program per vertex: sim.broadcast_ids delivers the
-cluster-ID exchange as sender -> ID maps; sim.broadcast_round returns each
-listener's inbox for every exploration hop on the virtual cluster graph
-(cluster_broadcast); a knock-out hop (knockout_hop) keeps only the most hops
-each listener hears, so sim.broadcast_max delivers it; every other episode is
-a tree cast or a one-round per-edge send (orient_flood, tree_downcast,
-best_upcast, flag_upcast, tree_collect, send_round). An episode in which no
-vertex takes part is not recorded. The orchestrator only moves results
-between episodes, never inventing knowledge a vertex could not have
-accumulated locally.
+cluster-ID exchange and every exploration hop on the virtual cluster graph
+(explore_hop) as sender -> ID maps; a knock-out hop (knockout_hop) keeps only
+the most hops each listener hears, so sim.broadcast_max delivers it; every
+other episode is a tree cast or a one-round per-edge send (orient_flood,
+tree_downcast, best_upcast, flag_upcast, tree_collect, send_round). An
+episode in which no vertex takes part is not recorded. The orchestrator only
+moves results between episodes, never inventing knowledge a vertex could not
+have accumulated locally.
 
 Round accounting sums episode traces into a BuildTrace, which also remembers
 per-episode labels and modes so model-compliance checks (message size,
@@ -37,7 +36,6 @@ TAG_POPBIT = 13
 TAG_PAYLOAD = 17
 TAG_KNOCK = 18
 TAG_KNOCK_SEND = 19
-TAG_EXPLORE = 20
 TAG_RELAY = 21
 TAG_WIN1 = 22
 TAG_WIN2 = 23
@@ -187,35 +185,28 @@ def orientation_from_parents(parent_maps: Dict[int, Dict[int, Optional[int]]]) -
     return Orientation(center_of, parent, kids, depth, height, members)
 
 
-def cluster_broadcast(net: Net, orient: Orientation, label: str, tag: int,
-                      frontier: Iterable[Tuple[int, int, int]],
-                      popular: Optional[AbstractSet[int]],
-                      listeners: AbstractSet[int]
-                      ) -> Dict[int, List[Tuple[int, int, int]]]:
-    """One exploration hop on the virtual cluster graph, in one broadcast round.
-
-    frontier holds (center, key, hops) triples: every member of each such
-    cluster broadcasts the key with the hop count and its cluster's popular
-    bit (popular None makes every cluster popular). A listener outside the
-    frontier keeps only the arrivals that cross a superedge, i.e. where the
-    sender's or its own cluster is popular. Returns, in ascending order, each
-    listener that kept any -> its (sender, key, hops) arrivals.
-    """
-    sends: Dict[int, Message] = {}
-    for c, key, hops in frontier:
-        pop = popular is None or c in popular
-        msg = Message(tag, (key,), (hops << 1) | (1 if pop else 0))
-        for v in orient.members[c]:
-            sends[v] = msg
-    inboxes = net.cast(label, sim.broadcast_round, sends, listeners - sends.keys(),
-                       mode=sim.BROADCAST) if sends else {}
-    kept: Dict[int, List[Tuple[int, int, int]]] = {}
-    for v, inbox in inboxes.items():
-        own_pop = popular is None or orient.center_of[v] in popular
-        arrivals = [(u, msg.ids[0], msg.scalar >> 1) for u, msg in inbox.items()
-                    if own_pop or msg.scalar & 1]
-        if arrivals:
-            kept[v] = arrivals
+def explore_hop(net: Net, orient: Orientation, label: str,
+                frontier: Iterable[Tuple[int, int]], popular: AbstractSet[int],
+                listeners: AbstractSet[int]) -> Dict[int, Dict[int, int]]:
+    """One exploration hop on the virtual cluster graph, in a single broadcast
+    round: every member of each frontier cluster (center, root) broadcasts
+    the root and, as its one bit of scalar, whether the cluster is popular.
+    Returns, in ascending order, each listener outside the frontier that
+    heard a root across a superedge (its own or the sender's cluster is
+    popular) -> {sender: root} for those arrivals."""
+    ids: Dict[int, int] = {}
+    for c, root in frontier:
+        ids.update(dict.fromkeys(orient.members[c], root))
+    heard = net.cast(label, sim.broadcast_ids, ids, listeners - ids.keys(),
+                     mode=sim.BROADCAST) if ids else {}
+    center_of = orient.center_of
+    loud = {v for v in ids if center_of[v] in popular}   # popular bit set
+    kept: Dict[int, Dict[int, int]] = {}
+    for v, got in heard.items():
+        if center_of[v] not in popular:
+            got = {u: root for u, root in got.items() if u in loud}
+        if got:
+            kept[v] = got
     return kept
 
 

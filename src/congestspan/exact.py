@@ -9,7 +9,7 @@ no integer reformulation, go through Decimal with generous precision.
 
 from __future__ import annotations
 
-from decimal import Decimal, getcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Union
 
@@ -111,13 +111,15 @@ def ceil_log2_int(n: int) -> int:
 
 
 def npow_decimal(n: int, expo: Fraction, prec: int = 60) -> Decimal:
-    """n**expo as a Decimal with prec significant digits.
+    """n**expo as a Decimal with prec significant digits; the caller's
+    decimal context is left as it was.
 
     Used only where several fractional powers must be summed; single-term
     comparisons should use the exact count_*_pow functions instead.
     """
-    getcontext().prec = prec
     if n == 0:
         return Decimal(0)
-    base = Decimal(n)
-    return (Decimal(expo.numerator) / Decimal(expo.denominator) * base.ln()).exp()
+    with localcontext() as ctx:
+        ctx.prec = prec
+        return (Decimal(expo.numerator) / Decimal(expo.denominator)
+                * Decimal(n).ln()).exp()

@@ -17,8 +17,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 Edge = Tuple[int, int]
 
-INF = math.inf
-
 
 class GraphError(ValueError):
     """Malformed or out-of-model input graph (disconnected, self-loop, ...)."""
@@ -295,22 +293,8 @@ _GENERATORS = {
 
 
 # ---------------------------------------------------------------------------
-# BFS distance oracle, also usable on an edge-restricted subgraph.
-
-def bfs_distances(g: Graph, source: int,
-                  restricted_to: Optional[Iterable[Edge]] = None) -> Dict[int, float]:
-    """Exact hop distances from source; unreachable vertices map to inf.
-
-    With restricted_to, distances are taken in the subgraph (V, restricted_to).
-    """
-    if source not in g.adjacency:
-        raise GraphError(f"unknown source vertex {source}")
-    if restricted_to is None:
-        adj = g.adjacency
-    else:
-        adj = subgraph_adjacency(g.vertices, restricted_to)
-    return bfs_on_adjacency(adj, source, all_vertices=g.vertices)
-
+# BFS distances over an adjacency map: the graph's own, or that of an
+# edge-restricted subgraph from subgraph_adjacency.
 
 def subgraph_adjacency(vertices: Iterable[int],
                        edges: Iterable[Edge]) -> Dict[int, List[int]]:
@@ -323,9 +307,9 @@ def subgraph_adjacency(vertices: Iterable[int],
     return adj
 
 
-def bfs_on_adjacency(adj: Dict[int, Iterable[int]], source: int,
-                     all_vertices: Optional[Iterable[int]] = None) -> Dict[int, float]:
-    dist: Dict[int, float] = {source: 0}
+def bfs_on_adjacency(adj: Dict[int, Iterable[int]], source: int) -> Dict[int, int]:
+    """Exact hop distances from source to every vertex it reaches in adj."""
+    dist: Dict[int, int] = {source: 0}
     queue = deque([source])
     while queue:
         v = queue.popleft()
@@ -334,10 +318,6 @@ def bfs_on_adjacency(adj: Dict[int, Iterable[int]], source: int,
             if u not in dist:
                 dist[u] = d
                 queue.append(u)
-    if all_vertices is not None:
-        for v in all_vertices:
-            if v not in dist:
-                dist[v] = INF
     return dist
 
 

@@ -18,13 +18,12 @@ run's wall time is proportional to the traffic, not to the round count.
 The episodes of a build run on kernels instead, which deliver them without a
 program or an API object per vertex, apply the checks of ``run`` and return
 the trace ``run`` gives for the programs they stand for, with the programs'
-results: ``broadcast_round`` for a one-shot broadcast round, returning each
-listener's inbox; ``broadcast_ids`` for one in which every message is one ID,
-returning sender -> ID maps; ``broadcast_max`` for one in which listeners keep
-the largest scalar they accept; ``orient_flood``, ``tree_downcast``,
-``best_upcast``, ``flag_upcast`` and ``tree_collect`` for the casts inside
-cluster trees, walked level by level (the collect round by round); and
-``send_round`` for one round of per-edge sends. No build calls ``run``: it
+results: ``broadcast_ids`` for a one-shot broadcast round in which every
+message is one ID, returning sender -> ID maps; ``broadcast_max`` for one in
+which listeners keep the largest scalar they accept; ``orient_flood``,
+``tree_downcast``, ``best_upcast``, ``flag_upcast`` and ``tree_collect`` for
+the casts inside cluster trees, walked level by level (the collect round by
+round); and ``send_round`` for one round of per-edge sends. No build calls ``run``: it
 is the tests' reference engine, which runs those programs and holds the
 kernels to them.
 
@@ -254,51 +253,16 @@ def run(g: Graph, programs: Dict[int, NodeProgram], config: SimConfig,
     return trace
 
 
-def broadcast_round(g: Graph, sends: Mapping[int, Message],
-                    listeners: AbstractSet[int], config: SimConfig,
-                    label: str = "") -> Tuple[SimTrace, Dict[int, Dict[int, Message]]]:
-    """One broadcast-mode round without programs.
-
-    Every sender broadcasts its message once on all its edges. Returns the
-    trace run() returns for one program per vertex that broadcasts at round
-    0 and keeps its round-1 inbox, and each listener that hears anything, in
-    ascending order, -> its inbox, keyed by sender in ascending order. The
-    listener keys are the listeners' own ID objects.
-    """
-    _require_mode(config, BROADCAST, "broadcast_round")
-    max_scalar = max(g.n, 2) ** 3
-    cap = config.ids_per_message
-    adjacency = g.adjacency
-    trace = SimTrace(label=label, mode=BROADCAST)
-    inboxes: Dict[int, Dict[int, Message]] = defaultdict(dict)
-    sent = 0
-    # walking the senders in ascending order fills every inbox in ascending
-    # sender order, so no inbox needs a sort
-    for v in sorted(sends):
-        nbrs = adjacency.get(v)
-        if nbrs is None:
-            raise ValueError(f"broadcast from unknown vertex {v}")
-        msg = sends[v]
-        _check_message(v, msg, cap, max_scalar, trace)
-        sent += len(nbrs)
-        for u in nbrs:
-            if u in listeners:
-                inboxes[u][v] = msg
-    # the difference keeps the listeners' own ID objects, not the equal ints
-    # of the adjacency tuples: callers store them, and later dict lookups on
-    # identical keys are faster
-    heard = sorted(listeners - (listeners - inboxes.keys())) if inboxes else ()
-    return (_account(trace, [sent], 1 if sent else 0),
-            {v: inboxes[v] for v in heard})
-
-
 def broadcast_ids(g: Graph, ids: Mapping[int, int], listeners: AbstractSet[int],
                   config: SimConfig, label: str = ""
                   ) -> Tuple[SimTrace, Dict[int, Dict[int, int]]]:
-    """broadcast_round for senders v that each send one message carrying the
-    single ID ids[v]: its trace, and each listener that hears anything, in
-    ascending order, -> {sender: ID} in ascending sender order. A listener's
-    map is one pass over its sorted adjacency tuple."""
+    """One broadcast round in which every sender v broadcasts one message
+    carrying the single ID ids[v] on all its edges. Returns the trace run()
+    returns for one program per vertex that broadcasts at round 0 and keeps
+    its round-1 inbox, and each listener that hears anything, in ascending
+    order, -> {sender: ID} in ascending sender order. The listener keys are
+    the listeners' own ID objects; a listener's map is one pass over its
+    sorted adjacency tuple."""
     _require_mode(config, BROADCAST, "broadcast_ids")
     adjacency = g.adjacency
     try:
@@ -318,9 +282,11 @@ def broadcast_max(g: Graph, sends: Mapping[int, Message],
                   ) -> Tuple[SimTrace, Dict[int, int]]:
     """One broadcast round in which each listener that does not send keeps
     the largest scalar it accepts: any in accept_all, odd ones elsewhere.
-    Returns broadcast_round's trace, senders deaf, and listener -> that
-    scalar in ascending order. One set union per scalar delivers its senders,
-    so the work grows with their degrees and the listeners reached, not n."""
+    Returns the trace run() returns for one program per vertex that
+    broadcasts its message at round 0, the others listening, and listener ->
+    that scalar in ascending order. One set union per scalar delivers its
+    senders, so the work grows with their degrees and the listeners reached,
+    not n."""
     _require_mode(config, BROADCAST, "broadcast_max")
     cap, max_scalar, adjacency = config.ids_per_message, max(g.n, 2) ** 3, g.adjacency
     trace = SimTrace(label=label, mode=BROADCAST)

@@ -17,7 +17,7 @@ the skeleton preset.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -253,8 +253,10 @@ def phase_size_assertions(result: BuildResult) -> List[str]:
     inter_early = sum(1 for ch in result.spanner.charges
                       if ch.kind == INTER and ch.phase < ell)
     e0, el = params.deg_expos[0], params.deg_expos[ell - 1]
-    bound = (Decimal(sizes[0]) * npow_decimal(n, e0)
-             - Decimal(sizes[ell]) * (npow_decimal(n, 2 * el) + npow_decimal(n, el)))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        bound = (Decimal(sizes[0]) * npow_decimal(n, e0)
+                 - Decimal(sizes[ell]) * (npow_decimal(n, 2 * el) + npow_decimal(n, el)))
     if Decimal(inter_early) > bound:
         failures.append(
             f"{inter_early} interconnection edges before the final phase exceed "

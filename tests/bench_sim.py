@@ -5,12 +5,15 @@ Run it with
 
     python -m pytest tests/bench_sim.py --benchmark-only
 
-The broadcast round: both sides deliver the same round on a fixed
-G(512, 0.25), about 65k messages: every vertex broadcasts its own ID and
-every vertex listens and gets its inbox back.
+The exchange round: both sides deliver, on a fixed G(512, 0.25), the round
+of the cluster-ID exchange, about 65k messages: every vertex sends its ID
+and every vertex gets sender -> ID back.
 
-The exchange round: the same round as the cluster-ID exchange delivers it,
-every vertex sending only its ID and every vertex getting sender -> ID back.
+The exploration hop: both sides deliver, on the same graph split into
+singleton clusters, a hop of the exploration wave: the lowest quarter of the
+vertices sends its ID as the root (about 16k messages), every other vertex
+listens, and a listener keeps the arrivals where its own or the sender's
+cluster is popular, every even vertex being popular.
 
 The knock-out hop: both sides deliver, on the same graph, a round shaped like
 a hop of the knock-out flood, folded to the largest accepted scalar. Every
@@ -36,33 +39,44 @@ from congestspan.sim import Message, SimConfig
 @pytest.fixture(scope="module")
 def round_inputs():
     g = gr.generate_graph("gnp_connected", n=512, p=0.25, seed=1)
-    sends = {v: Message(11, (v,)) for v in g.vertices}
-    return g, sends, set(g.vertices), SimConfig(mode=sim.BROADCAST)
-
-
-@pytest.mark.parametrize("impl", [sim.broadcast_round, oracles.broadcast_round],
-                         ids=["kernel", "oracle"])
-def test_broadcast_round(benchmark, round_inputs, impl):
-    g, sends, listeners, config = round_inputs
-    trace, heard = benchmark(impl, g, sends, listeners, config, "exchange")
-    assert trace.messages_total == 2 * g.num_edges()
-    assert len(heard) == g.n
+    return g, set(g.vertices), SimConfig(mode=sim.BROADCAST)
 
 
 @pytest.mark.parametrize("impl", [sim.broadcast_ids, oracles.broadcast_ids],
                          ids=["kernel", "oracle"])
 def test_exchange_round(benchmark, round_inputs, impl):
-    g, _, listeners, config = round_inputs
+    g, listeners, config = round_inputs
     ids = {v: v for v in g.vertices}
     trace, heard = benchmark(impl, g, ids, listeners, config, "p0.exchange")
     assert trace.messages_total == 2 * g.num_edges()
     assert heard == {u: {v: v for v in g.adjacency[u]} for u in g.vertices}
 
 
+def _kernel_explore_hop(g, orient, frontier, popular, listeners, config, label):
+    net = comm.Net(g)
+    return net.trace, comm.explore_hop(net, orient, label, frontier, popular,
+                                       listeners)
+
+
+@pytest.mark.parametrize("impl", [_kernel_explore_hop, oracles.explore_hop],
+                         ids=["kernel", "oracle"])
+def test_explore_hop(benchmark, round_inputs, impl):
+    g, _, config = round_inputs
+    vertices = sorted(g.vertices)
+    orient = comm.orientation_from_parents({v: {v: None} for v in vertices})
+    frontier = [(v, v) for v in vertices[:g.n // 4]]
+    popular = set(vertices[::2])
+    listeners = set(vertices[g.n // 4:])
+    _, kept = benchmark(impl, g, orient, frontier, popular, listeners, config,
+                        "w1.explore")
+    assert kept and all(u in popular or v in popular
+                        for v, got in kept.items() for u in got)
+
+
 @pytest.mark.parametrize("impl", [sim.broadcast_max, oracles.broadcast_max],
                          ids=["kernel", "oracle"])
 def test_knockout_hop(benchmark, round_inputs, impl):
-    g, _, listeners, config = round_inputs
+    g, listeners, config = round_inputs
     vertices = sorted(g.vertices)
     accept_all = set(vertices[:g.n // 2])
     sends = {v: Message(comm.TAG_KNOCK, (v,), 2 | (v in accept_all))
@@ -75,7 +89,7 @@ def test_knockout_hop(benchmark, round_inputs, impl):
 @pytest.fixture(scope="module")
 def grid_tree():
     g = gr.generate_graph("grid", rows=48, cols=48)
-    dist = gr.bfs_distances(g, 1)
+    dist = gr.bfs_on_adjacency(g.adjacency, 1)
     parent = {v: min((u for u in g.adjacency[v] if dist[u] == dist[v] - 1),
                      default=None) for v in g.vertices}
     orient = comm.orientation_from_parents({1: parent})

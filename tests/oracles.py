@@ -6,8 +6,9 @@ BFS from every member for a ruling set, a membership test per edge for the
 symmetry of a graph's adjacency lists, every cluster pair's edges gathered
 from the whole edge set for the virtual cluster graph, and one program per
 vertex stepped through the event loop for a one-shot broadcast round (also
-with each inbox folded to the largest accepted scalar, or projected to its
-IDs) and for each tree-cast episode. They are slow but obviously right, so
+with each inbox folded to the largest accepted scalar, projected to its IDs,
+or filtered to the exploration hop's superedge arrivals) and for each
+tree-cast episode. They are slow but obviously right, so
 the tests hold the fast versions to them result for result. Each episode
 oracle takes the arguments of the sim kernel it checks and returns sim.run's
 trace with the programs' results.
@@ -192,6 +193,32 @@ def broadcast_ids(g: Graph, ids: Mapping[int, int],
     trace, inboxes = broadcast_round(g, sends, listeners, config, label)
     return trace, {u: {v: msg.ids[0] for v, msg in inbox.items()}
                    for u, inbox in inboxes.items()}
+
+
+TAG_EXPLORE = 20
+
+
+def explore_hop(g: Graph, orient: "comm.Orientation",
+                frontier: Iterable[Tuple[int, int]], popular: AbstractSet[int],
+                listeners: AbstractSet[int], config: SimConfig, label: str = ""
+                ) -> Tuple[Optional[SimTrace], Dict[int, Dict[int, int]]]:
+    """comm.explore_hop on programs: the broadcast round above, in which
+    every member of each frontier cluster (center, root) sends the root with
+    its cluster's popular bit as the scalar, and each listener outside the
+    frontier keeps an arrival when its own cluster is popular or the bit is
+    set. With no sender, no episode runs and the trace is None."""
+    sends = {v: Message(TAG_EXPLORE, (root,), int(c in popular))
+             for c, root in frontier for v in orient.members[c]}
+    if not sends:
+        return None, {}
+    trace, inboxes = broadcast_round(g, sends, listeners - sends.keys(), config, label)
+    kept: Dict[int, Dict[int, int]] = {}
+    for v, inbox in inboxes.items():
+        own_pop = orient.center_of[v] in popular
+        got = {u: msg.ids[0] for u, msg in inbox.items() if own_pop or msg.scalar & 1}
+        if got:
+            kept[v] = got
+    return trace, kept
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
 """The one-round broadcast kernels against the program-per-vertex oracle.
 
-``sim.broadcast_round`` delivers a one-shot broadcast round directly. It must
-return the trace that ``sim.run`` returns for one ``BroadcastOnce`` program
-per sender and per listener next to a sender (``oracles.broadcast_round``),
-return the same inboxes for the same listeners in the same order, keyed by
-each listener's own ID object, and reject what ``sim.run`` rejects.
-``sim.broadcast_max``, the knock-out hop's round, must equal that oracle
-with the senders deaf and each inbox folded to the largest accepted scalar.
-``sim.broadcast_ids``, the cluster-ID exchange's round, must equal it with
-one single-ID message per sender and each inbox projected to the IDs.
+``oracles.broadcast_round`` steps one ``BroadcastOnce`` program per sender
+and per listener next to a sender through ``sim.run``. Each kernel must
+return the trace that oracle returns and reject what ``sim.run`` rejects.
+``sim.broadcast_ids``, the round of the cluster-ID exchange and of every
+exploration hop, must equal it with one single-ID message per sender and
+each inbox projected to the IDs, for the same listeners in the same order,
+keyed by each listener's own ID object. ``sim.broadcast_max``, the
+knock-out hop's round, must equal it with the senders deaf and each inbox
+folded to the largest accepted scalar. ``comm.explore_hop`` must keep
+exactly the oracle's arrivals that cross a superedge.
 """
 
 import dataclasses
@@ -68,82 +69,8 @@ def _heard(listeners, inboxes):
     return calls
 
 
-def _both(g, sends, listeners, config):
-    """(trace, listener inboxes) of the kernel and of the oracle, or the
-    exception each raised."""
-    out = []
-    for impl in (sim.broadcast_round, oracles.broadcast_round):
-        try:
-            trace, inboxes = impl(g, sends, listeners, config, "lbl")
-        except (ModelViolation, ValueError) as exc:
-            out.append((type(exc), str(exc)))
-        else:
-            out.append((dataclasses.asdict(trace), _heard(listeners, inboxes)))
-    return out
-
-
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_kernel_equals_program_oracle(data):
-    g = _random_graph(data)
-    own = _own_ids(g)
-    cap = data.draw(st.integers(1, 3), label="cap")
-    max_scalar = max(g.n, 2) ** 3
-    senders = _subset(data, g.vertices, "sender")
-    sends = {}
-    for v in senders:
-        k = data.draw(st.integers(0, cap), label="ids")
-        ids = tuple(data.draw(st.sampled_from(g.vertices), label="id")
-                    for _ in range(k))
-        scalar = data.draw(st.integers(-max_scalar, max_scalar), label="scalar")
-        tag = data.draw(st.integers(0, 30), label="tag")
-        sends[own[v]] = Message(tag, ids, scalar)
-    listeners = {own[v] for v in _subset(data, g.vertices, "listener")}
-    if data.draw(st.booleans(), label="keys view"):
-        listeners = dict.fromkeys(listeners).keys()
-    config = SimConfig(ids_per_message=cap, mode=sim.BROADCAST)
-
-    kernel, oracle = _both(g, sends, listeners, config)
-    assert kernel == oracle
-    trace, calls = kernel
-    sent = sum(len(g.adjacency[v]) for v in sends)
-    assert trace["rounds_elapsed"] == (1 if sent else 0)
-    assert trace["messages_total"] == sent
-    heard = {u for v in sends for u in g.adjacency[v]} & set(listeners)
-    assert [v for v, _ in calls] == sorted(heard)
-
-
-def test_single_vertex_sends_nothing():
-    g = gr.generate_graph("path", n=1)
-    kernel, oracle = _both(g, {1: Message(3, (1,))}, {1},
-                           SimConfig(mode=sim.BROADCAST))
-    assert kernel == oracle
-    assert kernel == (dataclasses.asdict(sim.SimTrace(
-        "lbl", sim.BROADCAST, max_ids_per_message=1)), [])
-
-
-@pytest.mark.parametrize("msg", [Message(1, (1, 2, 3)), Message(1, (), 10 ** 9)],
-                         ids=["too many ids", "scalar out of range"])
-def test_kernel_rejects_what_run_rejects(msg):
-    g = gr.generate_graph("cycle", n=8)
-    sends = {2: Message(1, (4,)), 5: msg, 7: Message(1, (1, 2, 3))}
-    kernel, oracle = _both(g, sends, set(g.vertices), SimConfig(mode=sim.BROADCAST))
-    assert kernel[0] is ModelViolation
-    assert kernel == oracle
-    assert kernel[1].startswith("vertex 5:")
-
-
-def test_unknown_sender_raises_value_error():
-    g = gr.generate_graph("cycle", n=8)
-    kernel, oracle = _both(g, {3: Message(1), 99: Message(1)}, {1, 2},
-                           SimConfig(mode=sim.BROADCAST))
-    assert kernel[0] is ValueError and oracle[0] is ValueError
-
-
 def test_kernel_needs_broadcast_mode():
     g = gr.generate_graph("cycle", n=8)
-    with pytest.raises(ValueError, match="broadcast"):
-        sim.broadcast_round(g, {1: Message(1)}, {2}, SimConfig(), "lbl")
     with pytest.raises(ValueError, match="broadcast_max needs mode 'broadcast'"):
         sim.broadcast_max(g, {1: Message(1, (), 3)}, {2}, {2}, SimConfig(), "lbl")
     with pytest.raises(ValueError, match="broadcast_ids needs mode 'broadcast'"):
@@ -156,28 +83,60 @@ def test_no_episode_without_senders():
     orient = comm.orientation_from_parents({v: {v: None} for v in g.vertices})
     nobody = comm.orientation_from_parents({})
     assert comm.exchange_cluster_ids(net, nobody, "quiet") == {}
-    assert comm.cluster_broadcast(net, orient, "quiet", 1, [], None,
-                                  set(g.vertices)) == {}
+    assert comm.explore_hop(net, orient, "quiet", [], set(), set(g.vertices)) == {}
     assert net.trace.episodes == []
-    # an exploration hop: vertex 1 sends key 1 with 0 hops left
-    heard = comm.cluster_broadcast(net, orient, "loud", 1, [(1, 1, 0)], None,
-                                   set(g.vertices))
-    assert [(e.label, e.mode, e.rounds, e.messages, e.max_ids)
-            for e in net.trace.episodes] == [("loud", sim.BROADCAST, 1, 2, 1)]
+    # an exploration hop: vertex 1 sends root 5 to 2 and 8; both keep it
+    # when 1's singleton cluster is popular, only 2 when 2's cluster is
+    heard = comm.explore_hop(net, orient, "loud", [(1, 5)], {1}, set(g.vertices))
     assert list(heard) == [2, 8]
-    assert heard == {2: [(1, 1, 0)], 8: [(1, 1, 0)]}
+    assert heard == {2: {1: 5}, 8: {1: 5}}
+    assert comm.explore_hop(net, orient, "edge", [(1, 5)], {2},
+                            set(g.vertices)) == {2: {1: 5}}
     # a knock-out hop: vertex 1 sends 2 hops left, to 2 and 8; only 2 hears
     # it when 1's singleton cluster is not popular
     assert comm.knockout_hop(net, orient, "quiet", [], set(g.vertices)) == {}
     assert comm.knockout_hop(net, orient, "pop", [(1, 2)], {1}) == {2: 2, 8: 2}
     assert comm.knockout_hop(net, orient, "unpop", [(1, 2)], {2}) == {2: 2}
     assert [(e.label, e.mode, e.rounds, e.messages, e.max_ids)
-            for e in net.trace.episodes[1:]] == [
-        ("pop", sim.BROADCAST, 1, 2, 1), ("unpop", sim.BROADCAST, 1, 2, 1)]
+            for e in net.trace.episodes] == [
+        (label, sim.BROADCAST, 1, 2, 1) for label in ("loud", "edge", "pop", "unpop")]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_explore_hop_keeps_the_superedge_arrivals_of_the_program_oracle(data):
+    """On a random partition of some vertices into clusters, with random
+    popular clusters, frontier and listeners, explore_hop keeps what the
+    program oracle keeps, in the same order, and records its trace."""
+    g = _random_graph(data)
+    vertices = st.sampled_from(g.vertices)
+    centers = data.draw(st.sets(vertices), label="centers")
+    parent_maps = {c: {c: None} for c in centers}
+    if centers:
+        for v in _subset(data, sorted(set(g.vertices) - centers), "member"):
+            c = data.draw(st.sampled_from(sorted(centers)), label="center")
+            parent_maps[c][v] = c   # a star: explore_hop reads no tree
+    orient = comm.orientation_from_parents(parent_maps)
+    popular = set(_subset(data, sorted(centers), "popular"))
+    frontier = [(c, data.draw(vertices, label="root"))
+                for c in _subset(data, sorted(centers), "frontier")]
+    listeners = set(_subset(data, sorted(orient.center_of), "listener"))
+    net = comm.Net(g)
+
+    kept = comm.explore_hop(net, orient, "lbl", frontier, popular, listeners)
+    config = SimConfig(ids_per_message=net.ids_per_message, mode=sim.BROADCAST)
+    trace, expected = oracles.explore_hop(g, orient, frontier, popular,
+                                          listeners, config, "lbl")
+    assert [(v, list(got.items())) for v, got in kept.items()] \
+        == [(v, list(got.items())) for v, got in expected.items()]
+    assert net.trace.episodes == ([] if trace is None else [comm.EpisodeStat(
+        "lbl", sim.BROADCAST, trace.rounds_elapsed, trace.messages_total,
+        trace.max_ids_per_message)])
 
 
 # ---------------------------------------------------------------------------
-# sim.broadcast_ids: one ID per sender, as in the cluster-ID exchange.
+# sim.broadcast_ids: one ID per sender, as in the cluster-ID exchange and
+# the exploration hop.
 
 def _ids_both(g, ids, listeners, config):
     """(trace, listener maps) of the kernel and of the oracle, or the
@@ -217,17 +176,14 @@ def test_id_kernel_equals_projected_program_oracle(data):
 
 
 def test_id_kernel_unknown_sender_and_empty_round():
-    """An unknown sender raises ValueError with broadcast_round's text, for
-    the least unknown sender (sim.run names the first program it meets)."""
+    """An unknown sender raises ValueError for the least unknown sender
+    (sim.run names the first program it meets)."""
     g = gr.generate_graph("cycle", n=8)
     config = SimConfig(mode=sim.BROADCAST)
     ids = {3: 1, 120: 1, 99: 5}
     kernel, oracle = _ids_both(g, ids, {1, 2}, config)
     assert kernel[0] is oracle[0] is ValueError
-    with pytest.raises(ValueError) as exc:
-        sim.broadcast_round(g, {v: Message(11, (c,)) for v, c in ids.items()},
-                            {1, 2}, config)
-    assert kernel[1] == str(exc.value) == "broadcast from unknown vertex 99"
+    assert kernel[1] == "broadcast from unknown vertex 99"
     assert _ids_both(g, {}, set(g.vertices), config) \
         == [(dataclasses.asdict(sim.SimTrace("lbl", sim.BROADCAST)), [])] * 2
 
@@ -317,6 +273,16 @@ def test_max_kernel_without_senders_returns_an_empty_trace():
         == [(dataclasses.asdict(sim.SimTrace("lbl", sim.BROADCAST)), [])] * 2
 
 
+def test_single_vertex_sends_nothing():
+    g = gr.generate_graph("path", n=1)
+    config = SimConfig(mode=sim.BROADCAST)
+    silent = dataclasses.asdict(sim.SimTrace("lbl", sim.BROADCAST,
+                                             max_ids_per_message=1))
+    assert _ids_both(g, {1: 1}, {1}, config) == [(silent, [])] * 2
+    assert _max_both(g, {1: Message(3, (1,))}, {1}, {1}, config) \
+        == [(silent, [])] * 2
+
+
 @pytest.mark.parametrize("bad", [Message(1, (1, 2, 3)), Message(1, (), 10 ** 9)],
                          ids=["too many ids", "scalar out of range"])
 def test_max_kernel_rejects_what_run_rejects(bad):
@@ -339,15 +305,10 @@ def test_max_kernel_rejects_what_run_rejects(bad):
      "broadcast from unknown vertex 0"),
 ], ids=["unknown", "fault below the unknown", "unknown below the fault"])
 def test_max_kernel_raises_for_the_least_faulty_sender(sends, error):
-    """The unknown-sender error is broadcast_round's: sim.run refuses a
-    program for an unknown vertex before it steps any, whatever the order."""
+    """The unknown-sender error comes first: sim.run refuses a program for
+    an unknown vertex before it steps any, whatever the order."""
     g = gr.generate_graph("cycle", n=8)
-    config = SimConfig(mode=sim.BROADCAST)
-    errors = []
-    for call in (lambda: sim.broadcast_max(g, sends, {1, 2}, {1}, config),
-                 lambda: sim.broadcast_round(g, sends, {1, 2}, config)):
-        with pytest.raises((ModelViolation, ValueError)) as exc:
-            call()
-        errors.append((type(exc.value), str(exc.value)))
-    assert errors[0] == errors[1]
-    assert errors[0][1] == error
+    fault = ModelViolation if error.startswith("vertex") else ValueError
+    with pytest.raises(fault) as exc:
+        sim.broadcast_max(g, sends, {1, 2}, {1}, SimConfig(mode=sim.BROADCAST))
+    assert str(exc.value) == error

@@ -8,9 +8,9 @@ from corpus import voronoi_clusters
 
 from congestspan import graph as gr
 from congestspan import polylog
-from congestspan.clusters import (ForestError, RadiusSequence,
-                                  build_cluster_graph, forest_centers,
-                                  radius_sequence, reference_supercluster)
+from congestspan.clusters import (ForestError, build_cluster_graph,
+                                  forest_centers, radius_sequence,
+                                  reference_supercluster)
 
 
 def singletons(g):
@@ -51,7 +51,7 @@ class TestRadiusSequence:
         for delta in range(1, 65):
             seq = radius_sequence(delta, 12)
             for i in range(13):
-                assert seq[i] == RadiusSequence.closed_form(delta, i)
+                assert seq[i] == delta * sum((2 * delta + 1) ** j for j in range(i))
 
     def test_upper_bound(self):
         # R_i <= (2*delta+1)^i / 2
@@ -255,7 +255,7 @@ def test_reference_supercluster_properties(n, seed, data):
     out = reference_supercluster(vg, roots, delta)
     dist = {}
     for r in roots:
-        d = gr.bfs_distances(g, r)
+        d = gr.bfs_on_adjacency(g.adjacency, r)
         for v, dv in d.items():
             dist[v] = min(dist.get(v, float("inf")), dv)
     # joined iff within delta of some root (the supergraph here equals g)

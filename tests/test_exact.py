@@ -1,4 +1,4 @@
-from decimal import Decimal
+from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 
 import pytest
@@ -77,6 +77,13 @@ class TestLogsAndCeil:
 def test_npow_decimal_accuracy():
     val = npow_decimal(256, Fraction(1, 8))
     assert abs(val - Decimal(2)) < Decimal("1e-40")
+
+
+def test_npow_decimal_leaves_the_callers_precision_alone():
+    with localcontext() as ctx:
+        ctx.prec = 17
+        assert len(npow_decimal(3, Fraction(1, 2)).as_tuple().digits) == 60
+        assert getcontext().prec == 17
 
 
 @settings(max_examples=120, deadline=None)

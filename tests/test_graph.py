@@ -104,11 +104,11 @@ class TestGenerate:
 class TestBfs:
     def test_path_distances(self):
         g = gr.generate_graph("path", n=3)
-        assert gr.bfs_distances(g, 1) == {1: 0, 2: 1, 3: 2}
+        assert gr.bfs_on_adjacency(g.adjacency, 1) == {1: 0, 2: 1, 3: 2}
 
     def test_complete_distances(self):
         g = gr.generate_graph("complete", n=5)
-        d = gr.bfs_distances(g, 3)
+        d = gr.bfs_on_adjacency(g.adjacency, 3)
         assert d[3] == 0
         assert all(d[v] == 1 for v in g.vertices if v != 3)
 
@@ -117,18 +117,21 @@ class TestBfs:
         g = gr.generate_graph("cycle", n=8)
         removed = (1, 8)
         rest = [e for e in g.edges() if e != removed]
-        d = gr.bfs_distances(g, 1, restricted_to=rest)
+        d = gr.bfs_on_adjacency(gr.subgraph_adjacency(g.vertices, rest), 1)
         assert d[8] == 7
 
     def test_unreachable_is_inf(self):
+        """An unreachable vertex has no entry: its distance is the inf that
+        callers read with dist.get(v, math.inf)."""
         g = gr.generate_graph("path", n=4)
-        d = gr.bfs_distances(g, 1, restricted_to=[(1, 2)])
-        assert d[2] == 1 and d[3] == math.inf and d[4] == math.inf
+        d = gr.bfs_on_adjacency(gr.subgraph_adjacency(g.vertices, [(1, 2)]), 1)
+        assert d == {1: 0, 2: 1}
+        assert d.get(3, math.inf) == d.get(4, math.inf) == math.inf
 
     def test_unknown_source(self):
         g = gr.generate_graph("path", n=4)
-        with pytest.raises(gr.GraphError):
-            gr.bfs_distances(g, 99)
+        with pytest.raises(KeyError):
+            gr.bfs_on_adjacency(g.adjacency, 99)
 
 
 @settings(max_examples=40, deadline=None)
@@ -151,17 +154,17 @@ def test_bfs_triangle_inequality_and_subgraph_dominance(n, seed, data):
     a = data.draw(st.sampled_from(verts))
     b = data.draw(st.sampled_from(verts))
     c = data.draw(st.sampled_from(verts))
-    da = gr.bfs_distances(g, a)
-    db = gr.bfs_distances(g, b)
+    da = gr.bfs_on_adjacency(g.adjacency, a)
+    db = gr.bfs_on_adjacency(g.adjacency, b)
     assert da[a] == 0
     assert da[c] <= da[b] + db[c]
     # dropping an edge can only increase distances
     edges = list(g.edges())
     dropped = data.draw(st.sampled_from(edges))
     rest = [e for e in edges if e != dropped]
-    dr = gr.bfs_distances(g, a, restricted_to=rest)
+    dr = gr.bfs_on_adjacency(gr.subgraph_adjacency(g.vertices, rest), a)
     for v in g.vertices:
-        assert dr[v] >= da[v]
+        assert dr.get(v, math.inf) >= da[v]
 
 
 class TestValidate:

@@ -1,7 +1,9 @@
+import decimal
 from fractions import Fraction
 
 import pytest
 
+from congestspan import cli
 from congestspan import graph as gr
 from congestspan import sparse, verify
 from congestspan.comm import Net, exchange_cluster_ids, orient_clusters
@@ -195,3 +197,41 @@ class TestBounds:
     def test_skeleton_preset(self):
         assert skeleton_kappa(64) == 7
         assert skeleton_kappa(256) == 9
+
+
+# Small graphs with a large exploration depth: delta = ceil(2/rho) exceeds
+# n^3 / 2 at rho = 1/kappa for the larger kappas, so a hop count carried in a
+# scalar would leave the n^3 message bound.
+SMALL_SHAPES = [(kind, n) for kind in ("path", "complete", "cycle", "random_tree")
+                for n in range(2, 13) if not (kind == "cycle" and n < 3)]
+DEEP_CONFIGS = sorted({(kappa, rho) for kappa in (3, 5, 10, 20, 50, 100, 200)
+                       for rho in (Fraction(1, kappa), Fraction(1, 3))})
+
+
+def test_small_graphs_with_deep_exploration_build_and_verify():
+    failed = []
+    for kind, n in SMALL_SHAPES:
+        g = gr.generate_graph(kind, n=n)
+        for kappa, rho in DEEP_CONFIGS:
+            report = verify.verify_build(g, sparse.build_spanner(g, kappa, rho))
+            if not report["passed"]:
+                failed.append((kind, n, kappa, str(rho)))
+    assert len(SMALL_SHAPES) * len(DEEP_CONFIGS) == 559
+    assert failed == []
+
+
+def test_cli_builds_a_path_with_delta_above_the_scalar_bound(tmp_path, capsys):
+    # delta = 20 on three vertices, whose scalar bound is 27
+    rc = cli.main(["build", "--alg", "sparse", "--graph", "gen:path:n=3",
+                   "--kappa", "10", "--rho", "1/10", "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert "PASS" in capsys.readouterr().out
+
+
+def test_verification_leaves_the_decimal_precision_alone():
+    g = gr.generate_graph("gnp_connected", n=40, p=0.12, seed=31)
+    res = sparse.build_spanner(g, skeleton_kappa(40), Fraction(17, 50))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 17
+        assert verify.verify_build(g, res)["passed"]
+        assert decimal.getcontext().prec == 17

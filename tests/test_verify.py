@@ -293,3 +293,32 @@ def test_supercluster_oracle_fails_a_redirected_join(clean_build, redirect):
     c = min(c for c, info in snap.joins.items() if info.wave >= 1)
     snap.joins[c] = redirect(snap, snap.joins[c], g)
     assert _failing(g, res) == ["supercluster_oracle"]
+
+
+def test_knowledge_oracle_fails_a_forgotten_neighbour():
+    """One foreign center deleted from what a non-popular center learned in
+    a sparse build of G(64, 0.1) fails the knowledge oracle and no other
+    verdict."""
+    g = gr.generate_graph("gnp_connected", n=64, p=0.1, seed=1)
+    res = sparse.build_spanner(g, 3, Fraction(1, 3))
+    assert _failing(g, res) == []
+    snap = next(s for s in res.snapshots if s.knowledge is not None)
+    c = min(c for c, learned in snap.knowledge.items()
+            if learned and c not in snap.popular)
+    del snap.knowledge[c][min(snap.knowledge[c])]
+    assert _failing(g, res) == ["knowledge_oracle"]
+
+
+@pytest.mark.parametrize("build", [
+    lambda g: polylog.build_spanner(g, 3),
+    lambda g: sparse.build_spanner(g, 3, Fraction(1, 3)),
+], ids=["polylog", "sparse"])
+def test_size_verdict_fails_when_the_spanner_is_the_graph(build):
+    """K_16 has 120 edges, past both 16^(4/3) ~ 40.3 and 16^(4/3) + 16:
+    adding every edge of G to a build's spanner fails the size verdict and
+    no other."""
+    g = gr.generate_graph("complete", n=16)
+    res = build(g)
+    assert _failing(g, res) == []
+    res.spanner.edges |= g.edge_set()
+    assert _failing(g, res) == ["size"]
