@@ -22,7 +22,8 @@ from typing import Dict, List, Optional, Set
 from . import __version__, polylog, sparse, verify
 from .exact import as_fraction
 from .clusters import forest_centers
-from .graph import Edge, Graph, GraphError, generate_graph, load_graph, save_edgelist
+from .graph import (Edge, Graph, GraphError, edge_key, generate_graph, load_graph,
+                    read_edge_lines, save_edgelist)
 from .spanner import INTER, SUPER, BuildResult, PhaseSnapshot
 
 SCHEMA_VERSION = 2
@@ -127,8 +128,8 @@ def build_report(g: Graph, result: BuildResult) -> dict:
         "trace": {
             **result.trace.summary(),
             "episodes": [
-                {"label": ep.label, "mode": ep.mode, "rounds": ep.rounds,
-                 "messages": ep.messages}
+                {"label": ep.label, "mode": ep.mode,
+                 "rounds": ep.rounds_elapsed, "messages": ep.messages_total}
                 for ep in result.trace.episodes
             ],
         },
@@ -200,14 +201,8 @@ def cmd_build(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
         g = parse_graph_spec(args.graph)
-        spanner_graph_edges = set()
-        with open(args.spanner, "r", encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                u, v = (int(x) for x in line.split())
-                spanner_graph_edges.add((min(u, v), max(u, v)))
+        spanner_graph_edges = {edge_key(u, v)
+                               for _, u, v in read_edge_lines(args.spanner)}
     except (ValueError, GraphError, OSError) as exc:
         return _input_error(str(exc))
     report = verify.verify_spanner_file(g, spanner_graph_edges, bound=args.bound)

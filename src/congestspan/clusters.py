@@ -28,24 +28,15 @@ from . import comm
 from .comm import Net, Orientation
 
 
-@dataclass(frozen=True)
-class RadiusSequence:
-    """Cluster-radius bounds per phase: values[i] bounds Rad(P_i)."""
-    delta: int
-    values: Tuple[int, ...]
-
-    def __getitem__(self, i: int) -> int:
-        return self.values[i]
-
-
-def radius_sequence(delta: int, ell: int) -> RadiusSequence:
-    """R_0 = 0 and R_{i+1} = (2*delta+1)*R_i + delta, for i in [0, ell]."""
+def radius_sequence(delta: int, ell: int) -> Tuple[int, ...]:
+    """Cluster-radius bounds per phase, R_i bounding Rad(P_i): R_0 = 0 and
+    R_{i+1} = (2*delta+1)*R_i + delta, for i in [0, ell]."""
     if delta < 1 or ell < 0:
         raise ValueError("need delta >= 1 and ell >= 0")
     values = [0]
     for _ in range(ell):
         values.append((2 * delta + 1) * values[-1] + delta)
-    return RadiusSequence(delta, tuple(values))
+    return tuple(values)
 
 
 class ForestError(ValueError):

@@ -15,10 +15,13 @@ episode in which no vertex takes part is not recorded. The orchestrator only
 moves results between episodes, never inventing knowledge a vertex could not
 have accumulated locally.
 
-Round accounting sums episode traces into a BuildTrace, which also remembers
-per-episode labels and modes so model-compliance checks (message size,
-broadcast-only knockout rounds) can be audited after a run. A second message
-on one edge in one round never reaches the trace: the kernels refuse it.
+The kernel fixes an episode's mode: the two broadcast kernels run in
+broadcast mode, the others in congest mode. Round accounting sums the
+episodes into a BuildTrace, which keeps each kernel's SimTrace as it was
+returned (label, mode, rounds, messages per round, widest message), so
+model-compliance checks (message size, broadcast-only knockout rounds) can be
+audited after a run. A second message on one edge in one round never reaches
+the trace: the kernels refuse it.
 """
 
 from __future__ import annotations
@@ -43,27 +46,16 @@ TAG_SETTLED = 24
 
 
 @dataclass
-class EpisodeStat:
-    label: str
-    mode: str
-    rounds: int
-    messages: int
-    max_ids: int
-
-
-@dataclass
 class BuildTrace:
-    """Aggregated accounting across all episodes of a build."""
-    episodes: List[EpisodeStat] = field(default_factory=list)
+    """Aggregated accounting across all episodes of a build; each episode is
+    the trace its kernel returned."""
+    episodes: List[sim.SimTrace] = field(default_factory=list)
     rounds_total: int = 0
     messages_total: int = 0
     max_ids_per_message: int = 0
 
     def absorb(self, trace: sim.SimTrace) -> None:
-        self.episodes.append(EpisodeStat(trace.label, trace.mode,
-                                         trace.rounds_elapsed,
-                                         trace.messages_total,
-                                         trace.max_ids_per_message))
+        self.episodes.append(trace)
         self.rounds_total += trace.rounds_elapsed
         self.messages_total += trace.messages_total
         self.max_ids_per_message = max(self.max_ids_per_message,
@@ -84,19 +76,15 @@ class Net:
     def __init__(self, g: Graph, ids_per_message: int = 2,
                  max_rounds_per_episode: int = 4_000_000):
         self.g = g
-        self.ids_per_message = ids_per_message
-        self.max_rounds = max_rounds_per_episode
+        self.config = SimConfig(ids_per_message=ids_per_message,
+                                max_rounds=max_rounds_per_episode)
         self.trace = BuildTrace()
 
-    def _config(self, mode: str) -> SimConfig:
-        return SimConfig(ids_per_message=self.ids_per_message, mode=mode,
-                         max_rounds=self.max_rounds)
-
-    def cast(self, label: str, kernel: Callable, *args, mode: str = sim.CONGEST):
-        """One episode in mode (congest by default) delivered by a sim kernel:
-        kernel(g, *args, config, label) returns (trace, result); the trace
-        is recorded and the result returned."""
-        trace, result = kernel(self.g, *args, self._config(mode), label)
+    def cast(self, label: str, kernel: Callable, *args):
+        """One episode delivered by a sim kernel, in the mode that kernel
+        stands for: kernel(g, *args, config, label) returns (trace, result);
+        the trace is recorded and the result returned."""
+        trace, result = kernel(self.g, *args, self.config, label)
         self.trace.absorb(trace)
         return result
 
@@ -197,8 +185,7 @@ def explore_hop(net: Net, orient: Orientation, label: str,
     ids: Dict[int, int] = {}
     for c, root in frontier:
         ids.update(dict.fromkeys(orient.members[c], root))
-    heard = net.cast(label, sim.broadcast_ids, ids, listeners - ids.keys(),
-                     mode=sim.BROADCAST) if ids else {}
+    heard = net.cast(label, sim.broadcast_ids, ids, listeners - ids.keys()) if ids else {}
     center_of = orient.center_of
     loud = {v for v in ids if center_of[v] in popular}   # popular bit set
     kept: Dict[int, Dict[int, int]] = {}
@@ -223,7 +210,7 @@ def knockout_hop(net: Net, orient: Orientation, label: str,
         msg = Message(TAG_KNOCK, (c,), (hops << 1) | (c in accept_all))
         sends.update(dict.fromkeys(orient.members[c], msg))
     best = net.cast(label, sim.broadcast_max, sends, orient.center_of.keys(),
-                    accept_all, mode=sim.BROADCAST) if sends else {}
+                    accept_all) if sends else {}
     return {v: s >> 1 for v, s in best.items()}
 
 
@@ -234,8 +221,7 @@ def exchange_cluster_ids(net: Net, orient: Orientation, label: str) -> Dict[int,
     Dormant vertices stay silent, so only active neighbors appear.
     """
     center_of = orient.center_of
-    heard = net.cast(label, sim.broadcast_ids, center_of, center_of.keys(),
-                     mode=sim.BROADCAST) if center_of else {}
+    heard = net.cast(label, sim.broadcast_ids, center_of, center_of.keys()) if center_of else {}
     # a vertex that hears nothing gets a dict of its own
     return {v: heard.get(v) or {} for v in center_of}
 

@@ -1,7 +1,7 @@
 """Undirected unweighted graphs: loading, generation, and the BFS distance oracle.
 
 Vertices are positive integers with distinct IDs. Generators number vertices
-1..n; loaded graphs may use any distinct positive integers, and the observed
+1..n; loaded graphs may use any distinct IDs in [1, 2^64 - 1], and the observed
 ID interval is kept on the graph because the ruling-set block splitting needs
 an explicit ID range. All neighbor lists are sorted ascending so that every
 "arbitrary" choice made downstream is deterministic.
@@ -108,10 +108,21 @@ def from_edges(edges: Iterable[Edge], meta: Optional[dict] = None) -> Graph:
     return Graph(adj, meta)
 
 
-def load_graph(path: str) -> Graph:
-    """Read an edge-list file: one "u v" pair per line, '#' starts a comment."""
-    edges: List[Edge] = []
-    seen: Set[Edge] = set()
+def parse_vertex_id(token: str) -> int:
+    """A vertex ID: ASCII digits whose value is in [1, 2^64 - 1]. Anything
+    else, such as a sign, an underscore, a non-ASCII digit, zero or 2^64,
+    raises GraphParseError."""
+    if token.isascii() and token.isdigit() and len(token.lstrip("0")) <= 20:
+        v = int(token)
+        if 0 < v < 2 ** 64:
+            return v
+    raise GraphParseError(f"vertex id {token!r} is not an integer in [1, 2^64 - 1]")
+
+
+def read_edge_lines(path: str) -> Iterator[Tuple[int, int, int]]:
+    """(line number, u, v) per "u v" line of an edge-list file, where '#'
+    starts a comment; a line that is not two vertex IDs raises
+    GraphParseError naming the file and the line."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -121,18 +132,24 @@ def load_graph(path: str) -> Graph:
             if len(parts) != 2:
                 raise GraphParseError(f"{path}:{lineno}: expected 'u v', got {line!r}")
             try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GraphParseError(f"{path}:{lineno}: non-integer vertex id in {line!r}") from None
-            if u <= 0 or v <= 0:
-                raise GraphParseError(f"{path}:{lineno}: vertex ids must be positive")
-            if u == v:
-                raise GraphError(f"{path}:{lineno}: self-loop at vertex {u}")
-            key = edge_key(u, v)
-            if key in seen:
-                raise GraphError(f"{path}:{lineno}: duplicate edge ({u},{v})")
-            seen.add(key)
-            edges.append(key)
+                u, v = map(parse_vertex_id, parts)
+            except GraphParseError as exc:
+                raise GraphParseError(f"{path}:{lineno}: {exc}") from None
+            yield lineno, u, v
+
+
+def load_graph(path: str) -> Graph:
+    """Read an edge-list file (see read_edge_lines)."""
+    edges: List[Edge] = []
+    seen: Set[Edge] = set()
+    for lineno, u, v in read_edge_lines(path):
+        if u == v:
+            raise GraphError(f"{path}:{lineno}: self-loop at vertex {u}")
+        key = edge_key(u, v)
+        if key in seen:
+            raise GraphError(f"{path}:{lineno}: duplicate edge ({u},{v})")
+        seen.add(key)
+        edges.append(key)
     if not edges:
         raise GraphParseError(f"{path}: no edges found")
     return from_edges(edges, meta={"source": path})

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from . import comm
 from .clusters import radius_sequence
@@ -58,7 +58,7 @@ class _PolylogVariant:
         self.ell = params.ell
         self.delta = params.delta
         self.ruling_params = RulingParams(q=max(1, ceil_log2_int(params.n)), c=2)
-        self.radius_bounds = radius_sequence(self.delta, self.ell).values
+        self.radius_bounds = radius_sequence(self.delta, self.ell)
 
     def threshold_expo(self, phase: int) -> Fraction:
         return self.params.tau_expo
@@ -106,7 +106,7 @@ class _PolylogVariant:
                 spanner.add(edge_key(v, u), vertex=v, kind=INTER, phase=phase)
 
 
-def build_spanner(g: Graph, kappa: int, net: Optional[Net] = None) -> BuildResult:
+def build_spanner(g: Graph, kappa: int) -> BuildResult:
     """Run the construction; returns the spanner with its phase snapshots.
     kappa is checked even on a single vertex, which needs no phases."""
     params = PolylogParams(n=g.n, kappa=kappa)
@@ -114,7 +114,7 @@ def build_spanner(g: Graph, kappa: int, net: Optional[Net] = None) -> BuildResul
         return trivial_result(g, "polylog", {"kappa": kappa, "n": 1})
     run_info = {"kappa": kappa, "n": g.n, "delta": params.delta,
                 "ell": params.ell, "ruling_q": max(1, ceil_log2_int(g.n))}
-    return run_phases(g, _PolylogVariant(params), run_info, net=net)
+    return run_phases(g, _PolylogVariant(params), run_info)
 
 
 def stretch_bound(n: int, kappa: int) -> int:

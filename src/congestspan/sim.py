@@ -23,9 +23,11 @@ message is one ID, returning sender -> ID maps; ``broadcast_max`` for one in
 which listeners keep the largest scalar they accept; ``orient_flood``,
 ``tree_downcast``, ``best_upcast``, ``flag_upcast`` and ``tree_collect`` for
 the casts inside cluster trees, walked level by level (the collect round by
-round); and ``send_round`` for one round of per-edge sends. No build calls ``run``: it
-is the tests' reference engine, which runs those programs and holds the
-kernels to them.
+round); and ``send_round`` for one round of per-edge sends. Each kernel fixes
+its own mode, that of the programs it stands for (broadcast for the first
+two, congest for the others), and writes it into its trace; only ``run``
+reads ``config.mode``. No build calls ``run``: it is the tests' reference
+engine, which runs those programs and holds the kernels to them.
 
 Determinism: vertices are stepped in ascending ID order, inboxes are keyed by
 sender in ascending order, and per-edge FIFO order is preserved by the
@@ -256,14 +258,13 @@ def run(g: Graph, programs: Dict[int, NodeProgram], config: SimConfig,
 def broadcast_ids(g: Graph, ids: Mapping[int, int], listeners: AbstractSet[int],
                   config: SimConfig, label: str = ""
                   ) -> Tuple[SimTrace, Dict[int, Dict[int, int]]]:
-    """One broadcast round in which every sender v broadcasts one message
-    carrying the single ID ids[v] on all its edges. Returns the trace run()
-    returns for one program per vertex that broadcasts at round 0 and keeps
-    its round-1 inbox, and each listener that hears anything, in ascending
-    order, -> {sender: ID} in ascending sender order. The listener keys are
-    the listeners' own ID objects; a listener's map is one pass over its
-    sorted adjacency tuple."""
-    _require_mode(config, BROADCAST, "broadcast_ids")
+    """One round in broadcast mode, in which every sender v broadcasts one
+    message carrying the single ID ids[v] on all its edges. Returns the
+    trace run() returns for one program per vertex that broadcasts at round
+    0 and keeps its round-1 inbox, and each listener that hears anything, in
+    ascending order, -> {sender: ID} in ascending sender order. The listener
+    keys are the listeners' own ID objects; a listener's map is one pass
+    over its sorted adjacency tuple."""
     adjacency = g.adjacency
     try:
         sent = sum(len(adjacency[v]) for v in ids)
@@ -280,14 +281,13 @@ def broadcast_max(g: Graph, sends: Mapping[int, Message],
                   listeners: AbstractSet[int], accept_all: AbstractSet[int],
                   config: SimConfig, label: str = ""
                   ) -> Tuple[SimTrace, Dict[int, int]]:
-    """One broadcast round in which each listener that does not send keeps
-    the largest scalar it accepts: any in accept_all, odd ones elsewhere.
-    Returns the trace run() returns for one program per vertex that
-    broadcasts its message at round 0, the others listening, and listener ->
-    that scalar in ascending order. One set union per scalar delivers its
-    senders, so the work grows with their degrees and the listeners reached,
-    not n."""
-    _require_mode(config, BROADCAST, "broadcast_max")
+    """One round in broadcast mode, in which each listener that does not
+    send keeps the largest scalar it accepts: any in accept_all, odd ones
+    elsewhere. Returns the trace run() returns for one program per vertex
+    that broadcasts its message at round 0, the others listening, and
+    listener -> that scalar in ascending order. One set union per scalar
+    delivers its senders, so the work grows with their degrees and the
+    listeners reached, not n."""
     cap, max_scalar, adjacency = config.ids_per_message, max(g.n, 2) ** 3, g.adjacency
     trace = SimTrace(label=label, mode=BROADCAST)
     checked: Set[int] = set()   # the ids of the message objects checked
@@ -345,11 +345,6 @@ def _over_budget(config: SimConfig, label: str) -> RoundBudgetExceeded:
         f"episode {label!r} exceeded {config.max_rounds} rounds")
 
 
-def _require_mode(config: SimConfig, mode: str, kernel: str) -> None:
-    if config.mode != mode:
-        raise ValueError(f"{kernel} needs mode {mode!r}, not {config.mode!r}")
-
-
 # ---------------------------------------------------------------------------
 # Tree-cast kernels. Each returns (trace, result), the trace being the one
 # run() returns for the program per vertex the kernel stands for (kept in
@@ -383,10 +378,10 @@ def _per_edge(v: int, edges: AbstractSet[Edge], targets: Iterable[int]) -> int:
 def tree_downcast(g: Graph, children: Mapping[int, Sequence[int]],
                   payloads: Mapping[int, Sequence[Message]],
                   config: SimConfig, label: str = "") -> Tuple[SimTrace, None]:
-    """Pipelined downcast: each root of payloads streams its queue down its
-    tree (children maps a vertex to its children); a vertex at depth d sends
-    payload j to all its children at round d + j. Walks trees by levels."""
-    _require_mode(config, CONGEST, "tree_downcast")
+    """Pipelined downcast in congest mode: each root of payloads streams its
+    queue down its tree (children maps a vertex to its children); a vertex
+    at depth d sends payload j to all its children at round d + j. Walks
+    trees by levels."""
     cap, max_scalar, edges = config.ids_per_message, max(g.n, 2) ** 3, g.edge_set()
     trace = SimTrace(label=label)
     steps: List[int] = []   # steps[r]: the change in messages per round at r
@@ -438,12 +433,12 @@ def best_upcast(g: Graph, roots: Iterable[int],
                 values: Mapping[int, Tuple[int, ...]], prefer_max: bool,
                 width: int, config: SimConfig, label: str = ""
                 ) -> Tuple[SimTrace, Dict[int, Optional[Tuple[int, ...]]]]:
-    """Height-scheduled upcast of the best (least, or greatest with
-    prefer_max) value to each root: every other vertex of their trees wakes
-    at the round of its height and, if it has a value, sends its parent the
-    best of its own and its children's, as IDs or, with width 0, the first
-    entry as the scalar. values holds vertices of those trees only."""
-    _require_mode(config, CONGEST, "best_upcast")
+    """Height-scheduled upcast in congest mode of the best (least, or
+    greatest with prefer_max) value to each root: every other vertex of
+    their trees wakes at the round of its height and, if it has a value,
+    sends its parent the best of its own and its children's, as IDs or, with
+    width 0, the first entry as the scalar. values holds vertices of those
+    trees only."""
     cap, max_scalar, edges = config.ids_per_message, max(g.n, 2) ** 3, g.edge_set()
     trace = SimTrace(label=label)
     fold = max if prefer_max else min
@@ -485,10 +480,9 @@ def best_upcast(g: Graph, roots: Iterable[int],
 def flag_upcast(g: Graph, parent: Mapping[int, Optional[int]],
                 flagged: Iterable[int], config: SimConfig, label: str = ""
                 ) -> Tuple[SimTrace, Set[int]]:
-    """OR upcast: a flagged vertex of parent's trees sends its parent a flag
-    at round 0, any other vertex the round it first hears one. Returns the
-    roots that are flagged or hear a flag."""
-    _require_mode(config, CONGEST, "flag_upcast")
+    """OR upcast in congest mode: a flagged vertex of parent's trees sends
+    its parent a flag at round 0, any other vertex the round it first hears
+    one. Returns the roots that are flagged or hear a flag."""
     edges = g.edge_set()
     raised: Set[int] = set()
     senders = []
@@ -523,12 +517,11 @@ def tree_collect(g: Graph, members: Iterable[int],
                  items: Mapping[int, Sequence[Tuple[int, int]]], cap: int,
                  config: SimConfig, label: str = ""
                  ) -> Tuple[SimTrace, Dict[int, Dict[int, int]]]:
-    """Capped, deduplicating keyed collect: each member admits (key, payload)
-    items, its own in ascending order, then each round those its children
-    relay, in child order; it keeps those with a new key while it holds
-    fewer than cap and forwards them to its parent FIFO, one per round.
-    Returns member -> its store in admission order."""
-    _require_mode(config, CONGEST, "tree_collect")
+    """Capped, deduplicating keyed collect in congest mode: each member
+    admits (key, payload) items, its own in ascending order, then each round
+    those its children relay, in child order; it keeps those with a new key
+    while it holds fewer than cap and forwards them to its parent FIFO, one
+    per round. Returns member -> its store in admission order."""
     edges = g.edge_set()
     stores: Dict[int, Dict[int, int]] = {v: {} for v in members}
     queues: Dict[int, Deque[Tuple[int, int]]] = {v: deque() for v in stores}
@@ -572,12 +565,11 @@ def tree_collect(g: Graph, members: Iterable[int],
 def orient_flood(g: Graph, roots: Iterable[int],
                  tree_nbrs: Mapping[int, Sequence[int]], config: SimConfig,
                  label: str = "") -> Tuple[SimTrace, Dict[int, Tuple[int, Optional[int]]]]:
-    """Orientation flood: each root sends its ID to its tree neighbours at
-    round 0; a vertex of tree_nbrs that hears it takes the center and, as
-    parent, the least vertex it first hears from, and relays to its other
-    tree neighbours. Returns vertex -> (center, parent) for every vertex the
-    flood reached, roots included."""
-    _require_mode(config, CONGEST, "orient_flood")
+    """Orientation flood in congest mode: each root sends its ID to its tree
+    neighbours at round 0; a vertex of tree_nbrs that hears it takes the
+    center and, as parent, the least vertex it first hears from, and relays
+    to its other tree neighbours. Returns vertex -> (center, parent) for
+    every vertex the flood reached, roots included."""
     edges = g.edge_set()
     found: Dict[int, Tuple[int, Optional[int]]] = {r: (r, None) for r in roots}
     senders, counts = sorted(found), []
@@ -606,7 +598,6 @@ def send_round(g: Graph, targets: Mapping[int, Sequence[int]],
                config: SimConfig, label: str = "") -> Tuple[SimTrace, None]:
     """One congest-mode round: every vertex of targets sends one empty
     message to each neighbour it lists."""
-    _require_mode(config, CONGEST, "send_round")
     edges = g.edge_set()
     sent = sum(_per_edge(v, edges, targets[v]) for v in sorted(targets))
     return _account(SimTrace(label=label), [sent], 1 if sent else 0), None

@@ -135,9 +135,8 @@ def trivial_result(g: Graph, algorithm: str, params: dict) -> BuildResult:
         snapshots=[], trace=comm.BuildTrace())
 
 
-def run_phases(g: Graph, variant: Variant, params: dict,
-               net: Optional[Net] = None) -> BuildResult:
-    net = net or Net(g)
+def run_phases(g: Graph, variant: Variant, params: dict) -> BuildResult:
+    net = Net(g)
     spanner = SpannerEdgeSet(g)
     tree_adj: Dict[int, List[int]] = {v: [] for v in g.vertices}
     center_of: Dict[int, int] = {v: v for v in g.vertices}   # the next clusters

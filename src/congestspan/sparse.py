@@ -88,7 +88,7 @@ class _SparseVariant:
         self.ell = params.ell
         self.delta = params.delta
         self.ruling_params = RulingParams(q=params.ruling_q, c=2)
-        self.radius_bounds = radius_sequence(self.delta, self.ell).values
+        self.radius_bounds = radius_sequence(self.delta, self.ell)
 
     def threshold_expo(self, phase: int) -> Optional[Fraction]:
         if phase < self.params.ell:
@@ -149,7 +149,7 @@ class _SparseVariant:
             spanner.add(edge_key(v, u), vertex=c, kind=INTER, phase=phase)
 
 
-def build_spanner(g: Graph, kappa: int, rho, net: Optional[Net] = None) -> BuildResult:
+def build_spanner(g: Graph, kappa: int, rho) -> BuildResult:
     """Run the construction; rho may be a Fraction, float, or 'p/q' string.
     kappa and rho are checked even on a single vertex, which needs no phases."""
     params = degree_schedule(g.n, kappa, rho)
@@ -161,11 +161,11 @@ def build_spanner(g: Graph, kappa: int, rho, net: Optional[Net] = None) -> Build
         "ruling_q": params.ruling_q,
         "deg_thresholds": [float(g.n) ** float(e) for e in params.deg_expos],
     }
-    return run_phases(g, _SparseVariant(params), run_info, net=net)
+    return run_phases(g, _SparseVariant(params), run_info)
 
 
-def build_skeleton(g: Graph, rho, net: Optional[Net] = None) -> BuildResult:
-    result = build_spanner(g, skeleton_kappa(g.n), rho, net=net)
+def build_skeleton(g: Graph, rho) -> BuildResult:
+    result = build_spanner(g, skeleton_kappa(g.n), rho)
     result.params["preset"] = "skeleton"
     return result
 

@@ -69,14 +69,6 @@ def _heard(listeners, inboxes):
     return calls
 
 
-def test_kernel_needs_broadcast_mode():
-    g = gr.generate_graph("cycle", n=8)
-    with pytest.raises(ValueError, match="broadcast_max needs mode 'broadcast'"):
-        sim.broadcast_max(g, {1: Message(1, (), 3)}, {2}, {2}, SimConfig(), "lbl")
-    with pytest.raises(ValueError, match="broadcast_ids needs mode 'broadcast'"):
-        sim.broadcast_ids(g, {1: 1}, {2}, SimConfig(), "lbl")
-
-
 def test_no_episode_without_senders():
     g = gr.generate_graph("cycle", n=8)
     net = comm.Net(g)
@@ -97,9 +89,9 @@ def test_no_episode_without_senders():
     assert comm.knockout_hop(net, orient, "quiet", [], set(g.vertices)) == {}
     assert comm.knockout_hop(net, orient, "pop", [(1, 2)], {1}) == {2: 2, 8: 2}
     assert comm.knockout_hop(net, orient, "unpop", [(1, 2)], {2}) == {2: 2}
-    assert [(e.label, e.mode, e.rounds, e.messages, e.max_ids)
-            for e in net.trace.episodes] == [
-        (label, sim.BROADCAST, 1, 2, 1) for label in ("loud", "edge", "pop", "unpop")]
+    assert net.trace.episodes == [
+        sim.SimTrace(label, sim.BROADCAST, 1, 2, 1, [2])
+        for label in ("loud", "edge", "pop", "unpop")]
 
 
 @settings(max_examples=200, deadline=None)
@@ -124,14 +116,13 @@ def test_explore_hop_keeps_the_superedge_arrivals_of_the_program_oracle(data):
     net = comm.Net(g)
 
     kept = comm.explore_hop(net, orient, "lbl", frontier, popular, listeners)
-    config = SimConfig(ids_per_message=net.ids_per_message, mode=sim.BROADCAST)
+    config = SimConfig(ids_per_message=net.config.ids_per_message,
+                       mode=sim.BROADCAST)
     trace, expected = oracles.explore_hop(g, orient, frontier, popular,
                                           listeners, config, "lbl")
     assert [(v, list(got.items())) for v, got in kept.items()] \
         == [(v, list(got.items())) for v, got in expected.items()]
-    assert net.trace.episodes == ([] if trace is None else [comm.EpisodeStat(
-        "lbl", sim.BROADCAST, trace.rounds_elapsed, trace.messages_total,
-        trace.max_ids_per_message)])
+    assert net.trace.episodes == ([] if trace is None else [trace])
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +192,9 @@ def test_exchange_gives_each_silent_vertex_its_own_dict():
     heard = comm.exchange_cluster_ids(net, orient, "p1.exchange")
     assert heard == {1: {}, 4: {}, 6: {}}
     assert len({id(m) for m in heard.values()}) == 3
-    assert [(e.label, e.mode, e.rounds, e.messages, e.max_ids)
-            for e in net.trace.episodes] == [
-        ("p0.exchange", sim.BROADCAST, 1, 6, 1),
-        ("p1.exchange", sim.BROADCAST, 1, 6, 1)]
+    assert net.trace.episodes == [
+        sim.SimTrace(label, sim.BROADCAST, 1, 6, 1, [6])
+        for label in ("p0.exchange", "p1.exchange")]
 
 
 # ---------------------------------------------------------------------------

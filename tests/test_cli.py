@@ -197,6 +197,34 @@ class TestMalformedInput:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: CONGESTSPAN_WORKERS")
 
+    @pytest.mark.parametrize("token", [
+        "1_0", "１", "٣", "+5", "-5", "0", str(2 ** 64), "9" * 4001],
+        ids=["underscore", "full-width digit", "arabic-indic digit",
+             "plus sign", "minus sign", "zero", "2^64", "4001 digits"])
+    def test_bad_vertex_id_exits_2(self, token, tmp_path, capsys):
+        """The graph loader and the spanner-file reader take a vertex ID only
+        as ASCII digits in [1, 2^64 - 1]; any other token exits 2 with an
+        error line naming the file and the line."""
+        path = tmp_path / "g.edges"
+        path.write_text(f"1 2\n2 {token}\n", encoding="utf-8")
+        for argv in (["build", "--alg", "polylog", "--kappa", "2",
+                      "--graph", str(path), "--out", str(tmp_path / "o")],
+                     ["verify", "--graph", "gen:path:n=3", "--spanner", str(path)]):
+            assert cli.main(argv) == 2
+            assert capsys.readouterr().err == (
+                f"error: {path}:2: vertex id {token!r} is not an integer "
+                f"in [1, 2^64 - 1]\n")
+
+    def test_largest_vertex_id_builds_and_verifies(self, tmp_path, capsys):
+        top = 2 ** 64 - 1
+        path = tmp_path / "g.edges"
+        path.write_text(f"1 {top}\n{top} 2\n2 3\n3 1\n")
+        out = tmp_path / "o"
+        assert cli.main(["build", "--alg", "polylog", "--kappa", "2",
+                         "--graph", str(path), "--out", str(out)]) == 0
+        assert cli.main(["verify", "--graph", str(path),
+                         "--spanner", str(out / "spanner.edges")]) == 0
+
     @settings(max_examples=80, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(text=st.one_of(RANDOM_TEXT, RANDOM_EDGE_LINES))

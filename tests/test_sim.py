@@ -126,7 +126,7 @@ def downcast(g, parent, payloads):
     net = comm.Net(g)
     orient = comm.orientation_from_parents({1: parent})
     received = comm.downcast_payloads(net, orient, {1: payloads}, "downcast")
-    return net.trace.episodes[-1].rounds, received
+    return net.trace.episodes[-1].rounds_elapsed, received
 
 
 def upcast(g, parent, items, cap):
@@ -135,7 +135,7 @@ def upcast(g, parent, items, cap):
     net = comm.Net(g)
     orient = comm.orientation_from_parents({1: parent})
     stores = comm.upcast_collect(net, orient, items, cap, "upcast")
-    return net.trace.episodes[-1].rounds, stores[1]
+    return net.trace.episodes[-1].rounds_elapsed, stores[1]
 
 
 class TestDowncast:

@@ -66,7 +66,8 @@ def trace_digest(name: str) -> str:
     make_graph, build = BUILDS[name]
     result = build(make_graph())
     record = {
-        "episodes": [[ep.label, ep.mode, ep.rounds, ep.messages, ep.max_ids]
+        "episodes": [[ep.label, ep.mode, ep.rounds_elapsed, ep.messages_total,
+                      ep.max_ids_per_message]
                      for ep in result.trace.episodes],
         "spanner_edges": sorted(result.spanner.edges),
         "summary": result.trace.summary(),

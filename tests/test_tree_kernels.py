@@ -5,7 +5,8 @@ orient_flood, send_round) must return the trace that ``sim.run`` returns for
 one program per vertex (the oracles in oracles.py), every field of it, and
 the same result, or raise what ``sim.run`` raises, with the same text. The
 comm functions built on the kernels must return what the program versions
-returned and record the same episodes, and none when no vertex takes part.
+returned and record the oracle's whole trace as the episode, and no episode
+when no vertex takes part.
 """
 
 import dataclasses
@@ -135,13 +136,8 @@ def _net(g, config) -> comm.Net:
 
 
 def _episodes(net: comm.Net):
-    return [(e.label, e.mode, e.rounds, e.messages, e.max_ids)
-            for e in net.trace.episodes]
-
-
-def _episode(trace: dict):
-    return (trace["label"], trace["mode"], trace["rounds_elapsed"],
-            trace["messages_total"], trace["max_ids_per_message"])
+    """The recorded episodes, each the kernel's whole trace as a dict."""
+    return [dataclasses.asdict(e) for e in net.trace.episodes]
 
 
 def _comm(call):
@@ -185,7 +181,7 @@ def test_downcast_equals_oracle(data):
         assert got == oracle
         return
     assert {v: list(msgs) for v, msgs in got.items()} == received
-    assert _episodes(net) == ([_episode(oracle)] if payloads else [])
+    assert _episodes(net) == ([oracle] if payloads else [])
 
     # downcast_single is the one-payload case, with no result
     tag = rng.randint(0, 30)
@@ -198,7 +194,7 @@ def test_downcast_equals_oracle(data):
     if got is not None:
         assert got == oracle
     else:
-        assert _episodes(net) == ([_episode(oracle)] if payloads else [])
+        assert _episodes(net) == ([oracle] if payloads else [])
 
 
 @settings(max_examples=150, deadline=None)
@@ -236,7 +232,7 @@ def test_best_upcast_equals_oracle(data):
         assert got == oracle[0]
     else:
         assert got == oracle[1]
-        assert _episodes(net) == ([_episode(oracle[0])] if wanted else [])
+        assert _episodes(net) == ([oracle[0]] if wanted else [])
 
 
 @settings(max_examples=150, deadline=None)
@@ -258,7 +254,7 @@ def test_flag_upcast_equals_oracle(data):
         assert got == oracle[0]
     else:
         assert got == {c for c in orient.centers if c in oracle[1]}
-        assert _episodes(net) == [_episode(oracle[0])]
+        assert _episodes(net) == [oracle[0]]
 
 
 @settings(max_examples=150, deadline=None)
@@ -289,7 +285,7 @@ def test_collect_equals_oracle(data):
     got = comm.upcast_collect(net, orient, items, cap, "lbl", centers=wanted)
     assert [(c, list(s.items())) for c, s in got.items()] == [
         (c, list(expected.get(c, {}).items())) for c in set(wanted)]
-    assert _episodes(net) == ([_episode(oracle)] if wanted else [])
+    assert _episodes(net) == ([oracle] if wanted else [])
 
 
 def _clusters(rng, parent_maps, mutation):
@@ -354,7 +350,7 @@ def test_orient_equals_oracle(data):
         assert got == expected
         return
     assert got == dataclasses.asdict(expected[1])
-    assert _episodes(net) == [_episode(dataclasses.asdict(expected[0]))]
+    assert _episodes(net) == [dataclasses.asdict(expected[0])]
 
 
 @settings(max_examples=100, deadline=None)
@@ -379,7 +375,7 @@ def test_send_round_equals_oracle(data):
     if got is not None:
         assert got == oracle[0]
     else:
-        assert _episodes(net) == ([_episode(oracle[0])] if targets else [])
+        assert _episodes(net) == ([oracle[0]] if targets else [])
 
 
 # ---------------------------------------------------------------------------
@@ -498,23 +494,6 @@ def test_orient_runtime_errors_match():
         assert len(net.trace.episodes) == 1
 
 
-KERNEL_ARGS = [
-    (sim.tree_downcast, (CHAIN.children, {1: [Message(1)]})),
-    (sim.best_upcast, ([1], CHAIN.parent, CHAIN.height, {}, False, 1)),
-    (sim.flag_upcast, (CHAIN.parent, {5})),
-    (sim.tree_collect, (CHAIN.parent, CHAIN.parent, {}, 1)),
-    (sim.orient_flood, ([1], CHAIN_ADJ)),
-    (sim.send_round, ({1: [2]},)),
-]
-
-
-@pytest.mark.parametrize("kernel, args", KERNEL_ARGS,
-                         ids=[k.__name__ for k, _ in KERNEL_ARGS])
-def test_kernels_need_congest_mode(kernel, args):
-    with pytest.raises(ValueError, match="needs mode 'congest'"):
-        kernel(PATH, *args, SimConfig(mode=sim.BROADCAST), "lbl")
-
-
 def test_episodes_only_when_a_vertex_takes_part():
     net = comm.Net(PATH)
     comm.downcast_single(net, CHAIN, [], comm.TAG_POPBIT, "none")
@@ -530,4 +509,4 @@ def test_episodes_only_when_a_vertex_takes_part():
     single = comm.orientation_from_parents({3: {3: None}})
     comm.downcast_single(net, single, [3], comm.TAG_POPBIT, "quiet")
     comm.announce_edges(net, "quiet", {2: []})
-    assert _episodes(net) == [("quiet", sim.CONGEST, 0, 0, 0)] * 2
+    assert _episodes(net) == [dataclasses.asdict(sim.SimTrace("quiet"))] * 2

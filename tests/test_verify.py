@@ -256,6 +256,24 @@ def test_verdicts_fail_on_a_tampered_phase(sparse_gnp_build, tamper, failing):
     assert _failing(g, res) == failing
 
 
+def test_phase_counts_fails_a_phase_with_more_clusters_than_vertices(
+        sparse_gnp_build):
+    """Phase 0 with one more settled singleton cluster, centered at an ID
+    outside G, holds n + 1 clusters: only the count bound of phase 0 fails,
+    n^(3/3) for polylog and the exponential-stage bound for sparse."""
+    g, res = sparse_gnp_build
+    res = copy.deepcopy(res)
+    snap = res.snapshots[0]
+    outside = max(g.vertices) + 1
+    snap.parent = {**snap.parent, outside: None}
+    snap.settled = snap.settled | {outside}
+    bound = ("n^(3/3)" if res.algorithm == "polylog"
+             else "the exponential-stage bound")
+    report = verify.verify_build(g, res)
+    assert {v["name"]: v["detail"] for v in report["verdicts"] if not v["ok"]} \
+        == {"phase_counts": f"phase 0: {g.n + 1} clusters exceed {bound}"}
+
+
 @pytest.mark.parametrize("n, p, seed, failing", [
     (128, 0.05, 4, ["ruling"]),
     (64, 0.1, 1, ["ruling", "supercluster_oracle"]),
