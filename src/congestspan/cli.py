@@ -19,7 +19,7 @@ from multiprocessing import Pool
 from pathlib import Path
 from typing import Dict, List, Optional, Set
 
-from . import __version__, polylog, sparse, verify
+from . import __version__, comm, polylog, sparse, verify
 from .exact import as_fraction
 from .clusters import forest_centers
 from .graph import (Edge, Graph, GraphError, edge_key, generate_graph, load_graph,
@@ -123,7 +123,7 @@ def build_report(g: Graph, result: BuildResult) -> dict:
             "meta": g.meta,
         },
         "config": {"algorithm": result.algorithm, **result.params,
-                   "ids_per_message": 2},
+                   "ids_per_message": comm.IDS_PER_MESSAGE},
         "phases": _phase_rows(g, result),
         "trace": {
             **result.trace.summary(),
@@ -318,6 +318,16 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flag_value(action: argparse.Action, val):
+    """val as its flag would hold it: a string goes through the flag's type,
+    and a number is taken only by a numeric flag that can hold it."""
+    kind = action.type or str
+    if (isinstance(val, str) or type(val) is int and kind in (int, float)
+            or type(val) is float and kind is float):
+        return kind(val)
+    raise ValueError(f"expected {kind.__name__}, got {json.dumps(val)}")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
@@ -329,9 +339,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _input_error(f"--config {args.config}: {exc}")
         if not isinstance(defaults, dict):
             return _input_error(f"--config {args.config}: expected a JSON object")
+        sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {a.dest: a for a in sub.choices[args.command]._actions}
         for key, val in defaults.items():
-            if getattr(args, key, None) is None:
-                setattr(args, key, val)
+            if key in flags and getattr(args, key, 0) is None:
+                try:
+                    setattr(args, key, _flag_value(flags[key], val))
+                except ValueError as exc:
+                    return _input_error(f"--config {args.config}: {key}: {exc}")
     return args.func(args)
 
 

@@ -218,8 +218,7 @@ def run_supercluster_bfs(net: Net, orient: Orientation, ruling: Set[int],
             break
         # stage 0: the frontier centers stream the root ID to their members
         payload = {c: ((joins[c].root,), 0) for c in frontier}
-        comm.downcast_single(net, orient, frontier, comm.TAG_RELAY,
-                             f"w{wave}.relay", payload)
+        comm.downcast_single(net, orient, frontier, f"w{wave}.relay", payload)
         # stage 1: frontier members broadcast the exploration; a member of an
         # unjoined cluster keeps, per (root, smaller endpoint) pair, the
         # smallest other endpoint, so the aggregation below can reconstruct
@@ -245,8 +244,7 @@ def run_supercluster_bfs(net: Net, orient: Orientation, ruling: Set[int],
                                  width=2, centers=reached)
         # ask the members for the matching smallest other endpoint
         down1 = {c: (best1[c], 0) for c in reached}
-        comm.downcast_single(net, orient, reached, comm.TAG_WIN1,
-                             f"w{wave}.win1", down1)
+        comm.downcast_single(net, orient, reached, f"w{wave}.win1", down1)
         vals2 = {v: (mm,) for v, pairs in cands.items()
                  if (mm := pairs.get(best1[member_center[v]])) is not None}
         best2 = comm.upcast_best(net, orient, vals2, f"w{wave}.min2",
@@ -262,8 +260,7 @@ def run_supercluster_bfs(net: Net, orient: Orientation, ruling: Set[int],
             outside = wedge[0] if wedge[1] == inside else wedge[1]
             joins[c] = JoinInfo(root, member_center[outside], wedge, wave)
             unjoined.difference_update(orient.members[c])
-        comm.downcast_single(net, orient, reached, comm.TAG_WIN2,
-                             f"w{wave}.win2", down2)
+        comm.downcast_single(net, orient, reached, f"w{wave}.win2", down2)
         frontier = reached
 
     return joins

@@ -15,6 +15,11 @@ episode in which no vertex takes part is not recorded. The orchestrator only
 moves results between episodes, never inventing knowledge a vertex could not
 have accumulated locally.
 
+On the wire a message is at most IDS_PER_MESSAGE vertex IDs and one bounded
+scalar; what a message means follows from the episode it belongs to, so the
+build sets no tag and no kernel reads one. Every Net runs its episodes under
+the same SimConfig, built from IDS_PER_MESSAGE and MAX_ROUNDS_PER_EPISODE.
+
 The kernel fixes an episode's mode: the two broadcast kernels run in
 broadcast mode, the others in congest mode. Round accounting sums the
 episodes into a BuildTrace, which keeps each kernel's SimTrace as it was
@@ -34,15 +39,9 @@ from .graph import Graph
 from . import sim
 from .sim import Message, SimConfig
 
-# message tags shared by the phase protocols
-TAG_POPBIT = 13
-TAG_PAYLOAD = 17
-TAG_KNOCK = 18
-TAG_KNOCK_SEND = 19
-TAG_RELAY = 21
-TAG_WIN1 = 22
-TAG_WIN2 = 23
-TAG_SETTLED = 24
+# the CONGEST message width, in vertex IDs, and the round budget of one episode
+IDS_PER_MESSAGE = 2
+MAX_ROUNDS_PER_EPISODE = 4_000_000
 
 
 @dataclass
@@ -73,11 +72,10 @@ class BuildTrace:
 class Net:
     """Graph plus messaging config plus the running trace."""
 
-    def __init__(self, g: Graph, ids_per_message: int = 2,
-                 max_rounds_per_episode: int = 4_000_000):
+    def __init__(self, g: Graph):
         self.g = g
-        self.config = SimConfig(ids_per_message=ids_per_message,
-                                max_rounds=max_rounds_per_episode)
+        self.config = SimConfig(ids_per_message=IDS_PER_MESSAGE,
+                                max_rounds=MAX_ROUNDS_PER_EPISODE)
         self.trace = BuildTrace()
 
     def cast(self, label: str, kernel: Callable, *args):
@@ -207,7 +205,7 @@ def knockout_hop(net: Net, orient: Orientation, label: str,
     not send, the most hops it heard across a superedge with a popular side."""
     sends: Dict[int, Message] = {}
     for c, hops in frontier:
-        msg = Message(TAG_KNOCK, (c,), (hops << 1) | (c in accept_all))
+        msg = Message(ids=(c,), scalar=(hops << 1) | (c in accept_all))
         sends.update(dict.fromkeys(orient.members[c], msg))
     best = net.cast(label, sim.broadcast_max, sends, orient.center_of.keys(),
                     accept_all) if sends else {}
@@ -241,8 +239,7 @@ def upcast_flags(net: Net, orient: Orientation, flagged: Set[int], label: str) -
     return {c for c in orient.centers if c in raised}
 
 
-def downcast_single(net: Net, orient: Orientation, centers: Iterable[int],
-                    tag: int, label: str,
+def downcast_single(net: Net, orient: Orientation, centers: Iterable[int], label: str,
                     payload: Optional[Dict[int, Tuple[Tuple[int, ...], int]]] = None
                     ) -> None:
     """Stream one message from each listed center down its tree.
@@ -253,7 +250,7 @@ def downcast_single(net: Net, orient: Orientation, centers: Iterable[int],
     queues = {}
     for c in set(centers):
         ids, scalar = (payload or {}).get(c, ((), 0))
-        queues[c] = (Message(tag, ids, scalar),)
+        queues[c] = (Message(ids=ids, scalar=scalar),)
     if queues:
         net.cast(label, sim.tree_downcast, orient.children, queues)
 

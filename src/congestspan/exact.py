@@ -110,8 +110,8 @@ def ceil_log2_int(n: int) -> int:
     return (n - 1).bit_length()
 
 
-def npow_decimal(n: int, expo: Fraction, prec: int = 60) -> Decimal:
-    """n**expo as a Decimal with prec significant digits; the caller's
+def npow_decimal(n: int, expo: Fraction) -> Decimal:
+    """n**expo as a Decimal with 60 significant digits; the caller's
     decimal context is left as it was.
 
     Used only where several fractional powers must be summed; single-term
@@ -120,6 +120,6 @@ def npow_decimal(n: int, expo: Fraction, prec: int = 60) -> Decimal:
     if n == 0:
         return Decimal(0)
     with localcontext() as ctx:
-        ctx.prec = prec
+        ctx.prec = 60
         return (Decimal(expo.numerator) / Decimal(expo.denominator)
                 * Decimal(n).ln()).exp()

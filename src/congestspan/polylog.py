@@ -77,8 +77,7 @@ class _PolylogVariant:
                 flagged.add(v)
         popular = comm.upcast_flags(net, orient, flagged, f"p{phase}.popflag")
         if popular:
-            comm.downcast_single(net, orient, popular, comm.TAG_POPBIT,
-                                 f"p{phase}.popbit")
+            comm.downcast_single(net, orient, popular, f"p{phase}.popbit")
         return popular, None
 
     def interconnect(self, net: Net, orient: Orientation,
@@ -87,8 +86,7 @@ class _PolylogVariant:
                      spanner: SpannerEdgeSet) -> None:
         if not settled:
             return
-        comm.downcast_single(net, orient, sorted(settled), comm.TAG_SETTLED,
-                             f"p{phase}.settle")
+        comm.downcast_single(net, orient, sorted(settled), f"p{phase}.settle")
         targets: Dict[int, List[int]] = {}
         for c in sorted(settled):
             for v in orient.members[c]:

@@ -1,4 +1,9 @@
-"""Deterministic ruling sets, on the graph and on virtual cluster graphs.
+"""Deterministic ruling sets of a phase's popular clusters, and their check.
+
+Each phase grows its superclusters around a ruling set of the popular
+clusters on the phase's virtual cluster graph; run_knockout_schedule
+computes it inside the simulated network, and check_ruling is the exact
+check the verifier applies to the result.
 
 The construction recursively splits the candidate ID range into t blocks,
 solves the blocks in parallel, and merges them sequentially: each surviving
@@ -12,8 +17,9 @@ every vertex can compute the whole merge timetable locally; the only traffic
 is the knock-out flood itself, which runs in broadcast mode (one message
 type, relayed with a decrementing hop counter by candidates and
 non-candidates alike). A listener keeps only the most hops it hears, so a
-hop is one comm.knockout_hop round. On a virtual cluster graph each flood
-hop costs one down-cast, that round, and one up-cast within the cluster trees.
+hop is one comm.knockout_hop round. Unless every cluster is a single vertex,
+each flood hop also costs one down-cast before that round and one up-cast
+after it, within the cluster trees.
 
 Empty blocks would produce no flood and consume no rounds, so the
 orchestrator never visits them: per level it walks only the blocks that hold
@@ -26,14 +32,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import (AbstractSet, Dict, FrozenSet, Iterable, List, Optional,
-                    Sequence, Set, Tuple)
+from typing import (AbstractSet, Dict, Iterable, List, Optional, Sequence,
+                    Set, Tuple)
 
 from . import comm
-from .clusters import ForestError, forest_centers
 from .comm import Net, Orientation
-from .exact import ceil_log2_int, nth_root_ceil
-from .graph import Graph, bfs_layers
+from .exact import nth_root_ceil
+from .graph import bfs_layers
 
 
 class RulingError(ValueError):
@@ -49,23 +54,6 @@ class RulingParams:
     def __post_init__(self):
         if self.q < 1 or self.c < 1:
             raise RulingError("need q >= 1 and c >= 1")
-
-    @property
-    def alpha(self) -> int:
-        return self.c + 1
-
-    @property
-    def beta(self) -> int:
-        return self.c * self.q
-
-
-@dataclass(frozen=True)
-class RulingSet:
-    members: FrozenSet[int]
-    target: FrozenSet[int]
-    alpha: int
-    beta: int
-    rounds: int
 
 
 @dataclass(frozen=True)
@@ -130,26 +118,26 @@ def _child_block(ident: int, lo: int, widths: List[int], level: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The knock-out flood over the (virtual) cluster structure.
+# The knock-out flood over the virtual cluster graph.
 
 def _flood(net: Net, orient: Orientation, initiators: Sequence[int], depth: int,
-           accept_all: AbstractSet[int], label: str) -> Set[int]:
+           accept_all: AbstractSet[int], trivial: bool, label: str) -> Set[int]:
     """Flood a knock-out from the initiator clusters to the given virtual
     depth; returns every cluster (center) that heard it.
 
     accept_all holds the vertices of popular clusters: hops cross only the
     superedges with a popular side, as in the phase's virtual cluster graph.
+    trivial says every cluster is a single vertex, so no tree cast is needed.
     """
     heard: Set[int] = set()
     relayed: Set[int] = set(initiators)
     frontier: List[Tuple[int, int]] = [(c, depth - 1) for c in sorted(initiators)]
-    trivial = orient.max_depth() == 0
     wave = 0
     while frontier:
         wave += 1
         if not trivial:
             payload = {c: ((), h) for c, h in frontier}
-            comm.downcast_single(net, orient, payload.keys(), comm.TAG_KNOCK_SEND,
+            comm.downcast_single(net, orient, payload.keys(),
                                  f"{label}.k{wave}.down", payload)
         got = hops_at = comm.knockout_hop(net, orient, f"{label}.k{wave}.x",
                                           frontier, accept_all)
@@ -169,9 +157,10 @@ def _flood(net: Net, orient: Orientation, initiators: Sequence[int], depth: int,
 
 def run_knockout_schedule(net: Net, orient: Orientation, candidates: Set[int],
                           params: RulingParams, id_range: Tuple[int, int],
-                          popular: Optional[Set[int]] = None,
-                          label: str = "rs") -> Set[int]:
-    """Execute the full merge timetable; returns the surviving candidates.
+                          popular: AbstractSet[int], label: str) -> Set[int]:
+    """Execute the full merge timetable over the clusters of orient, whose
+    popular clusters span the virtual cluster graph; returns the surviving
+    candidates.
 
     Per level, only the blocks holding an alive candidate are visited, in
     ascending order, so the work never depends on the ID-range width.
@@ -183,8 +172,8 @@ def run_knockout_schedule(net: Net, orient: Orientation, candidates: Set[int],
         return alive
     t = max(2, nth_root_ceil(width, params.q))
     widths = _block_widths(width, t)
-    accept_all = orient.center_of.keys() if popular is None else {
-        v for v, c in orient.center_of.items() if c in popular}
+    accept_all = {v for v, c in orient.center_of.items() if c in popular}
+    trivial = orient.max_depth() == 0
     for level in range(len(widths) - 2, -1, -1):
         blocks: Dict[int, List[int]] = {}
         for c in sorted(alive):
@@ -194,78 +183,8 @@ def run_knockout_schedule(net: Net, orient: Orientation, candidates: Set[int],
             if not senders:
                 continue
             heard = _flood(net, orient, senders, params.c, accept_all,
-                           f"{label}.L{level}.b{block}")
+                           trivial, f"{label}.L{level}.b{block}")
             for c in heard:
                 if c in alive and _child_block(c, lo, widths, level) > block:
                     alive.discard(c)
     return alive
-
-
-# ---------------------------------------------------------------------------
-# Public constructions.
-
-def congest_ruling_set(g: Graph, a: Iterable[int], params: RulingParams,
-                       net: Optional[Net] = None) -> RulingSet:
-    """Ruling set for a set of vertices, executed through the simulator.
-
-    The knock-out flood relays through every vertex, candidate or not, with a
-    decrementing hop counter, all in broadcast mode.
-    """
-    target = frozenset(a)
-    if not target:
-        raise RulingError("candidate set is empty")
-    unknown = target - set(g.vertices)
-    if unknown:
-        raise RulingError(f"candidates outside the graph: {sorted(unknown)[:4]}")
-    net = net or Net(g)
-    orient = comm.orientation_from_parents({v: {v: None} for v in g.vertices})
-    rounds0 = net.trace.rounds_total
-    members = run_knockout_schedule(net, orient, set(target), params,
-                                    g.id_range, popular=None, label="rs")
-    return RulingSet(frozenset(members), target, params.alpha, params.beta,
-                     net.trace.rounds_total - rounds0)
-
-
-def aglp_ruling_set(g: Graph, a: Iterable[int], net: Optional[Net] = None) -> RulingSet:
-    """The q = ceil(log2 n) instantiation: a (3, 2*ceil(log2 n))-ruling set."""
-    q = max(1, ceil_log2_int(g.n))
-    return congest_ruling_set(g, a, RulingParams(q=q, c=2), net=net)
-
-
-def supergraph_ruling_set(g: Graph, parent_maps: Dict[int, Dict[int, Optional[int]]],
-                          a: Iterable[int], params: RulingParams, r_bound: int,
-                          spanner_edges: Optional[Set] = None,
-                          popular: Optional[Set[int]] = None,
-                          net: Optional[Net] = None) -> RulingSet:
-    """Ruling set over clusters, simulated on the host graph.
-
-    parent_maps maps each cluster's center to its tree as a parent map (None
-    for the center), the shape comm.orientation_from_parents takes. Every
-    tree must have depth at most r_bound inside spanner_edges and be rooted
-    at its center (checked when the edge set is supplied); each virtual
-    flood hop is simulated by tree casts.
-    """
-    target = frozenset(a)
-    unknown = target.difference(parent_maps)
-    if unknown:
-        raise RulingError(f"candidate clusters not in the partition: {sorted(unknown)[:4]}")
-    if spanner_edges is not None:
-        flat = {v: p for pmap in parent_maps.values() for v, p in pmap.items()}
-        try:
-            center_of = forest_centers(flat, spanner_edges, r_bound)
-        except ForestError as exc:
-            raise RulingError(
-                f"cluster trees violate the tree precondition: {exc}") from None
-        stray = [(c, v) for c, pmap in parent_maps.items() for v in pmap
-                 if center_of[v] != c]
-        if stray:
-            c, v = stray[0]
-            raise RulingError(f"cluster {c} violates the tree precondition "
-                              f"(members-only): {v} is in the tree of {center_of[v]}")
-    net = net or Net(g)
-    orient = comm.orientation_from_parents(parent_maps)
-    rounds0 = net.trace.rounds_total
-    members = run_knockout_schedule(net, orient, set(target), params,
-                                    g.id_range, popular=popular, label="srs")
-    return RulingSet(frozenset(members), target, params.alpha, params.beta,
-                     net.trace.rounds_total - rounds0)

@@ -1,7 +1,8 @@
 """Round-synchronous message-passing simulator with congestion accounting.
 
 The model: each vertex hosts a program; in every round a program may place at
-most one small message on each incident edge. A message carries a tag, at most
+most one small message on each incident edge. A message carries a tag (0
+unless a program sets one; the kernels never read it), at most
 ``ids_per_message`` vertex IDs (default 2), and one bounded integer scalar.
 All round-t sends are delivered at round t+1; there is no intra-round
 visibility. In ``broadcast`` mode a vertex must send the identical message on
@@ -59,7 +60,7 @@ class RoundBudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class Message:
-    tag: int
+    tag: int = 0
     ids: Tuple[int, ...] = ()
     scalar: int = 0
 

@@ -111,8 +111,7 @@ class _SparseVariant:
         if not is_final:
             popular = {c for c, lc in knowledge.items() if len(lc) >= cap}
         if popular:
-            comm.downcast_single(net, orient, sorted(popular), comm.TAG_POPBIT,
-                                 f"p{phase}.popbit")
+            comm.downcast_single(net, orient, sorted(popular), f"p{phase}.popbit")
         return popular, knowledge
 
     def interconnect(self, net: Net, orient: Orientation,
@@ -123,8 +122,7 @@ class _SparseVariant:
             return
         payloads: Dict[int, Sequence[Message]] = {}
         for c in sorted(settled):
-            msgs = [Message(comm.TAG_PAYLOAD, (cc, y))
-                    for cc, y in knowledge[c].items()]
+            msgs = [Message(ids=(cc, y)) for cc, y in knowledge[c].items()]
             if msgs:
                 payloads[c] = msgs
         if not payloads:
@@ -137,7 +135,7 @@ class _SparseVariant:
             for v in orient.members[c]:
                 targets = []
                 for msg in received.get(v, ()):
-                    if msg.tag == comm.TAG_PAYLOAD and msg.ids[1] == v:
+                    if msg.ids[1] == v:
                         cc = msg.ids[0]
                         u = min(u2 for u2, c2 in nbrmap[v].items() if c2 == cc)
                         targets.append(u)

@@ -79,7 +79,7 @@ def test_knockout_hop(benchmark, round_inputs, impl):
     g, listeners, config = round_inputs
     vertices = sorted(g.vertices)
     accept_all = set(vertices[:g.n // 2])
-    sends = {v: Message(comm.TAG_KNOCK, (v,), 2 | (v in accept_all))
+    sends = {v: Message(ids=(v,), scalar=2 | (v in accept_all))
              for v in vertices[::8]}
     trace, best = benchmark(impl, g, sends, listeners, accept_all, config, "k1.x")
     assert trace.messages_total == sum(len(g.adjacency[v]) for v in sends)

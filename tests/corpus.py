@@ -8,14 +8,15 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Set, Tuple
 
 from congestspan import graph as gr
 from congestspan import polylog, sparse, verify
 from congestspan.clusters import build_cluster_graph, forest_centers
+from congestspan.comm import Net, orientation_from_parents
 from congestspan.exact import ceil_log2_int
 from congestspan.rulingset import (RulingParams, check_ruling,
-                                   congest_ruling_set, supergraph_ruling_set)
+                                   run_knockout_schedule)
 
 SIZES = (16, 32, 64, 128, 256)
 GNP_SEEDS = tuple(range(1, 21))
@@ -122,6 +123,27 @@ def ruling_tasks() -> List[tuple]:
     return tasks
 
 
+def knockout_ruling_set(g: gr.Graph, candidates, q: int, parent_maps=None,
+                        popular=None, net=None) -> Tuple[Set[int], int]:
+    """The (3, 2q)-ruling set that the build's knock-out schedule picks among
+    the candidate clusters, and the rounds it took.
+
+    parent_maps holds each cluster's tree, center -> {member: parent} (None
+    for the center); by default every vertex of g is its own cluster.
+    popular, all clusters by default, spans the virtual cluster graph the
+    knock-out floods cross. The episodes are recorded on net, if given.
+    """
+    if parent_maps is None:
+        parent_maps = {v: {v: None} for v in g.vertices}
+    net = net or Net(g)
+    rounds0 = net.trace.rounds_total
+    members = run_knockout_schedule(
+        net, orientation_from_parents(parent_maps), set(candidates),
+        RulingParams(q=q), g.id_range,
+        popular=set(parent_maps) if popular is None else popular, label="rs")
+    return members, net.trace.rounds_total - rounds0
+
+
 def run_ruling_point(task: tuple) -> dict:
     name, spec, q, cand_mode, idx = task
     g = make_graph(spec)
@@ -133,11 +155,11 @@ def run_ruling_point(task: tuple) -> dict:
         import random
         rnd = random.Random(idx)
         a = set(rnd.sample(sorted(g.vertices), max(1, g.n // 2)))
-    rs = congest_ruling_set(g, a, RulingParams(q=q, c=2))
-    verdict = check_ruling(g.adjacency, rs.members, a, 3, 2 * q)
+    members, rounds = knockout_ruling_set(g, a, q)
+    verdict = check_ruling(g.adjacency, members, a, 3, 2 * q)
     return {"name": name, "n": g.n, "q": q, "mode": cand_mode,
             "ok": verdict.ok, "detail": verdict.detail,
-            "members": len(rs.members), "rounds": rs.rounds}
+            "members": len(members), "rounds": rounds}
 
 
 def supergraph_ruling_tasks() -> List[tuple]:
@@ -168,14 +190,11 @@ def run_supergraph_ruling_point(task: tuple) -> dict:
     else:
         a, popular = set(p), None
         mode = "all-clusters"
-    rs = supergraph_ruling_set(g, p, a, RulingParams(q=q, c=2),
-                               r_bound=snap.radius_bound,
-                               spanner_edges=at_start,
-                               popular=popular)
+    members, _ = knockout_ruling_set(g, a, q, parent_maps=p, popular=popular)
     vg = build_cluster_graph(center_of, popular if popular is not None else set(p), g)
-    verdict = check_ruling(vg.adjacency, rs.members, a, 3, 2 * q)
+    verdict = check_ruling(vg.adjacency, members, a, 3, 2 * q)
     return {"n": n, "seed": seed, "ok": verdict.ok, "mode": mode,
-            "detail": verdict.detail, "members": len(rs.members)}
+            "detail": verdict.detail, "members": len(members)}
 
 
 # ---------------------------------------------------------------------------

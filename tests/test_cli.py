@@ -144,6 +144,23 @@ class TestMalformedInput:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: --config")
 
+    @pytest.mark.parametrize("key, val, command", [
+        ("bound", "abc", ["verify", "--spanner", "s.edges"]),
+        ("out", 5, ["build", "--alg", "polylog", "--kappa", "2"]),
+        ("rho", [1], ["build", "--alg", "sparse", "--kappa", "3"])],
+        ids=["bound not a number", "out not a string", "rho a list"])
+    def test_config_value_its_flag_cannot_hold_exits_2(self, key, val, command,
+                                                       tmp_path, capsys,
+                                                       monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "s.edges").write_text("1 2\n")
+        (tmp_path / "cfg.json").write_text(json.dumps({key: val}))
+        rc = cli.main(["--config", "cfg.json", *command, "--graph", "gen:path:n=2"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --config cfg.json: {key}: ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("flags", [
         ["--alg", "sparse", "--kappa", "1", "--rho", "0.9"],
         ["--alg", "polylog", "--kappa", "0"]], ids=["sparse", "polylog"])

@@ -1,14 +1,11 @@
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpus import voronoi_clusters
+from corpus import knockout_ruling_set, voronoi_clusters
 
 from congestspan import graph as gr
-from congestspan.comm import Net, orientation_from_parents
+from congestspan.comm import Net
 from congestspan.exact import ceil_log2_int
-from congestspan.rulingset import (RulingError, RulingParams,
-                                   aglp_ruling_set, check_ruling,
-                                   congest_ruling_set, supergraph_ruling_set)
+from congestspan.rulingset import check_ruling
 
 
 class TestCheckRuling:
@@ -36,47 +33,43 @@ class TestCheckRuling:
 class TestCongestRulingSet:
     def test_singleton_candidate(self):
         g = gr.generate_graph("gnp_connected", n=10, p=0.4, seed=1)
-        rs = congest_ruling_set(g, {5}, RulingParams(q=2))
-        assert rs.members == frozenset({5})
-        assert rs.rounds == 0
+        members, rounds = knockout_ruling_set(g, {5}, q=2)
+        assert members == {5}
+        assert rounds == 0
 
     def test_complete_graph_collapses_to_one(self):
         g = gr.generate_graph("complete", n=5)
-        rs = congest_ruling_set(g, set(g.vertices), RulingParams(q=2))
-        assert len(rs.members) == 1
+        members, _ = knockout_ruling_set(g, g.vertices, q=2)
+        assert len(members) == 1
 
     def test_path_q2_verified(self):
         g = gr.generate_graph("path", n=10)
-        rs = congest_ruling_set(g, set(g.vertices), RulingParams(q=2))
-        assert check_ruling(g.adjacency, rs.members, g.vertices, 3, 4).ok
+        members, _ = knockout_ruling_set(g, g.vertices, q=2)
+        assert check_ruling(g.adjacency, members, g.vertices, 3, 4).ok
 
     def test_two_vertex_edge(self):
         g = gr.generate_graph("path", n=2)
-        rs = aglp_ruling_set(g, {1, 2})
-        assert len(rs.members) == 1
+        members, _ = knockout_ruling_set(g, {1, 2}, q=ceil_log2_int(2))
+        assert len(members) == 1
 
     def test_aglp_on_path_16(self):
         g = gr.generate_graph("path", n=16)
-        rs = aglp_ruling_set(g, set(g.vertices))
-        beta = 2 * ceil_log2_int(16)
+        q = ceil_log2_int(16)
+        members, _ = knockout_ruling_set(g, g.vertices, q)
+        beta = 2 * q
         assert beta == 8
-        assert check_ruling(g.adjacency, rs.members, g.vertices, 3, beta).ok
-
-    def test_empty_candidates_rejected(self):
-        g = gr.generate_graph("path", n=4)
-        with pytest.raises(RulingError):
-            congest_ruling_set(g, set(), RulingParams(q=2))
+        assert check_ruling(g.adjacency, members, g.vertices, 3, beta).ok
 
     def test_deterministic(self):
         g = gr.generate_graph("gnp_connected", n=40, p=0.15, seed=8)
-        a = congest_ruling_set(g, set(g.vertices), RulingParams(q=3))
-        b = congest_ruling_set(g, set(g.vertices), RulingParams(q=3))
-        assert a.members == b.members
+        a, _ = knockout_ruling_set(g, g.vertices, q=3)
+        b, _ = knockout_ruling_set(g, g.vertices, q=3)
+        assert a == b
 
     def test_broadcast_compliance(self):
         g = gr.generate_graph("gnp_connected", n=30, p=0.2, seed=4)
         net = Net(g)
-        congest_ruling_set(g, set(g.vertices), RulingParams(q=3), net=net)
+        knockout_ruling_set(g, g.vertices, q=3, net=net)
         exchanges = [ep for ep in net.trace.episodes if ep.label.endswith(".x")]
         assert exchanges
         assert all(ep.mode == "broadcast" for ep in exchanges)
@@ -84,27 +77,11 @@ class TestCongestRulingSet:
 
 
 class TestSupergraphRulingSet:
-    def test_singleton_clusters_match_base_variant(self):
-        g = gr.generate_graph("gnp_connected", n=36, p=0.15, seed=12)
-        p = {v: {v: None} for v in g.vertices}
-        a = set(g.vertices)
-        base = congest_ruling_set(g, a, RulingParams(q=3))
-        sup = supergraph_ruling_set(g, p, a, RulingParams(q=3), r_bound=0,
-                                    spanner_edges=set())
-        assert base.members == sup.members
-
     def test_two_adjacent_clusters_pick_one(self):
         g = gr.generate_graph("path", n=2)
         p = {v: {v: None} for v in g.vertices}
-        rs = supergraph_ruling_set(g, p, {1, 2}, RulingParams(q=2), r_bound=0)
-        assert len(rs.members) == 1
-
-    def test_tree_depth_precondition(self):
-        g = gr.generate_graph("path", n=4)
-        p = {1: {1: None, 2: 1, 3: 2}, 4: {4: None}}
-        with pytest.raises(RulingError, match="depth"):
-            supergraph_ruling_set(g, p, {1}, RulingParams(q=2), r_bound=1,
-                                  spanner_edges={(1, 2), (2, 3)})
+        members, _ = knockout_ruling_set(g, {1, 2}, q=2, parent_maps=p)
+        assert len(members) == 1
 
 
 @settings(max_examples=25, deadline=None)
@@ -114,8 +91,8 @@ def test_ruling_guarantee_random_graphs(n, q, seed, data):
     g = gr.generate_graph("gnp_connected", n=n, p=0.2, seed=seed)
     verts = sorted(g.vertices)
     a = data.draw(st.sets(st.sampled_from(verts), min_size=1))
-    rs = congest_ruling_set(g, a, RulingParams(q=q))
-    verdict = check_ruling(g.adjacency, rs.members, a, 3, 2 * q)
+    members, _ = knockout_ruling_set(g, a, q)
+    verdict = check_ruling(g.adjacency, members, a, 3, 2 * q)
     assert verdict.ok, verdict.detail
 
 
@@ -131,12 +108,8 @@ def test_supergraph_ruling_guarantee_random_clusters(n, q, seed, data):
                                        max_size=max(2, n // 3))))
     p = voronoi_clusters(g, centers)
     a = data.draw(st.sets(st.sampled_from(centers), min_size=1))
-    tree_edges = {gr.edge_key(v, u) for pm in p.values()
-                  for v, u in pm.items() if u is not None}
-    r_bound = orientation_from_parents(p).max_depth()
-    rs = supergraph_ruling_set(g, p, a, RulingParams(q=q), r_bound=r_bound,
-                               spanner_edges=tree_edges)
+    members, _ = knockout_ruling_set(g, a, q, parent_maps=p)
     vg = build_cluster_graph({v: c for c, pm in p.items() for v in pm},
                              set(centers), g)
-    verdict = check_ruling(vg.adjacency, rs.members, a, 3, 2 * q)
+    verdict = check_ruling(vg.adjacency, members, a, 3, 2 * q)
     assert verdict.ok, verdict.detail

@@ -132,7 +132,9 @@ def _run(impl, *args):
 
 
 def _net(g, config) -> comm.Net:
-    return comm.Net(g, config.ids_per_message, config.max_rounds)
+    net = comm.Net(g)
+    net.config = config
+    return net
 
 
 def _episodes(net: comm.Net):
@@ -184,13 +186,12 @@ def test_downcast_equals_oracle(data):
     assert _episodes(net) == ([oracle] if payloads else [])
 
     # downcast_single is the one-payload case, with no result
-    tag = rng.randint(0, 30)
     single = {c: (q[0].ids, q[0].scalar) for c, q in payloads.items() if q}
-    queues = {c: [Message(tag, *single.get(c, ((), 0)))] for c in payloads}
+    queues = {c: [Message(0, *single.get(c, ((), 0)))] for c in payloads}
     oracle, _ = _run(oracles.tree_downcast, g, orient.children, queues, config, "one")
     net = _net(g, config)
-    got = _comm(lambda: comm.downcast_single(net, orient, list(payloads), tag,
-                                             "one", single))
+    got = _comm(lambda: comm.downcast_single(net, orient, list(payloads), "one",
+                                             single))
     if got is not None:
         assert got == oracle
     else:
@@ -496,7 +497,7 @@ def test_orient_runtime_errors_match():
 
 def test_episodes_only_when_a_vertex_takes_part():
     net = comm.Net(PATH)
-    comm.downcast_single(net, CHAIN, [], comm.TAG_POPBIT, "none")
+    comm.downcast_single(net, CHAIN, [], "none")
     comm.downcast_payloads(net, CHAIN, {}, "none")
     comm.upcast_collect(net, CHAIN, {1: [(5, 1)]}, 3, "none", centers=[])
     comm.upcast_best(net, CHAIN, {1: (1,)}, "none", centers=[])
@@ -507,6 +508,6 @@ def test_episodes_only_when_a_vertex_takes_part():
 
     # a vertex that takes part but sends nothing still makes an episode
     single = comm.orientation_from_parents({3: {3: None}})
-    comm.downcast_single(net, single, [3], comm.TAG_POPBIT, "quiet")
+    comm.downcast_single(net, single, [3], "quiet")
     comm.announce_edges(net, "quiet", {2: []})
     assert _episodes(net) == [dataclasses.asdict(sim.SimTrace("quiet"))] * 2

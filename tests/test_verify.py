@@ -10,13 +10,14 @@ from fractions import Fraction
 
 import pytest
 
+from corpus import knockout_ruling_set
+
 from congestspan import graph as gr
 from congestspan import polylog, sim, sparse, verify
 from congestspan.clusters import (JoinInfo, build_cluster_graph,
                                   run_supercluster_bfs)
 from congestspan.comm import Net
 from congestspan.exact import ceil_log2_int
-from congestspan.rulingset import aglp_ruling_set
 from congestspan.spanner import INTER, SUPER
 
 
@@ -131,9 +132,9 @@ def test_aglp_round_regression():
         kw = {"p": round(2 * math.log(n) / n, 4), "seed": 3} \
             if kind == "gnp_connected" else {}
         g = gr.generate_graph(kind, n=n, **kw)
-        rs = aglp_ruling_set(g, set(g.vertices))
         q = ceil_log2_int(n)
-        assert rs.rounds <= locked_K * q * n ** (1.0 / q), (n, kind, rs.rounds)
+        _, rounds = knockout_ruling_set(g, g.vertices, q)
+        assert rounds <= locked_K * q * n ** (1.0 / q), (n, kind, rounds)
 
 
 @pytest.fixture(scope="module", params=["polylog", "skeleton"])
