@@ -199,6 +199,8 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.bound is not None and math.isnan(args.bound):
+        return _input_error(f"--bound {args.bound}: not a number")
     try:
         g = parse_graph_spec(args.graph)
         spanner_graph_edges = {edge_key(u, v)
@@ -319,8 +321,13 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def _flag_value(action: argparse.Action, val):
-    """val as its flag would hold it: a string goes through the flag's type,
-    and a number is taken only by a numeric flag that can hold it."""
+    """val as its flag would hold it: a switch takes only true or false, a
+    string goes through the flag's type, and a number is taken only by a
+    numeric flag that can hold it."""
+    if isinstance(action, argparse._StoreTrueAction):
+        if type(val) is bool:
+            return val
+        raise ValueError(f"expected true or false, got {json.dumps(val)}")
     kind = action.type or str
     if (isinstance(val, str) or type(val) is int and kind in (int, float)
             or type(val) is float and kind is float):
@@ -342,7 +349,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         flags = {a.dest: a for a in sub.choices[args.command]._actions}
         for key, val in defaults.items():
-            if key in flags and getattr(args, key, 0) is None:
+            # a flag left unset holds its default: None, or False for a switch
+            if key in flags and getattr(args, key, 0) is flags[key].default:
                 try:
                     setattr(args, key, _flag_value(flags[key], val))
                 except ValueError as exc:

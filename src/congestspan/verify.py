@@ -1,16 +1,18 @@
 """Oracle verification of everything a build claims.
 
 Every check here is independent of the construction code paths it audits:
-stretch exactly for every graph edge (by a walk to the lowest common ancestor
-when the spanner is a forest, otherwise by one bit-parallel BFS of the
-spanner per batch of sources, in which a source stops spreading once its
-edges to higher-ID neighbours are measured), each phase's parent map as a
-forest of cluster trees inside the spanner at that phase's start (the edges
-the charge ledger records for earlier phases), which gives the centers the
-partition and knowledge checks use, superclustering against the centralized
-reference exploration, neighbor knowledge against a direct edge scan, and the
-charge ledger against the counting rules. A report whose verdicts all pass is
-the acceptance currency of the package.
+stretch exactly for every graph edge, each phase's parent map as a forest of
+cluster trees inside the spanner at that phase's start (the edges the charge
+ledger records for earlier phases), which gives the centers the partition
+and knowledge checks use, superclustering against the centralized reference
+exploration, neighbor knowledge against a direct edge scan, and the charge
+ledger against the counting rules. A report whose verdicts all pass is the
+acceptance currency of the package.
+
+Per-edge stretch is a walk to the lowest common ancestor in a forest spanner.
+Any other spanner is peeled to its 2-core, and only the core is searched, by
+one bit-parallel BFS per batch of sources; an edge with a peeled endpoint is
+measured from the heights of its endpoints over their anchors in the core.
 """
 
 from __future__ import annotations
@@ -47,17 +49,18 @@ def max_edge_stretch(g: Graph, spanner_edges: Set[Edge]) -> Tuple[float, Optiona
     Returns (inf, edge) if some graph edge's endpoints are disconnected in
     the spanner. Every edge is measured exactly. When H is a forest, d_H(u,v)
     comes from a walk of u and v up to their lowest common ancestor in one
-    BFS forest of H. Any other H is searched from a batch of sources at a
-    time, with one bit per source in each vertex's int (_batched_stretch);
-    a source stops spreading once its edges to higher-ID neighbours are
-    measured. The witness is the first edge, in vertex then adjacency order,
-    that attains the maximum.
+    BFS forest of H. Any other H is peeled to its 2-core (_peel), and only
+    the core is searched, by bit-parallel BFS (_core_stretch). The witness
+    is the first edge, in vertex then adjacency order, that attains the
+    maximum.
     """
     adj_h = subgraph_adjacency(g.vertices, spanner_edges)
     search = _forest_distances(adj_h, g.vertices, len(spanner_edges))
     if search is None:
-        del adj_h   # the batched search keeps its own copy, by vertex index
-        return _batched_stretch(g, spanner_edges)
+        core, index, nbrs, parent, height, anchor = _peel(g.vertices, adj_h,
+                                                          spanner_edges)
+        del adj_h   # the core search keeps its own copy, by core index
+        return _core_stretch(g, core, index, nbrs, parent, height, anchor)
     worst: float = 0.0
     worst_edge: Optional[Edge] = None
     for u in g.vertices:
@@ -73,50 +76,150 @@ def max_edge_stretch(g: Graph, spanner_edges: Set[Edge]) -> Tuple[float, Optiona
     return worst, worst_edge
 
 
-# sources per bit-parallel BFS of _batched_stretch: each vertex holds ints of
-# this many bits, whatever the range of the vertex IDs. Wider batches share
-# more work for O(n * STRETCH_BATCH) bits of memory. On the polylog spanners
-# of G(2048, 2 ln n / n), 1024 took about a quarter longer than 2048 and 256
+# sources per bit-parallel BFS of _bit_bfs: each vertex holds ints of this
+# many bits, whatever the range of the vertex IDs. Wider batches share more
+# work for O(n * STRETCH_BATCH) bits of memory. On the polylog spanners of
+# G(2048, 2 ln n / n), 1024 took about a quarter longer than 2048 and 256
 # over three times as long.
 STRETCH_BATCH = 2048
 
 
-def _batched_stretch(g: Graph, spanner_edges: Set[Edge]) -> Tuple[float, Optional[Edge]]:
-    """max_edge_stretch on H = (g.vertices, spanner_edges), by bit-parallel
-    BFS.
+def _peel(vertices: Sequence[int], adj: Dict[int, List[int]], edges: Set[Edge]) -> tuple:
+    """The 2-core C of H = (vertices, edges), whose adjacency is adj: its
+    vertices in order, their index in C and their adjacency lists by that
+    index; and the forest that hangs the other vertices from C, as parent,
+    height and anchor maps.
 
-    Vertices are indexed by their position in g.vertices, and the sources
-    are taken in batches of STRETCH_BATCH; bit i of an int stands for source
-    lo + i of the batch starting at lo. pending[x] holds the sources u < x of
-    the batch whose edge (u, x) of g is not yet measured, and frontier[y] the
-    sources at distance exactly k - 1 from y. In round k every pending x
-    takes the sources in the frontier of its H-neighbours: those edges have
-    d_H = k. Only then does the frontier advance, and only for the sources
-    that still have an edge pending. The batch maximum is the last round
-    with a hit, and its witness the least (source, target) hit in that
-    round. If the frontier dies with edges pending, the least of them is
-    disconnected in H.
+    Peeling the vertices of degree at most 1, again and again, leaves C. A
+    BFS out of each vertex of C into the peeled ones hangs every peeled
+    vertex x it reaches from its anchor a(x) in C at a height h(x); the
+    other peeled vertices hang from the least vertex of their tree
+    component. A vertex of C is its own anchor, at height 0.
     """
-    vertices = g.vertices
-    n = len(vertices)
-    index = {v: i for i, v in enumerate(vertices)}
-    nbrs: List[List[int]] = [[] for _ in vertices]
-    for u, v in spanner_edges:
-        i, j = index[u], index[v]
-        nbrs[i].append(j)
-        nbrs[j].append(i)
+    peel = [v for v in vertices if len(adj[v]) <= 1]
+    peeled = set(peel)
+    degree = {v: len(adj[v]) for v in vertices} if peel else {}
+    while peel:
+        for y in adj[peel.pop()]:
+            if y not in peeled:
+                degree[y] -= 1
+                if degree[y] <= 1:
+                    peeled.add(y)
+                    peel.append(y)
+    core = [v for v in vertices if v not in peeled]
+    index = {c: i for i, c in enumerate(core)}
+    nbrs: List[List[int]] = [[] for _ in core]
+    for u, v in edges:
+        i, j = index.get(u), index.get(v)
+        if i is not None and j is not None:
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+    parent: Dict[int, int] = {}
+    height: Dict[int, int] = {}
+    anchor: Dict[int, int] = {}
+    if peeled:   # else no walk needs a height or an anchor
+        height.update(dict.fromkeys(core, 0))
+        anchor.update(zip(core, core))
+        hubs = {y for x in peeled for y in adj[x]}
+        for c in core:
+            if c in hubs:
+                _hang(adj, c, parent, height, anchor)
+        for r in vertices:
+            if r not in height:
+                height[r], anchor[r] = 0, r
+                _hang(adj, r, parent, height, anchor)
+    return core, index, nbrs, parent, height, anchor
+
+
+def _core_stretch(g: Graph, core: List[int], index: Dict[int, int],
+                  nbrs: List[List[int]], parent: Dict[int, int],
+                  height: Dict[int, int], anchor: Dict[int, int]
+                  ) -> Tuple[float, Optional[Edge]]:
+    """max_edge_stretch from the 2-core C and the forest hung from it
+    (_peel).
+
+    A graph edge between two vertices of C is measured by _bit_bfs on C,
+    which keeps only the largest distance and the least edge at it. Every
+    path from a peeled vertex x out of the trees of its anchor passes
+    through the anchor, so an edge (u, v) with a peeled endpoint has
+    d_H(u, v) = the walk to the lowest common ancestor if a(u) = a(v),
+    h(u) + h(v) + d_C(a(u), a(v)) if both anchors lie in C, and inf
+    otherwise. A second _bit_bfs on C records d_C for each pair of anchors
+    that such an edge joins. Of the edges at the largest distance, the
+    least is the witness.
+    """
+    def inner(lo: int, hi: int) -> Dict[int, int]:
+        # each graph edge between two core vertices, from its lower end
+        pending: Dict[int, int] = {}
+        for s in range(lo, hi):
+            bit, c = 1 << (s - lo), core[s]
+            for t in g.adjacency[c]:
+                if t > c:
+                    x = index.get(t)
+                    if x is not None:
+                        pending[x] = pending.get(x, 0) | bit
+        return pending
+
+    def crossing(lo: int, hi: int) -> Dict[int, int]:
+        mask = (1 << (hi - lo)) - 1
+        return {x: w >> lo & mask for x, w in pairs.items() if w >> lo & mask}
+
+    worst, (i, x) = _bit_bfs(nbrs, inner)
+    worst_edge = (core[i], core[x]) if worst else None
+    # each graph edge with a peeled endpoint, once, from a peeled end
+    outer = {u: [v for v in g.adjacency[u] if v in index or v > u]
+             for u in g.vertices if u not in index}
+    pairs: Dict[int, int] = {}   # anchor index -> bit s for each lower anchor s
+    for u, targets in outer.items():
+        i = index.get(anchor[u])
+        for v in targets:
+            j = index.get(anchor[v])
+            if i is not None and j is not None and i != j:
+                pairs[max(i, j)] = pairs.get(max(i, j), 0) | 1 << min(i, j)
+    d_core: Dict[Tuple[int, int], int] = {}
+    if pairs:
+        _bit_bfs(nbrs, crossing, d_core)
+    near = _tree_distances(parent, height, anchor)
+    for u, targets in outer.items():
+        dist = near(u, targets)
+        i = index.get(anchor[u])
+        for v in targets:
+            d = dist.get(v, math.inf)
+            j = index.get(anchor[v])
+            if v not in dist and i is not None and j is not None:
+                d = height[u] + height[v] + d_core.get((min(i, j), max(i, j)), math.inf)
+            edge = (u, v) if u < v else (v, u)
+            if d > worst or d == worst and edge < worst_edge:
+                worst, worst_edge = d, edge
+    return worst, worst_edge
+
+
+def _bit_bfs(nbrs: List[List[int]], targets: Callable[[int, int], Dict[int, int]],
+             record: Optional[Dict[Tuple[int, int], int]] = None
+             ) -> Tuple[float, Tuple[int, int]]:
+    """Hop distances from sources u to targets x, on the graph of vertex
+    indices 0..n-1 with adjacency lists nbrs: the largest, and the least
+    (u, x) at it.
+
+    The sources are taken in batches of STRETCH_BATCH; bit i of an int
+    stands for source lo + i of the batch starting at lo. targets(lo, hi)
+    gives pending: pending[x] holds the sources of the batch with x still
+    to be measured. frontier[y] holds the sources at distance exactly k - 1
+    from y. In round k every pending x takes the sources in the frontier of
+    its neighbours: those are at distance k. Only then does the frontier
+    advance, and only for the sources that still have a target pending. The
+    batch maximum is the last round with a hit, and its least pair the
+    least (source, target) hit in that round. If the frontier dies with
+    targets pending, the least of them is disconnected, and (inf, that
+    pair) is returned at once. With record, the distance of every connected
+    pair is written into it instead, and every batch is searched.
+    """
+    n = len(nbrs)
     worst: float = 0.0
-    worst_edge: Optional[Edge] = None
+    worst_pair = (0, 0)
     for lo in range(0, n, STRETCH_BATCH):
         hi = min(n, lo + STRETCH_BATCH)
-        pending: Dict[int, int] = {}
-        for u in range(lo, hi):
-            bit = 1 << (u - lo)
-            v = vertices[u]
-            for y in g.adjacency[v]:
-                if y > v:
-                    x = index[y]
-                    pending[x] = pending.get(x, 0) | bit
+        pending = targets(lo, hi)
         frontier = [0] * n
         seen = [0] * n
         for u in range(lo, hi):
@@ -124,12 +227,14 @@ def _batched_stretch(g: Graph, spanner_edges: Set[Edge]) -> Tuple[float, Optiona
         live = list(range(lo, hi))
         k = 0
         batch_max = 0
-        batch_edge: Tuple[int, int] = (0, 0)
+        batch_pair: Tuple[int, int] = (0, 0)
         while pending:
             if not live:
+                if record is not None:
+                    break
                 i, x = min(((want & -want).bit_length() - 1, x)
                            for x, want in pending.items())
-                return math.inf, (vertices[lo + i], vertices[x])
+                return math.inf, (lo + i, x)
             k += 1
             hit: Optional[Tuple[int, int]] = None
             for x in list(pending):
@@ -142,12 +247,18 @@ def _batched_stretch(g: Graph, spanner_edges: Set[Edge]) -> Tuple[float, Optiona
                     first = ((got & -got).bit_length() - 1, x)
                     if hit is None or first < hit:
                         hit = first
+                    if record is not None:
+                        bits = got
+                        while bits:
+                            low = bits & -bits
+                            record[lo + low.bit_length() - 1, x] = k
+                            bits ^= low
                     if want == got:
                         del pending[x]
                     else:
                         pending[x] = want & ~got
             if hit is not None:
-                batch_max, batch_edge = k, hit
+                batch_max, batch_pair = k, hit
             if not pending:
                 break
             active = 0
@@ -172,52 +283,34 @@ def _batched_stretch(g: Graph, spanner_edges: Set[Edge]) -> Tuple[float, Optiona
             frontier = reached
         if batch_max > worst:
             worst = batch_max
-            i, x = batch_edge
-            worst_edge = (vertices[lo + i], vertices[x])
-    return worst, worst_edge
+            i, x = batch_pair
+            worst_pair = (lo + i, x)
+    return worst, worst_pair
 
 
-def _forest_distances(adj: Dict[int, List[int]], vertices: Sequence[int],
-                      num_edges: int) -> Optional[Callable[[int, List[int]], Dict[int, int]]]:
-    """A search on H = (vertices, adj), if H (with num_edges edges) is a
-    forest; None otherwise. The search maps (source, targets) to the hop
-    distances from source to those targets it reaches.
+def _hang(adj: Dict[int, List[int]], r: int, parent: Dict[int, int],
+          depth: Dict[int, int], root: Dict[int, int]) -> None:
+    """Grow a BFS tree from r, already in depth, over the vertices not yet
+    in depth, with r as their root."""
+    layer = [r]
+    d = depth[r]
+    while layer:
+        d += 1
+        nxt = []
+        for x in layer:
+            for y in adj[x]:
+                if y not in depth:
+                    parent[y], depth[y], root[y] = x, d, r
+                    nxt.append(y)
+        layer = nxt
 
-    A forest has fewer than n edges, so H with n or more is rejected at
-    once. Otherwise one BFS pass over the vertices in order gives every
-    vertex a depth and the root of its component, and every vertex but a
-    root a parent. H is a forest exactly when num_edges == n - #components:
-    then the BFS forest is all of H, and d_H(u, v) = depth(u) + depth(v) -
-    2 depth(lca(u, v)). The walk to the lowest common ancestor first lifts
-    the deeper endpoint to the other's depth, then lifts both together; it
-    takes d_H(u, v) steps. Targets in another component are left out, as
-    unreachable.
-    """
-    if num_edges >= len(vertices):
-        return None
-    parent: Dict[int, int] = {}
-    depth: Dict[int, int] = {}
-    root: Dict[int, int] = {}
-    components = 0
-    for r in vertices:
-        if r in depth:
-            continue
-        components += 1
-        depth[r], root[r] = 0, r
-        layer = [r]
-        d = 0
-        while layer:
-            d += 1
-            nxt = []
-            for x in layer:
-                for y in adj[x]:
-                    if y not in depth:
-                        parent[y], depth[y], root[y] = x, d, r
-                        nxt.append(y)
-            layer = nxt
-    if num_edges != len(vertices) - components:
-        return None
 
+def _tree_distances(parent: Dict[int, int], depth: Dict[int, int],
+                    root: Dict[int, int]) -> Callable[[int, List[int]], Dict[int, int]]:
+    """The search (source, targets) -> {target: hop distance} over the
+    targets with source's root, in the forest of parent and depth: the walk
+    to the lowest common ancestor lifts the deeper endpoint to the other's
+    depth, then both together, in d(u, v) steps."""
     def distances(source: int, targets: List[int]) -> Dict[int, int]:
         dist: Dict[int, int] = {}
         r, d_source = root[source], depth[source]
@@ -238,6 +331,37 @@ def _forest_distances(adj: Dict[int, List[int]], vertices: Sequence[int],
         return dist
 
     return distances
+
+
+def _forest_distances(adj: Dict[int, List[int]], vertices: Sequence[int],
+                      num_edges: int) -> Optional[Callable[[int, List[int]], Dict[int, int]]]:
+    """A search on H = (vertices, adj), if H (with num_edges edges) is a
+    forest; None otherwise. The search maps (source, targets) to the hop
+    distances from source to those targets it reaches.
+
+    A forest has fewer than n edges, so H with n or more is rejected at
+    once. Otherwise one BFS pass over the vertices in order gives every
+    vertex a depth and the root of its component, and every vertex but a
+    root a parent. H is a forest exactly when num_edges == n - #components:
+    then the BFS forest is all of H, and d_H(u, v) is the walk to the lowest
+    common ancestor (_tree_distances). Targets in another component are
+    left out, as unreachable.
+    """
+    if num_edges >= len(vertices):
+        return None
+    parent: Dict[int, int] = {}
+    depth: Dict[int, int] = {}
+    root: Dict[int, int] = {}
+    components = 0
+    for r in vertices:
+        if r in depth:
+            continue
+        components += 1
+        depth[r], root[r] = 0, r
+        _hang(adj, r, parent, depth, root)
+    if num_edges != len(vertices) - components:
+        return None
+    return _tree_distances(parent, depth, root)
 
 
 def max_pair_stretch(g: Graph, spanner_edges: Set[Edge]) -> float:

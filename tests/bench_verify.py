@@ -14,16 +14,24 @@ a spanning tree, so the verifier takes the walk to the lowest common
 ancestor.
 
 The near-tree: the skeleton of the 32 x 32 grid, with 43 edges more than a
-spanning tree, so the verifier takes its bit-parallel BFS per batch of
-sources, over as many rounds as the largest stretch.
+spanning tree. Peeling its vertices of degree at most 1 leaves a 2-core of
+459 of its 1 024 vertices, so the verifier runs its bit-parallel BFS per
+batch of sources on that core only, over as many rounds as the largest
+distance between two anchors, and measures the peeled trees by walks.
+
+The permuted grid: the skeleton of the 48 x 48 grid with its IDs shuffled
+(seed 1), as in the benchmark's grid-skeleton workload: 89 edges more than a
+spanning tree, and a 2-core of 1 019 of its 2 304 vertices.
 
 The low-stretch non-forest: the polylog spanner (kappa = 3) of
 G(1024, 2 ln n / n), seed 1, thousands of edges more than a spanning tree but
-with a small stretch, so the bit-parallel BFS shares nearly all of its few
-rounds across the sources of a batch.
+with a small stretch. It is its own 2-core, so the bit-parallel BFS covers
+all of it and shares nearly all of its few rounds across the sources of a
+batch.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -51,6 +59,17 @@ def _near_tree_instance():
     return g, edges
 
 
+def _permuted_grid_instance():
+    g = gr.generate_graph("grid", rows=48, cols=48)
+    ids = list(range(1, g.n + 1))
+    random.Random(1).shuffle(ids)
+    new_id = dict(zip(g.vertices, ids))
+    g = gr.from_edges((new_id[u], new_id[v]) for u, v in g.edges())
+    edges = sparse.build_skeleton(g, RHO).spanner.edges
+    assert len(edges) >= g.n
+    return g, edges
+
+
 def _low_stretch_instance():
     n = 1024
     g = gr.generate_graph("gnp_connected", n=n, p=2 * math.log(n) / n, seed=1)
@@ -60,6 +79,7 @@ def _low_stretch_instance():
 
 
 INSTANCES = {"tree": _tree_instance, "near-tree": _near_tree_instance,
+             "permuted-grid": _permuted_grid_instance,
              "low-stretch": _low_stretch_instance}
 
 

@@ -106,6 +106,13 @@ MUTANTS: List[Mutant] = [
     Mutant("congestion width cap raised to 3 ids", "verify.py",
            replace("if tr.max_ids_per_message > 2:",
                    "if tr.max_ids_per_message > 3:")),
+    Mutant("core stretch drops the heights of cross-anchor edges", "verify.py",
+           replace("d = height[u] + height[v] + d_core.get(",
+                   "d = d_core.get(")),
+    Mutant("core stretch takes |h(u) - h(v)| for same-anchor edges", "verify.py",
+           replace("dist = near(u, targets)",
+                   "dist = {v: abs(height[u] - height[v]) for v in targets "
+                   "if anchor[v] == anchor[u]}")),
 ]
 
 

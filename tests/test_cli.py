@@ -105,6 +105,15 @@ class TestBuild:
         assert rc == 0
         assert (tmp_path / "o" / "report.json").exists()
 
+    def test_config_file_sets_a_switch(self, tmp_path):
+        # a switch left unset holds False, not None, and the file sets it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dump_clusters": True, "out": str(tmp_path / "o")}))
+        rc = cli.main(["--config", str(cfg), "build", "--alg", "polylog",
+                       "--kappa", "2", "--graph", "gen:cycle:n=8"])
+        assert rc == 0
+        assert json.loads((tmp_path / "o" / "clusters.json").read_text())
+
 
 RANDOM_TEXT = st.text(
     alphabet=st.sampled_from(string.digits + " \t\n#-+_.x")
@@ -160,6 +169,37 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith(f"error: --config cfg.json: {key}: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("val", ["yes", 1, None], ids=["string", "number", "null"])
+    def test_config_switch_not_a_boolean_exits_2(self, val, tmp_path, capsys,
+                                                 monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"dump_clusters": val}))
+        rc = cli.main(["--config", "cfg.json", "build", "--alg", "polylog",
+                       "--kappa", "2", "--graph", "gen:cycle:n=8"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --config cfg.json: dump_clusters: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag, config", [
+        (["--bound", "nan"], None), (["--bound=-NaN"], None),
+        ([], '{"bound": "NaN"}'), ([], '{"bound": NaN}')],
+        ids=["flag", "negative flag", "config string", "config literal"])
+    def test_nan_bound_exits_2(self, flag, config, tmp_path, capsys, monkeypatch):
+        # every comparison with NaN is false, so each verdict would fail
+        monkeypatch.chdir(tmp_path)
+        gr.save_edgelist(gr.generate_graph("cycle", n=8).edges(), "h.edges")
+        argv = ["verify", "--graph", "gen:cycle:n=8", "--spanner", "h.edges", *flag]
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(config)
+            argv = ["--config", "cfg.json", *argv]
+        rc = cli.main(argv)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --bound nan: not a number\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("flags", [
         ["--alg", "sparse", "--kappa", "1", "--rho", "0.9"],
@@ -298,6 +338,24 @@ class TestVerify:
         rc = cli.main(["verify", "--graph", "gen:cycle:n=8", "--spanner", str(sp),
                        "--bound", "3"])
         assert rc == 1
+
+    @pytest.mark.parametrize("flag, config, ok", [
+        (["--bound", "inf"], None, True), ([], {"bound": 3}, False),
+        ([], {"bound": 7}, True)], ids=["inf flag", "config 3", "config 7"])
+    def test_bound_values_still_taken(self, flag, config, ok, tmp_path, capsys,
+                                      monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        g = gr.generate_graph("cycle", n=8)
+        gr.save_edgelist([e for e in g.edges() if e != (1, 8)], "h.edges")
+        argv = ["verify", "--graph", "gen:cycle:n=8", "--spanner", "h.edges", *flag]
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv = ["--config", "cfg.json", *argv]
+        assert cli.main(argv) == (0 if ok else 1)
+        report = json.loads(capsys.readouterr().out)
+        bound = next(v for v in report["verdicts"] if v["name"] == "stretch_bound")
+        assert bound["ok"] is ok
+        assert bound["detail"].startswith("max per-edge stretch 7 vs bound ")
 
 
 class TestBench:

@@ -3,7 +3,9 @@
 ``max_edge_stretch`` walks to the lowest common ancestor when the spanner is a
 forest, and otherwise runs one bit-parallel BFS per batch of sources, each
 source stopping once its higher-ID neighbours are measured (the batch width
-is narrowed in the tests so that sources span several batches);
+is narrowed in the tests so that sources span several batches), on the
+spanner's 2-core only, with the peeled trees measured from their anchors in
+the core;
 ``check_ruling`` searches separation only to depth
 alpha - 1. Both must return exactly what the all-sources versions in
 ``oracles.py`` return, witness edge and failure text included; the stretch
@@ -212,6 +214,82 @@ def test_batched_stretch_later_batches(width, wide_ids, cut):
         got = verify.max_edge_stretch(g, sub)
     expected = (math.inf, (ids[8], ids[9])) if cut else (5, (ids[3], ids[8]))
     assert repr(got) == repr(expected) == repr(oracles.max_edge_stretch(g, sub))
+
+
+def _cored_spanner(data):
+    """H: a 2-core C (a cycle 1..c with a few chords), pendant trees hanging
+    off C, and sometimes a second cycle or tree components beside them. G: H
+    plus random extra edges between pendant vertices or from a pendant
+    vertex to C, which often join two pendant trees of one anchor, plus one
+    edge more between consecutive components of H, which H lacks."""
+    c = data.draw(st.integers(3, 14), label="core size")
+    h = {gr.edge_key(i, i % c + 1) for i in range(1, c + 1)}
+    chords = [(u, v) for u in range(1, c + 1) for v in range(u + 2, c + 1)
+              if (u, v) not in h]
+    h |= set(data.draw(st.lists(st.sampled_from(chords), max_size=3)
+                       if chords else st.just([]), label="chords"))
+    # the pendant trees hang off at most three anchors, so that many pendant
+    # vertices share one
+    rnd = random.Random(data.draw(st.integers(0, 10 ** 6), label="edge seed"))
+    anchors = rnd.sample(range(1, c + 1), data.draw(st.integers(1, 3), label="anchors"))
+    p = data.draw(st.integers(1, 20), label="pendant vertices")
+    for x in range(c + 1, c + p + 1):
+        h.add((rnd.choice([*anchors, *range(c + 1, x)]), x))
+    n = c + p
+    beside = data.draw(st.sampled_from(["nothing", "nothing", "a cycle", "trees"]),
+                       label="beside")
+    if beside == "a cycle":
+        h |= {(n + 1, n + 2), (n + 2, n + 3), (n + 1, n + 3)}
+        n += 3
+    elif beside == "trees":
+        start = n + 1
+        n += data.draw(st.integers(1, 8), label="tree vertices")
+        for x in range(start, n + 1):
+            parent = data.draw(st.sampled_from([None, *range(start, x)]),
+                               label="tree parent")
+            if parent is None:
+                start = x   # x is the first vertex of a new tree
+            else:
+                h.add((parent, x))
+    g_nx = nx.Graph(h)
+    g_nx.add_nodes_from(range(1, n + 1))
+    for low, size in ((1, 4), (c + 1, 10)):
+        pairs = [(u, v) for u in range(low, c + p + 1)
+                 for v in range(max(u, c) + 1, c + p + 1)]
+        size = data.draw(st.integers(0, size), label="extra edges")
+        g_nx.add_edges_from(rnd.sample(pairs, min(len(pairs), size)))
+    parts = sorted(sorted(part) for part in nx.connected_components(g_nx))
+    for a, b in zip(parts, parts[1:]):
+        g_nx.add_edge(rnd.choice(a), rnd.choice(b))
+    ids = list(range(1, n + 1))
+    if data.draw(st.booleans(), label="wide ids"):
+        ids = rnd.sample(range(1, 2 ** 63), n)
+    new_id = dict(zip(range(1, n + 1), ids))
+
+    def relabel(edges):
+        return {gr.edge_key(new_id[u], new_id[v]) for u, v in edges}
+
+    return gr.from_edges(relabel(g_nx.edges())), relabel(h)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_core_stretch_equals_all_sources_oracle(data):
+    """The search of the 2-core only, with the pendant trees measured by
+    walks to their anchors, and batches as narrow as one source, so that
+    the maximum or the disconnected edge often lands in a later batch of
+    the core's sources."""
+    g, sub = _cored_spanner(data)
+    adj_h = subgraph_adjacency(g.vertices, sub)
+    assert verify._forest_distances(adj_h, g.vertices, len(sub)) is None
+    core = verify._peel(g.vertices, adj_h, sub)[0]
+    assert 3 <= len(core) < g.n
+    width = data.draw(st.sampled_from([1, 2, 3, 4, 5, verify.STRETCH_BATCH]),
+                      label="batch width")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "STRETCH_BATCH", width)
+        got = verify.max_edge_stretch(g, sub)
+    assert repr(got) == repr(oracles.max_edge_stretch(g, sub))
 
 
 @pytest.mark.parametrize("vertex", [1, 2 ** 63 - 1])
