@@ -191,22 +191,20 @@ def reference_supercluster(vg: VirtualClusterGraph, ruling: Iterable[int],
 
 def run_supercluster_bfs(net: Net, orient: Orientation, ruling: Set[int],
                          delta: int, popular: Set[int],
-                         vgraph: Optional[VirtualClusterGraph] = None
-                         ) -> Dict[int, JoinInfo]:
-    """Simulate the depth-delta exploration of the virtual cluster graph;
-    maps the center of every joined cluster to how it joined.
+                         vgraph: VirtualClusterGraph) -> Dict[int, JoinInfo]:
+    """Simulate the depth-delta exploration of the virtual cluster graph
+    vgraph; maps the center of every joined cluster to how it joined.
 
-    ruling must be 3-separated in the virtual graph; passing vgraph enforces
-    that as a hard error. Per wave: the frontier clusters, those that joined
-    in the last wave, stream the root ID down their trees, members broadcast
-    it in one exploration hop, reached clusters converge the minimal
-    candidate in three aggregation stages (pair, then tie-breaking endpoint,
-    then the winning edge back down), and the vertex holding the winning
-    edge adds it to the spanner. Every wave is a fixed slot of the schedule,
-    so no message carries the hops left.
+    ruling must be 3-separated in vgraph, or ValueError is raised. Per
+    wave: the frontier clusters, those that joined in the last wave, stream
+    the root ID down their trees, members broadcast it in one exploration
+    hop, reached clusters converge the minimal candidate in three
+    aggregation stages (pair, then tie-breaking endpoint, then the winning
+    edge back down), and the vertex holding the winning edge adds it to the
+    spanner. Every wave is a fixed slot of the schedule, so no message
+    carries the hops left.
     """
-    if vgraph is not None:
-        _require_separated(vgraph, ruling)
+    _require_separated(vgraph, ruling)
     roots = sorted(ruling)
     joins: Dict[int, JoinInfo] = {r: JoinInfo(r, None, None, 0) for r in roots}
     member_center = orient.center_of

@@ -271,13 +271,12 @@ def downcast_payloads(net: Net, orient: Orientation,
 
 def upcast_collect(net: Net, orient: Orientation,
                    items: Dict[int, Sequence[Tuple[int, int]]], cap: int,
-                   label: str, centers: Optional[Iterable[int]] = None
-                   ) -> Dict[int, Dict[int, int]]:
+                   label: str) -> Dict[int, Dict[int, int]]:
     """Pipelined keyed collection toward each center, dedup with cap.
 
     Returns center -> {key: payload} in admission order.
     """
-    wanted = set(centers) if centers is not None else set(orient.members)
+    wanted = set(orient.members)
     if not wanted:
         return {}
     members = [v for c in wanted for v in orient.members[c]]
@@ -287,14 +286,14 @@ def upcast_collect(net: Net, orient: Orientation,
 
 def upcast_best(net: Net, orient: Orientation,
                 values: Dict[int, Tuple[int, ...]], label: str,
-                prefer_max: bool = False, width: int = 2,
-                centers: Optional[Iterable[int]] = None) -> Dict[int, Optional[Tuple[int, ...]]]:
-    """Aggregate per-vertex tuples to each center (min by default).
+                prefer_max: bool = False, width: int = 2, *,
+                centers: Iterable[int]) -> Dict[int, Optional[Tuple[int, ...]]]:
+    """Aggregate per-vertex tuples to each of centers (min by default).
 
     width is the number of vertex IDs on the wire; width=0 sends the value in
     the scalar slot instead (for hop counters and similar non-ID data).
     """
-    wanted = set(centers) if centers is not None else set(orient.members)
+    wanted = set(centers)
     if not wanted:
         return {}
     center_of = orient.center_of

@@ -9,15 +9,17 @@ exploration, neighbor knowledge against a direct edge scan, and the charge
 ledger against the counting rules. A report whose verdicts all pass is the
 acceptance currency of the package.
 
-Per-edge stretch is a walk to the lowest common ancestor in a forest spanner.
-Any other spanner is peeled to its 2-core, and only the core is searched, by
-one bit-parallel BFS per batch of sources; an edge with a peeled endpoint is
-measured from the heights of its endpoints over their anchors in the core.
+Per-edge stretch peels the spanner to its 2-core, which is empty exactly when
+the spanner is a forest, and searches only the core, by one bit-parallel BFS
+per batch of sources; an edge with a peeled endpoint is a walk to the lowest
+common ancestor in the peeled forest, or is measured from the heights of its
+endpoints over their anchors in the core.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -47,32 +49,82 @@ def max_edge_stretch(g: Graph, spanner_edges: Set[Edge]) -> Tuple[float, Optiona
     """Largest d_H(u,v) over the edges (u,v) of g; names a witness edge.
 
     Returns (inf, edge) if some graph edge's endpoints are disconnected in
-    the spanner. Every edge is measured exactly. When H is a forest, d_H(u,v)
-    comes from a walk of u and v up to their lowest common ancestor in one
-    BFS forest of H. Any other H is peeled to its 2-core (_peel), and only
-    the core is searched, by bit-parallel BFS (_core_stretch). The witness
-    is the first edge, in vertex then adjacency order, that attains the
-    maximum.
+    the spanner. Every edge is measured exactly. H is peeled to its 2-core C
+    (_peel), which is empty when H is a forest. A graph edge between two
+    vertices of C is measured by _bit_bfs on C, which keeps only the largest
+    distance and the least edge at it. Every path from a peeled vertex x out
+    of the trees of its anchor passes through the anchor, so an edge (u, v)
+    with a peeled endpoint has d_H(u, v) = the walk to the lowest common
+    ancestor if a(u) = a(v), h(u) + h(v) + d_C(a(u), a(v)) if both anchors
+    lie in C, and inf otherwise. A second _bit_bfs on C records d_C for
+    each pair of anchors that such an edge joins. The witness is the first
+    edge, in vertex then adjacency order, that attains the maximum.
     """
     adj_h = subgraph_adjacency(g.vertices, spanner_edges)
-    search = _forest_distances(adj_h, g.vertices, len(spanner_edges))
-    if search is None:
-        core, index, nbrs, parent, height, anchor = _peel(g.vertices, adj_h,
-                                                          spanner_edges)
-        del adj_h   # the core search keeps its own copy, by core index
-        return _core_stretch(g, core, index, nbrs, parent, height, anchor)
+    core, index, nbrs, parent, height, anchor = _peel(g.vertices, adj_h,
+                                                      spanner_edges)
+    del adj_h   # the core search keeps its own copy, by core index
+
+    def inner(lo: int, hi: int) -> Dict[int, int]:
+        # each graph edge between two core vertices, from its lower end
+        pending: Dict[int, int] = {}
+        for s in range(lo, hi):
+            bit, c = 1 << (s - lo), core[s]
+            for t in g.adjacency[c]:
+                if t > c:
+                    x = index.get(t)
+                    if x is not None:
+                        pending[x] = pending.get(x, 0) | bit
+        return pending
+
+    def crossing(lo: int, hi: int) -> Dict[int, int]:
+        mask = (1 << (hi - lo)) - 1
+        return {x: w >> lo & mask for x, w in pairs.items() if w >> lo & mask}
+
+    core_worst, (i, x) = _bit_bfs(nbrs, inner)
+    core_edge = (core[i], core[x]) if core_worst else None
+    # the higher ends of each graph edge with a peeled endpoint, by its lower
+    # end, in vertex then adjacency order: a strict > below keeps the first
+    # edge at the maximum
+    ends: Dict[int, Sequence[int]] = {}
+    for u in g.vertices:
+        if u not in index:
+            adj = g.adjacency[u]
+            k = bisect_right(adj, u)
+            ends[u] = adj[k:]
+            if index:   # u's lower neighbours in C are lower ends too
+                for c in adj[:k]:
+                    if c in index:
+                        ends.setdefault(c, []).append(u)
+    ends = dict(sorted(ends.items()))
+    pairs: Dict[int, int] = {}   # anchor index -> bit s for each lower anchor s
+    for u, targets in ends.items():
+        i = index.get(anchor[u])
+        if i is not None:
+            for v in targets:
+                j = index.get(anchor[v])
+                if j is not None and i != j:
+                    pairs[max(i, j)] = pairs.get(max(i, j), 0) | 1 << min(i, j)
+    d_core: Dict[Tuple[int, int], int] = {}
+    if pairs:
+        _bit_bfs(nbrs, crossing, d_core)
+    near = _tree_distances(parent, height, anchor)
     worst: float = 0.0
     worst_edge: Optional[Edge] = None
-    for u in g.vertices:
-        higher = [v for v in g.adjacency[u] if v > u]
-        dist = search(u, higher)
-        for v in higher:
-            d = dist.get(v, math.inf)
+    for u, targets in ends.items():
+        dist = near(u, targets)
+        for v in targets:
+            d = dist.get(v)
+            if d is None:
+                i, j = index.get(anchor[u]), index.get(anchor[v])
+                d = math.inf
+                if i is not None and j is not None:
+                    d = height[u] + height[v] + d_core.get((min(i, j), max(i, j)), math.inf)
             if d > worst:
-                worst = d
-                worst_edge = (u, v)
-                if d == math.inf:
-                    return worst, worst_edge
+                worst, worst_edge = d, (u, v)
+    # the core's maximum and least edge at it, against the peeled edges'
+    if core_worst > worst or core_worst == worst and core_edge and core_edge < worst_edge:
+        return core_worst, core_edge
     return worst, worst_edge
 
 
@@ -90,23 +142,22 @@ def _peel(vertices: Sequence[int], adj: Dict[int, List[int]], edges: Set[Edge]) 
     index; and the forest that hangs the other vertices from C, as parent,
     height and anchor maps.
 
-    Peeling the vertices of degree at most 1, again and again, leaves C. A
-    BFS out of each vertex of C into the peeled ones hangs every peeled
-    vertex x it reaches from its anchor a(x) in C at a height h(x); the
-    other peeled vertices hang from the least vertex of their tree
-    component. A vertex of C is its own anchor, at height 0.
+    Peeling the vertices of degree at most 1, again and again, leaves C,
+    which is empty exactly when H is a forest. A BFS out of each vertex of
+    C into the peeled ones hangs every peeled vertex x it reaches from its
+    anchor a(x) in C at a height h(x); the other peeled vertices hang from
+    the least vertex of their tree component. A vertex of C is its own
+    anchor, at height 0.
     """
-    peel = [v for v in vertices if len(adj[v]) <= 1]
-    peeled = set(peel)
-    degree = {v: len(adj[v]) for v in vertices} if peel else {}
-    while peel:
-        for y in adj[peel.pop()]:
-            if y not in peeled:
-                degree[y] -= 1
-                if degree[y] <= 1:
-                    peeled.add(y)
-                    peel.append(y)
-    core = [v for v in vertices if v not in peeled]
+    degree = {v: len(adj[v]) for v in vertices}
+    peel = [v for v, d in degree.items() if d <= 1]
+    for x in peel:   # the list grows while it is walked
+        for y in adj[x]:
+            d = degree[y] - 1   # the neighbours of y not yet peeled
+            degree[y] = d
+            if d == 1:
+                peel.append(y)
+    core = [v for v in vertices if degree[v] > 1]
     index = {c: i for i, c in enumerate(core)}
     nbrs: List[List[int]] = [[] for _ in core]
     for u, v in edges:
@@ -117,81 +168,17 @@ def _peel(vertices: Sequence[int], adj: Dict[int, List[int]], edges: Set[Edge]) 
     parent: Dict[int, int] = {}
     height: Dict[int, int] = {}
     anchor: Dict[int, int] = {}
-    if peeled:   # else no walk needs a height or an anchor
+    if peel:   # else no walk needs a height or an anchor
         height.update(dict.fromkeys(core, 0))
         anchor.update(zip(core, core))
-        hubs = {y for x in peeled for y in adj[x]}
         for c in core:
-            if c in hubs:
+            if degree[c] < len(adj[c]):   # c has a peeled neighbour
                 _hang(adj, c, parent, height, anchor)
         for r in vertices:
             if r not in height:
                 height[r], anchor[r] = 0, r
                 _hang(adj, r, parent, height, anchor)
     return core, index, nbrs, parent, height, anchor
-
-
-def _core_stretch(g: Graph, core: List[int], index: Dict[int, int],
-                  nbrs: List[List[int]], parent: Dict[int, int],
-                  height: Dict[int, int], anchor: Dict[int, int]
-                  ) -> Tuple[float, Optional[Edge]]:
-    """max_edge_stretch from the 2-core C and the forest hung from it
-    (_peel).
-
-    A graph edge between two vertices of C is measured by _bit_bfs on C,
-    which keeps only the largest distance and the least edge at it. Every
-    path from a peeled vertex x out of the trees of its anchor passes
-    through the anchor, so an edge (u, v) with a peeled endpoint has
-    d_H(u, v) = the walk to the lowest common ancestor if a(u) = a(v),
-    h(u) + h(v) + d_C(a(u), a(v)) if both anchors lie in C, and inf
-    otherwise. A second _bit_bfs on C records d_C for each pair of anchors
-    that such an edge joins. Of the edges at the largest distance, the
-    least is the witness.
-    """
-    def inner(lo: int, hi: int) -> Dict[int, int]:
-        # each graph edge between two core vertices, from its lower end
-        pending: Dict[int, int] = {}
-        for s in range(lo, hi):
-            bit, c = 1 << (s - lo), core[s]
-            for t in g.adjacency[c]:
-                if t > c:
-                    x = index.get(t)
-                    if x is not None:
-                        pending[x] = pending.get(x, 0) | bit
-        return pending
-
-    def crossing(lo: int, hi: int) -> Dict[int, int]:
-        mask = (1 << (hi - lo)) - 1
-        return {x: w >> lo & mask for x, w in pairs.items() if w >> lo & mask}
-
-    worst, (i, x) = _bit_bfs(nbrs, inner)
-    worst_edge = (core[i], core[x]) if worst else None
-    # each graph edge with a peeled endpoint, once, from a peeled end
-    outer = {u: [v for v in g.adjacency[u] if v in index or v > u]
-             for u in g.vertices if u not in index}
-    pairs: Dict[int, int] = {}   # anchor index -> bit s for each lower anchor s
-    for u, targets in outer.items():
-        i = index.get(anchor[u])
-        for v in targets:
-            j = index.get(anchor[v])
-            if i is not None and j is not None and i != j:
-                pairs[max(i, j)] = pairs.get(max(i, j), 0) | 1 << min(i, j)
-    d_core: Dict[Tuple[int, int], int] = {}
-    if pairs:
-        _bit_bfs(nbrs, crossing, d_core)
-    near = _tree_distances(parent, height, anchor)
-    for u, targets in outer.items():
-        dist = near(u, targets)
-        i = index.get(anchor[u])
-        for v in targets:
-            d = dist.get(v, math.inf)
-            j = index.get(anchor[v])
-            if v not in dist and i is not None and j is not None:
-                d = height[u] + height[v] + d_core.get((min(i, j), max(i, j)), math.inf)
-            edge = (u, v) if u < v else (v, u)
-            if d > worst or d == worst and edge < worst_edge:
-                worst, worst_edge = d, edge
-    return worst, worst_edge
 
 
 def _bit_bfs(nbrs: List[List[int]], targets: Callable[[int, int], Dict[int, int]],
@@ -317,7 +304,9 @@ def _tree_distances(parent: Dict[int, int], depth: Dict[int, int],
         for v in targets:
             if root[v] != r:
                 continue
-            a, b, da, db = source, v, d_source, depth[v]
+            dv = depth[v]
+            a, da = source, d_source
+            b, db = v, dv
             while da > db:
                 a = parent[a]
                 da -= 1
@@ -327,41 +316,10 @@ def _tree_distances(parent: Dict[int, int], depth: Dict[int, int],
             while a != b:
                 a, b = parent[a], parent[b]
                 da -= 1
-            dist[v] = d_source + depth[v] - 2 * da
+            dist[v] = d_source + dv - 2 * da
         return dist
 
     return distances
-
-
-def _forest_distances(adj: Dict[int, List[int]], vertices: Sequence[int],
-                      num_edges: int) -> Optional[Callable[[int, List[int]], Dict[int, int]]]:
-    """A search on H = (vertices, adj), if H (with num_edges edges) is a
-    forest; None otherwise. The search maps (source, targets) to the hop
-    distances from source to those targets it reaches.
-
-    A forest has fewer than n edges, so H with n or more is rejected at
-    once. Otherwise one BFS pass over the vertices in order gives every
-    vertex a depth and the root of its component, and every vertex but a
-    root a parent. H is a forest exactly when num_edges == n - #components:
-    then the BFS forest is all of H, and d_H(u, v) is the walk to the lowest
-    common ancestor (_tree_distances). Targets in another component are
-    left out, as unreachable.
-    """
-    if num_edges >= len(vertices):
-        return None
-    parent: Dict[int, int] = {}
-    depth: Dict[int, int] = {}
-    root: Dict[int, int] = {}
-    components = 0
-    for r in vertices:
-        if r in depth:
-            continue
-        components += 1
-        depth[r], root[r] = 0, r
-        _hang(adj, r, parent, depth, root)
-    if num_edges != len(vertices) - components:
-        return None
-    return _tree_distances(parent, depth, root)
 
 
 def max_pair_stretch(g: Graph, spanner_edges: Set[Edge]) -> float:
@@ -390,15 +348,19 @@ def verify_spanner_file(g: Graph, spanner_edges: Set[Edge],
         "spanner_subgraph", not outside,
         "" if not outside else f"{len(outside)} edges outside the graph, "
                                f"first {outside[0]}"))
-    stretch, witness = (math.inf, None)
-    if not outside:
-        stretch, witness = max_edge_stretch(g, spanner_edges)
-    if stretch == math.inf:
+    stretch = math.inf
+    if outside:
         verdicts.append(Verdict("stretch_finite", False,
-                                f"endpoints of {witness} are disconnected in the spanner"))
+                                "stretch not measured: the spanner has edges "
+                                "outside the graph"))
     else:
-        verdicts.append(Verdict("stretch_finite", True,
-                                f"max per-edge stretch {stretch}"))
+        stretch, witness = max_edge_stretch(g, spanner_edges)
+        if stretch == math.inf:
+            verdicts.append(Verdict("stretch_finite", False,
+                                    f"endpoints of {witness} are disconnected in the spanner"))
+        else:
+            verdicts.append(Verdict("stretch_finite", True,
+                                    f"max per-edge stretch {stretch}"))
     if bound is not None and stretch != math.inf:
         verdicts.append(Verdict("stretch_bound", stretch <= bound,
                                 f"max per-edge stretch {stretch} vs bound {bound}"))

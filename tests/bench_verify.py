@@ -10,8 +10,8 @@ Both sides compute the maximum per-edge stretch and its witness:
 the spanner from every vertex.
 
 The tree: the skeleton (rho = 0.34) of G(512, 2 ln n / n), seed 1, which is
-a spanning tree, so the verifier takes the walk to the lowest common
-ancestor.
+a spanning tree. Peeling leaves an empty 2-core, so the verifier measures
+every edge by the walk to the lowest common ancestor.
 
 The near-tree: the skeleton of the 32 x 32 grid, with 43 edges more than a
 spanning tree. Peeling its vertices of degree at most 1 leaves a 2-core of

@@ -113,6 +113,8 @@ MUTANTS: List[Mutant] = [
            replace("dist = near(u, targets)",
                    "dist = {v: abs(height[u] - height[v]) for v in targets "
                    "if anchor[v] == anchor[u]}")),
+    Mutant("tree walk skips its joint lift to the common ancestor", "verify.py",
+           replace("while a != b:", "while False:")),
 ]
 
 

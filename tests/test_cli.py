@@ -330,6 +330,19 @@ class TestVerify:
         rc = cli.main(["verify", "--graph", "gen:path:n=4", "--spanner", str(sp)])
         assert rc == 1
 
+    def test_edges_outside_the_graph_leave_stretch_unmeasured(self, tmp_path, capsys):
+        sp = tmp_path / "h.edges"
+        sp.write_text("1 3\n1 2\n2 3\n3 4\n")
+        rc = cli.main(["verify", "--graph", "gen:path:n=4", "--spanner", str(sp)])
+        assert rc == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["max_edge_stretch"] is None and not report["passed"]
+        finite = next(v for v in report["verdicts"] if v["name"] == "stretch_finite")
+        assert not finite["ok"]
+        assert finite["detail"] == ("stretch not measured: the spanner has edges "
+                                    "outside the graph")
+        assert not any("None" in v["detail"] for v in report["verdicts"])
+
     def test_bound_check(self, tmp_path, capsys):
         g = gr.generate_graph("cycle", n=8)
         edges = [e for e in g.edges() if e != (1, 8)]

@@ -278,15 +278,21 @@ def test_collect_equals_oracle(data):
     oracle, expected = _run(oracles.tree_collect, g, members, orient.parent,
                             items, cap, config, "lbl")
     assert kernel == oracle
-    if expected is None:
-        return
-    assert in_order(stores) == in_order(expected)
+    if expected is not None:
+        assert in_order(stores) == in_order(expected)
 
+    # upcast_collect collects toward every center
+    members = [v for c in orient.members for v in orient.members[c]]
+    oracle, expected = _run(oracles.tree_collect, g, members, orient.parent,
+                            items, cap, config, "lbl")
     net = _net(g, config)
-    got = comm.upcast_collect(net, orient, items, cap, "lbl", centers=wanted)
+    got = _comm(lambda: comm.upcast_collect(net, orient, items, cap, "lbl"))
+    if expected is None:
+        assert got == oracle
+        return
     assert [(c, list(s.items())) for c, s in got.items()] == [
-        (c, list(expected.get(c, {}).items())) for c in set(wanted)]
-    assert _episodes(net) == ([oracle] if wanted else [])
+        (c, list(expected.get(c, {}).items())) for c in set(orient.members)]
+    assert _episodes(net) == ([oracle] if orient.members else [])
 
 
 def _clusters(rng, parent_maps, mutation):
@@ -499,11 +505,11 @@ def test_episodes_only_when_a_vertex_takes_part():
     net = comm.Net(PATH)
     comm.downcast_single(net, CHAIN, [], "none")
     comm.downcast_payloads(net, CHAIN, {}, "none")
-    comm.upcast_collect(net, CHAIN, {1: [(5, 1)]}, 3, "none", centers=[])
     comm.upcast_best(net, CHAIN, {1: (1,)}, "none", centers=[])
     comm.announce_edges(net, "none", {})
     empty = comm.orient_clusters(net, {}, {}, "none")
     assert comm.upcast_flags(net, empty, set(), "none") == set()
+    assert comm.upcast_collect(net, empty, {}, 3, "none") == {}
     assert net.trace.episodes == []
 
     # a vertex that takes part but sends nothing still makes an episode

@@ -1,11 +1,11 @@
 """The verifier's bounded searches against slow, obviously right oracles.
 
-``max_edge_stretch`` walks to the lowest common ancestor when the spanner is a
-forest, and otherwise runs one bit-parallel BFS per batch of sources, each
-source stopping once its higher-ID neighbours are measured (the batch width
-is narrowed in the tests so that sources span several batches), on the
-spanner's 2-core only, with the peeled trees measured from their anchors in
-the core;
+``max_edge_stretch`` peels the spanner to its 2-core, which is empty when the
+spanner is a forest, and runs one bit-parallel BFS per batch of sources on
+the core only, each source stopping once its higher-ID neighbours are
+measured (the batch width is narrowed in the tests so that sources span
+several batches); the peeled trees are measured by walks to the lowest
+common ancestor and from their anchors in the core;
 ``check_ruling`` searches separation only to depth
 alpha - 1. Both must return exactly what the all-sources versions in
 ``oracles.py`` return, witness edge and failure text included; the stretch
@@ -146,19 +146,22 @@ def test_forest_stretch_matches_networkx(data):
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_forest_search_exactly_on_forests(data):
-    """The forest path is taken exactly when H is a forest, and then gives
-    every pair's networkx distance, leaving out pairs in two components."""
+def test_peel_leaves_no_core_exactly_on_forests(data):
+    """_peel leaves networkx's 2-core, which is empty exactly when H is a
+    forest; the walks over the forest it then hangs give every pair in one
+    component its networkx distance, and leave out pairs in two."""
     if data.draw(st.booleans(), label="tree based"):
         g, sub = _tree_and_spanner(data, max_n=25)
     else:
         g = _random_graph(data, max_n=25)
         sub = _random_subgraph(data, g)
     adj_h = subgraph_adjacency(g.vertices, sub)
-    search = verify._forest_distances(adj_h, g.vertices, len(sub))
+    core, _, _, parent, height, anchor = verify._peel(g.vertices, adj_h, sub)
     h = _spanner_nx(g, sub)
-    assert (search is not None) == nx.is_forest(h)
-    if search is not None:
+    assert set(core) == set(nx.k_core(h, 2))
+    assert (not core) == nx.is_forest(h)
+    if not core:
+        search = verify._tree_distances(parent, height, anchor)
         dist = dict(nx.all_pairs_shortest_path_length(h))
         for u in g.vertices:
             others = [v for v in g.vertices if v != u]
@@ -280,9 +283,7 @@ def test_core_stretch_equals_all_sources_oracle(data):
     the maximum or the disconnected edge often lands in a later batch of
     the core's sources."""
     g, sub = _cored_spanner(data)
-    adj_h = subgraph_adjacency(g.vertices, sub)
-    assert verify._forest_distances(adj_h, g.vertices, len(sub)) is None
-    core = verify._peel(g.vertices, adj_h, sub)[0]
+    core = verify._peel(g.vertices, subgraph_adjacency(g.vertices, sub), sub)[0]
     assert 3 <= len(core) < g.n
     width = data.draw(st.sampled_from([1, 2, 3, 4, 5, verify.STRETCH_BATCH]),
                       label="batch width")
