@@ -247,12 +247,14 @@ def downcast_single(net: Net, orient: Orientation, centers: Iterable[int], label
     payload maps center -> (ids, scalar); default is an empty flag message.
     Every member of those clusters receives its center's message.
     """
+    centers, payload, children = set(centers), payload or {}, orient.children
     queues = {}
-    for c in set(centers):
-        ids, scalar = (payload or {}).get(c, ((), 0))
-        queues[c] = (Message(ids=ids, scalar=scalar),)
-    if queues:
-        net.cast(label, sim.tree_downcast, orient.children, queues)
+    for c in centers:
+        if children[c]:   # a center with no tree edge takes part but sends nothing
+            ids, scalar = payload.get(c, ((), 0))
+            queues[c] = (Message(ids=ids, scalar=scalar),)
+    if centers:
+        net.cast(label, sim.tree_downcast, children, queues)
 
 
 def downcast_payloads(net: Net, orient: Orientation,

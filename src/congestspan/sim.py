@@ -28,7 +28,10 @@ round); and ``send_round`` for one round of per-edge sends. Each kernel fixes
 its own mode, that of the programs it stands for (broadcast for the first
 two, congest for the others), and writes it into its trace; only ``run``
 reads ``config.mode``. No build calls ``run``: it is the tests' reference
-engine, which runs those programs and holds the kernels to them.
+engine, which runs those programs and holds the kernels to them. A cluster
+tree with no edge sends nothing in any tree cast, so the tree kernels do no
+work for it: its root only keeps the episode on the record and, in a
+downcast, wakes once per payload.
 
 Determinism: vertices are stepped in ascending ID order, inboxes are keyed by
 sender in ascending order, and per-edge FIFO order is preserved by the
@@ -382,7 +385,9 @@ def tree_downcast(g: Graph, children: Mapping[int, Sequence[int]],
     """Pipelined downcast in congest mode: each root of payloads streams its
     queue down its tree (children maps a vertex to its children); a vertex
     at depth d sends payload j to all its children at round d + j. Walks
-    trees by levels."""
+    trees by levels; a root with no child costs no work beyond its wake-up
+    at round k - 1 for a queue of k, and its payloads go unchecked, as they
+    are never sent."""
     cap, max_scalar, edges = config.ids_per_message, max(g.n, 2) ** 3, g.edge_set()
     trace = SimTrace(label=label)
     steps: List[int] = []   # steps[r]: the change in messages per round at r
@@ -392,12 +397,15 @@ def tree_downcast(g: Graph, children: Mapping[int, Sequence[int]],
         k = len(queue)
         if not k:
             continue
+        kids = children[root]
+        if not kids:   # sends nothing, but wakes for every payload
+            last = max(last, k - 1)
+            continue
         bad = next((j for j, msg in enumerate(queue) if len(msg.ids) > cap
                     or abs(msg.scalar) > max_scalar), None)
-        kids = children[root]
         # the root sends payload j at round j, checking its first child's
         # edge before the message; this fault goes first on a tie
-        if kids and bad is not None and (bad or edge_key(root, kids[0]) in edges):
+        if bad is not None and (bad or edge_key(root, kids[0]) in edges):
             faults.append((bad, root, _message_fault(root, queue[bad], cap)))
         level, depth = [root], 0
         while True:
@@ -416,15 +424,13 @@ def tree_downcast(g: Graph, children: Mapping[int, Sequence[int]],
             steps[depth] += len(below)
             steps[depth + k] -= len(below)
             level, depth = below, depth + 1
-        last = max(last, k - 1 + depth)   # the root wakes for every payload
-        if depth:
-            rounds = max(rounds, k - 1 + depth)
-            trace.max_ids_per_message = max(trace.max_ids_per_message,
-                                            *(len(msg.ids) for msg in queue))
+        rounds = max(rounds, k - 1 + depth)
+        trace.max_ids_per_message = max(trace.max_ids_per_message,
+                                        *(len(msg.ids) for msg in queue))
     first = min(faults, key=lambda f: f[:2], default=None)
     if first and first[0] <= config.max_rounds:
         raise first[2]
-    if last > config.max_rounds:
+    if max(last, rounds) > config.max_rounds:
         raise _over_budget(config, label)
     return _account(trace, list(accumulate(steps)), rounds), None
 
@@ -439,7 +445,8 @@ def best_upcast(g: Graph, roots: Iterable[int],
     their trees wakes at the round of its height and, if it has a value,
     sends its parent the best of its own and its children's, as IDs or, with
     width 0, the first entry as the scalar. values holds vertices of those
-    trees only."""
+    trees only. A root never sends, so a tree with no edge costs no work: its
+    value is its result."""
     cap, max_scalar, edges = config.ids_per_message, max(g.n, 2) ** 3, g.edge_set()
     trace = SimTrace(label=label)
     fold = max if prefer_max else min
@@ -447,7 +454,7 @@ def best_upcast(g: Graph, roots: Iterable[int],
     carriers: Set[int] = set()
     at_height: Dict[int, List[int]] = defaultdict(list)
     for v in values:
-        while v is not None and v not in carriers:
+        while v not in carriers and parent[v] is not None:
             carriers.add(v)
             at_height[height[v]].append(v)
             v = parent[v]
@@ -455,8 +462,6 @@ def best_upcast(g: Graph, roots: Iterable[int],
     for h in sorted(at_height):
         for v in sorted(at_height[h]):
             p = parent[v]
-            if p is None:
-                continue
             if h > config.max_rounds:
                 raise _over_budget(config, label)
             ids, scalar = (tuple(best[v]), 0) if width else ((), best[v][0])
@@ -525,20 +530,22 @@ def tree_collect(g: Graph, members: Iterable[int],
     per round. Returns member -> its store in admission order."""
     edges = g.edge_set()
     stores: Dict[int, Dict[int, int]] = {v: {} for v in members}
-    queues: Dict[int, Deque[Tuple[int, int]]] = {v: deque() for v in stores}
+    # the forward queues; a root forwards nothing and has none
+    queues: Dict[int, Deque[Tuple[int, int]]] = {
+        v: deque() for v in stores if parent[v] is not None}
 
     def admit(v: int, arrivals: Iterable[Tuple[int, int]]) -> None:
-        store, queue, forward = stores[v], queues[v], parent[v] is not None
+        store, queue = stores[v], queues.get(v)
         for key, payload in arrivals:
             if key not in store and len(store) < cap:
                 store[key] = payload
-                if forward:
+                if queue is not None:
                     queue.append((key, payload))
 
     for v in stores:
         if items.get(v):
             admit(v, sorted(items[v]))
-    busy = {v for v in stores if queues[v]}
+    busy = {v for v, queue in queues.items() if queue}
     counts: List[int] = []
     while busy:
         senders = sorted(busy)
@@ -557,7 +564,7 @@ def tree_collect(g: Graph, members: Iterable[int],
             raise _over_budget(config, label)
         for p, arrivals in inbox.items():
             admit(p, arrivals)
-            if queues[p]:
+            if queues.get(p):
                 busy.add(p)
     trace = SimTrace(label=label, max_ids_per_message=2 if counts else 0)
     return _account(trace, counts, len(counts)), stores
@@ -579,9 +586,10 @@ def orient_flood(g: Graph, roots: Iterable[int],
         sent = 0
         for v in senders:
             targets = [u for u in tree_nbrs[v] if u != found[v][1]]
-            sent += _per_edge(v, edges, targets)
-            for u in targets:
-                heard.setdefault(u, v)
+            if targets:
+                sent += _per_edge(v, edges, targets)
+                for u in targets:
+                    heard.setdefault(u, v)
         if not sent:
             break
         counts.append(sent)

@@ -25,6 +25,13 @@ The tree casts: both sides run, on the BFS tree from vertex 1 of the 48 x 48
 grid, a pipelined downcast of 64 payloads from the root (147k messages in
 157 rounds) and then a collect of one item per vertex capped at 64 (57k
 messages in 64 rounds).
+
+The phase-0 casts: both sides run, on the 48 x 48 grid split into 2 304
+single-vertex clusters, as every phase 0 is, a downcast of a one-ID payload
+from every center and then a best-value upcast of one value per vertex to
+every center. No message is sent; the kernels (through comm.downcast_single
+and comm.upcast_best) do no work per cluster tree without an edge, and the
+oracles step one program per vertex.
 """
 
 import pytest
@@ -115,3 +122,38 @@ def test_tree_casts(benchmark, grid_tree, impl):
     down, up, stores = benchmark(casts)
     assert down.messages_total == 64 * (g.n - 1)
     assert len(stores[1]) == 64
+
+
+@pytest.fixture(scope="module")
+def grid_alone():
+    g = gr.generate_graph("grid", rows=48, cols=48)
+    orient = comm.orientation_from_parents({v: {v: None} for v in g.vertices})
+    payload = {v: ((v,), 0) for v in g.vertices}
+    values = {v: (v, v) for v in g.vertices}
+    return g, orient, payload, values
+
+
+def _kernel_phase0_casts(g, orient, payload, values):
+    net = comm.Net(g)
+    comm.downcast_single(net, orient, orient.centers, "p0.down", payload)
+    best = comm.upcast_best(net, orient, values, "p0.best", centers=orient.centers)
+    return net.trace.episodes, best
+
+
+def _oracle_phase0_casts(g, orient, payload, values):
+    config = comm.Net(g).config
+    queues = {c: [Message(0, *payload[c])] for c in orient.centers}
+    down, _ = oracles.tree_downcast(g, orient.children, queues, config, "p0.down")
+    up, best = oracles.best_upcast(g, orient.centers, orient.parent, orient.height,
+                                   values, False, 2, config, "p0.best")
+    return [down, up], best
+
+
+@pytest.mark.parametrize("impl", [_kernel_phase0_casts, _oracle_phase0_casts],
+                         ids=["kernel", "oracle"])
+def test_phase0_casts(benchmark, grid_alone, impl):
+    g, orient, payload, values = grid_alone
+    episodes, best = benchmark(impl, g, orient, payload, values)
+    assert [(e.label, e.messages_total) for e in episodes] == [
+        ("p0.down", 0), ("p0.best", 0)]
+    assert best == values

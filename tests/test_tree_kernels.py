@@ -6,7 +6,8 @@ one program per vertex (the oracles in oracles.py), every field of it, and
 the same result, or raise what ``sim.run`` raises, with the same text. The
 comm functions built on the kernels must return what the program versions
 returned and record the oracle's whole trace as the episode, and no episode
-when no vertex takes part.
+when no vertex takes part. Clusters of a single vertex, the shape of phase 0,
+take part but send nothing; they get cases of their own.
 """
 
 import dataclasses
@@ -393,6 +394,11 @@ CHAIN = comm.orientation_from_parents({1: {1: None, 2: 1, 3: 2, 4: 3, 5: 4}})
 # 3 hangs off 1, which is not its graph neighbour
 BENT = comm.orientation_from_parents({1: {1: None, 2: 1, 3: 1, 4: 3, 5: 4}})
 CHAIN_ADJ = {1: [2], 2: [1, 3], 3: [2, 4], 4: [3, 5], 5: [4]}
+# every cluster a single vertex, as in phase 0
+ALONE = comm.orientation_from_parents({v: {v: None} for v in PATH.vertices})
+# a chain of three beside two single-vertex clusters
+MIXED = comm.orientation_from_parents({1: {1: None, 2: 1, 3: 2}, 4: {4: None},
+                                       5: {5: None}})
 
 
 def _cases():
@@ -412,6 +418,10 @@ def _cases():
            ok, ModelViolation)
     yield ("downcast: round budget", sim.tree_downcast, oracles.tree_downcast,
            (CHAIN.children, {1: four}), tight, RoundBudgetExceeded)
+    # a root with no child sends nothing, but wakes for each of its payloads
+    yield ("downcast: round budget at a single-vertex root", sim.tree_downcast,
+           oracles.tree_downcast, (ALONE.children, {3: four}), tight,
+           RoundBudgetExceeded)
     for name, orient in (("chain", CHAIN), ("bent", BENT)):
         args = ([1], orient.parent, orient.height, {5: (4, 5, 1)}, False, 3)
         yield (f"best upcast ({name}): too many ids", sim.best_upcast,
@@ -459,6 +469,70 @@ def test_kernel_raises_what_run_raises(name, kernel, oracle, args, config,
     got = _run(kernel, PATH, *args, config, "lbl")
     assert got == _run(oracle, PATH, *args, config, "lbl")
     assert got[0][0] is expected
+
+
+def _edge_free_cases():
+    """(name, kernel, oracle, args, config) on trees with no edge, where
+    nothing is sent and nothing raises."""
+    ok, tight = SimConfig(), SimConfig(max_rounds=2)
+    oversize = [Message(1, (1, 2, 3), 10 ** 9)]
+    three = [Message(1, (v,)) for v in range(1, 4)]
+    yield ("downcast: oversize payload at a single-vertex root", sim.tree_downcast,
+           oracles.tree_downcast, (ALONE.children, {3: oversize, 4: []}), ok)
+    # the root's last wake-up is at round 2, within the budget
+    yield ("downcast: three payloads at a single-vertex root", sim.tree_downcast,
+           oracles.tree_downcast, (MIXED.children, {5: three}), tight)
+    yield ("best upcast: values at roots only", sim.best_upcast,
+           oracles.best_upcast,
+           ([1, 4, 5], MIXED.parent, MIXED.height, {1: (7,), 4: (9, 2), 5: (3,)},
+            True, 2), ok)
+    yield ("best upcast: oversize values at single-vertex roots", sim.best_upcast,
+           oracles.best_upcast,
+           ([4, 5], MIXED.parent, MIXED.height, {4: (1, 2, 3), 5: (10 ** 9,)},
+            False, 0), tight)
+
+
+@pytest.mark.parametrize("name, kernel, oracle, args, config",
+                         list(_edge_free_cases()),
+                         ids=[c[0] for c in _edge_free_cases()])
+def test_edge_free_trees_equal_oracle(name, kernel, oracle, args, config):
+    got = _run(kernel, PATH, *args, config, "lbl")
+    expected = _run(oracle, PATH, *args, config, "lbl")
+    assert got[0] == expected[0]
+    assert got[0]["messages_total"] == 0
+    if kernel is sim.best_upcast:   # each root keeps its own value
+        roots, values = args[0], args[3]
+        assert got[1] == expected[1] == {r: values.get(r) for r in roots}
+
+
+def test_single_vertex_clusters_record_the_oracle_episodes():
+    net = comm.Net(PATH)
+    config, members = net.config, list(PATH.vertices)
+    # 1's payload is oversize, but it is never sent
+    payload = {1: ((1, 2, 3), 10 ** 9), 2: ((2,), 4), 3: ((3,), 6)}
+    assert comm.downcast_single(net, ALONE, [1, 2, 3, 5], "down", payload) is None
+    queues = {c: [Message(0, *payload.get(c, ((), 0)))] for c in (1, 2, 3, 5)}
+    down, received = _run(oracles.tree_downcast, PATH, ALONE.children, queues,
+                          config, "down")
+    assert received == queues
+
+    values = {1: (4, 1), 2: (9, 9), 4: (1, 3)}
+    got = comm.upcast_best(net, ALONE, values, "best", centers=[1, 4, 5])
+    best, expected = _run(oracles.best_upcast, PATH, [1, 4, 5], ALONE.parent,
+                          ALONE.height, {1: (4, 1), 4: (1, 3)}, False, 2,
+                          config, "best")
+    assert got == expected == {1: (4, 1), 4: (1, 3), 5: None}
+
+    items = {1: [(30, 1), (10, 1)], 3: [(20, 3), (20, 4)], 5: []}
+    got = comm.upcast_collect(net, ALONE, items, 1, "collect")
+    collect, stores = _run(oracles.tree_collect, PATH, members, ALONE.parent,
+                           items, 1, config, "collect")
+    assert got == {c: stores.get(c, {}) for c in members}
+    assert got == {1: {10: 1}, 2: {}, 3: {20: 3}, 4: {}, 5: {}}
+
+    assert _episodes(net) == [down, best, collect]
+    assert [(e["label"], e["messages_total"]) for e in _episodes(net)] == [
+        ("down", 0), ("best", 0), ("collect", 0)]
 
 
 def test_best_upcast_round_budget_counts_sends_and_wakeups_only():

@@ -1,0 +1,62 @@
+"""Two equivalence hashes over the acceptance corpus builds.
+
+Not collected by the test suite (the file name does not match test_*.py).
+Run it from anywhere with
+
+    python3 tests/trace_hashes.py
+
+It builds each of the 750 points of ``corpus.build_tasks()`` in order and
+prints two sha256 digests:
+
+- ``reports``: over the concatenation of
+  ``json.dumps(cli.build_report(g, result), sort_keys=True)`` of every build,
+  verification included;
+- ``episodes``: over ``repr`` of the list of every build's episode list,
+  one ``(label, mode, rounds, messages, max_ids)`` tuple per episode.
+
+A change meant to affect only wall time must leave both alone. Uses the
+standard library only, apart from the package and the corpus helpers, which
+it imports from this checkout.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
+
+import corpus   # noqa: E402
+from congestspan import cli, polylog, sparse   # noqa: E402
+
+
+def build(task: tuple):
+    """(graph, build result) of one corpus point."""
+    alg, _, spec, kappa, rho = task
+    g = corpus.make_graph(spec)
+    if alg == "polylog":
+        return g, polylog.build_spanner(g, kappa)
+    return g, sparse.build_spanner(g, kappa, corpus._rho(rho))
+
+
+def hashes() -> dict:
+    """{"builds", "reports", "episodes"} over every corpus point."""
+    reports, episodes = hashlib.sha256(), []
+    tasks = corpus.build_tasks()
+    for task in tasks:
+        g, result = build(task)
+        reports.update(json.dumps(cli.build_report(g, result),
+                                  sort_keys=True).encode())
+        episodes.append([(ep.label, ep.mode, ep.rounds_elapsed,
+                          ep.messages_total, ep.max_ids_per_message)
+                         for ep in result.trace.episodes])
+    return {"builds": len(tasks), "reports": reports.hexdigest(),
+            "episodes": hashlib.sha256(repr(episodes).encode()).hexdigest()}
+
+
+if __name__ == "__main__":
+    for name, value in hashes().items():
+        print(f"{name}: {value}")
