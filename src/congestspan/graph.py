@@ -54,13 +54,19 @@ class Graph:
         for v, nbrs in self.adjacency.items():
             if v <= 0:
                 raise GraphError(f"vertex id {v} is not a positive integer")
+            # nbrs is sorted, so a parallel entry repeats its predecessor; it
+            # is reported after the vertex's self-loop and outside checks
+            prev = parallel = None
             for u in nbrs:
                 if u == v:
                     raise GraphError(f"self-loop at vertex {v}")
                 if u not in self.adjacency:
                     raise GraphError(f"edge ({v},{u}) points outside the vertex set")
+                if u == prev:
+                    parallel = True
+                prev = u
                 seen.add(edge_key(u, v))
-            if len(set(nbrs)) != len(nbrs):
+            if parallel:
                 raise GraphError(f"parallel edge at vertex {v}")
             degree_sum += len(nbrs)
         # With no self-loops or parallel entries, each edge is listed once or

@@ -25,6 +25,17 @@ Empty blocks would produce no flood and consume no rounds, so the
 orchestrator never visits them: per level it walks only the blocks that hold
 an alive candidate. Its work therefore grows with the number of candidates,
 not with the width of the ID range.
+
+No flood is sent that cannot knock out a candidate. A level of K + 1 child
+blocks floods at most K times: block K, the last, has no later block, so it
+never floods. A flood's last wave carries 0 hops, so its listeners relay
+nothing, and that wave's up-cast runs only in the popular clusters of the
+blocks after the flooding one, since a candidate is a popular cluster. Every
+vertex can make both cuts from what it knows: K from the global ID range and
+the timetable, its cluster's block from its center's ID (learnt in the
+orient flood), and whether its cluster is popular from the popular bit (sent
+down the tree after the popularity call). Neither cut looks at which
+candidates are still alive, which no vertex knows.
 """
 
 from __future__ import annotations
@@ -121,13 +132,19 @@ def _child_block(ident: int, lo: int, widths: List[int], level: int) -> int:
 # The knock-out flood over the virtual cluster graph.
 
 def _flood(net: Net, orient: Orientation, initiators: Sequence[int], depth: int,
-           accept_all: AbstractSet[int], trivial: bool, label: str) -> Set[int]:
+           accept_all: AbstractSet[int], trivial: bool, targets: AbstractSet[int],
+           label: str) -> Set[int]:
     """Flood a knock-out from the initiator clusters to the given virtual
-    depth; returns every cluster (center) that heard it.
+    depth; returns the clusters (centers) that heard it, except that the last
+    wave reports only the clusters among targets.
 
     accept_all holds the vertices of popular clusters: hops cross only the
     superedges with a popular side, as in the phase's virtual cluster graph.
     trivial says every cluster is a single vertex, so no tree cast is needed.
+    A listener of wave depth hears 0 hops and relays nothing, so that wave's
+    up-cast runs only in the clusters of targets, the ones the flood can
+    knock out; each member knows from its center's ID and its popular bit
+    whether its cluster is one of them.
     """
     heard: Set[int] = set()
     relayed: Set[int] = set(initiators)
@@ -142,11 +159,13 @@ def _flood(net: Net, orient: Orientation, initiators: Sequence[int], depth: int,
         got = hops_at = comm.knockout_hop(net, orient, f"{label}.k{wave}.x",
                                           frontier, accept_all)
         if not trivial and hops_at:
-            touched = sorted({orient.center_of[v] for v in hops_at})
+            touched = {orient.center_of[v] for v in hops_at}
+            if wave == depth:
+                touched &= targets
             best = comm.upcast_best(net, orient,
                                     {v: (h,) for v, h in hops_at.items()},
                                     f"{label}.k{wave}.up", prefer_max=True,
-                                    width=0, centers=touched)
+                                    width=0, centers=sorted(touched))
             got = {c: b[0] for c, b in best.items() if b is not None}
         heard.update(got)
         frontier = [(c, h - 1) for c, h in sorted(got.items())
@@ -158,12 +177,15 @@ def _flood(net: Net, orient: Orientation, initiators: Sequence[int], depth: int,
 def run_knockout_schedule(net: Net, orient: Orientation, candidates: Set[int],
                           params: RulingParams, id_range: Tuple[int, int],
                           popular: AbstractSet[int], label: str) -> Set[int]:
-    """Execute the full merge timetable over the clusters of orient, whose
-    popular clusters span the virtual cluster graph; returns the surviving
-    candidates.
+    """Execute the merge timetable over the clusters of orient, whose popular
+    clusters span the virtual cluster graph; returns the surviving
+    candidates, which must all be popular clusters.
 
     Per level, only the blocks holding an alive candidate are visited, in
-    ascending order, so the work never depends on the ID-range width.
+    ascending order, so the work never depends on the ID-range width. The
+    level's last child block K never floods, since no block comes after it,
+    and a flood's last wave converges only in the popular clusters of the
+    blocks after the flooding one.
     """
     lo, hi = id_range
     width = hi - lo + 1
@@ -175,15 +197,18 @@ def run_knockout_schedule(net: Net, orient: Orientation, candidates: Set[int],
     accept_all = {v for v, c in orient.center_of.items() if c in popular}
     trivial = orient.max_depth() == 0
     for level in range(len(widths) - 2, -1, -1):
+        last = (widths[level] - 1) // widths[level + 1]
         blocks: Dict[int, List[int]] = {}
         for c in sorted(alive):
             blocks.setdefault(_child_block(c, lo, widths, level), []).append(c)
         for block in sorted(blocks):
             senders = [c for c in blocks[block] if c in alive]
-            if not senders:
+            if block == last or not senders:
                 continue
+            later = set() if trivial else {
+                c for c in popular if _child_block(c, lo, widths, level) > block}
             heard = _flood(net, orient, senders, params.c, accept_all,
-                           trivial, f"{label}.L{level}.b{block}")
+                           trivial, later, f"{label}.L{level}.b{block}")
             for c in heard:
                 if c in alive and _child_block(c, lo, widths, level) > block:
                     alive.discard(c)

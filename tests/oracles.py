@@ -11,7 +11,9 @@ or filtered to the exploration hop's superedge arrivals) and for each
 tree-cast episode. They are slow but obviously right, so
 the tests hold the fast versions to them result for result. Each episode
 oracle takes the arguments of the sim kernel it checks and returns sim.run's
-trace with the programs' results.
+trace with the programs' results. The knock-out timetable is kept in full:
+every block that holds an alive candidate floods, and every wave converges
+in every cluster that heard it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from congestspan import comm, sim
 from congestspan.clusters import VirtualClusterGraph
 from congestspan.graph import (Edge, Graph, GraphError, bfs_on_adjacency, edge_key,
                                subgraph_adjacency)
-from congestspan.rulingset import RulingVerdict
+from congestspan.exact import nth_root_ceil
+from congestspan.rulingset import RulingParams, RulingVerdict
 from congestspan.sim import Message, NodeApi, NodeProgram, SimConfig, SimTrace
 
 
@@ -547,3 +550,63 @@ def orient_clusters(g: Graph, center_of: Mapping[int, int],
                 raise RuntimeError(f"vertex {v} oriented to foreign center {prog.center}")
             pmap[v] = prog.parent
     return trace, comm.orientation_from_parents(parent_maps)
+
+
+def block_widths(id_range: Tuple[int, int], q: int) -> List[int]:
+    """The knock-out timetable's interval width per level: the ID range split
+    into t = ceil(width ** (1/q)) (at least 2) blocks per level, down to 1."""
+    lo, hi = id_range
+    widths = [hi - lo + 1]
+    t = max(2, nth_root_ceil(widths[0], q))
+    while widths[-1] > 1:
+        widths.append(-(-widths[-1] // t))
+    return widths
+
+
+def knockout_schedule(net: "comm.Net", orient: "comm.Orientation",
+                      candidates: Set[int], params: RulingParams,
+                      id_range: Tuple[int, int], popular: AbstractSet[int],
+                      label: str) -> Set[int]:
+    """rulingset.run_knockout_schedule with the full timetable: per level,
+    every block that holds an alive candidate floods in ascending order, and
+    every wave of a flood converges in every cluster that heard it; a later
+    block's alive candidate that heard an earlier block's flood drops out."""
+    lo = id_range[0]
+    widths = block_widths(id_range, params.q)
+    alive = set(candidates)
+    if widths[0] <= 1 or len(alive) <= 1:
+        return alive
+    accept_all = {v for v, c in orient.center_of.items() if c in popular}
+    trivial = orient.max_depth() == 0
+    for level in range(len(widths) - 2, -1, -1):
+        def block_of(c: int) -> int:
+            return (c - lo) % widths[level] // widths[level + 1]
+        for block in sorted({block_of(c) for c in alive}):
+            senders = sorted(c for c in alive if block_of(c) == block)
+            if not senders:
+                continue
+            heard: Set[int] = set()
+            relayed = set(senders)
+            frontier = [(c, params.c - 1) for c in senders]
+            wave = 0
+            while frontier:
+                wave += 1
+                tag = f"{label}.L{level}.b{block}.k{wave}"
+                if not trivial:
+                    payload = {c: ((), h) for c, h in frontier}
+                    comm.downcast_single(net, orient, payload.keys(),
+                                         f"{tag}.down", payload)
+                got = hops_at = comm.knockout_hop(net, orient, f"{tag}.x",
+                                                  frontier, accept_all)
+                if not trivial and hops_at:
+                    best = comm.upcast_best(
+                        net, orient, {v: (h,) for v, h in hops_at.items()},
+                        f"{tag}.up", prefer_max=True, width=0,
+                        centers={orient.center_of[v] for v in hops_at})
+                    got = {c: b[0] for c, b in best.items() if b is not None}
+                heard.update(got)
+                frontier = [(c, h - 1) for c, h in sorted(got.items())
+                            if h >= 1 and c not in relayed]
+                relayed.update(c for c, _ in frontier)
+            alive -= {c for c in heard if block_of(c) > block}
+    return alive

@@ -83,9 +83,9 @@ class TestBuild:
 
     @pytest.mark.parametrize("alg_args, digest", [
         (["polylog", "--kappa", "3"],
-         "4cc2cd6cd87430b3c6dbf782da8b4045a8de1dd80f84690b0604ae6d484b8883"),
+         "b0e8b65b23bf30830ac008147f274054cbcd60873e41e46eb62a25090fa6c447"),
         (["skeleton", "--rho", "0.34"],
-         "c3dd310d434e7399770e4cf8d7a8fb4e8fd2c3cc5dda7388cf297d21eba1997f"),
+         "882702f2f8a1eaa514f71813db51e8e0a2a5ec42ddc369b0cadf1516f726527b"),
     ], ids=["polylog", "skeleton"])
     def test_report_is_pinned(self, tmp_path, alg_args, digest):
         # the whole report, per-phase rows included

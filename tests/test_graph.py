@@ -178,6 +178,16 @@ class TestValidate:
             gr.Graph({1: [2], 2: [1, 3, 3], 3: [2, 2]})
         assert str(exc.value) == "parallel edge at vertex 2"
 
+    def test_self_loop_reported_before_a_parallel_entry(self):
+        # vertex 2 lists 1 twice before its self-loop, and twice before an
+        # outside neighbour: the parallel entry is reported last
+        with pytest.raises(gr.GraphError) as exc:
+            gr.Graph({1: [2], 2: [1, 1, 2]})
+        assert str(exc.value) == "self-loop at vertex 2"
+        with pytest.raises(gr.GraphError) as exc:
+            gr.Graph({1: [2], 2: [1, 1, 9]})
+        assert str(exc.value) == "edge (2,9) points outside the vertex set"
+
     def test_no_vertices_rejected(self):
         with pytest.raises(gr.GraphError) as exc:
             gr.Graph({})

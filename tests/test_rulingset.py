@@ -1,11 +1,16 @@
+import re
+
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from corpus import knockout_ruling_set, voronoi_clusters
 
 from congestspan import graph as gr
-from congestspan.comm import Net
+from congestspan.comm import Net, orientation_from_parents
 from congestspan.exact import ceil_log2_int
-from congestspan.rulingset import check_ruling
+from congestspan.rulingset import RulingParams, check_ruling, run_knockout_schedule
+
+FLOOD_LABEL = re.compile(r"^rs\.L(\d+)\.b(\d+)\.k\d+\.(?:down|x|up)$")
 
 
 class TestCheckRuling:
@@ -75,6 +80,30 @@ class TestCongestRulingSet:
         assert all(ep.mode == "broadcast" for ep in exchanges)
         assert net.trace.max_ids_per_message <= 2
 
+    def test_last_wave_knocks_out_the_next_block(self):
+        # clusters {1,2}, {5,6} and {3,4} along the path; at level 0 the
+        # centers 1, 3 and 5 lie in blocks 0, 1 and 2 = K, and only the last
+        # wave of block 0's flood reaches the candidate 3
+        g = gr.from_edges([(1, 2), (2, 5), (5, 6), (6, 3), (3, 4)])
+        p = {1: {1: None, 2: 1}, 5: {5: None, 6: 5}, 3: {3: None, 4: 3}}
+        members, _ = knockout_ruling_set(g, {1, 3}, q=2, parent_maps=p,
+                                         popular={1, 3, 5})
+        assert members == {1}
+
+    def test_last_wave_converges_only_in_later_blocks(self):
+        # clusters {1,2} and {3,4}: at level 0 block 0's flood knocks out 3
+        # in wave 1, and its last wave, relayed by 3, reaches only 1 in
+        # block 0 itself, so no up-cast follows it; block 1 = K never floods
+        g = gr.generate_graph("path", n=4)
+        p = {1: {1: None, 2: 1}, 3: {3: None, 4: 3}}
+        net = Net(g)
+        members, _ = knockout_ruling_set(g, {1, 3}, q=2, parent_maps=p, net=net)
+        assert members == {1}
+        assert [ep.label for ep in net.trace.episodes] == [
+            "rs.L1.b0.k1.down", "rs.L1.b0.k1.x",
+            "rs.L0.b0.k1.down", "rs.L0.b0.k1.x", "rs.L0.b0.k1.up",
+            "rs.L0.b0.k2.down", "rs.L0.b0.k2.x"]
+
 
 class TestSupergraphRulingSet:
     def test_two_adjacent_clusters_pick_one(self):
@@ -113,3 +142,65 @@ def test_supergraph_ruling_guarantee_random_clusters(n, q, seed, data):
                              set(centers), g)
     verdict = check_ruling(vg.adjacency, members, a, 3, 2 * q)
     assert verdict.ok, verdict.detail
+
+
+def _draw_ids(g: gr.Graph, data) -> gr.Graph:
+    """g itself, or g relabelled with IDs drawn from a wider range, so that a
+    level's last interval can be a partial one."""
+    if not data.draw(st.booleans(), label="wide ids"):
+        return g
+    ids = data.draw(st.lists(st.integers(1, 10 ** 6), min_size=g.n,
+                             max_size=g.n, unique=True), label="ids")
+    new = dict(zip(sorted(g.vertices), ids))
+    return gr.from_edges((new[u], new[v]) for u, v in g.edges())
+
+
+def _assert_schedule_matches_full_timetable(g, parent_maps, popular, candidates, q):
+    orient = orientation_from_parents(parent_maps)
+    params = RulingParams(q=q)
+    fast, full = Net(g), Net(g)
+    members = run_knockout_schedule(fast, orient, set(candidates), params,
+                                    g.id_range, popular, "rs")
+    assert members == oracles.knockout_schedule(
+        full, orient, set(candidates), params, g.id_range, popular, "rs")
+    assert fast.trace.rounds_total <= full.trace.rounds_total
+    assert fast.trace.messages_total <= full.trace.messages_total
+    assert len(fast.trace.episodes) <= len(full.trace.episodes)
+    # every block the full timetable floods but the last, K, of its level
+    widths = oracles.block_widths(g.id_range, q)
+    assert _flooded_blocks(fast) == {
+        (level, block) for level, block in _flooded_blocks(full)
+        if block != (widths[level] - 1) // widths[level + 1]}
+
+
+def _flooded_blocks(net: Net):
+    return {tuple(map(int, FLOOD_LABEL.match(ep.label).group(1, 2)))
+            for ep in net.trace.episodes}
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 40), q=st.integers(2, 4), seed=st.integers(0, 500),
+       data=st.data())
+def test_schedule_equals_full_timetable_on_random_graphs(n, q, seed, data):
+    g = _draw_ids(gr.generate_graph("gnp_connected", n=n, p=0.2, seed=seed), data)
+    verts = sorted(g.vertices)
+    popular = data.draw(st.sets(st.sampled_from(verts), min_size=1), label="popular")
+    candidates = data.draw(st.sets(st.sampled_from(sorted(popular)), min_size=1),
+                           label="candidates")
+    _assert_schedule_matches_full_timetable(
+        g, {v: {v: None} for v in verts}, popular, candidates, q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(4, 40), q=st.integers(2, 4), seed=st.integers(0, 500),
+       data=st.data())
+def test_schedule_equals_full_timetable_on_cluster_forests(n, q, seed, data):
+    g = _draw_ids(gr.generate_graph("gnp_connected", n=n, p=0.2, seed=seed), data)
+    verts = sorted(g.vertices)
+    centers = sorted(data.draw(st.sets(st.sampled_from(verts), min_size=2,
+                                       max_size=max(2, n // 3)), label="centers"))
+    popular = data.draw(st.sets(st.sampled_from(centers), min_size=1), label="popular")
+    candidates = data.draw(st.sets(st.sampled_from(sorted(popular)), min_size=1),
+                           label="candidates")
+    _assert_schedule_matches_full_timetable(
+        g, voronoi_clusters(g, centers), popular, candidates, q)

@@ -6,15 +6,19 @@ Run it from anywhere with
     python3 tests/trace_hashes.py
 
 It builds each of the 750 points of ``corpus.build_tasks()`` in order and
-prints two sha256 digests:
+prints two sha256 digests and, per algorithm, the simulated cost summed over
+its builds:
 
 - ``reports``: over the concatenation of
   ``json.dumps(cli.build_report(g, result), sort_keys=True)`` of every build,
   verification included;
 - ``episodes``: over ``repr`` of the list of every build's episode list,
-  one ``(label, mode, rounds, messages, max_ids)`` tuple per episode.
+  one ``(label, mode, rounds, messages, max_ids)`` tuple per episode;
+- ``polylog`` and ``sparse``: the total rounds, messages and episodes.
 
-A change meant to affect only wall time must leave both alone. Uses the
+A change meant to affect only wall time must leave all of them alone; a
+change to the protocol states its cost change across the corpus by the
+totals. Uses the
 standard library only, apart from the package and the corpus helpers, which
 it imports from this checkout.
 """
@@ -43,8 +47,11 @@ def build(task: tuple):
 
 
 def hashes() -> dict:
-    """{"builds", "reports", "episodes"} over every corpus point."""
+    """{"builds", "reports", "episodes"} over every corpus point, and per
+    algorithm the summed rounds, messages and episodes of its builds."""
     reports, episodes = hashlib.sha256(), []
+    totals = {alg: dict.fromkeys(("rounds", "messages", "episodes"), 0)
+              for alg in ("polylog", "sparse")}
     tasks = corpus.build_tasks()
     for task in tasks:
         g, result = build(task)
@@ -53,8 +60,14 @@ def hashes() -> dict:
         episodes.append([(ep.label, ep.mode, ep.rounds_elapsed,
                           ep.messages_total, ep.max_ids_per_message)
                          for ep in result.trace.episodes])
+        cost = totals[task[0]]
+        cost["rounds"] += result.trace.rounds_total
+        cost["messages"] += result.trace.messages_total
+        cost["episodes"] += len(result.trace.episodes)
     return {"builds": len(tasks), "reports": reports.hexdigest(),
-            "episodes": hashlib.sha256(repr(episodes).encode()).hexdigest()}
+            "episodes": hashlib.sha256(repr(episodes).encode()).hexdigest(),
+            **{alg: ", ".join(f"{k} {v}" for k, v in cost.items())
+               for alg, cost in totals.items()}}
 
 
 if __name__ == "__main__":
