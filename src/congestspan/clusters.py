@@ -239,14 +239,14 @@ def run_supercluster_bfs(net: Net, orient: Orientation, ruling: Set[int],
         reached = sorted({member_center[v] for v in cands})
         vals1 = {v: min(pairs) for v, pairs in cands.items()}
         best1 = comm.upcast_best(net, orient, vals1, f"w{wave}.min1",
-                                 width=2, centers=reached)
+                                 centers=reached)
         # ask the members for the matching smallest other endpoint
         down1 = {c: (best1[c], 0) for c in reached}
         comm.downcast_single(net, orient, reached, f"w{wave}.win1", down1)
         vals2 = {v: (mm,) for v, pairs in cands.items()
                  if (mm := pairs.get(best1[member_center[v]])) is not None}
         best2 = comm.upcast_best(net, orient, vals2, f"w{wave}.min2",
-                                 width=1, centers=reached)
+                                 centers=reached)
         # announce the winning edge; the endpoint inside the cluster adds it
         down2 = {}
         for c in reached:

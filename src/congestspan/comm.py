@@ -7,13 +7,13 @@ stream payloads back down, announce new spanner edges. Every episode goes
 through Net.cast, the one place that records episodes, and is delivered by a
 sim kernel without a program per vertex: sim.broadcast_ids delivers the
 cluster-ID exchange and every exploration hop on the virtual cluster graph
-(explore_hop) as sender -> ID maps; a knock-out hop (knockout_hop) keeps only
-the most hops each listener hears, so sim.broadcast_max delivers it; every
-other episode is a tree cast or a one-round per-edge send (orient_flood,
-tree_downcast, best_upcast, flag_upcast, tree_collect, send_round). An
-episode in which no vertex takes part is not recorded. The orchestrator only
-moves results between episodes, never inventing knowledge a vertex could not
-have accumulated locally.
+(explore_hop) as sender -> ID maps; a listener of a knock-out hop
+(knockout_hop) keeps only whether it heard the hop, so sim.broadcast_heard
+delivers it; every other episode is a tree cast or a one-round per-edge send
+(orient_flood, tree_downcast, best_upcast, flag_upcast, tree_collect,
+send_round). An episode in which no vertex takes part is not recorded. The
+orchestrator only moves results between episodes, never inventing knowledge a
+vertex could not have accumulated locally.
 
 On the wire a message is at most IDS_PER_MESSAGE vertex IDs and one bounded
 scalar; what a message means follows from the episode it belongs to, so the
@@ -100,10 +100,6 @@ class Orientation:
     depth: Dict[int, int]
     height: Dict[int, int]
     members: Dict[int, Tuple[int, ...]]
-
-    @property
-    def centers(self) -> Iterable[int]:
-        return self.members.keys()
 
     def max_depth(self) -> int:
         return max(self.depth.values(), default=0)
@@ -196,20 +192,18 @@ def explore_hop(net: Net, orient: Orientation, label: str,
 
 
 def knockout_hop(net: Net, orient: Orientation, label: str,
-                 frontier: Iterable[Tuple[int, int]],
-                 accept_all: AbstractSet[int]) -> Dict[int, int]:
+                 frontier: Iterable[int], accept_all: AbstractSet[int]) -> Set[int]:
     """One knock-out hop on the virtual cluster graph, in a single broadcast
-    round: every member of each frontier cluster (center, hops) broadcasts
-    the center, the hops and, as the low bit, whether the cluster is popular
-    (its vertices are in accept_all). Returns, per active vertex that does
-    not send, the most hops it heard across a superedge with a popular side."""
+    round: every member of each frontier cluster broadcasts its center and,
+    as the scalar, whether the cluster is popular (its vertices are in
+    accept_all). Returns the active vertices that do not send and heard the
+    hop across a superedge with a popular side."""
     sends: Dict[int, Message] = {}
-    for c, hops in frontier:
-        msg = Message(ids=(c,), scalar=(hops << 1) | (c in accept_all))
+    for c in frontier:
+        msg = Message(ids=(c,), scalar=int(c in accept_all))
         sends.update(dict.fromkeys(orient.members[c], msg))
-    best = net.cast(label, sim.broadcast_max, sends, orient.center_of.keys(),
-                    accept_all) if sends else {}
-    return {v: s >> 1 for v, s in best.items()}
+    return net.cast(label, sim.broadcast_heard, sends, orient.center_of.keys(),
+                    accept_all) if sends else set()
 
 
 def exchange_cluster_ids(net: Net, orient: Orientation, label: str) -> Dict[int, Dict[int, int]]:
@@ -235,8 +229,7 @@ def upcast_flags(net: Net, orient: Orientation, flagged: Set[int], label: str) -
     """Centers whose cluster contains at least one flagged vertex."""
     if not orient.center_of:
         return set()
-    raised = net.cast(label, sim.flag_upcast, orient.parent, flagged)
-    return {c for c in orient.centers if c in raised}
+    return net.cast(label, sim.flag_upcast, orient.parent, flagged)
 
 
 def downcast_single(net: Net, orient: Orientation, centers: Iterable[int], label: str,
@@ -287,18 +280,13 @@ def upcast_collect(net: Net, orient: Orientation,
 
 
 def upcast_best(net: Net, orient: Orientation,
-                values: Dict[int, Tuple[int, ...]], label: str,
-                prefer_max: bool = False, width: int = 2, *,
+                values: Dict[int, Tuple[int, ...]], label: str, *,
                 centers: Iterable[int]) -> Dict[int, Optional[Tuple[int, ...]]]:
-    """Aggregate per-vertex tuples to each of centers (min by default).
-
-    width is the number of vertex IDs on the wire; width=0 sends the value in
-    the scalar slot instead (for hop counters and similar non-ID data).
-    """
+    """Converge the least per-vertex tuple of vertex IDs to each of centers."""
     wanted = set(centers)
     if not wanted:
         return {}
     center_of = orient.center_of
     values = {v: val for v, val in values.items() if center_of.get(v) in wanted}
     return net.cast(label, sim.best_upcast, wanted, orient.parent,
-                    orient.height, values, prefer_max, width)
+                    orient.height, values)

@@ -57,7 +57,7 @@ class _PolylogVariant:
         self.params = params
         self.ell = params.ell
         self.delta = params.delta
-        self.ruling_params = RulingParams(q=max(1, ceil_log2_int(params.n)), c=2)
+        self.ruling_params = RulingParams(q=max(1, ceil_log2_int(params.n)))
         self.radius_bounds = radius_sequence(self.delta, self.ell)
 
     def threshold_expo(self, phase: int) -> Fraction:

@@ -7,19 +7,21 @@ check the verifier applies to the result.
 
 The construction recursively splits the candidate ID range into t blocks,
 solves the blocks in parallel, and merges them sequentially: each surviving
-candidate of an earlier block floods a knock-out message to a fixed depth c,
-and any still-alive candidate of a later block that hears it drops out. With
-t chosen so that t**q covers the ID range, the recursion has at most q
-levels, which yields a (c+1, c*q)-ruling set; the default c=2 gives (3, 2q).
+candidate of an earlier block floods a knock-out message KNOCKOUT_DEPTH = 2
+hops deep, and any still-alive candidate of a later block that hears it
+drops out. With t chosen so that t**q covers the ID range, the recursion has
+at most q levels, which yields a (3, 2q)-ruling set.
 
 Because the recursion tree is pure ID arithmetic on the globally known range,
 every vertex can compute the whole merge timetable locally; the only traffic
-is the knock-out flood itself, which runs in broadcast mode (one message
-type, relayed with a decrementing hop counter by candidates and
-non-candidates alike). A listener keeps only the most hops it hears, so a
-hop is one comm.knockout_hop round. Unless every cluster is a single vertex,
-each flood hop also costs one down-cast before that round and one up-cast
-after it, within the cluster trees.
+is the knock-out flood itself, a breadth-first search of the virtual cluster
+graph in broadcast mode. Every wave is a fixed slot of the timetable, so no
+message carries a hop count: a wave's frontier is the clusters first reached
+in the wave before, candidates and non-candidates alike, and a hop is one
+comm.knockout_hop round whose listeners keep only whether they heard it.
+Unless every cluster is a single vertex, each wave also costs a flag
+down-cast before the hop and an OR up-cast (comm.upcast_flags) after it,
+within the cluster trees.
 
 Empty blocks would produce no flood and consume no rounds, so the
 orchestrator never visits them: per level it walks only the blocks that hold
@@ -28,14 +30,14 @@ not with the width of the ID range.
 
 No flood is sent that cannot knock out a candidate. A level of K + 1 child
 blocks floods at most K times: block K, the last, has no later block, so it
-never floods. A flood's last wave carries 0 hops, so its listeners relay
-nothing, and that wave's up-cast runs only in the popular clusters of the
-blocks after the flooding one, since a candidate is a popular cluster. Every
-vertex can make both cuts from what it knows: K from the global ID range and
-the timetable, its cluster's block from its center's ID (learnt in the
-orient flood), and whether its cluster is popular from the popular bit (sent
-down the tree after the popularity call). Neither cut looks at which
-candidates are still alive, which no vertex knows.
+never floods. No one relays a flood's last wave, so that wave's up-cast
+runs only in the popular clusters of the blocks after the flooding one,
+since a candidate is a popular cluster. Every vertex can make both cuts
+from what it knows: K from the global ID range and the timetable, its
+cluster's block from its center's ID (learnt in the orient flood), and
+whether its cluster is popular from the popular bit (sent down the tree
+after the popularity call). Neither cut looks at which candidates are still
+alive, which no vertex knows.
 """
 
 from __future__ import annotations
@@ -56,15 +58,18 @@ class RulingError(ValueError):
     pass
 
 
+# how many hops on the virtual cluster graph a knock-out flood travels
+KNOCKOUT_DEPTH = 2
+
+
 @dataclass(frozen=True)
 class RulingParams:
-    """q bounds the recursion depth, c is the knock-out depth."""
+    """q bounds the recursion depth."""
     q: int
-    c: int = 2
 
     def __post_init__(self):
-        if self.q < 1 or self.c < 1:
-            raise RulingError("need q >= 1 and c >= 1")
+        if self.q < 1:
+            raise RulingError("need q >= 1")
 
 
 @dataclass(frozen=True)
@@ -131,47 +136,41 @@ def _child_block(ident: int, lo: int, widths: List[int], level: int) -> int:
 # ---------------------------------------------------------------------------
 # The knock-out flood over the virtual cluster graph.
 
-def _flood(net: Net, orient: Orientation, initiators: Sequence[int], depth: int,
+def _flood(net: Net, orient: Orientation, initiators: Sequence[int],
            accept_all: AbstractSet[int], trivial: bool, targets: AbstractSet[int],
            label: str) -> Set[int]:
-    """Flood a knock-out from the initiator clusters to the given virtual
-    depth; returns the clusters (centers) that heard it, except that the last
-    wave reports only the clusters among targets.
+    """Flood a knock-out from the initiator clusters, a breadth-first search
+    of KNOCKOUT_DEPTH waves on the virtual cluster graph; returns the
+    clusters (centers) it reached, initiators included, except that the
+    last wave reports only the clusters among targets.
 
+    Each wave's frontier is the clusters first reached in the wave before:
+    their centers send a flag down their trees, their members broadcast the
+    hop, and the clusters that heard it converge the flag to their centers.
     accept_all holds the vertices of popular clusters: hops cross only the
     superedges with a popular side, as in the phase's virtual cluster graph.
     trivial says every cluster is a single vertex, so no tree cast is needed.
-    A listener of wave depth hears 0 hops and relays nothing, so that wave's
-    up-cast runs only in the clusters of targets, the ones the flood can
-    knock out; each member knows from its center's ID and its popular bit
-    whether its cluster is one of them.
+    No one relays the last wave, so its up-cast runs only in the clusters of
+    targets, the ones the flood can knock out; each member knows from its
+    center's ID and its popular bit whether its cluster is one of them.
     """
-    heard: Set[int] = set()
-    relayed: Set[int] = set(initiators)
-    frontier: List[Tuple[int, int]] = [(c, depth - 1) for c in sorted(initiators)]
-    wave = 0
-    while frontier:
-        wave += 1
+    reached = set(initiators)
+    frontier = sorted(initiators)
+    for wave in range(1, KNOCKOUT_DEPTH + 1):
+        if not frontier:
+            break
         if not trivial:
-            payload = {c: ((), h) for c, h in frontier}
-            comm.downcast_single(net, orient, payload.keys(),
-                                 f"{label}.k{wave}.down", payload)
-        got = hops_at = comm.knockout_hop(net, orient, f"{label}.k{wave}.x",
-                                          frontier, accept_all)
-        if not trivial and hops_at:
-            touched = {orient.center_of[v] for v in hops_at}
-            if wave == depth:
-                touched &= targets
-            best = comm.upcast_best(net, orient,
-                                    {v: (h,) for v, h in hops_at.items()},
-                                    f"{label}.k{wave}.up", prefer_max=True,
-                                    width=0, centers=sorted(touched))
-            got = {c: b[0] for c, b in best.items() if b is not None}
-        heard.update(got)
-        frontier = [(c, h - 1) for c, h in sorted(got.items())
-                    if h >= 1 and c not in relayed]
-        relayed.update(c for c, _ in frontier)
-    return heard
+            comm.downcast_single(net, orient, frontier, f"{label}.k{wave}.down")
+        got = comm.knockout_hop(net, orient, f"{label}.k{wave}.x", frontier,
+                                accept_all)
+        if not trivial:
+            if wave == KNOCKOUT_DEPTH:
+                got = {v for v in got if orient.center_of[v] in targets}
+            got = comm.upcast_flags(net, orient, got,
+                                    f"{label}.k{wave}.up") if got else set()
+        frontier = sorted(got - reached)
+        reached |= got
+    return reached
 
 
 def run_knockout_schedule(net: Net, orient: Orientation, candidates: Set[int],
@@ -207,8 +206,8 @@ def run_knockout_schedule(net: Net, orient: Orientation, candidates: Set[int],
                 continue
             later = set() if trivial else {
                 c for c in popular if _child_block(c, lo, widths, level) > block}
-            heard = _flood(net, orient, senders, params.c, accept_all,
-                           trivial, later, f"{label}.L{level}.b{block}")
+            heard = _flood(net, orient, senders, accept_all, trivial, later,
+                           f"{label}.L{level}.b{block}")
             for c in heard:
                 if c in alive and _child_block(c, lo, widths, level) > block:
                     alive.discard(c)

@@ -20,18 +20,18 @@ The episodes of a build run on kernels instead, which deliver them without a
 program or an API object per vertex, apply the checks of ``run`` and return
 the trace ``run`` gives for the programs they stand for, with the programs'
 results: ``broadcast_ids`` for a one-shot broadcast round in which every
-message is one ID, returning sender -> ID maps; ``broadcast_max`` for one in
-which listeners keep the largest scalar they accept; ``orient_flood``,
-``tree_downcast``, ``best_upcast``, ``flag_upcast`` and ``tree_collect`` for
-the casts inside cluster trees, walked level by level (the collect round by
-round); and ``send_round`` for one round of per-edge sends. Each kernel fixes
-its own mode, that of the programs it stands for (broadcast for the first
-two, congest for the others), and writes it into its trace; only ``run``
-reads ``config.mode``. No build calls ``run``: it is the tests' reference
-engine, which runs those programs and holds the kernels to them. A cluster
-tree with no edge sends nothing in any tree cast, so the tree kernels do no
-work for it: its root only keeps the episode on the record and, in a
-downcast, wakes once per payload.
+message is one ID, returning sender -> ID maps; ``broadcast_heard`` for one
+in which listeners keep only whether they heard a message they accept;
+``orient_flood``, ``tree_downcast``, ``best_upcast``, ``flag_upcast`` and
+``tree_collect`` for the casts inside cluster trees, walked level by level
+(the collect round by round); and ``send_round`` for one round of per-edge
+sends. Each kernel fixes its own mode, that of the programs it stands for
+(broadcast for the first two, congest for the others), and writes it into its
+trace; only ``run`` reads ``config.mode``. No build calls ``run``: it is the
+tests' reference engine, which runs those programs and holds the kernels to
+them. A cluster tree with no edge sends nothing in any tree cast, so the tree
+kernels do no work for it: its root only keeps the episode on the record and,
+in a downcast, wakes once per payload.
 
 Determinism: vertices are stepped in ascending ID order, inboxes are keyed by
 sender in ascending order, and per-edge FIFO order is preserved by the
@@ -281,21 +281,22 @@ def broadcast_ids(g: Graph, ids: Mapping[int, int], listeners: AbstractSet[int],
     return _account(trace, [sent], 1 if sent else 0), heard
 
 
-def broadcast_max(g: Graph, sends: Mapping[int, Message],
-                  listeners: AbstractSet[int], accept_all: AbstractSet[int],
-                  config: SimConfig, label: str = ""
-                  ) -> Tuple[SimTrace, Dict[int, int]]:
+def broadcast_heard(g: Graph, sends: Mapping[int, Message],
+                    listeners: AbstractSet[int], accept_all: AbstractSet[int],
+                    config: SimConfig, label: str = ""
+                    ) -> Tuple[SimTrace, Set[int]]:
     """One round in broadcast mode, in which each listener that does not
-    send keeps the largest scalar it accepts: any in accept_all, odd ones
-    elsewhere. Returns the trace run() returns for one program per vertex
-    that broadcasts its message at round 0, the others listening, and
-    listener -> that scalar in ascending order. One set union per scalar
-    delivers its senders, so the work grows with their degrees and the
+    send keeps only whether it heard a message it accepts: any if it is in
+    accept_all, one with an odd scalar elsewhere. Returns the trace run()
+    returns for one program per vertex that broadcasts its message at round
+    0, the others listening, and the set of those listeners. Two set unions
+    deliver the senders, so the work grows with their degrees and the
     listeners reached, not n."""
     cap, max_scalar, adjacency = config.ids_per_message, max(g.n, 2) ** 3, g.adjacency
     trace = SimTrace(label=label, mode=BROADCAST)
     checked: Set[int] = set()   # the ids of the message objects checked
-    classes: Dict[int, List[Sequence[int]]] = defaultdict(list)   # scalar -> senders' neighbours
+    odd: List[Sequence[int]] = []    # the neighbours of odd-scalar senders
+    even: List[Sequence[int]] = []
     for v in sorted(sends):   # run() meets the senders in ascending order
         nbrs = adjacency.get(v)
         if nbrs is None:
@@ -304,18 +305,11 @@ def broadcast_max(g: Graph, sends: Mapping[int, Message],
         if id(msg) not in checked:
             checked.add(id(msg))
             _check_message(v, msg, cap, max_scalar, trace)
-        classes[msg.scalar].append(nbrs)
-    best: Dict[int, int] = {}
-    done = set(sends)   # the senders and the listeners already served
-    for scalar in sorted(classes, reverse=True):
-        reached = set().union(*classes[scalar]) & listeners
-        if not scalar & 1:
-            reached &= accept_all
-        reached -= done
-        done |= reached
-        best.update(dict.fromkeys(reached, scalar))
-    sent = sum(len(nbrs) for adjs in classes.values() for nbrs in adjs)
-    return _account(trace, [sent], 1 if sent else 0), dict(sorted(best.items()))
+        (odd if msg.scalar & 1 else even).append(nbrs)
+    heard = set().union(*odd) | (set().union(*even) & accept_all)
+    heard = (heard & listeners) - sends.keys()
+    sent = sum(map(len, odd)) + sum(map(len, even))
+    return _account(trace, [sent], 1 if sent else 0), heard
 
 
 def _check_message(v: int, msg: Message, cap: int, max_scalar: int,
@@ -437,19 +431,17 @@ def tree_downcast(g: Graph, children: Mapping[int, Sequence[int]],
 
 def best_upcast(g: Graph, roots: Iterable[int],
                 parent: Mapping[int, Optional[int]], height: Mapping[int, int],
-                values: Mapping[int, Tuple[int, ...]], prefer_max: bool,
-                width: int, config: SimConfig, label: str = ""
+                values: Mapping[int, Tuple[int, ...]], config: SimConfig,
+                label: str = ""
                 ) -> Tuple[SimTrace, Dict[int, Optional[Tuple[int, ...]]]]:
-    """Height-scheduled upcast in congest mode of the best (least, or
-    greatest with prefer_max) value to each root: every other vertex of
-    their trees wakes at the round of its height and, if it has a value,
-    sends its parent the best of its own and its children's, as IDs or, with
-    width 0, the first entry as the scalar. values holds vertices of those
-    trees only. A root never sends, so a tree with no edge costs no work: its
-    value is its result."""
-    cap, max_scalar, edges = config.ids_per_message, max(g.n, 2) ** 3, g.edge_set()
+    """Height-scheduled upcast in congest mode of the least value, a tuple of
+    IDs, to each root: every other vertex of their trees wakes at the round
+    of its height and, if it has a value, sends its parent the least of its
+    own and its children's. values holds vertices of those trees only. A
+    root never sends, so a tree with no edge costs no work: its value is
+    its result."""
+    cap, edges = config.ids_per_message, g.edge_set()
     trace = SimTrace(label=label)
-    fold = max if prefer_max else min
     best = dict(values)
     carriers: Set[int] = set()
     at_height: Dict[int, List[int]] = defaultdict(list)
@@ -464,15 +456,14 @@ def best_upcast(g: Graph, roots: Iterable[int],
             p = parent[v]
             if h > config.max_rounds:
                 raise _over_budget(config, label)
-            ids, scalar = (tuple(best[v]), 0) if width else ((), best[v][0])
+            ids = tuple(best[v])
             if edge_key(v, p) not in edges:
                 raise _non_neighbor(v, p)
-            if len(ids) > cap or abs(scalar) > max_scalar:
-                raise _message_fault(v, Message(0, ids, scalar), cap)
+            if len(ids) > cap:
+                raise _message_fault(v, Message(0, ids), cap)
             trace.max_ids_per_message = max(trace.max_ids_per_message, len(ids))
-            got = ids if width else (scalar,)
             held = best.get(p)
-            best[p] = got if held is None else fold(held, got)
+            best[p] = ids if held is None else min(held, ids)
             counts += [0] * (h + 1 - len(counts))
             counts[h] += 1
     roots = list(roots)

@@ -87,7 +87,7 @@ class _SparseVariant:
         self.params = params
         self.ell = params.ell
         self.delta = params.delta
-        self.ruling_params = RulingParams(q=params.ruling_q, c=2)
+        self.ruling_params = RulingParams(q=params.ruling_q)
         self.radius_bounds = radius_sequence(self.delta, self.ell)
 
     def threshold_expo(self, phase: int) -> Optional[Fraction]:

@@ -16,10 +16,10 @@ listens, and a listener keeps the arrivals where its own or the sender's
 cluster is popular, every even vertex being popular.
 
 The knock-out hop: both sides deliver, on the same graph, a round shaped like
-a hop of the knock-out flood, folded to the largest accepted scalar. Every
-eighth vertex sends its ID with one hop left and its popular bit, which makes
-two scalar classes; the lower half of the vertices accept every scalar, the
-others odd ones only (about 8k messages).
+a hop of the knock-out flood, folded to whether a listener heard a message
+it accepts. Every eighth vertex sends its ID and, as the scalar, its popular
+bit; the lower half of the vertices, the popular ones, accept every message,
+the others only those with the bit set (about 8k messages).
 
 The tree casts: both sides run, on the BFS tree from vertex 1 of the 48 x 48
 grid, a pipelined downcast of 64 payloads from the root (147k messages in
@@ -80,17 +80,18 @@ def test_explore_hop(benchmark, round_inputs, impl):
                         for v, got in kept.items() for u in got)
 
 
-@pytest.mark.parametrize("impl", [sim.broadcast_max, oracles.broadcast_max],
+@pytest.mark.parametrize("impl", [sim.broadcast_heard, oracles.broadcast_heard],
                          ids=["kernel", "oracle"])
 def test_knockout_hop(benchmark, round_inputs, impl):
     g, listeners, config = round_inputs
     vertices = sorted(g.vertices)
     accept_all = set(vertices[:g.n // 2])
-    sends = {v: Message(ids=(v,), scalar=2 | (v in accept_all))
+    sends = {v: Message(ids=(v,), scalar=int(v in accept_all))
              for v in vertices[::8]}
-    trace, best = benchmark(impl, g, sends, listeners, accept_all, config, "k1.x")
+    trace, heard = benchmark(impl, g, sends, listeners, accept_all, config, "k1.x")
     assert trace.messages_total == sum(len(g.adjacency[v]) for v in sends)
-    assert len(best) == g.n - len(sends)   # every other vertex hears a 3
+    # every other vertex hears a popular sender
+    assert len(heard) == g.n - len(sends)
 
 
 @pytest.fixture(scope="module")
@@ -135,17 +136,17 @@ def grid_alone():
 
 def _kernel_phase0_casts(g, orient, payload, values):
     net = comm.Net(g)
-    comm.downcast_single(net, orient, orient.centers, "p0.down", payload)
-    best = comm.upcast_best(net, orient, values, "p0.best", centers=orient.centers)
+    comm.downcast_single(net, orient, orient.members, "p0.down", payload)
+    best = comm.upcast_best(net, orient, values, "p0.best", centers=orient.members)
     return net.trace.episodes, best
 
 
 def _oracle_phase0_casts(g, orient, payload, values):
     config = comm.Net(g).config
-    queues = {c: [Message(0, *payload[c])] for c in orient.centers}
+    queues = {c: [Message(0, *payload[c])] for c in orient.members}
     down, _ = oracles.tree_downcast(g, orient.children, queues, config, "p0.down")
-    up, best = oracles.best_upcast(g, orient.centers, orient.parent, orient.height,
-                                   values, False, 2, config, "p0.best")
+    up, best = oracles.best_upcast(g, orient.members, orient.parent, orient.height,
+                                   values, config, "p0.best")
     return [down, up], best
 
 

@@ -6,19 +6,23 @@ BFS from every member for a ruling set, a membership test per edge for the
 symmetry of a graph's adjacency lists, every cluster pair's edges gathered
 from the whole edge set for the virtual cluster graph, and one program per
 vertex stepped through the event loop for a one-shot broadcast round (also
-with each inbox folded to the largest accepted scalar, projected to its IDs,
-or filtered to the exploration hop's superedge arrivals) and for each
-tree-cast episode. They are slow but obviously right, so
-the tests hold the fast versions to them result for result. Each episode
-oracle takes the arguments of the sim kernel it checks and returns sim.run's
-trace with the programs' results. The knock-out timetable is kept in full:
-every block that holds an alive candidate floods, and every wave converges
-in every cluster that heard it.
+with each inbox folded to whether it holds an accepted message or to the
+largest accepted scalar, projected to its IDs, or filtered to the
+exploration hop's superedge arrivals) and for each tree-cast episode. They
+are slow but obviously right, so the tests hold the fast versions to them
+result for result. Each episode oracle takes the arguments of the sim kernel
+it checks and returns sim.run's trace with the programs' results. The
+knock-out timetable is kept in full, with the flood it first had: every
+block that holds an alive candidate floods, its messages carry the hops
+left, and every wave converges the most hops heard in every cluster that
+heard it.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
+from functools import partial
 from typing import (AbstractSet, Dict, Iterable, List, Mapping,
                     Optional, Sequence, Set, Tuple)
 
@@ -27,7 +31,7 @@ from congestspan.clusters import VirtualClusterGraph
 from congestspan.graph import (Edge, Graph, GraphError, bfs_on_adjacency, edge_key,
                                subgraph_adjacency)
 from congestspan.exact import nth_root_ceil
-from congestspan.rulingset import RulingParams, RulingVerdict
+from congestspan.rulingset import KNOCKOUT_DEPTH, RulingParams, RulingVerdict
 from congestspan.sim import Message, NodeApi, NodeProgram, SimConfig, SimTrace
 
 
@@ -185,6 +189,20 @@ def broadcast_max(g: Graph, sends: Dict[int, Message],
         if accepted:
             best[v] = max(accepted)
     return trace, best
+
+
+def broadcast_heard(g: Graph, sends: Dict[int, Message],
+                    listeners: AbstractSet[int], accept_all: AbstractSet[int],
+                    config: SimConfig, label: str = ""
+                    ) -> Tuple[SimTrace, Set[int]]:
+    """The broadcast round above with the senders deaf, each listener's
+    inbox folded to whether it holds a message the listener accepts: any if
+    it is in accept_all, one with an odd scalar otherwise."""
+    trace, inboxes = broadcast_round(g, sends, set(listeners) - sends.keys(),
+                                     config, label)
+    return trace, {v for v, inbox in inboxes.items()
+                   if any(v in accept_all or msg.scalar & 1
+                          for msg in inbox.values())}
 
 
 def broadcast_ids(g: Graph, ids: Mapping[int, int],
@@ -473,11 +491,13 @@ def _root_of(parent: Mapping[int, Optional[int]], v: int) -> int:
 
 def best_upcast(g: Graph, roots: Iterable[int],
                 parent: Mapping[int, Optional[int]], height: Mapping[int, int],
-                values: Mapping[int, Tuple[int, ...]], prefer_max: bool,
-                width: int, config: SimConfig, label: str = ""
+                values: Mapping[int, Tuple[int, ...]], config: SimConfig,
+                label: str = "", prefer_max: bool = False, width: int = 1
                 ) -> Tuple[SimTrace, Dict[int, Optional[Tuple[int, ...]]]]:
     """One BestUpcast per vertex of the roots' trees; the result is each
-    root's best value."""
+    root's best value. prefer_max and width 0 (the first entry sent as the
+    scalar) are the knock-out's old hop-count upcast, which knockout_schedule
+    below still runs."""
     roots = list(roots)
     wanted = set(roots)
     programs = {v: BestUpcast(p, height[v], values.get(v), prefer_max, width)
@@ -563,14 +583,31 @@ def block_widths(id_range: Tuple[int, int], q: int) -> List[int]:
     return widths
 
 
+def _hop_count_round(g: Graph, sends: Dict[int, Message],
+                     listeners: AbstractSet[int], accept_all: AbstractSet[int],
+                     config: SimConfig, label: str = ""
+                     ) -> Tuple[SimTrace, Dict[int, int]]:
+    """broadcast_max in broadcast mode, the mode of a knock-out hop."""
+    return broadcast_max(g, sends, listeners, accept_all,
+                         replace(config, mode=sim.BROADCAST), label)
+
+
+# the knock-out's old upcast: the most hops, sent as the scalar
+_max_upcast = partial(best_upcast, prefer_max=True, width=0)
+
+
 def knockout_schedule(net: "comm.Net", orient: "comm.Orientation",
                       candidates: Set[int], params: RulingParams,
                       id_range: Tuple[int, int], popular: AbstractSet[int],
                       label: str) -> Set[int]:
-    """rulingset.run_knockout_schedule with the full timetable: per level,
-    every block that holds an alive candidate floods in ascending order, and
-    every wave of a flood converges in every cluster that heard it; a later
-    block's alive candidate that heard an earlier block's flood drops out."""
+    """rulingset.run_knockout_schedule with the full timetable and the
+    hop-count flood: per level, every block that holds an alive candidate
+    floods in ascending order; each message carries the hops left, a
+    listener keeps the most it hears, every wave converges that maximum in
+    every cluster that heard it (a height-scheduled upcast), and a cluster
+    relays once, while hops are left. A later block's alive candidate that
+    heard an earlier block's flood drops out. The hops and the upcasts run
+    on the program oracles above."""
     lo = id_range[0]
     widths = block_widths(id_range, params.q)
     alive = set(candidates)
@@ -587,7 +624,7 @@ def knockout_schedule(net: "comm.Net", orient: "comm.Orientation",
                 continue
             heard: Set[int] = set()
             relayed = set(senders)
-            frontier = [(c, params.c - 1) for c in senders]
+            frontier = [(c, KNOCKOUT_DEPTH - 1) for c in senders]
             wave = 0
             while frontier:
                 wave += 1
@@ -596,13 +633,20 @@ def knockout_schedule(net: "comm.Net", orient: "comm.Orientation",
                     payload = {c: ((), h) for c, h in frontier}
                     comm.downcast_single(net, orient, payload.keys(),
                                          f"{tag}.down", payload)
-                got = hops_at = comm.knockout_hop(net, orient, f"{tag}.x",
-                                                  frontier, accept_all)
+                # the hop: the hops left above the popular bit, and each
+                # listener keeps the largest it accepts
+                sends: Dict[int, Message] = {}
+                for c, h in frontier:
+                    msg = Message(ids=(c,), scalar=(h << 1) | (c in accept_all))
+                    sends.update(dict.fromkeys(orient.members[c], msg))
+                best = net.cast(f"{tag}.x", _hop_count_round, sends,
+                                orient.center_of.keys(), accept_all)
+                got = hops_at = {v: s >> 1 for v, s in best.items()}
                 if not trivial and hops_at:
-                    best = comm.upcast_best(
-                        net, orient, {v: (h,) for v, h in hops_at.items()},
-                        f"{tag}.up", prefer_max=True, width=0,
-                        centers={orient.center_of[v] for v in hops_at})
+                    best = net.cast(f"{tag}.up", _max_upcast,
+                                    {orient.center_of[v] for v in hops_at},
+                                    orient.parent, orient.height,
+                                    {v: (h,) for v, h in hops_at.items()})
                     got = {c: b[0] for c, b in best.items() if b is not None}
                 heard.update(got)
                 frontier = [(c, h - 1) for c, h in sorted(got.items())

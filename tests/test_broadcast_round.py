@@ -6,10 +6,10 @@ return the trace that oracle returns and reject what ``sim.run`` rejects.
 ``sim.broadcast_ids``, the round of the cluster-ID exchange and of every
 exploration hop, must equal it with one single-ID message per sender and
 each inbox projected to the IDs, for the same listeners in the same order,
-keyed by each listener's own ID object. ``sim.broadcast_max``, the
+keyed by each listener's own ID object. ``sim.broadcast_heard``, the
 knock-out hop's round, must equal it with the senders deaf and each inbox
-folded to the largest accepted scalar. ``comm.explore_hop`` must keep
-exactly the oracle's arrivals that cross a superedge.
+folded to whether it holds an accepted message. ``comm.explore_hop`` must
+keep exactly the oracle's arrivals that cross a superedge.
 """
 
 import dataclasses
@@ -84,11 +84,11 @@ def test_no_episode_without_senders():
     assert heard == {2: {1: 5}, 8: {1: 5}}
     assert comm.explore_hop(net, orient, "edge", [(1, 5)], {2},
                             set(g.vertices)) == {2: {1: 5}}
-    # a knock-out hop: vertex 1 sends 2 hops left, to 2 and 8; only 2 hears
-    # it when 1's singleton cluster is not popular
-    assert comm.knockout_hop(net, orient, "quiet", [], set(g.vertices)) == {}
-    assert comm.knockout_hop(net, orient, "pop", [(1, 2)], {1}) == {2: 2, 8: 2}
-    assert comm.knockout_hop(net, orient, "unpop", [(1, 2)], {2}) == {2: 2}
+    # a knock-out hop: vertex 1 sends to 2 and 8; only 2 hears it when 1's
+    # singleton cluster is not popular
+    assert comm.knockout_hop(net, orient, "quiet", [], set(g.vertices)) == set()
+    assert comm.knockout_hop(net, orient, "pop", [1], {1}) == {2, 8}
+    assert comm.knockout_hop(net, orient, "unpop", [1], {2}) == {2}
     assert net.trace.episodes == [
         sim.SimTrace(label, sim.BROADCAST, 1, 2, 1, [2])
         for label in ("loud", "edge", "pop", "unpop")]
@@ -198,19 +198,19 @@ def test_exchange_gives_each_silent_vertex_its_own_dict():
 
 
 # ---------------------------------------------------------------------------
-# sim.broadcast_max: the largest accepted scalar per listener.
+# sim.broadcast_heard: the listeners that heard a message they accept.
 
-def _max_both(g, sends, listeners, accept_all, config):
-    """(trace, listener -> scalar items) of the kernel and of the oracle, or
-    the exception each raised."""
+def _heard_both(g, sends, listeners, accept_all, config):
+    """(trace, sorted listeners that heard) of the kernel and of the oracle,
+    or the exception each raised."""
     out = []
-    for impl in (sim.broadcast_max, oracles.broadcast_max):
+    for impl in (sim.broadcast_heard, oracles.broadcast_heard):
         try:
-            trace, best = impl(g, sends, listeners, accept_all, config, "lbl")
+            trace, heard = impl(g, sends, listeners, accept_all, config, "lbl")
         except (ModelViolation, ValueError) as exc:
             out.append((type(exc), str(exc)))
         else:
-            out.append((dataclasses.asdict(trace), list(best.items())))
+            out.append((dataclasses.asdict(trace), sorted(heard)))
     return out
 
 
@@ -246,20 +246,19 @@ def test_max_kernel_equals_folded_program_oracle(data):
         accept_all = dict.fromkeys(accept_all).keys()
     config = SimConfig(ids_per_message=cap, mode=sim.BROADCAST)
 
-    kernel, oracle = _max_both(g, sends, listeners, accept_all, config)
+    kernel, oracle = _heard_both(g, sends, listeners, accept_all, config)
     assert kernel == oracle
     if kernel[0] is ModelViolation:
         return
-    trace, best = kernel
+    trace, heard = kernel
     assert trace["messages_total"] == sum(len(g.adjacency[v]) for v in sends)
-    assert [v for v, _ in best] == sorted(v for v, _ in best)
-    assert not sends.keys() & {v for v, _ in best}
+    assert not sends.keys() & set(heard)
 
 
 def test_max_kernel_without_senders_returns_an_empty_trace():
     g = gr.generate_graph("cycle", n=8)
     config = SimConfig(mode=sim.BROADCAST)
-    assert _max_both(g, {}, set(g.vertices), set(g.vertices), config) \
+    assert _heard_both(g, {}, set(g.vertices), set(g.vertices), config) \
         == [(dataclasses.asdict(sim.SimTrace("lbl", sim.BROADCAST)), [])] * 2
 
 
@@ -269,7 +268,7 @@ def test_single_vertex_sends_nothing():
     silent = dataclasses.asdict(sim.SimTrace("lbl", sim.BROADCAST,
                                              max_ids_per_message=1))
     assert _ids_both(g, {1: 1}, {1}, config) == [(silent, [])] * 2
-    assert _max_both(g, {1: Message(3, (1,))}, {1}, {1}, config) \
+    assert _heard_both(g, {1: Message(3, (1,))}, {1}, {1}, config) \
         == [(silent, [])] * 2
 
 
@@ -280,7 +279,7 @@ def test_max_kernel_rejects_what_run_rejects(bad):
     g = gr.generate_graph("cycle", n=8)
     ok = Message(1, (4,), 3)
     sends = {7: bad, 2: ok, 5: bad, 3: ok}
-    kernel, oracle = _max_both(g, sends, set(g.vertices), {2, 4},
+    kernel, oracle = _heard_both(g, sends, set(g.vertices), {2, 4},
                                SimConfig(mode=sim.BROADCAST))
     assert kernel[0] is ModelViolation
     assert kernel == oracle
@@ -300,5 +299,5 @@ def test_max_kernel_raises_for_the_least_faulty_sender(sends, error):
     g = gr.generate_graph("cycle", n=8)
     fault = ModelViolation if error.startswith("vertex") else ValueError
     with pytest.raises(fault) as exc:
-        sim.broadcast_max(g, sends, {1, 2}, {1}, SimConfig(mode=sim.BROADCAST))
+        sim.broadcast_heard(g, sends, {1, 2}, {1}, SimConfig(mode=sim.BROADCAST))
     assert str(exc.value) == error

@@ -85,7 +85,7 @@ class TestBuild:
         (["polylog", "--kappa", "3"],
          "b0e8b65b23bf30830ac008147f274054cbcd60873e41e46eb62a25090fa6c447"),
         (["skeleton", "--rho", "0.34"],
-         "882702f2f8a1eaa514f71813db51e8e0a2a5ec42ddc369b0cadf1516f726527b"),
+         "f5d02231269b64d3ebf3c7c8517d1a7090cf95090fb61581f13a00b9350bc743"),
     ], ids=["polylog", "skeleton"])
     def test_report_is_pinned(self, tmp_path, alg_args, digest):
         # the whole report, per-phase rows included

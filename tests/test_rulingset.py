@@ -105,6 +105,26 @@ class TestCongestRulingSet:
             "rs.L0.b0.k2.down", "rs.L0.b0.k2.x"]
 
 
+    def test_up_cast_relays_the_round_it_hears(self):
+        # the cluster of 2 is the path 2 - 3 - 4 - 5 - 6 - 7, and 1, a
+        # single vertex, hangs off 3; at level 0 block 0's flood from 1 is
+        # heard only by 3, the center's child, whose flag reaches 2 in one
+        # round, although 3's subtree is 4 deep
+        g = gr.from_edges([(1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)])
+        orient = orientation_from_parents(
+            {1: {1: None}, 2: {2: None, 3: 2, 4: 3, 5: 4, 6: 5, 7: 6}})
+        assert orient.height[3] == 4
+        net = Net(g)
+        members = run_knockout_schedule(net, orient, {1, 2}, RulingParams(q=1),
+                                        g.id_range, {1, 2}, "rs")
+        assert members == {1}
+        assert [ep.label for ep in net.trace.episodes] == [
+            "rs.L0.b0.k1.down", "rs.L0.b0.k1.x", "rs.L0.b0.k1.up",
+            "rs.L0.b0.k2.down", "rs.L0.b0.k2.x"]
+        up = net.trace.episodes[2]
+        assert (up.rounds_elapsed, up.messages_total) == (1, 1)
+
+
 class TestSupergraphRulingSet:
     def test_two_adjacent_clusters_pick_one(self):
         g = gr.generate_graph("path", n=2)

@@ -171,7 +171,7 @@ def test_downcast_equals_oracle(data):
     max_scalar = max(g.n, 2) ** 3
     payloads = {c: [_random_message(rng, g, config.ids_per_message, max_scalar, bad)
                     for _ in range(rng.choice([0, 1, 1, 2, 5]))]
-                for c in _some(rng, orient.centers)}
+                for c in _some(rng, orient.members)}
 
     kernel, _ = _run(sim.tree_downcast, g, orient.children, payloads, config, "lbl")
     oracle, received = _run(oracles.tree_downcast, g, orient.children,
@@ -204,23 +204,15 @@ def test_downcast_equals_oracle(data):
 def test_best_upcast_equals_oracle(data):
     g, _, orient, config, rng = _setup(data)
     bad = _faulty(data)
-    width = data.draw(st.integers(0, 2), label="width")
-    prefer_max = data.draw(st.booleans(), label="prefer max")
-    max_scalar = max(g.n, 2) ** 3
+    width = data.draw(st.integers(1, 2), label="width")
     values = {}
     for v in orient.center_of:
         if rng.random() < 0.4:
-            if width:
-                n_ids = width + (1 if bad and rng.random() < 0.3 else 0)
-                values[v] = tuple(rng.choice(g.vertices) for _ in range(n_ids))
-            else:
-                top = max_scalar + (1 if bad and rng.random() < 0.3 else 0)
-                values[v] = tuple(rng.choice([-1, 1]) * rng.randint(0, top)
-                                  for _ in range(rng.choice([1, 1, 2])))
-    wanted = set(_some(rng, orient.centers))
+            n_ids = width + (1 if bad and rng.random() < 0.3 else 0)
+            values[v] = tuple(rng.choice(g.vertices) for _ in range(n_ids))
+    wanted = set(_some(rng, orient.members))
     inside = {v: x for v, x in values.items() if orient.center_of[v] in wanted}
-    args = (wanted, orient.parent, orient.height, inside, prefer_max, width,
-            config, "lbl")
+    args = (wanted, orient.parent, orient.height, inside, config, "lbl")
 
     kernel = _run(sim.best_upcast, g, *args)
     oracle = _run(oracles.best_upcast, g, *args)
@@ -228,8 +220,8 @@ def test_best_upcast_equals_oracle(data):
     assert kernel[1] is None or list(kernel[1]) == list(oracle[1])
 
     net = _net(g, config)
-    got = _comm(lambda: comm.upcast_best(net, orient, values, "lbl", prefer_max,
-                                         width, centers=wanted))
+    got = _comm(lambda: comm.upcast_best(net, orient, values, "lbl",
+                                         centers=wanted))
     if oracle[1] is None:
         assert got == oracle[0]
     else:
@@ -244,7 +236,7 @@ def test_flag_upcast_equals_oracle(data):
     share = data.draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]), label="share")
     flagged = {v for v in orient.center_of if rng.random() < share}
     if rng.random() < 0.3:
-        flagged.add(rng.choice(sorted(orient.centers)))
+        flagged.add(rng.choice(sorted(orient.members)))
 
     kernel = _run(sim.flag_upcast, g, orient.parent, flagged, config, "lbl")
     oracle = _run(oracles.flag_upcast, g, orient.parent, flagged, config, "lbl")
@@ -255,7 +247,7 @@ def test_flag_upcast_equals_oracle(data):
     if oracle[1] is None:
         assert got == oracle[0]
     else:
-        assert got == {c for c in orient.centers if c in oracle[1]}
+        assert got == {c for c in orient.members if c in oracle[1]}
         assert _episodes(net) == [oracle[0]]
 
 
@@ -268,7 +260,7 @@ def test_collect_equals_oracle(data):
     items = {v: [(rng.choice(keys), rng.choice(g.vertices))
                  for _ in range(rng.randint(0, 3))]
              for v in orient.center_of if rng.random() < 0.6}
-    wanted = _some(rng, orient.centers)
+    wanted = _some(rng, orient.members)
     members = [v for c in wanted for v in orient.members[c]]
 
     def in_order(stores):
@@ -423,18 +415,15 @@ def _cases():
            oracles.tree_downcast, (ALONE.children, {3: four}), tight,
            RoundBudgetExceeded)
     for name, orient in (("chain", CHAIN), ("bent", BENT)):
-        args = ([1], orient.parent, orient.height, {5: (4, 5, 1)}, False, 3)
+        args = ([1], orient.parent, orient.height, {5: (4, 5, 1)})
         yield (f"best upcast ({name}): too many ids", sim.best_upcast,
                oracles.best_upcast, args, ok, ModelViolation)
-    yield ("best upcast: scalar out of range", sim.best_upcast, oracles.best_upcast,
-           ([1], CHAIN.parent, CHAIN.height, {4: (-10 ** 9,)}, True, 0), ok,
-           ModelViolation)
     yield ("best upcast: parent not a neighbour", sim.best_upcast,
            oracles.best_upcast,
-           ([1], BENT.parent, BENT.height, {5: (7,)}, False, 1), ok, ModelViolation)
+           ([1], BENT.parent, BENT.height, {5: (7,)}), ok, ModelViolation)
     yield ("best upcast: round budget, no value", sim.best_upcast,
            oracles.best_upcast,
-           ([1], CHAIN.parent, CHAIN.height, {}, False, 1), tight,
+           ([1], CHAIN.parent, CHAIN.height, {}), tight,
            RoundBudgetExceeded)
     yield ("flag upcast: parent not a neighbour", sim.flag_upcast,
            oracles.flag_upcast, (BENT.parent, {5}), ok, ModelViolation)
@@ -484,12 +473,12 @@ def _edge_free_cases():
            oracles.tree_downcast, (MIXED.children, {5: three}), tight)
     yield ("best upcast: values at roots only", sim.best_upcast,
            oracles.best_upcast,
-           ([1, 4, 5], MIXED.parent, MIXED.height, {1: (7,), 4: (9, 2), 5: (3,)},
-            True, 2), ok)
+           ([1, 4, 5], MIXED.parent, MIXED.height, {1: (7,), 4: (9, 2), 5: (3,)}),
+           ok)
     yield ("best upcast: oversize values at single-vertex roots", sim.best_upcast,
            oracles.best_upcast,
-           ([4, 5], MIXED.parent, MIXED.height, {4: (1, 2, 3), 5: (10 ** 9,)},
-            False, 0), tight)
+           ([4, 5], MIXED.parent, MIXED.height, {4: (1, 2, 3), 5: (10 ** 9,)}),
+           tight)
 
 
 @pytest.mark.parametrize("name, kernel, oracle, args, config",
@@ -519,8 +508,7 @@ def test_single_vertex_clusters_record_the_oracle_episodes():
     values = {1: (4, 1), 2: (9, 9), 4: (1, 3)}
     got = comm.upcast_best(net, ALONE, values, "best", centers=[1, 4, 5])
     best, expected = _run(oracles.best_upcast, PATH, [1, 4, 5], ALONE.parent,
-                          ALONE.height, {1: (4, 1), 4: (1, 3)}, False, 2,
-                          config, "best")
+                          ALONE.height, {1: (4, 1), 4: (1, 3)}, config, "best")
     assert got == expected == {1: (4, 1), 4: (1, 3), 5: None}
 
     items = {1: [(30, 1), (10, 1)], 3: [(20, 3), (20, 4)], 5: []}
@@ -541,7 +529,7 @@ def test_best_upcast_round_budget_counts_sends_and_wakeups_only():
     # at round 2
     g = gr.from_edges([(1, 2), (1, 3), (3, 4), (4, 5)])
     spider = comm.orientation_from_parents({1: {1: None, 2: 1, 3: 1, 4: 3, 5: 4}})
-    args = ([1], spider.parent, spider.height, {2: (6,)}, False, 1)
+    args = ([1], spider.parent, spider.height, {2: (6,)})
     for budget, expected in ((2, {1: (6,)}), (1, None)):
         kernel = _run(sim.best_upcast, g, *args, SimConfig(max_rounds=budget), "lbl")
         assert kernel == _run(oracles.best_upcast, g, *args,

@@ -1,4 +1,4 @@
-"""Two equivalence hashes over the acceptance corpus builds.
+"""Three equivalence hashes over the acceptance corpus builds.
 
 Not collected by the test suite (the file name does not match test_*.py).
 Run it from anywhere with
@@ -6,21 +6,23 @@ Run it from anywhere with
     python3 tests/trace_hashes.py
 
 It builds each of the 750 points of ``corpus.build_tasks()`` in order and
-prints two sha256 digests and, per algorithm, the simulated cost summed over
-its builds:
+prints three sha256 digests and, per algorithm, the simulated cost summed
+over its builds:
 
 - ``reports``: over the concatenation of
   ``json.dumps(cli.build_report(g, result), sort_keys=True)`` of every build,
   verification included;
 - ``episodes``: over ``repr`` of the list of every build's episode list,
   one ``(label, mode, rounds, messages, max_ids)`` tuple per episode;
+- ``chosen``: over ``repr`` of each build's sorted spanner edges and, per
+  phase, its sorted popular set, selected set and joins, in build order;
 - ``polylog`` and ``sparse``: the total rounds, messages and episodes.
 
 A change meant to affect only wall time must leave all of them alone; a
 change to the protocol states its cost change across the corpus by the
-totals. Uses the
-standard library only, apart from the package and the corpus helpers, which
-it imports from this checkout.
+totals, and one that must pick the same spanners, ruling sets and joins
+leaves ``chosen`` alone. Uses the standard library only, apart from the
+package and the corpus helpers, which it imports from this checkout.
 """
 
 from __future__ import annotations
@@ -47,9 +49,10 @@ def build(task: tuple):
 
 
 def hashes() -> dict:
-    """{"builds", "reports", "episodes"} over every corpus point, and per
-    algorithm the summed rounds, messages and episodes of its builds."""
-    reports, episodes = hashlib.sha256(), []
+    """{"builds", "reports", "episodes", "chosen"} over every corpus point,
+    and per algorithm the summed rounds, messages and episodes of its
+    builds."""
+    reports, chosen, episodes = hashlib.sha256(), hashlib.sha256(), []
     totals = {alg: dict.fromkeys(("rounds", "messages", "episodes"), 0)
               for alg in ("polylog", "sparse")}
     tasks = corpus.build_tasks()
@@ -60,12 +63,17 @@ def hashes() -> dict:
         episodes.append([(ep.label, ep.mode, ep.rounds_elapsed,
                           ep.messages_total, ep.max_ids_per_message)
                          for ep in result.trace.episodes])
+        chosen.update(repr((sorted(result.spanner.edges),
+                            [(sorted(snap.popular), sorted(snap.selected),
+                              sorted(snap.joins.items()))
+                             for snap in result.snapshots])).encode())
         cost = totals[task[0]]
         cost["rounds"] += result.trace.rounds_total
         cost["messages"] += result.trace.messages_total
         cost["episodes"] += len(result.trace.episodes)
     return {"builds": len(tasks), "reports": reports.hexdigest(),
             "episodes": hashlib.sha256(repr(episodes).encode()).hexdigest(),
+            "chosen": chosen.hexdigest(),
             **{alg: ", ".join(f"{k} {v}" for k, v in cost.items())
                for alg, cost in totals.items()}}
 
