@@ -198,16 +198,19 @@ def run_supercluster_bfs(net: Net, orient: Orientation, ruling: Set[int],
     ruling must be 3-separated in vgraph, or ValueError is raised. Per
     wave: the frontier clusters, those that joined in the last wave, stream
     the root ID down their trees, members broadcast it in one exploration
-    hop, reached clusters converge the minimal candidate in three
-    aggregation stages (pair, then tie-breaking endpoint, then the winning
-    edge back down), and the vertex holding the winning edge adds it to the
-    spanner. Every wave is a fixed slot of the schedule, so no message
-    carries the hops left.
+    hop, whose listeners keep the least sender of each root across a
+    superedge (its accept_all, the vertices of the popular clusters, is
+    gathered once), reached clusters converge the minimal candidate in
+    three aggregation stages (pair, then tie-breaking endpoint, then the
+    winning edge back down), and the vertex holding the winning edge adds it
+    to the spanner. Every wave is a fixed slot of the schedule, so no
+    message carries the hops left.
     """
     _require_separated(vgraph, ruling)
     roots = sorted(ruling)
     joins: Dict[int, JoinInfo] = {r: JoinInfo(r, None, None, 0) for r in roots}
     member_center = orient.center_of
+    loud = {v for c in popular for v in orient.members[c]}   # popular bit set
     frontier = roots   # the centers that joined in the last wave
     unjoined = member_center.keys() - {v for r in roots for v in orient.members[r]}
 
@@ -218,20 +221,14 @@ def run_supercluster_bfs(net: Net, orient: Orientation, ruling: Set[int],
         payload = {c: ((joins[c].root,), 0) for c in frontier}
         comm.downcast_single(net, orient, frontier, f"w{wave}.relay", payload)
         # stage 1: frontier members broadcast the exploration; a member of an
-        # unjoined cluster keeps, per (root, smaller endpoint) pair, the
-        # smallest other endpoint, so the aggregation below can reconstruct
-        # the exact minimal (root, witness edge) candidate
-        cands: Dict[int, Dict[Tuple[int, int], int]] = {}
+        # unjoined cluster keeps, per root, its least edge to a sender of it,
+        # as (root, smaller endpoint) -> other endpoint, so the aggregation
+        # below can reconstruct the exact minimal (root, witness edge)
         arrivals = comm.explore_hop(net, orient, f"w{wave}.explore",
                                     [(c, joins[c].root) for c in frontier],
-                                    popular, unjoined)
-        for v, heard in arrivals.items():
-            mine = cands[v] = {}
-            for sender, root in heard.items():
-                m, mm = (sender, v) if sender < v else (v, sender)
-                cur = mine.get((root, m))
-                if cur is None or mm < cur:
-                    mine[(root, m)] = mm
+                                    loud, unjoined)
+        cands = {v: {(root, min(s, v)): max(s, v) for root, s in heard.items()}
+                 for v, heard in arrivals.items()}
 
         # stage 2: three-stage minimal-candidate aggregation per reached
         # cluster; each has a member with a candidate, so every stage

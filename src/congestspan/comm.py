@@ -7,13 +7,15 @@ stream payloads back down, announce new spanner edges. Every episode goes
 through Net.cast, the one place that records episodes, and is delivered by a
 sim kernel without a program per vertex: sim.broadcast_ids delivers the
 cluster-ID exchange and every exploration hop on the virtual cluster graph
-(explore_hop) as sender -> ID maps; a listener of a knock-out hop
-(knockout_hop) keeps only whether it heard the hop, so sim.broadcast_heard
-delivers it; every other episode is a tree cast or a one-round per-edge send
-(orient_flood, tree_downcast, best_upcast, flag_upcast, tree_collect,
-send_round). An episode in which no vertex takes part is not recorded. The
-orchestrator only moves results between episodes, never inventing knowledge a
-vertex could not have accumulated locally.
+(explore_hop), each listener keeping the least sender of each ID it
+accepts; a listener of a knock-out hop (knockout_hop) keeps only whether it
+heard the hop, so sim.broadcast_heard delivers it. A hop crosses only the
+superedges with a popular side: the kernels' accept_all is the vertices of
+popular clusters. Every other episode is a tree cast or a one-round
+per-edge send (orient_flood, tree_downcast, best_upcast, flag_upcast,
+tree_collect, send_round). An episode in which no vertex takes part is not
+recorded. The orchestrator only moves results between episodes, never
+inventing knowledge a vertex could not have accumulated locally.
 
 On the wire a message is at most IDS_PER_MESSAGE vertex IDs and one bounded
 scalar; what a message means follows from the episode it belongs to, so the
@@ -168,27 +170,20 @@ def orientation_from_parents(parent_maps: Dict[int, Dict[int, Optional[int]]]) -
 
 
 def explore_hop(net: Net, orient: Orientation, label: str,
-                frontier: Iterable[Tuple[int, int]], popular: AbstractSet[int],
+                frontier: Iterable[Tuple[int, int]], accept_all: AbstractSet[int],
                 listeners: AbstractSet[int]) -> Dict[int, Dict[int, int]]:
     """One exploration hop on the virtual cluster graph, in a single broadcast
     round: every member of each frontier cluster (center, root) broadcasts
-    the root and, as its one bit of scalar, whether the cluster is popular.
-    Returns, in ascending order, each listener outside the frontier that
-    heard a root across a superedge (its own or the sender's cluster is
-    popular) -> {sender: root} for those arrivals."""
+    the root and, as its one bit of scalar, whether the cluster is popular
+    (its vertices are in accept_all). Returns, in ascending order, each
+    listener outside the frontier that heard a root across a superedge (its
+    own or the sender's cluster is popular) -> {root: the least sender it
+    heard that root from across one}."""
     ids: Dict[int, int] = {}
     for c, root in frontier:
         ids.update(dict.fromkeys(orient.members[c], root))
-    heard = net.cast(label, sim.broadcast_ids, ids, listeners - ids.keys()) if ids else {}
-    center_of = orient.center_of
-    loud = {v for v in ids if center_of[v] in popular}   # popular bit set
-    kept: Dict[int, Dict[int, int]] = {}
-    for v, got in heard.items():
-        if center_of[v] not in popular:
-            got = {u: root for u, root in got.items() if u in loud}
-        if got:
-            kept[v] = got
-    return kept
+    return net.cast(label, sim.broadcast_ids, ids, listeners - ids.keys(),
+                    accept_all) if ids else {}
 
 
 def knockout_hop(net: Net, orient: Orientation, label: str,
@@ -209,13 +204,18 @@ def knockout_hop(net: Net, orient: Orientation, label: str,
 def exchange_cluster_ids(net: Net, orient: Orientation, label: str) -> Dict[int, Dict[int, int]]:
     """One broadcast round: every active vertex announces its cluster.
 
-    Returns, per active vertex, the map neighbor -> neighbor's cluster center.
-    Dormant vertices stay silent, so only active neighbors appear.
+    Returns, per active vertex, its own map neighbouring center -> the least
+    neighbour in that cluster, for every cluster other than its own that it
+    borders. Dormant vertices stay silent, so only active neighbours count.
     """
     center_of = orient.center_of
-    heard = net.cast(label, sim.broadcast_ids, center_of, center_of.keys()) if center_of else {}
-    # a vertex that hears nothing gets a dict of its own
-    return {v: heard.get(v) or {} for v in center_of}
+    heard = net.cast(label, sim.broadcast_ids, center_of, center_of.keys(),
+                     center_of.keys()) if center_of else {}
+    nbr_clusters = {}
+    for v, c in center_of.items():
+        got = nbr_clusters[v] = heard.get(v) or {}   # a silent vertex's own dict
+        got.pop(c, None)
+    return nbr_clusters
 
 
 def announce_edges(net: Net, label: str, targets: Dict[int, Sequence[int]]) -> None:

@@ -17,7 +17,8 @@ Rational = Union[int, float, str, Fraction]
 
 
 def as_fraction(x: Rational) -> Fraction:
-    """Exact rational from int, Fraction, decimal string, or 'p/q' string.
+    """Exact rational from int, Fraction, decimal string, or 'p/q' string;
+    a q of 0 is a ValueError, like any other malformed string.
 
     Floats are converted through their shortest repr so that 0.34 means
     34/100, not the binary expansion of the double.
@@ -30,8 +31,10 @@ def as_fraction(x: Rational) -> Fraction:
         return Fraction(repr(x))
     if isinstance(x, str):
         if "/" in x:
-            num, den = x.split("/", 1)
-            return Fraction(int(num), int(den))
+            num, den = map(int, x.split("/", 1))
+            if not den:
+                raise ValueError(f"{x!r} has a zero denominator")
+            return Fraction(num, den)
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as a rational")
 

@@ -64,24 +64,20 @@ class _PolylogVariant:
         return self.params.tau_expo
 
     def detect(self, net: Net, orient: Orientation,
-               nbrmap: Dict[int, Dict[int, int]], phase: int,
+               nbr_clusters: Dict[int, Dict[int, int]], phase: int,
                is_final: bool) -> Tuple[Set[int], None]:
         if is_final:
             return set(), None
-        n = self.params.n
-        flagged = set()
-        for v, c in orient.center_of.items():
-            foreign = set(nbrmap[v].values())
-            foreign.discard(c)
-            if count_ge_pow(len(foreign), n, self.params.tau_expo):
-                flagged.add(v)
+        n, tau = self.params.n, self.params.tau_expo
+        flagged = {v for v, got in nbr_clusters.items()
+                   if count_ge_pow(len(got), n, tau)}
         popular = comm.upcast_flags(net, orient, flagged, f"p{phase}.popflag")
         if popular:
             comm.downcast_single(net, orient, popular, f"p{phase}.popbit")
         return popular, None
 
     def interconnect(self, net: Net, orient: Orientation,
-                     nbrmap: Dict[int, Dict[int, int]], settled: Set[int],
+                     nbr_clusters: Dict[int, Dict[int, int]], settled: Set[int],
                      knowledge: None, phase: int,
                      spanner: SpannerEdgeSet) -> None:
         if not settled:
@@ -90,14 +86,8 @@ class _PolylogVariant:
         targets: Dict[int, List[int]] = {}
         for c in sorted(settled):
             for v in orient.members[c]:
-                best: Dict[int, int] = {}
-                for u, cc in nbrmap[v].items():
-                    if cc == c:
-                        continue
-                    if cc not in best or u < best[cc]:
-                        best[cc] = u
-                if best:
-                    targets[v] = sorted(best.values())
+                if nbr_clusters[v]:
+                    targets[v] = sorted(nbr_clusters[v].values())
         comm.announce_edges(net, f"p{phase}.inter", targets)
         for v in sorted(targets):
             for u in targets[v]:

@@ -20,8 +20,11 @@ The episodes of a build run on kernels instead, which deliver them without a
 program or an API object per vertex, apply the checks of ``run`` and return
 the trace ``run`` gives for the programs they stand for, with the programs'
 results: ``broadcast_ids`` for a one-shot broadcast round in which every
-message is one ID, returning sender -> ID maps; ``broadcast_heard`` for one
-in which listeners keep only whether they heard a message they accept;
+message is one ID, returning per listener the least sender it accepts of
+each ID; ``broadcast_heard`` for one in which listeners keep only whether
+they heard a message they accept. In both, a listener in ``accept_all``
+accepts every sender and any other listener only a popular one: one in
+``accept_all``, or one whose scalar is odd for ``broadcast_heard``.
 ``orient_flood``, ``tree_downcast``, ``best_upcast``, ``flag_upcast`` and
 ``tree_collect`` for the casts inside cluster trees, walked level by level
 (the collect round by round); and ``send_round`` for one round of per-edge
@@ -260,23 +263,29 @@ def run(g: Graph, programs: Dict[int, NodeProgram], config: SimConfig,
 
 
 def broadcast_ids(g: Graph, ids: Mapping[int, int], listeners: AbstractSet[int],
-                  config: SimConfig, label: str = ""
+                  accept_all: AbstractSet[int], config: SimConfig, label: str = ""
                   ) -> Tuple[SimTrace, Dict[int, Dict[int, int]]]:
     """One round in broadcast mode, in which every sender v broadcasts one
-    message carrying the single ID ids[v] on all its edges. Returns the
-    trace run() returns for one program per vertex that broadcasts at round
-    0 and keeps its round-1 inbox, and each listener that hears anything, in
-    ascending order, -> {sender: ID} in ascending sender order. The listener
-    keys are the listeners' own ID objects; a listener's map is one pass
-    over its sorted adjacency tuple."""
+    message carrying the single ID ids[v] on all its edges, and a listener
+    accepts any sender if it is in accept_all, only senders in accept_all
+    elsewhere. Returns the trace run() returns for one program per vertex
+    that broadcasts at round 0 and keeps its round-1 inbox, and each
+    listener that accepts anything, in ascending order, -> {ID: the least
+    sender of it that the listener accepts}. The listener keys are the
+    listeners' own ID objects; a listener's map is one pass down its sorted
+    adjacency tuple, so the least sender is written last."""
     adjacency = g.adjacency
     try:
         sent = sum(len(adjacency[v]) for v in ids)
     except KeyError:
         unknown = min(ids.keys() - adjacency.keys())
         raise ValueError(f"broadcast from unknown vertex {unknown}") from None
-    heard = {u: got for u in sorted(listeners)
-             if (got := {v: ids[v] for v in adjacency.get(u, ()) if v in ids})}
+    loud = {v: i for v, i in ids.items() if v in accept_all}
+    heard: Dict[int, Dict[int, int]] = {}
+    for u in sorted(listeners):
+        src = ids if u in accept_all else loud
+        if got := {src[v]: v for v in reversed(adjacency.get(u, ())) if v in src}:
+            heard[u] = got
     trace = SimTrace(label=label, mode=BROADCAST, max_ids_per_message=1 if ids else 0)
     return _account(trace, [sent], 1 if sent else 0), heard
 

@@ -119,11 +119,11 @@ class Variant(Protocol):
     def threshold_expo(self, phase: int) -> Optional[Fraction]: ...
 
     def detect(self, net: Net, orient: Orientation,
-               nbrmap: Dict[int, Dict[int, int]], phase: int,
+               nbr_clusters: Dict[int, Dict[int, int]], phase: int,
                is_final: bool) -> Tuple[Set[int], Optional[Dict[int, Dict[int, int]]]]: ...
 
     def interconnect(self, net: Net, orient: Orientation,
-                     nbrmap: Dict[int, Dict[int, int]], settled: Set[int],
+                     nbr_clusters: Dict[int, Dict[int, int]], settled: Set[int],
                      knowledge: Optional[Dict[int, Dict[int, int]]],
                      phase: int, spanner: SpannerEdgeSet) -> None: ...
 
@@ -147,9 +147,9 @@ def run_phases(g: Graph, variant: Variant, params: dict) -> BuildResult:
         is_final = i == variant.ell
 
         orient = comm.orient_clusters(net, center_of, tree_adj, f"p{i}.orient")
-        nbrmap = comm.exchange_cluster_ids(net, orient, f"p{i}.exchange")
+        nbr_clusters = comm.exchange_cluster_ids(net, orient, f"p{i}.exchange")
 
-        popular, knowledge = variant.detect(net, orient, nbrmap, i, is_final)
+        popular, knowledge = variant.detect(net, orient, nbr_clusters, i, is_final)
         vgraph: Optional[VirtualClusterGraph] = None
         selected: Set[int] = set()
         joins: Dict[int, JoinInfo] = {}
@@ -169,7 +169,7 @@ def run_phases(g: Graph, variant: Variant, params: dict) -> BuildResult:
                 tree_adj[a].append(b)
                 tree_adj[b].append(a)
 
-        variant.interconnect(net, orient, nbrmap, settled, knowledge, i, spanner)
+        variant.interconnect(net, orient, nbr_clusters, settled, knowledge, i, spanner)
 
         snapshots.append(PhaseSnapshot(
             phase=i,

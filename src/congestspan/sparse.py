@@ -96,13 +96,9 @@ class _SparseVariant:
         return None
 
     def detect(self, net: Net, orient: Orientation,
-               nbrmap: Dict[int, Dict[int, int]], phase: int,
+               nbr_clusters: Dict[int, Dict[int, int]], phase: int,
                is_final: bool) -> Tuple[Set[int], Dict[int, Dict[int, int]]]:
-        items: Dict[int, List[Tuple[int, int]]] = {}
-        for v, c in orient.center_of.items():
-            foreign = set(nbrmap[v].values())
-            foreign.discard(c)
-            items[v] = [(cc, v) for cc in sorted(foreign)]
+        items = {v: [(cc, v) for cc in sorted(got)] for v, got in nbr_clusters.items()}
         # the final phase needs complete neighbor knowledge: no binding cap
         cap = self.params.n + 1 if is_final else self.params.degree_cap(phase)
         knowledge = comm.upcast_collect(net, orient, items, cap,
@@ -115,7 +111,7 @@ class _SparseVariant:
         return popular, knowledge
 
     def interconnect(self, net: Net, orient: Orientation,
-                     nbrmap: Dict[int, Dict[int, int]], settled: Set[int],
+                     nbr_clusters: Dict[int, Dict[int, int]], settled: Set[int],
                      knowledge: Dict[int, Dict[int, int]], phase: int,
                      spanner: SpannerEdgeSet) -> None:
         if not settled:
@@ -136,8 +132,7 @@ class _SparseVariant:
                 targets = []
                 for msg in received.get(v, ()):
                     if msg.ids[1] == v:
-                        cc = msg.ids[0]
-                        u = min(u2 for u2, c2 in nbrmap[v].items() if c2 == cc)
+                        u = nbr_clusters[v][msg.ids[0]]
                         targets.append(u)
                         adds.append((v, u, c))
                 if targets:

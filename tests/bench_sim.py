@@ -6,14 +6,16 @@ Run it with
     python -m pytest tests/bench_sim.py --benchmark-only
 
 The exchange round: both sides deliver, on a fixed G(512, 0.25), the round
-of the cluster-ID exchange, about 65k messages: every vertex sends its ID
-and every vertex gets sender -> ID back.
+of the cluster-ID exchange, about 65k messages: every vertex sends its ID,
+accepts every sender, and gets ID -> least sender back, here each neighbour
+mapped to itself.
 
 The exploration hop: both sides deliver, on the same graph split into
 singleton clusters, a hop of the exploration wave: the lowest quarter of the
 vertices sends its ID as the root (about 16k messages), every other vertex
-listens, and a listener keeps the arrivals where its own or the sender's
-cluster is popular, every even vertex being popular.
+listens, and a listener keeps, per root, the least sender whose arrival
+crosses a superedge: its own or the sender's cluster is popular, every even
+vertex being popular.
 
 The knock-out hop: both sides deliver, on the same graph, a round shaped like
 a hop of the knock-out flood, folded to whether a listener heard a message
@@ -54,14 +56,15 @@ def round_inputs():
 def test_exchange_round(benchmark, round_inputs, impl):
     g, listeners, config = round_inputs
     ids = {v: v for v in g.vertices}
-    trace, heard = benchmark(impl, g, ids, listeners, config, "p0.exchange")
+    trace, heard = benchmark(impl, g, ids, listeners, listeners, config,
+                             "p0.exchange")
     assert trace.messages_total == 2 * g.num_edges()
     assert heard == {u: {v: v for v in g.adjacency[u]} for u in g.vertices}
 
 
-def _kernel_explore_hop(g, orient, frontier, popular, listeners, config, label):
+def _kernel_explore_hop(g, orient, frontier, accept_all, listeners, config, label):
     net = comm.Net(g)
-    return net.trace, comm.explore_hop(net, orient, label, frontier, popular,
+    return net.trace, comm.explore_hop(net, orient, label, frontier, accept_all,
                                        listeners)
 
 
@@ -76,8 +79,8 @@ def test_explore_hop(benchmark, round_inputs, impl):
     listeners = set(vertices[g.n // 4:])
     _, kept = benchmark(impl, g, orient, frontier, popular, listeners, config,
                         "w1.explore")
-    assert kept and all(u in popular or v in popular
-                        for v, got in kept.items() for u in got)
+    assert kept and all(u == root and (u in popular or v in popular)
+                        for v, got in kept.items() for root, u in got.items())
 
 
 @pytest.mark.parametrize("impl", [sim.broadcast_heard, oracles.broadcast_heard],

@@ -6,9 +6,9 @@ BFS from every member for a ruling set, a membership test per edge for the
 symmetry of a graph's adjacency lists, every cluster pair's edges gathered
 from the whole edge set for the virtual cluster graph, and one program per
 vertex stepped through the event loop for a one-shot broadcast round (also
-with each inbox folded to whether it holds an accepted message or to the
-largest accepted scalar, projected to its IDs, or filtered to the
-exploration hop's superedge arrivals) and for each tree-cast episode. They
+with each inbox folded to whether it holds an accepted message, to the
+largest accepted scalar, or to the least accepted sender of each ID, as in
+the exchange and the exploration hop) and for each tree-cast episode. They
 are slow but obviously right, so the tests hold the fast versions to them
 result for result. Each episode oracle takes the arguments of the sim kernel
 it checks and returns sim.run's trace with the programs' results. The
@@ -205,38 +205,55 @@ def broadcast_heard(g: Graph, sends: Dict[int, Message],
                           for msg in inbox.values())}
 
 
+def _least_senders(inbox: Dict[int, Message], accepts) -> Dict[int, int]:
+    """inbox folded to {ID: the least sender of it whose message accepts
+    admits}."""
+    got: Dict[int, int] = {}
+    for v in sorted(inbox):
+        if accepts(v, inbox[v]):
+            got.setdefault(inbox[v].ids[0], v)
+    return got
+
+
 def broadcast_ids(g: Graph, ids: Mapping[int, int],
-                  listeners: AbstractSet[int], config: SimConfig,
-                  label: str = "") -> Tuple[SimTrace, Dict[int, Dict[int, int]]]:
+                  listeners: AbstractSet[int], accept_all: AbstractSet[int],
+                  config: SimConfig, label: str = ""
+                  ) -> Tuple[SimTrace, Dict[int, Dict[int, int]]]:
     """The broadcast round above with each sender v's ID ids[v] in a message
-    of its own, each inbox projected to the IDs."""
+    of its own, each inbox folded to {ID: least sender} over the senders the
+    listener accepts: any if it is in accept_all, those in accept_all
+    otherwise. Listeners that accept nothing are left out."""
     sends = {v: Message(TAG_CLUSTER_ID, (c,)) for v, c in ids.items()}
     trace, inboxes = broadcast_round(g, sends, listeners, config, label)
-    return trace, {u: {v: msg.ids[0] for v, msg in inbox.items()}
-                   for u, inbox in inboxes.items()}
+    folded = {u: _least_senders(inbox, lambda v, msg: u in accept_all
+                                or v in accept_all)
+              for u, inbox in inboxes.items()}
+    return trace, {u: got for u, got in folded.items() if got}
 
 
 TAG_EXPLORE = 20
 
 
 def explore_hop(g: Graph, orient: "comm.Orientation",
-                frontier: Iterable[Tuple[int, int]], popular: AbstractSet[int],
+                frontier: Iterable[Tuple[int, int]], accept_all: AbstractSet[int],
                 listeners: AbstractSet[int], config: SimConfig, label: str = ""
                 ) -> Tuple[Optional[SimTrace], Dict[int, Dict[int, int]]]:
     """comm.explore_hop on programs: the broadcast round above, in which
     every member of each frontier cluster (center, root) sends the root with
-    its cluster's popular bit as the scalar, and each listener outside the
-    frontier keeps an arrival when its own cluster is popular or the bit is
-    set. With no sender, no episode runs and the trace is None."""
-    sends = {v: Message(TAG_EXPLORE, (root,), int(c in popular))
+    its cluster's popular bit (whether the member is in accept_all) as the
+    scalar, and each listener outside the frontier keeps, per root, the
+    least sender whose arrival it accepts: any when its own cluster is
+    popular, one with the bit set otherwise. With no sender, no episode runs
+    and the trace is None."""
+    sends = {v: Message(TAG_EXPLORE, (root,), int(v in accept_all))
              for c, root in frontier for v in orient.members[c]}
     if not sends:
         return None, {}
     trace, inboxes = broadcast_round(g, sends, listeners - sends.keys(), config, label)
     kept: Dict[int, Dict[int, int]] = {}
     for v, inbox in inboxes.items():
-        own_pop = orient.center_of[v] in popular
-        got = {u: msg.ids[0] for u, msg in inbox.items() if own_pop or msg.scalar & 1}
+        own_pop = v in accept_all
+        got = _least_senders(inbox, lambda u, msg: own_pop or msg.scalar & 1)
         if got:
             kept[v] = got
     return trace, kept

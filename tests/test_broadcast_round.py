@@ -5,11 +5,13 @@ and per listener next to a sender through ``sim.run``. Each kernel must
 return the trace that oracle returns and reject what ``sim.run`` rejects.
 ``sim.broadcast_ids``, the round of the cluster-ID exchange and of every
 exploration hop, must equal it with one single-ID message per sender and
-each inbox projected to the IDs, for the same listeners in the same order,
-keyed by each listener's own ID object. ``sim.broadcast_heard``, the
-knock-out hop's round, must equal it with the senders deaf and each inbox
-folded to whether it holds an accepted message. ``comm.explore_hop`` must
-keep exactly the oracle's arrivals that cross a superedge.
+each inbox folded to the least accepted sender of each ID, for the same
+listeners in the same order, keyed by each listener's own ID object.
+``sim.broadcast_heard``, the knock-out hop's round, must equal it with the
+senders deaf and each inbox folded to whether it holds an accepted message.
+``comm.explore_hop`` must keep, per root, the least sender of the oracle's
+arrivals that cross a superedge, and ``comm.exchange_cluster_ids`` give each
+active vertex the least active neighbour in each other cluster it borders.
 """
 
 import dataclasses
@@ -57,16 +59,27 @@ def _subset(data, items, label):
     return [x for x in items if data.draw(st.booleans(), label=label)]
 
 
-def _heard(listeners, inboxes):
-    """inboxes as a list of (listener, inbox items), each listener checked to
-    be one of listeners' own ID objects and each inbox in sender order."""
+def _heard(listeners, maps):
+    """maps as a list of (listener, sorted map items), each listener checked
+    to be one of listeners' own ID objects."""
     own = {id(v) for v in listeners}
     calls = []
-    for v, inbox in inboxes.items():
+    for v, got in maps.items():
         assert id(v) in own, f"a foreign ID object for {v}"
-        assert list(inbox) == sorted(inbox)
-        calls.append((v, list(inbox.items())))
+        calls.append((v, sorted(got.items())))
     return calls
+
+
+def _star_clusters(data, g):
+    """A random partition of some vertices into star clusters (the hops and
+    the exchange read no tree), with the vertices left out dormant."""
+    centers = data.draw(st.sets(st.sampled_from(g.vertices)), label="centers")
+    parent_maps = {c: {c: None} for c in centers}
+    if centers:
+        for v in _subset(data, sorted(set(g.vertices) - centers), "member"):
+            c = data.draw(st.sampled_from(sorted(centers)), label="center")
+            parent_maps[c][v] = c
+    return comm.orientation_from_parents(parent_maps)
 
 
 def test_no_episode_without_senders():
@@ -81,9 +94,9 @@ def test_no_episode_without_senders():
     # when 1's singleton cluster is popular, only 2 when 2's cluster is
     heard = comm.explore_hop(net, orient, "loud", [(1, 5)], {1}, set(g.vertices))
     assert list(heard) == [2, 8]
-    assert heard == {2: {1: 5}, 8: {1: 5}}
+    assert heard == {2: {5: 1}, 8: {5: 1}}
     assert comm.explore_hop(net, orient, "edge", [(1, 5)], {2},
-                            set(g.vertices)) == {2: {1: 5}}
+                            set(g.vertices)) == {2: {5: 1}}
     # a knock-out hop: vertex 1 sends to 2 and 8; only 2 hears it when 1's
     # singleton cluster is not popular
     assert comm.knockout_hop(net, orient, "quiet", [], set(g.vertices)) == set()
@@ -99,43 +112,51 @@ def test_no_episode_without_senders():
 def test_explore_hop_keeps_the_superedge_arrivals_of_the_program_oracle(data):
     """On a random partition of some vertices into clusters, with random
     popular clusters, frontier and listeners, explore_hop keeps what the
-    program oracle keeps, in the same order, and records its trace."""
+    program oracle keeps, for the same listeners in the same order, and
+    records its trace."""
     g = _random_graph(data)
-    vertices = st.sampled_from(g.vertices)
-    centers = data.draw(st.sets(vertices), label="centers")
-    parent_maps = {c: {c: None} for c in centers}
-    if centers:
-        for v in _subset(data, sorted(set(g.vertices) - centers), "member"):
-            c = data.draw(st.sampled_from(sorted(centers)), label="center")
-            parent_maps[c][v] = c   # a star: explore_hop reads no tree
-    orient = comm.orientation_from_parents(parent_maps)
-    popular = set(_subset(data, sorted(centers), "popular"))
-    frontier = [(c, data.draw(vertices, label="root"))
-                for c in _subset(data, sorted(centers), "frontier")]
+    orient = _star_clusters(data, g)
+    centers = sorted(orient.members)
+    popular = _subset(data, centers, "popular")
+    accept_all = {v for c in popular for v in orient.members[c]}
+    frontier = [(c, data.draw(st.sampled_from(g.vertices), label="root"))
+                for c in _subset(data, centers, "frontier")]
     listeners = set(_subset(data, sorted(orient.center_of), "listener"))
     net = comm.Net(g)
 
-    kept = comm.explore_hop(net, orient, "lbl", frontier, popular, listeners)
+    kept = comm.explore_hop(net, orient, "lbl", frontier, accept_all, listeners)
     config = SimConfig(ids_per_message=net.config.ids_per_message,
                        mode=sim.BROADCAST)
-    trace, expected = oracles.explore_hop(g, orient, frontier, popular,
+    trace, expected = oracles.explore_hop(g, orient, frontier, accept_all,
                                           listeners, config, "lbl")
-    assert [(v, list(got.items())) for v, got in kept.items()] \
-        == [(v, list(got.items())) for v, got in expected.items()]
+    assert _heard(listeners, kept) == _heard(listeners, expected)
     assert net.trace.episodes == ([] if trace is None else [trace])
+
+
+def test_explore_hop_keeps_the_least_sender_of_a_root():
+    """On the path 1-2-3, the singleton clusters 1 and 3 both send root 5;
+    vertex 2 hears it twice and keeps only sender 1."""
+    g = gr.generate_graph("path", n=3)
+    net = comm.Net(g)
+    orient = comm.orientation_from_parents({v: {v: None} for v in g.vertices})
+    heard = comm.explore_hop(net, orient, "w1.explore", [(3, 5), (1, 5)],
+                             {1, 2, 3}, {2})
+    assert heard == {2: {5: 1}}
+    assert net.trace.episodes == [
+        sim.SimTrace("w1.explore", sim.BROADCAST, 1, 2, 1, [2])]
 
 
 # ---------------------------------------------------------------------------
 # sim.broadcast_ids: one ID per sender, as in the cluster-ID exchange and
-# the exploration hop.
+# the exploration hop, folded to the least accepted sender of each ID.
 
-def _ids_both(g, ids, listeners, config):
+def _ids_both(g, ids, listeners, accept_all, config):
     """(trace, listener maps) of the kernel and of the oracle, or the
     exception each raised."""
     out = []
     for impl in (sim.broadcast_ids, oracles.broadcast_ids):
         try:
-            trace, heard = impl(g, ids, listeners, config, "lbl")
+            trace, heard = impl(g, ids, listeners, accept_all, config, "lbl")
         except (ModelViolation, ValueError) as exc:
             out.append((type(exc), str(exc)))
         else:
@@ -151,18 +172,24 @@ def test_id_kernel_equals_projected_program_oracle(data):
     ids = {own[v]: data.draw(st.sampled_from(g.vertices), label="id")
            for v in _subset(data, g.vertices, "sender")}
     listeners = {own[v] for v in _subset(data, g.vertices, "listener")}
-    if data.draw(st.booleans(), label="keys view"):
+    # accept-all is a random subset or its complement
+    accept_all = set(_subset(data, g.vertices, "accept all"))
+    if data.draw(st.booleans(), label="complement"):
+        accept_all = set(g.vertices) - accept_all
+    if data.draw(st.booleans(), label="keys views"):
         listeners = dict.fromkeys(listeners).keys()
+        accept_all = dict.fromkeys(accept_all).keys()
     config = SimConfig(ids_per_message=data.draw(st.integers(1, 3), label="cap"),
                        mode=sim.BROADCAST)
 
-    kernel, oracle = _ids_both(g, ids, listeners, config)
+    kernel, oracle = _ids_both(g, ids, listeners, accept_all, config)
     assert kernel == oracle
     trace, calls = kernel
     sent = sum(len(g.adjacency[v]) for v in ids)
     assert (trace["rounds_elapsed"], trace["messages_total"]) == (1 if sent else 0, sent)
     assert trace["max_ids_per_message"] == (1 if ids else 0)
-    heard = {u for v in ids for u in g.adjacency[v]} & set(listeners)
+    heard = {u for v in ids for u in g.adjacency[v]
+             if u in accept_all or v in accept_all} & set(listeners)
     assert [v for v, _ in calls] == sorted(heard)
 
 
@@ -172,21 +199,23 @@ def test_id_kernel_unknown_sender_and_empty_round():
     g = gr.generate_graph("cycle", n=8)
     config = SimConfig(mode=sim.BROADCAST)
     ids = {3: 1, 120: 1, 99: 5}
-    kernel, oracle = _ids_both(g, ids, {1, 2}, config)
+    kernel, oracle = _ids_both(g, ids, {1, 2}, {1}, config)
     assert kernel[0] is oracle[0] is ValueError
     assert kernel[1] == "broadcast from unknown vertex 99"
-    assert _ids_both(g, {}, set(g.vertices), config) \
+    assert _ids_both(g, {}, set(g.vertices), set(g.vertices), config) \
         == [(dataclasses.asdict(sim.SimTrace("lbl", sim.BROADCAST)), [])] * 2
 
 
 def test_exchange_gives_each_silent_vertex_its_own_dict():
-    """On the 8-cycle: vertices 1 and 2 hear each other and 6 hears nobody;
-    then 1, 4 and 6 hear nobody, and each gets an empty dict of its own."""
+    """On the 8-cycle: vertices 1 and 2 hear only each other, in their own
+    cluster, and 6 hears nobody; then 1, 4 and 6 hear nobody. Each gets an
+    empty dict of its own."""
     g = gr.generate_graph("cycle", n=8)
     net = comm.Net(g)
     orient = comm.orientation_from_parents({1: {1: None, 2: 1}, 6: {6: None}})
     heard = comm.exchange_cluster_ids(net, orient, "p0.exchange")
-    assert heard == {1: {2: 1}, 2: {1: 1}, 6: {}}
+    assert heard == {1: {}, 2: {}, 6: {}}
+    assert len({id(m) for m in heard.values()}) == 3
     orient = comm.orientation_from_parents({1: {1: None}, 4: {4: None},
                                             6: {6: None}})
     heard = comm.exchange_cluster_ids(net, orient, "p1.exchange")
@@ -195,6 +224,27 @@ def test_exchange_gives_each_silent_vertex_its_own_dict():
     assert net.trace.episodes == [
         sim.SimTrace(label, sim.BROADCAST, 1, 6, 1, [6])
         for label in ("p0.exchange", "p1.exchange")]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_exchange_equals_a_scan_of_the_graph(data):
+    """On random star clusters with dormant vertices, every active vertex
+    maps each other cluster it borders to its least active neighbour there."""
+    g = _random_graph(data)
+    orient = _star_clusters(data, g)
+    center_of = orient.center_of
+    scan = {}
+    for v in center_of:
+        scan[v] = {}
+        for u in g.adjacency[v]:   # ascending: the first is the least
+            if u in center_of and center_of[u] != center_of[v]:
+                scan[v].setdefault(center_of[u], u)
+    net = comm.Net(g)
+    assert comm.exchange_cluster_ids(net, orient, "p0.exchange") == scan
+    sent = sum(len(g.adjacency[v]) for v in center_of)
+    assert [(t.rounds_elapsed, t.messages_total) for t in net.trace.episodes] \
+        == ([(1 if sent else 0, sent)] if center_of else [])
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +317,7 @@ def test_single_vertex_sends_nothing():
     config = SimConfig(mode=sim.BROADCAST)
     silent = dataclasses.asdict(sim.SimTrace("lbl", sim.BROADCAST,
                                              max_ids_per_message=1))
-    assert _ids_both(g, {1: 1}, {1}, config) == [(silent, [])] * 2
+    assert _ids_both(g, {1: 1}, {1}, {1}, config) == [(silent, [])] * 2
     assert _heard_both(g, {1: Message(3, (1,))}, {1}, {1}, config) \
         == [(silent, [])] * 2
 

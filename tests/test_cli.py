@@ -215,6 +215,19 @@ class TestMalformedInput:
             errors.append(capsys.readouterr().err)
         assert errors[0].startswith("error: ") and errors[0] == errors[1]
 
+    @pytest.mark.parametrize("flag, config", [
+        (["--rho", "1/0"], None), ([], '{"rho": "1/0"}')], ids=["flag", "config"])
+    def test_zero_denominator_rho_exits_2(self, flag, config, tmp_path, capsys,
+                                          monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["build", "--alg", "skeleton", *flag, "--graph", "gen:path:n=8"]
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(config)
+            argv = ["--config", "cfg.json", *argv]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: '1/0' has a zero denominator\n"
+        assert not (tmp_path / "out").exists()
+
     def test_out_is_a_file_exits_2(self, tmp_path, capsys):
         out = tmp_path / "o"
         out.write_text("")

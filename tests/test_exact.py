@@ -29,6 +29,10 @@ class TestAsFraction:
         with pytest.raises(TypeError):
             as_fraction(object())
 
+    def test_zero_denominator_is_a_value_error(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            as_fraction("1/0")
+
 
 class TestPowerComparisons:
     def test_float_slop_boundary(self):

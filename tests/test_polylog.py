@@ -12,9 +12,9 @@ def detect_on_singletons(g, kappa, clusters=None):
     net = Net(g)
     center_of, tree_adj = clusters or ({v: v for v in g.vertices}, {})
     orient = orient_clusters(net, center_of, tree_adj, "orient")
-    nbrmap = exchange_cluster_ids(net, orient, "exchange")
+    nbr_clusters = exchange_cluster_ids(net, orient, "exchange")
     variant = _PolylogVariant(PolylogParams(n=g.n, kappa=kappa))
-    popular, _ = variant.detect(net, orient, nbrmap, 0, False)
+    popular, _ = variant.detect(net, orient, nbr_clusters, 0, False)
     return popular
 
 
@@ -95,10 +95,10 @@ def interconnect_directly(g, settled, clusters=None):
     net = Net(g)
     center_of, tree_adj = clusters or ({v: v for v in g.vertices}, {})
     orient = orient_clusters(net, center_of, tree_adj, "orient")
-    nbrmap = exchange_cluster_ids(net, orient, "exchange")
+    nbr_clusters = exchange_cluster_ids(net, orient, "exchange")
     variant = _PolylogVariant(PolylogParams(n=g.n, kappa=2))
     spanner = SpannerEdgeSet(g)
-    variant.interconnect(net, orient, nbrmap, settled, None, 0, spanner)
+    variant.interconnect(net, orient, nbr_clusters, settled, None, 0, spanner)
     return spanner
 
 

@@ -60,9 +60,9 @@ def detect_directly(g, cap_expo_kappa_rho, final=False):
     kappa, rho = cap_expo_kappa_rho
     net = Net(g)
     orient = orient_clusters(net, {v: v for v in g.vertices}, {}, "orient")
-    nbrmap = exchange_cluster_ids(net, orient, "exchange")
+    nbr_clusters = exchange_cluster_ids(net, orient, "exchange")
     variant = _SparseVariant(degree_schedule(g.n, kappa, rho))
-    return variant.detect(net, orient, nbrmap, 0, final)
+    return variant.detect(net, orient, nbr_clusters, 0, final)
 
 
 class TestDetectPopular:
@@ -144,12 +144,12 @@ class TestInterconnectCenterwise:
         g = gr.from_edges([(1, v) for v in range(2, 6)])
         net = Net(g)
         orient = orient_clusters(net, {v: v for v in g.vertices}, {}, "orient")
-        nbrmap = exchange_cluster_ids(net, orient, "exchange")
+        nbr_clusters = exchange_cluster_ids(net, orient, "exchange")
         variant = _SparseVariant(degree_schedule(5, 3, Fraction(1, 3)))
-        popular, knowledge = variant.detect(net, orient, nbrmap, 0, False)
+        popular, knowledge = variant.detect(net, orient, nbr_clusters, 0, False)
         from congestspan.spanner import SpannerEdgeSet
         spanner = SpannerEdgeSet(g)
-        variant.interconnect(net, orient, nbrmap, {2}, knowledge, 0, spanner)
+        variant.interconnect(net, orient, nbr_clusters, {2}, knowledge, 0, spanner)
         assert spanner.edges == {(1, 2)}
         assert spanner.charges[0].vertex == 2
 
@@ -159,12 +159,12 @@ class TestInterconnectCenterwise:
         net = Net(g)
         orient = orient_clusters(net, {1: 1, 2: 2, 3: 3, 4: 4, 5: 4},
                                  {4: [5], 5: [4]}, "orient")
-        nbrmap = exchange_cluster_ids(net, orient, "exchange")
+        nbr_clusters = exchange_cluster_ids(net, orient, "exchange")
         variant = _SparseVariant(degree_schedule(5, 3, Fraction(1, 3)))
-        popular, knowledge = variant.detect(net, orient, nbrmap, 0, True)
+        popular, knowledge = variant.detect(net, orient, nbr_clusters, 0, True)
         from congestspan.spanner import SpannerEdgeSet
         spanner = SpannerEdgeSet(g)
-        variant.interconnect(net, orient, nbrmap, {4}, knowledge, 0, spanner)
+        variant.interconnect(net, orient, nbr_clusters, {4}, knowledge, 0, spanner)
         assert spanner.edges == {(1, 4), (2, 5), (3, 5)}
         assert all(c.vertex == 4 for c in spanner.charges)
 
