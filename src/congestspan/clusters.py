@@ -218,7 +218,7 @@ def run_supercluster_bfs(net: Net, orient: Orientation, ruling: Set[int],
         if not frontier:
             break
         # stage 0: the frontier centers stream the root ID to their members
-        payload = {c: ((joins[c].root,), 0) for c in frontier}
+        payload = {c: (joins[c].root,) for c in frontier}
         comm.downcast_single(net, orient, frontier, f"w{wave}.relay", payload)
         # stage 1: frontier members broadcast the exploration; a member of an
         # unjoined cluster keeps, per root, its least edge to a sender of it,
@@ -238,7 +238,7 @@ def run_supercluster_bfs(net: Net, orient: Orientation, ruling: Set[int],
         best1 = comm.upcast_best(net, orient, vals1, f"w{wave}.min1",
                                  centers=reached)
         # ask the members for the matching smallest other endpoint
-        down1 = {c: (best1[c], 0) for c in reached}
+        down1 = {c: best1[c] for c in reached}
         comm.downcast_single(net, orient, reached, f"w{wave}.win1", down1)
         vals2 = {v: (mm,) for v, pairs in cands.items()
                  if (mm := pairs.get(best1[member_center[v]])) is not None}
@@ -249,7 +249,7 @@ def run_supercluster_bfs(net: Net, orient: Orientation, ruling: Set[int],
         for c in reached:
             root, m = best1[c]
             mm = best2[c][0]
-            down2[c] = ((m, mm), 0)
+            down2[c] = (m, mm)
             wedge = edge_key(m, mm)
             inside = m if member_center.get(m) == c else mm
             outside = wedge[0] if wedge[1] == inside else wedge[1]

@@ -9,18 +9,20 @@ sim kernel without a program per vertex: sim.broadcast_ids delivers the
 cluster-ID exchange and every exploration hop on the virtual cluster graph
 (explore_hop), each listener keeping the least sender of each ID it
 accepts; a listener of a knock-out hop (knockout_hop) keeps only whether it
-heard the hop, so sim.broadcast_heard delivers it. A hop crosses only the
-superedges with a popular side: the kernels' accept_all is the vertices of
-popular clusters. Every other episode is a tree cast or a one-round
-per-edge send (orient_flood, tree_downcast, best_upcast, flag_upcast,
-tree_collect, send_round). An episode in which no vertex takes part is not
-recorded. The orchestrator only moves results between episodes, never
-inventing knowledge a vertex could not have accumulated locally.
+heard the hop, so sim.broadcast_heard delivers it. Both kernels take each
+sender's one ID, and a hop crosses only the superedges with a popular side:
+the kernels' accept_all is the vertices of popular clusters. Every other
+episode is a tree cast or a one-round per-edge send (orient_flood,
+tree_downcast, best_upcast, flag_upcast, tree_collect, send_round). An
+episode in which no vertex takes part is not recorded. The orchestrator
+only moves results between episodes, never inventing knowledge a vertex
+could not have accumulated locally.
 
-On the wire a message is at most IDS_PER_MESSAGE vertex IDs and one bounded
-scalar; what a message means follows from the episode it belongs to, so the
-build sets no tag and no kernel reads one. Every Net runs its episodes under
-the same SimConfig, built from IDS_PER_MESSAGE and MAX_ROUNDS_PER_EPISODE.
+On the wire a message is a tuple of at most IDS_PER_MESSAGE vertex IDs; what
+it means follows from the episode it belongs to, so it carries no tag, and a
+bit that a receiver needs, such as a cluster's popularity, is read from the
+episode's accept_all. Every Net runs its episodes under the same SimConfig,
+built from IDS_PER_MESSAGE and MAX_ROUNDS_PER_EPISODE.
 
 The kernel fixes an episode's mode: the two broadcast kernels run in
 broadcast mode, the others in congest mode. Round accounting sums the
@@ -39,7 +41,7 @@ from typing import (AbstractSet, Callable, Dict, Iterable, List, Mapping,
 
 from .graph import Graph
 from . import sim
-from .sim import Message, SimConfig
+from .sim import SimConfig
 
 # the CONGEST message width, in vertex IDs, and the round budget of one episode
 IDS_PER_MESSAGE = 2
@@ -174,11 +176,11 @@ def explore_hop(net: Net, orient: Orientation, label: str,
                 listeners: AbstractSet[int]) -> Dict[int, Dict[int, int]]:
     """One exploration hop on the virtual cluster graph, in a single broadcast
     round: every member of each frontier cluster (center, root) broadcasts
-    the root and, as its one bit of scalar, whether the cluster is popular
-    (its vertices are in accept_all). Returns, in ascending order, each
-    listener outside the frontier that heard a root across a superedge (its
-    own or the sender's cluster is popular) -> {root: the least sender it
-    heard that root from across one}."""
+    the root, with its cluster's popular bit, which the kernel reads from
+    accept_all (the vertices of popular clusters). Returns, in ascending
+    order, each listener outside the frontier that heard a root across a
+    superedge (its own or the sender's cluster is popular) -> {root: the
+    least sender it heard that root from across one}."""
     ids: Dict[int, int] = {}
     for c, root in frontier:
         ids.update(dict.fromkeys(orient.members[c], root))
@@ -189,16 +191,16 @@ def explore_hop(net: Net, orient: Orientation, label: str,
 def knockout_hop(net: Net, orient: Orientation, label: str,
                  frontier: Iterable[int], accept_all: AbstractSet[int]) -> Set[int]:
     """One knock-out hop on the virtual cluster graph, in a single broadcast
-    round: every member of each frontier cluster broadcasts its center and,
-    as the scalar, whether the cluster is popular (its vertices are in
-    accept_all). Returns the active vertices that do not send and heard the
-    hop across a superedge with a popular side."""
-    sends: Dict[int, Message] = {}
+    round: every member of each frontier cluster broadcasts its center,
+    with its cluster's popular bit, which the kernel reads from accept_all
+    (the vertices of popular clusters), as explore_hop does. Returns the
+    active vertices that do not send and heard the hop across a superedge
+    with a popular side."""
+    ids: Dict[int, int] = {}
     for c in frontier:
-        msg = Message(ids=(c,), scalar=int(c in accept_all))
-        sends.update(dict.fromkeys(orient.members[c], msg))
-    return net.cast(label, sim.broadcast_heard, sends, orient.center_of.keys(),
-                    accept_all) if sends else set()
+        ids.update(dict.fromkeys(orient.members[c], c))
+    return net.cast(label, sim.broadcast_heard, ids, orient.center_of.keys(),
+                    accept_all) if ids else set()
 
 
 def exchange_cluster_ids(net: Net, orient: Orientation, label: str) -> Dict[int, Dict[int, int]]:
@@ -233,29 +235,26 @@ def upcast_flags(net: Net, orient: Orientation, flagged: Set[int], label: str) -
 
 
 def downcast_single(net: Net, orient: Orientation, centers: Iterable[int], label: str,
-                    payload: Optional[Dict[int, Tuple[Tuple[int, ...], int]]] = None
-                    ) -> None:
+                    payload: Optional[Dict[int, Tuple[int, ...]]] = None) -> None:
     """Stream one message from each listed center down its tree.
 
-    payload maps center -> (ids, scalar); default is an empty flag message.
+    payload maps center -> its ID tuple; default is an empty flag message.
     Every member of those clusters receives its center's message.
     """
     centers, payload, children = set(centers), payload or {}, orient.children
-    queues = {}
-    for c in centers:
-        if children[c]:   # a center with no tree edge takes part but sends nothing
-            ids, scalar = payload.get(c, ((), 0))
-            queues[c] = (Message(ids=ids, scalar=scalar),)
+    # a center with no tree edge takes part but sends nothing
+    queues = {c: (payload.get(c, ()),) for c in centers if children[c]}
     if centers:
         net.cast(label, sim.tree_downcast, children, queues)
 
 
 def downcast_payloads(net: Net, orient: Orientation,
-                      center_payloads: Dict[int, Sequence[Message]],
-                      label: str) -> Dict[int, List[Message]]:
-    """Pipelined downcast of a payload list from each center to its members.
+                      center_payloads: Dict[int, Sequence[Tuple[int, ...]]],
+                      label: str) -> Dict[int, Sequence[Tuple[int, ...]]]:
+    """Pipelined downcast of a list of ID tuples from each center to its
+    members, passed through as they are.
 
-    Returns, per member, the messages it received: its center's list.
+    Returns, per member, the tuples it received: its center's list.
     """
     if not center_payloads:
         return {}

@@ -1,9 +1,11 @@
 """Round-synchronous message-passing simulator with congestion accounting.
 
 The model: each vertex hosts a program; in every round a program may place at
-most one small message on each incident edge. A message carries a tag (0
-unless a program sets one; the kernels never read it), at most
-``ids_per_message`` vertex IDs (default 2), and one bounded integer scalar.
+most one small message on each incident edge. A ``Message`` of ``run``
+carries a tag (0 unless a program sets one), at most ``ids_per_message``
+vertex IDs (default 2), and one bounded integer scalar. The kernels below
+take the build's messages as plain ID tuples and check their ID count; only
+the orient flood's also carry a scalar, the sender's depth, below the bound.
 All round-t sends are delivered at round t+1; there is no intra-round
 visibility. In ``broadcast`` mode a vertex must send the identical message on
 all incident edges, which programs express by calling ``api.broadcast``; the
@@ -22,9 +24,9 @@ the trace ``run`` gives for the programs they stand for, with the programs'
 results: ``broadcast_ids`` for a one-shot broadcast round in which every
 message is one ID, returning per listener the least sender it accepts of
 each ID; ``broadcast_heard`` for one in which listeners keep only whether
-they heard a message they accept. In both, a listener in ``accept_all``
-accepts every sender and any other listener only a popular one: one in
-``accept_all``, or one whose scalar is odd for ``broadcast_heard``.
+they heard a sender they accept. Both take ``{sender: ID}`` and one rule: a
+listener in ``accept_all`` accepts every sender, any other listener only the
+senders in ``accept_all``.
 ``orient_flood``, ``tree_downcast``, ``best_upcast``, ``flag_upcast`` and
 ``tree_collect`` for the casts inside cluster trees, walked level by level
 (the collect round by round); and ``send_round`` for one round of per-edge
@@ -290,34 +292,31 @@ def broadcast_ids(g: Graph, ids: Mapping[int, int], listeners: AbstractSet[int],
     return _account(trace, [sent], 1 if sent else 0), heard
 
 
-def broadcast_heard(g: Graph, sends: Mapping[int, Message],
+def broadcast_heard(g: Graph, ids: Mapping[int, int],
                     listeners: AbstractSet[int], accept_all: AbstractSet[int],
                     config: SimConfig, label: str = ""
                     ) -> Tuple[SimTrace, Set[int]]:
-    """One round in broadcast mode, in which each listener that does not
-    send keeps only whether it heard a message it accepts: any if it is in
-    accept_all, one with an odd scalar elsewhere. Returns the trace run()
-    returns for one program per vertex that broadcasts its message at round
-    0, the others listening, and the set of those listeners. Two set unions
-    deliver the senders, so the work grows with their degrees and the
-    listeners reached, not n."""
-    cap, max_scalar, adjacency = config.ids_per_message, max(g.n, 2) ** 3, g.adjacency
-    trace = SimTrace(label=label, mode=BROADCAST)
-    checked: Set[int] = set()   # the ids of the message objects checked
-    odd: List[Sequence[int]] = []    # the neighbours of odd-scalar senders
-    even: List[Sequence[int]] = []
-    for v in sorted(sends):   # run() meets the senders in ascending order
+    """One round in broadcast mode, in which every sender v broadcasts one
+    message carrying the single ID ids[v] on all its edges, and each
+    listener that does not send keeps only whether it heard a sender it
+    accepts: any if it is in accept_all, only senders in accept_all
+    elsewhere. Returns the trace run() returns for one program per vertex
+    that broadcasts at round 0, the others listening, and the set of those
+    listeners. Two set unions deliver the senders, so the work grows with
+    their degrees and the listeners reached, not n."""
+    adjacency = g.adjacency
+    loud: List[Sequence[int]] = []    # the neighbours of senders in accept_all
+    quiet: List[Sequence[int]] = []
+    for v in ids:
         nbrs = adjacency.get(v)
         if nbrs is None:
-            raise ValueError(f"broadcast from unknown vertex {v}")
-        msg = sends[v]
-        if id(msg) not in checked:
-            checked.add(id(msg))
-            _check_message(v, msg, cap, max_scalar, trace)
-        (odd if msg.scalar & 1 else even).append(nbrs)
-    heard = set().union(*odd) | (set().union(*even) & accept_all)
-    heard = (heard & listeners) - sends.keys()
-    sent = sum(map(len, odd)) + sum(map(len, even))
+            unknown = min(ids.keys() - adjacency.keys())
+            raise ValueError(f"broadcast from unknown vertex {unknown}")
+        (loud if v in accept_all else quiet).append(nbrs)
+    heard = set().union(*loud) | (set().union(*quiet) & accept_all)
+    heard = (heard & listeners) - ids.keys()
+    sent = sum(map(len, loud)) + sum(map(len, quiet))
+    trace = SimTrace(label=label, mode=BROADCAST, max_ids_per_message=1 if ids else 0)
     return _account(trace, [sent], 1 if sent else 0), heard
 
 
@@ -383,15 +382,15 @@ def _per_edge(v: int, edges: AbstractSet[Edge], targets: Iterable[int]) -> int:
 
 
 def tree_downcast(g: Graph, children: Mapping[int, Sequence[int]],
-                  payloads: Mapping[int, Sequence[Message]],
+                  payloads: Mapping[int, Sequence[Tuple[int, ...]]],
                   config: SimConfig, label: str = "") -> Tuple[SimTrace, None]:
     """Pipelined downcast in congest mode: each root of payloads streams its
-    queue down its tree (children maps a vertex to its children); a vertex
-    at depth d sends payload j to all its children at round d + j. Walks
-    trees by levels; a root with no child costs no work beyond its wake-up
-    at round k - 1 for a queue of k, and its payloads go unchecked, as they
-    are never sent."""
-    cap, max_scalar, edges = config.ids_per_message, max(g.n, 2) ** 3, g.edge_set()
+    queue of ID tuples down its tree (children maps a vertex to its
+    children); a vertex at depth d sends payload j to all its children at
+    round d + j. Walks trees by levels; a root with no child costs no work
+    beyond its wake-up at round k - 1 for a queue of k, and its payloads go
+    unchecked, as they are never sent."""
+    cap, edges = config.ids_per_message, g.edge_set()
     trace = SimTrace(label=label)
     steps: List[int] = []   # steps[r]: the change in messages per round at r
     faults: List[Tuple[int, int, ModelViolation]] = []   # (round, vertex, error)
@@ -404,12 +403,12 @@ def tree_downcast(g: Graph, children: Mapping[int, Sequence[int]],
         if not kids:   # sends nothing, but wakes for every payload
             last = max(last, k - 1)
             continue
-        bad = next((j for j, msg in enumerate(queue) if len(msg.ids) > cap
-                    or abs(msg.scalar) > max_scalar), None)
+        bad = next((j for j, ids in enumerate(queue) if len(ids) > cap), None)
         # the root sends payload j at round j, checking its first child's
         # edge before the message; this fault goes first on a tie
         if bad is not None and (bad or edge_key(root, kids[0]) in edges):
-            faults.append((bad, root, _message_fault(root, queue[bad], cap)))
+            fault = _message_fault(root, Message(0, queue[bad]), cap)
+            faults.append((bad, root, fault))
         level, depth = [root], 0
         while True:
             below: List[int] = []
@@ -428,8 +427,7 @@ def tree_downcast(g: Graph, children: Mapping[int, Sequence[int]],
             steps[depth + k] -= len(below)
             level, depth = below, depth + 1
         rounds = max(rounds, k - 1 + depth)
-        trace.max_ids_per_message = max(trace.max_ids_per_message,
-                                        *(len(msg.ids) for msg in queue))
+        trace.max_ids_per_message = max(trace.max_ids_per_message, *map(len, queue))
     first = min(faults, key=lambda f: f[:2], default=None)
     if first and first[0] <= config.max_rounds:
         raise first[2]

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from . import comm
 from .clusters import radius_sequence
@@ -28,7 +28,6 @@ from .exact import (as_fraction, ceil_fraction, ceil_log2_int, count_le_pow,
                     floor_log2, npow_decimal, pow_ceil)
 from .graph import Graph, edge_key
 from .rulingset import RulingParams
-from .sim import Message
 from .spanner import INTER, BuildResult, SpannerEdgeSet, run_phases, trivial_result
 
 
@@ -76,8 +75,9 @@ def degree_schedule(n: int, kappa: int, rho) -> SparseParams:
 
 
 def skeleton_kappa(n: int) -> int:
-    """The preset that makes n^(1+1/kappa) + n at most 3n."""
-    return ceil_log2_int(n) + 1
+    """The preset that makes n^(1+1/kappa) + n at most 3n. It is never below
+    3, the least kappa whose range 1/kappa <= rho < 1/2 is not empty."""
+    return max(3, ceil_log2_int(n) + 1)
 
 
 class _SparseVariant:
@@ -116,11 +116,8 @@ class _SparseVariant:
                      spanner: SpannerEdgeSet) -> None:
         if not settled:
             return
-        payloads: Dict[int, Sequence[Message]] = {}
-        for c in sorted(settled):
-            msgs = [Message(ids=(cc, y)) for cc, y in knowledge[c].items()]
-            if msgs:
-                payloads[c] = msgs
+        payloads = {c: list(knowledge[c].items())
+                    for c in sorted(settled) if knowledge[c]}
         if not payloads:
             return
         received = comm.downcast_payloads(net, orient, payloads,
@@ -130,9 +127,9 @@ class _SparseVariant:
         for c in sorted(payloads):
             for v in orient.members[c]:
                 targets = []
-                for msg in received.get(v, ()):
-                    if msg.ids[1] == v:
-                        u = nbr_clusters[v][msg.ids[0]]
+                for cc, y in received.get(v, ()):
+                    if y == v:
+                        u = nbr_clusters[v][cc]
                         targets.append(u)
                         adds.append((v, u, c))
                 if targets:
@@ -147,7 +144,8 @@ def build_spanner(g: Graph, kappa: int, rho) -> BuildResult:
     kappa and rho are checked even on a single vertex, which needs no phases."""
     params = degree_schedule(g.n, kappa, rho)
     if g.n == 1:
-        return trivial_result(g, "sparse", {"kappa": kappa, "rho": str(rho), "n": 1})
+        return trivial_result(g, "sparse", {"kappa": kappa, "rho": str(params.rho),
+                                            "n": 1})
     run_info = {
         "kappa": kappa, "rho": str(params.rho), "rho_float": float(params.rho),
         "n": g.n, "delta": params.delta, "ell": params.ell, "i0": params.i0,

@@ -42,7 +42,7 @@ import oracles
 
 from congestspan import comm, sim
 from congestspan import graph as gr
-from congestspan.sim import Message, SimConfig
+from congestspan.sim import SimConfig
 
 
 @pytest.fixture(scope="module")
@@ -89,12 +89,11 @@ def test_knockout_hop(benchmark, round_inputs, impl):
     g, listeners, config = round_inputs
     vertices = sorted(g.vertices)
     accept_all = set(vertices[:g.n // 2])
-    sends = {v: Message(ids=(v,), scalar=int(v in accept_all))
-             for v in vertices[::8]}
-    trace, heard = benchmark(impl, g, sends, listeners, accept_all, config, "k1.x")
-    assert trace.messages_total == sum(len(g.adjacency[v]) for v in sends)
+    ids = {v: v for v in vertices[::8]}
+    trace, heard = benchmark(impl, g, ids, listeners, accept_all, config, "k1.x")
+    assert trace.messages_total == sum(len(g.adjacency[v]) for v in ids)
     # every other vertex hears a popular sender
-    assert len(heard) == g.n - len(sends)
+    assert len(heard) == g.n - len(ids)
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +103,7 @@ def grid_tree():
     parent = {v: min((u for u in g.adjacency[v] if dist[u] == dist[v] - 1),
                      default=None) for v in g.vertices}
     orient = comm.orientation_from_parents({1: parent})
-    payloads = {1: [Message(1, (i + 1,), i) for i in range(64)]}
+    payloads = {1: [(i + 1,) for i in range(64)]}
     items = {v: [(v, v)] for v in g.vertices}
     return g, orient, payloads, items
 
@@ -132,7 +131,7 @@ def test_tree_casts(benchmark, grid_tree, impl):
 def grid_alone():
     g = gr.generate_graph("grid", rows=48, cols=48)
     orient = comm.orientation_from_parents({v: {v: None} for v in g.vertices})
-    payload = {v: ((v,), 0) for v in g.vertices}
+    payload = {v: (v,) for v in g.vertices}
     values = {v: (v, v) for v in g.vertices}
     return g, orient, payload, values
 
@@ -146,7 +145,7 @@ def _kernel_phase0_casts(g, orient, payload, values):
 
 def _oracle_phase0_casts(g, orient, payload, values):
     config = comm.Net(g).config
-    queues = {c: [Message(0, *payload[c])] for c in orient.members}
+    queues = {c: [payload[c]] for c in orient.members}
     down, _ = oracles.tree_downcast(g, orient.children, queues, config, "p0.down")
     up, best = oracles.best_upcast(g, orient.members, orient.parent, orient.height,
                                    values, config, "p0.best")

@@ -191,13 +191,20 @@ def broadcast_max(g: Graph, sends: Dict[int, Message],
     return trace, best
 
 
-def broadcast_heard(g: Graph, sends: Dict[int, Message],
+TAG_KNOCKOUT = 21
+
+
+def broadcast_heard(g: Graph, ids: Mapping[int, int],
                     listeners: AbstractSet[int], accept_all: AbstractSet[int],
                     config: SimConfig, label: str = ""
                     ) -> Tuple[SimTrace, Set[int]]:
-    """The broadcast round above with the senders deaf, each listener's
-    inbox folded to whether it holds a message the listener accepts: any if
-    it is in accept_all, one with an odd scalar otherwise."""
+    """The broadcast round above with the senders deaf, each sender v's ID
+    ids[v] in a message of its own with its popular bit (whether v is in
+    accept_all) as the scalar, and each listener's inbox folded to whether
+    it holds a message the listener accepts: any if it is in accept_all,
+    one with the bit set otherwise."""
+    sends = {v: Message(TAG_KNOCKOUT, (c,), int(v in accept_all))
+             for v, c in ids.items()}
     trace, inboxes = broadcast_round(g, sends, set(listeners) - sends.keys(),
                                      config, label)
     return trace, {v for v, inbox in inboxes.items()
@@ -479,9 +486,21 @@ class EdgeAnnounce(NodeProgram):
 
 
 def tree_downcast(g: Graph, children: Mapping[int, Sequence[int]],
-                  payloads: Mapping[int, Sequence[Message]],
+                  payloads: Mapping[int, Sequence[Tuple[int, ...]]],
                   config: SimConfig, label: str = ""
-                  ) -> Tuple[SimTrace, Dict[int, List[Message]]]:
+                  ) -> Tuple[SimTrace, Dict[int, List[Tuple[int, ...]]]]:
+    """message_downcast with each ID tuple sent as Message(0, ids); the
+    result is every vertex's received list of ID tuples."""
+    trace, received = message_downcast(
+        g, children, {r: [Message(0, ids) for ids in queue]
+                      for r, queue in payloads.items()}, config, label)
+    return trace, {v: [msg.ids for msg in got] for v, got in received.items()}
+
+
+def message_downcast(g: Graph, children: Mapping[int, Sequence[int]],
+                     payloads: Mapping[int, Sequence[Message]],
+                     config: SimConfig, label: str = ""
+                     ) -> Tuple[SimTrace, Dict[int, List[Message]]]:
     """One TreeDowncast per vertex of the roots' trees; the result is every
     such vertex's received list."""
     parent: Dict[int, Optional[int]] = {}
@@ -646,10 +665,10 @@ def knockout_schedule(net: "comm.Net", orient: "comm.Orientation",
             while frontier:
                 wave += 1
                 tag = f"{label}.L{level}.b{block}.k{wave}"
-                if not trivial:
-                    payload = {c: ((), h) for c, h in frontier}
-                    comm.downcast_single(net, orient, payload.keys(),
-                                         f"{tag}.down", payload)
+                if not trivial:   # the center streams the hops left down
+                    net.cast(f"{tag}.down", message_downcast, orient.children,
+                             {c: [Message(0, (), h)] for c, h in frontier
+                              if orient.children[c]})
                 # the hop: the hops left above the popular bit, and each
                 # listener keeps the largest it accepts
                 sends: Dict[int, Message] = {}

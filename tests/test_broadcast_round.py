@@ -7,8 +7,10 @@ return the trace that oracle returns and reject what ``sim.run`` rejects.
 exploration hop, must equal it with one single-ID message per sender and
 each inbox folded to the least accepted sender of each ID, for the same
 listeners in the same order, keyed by each listener's own ID object.
-``sim.broadcast_heard``, the knock-out hop's round, must equal it with the
-senders deaf and each inbox folded to whether it holds an accepted message.
+``sim.broadcast_heard``, the knock-out hop's round, takes the same
+``{sender: ID}`` map; it must equal the oracle with the senders deaf and each
+inbox folded to whether it holds an accepted message, and hold exactly the
+listeners outside the senders that ``sim.broadcast_ids`` gives a map.
 ``comm.explore_hop`` must keep, per root, the least sender of the oracle's
 arrivals that cross a superedge, and ``comm.exchange_cluster_ids`` give each
 active vertex the least active neighbour in each other cluster it borders.
@@ -24,7 +26,7 @@ import oracles
 
 from congestspan import comm, sim
 from congestspan import graph as gr
-from congestspan.sim import Message, ModelViolation, SimConfig
+from congestspan.sim import ModelViolation, SimConfig
 
 MAX_ID = 2 ** 63 - 1
 
@@ -57,6 +59,17 @@ def _subset(data, items, label):
     if not data.draw(st.booleans(), label=f"any {label}"):
         return []
     return [x for x in items if data.draw(st.booleans(), label=label)]
+
+
+def _accept_all_and_listeners(data, g, listeners):
+    """A random accept-all set, a random subset of g's vertices or its
+    complement, and listeners; as keys views or not, at random."""
+    accept_all = set(_subset(data, g.vertices, "accept all"))
+    if data.draw(st.booleans(), label="complement"):
+        accept_all = set(g.vertices) - accept_all
+    if data.draw(st.booleans(), label="keys views"):
+        return dict.fromkeys(accept_all).keys(), dict.fromkeys(listeners).keys()
+    return accept_all, listeners
 
 
 def _heard(listeners, maps):
@@ -171,14 +184,8 @@ def test_id_kernel_equals_projected_program_oracle(data):
     own = _own_ids(g)
     ids = {own[v]: data.draw(st.sampled_from(g.vertices), label="id")
            for v in _subset(data, g.vertices, "sender")}
-    listeners = {own[v] for v in _subset(data, g.vertices, "listener")}
-    # accept-all is a random subset or its complement
-    accept_all = set(_subset(data, g.vertices, "accept all"))
-    if data.draw(st.booleans(), label="complement"):
-        accept_all = set(g.vertices) - accept_all
-    if data.draw(st.booleans(), label="keys views"):
-        listeners = dict.fromkeys(listeners).keys()
-        accept_all = dict.fromkeys(accept_all).keys()
+    accept_all, listeners = _accept_all_and_listeners(
+        data, g, {own[v] for v in _subset(data, g.vertices, "listener")})
     config = SimConfig(ids_per_message=data.draw(st.integers(1, 3), label="cap"),
                        mode=sim.BROADCAST)
 
@@ -268,41 +275,43 @@ def _heard_both(g, sends, listeners, accept_all, config):
 @given(data=st.data())
 def test_max_kernel_equals_folded_program_oracle(data):
     g = _random_graph(data)
-    cap = data.draw(st.integers(1, 3), label="cap")
-    max_scalar = max(g.n, 2) ** 3
     vertices = st.sampled_from(g.vertices)
-    # a few message objects, each shared by the senders that draw it, as the
-    # members of one cluster share theirs; few scalars, so that they repeat
-    scalars = st.one_of(st.integers(-4, 9),
-                        st.integers(-max_scalar, max_scalar))
-    pool = [Message(data.draw(st.integers(0, 30), label="tag"),
-                    tuple(data.draw(st.lists(vertices, max_size=cap), label="ids")),
-                    data.draw(scalars, label="scalar"))
-            for _ in range(data.draw(st.integers(1, 4), label="messages"))]
-    if data.draw(st.booleans(), label="fault"):
-        pool[-1] = data.draw(st.sampled_from([
-            Message(1, tuple(g.vertices[:1]) * (cap + 1)),
-            Message(1, (), max_scalar + 1), Message(1, (), -max_scalar - 1)]),
-            label="faulty message")
-    sends = {v: data.draw(st.sampled_from(pool), label="message")
-             for v in data.draw(st.sets(vertices, min_size=1), label="senders")}
-    # most vertices listen; accept-all is a random subset or its complement
-    listeners = set(g.vertices) - data.draw(st.sets(vertices), label="deaf")
-    accept_all = data.draw(st.sets(vertices), label="accept all")
-    if data.draw(st.booleans(), label="complement"):
-        accept_all = set(g.vertices) - accept_all
-    if data.draw(st.booleans(), label="keys views"):
-        listeners = dict.fromkeys(listeners).keys()
-        accept_all = dict.fromkeys(accept_all).keys()
-    config = SimConfig(ids_per_message=cap, mode=sim.BROADCAST)
+    # a few IDs, each shared by the senders that draw it, as the members of
+    # one cluster share their center
+    pool = data.draw(st.lists(vertices, min_size=1, max_size=4), label="pool")
+    ids = {v: data.draw(st.sampled_from(pool), label="id")
+           for v in data.draw(st.sets(vertices, min_size=1), label="senders")}
+    # most vertices listen
+    accept_all, listeners = _accept_all_and_listeners(
+        data, g, set(g.vertices) - data.draw(st.sets(vertices), label="deaf"))
+    config = SimConfig(ids_per_message=data.draw(st.integers(1, 3), label="cap"),
+                       mode=sim.BROADCAST)
 
-    kernel, oracle = _heard_both(g, sends, listeners, accept_all, config)
+    kernel, oracle = _heard_both(g, ids, listeners, accept_all, config)
     assert kernel == oracle
-    if kernel[0] is ModelViolation:
-        return
     trace, heard = kernel
-    assert trace["messages_total"] == sum(len(g.adjacency[v]) for v in sends)
-    assert not sends.keys() & set(heard)
+    assert trace["messages_total"] == sum(len(g.adjacency[v]) for v in ids)
+    assert not ids.keys() & set(heard)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_heard_is_where_the_id_kernel_keeps_a_sender(data):
+    """Both broadcast kernels read one popular-side rule from accept_all:
+    broadcast_heard returns exactly the listeners outside the senders to
+    which broadcast_ids gives a non-empty map, and both record one trace."""
+    g = _random_graph(data)
+    ids = {v: data.draw(st.sampled_from(g.vertices), label="id")
+           for v in _subset(data, g.vertices, "sender")}
+    accept_all, listeners = _accept_all_and_listeners(
+        data, g, set(_subset(data, g.vertices, "listener")))
+    config = SimConfig(mode=sim.BROADCAST)
+
+    heard_trace, heard = sim.broadcast_heard(g, ids, listeners, accept_all,
+                                             config, "lbl")
+    ids_trace, maps = sim.broadcast_ids(g, ids, listeners, accept_all, config, "lbl")
+    assert heard == maps.keys() - ids.keys()
+    assert heard_trace == ids_trace
 
 
 def test_max_kernel_without_senders_returns_an_empty_trace():
@@ -318,36 +327,18 @@ def test_single_vertex_sends_nothing():
     silent = dataclasses.asdict(sim.SimTrace("lbl", sim.BROADCAST,
                                              max_ids_per_message=1))
     assert _ids_both(g, {1: 1}, {1}, {1}, config) == [(silent, [])] * 2
-    assert _heard_both(g, {1: Message(3, (1,))}, {1}, {1}, config) \
+    assert _heard_both(g, {1: 1}, {1}, {1}, config) \
         == [(silent, [])] * 2
 
 
-@pytest.mark.parametrize("bad", [Message(1, (1, 2, 3)), Message(1, (), 10 ** 9)],
-                         ids=["too many ids", "scalar out of range"])
-def test_max_kernel_rejects_what_run_rejects(bad):
-    """Each message object is checked once, for the least of its senders."""
+@pytest.mark.parametrize("ids, error", [
+    ({3: 3, 99: 99}, "broadcast from unknown vertex 99"),
+    ({6: 6, 120: 1, 0: 6}, "broadcast from unknown vertex 0"),
+], ids=["unknown", "unknown below the fault"])
+def test_max_kernel_raises_for_the_least_faulty_sender(ids, error):
+    """The least unknown sender is named, whatever the order (sim.run
+    refuses a program for an unknown vertex before it steps any)."""
     g = gr.generate_graph("cycle", n=8)
-    ok = Message(1, (4,), 3)
-    sends = {7: bad, 2: ok, 5: bad, 3: ok}
-    kernel, oracle = _heard_both(g, sends, set(g.vertices), {2, 4},
-                               SimConfig(mode=sim.BROADCAST))
-    assert kernel[0] is ModelViolation
-    assert kernel == oracle
-    assert kernel[1].startswith("vertex 5:")
-
-
-@pytest.mark.parametrize("sends, error", [
-    ({3: Message(1), 99: Message(1)}, "broadcast from unknown vertex 99"),
-    ({99: Message(1), 5: Message(1, (), 10 ** 9)},
-     "vertex 5: scalar 1000000000 out of range"),
-    ({6: Message(1, (), 10 ** 9), 0: Message(1)},
-     "broadcast from unknown vertex 0"),
-], ids=["unknown", "fault below the unknown", "unknown below the fault"])
-def test_max_kernel_raises_for_the_least_faulty_sender(sends, error):
-    """The unknown-sender error comes first: sim.run refuses a program for
-    an unknown vertex before it steps any, whatever the order."""
-    g = gr.generate_graph("cycle", n=8)
-    fault = ModelViolation if error.startswith("vertex") else ValueError
-    with pytest.raises(fault) as exc:
-        sim.broadcast_heard(g, sends, {1, 2}, {1}, SimConfig(mode=sim.BROADCAST))
+    with pytest.raises(ValueError) as exc:
+        sim.broadcast_heard(g, ids, {1, 2}, {1}, SimConfig(mode=sim.BROADCAST))
     assert str(exc.value) == error

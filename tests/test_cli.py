@@ -60,6 +60,15 @@ class TestBuild:
         assert report["config"]["kappa"] == 7  # ceil(log2 64) + 1
         assert report["spanner_size"] if "spanner_size" in report else True
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_skeleton_preset_on_the_smallest_paths(self, n, tmp_path, capsys):
+        rc = cli.main(["build", "--alg", "skeleton", "--rho", "0.34", "--graph",
+                       f"gen:path:n={n}", "--out", str(tmp_path / "o")])
+        assert rc == 0
+        assert "PASS" in capsys.readouterr().out
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert report["config"]["kappa"] == 3
+
     def test_report_roundtrips(self, tmp_path):
         out = tmp_path / "o"
         cli.main(["build", "--alg", "polylog", "--graph", "gen:grid:n=16",

@@ -3,7 +3,9 @@
 The check needs only the standard library's ast: across the package, every
 call of a method named absorb sits inside Net.cast, and no function of sim or
 comm takes a parameter named fold, the callback shape of a second recording
-path that delivered rounds past Net.cast.
+path that delivered rounds past Net.cast. Beside it, no module but sim names
+Message: the build's messages are plain ID tuples, and Message is the
+reference engine's, sim.run's.
 """
 
 import ast
@@ -51,6 +53,15 @@ def fold_parameters(source: str) -> list:
     return out
 
 
+def message_names(source: str) -> int:
+    """How often source names Message: as a name, an attribute or an
+    imported name."""
+    return sum(1 for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.Name) and node.id == "Message"
+               or isinstance(node, ast.Attribute) and node.attr == "Message"
+               or isinstance(node, ast.alias) and node.name == "Message")
+
+
 def test_only_net_cast_records_an_episode():
     callers = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -62,6 +73,12 @@ def test_no_fold_callbacks_in_sim_or_comm():
     for module in ("sim", "comm"):
         source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
         assert fold_parameters(source) == [], module
+
+
+def test_only_sim_names_message():
+    namers = [path.stem for path in sorted(PACKAGE.glob("*.py"))
+              if message_names(path.read_text(encoding="utf-8"))]
+    assert namers == ["sim"]
 
 
 def test_scans_find_a_second_path():
@@ -77,3 +94,6 @@ def test_scans_find_a_second_path():
         "comm", "comm.Net.broadcast_round.hear", "comm.Net.cast"]
     assert fold_parameters(source) == ["Net.broadcast_round",
                                        "Net.broadcast_round.hear"]
+    assert message_names("from .sim import Message as M\n"
+                         "m = sim.Message(0)\n"
+                         "def f(x: Message): pass\n") == 3

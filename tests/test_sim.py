@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from congestspan import comm
 from congestspan import graph as gr
 from congestspan import sim
-from congestspan.sim import Message, NodeProgram, SimConfig
+from congestspan.sim import NodeProgram, SimConfig
 
 
 class HaltNow(NodeProgram):
@@ -141,16 +141,16 @@ def upcast(g, parent, items, cap):
 class TestDowncast:
     def test_single_message_star(self):
         g, parent = star_tree(5)
-        rounds, received = downcast(g, parent, [Message(7, (1,))])
+        rounds, received = downcast(g, parent, [(1,)])
         assert rounds == 1
         assert all(len(msgs) == 1 for msgs in received.values())
 
     def test_four_messages_depth_three(self):
         g, parent = path_tree(4)
-        payloads = [Message(7, (i,)) for i in range(1, 5)]
+        payloads = [(i,) for i in range(1, 5)]
         rounds, received = downcast(g, parent, payloads)
         assert rounds <= 4 + 3
-        assert [m.ids[0] for m in received[4]] == [1, 2, 3, 4]
+        assert list(received[4]) == [(1,), (2,), (3,), (4,)]
 
     def test_zero_messages(self):
         g, parent = path_tree(3)
@@ -192,7 +192,7 @@ def test_downcast_round_bound(n, m, seed):
         if v != 1:
             parent[v] = min(u for u in g.adjacency[v] if dist[u] == dist[v] - 1)
     depth = max(int(d) for d in dist.values())
-    payloads = [Message(7, (i + 1,)) for i in range(m)]
+    payloads = [(i + 1,) for i in range(m)]
     rounds, received = downcast(g, parent, payloads)
     assert rounds <= m + depth
     assert all(len(received[v]) == m for v in g.vertices)

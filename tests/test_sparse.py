@@ -106,6 +106,12 @@ class TestBuild:
         res = sparse.build_spanner(g, 3, Fraction(1, 3))
         assert res.spanner.size() == 0 and res.rounds_total == 0
 
+    def test_single_vertex_reports_the_parsed_rho(self):
+        """One vertex spells rho as every larger graph does."""
+        one, three = (sparse.build_spanner(gr.generate_graph("path", n=n), 3, 0.34)
+                      for n in (1, 3))
+        assert one.params["rho"] == three.params["rho"] == "17/50"
+
     def test_determinism(self):
         g = gr.generate_graph("gnp_connected", n=40, p=0.12, seed=31)
         a = sparse.build_spanner(g, skeleton_kappa(40), Fraction(17, 50))
@@ -197,6 +203,8 @@ class TestBounds:
     def test_skeleton_preset(self):
         assert skeleton_kappa(64) == 7
         assert skeleton_kappa(256) == 9
+        # never below 3, the least kappa whose rho range is not empty
+        assert [skeleton_kappa(n) for n in (1, 2, 4)] == [3, 3, 3]
 
 
 # Small graphs with a large exploration depth: delta = ceil(2/rho) exceeds

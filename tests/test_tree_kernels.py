@@ -20,8 +20,7 @@ import oracles
 
 from congestspan import comm, sim
 from congestspan import graph as gr
-from congestspan.sim import (Message, ModelViolation, RoundBudgetExceeded,
-                             SimConfig)
+from congestspan.sim import ModelViolation, RoundBudgetExceeded, SimConfig
 
 MAX_ID = 2 ** 63 - 1
 BIG_BUDGET = 10 ** 6
@@ -151,13 +150,10 @@ def _comm(call):
         return type(exc), str(exc)
 
 
-def _random_message(rng, g, cap, max_scalar, bad) -> Message:
+def _random_ids(rng, g, cap, bad) -> tuple:
+    """An ID tuple of at most cap IDs, or now and then one more when bad."""
     width = rng.randint(0, cap + (1 if bad and rng.random() < 0.3 else 0))
-    scalar = rng.randint(-max_scalar, max_scalar)
-    if bad and rng.random() < 0.3:
-        scalar = rng.choice([-1, 1]) * (max_scalar + 1)
-    return Message(rng.randint(0, 30),
-                   tuple(rng.choice(g.vertices) for _ in range(width)), scalar)
+    return tuple(rng.choice(g.vertices) for _ in range(width))
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +164,7 @@ def _random_message(rng, g, cap, max_scalar, bad) -> Message:
 def test_downcast_equals_oracle(data):
     g, _, orient, config, rng = _setup(data)
     bad = _faulty(data)
-    max_scalar = max(g.n, 2) ** 3
-    payloads = {c: [_random_message(rng, g, config.ids_per_message, max_scalar, bad)
+    payloads = {c: [_random_ids(rng, g, config.ids_per_message, bad)
                     for _ in range(rng.choice([0, 1, 1, 2, 5]))]
                 for c in _some(rng, orient.members)}
 
@@ -183,12 +178,12 @@ def test_downcast_equals_oracle(data):
     if received is None:
         assert got == oracle
         return
-    assert {v: list(msgs) for v, msgs in got.items()} == received
+    assert {v: list(ids) for v, ids in got.items()} == received
     assert _episodes(net) == ([oracle] if payloads else [])
 
     # downcast_single is the one-payload case, with no result
-    single = {c: (q[0].ids, q[0].scalar) for c, q in payloads.items() if q}
-    queues = {c: [Message(0, *single.get(c, ((), 0)))] for c in payloads}
+    single = {c: q[0] for c, q in payloads.items() if q}
+    queues = {c: [single.get(c, ())] for c in payloads}
     oracle, _ = _run(oracles.tree_downcast, g, orient.children, queues, config, "one")
     net = _net(g, config)
     got = _comm(lambda: comm.downcast_single(net, orient, list(payloads), "one",
@@ -396,17 +391,14 @@ MIXED = comm.orientation_from_parents({1: {1: None, 2: 1, 3: 2}, 4: {4: None},
 def _cases():
     """(name, kernel, oracle, args, config, expected exception type)."""
     ok, tight = SimConfig(), SimConfig(max_rounds=2)
-    four = [Message(1, (v,)) for v in range(1, 5)]
+    four = [(v,) for v in range(1, 5)]
     yield ("downcast: too many ids", sim.tree_downcast, oracles.tree_downcast,
-           (CHAIN.children, {1: [Message(1, (1,)), Message(1, (1, 2, 3))]}),
-           ok, ModelViolation)
-    yield ("downcast: scalar out of range", sim.tree_downcast, oracles.tree_downcast,
-           (CHAIN.children, {1: [Message(1, (), 10 ** 9)]}), ok, ModelViolation)
+           (CHAIN.children, {1: [(1,), (1, 2, 3)]}), ok, ModelViolation)
     yield ("downcast: parent not a neighbour", sim.tree_downcast,
            oracles.tree_downcast, (BENT.children, {1: four}), ok, ModelViolation)
     # the root checks its first child's edge before its first message
     yield ("downcast: bad first payload to a non-neighbour", sim.tree_downcast,
-           oracles.tree_downcast, ({1: (3,), 3: ()}, {1: [Message(1, (1, 2, 3))]}),
+           oracles.tree_downcast, ({1: (3,), 3: ()}, {1: [(1, 2, 3)]}),
            ok, ModelViolation)
     yield ("downcast: round budget", sim.tree_downcast, oracles.tree_downcast,
            (CHAIN.children, {1: four}), tight, RoundBudgetExceeded)
@@ -464,8 +456,8 @@ def _edge_free_cases():
     """(name, kernel, oracle, args, config) on trees with no edge, where
     nothing is sent and nothing raises."""
     ok, tight = SimConfig(), SimConfig(max_rounds=2)
-    oversize = [Message(1, (1, 2, 3), 10 ** 9)]
-    three = [Message(1, (v,)) for v in range(1, 4)]
+    oversize = [(1, 2, 3)]
+    three = [(v,) for v in range(1, 4)]
     yield ("downcast: oversize payload at a single-vertex root", sim.tree_downcast,
            oracles.tree_downcast, (ALONE.children, {3: oversize, 4: []}), ok)
     # the root's last wake-up is at round 2, within the budget
@@ -498,9 +490,9 @@ def test_single_vertex_clusters_record_the_oracle_episodes():
     net = comm.Net(PATH)
     config, members = net.config, list(PATH.vertices)
     # 1's payload is oversize, but it is never sent
-    payload = {1: ((1, 2, 3), 10 ** 9), 2: ((2,), 4), 3: ((3,), 6)}
+    payload = {1: (1, 2, 3), 2: (2,), 3: (3,)}
     assert comm.downcast_single(net, ALONE, [1, 2, 3, 5], "down", payload) is None
-    queues = {c: [Message(0, *payload.get(c, ((), 0)))] for c in (1, 2, 3, 5)}
+    queues = {c: [payload.get(c, ())] for c in (1, 2, 3, 5)}
     down, received = _run(oracles.tree_downcast, PATH, ALONE.children, queues,
                           config, "down")
     assert received == queues

@@ -6,8 +6,8 @@ Run it from anywhere with
     python3 tests/trace_hashes.py
 
 It builds each of the 750 points of ``corpus.build_tasks()`` in order and
-prints three sha256 digests and, per algorithm, the simulated cost summed
-over its builds:
+prints three sha256 digests, per algorithm the simulated cost summed over its
+builds, and a fourth digest over the benchmark instances:
 
 - ``reports``: over the concatenation of
   ``json.dumps(cli.build_report(g, result), sort_keys=True)`` of every build,
@@ -16,13 +16,18 @@ over its builds:
   one ``(label, mode, rounds, messages, max_ids)`` tuple per episode;
 - ``chosen``: over ``repr`` of each build's sorted spanner edges and, per
   phase, its sorted popular set, selected set and joins, in build order;
-- ``polylog`` and ``sparse``: the total rounds, messages and episodes.
+- ``polylog`` and ``sparse``: the total rounds, messages and episodes;
+- ``bench``: over ``repr`` of each build's ``chosen`` record and episode
+  tuples, for every instance of seed 1 of the four benchmark workloads in
+  ``perfbench/workloads.py`` order, built as ``perfbench/workloads.py``
+  builds them.
 
 A change meant to affect only wall time must leave all of them alone; a
 change to the protocol states its cost change across the corpus by the
 totals, and one that must pick the same spanners, ruling sets and joins
-leaves ``chosen`` alone. Uses the standard library only, apart from the
-package and the corpus helpers, which it imports from this checkout.
+leaves ``chosen`` and ``bench`` alone. Uses the standard library only, apart
+from the package, the corpus helpers and the benchmark workloads, which it
+imports from this checkout.
 """
 
 from __future__ import annotations
@@ -33,10 +38,13 @@ import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
-sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
+sys.path[:0] = [str(HERE.parent / "src"), str(HERE), str(HERE.parent / "perfbench")]
 
 import corpus   # noqa: E402
+import workloads   # noqa: E402
 from congestspan import cli, polylog, sparse   # noqa: E402
+
+BENCH_SEED = 1
 
 
 def build(task: tuple):
@@ -48,10 +56,37 @@ def build(task: tuple):
     return g, sparse.build_spanner(g, kappa, corpus._rho(rho))
 
 
+def episode_tuples(result) -> list:
+    """(label, mode, rounds, messages, max_ids) of each of a build's
+    episodes."""
+    return [(ep.label, ep.mode, ep.rounds_elapsed, ep.messages_total,
+             ep.max_ids_per_message) for ep in result.trace.episodes]
+
+
+def chosen_record(result) -> tuple:
+    """A build's sorted spanner edges and, per phase, its sorted popular
+    set, selected set and joins."""
+    return (sorted(result.spanner.edges),
+            [(sorted(snap.popular), sorted(snap.selected), sorted(snap.joins.items()))
+             for snap in result.snapshots])
+
+
+def bench_digest() -> str:
+    """sha256 over the chosen record and episode tuples of every benchmark
+    instance of BENCH_SEED."""
+    digest = hashlib.sha256()
+    for w in workloads.WORKLOADS.values():
+        for index in range(w.instances):
+            result = w.build(w.make(BENCH_SEED, index))
+            digest.update(repr((chosen_record(result),
+                                episode_tuples(result))).encode())
+    return digest.hexdigest()
+
+
 def hashes() -> dict:
     """{"builds", "reports", "episodes", "chosen"} over every corpus point,
-    and per algorithm the summed rounds, messages and episodes of its
-    builds."""
+    per algorithm the summed rounds, messages and episodes of its builds,
+    and "bench" over the benchmark instances."""
     reports, chosen, episodes = hashlib.sha256(), hashlib.sha256(), []
     totals = {alg: dict.fromkeys(("rounds", "messages", "episodes"), 0)
               for alg in ("polylog", "sparse")}
@@ -60,13 +95,8 @@ def hashes() -> dict:
         g, result = build(task)
         reports.update(json.dumps(cli.build_report(g, result),
                                   sort_keys=True).encode())
-        episodes.append([(ep.label, ep.mode, ep.rounds_elapsed,
-                          ep.messages_total, ep.max_ids_per_message)
-                         for ep in result.trace.episodes])
-        chosen.update(repr((sorted(result.spanner.edges),
-                            [(sorted(snap.popular), sorted(snap.selected),
-                              sorted(snap.joins.items()))
-                             for snap in result.snapshots])).encode())
+        episodes.append(episode_tuples(result))
+        chosen.update(repr(chosen_record(result)).encode())
         cost = totals[task[0]]
         cost["rounds"] += result.trace.rounds_total
         cost["messages"] += result.trace.messages_total
@@ -75,7 +105,8 @@ def hashes() -> dict:
             "episodes": hashlib.sha256(repr(episodes).encode()).hexdigest(),
             "chosen": chosen.hexdigest(),
             **{alg: ", ".join(f"{k} {v}" for k, v in cost.items())
-               for alg, cost in totals.items()}}
+               for alg, cost in totals.items()},
+            "bench": bench_digest()}
 
 
 if __name__ == "__main__":
