@@ -5,12 +5,15 @@ clusters, each with a designated center and a spanning tree living inside the
 spanner built so far. A phase's clusters are recorded once, as the parent map
 of the orientation: every active vertex maps to its tree parent and a center
 to None. forest_centers checks such a map against a spanner edge set and a
-depth bound and derives each vertex's center from it. Popular clusters are
-merged into superclusters by a bounded-depth BFS over the virtual cluster
-graph; the merge is executed through the simulator (run_supercluster_bfs),
-while reference_supercluster is a centralized implementation of the same
-tie-breaking used purely as a test oracle. Both return the joins by center,
-from which stitch_superclusters maps the next phase's vertices to centers.
+depth bound and derives each vertex's center from it. The virtual cluster
+graph (build_cluster_graph) keeps only which clusters its superedges join,
+as a sorted neighbour tuple per center; the verifier derives each
+superedge's witness edge from its own scan of G. Popular clusters are
+merged into superclusters by a bounded-depth BFS over that graph, executed
+through the simulator (run_supercluster_bfs), which returns the joins by
+center, from which stitch_superclusters maps the next phase's vertices to
+centers. verify.reference_supercluster is the centralized exploration that
+the verifier holds the joins to.
 
 Tie-breaking is deterministic everywhere: on simultaneous arrivals a cluster
 joins the exploration with the smallest root-center ID, then the smallest
@@ -19,7 +22,6 @@ witness edge in canonical (min endpoint, max endpoint) order.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -98,52 +100,36 @@ def forest_centers(parent: Dict[int, Optional[int]], spanner_edges: Set[Edge],
     return center
 
 
-@dataclass(frozen=True)
-class VirtualClusterGraph:
-    """Supervertices are cluster centers, the keys of adjacency; superedges
-    connect each popular cluster to its neighboring clusters, with the
-    lexicographically smallest connecting graph edge kept as witness."""
-    adjacency: Dict[int, Tuple[int, ...]]
-    witness: Dict[Tuple[int, int], Edge]
-
-
 def build_cluster_graph(center_of: Dict[int, int], popular: Iterable[int],
-                        g: Graph) -> VirtualClusterGraph:
-    """Superedges are exactly the adjacent cluster pairs with a popular side.
+                        g: Graph) -> Dict[int, Tuple[int, ...]]:
+    """The virtual cluster graph: each center, ascending, maps to the sorted
+    centers of its neighbouring clusters across a superedge.
 
+    Superedges are exactly the adjacent cluster pairs with a popular side.
     center_of maps every active vertex to its cluster center. Edges touching
     other vertices (dormant ones) are ignored; they connect no current
-    clusters.
+    clusters. A cluster's neighbours are the union of its members' neighbour
+    centers, kept only where popular when the cluster itself is not.
     """
     popular_set = frozenset(popular)
-    centers = sorted(set(center_of.values()))
-    unknown = popular_set.difference(centers)
+    members: Dict[int, List[int]] = {}
+    for v, c in center_of.items():
+        members.setdefault(c, []).append(v)
+    unknown = popular_set.difference(members)
     if unknown:
         raise ValueError(f"popular clusters not in the partition: {sorted(unknown)}")
-    # vertices and adjacency tuples ascend, so the first edge (v, u), v < u,
-    # met for a cluster pair is its smallest
-    witness: Dict[Tuple[int, int], Edge] = {}
-    for v in g.vertices:
-        cv = center_of.get(v)
-        if cv is None:
-            continue
-        nbrs = g.adjacency[v]
-        pv = cv in popular_set
-        for u in nbrs[bisect_right(nbrs, v):]:
-            cu = center_of.get(u)
-            if cu is None or cu == cv or not (pv or cu in popular_set):
-                continue
-            key = (cu, cv) if cu < cv else (cv, cu)
-            if key not in witness:
-                witness[key] = (v, u)
-    adj: Dict[int, List[int]] = {c: [] for c in centers}
-    for a, b in witness:
-        adj[a].append(b)
-        adj[b].append(a)
-    return VirtualClusterGraph(
-        adjacency={c: tuple(sorted(ns)) for c, ns in adj.items()},
-        witness=witness,
-    )
+    adjacency, center = g.adjacency, center_of.get
+    out: Dict[int, Tuple[int, ...]] = {}
+    for c in sorted(members):
+        near: Set[Optional[int]] = set()
+        for v in members[c]:
+            near.update(map(center, adjacency[v]))
+        near.discard(c)
+        near.discard(None)
+        if c not in popular_set:
+            near &= popular_set
+        out[c] = tuple(sorted(near))
+    return out
 
 
 @dataclass(frozen=True)
@@ -154,44 +140,12 @@ class JoinInfo:
     wave: int
 
 
-def reference_supercluster(vg: VirtualClusterGraph, ruling: Iterable[int],
-                           delta: int) -> Dict[int, JoinInfo]:
-    """Centralized BFS oracle for the superclustering step; maps the center
-    of every joined cluster to how it joined.
-
-    Wave k joins every unjoined cluster adjacent to the wave-(k-1) frontier,
-    choosing the minimal (root ID, witness edge) candidate.
-    """
-    roots = sorted(set(ruling))
-    joins: Dict[int, JoinInfo] = {r: JoinInfo(r, None, None, 0) for r in roots}
-    frontier = list(roots)
-    for wave in range(1, delta + 1):
-        if not frontier:
-            break
-        best: Dict[int, Tuple[int, Edge, int]] = {}
-        for f in sorted(frontier):
-            root = joins[f].root
-            for t in vg.adjacency.get(f, ()):
-                if t in joins:
-                    continue
-                key = (f, t) if f < t else (t, f)
-                cand = (root, vg.witness[key], f)
-                if t not in best or cand[:2] < best[t][:2]:
-                    best[t] = cand
-        frontier = []
-        for t in sorted(best):
-            root, wedge, pred = best[t]
-            joins[t] = JoinInfo(root, pred, wedge, wave)
-            frontier.append(t)
-    return joins
-
-
 # ---------------------------------------------------------------------------
 # Distributed superclustering through the simulator.
 
 def run_supercluster_bfs(net: Net, orient: Orientation, ruling: Set[int],
                          delta: int, popular: Set[int],
-                         vgraph: VirtualClusterGraph) -> Dict[int, JoinInfo]:
+                         vgraph: Dict[int, Tuple[int, ...]]) -> Dict[int, JoinInfo]:
     """Simulate the depth-delta exploration of the virtual cluster graph
     vgraph; maps the center of every joined cluster to how it joined.
 
@@ -261,13 +215,13 @@ def run_supercluster_bfs(net: Net, orient: Orientation, ruling: Set[int],
     return joins
 
 
-def _require_separated(vgraph: VirtualClusterGraph, ruling: Set[int]) -> None:
+def _require_separated(vgraph: Dict[int, Tuple[int, ...]], ruling: Set[int]) -> None:
     """Hard precondition: no two ruling clusters within virtual distance 2."""
     ruling = set(ruling)
     for c in sorted(ruling):
-        near = set(vgraph.adjacency.get(c, ()))
-        for mid in vgraph.adjacency.get(c, ()):
-            near.update(vgraph.adjacency.get(mid, ()))
+        near = set(vgraph.get(c, ()))
+        for mid in vgraph.get(c, ()):
+            near.update(vgraph.get(mid, ()))
         close = (near & ruling) - {c}
         if close:
             raise ValueError(

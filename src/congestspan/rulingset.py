@@ -86,8 +86,9 @@ def check_ruling(adjacency: Dict[int, Sequence[int]], members: Iterable[int],
     Separation searches from each member only to depth alpha - 1, the
     radius a violation can lie within; domination takes exact distances from
     one multi-source BFS of all members. A failure names the first offending
-    pair or target in ID order. adjacency may come from a Graph or a
-    VirtualClusterGraph.
+    pair or target in ID order. adjacency may be a Graph's or a phase's
+    virtual cluster graph, which maps each center to its superedge
+    neighbours.
     """
     member_set = set(members)
     target_set = set(target)

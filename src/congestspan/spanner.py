@@ -28,8 +28,8 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Protocol, Set, Tuple
 
 from . import comm, rulingset
-from .clusters import (JoinInfo, VirtualClusterGraph, build_cluster_graph,
-                       run_supercluster_bfs, stitch_superclusters)
+from .clusters import (JoinInfo, build_cluster_graph, run_supercluster_bfs,
+                       stitch_superclusters)
 from .comm import Net, Orientation
 from .graph import Edge, Graph
 from .rulingset import RulingParams
@@ -76,15 +76,17 @@ class PhaseSnapshot:
     parent, the only record of the phase's clusters, is the orientation's
     parent map itself: every active vertex maps to its tree parent and a
     center to None. settled is the set the build passed to interconnect;
-    joins maps each superclustered center to how it joined. rounds is the
-    simulated rounds the phase took, and radius_actual its deepest tree."""
+    joins maps each superclustered center to how it joined, and vgraph,
+    when the phase explored, is the virtual cluster graph it explored: each
+    center's sorted superedge neighbours. rounds is the simulated rounds
+    the phase took, and radius_actual its deepest tree."""
     phase: int
     parent: Dict[int, Optional[int]]
     popular: FrozenSet[int]
     selected: FrozenSet[int]
     settled: FrozenSet[int]
     joins: Dict[int, JoinInfo]
-    vgraph: Optional[VirtualClusterGraph]
+    vgraph: Optional[Dict[int, Tuple[int, ...]]]
     knowledge: Optional[Dict[int, Dict[int, int]]]
     radius_bound: int
     radius_actual: int
@@ -150,7 +152,7 @@ def run_phases(g: Graph, variant: Variant, params: dict) -> BuildResult:
         nbr_clusters = comm.exchange_cluster_ids(net, orient, f"p{i}.exchange")
 
         popular, knowledge = variant.detect(net, orient, nbr_clusters, i, is_final)
-        vgraph: Optional[VirtualClusterGraph] = None
+        vgraph: Optional[Dict[int, Tuple[int, ...]]] = None
         selected: Set[int] = set()
         joins: Dict[int, JoinInfo] = {}
         if not is_final and popular:

@@ -11,7 +11,8 @@ center-driven: the center streams (foreign center, witness) pairs down the
 tree and each named witness adds one edge.
 
 With kappa = ceil(log2 n) + 1 the edge bound n^(1+1/kappa) + n is at most 3n:
-the skeleton preset.
+the skeleton preset, which takes kappa = ceil(1/rho) instead where rho is
+too small for that kappa.
 """
 
 from __future__ import annotations
@@ -156,7 +157,14 @@ def build_spanner(g: Graph, kappa: int, rho) -> BuildResult:
 
 
 def build_skeleton(g: Graph, rho) -> BuildResult:
-    result = build_spanner(g, skeleton_kappa(g.n), rho)
+    """The construction at the preset kappa: skeleton_kappa(n), raised to
+    ceil(1/rho) when rho is below 1/skeleton_kappa(n), so that any rho with
+    0 < rho < 1/2 builds. A larger kappa only lowers the size bound."""
+    rho = as_fraction(rho)
+    kappa = skeleton_kappa(g.n)
+    if rho > 0:
+        kappa = max(kappa, ceil_fraction(1 / rho))
+    result = build_spanner(g, kappa, rho)
     result.params["preset"] = "skeleton"
     return result
 

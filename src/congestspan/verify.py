@@ -3,11 +3,13 @@
 Every check here is independent of the construction code paths it audits:
 stretch exactly for every graph edge, each phase's parent map as a forest of
 cluster trees inside the spanner at that phase's start (the edges the charge
-ledger records for earlier phases), which gives the centers the partition
-and knowledge checks use, superclustering against the centralized reference
-exploration, neighbor knowledge against a direct edge scan, and the charge
-ledger against the counting rules. A report whose verdicts all pass is the
-acceptance currency of the package.
+ledger records for earlier phases), which gives the centers the other phase
+checks use, and the charge ledger against the counting rules. At n <= 64,
+each explored phase's virtual cluster graph is also held to the verifier's
+own scan of G (superedge_scan, which also finds each superedge's witness
+edge), its joins to the centralized reference exploration of that scan, and
+neighbor knowledge to a direct edge scan. A report whose verdicts all pass
+is the acceptance currency of the package.
 
 Per-edge stretch peels the spanner to its 2-core, which is empty exactly when
 the spanner is a forest, and searches only the core, by one bit-parallel BFS
@@ -22,11 +24,12 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (AbstractSet, Callable, Dict, Iterable, List, Optional,
+                    Sequence, Set, Tuple)
 
 from . import polylog as polylog_mod
 from . import sparse as sparse_mod
-from .clusters import ForestError, forest_centers, reference_supercluster
+from .clusters import ForestError, JoinInfo, forest_centers
 from .exact import as_fraction, count_lt_pow
 from .graph import Edge, Graph, bfs_on_adjacency, subgraph_adjacency
 from .rulingset import check_ruling
@@ -424,7 +427,7 @@ def verify_build(g: Graph, result: BuildResult) -> dict:
     verdicts.append(_phase_counting_verdict(result))
     verdicts.append(_congestion_verdict(result))
     if n <= ALL_PAIRS_LIMIT:
-        verdicts.append(_supercluster_oracle_verdict(result))
+        verdicts.append(_supercluster_oracle_verdict(g, result, centers))
         if is_sparse:
             verdicts.append(_knowledge_oracle_verdict(g, result, centers))
 
@@ -459,12 +462,21 @@ def _radius_verdict(result: BuildResult,
     return Verdict("radius", True, "all cluster trees within the phase radius bound")
 
 
-def _partition_verdict(g: Graph, result: BuildResult,
-                       centers: List[Dict[int, int]]) -> Verdict:
+def _without_forest(name: str, result: BuildResult,
+                    centers: List[Dict[int, int]]) -> Optional[Verdict]:
+    """The failing verdict name for the first phase that the radius verdict
+    gave no centers, or None if every phase has them."""
     if len(centers) < len(result.snapshots):
         broken = result.snapshots[len(centers)].phase
-        return Verdict("partition", False, f"phase {broken} has no cluster "
-                                           f"forest (see the radius verdict)")
+        return Verdict(name, False, f"phase {broken} has no cluster "
+                                    f"forest (see the radius verdict)")
+    return None
+
+
+def _partition_verdict(g: Graph, result: BuildResult,
+                       centers: List[Dict[int, int]]) -> Verdict:
+    if (gap := _without_forest("partition", result, centers)) is not None:
+        return gap
     covered: Dict[int, int] = {}
     for snap, center_of in zip(result.snapshots, centers):
         for v in snap.parent:
@@ -496,7 +508,7 @@ def _ruling_verdict(result: BuildResult) -> Verdict:
     for snap in result.snapshots:
         if snap.vgraph is None:
             continue
-        rv = check_ruling(snap.vgraph.adjacency, snap.selected, snap.popular,
+        rv = check_ruling(snap.vgraph, snap.selected, snap.popular,
                           alpha=3, beta=2 * result.params["ruling_q"])
         if not rv.ok:
             return Verdict("ruling", False,
@@ -578,12 +590,90 @@ def _congestion_verdict(result: BuildResult) -> Verdict:
                    f"knockout and exchange rounds broadcast-compliant")
 
 
-def _supercluster_oracle_verdict(result: BuildResult) -> Verdict:
-    for snap in result.snapshots:
+def superedge_scan(center_of: Dict[int, int], popular: AbstractSet[int],
+                   g: Graph) -> Tuple[Dict[int, Tuple[int, ...]], Dict[Edge, Edge]]:
+    """A phase's virtual cluster graph from one scan of the edges of g: each
+    center's sorted superedge neighbours, by center ascending, and each
+    superedge (a, b), a < b, with its witness, the least edge of g between
+    the two clusters.
+
+    center_of maps every active vertex to its center; superedges join the
+    adjacent cluster pairs with a center in popular. Edges at other vertices
+    (dormant ones) join no clusters.
+    """
+    witness: Dict[Edge, Edge] = {}
+    for v in g.vertices:
+        cv = center_of.get(v)
+        if cv is None:
+            continue
+        nbrs = g.adjacency[v]
+        pv = cv in popular
+        for u in nbrs[bisect_right(nbrs, v):]:
+            cu = center_of.get(u)
+            if cu is None or cu == cv or not (pv or cu in popular):
+                continue
+            # vertices and adjacency tuples ascend, so the first edge (v, u),
+            # v < u, met for a cluster pair is its least
+            witness.setdefault((cu, cv) if cu < cv else (cv, cu), (v, u))
+    adj: Dict[int, List[int]] = {c: [] for c in sorted(set(center_of.values()))}
+    for a, b in witness:
+        adj[a].append(b)
+        adj[b].append(a)
+    return {c: tuple(sorted(ns)) for c, ns in adj.items()}, witness
+
+
+def reference_supercluster(adjacency: Dict[int, Tuple[int, ...]],
+                           witness: Dict[Edge, Edge], ruling: Iterable[int],
+                           delta: int) -> Dict[int, JoinInfo]:
+    """Centralized BFS of the superclustering step on the virtual cluster
+    graph of superedge_scan; maps the center of every joined cluster to how
+    it joined.
+
+    Wave k joins every unjoined cluster adjacent to the wave-(k-1) frontier,
+    choosing the minimal (root ID, witness edge) candidate.
+    """
+    roots = sorted(set(ruling))
+    joins: Dict[int, JoinInfo] = {r: JoinInfo(r, None, None, 0) for r in roots}
+    frontier = list(roots)
+    for wave in range(1, delta + 1):
+        if not frontier:
+            break
+        best: Dict[int, Tuple[int, Edge, int]] = {}
+        for f in sorted(frontier):
+            root = joins[f].root
+            for t in adjacency.get(f, ()):
+                if t in joins:
+                    continue
+                cand = (root, witness[(f, t) if f < t else (t, f)], f)
+                if t not in best or cand[:2] < best[t][:2]:
+                    best[t] = cand
+        frontier = []
+        for t in sorted(best):
+            root, wedge, pred = best[t]
+            joins[t] = JoinInfo(root, pred, wedge, wave)
+            frontier.append(t)
+    return joins
+
+
+def _supercluster_oracle_verdict(g: Graph, result: BuildResult,
+                                 centers: List[Dict[int, int]]) -> Verdict:
+    """Each explored phase's virtual graph against superedge_scan of G with
+    the centers of the radius verdict, and its joins against the reference
+    exploration of that scan."""
+    if (gap := _without_forest("supercluster_oracle", result, centers)) is not None:
+        return gap
+    for snap, center_of in zip(result.snapshots, centers):
         if snap.vgraph is None:
             continue
-        delta = result.params["delta"]
-        ref = reference_supercluster(snap.vgraph, snap.selected, delta)
+        adjacency, witness = superedge_scan(center_of, snap.popular, g)
+        if snap.vgraph != adjacency:
+            c = min(c for c in adjacency.keys() | snap.vgraph.keys()
+                    if adjacency.get(c) != snap.vgraph.get(c))
+            return Verdict("supercluster_oracle", False,
+                           f"phase {snap.phase}: the virtual cluster graph "
+                           f"differs from the edge scan at center {c}")
+        ref = reference_supercluster(adjacency, witness, snap.selected,
+                                     result.params["delta"])
         if ref != snap.joins:
             diff = {c for c in set(ref) | set(snap.joins)
                     if ref.get(c) != snap.joins.get(c)}
@@ -616,6 +706,8 @@ def oracle_center_knowledge(center_of: Dict[int, int],
 
 def _knowledge_oracle_verdict(g: Graph, result: BuildResult,
                               centers: List[Dict[int, int]]) -> Verdict:
+    if (gap := _without_forest("knowledge_oracle", result, centers)) is not None:
+        return gap
     for snap, center_of in zip(result.snapshots, centers):
         if snap.knowledge is None:
             continue

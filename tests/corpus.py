@@ -192,7 +192,7 @@ def run_supergraph_ruling_point(task: tuple) -> dict:
         mode = "all-clusters"
     members, _ = knockout_ruling_set(g, a, q, parent_maps=p, popular=popular)
     vg = build_cluster_graph(center_of, popular if popular is not None else set(p), g)
-    verdict = check_ruling(vg.adjacency, members, a, 3, 2 * q)
+    verdict = check_ruling(vg, members, a, 3, 2 * q)
     return {"n": n, "seed": seed, "ok": verdict.ok, "mode": mode,
             "detail": verdict.detail, "members": len(members)}
 

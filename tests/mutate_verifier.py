@@ -115,6 +115,9 @@ MUTANTS: List[Mutant] = [
                    "if anchor[v] == anchor[u]}")),
     Mutant("tree walk skips its joint lift to the common ancestor", "verify.py",
            replace("while a != b:", "while False:")),
+    Mutant("superedge scan keeps the largest witness, not the least", "verify.py",
+           replace("witness.setdefault((cu, cv) if cu < cv else (cv, cu), (v, u))",
+                   "witness[(cu, cv) if cu < cv else (cv, cu)] = (v, u)")),
 ]
 
 

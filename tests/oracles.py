@@ -4,7 +4,8 @@ These are the straightforward versions that the package's fast paths
 replaced: one full BFS of H from every vertex for the edge stretch, one full
 BFS from every member for a ruling set, a membership test per edge for the
 symmetry of a graph's adjacency lists, every cluster pair's edges gathered
-from the whole edge set for the virtual cluster graph, and one program per
+from the whole edge set for the virtual cluster graph (the build's adjacency
+and the verifier's scan with its witnesses), and one program per
 vertex stepped through the event loop for a one-shot broadcast round (also
 with each inbox folded to whether it holds an accepted message, to the
 largest accepted scalar, or to the least accepted sender of each ID, as in
@@ -27,7 +28,6 @@ from typing import (AbstractSet, Dict, Iterable, List, Mapping,
                     Optional, Sequence, Set, Tuple)
 
 from congestspan import comm, sim
-from congestspan.clusters import VirtualClusterGraph
 from congestspan.graph import (Edge, Graph, GraphError, bfs_on_adjacency, edge_key,
                                subgraph_adjacency)
 from congestspan.exact import nth_root_ceil
@@ -112,10 +112,13 @@ def check_ruling(adjacency: Dict[int, Sequence[int]], members: Iterable[int],
 
 
 def build_cluster_graph(center_of: Mapping[int, int], popular: Iterable[int],
-                        g: Graph) -> VirtualClusterGraph:
-    """Every pair of distinct centers with a popular side and an edge of G
-    between their clusters, with its least such edge of g.edge_set() as
-    witness. The witnesses are listed by edge, the centers ascending."""
+                        g: Graph) -> Tuple[Dict[int, Tuple[int, ...]],
+                                           Dict[Tuple[int, int], Edge]]:
+    """The virtual cluster graph as the adjacency of each center and the
+    witness of each superedge: every pair of distinct centers with a popular
+    side and an edge of G between their clusters, with its least such edge
+    of g.edge_set() as witness. The witnesses are listed by edge, the
+    centers ascending."""
     popular = set(popular)
     edges: Dict[Tuple[int, int], List[Edge]] = {}
     for u, v in g.edge_set():
@@ -125,11 +128,10 @@ def build_cluster_graph(center_of: Mapping[int, int], popular: Iterable[int],
             edges.setdefault((min(cu, cv), max(cu, cv)), []).append((u, v))
     witness = dict(sorted(((pair, min(es)) for pair, es in edges.items()),
                           key=lambda item: item[1]))
-    return VirtualClusterGraph(
-        adjacency={c: tuple(sorted({b for a, b in witness if a == c}
-                                   | {a for a, b in witness if b == c}))
-                   for c in sorted(set(center_of.values()))},
-        witness=witness)
+    adjacency = {c: tuple(sorted({b for a, b in witness if a == c}
+                                 | {a for a, b in witness if b == c}))
+                 for c in sorted(set(center_of.values()))}
+    return adjacency, witness
 
 
 class BroadcastOnce(NodeProgram):

@@ -69,6 +69,18 @@ class TestBuild:
         report = json.loads((tmp_path / "o" / "report.json").read_text())
         assert report["config"]["kappa"] == 3
 
+    @pytest.mark.parametrize("n, kappa", [(4, 5), (8, 5), (64, 7)])
+    def test_skeleton_preset_raises_kappa_to_admit_rho(self, n, kappa, tmp_path,
+                                                       capsys):
+        # rho = 1/5 lies below 1/3 and 1/4, the preset's kappa at n = 4 and
+        # 8, which then becomes ceil(1/rho) = 5; n = 64 keeps log2(64) + 1
+        rc = cli.main(["build", "--alg", "skeleton", "--rho", "0.2", "--graph",
+                       f"gen:path:n={n}", "--out", str(tmp_path / "o")])
+        assert rc == 0
+        assert "PASS" in capsys.readouterr().out
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert report["config"]["kappa"] == kappa
+
     def test_report_roundtrips(self, tmp_path):
         out = tmp_path / "o"
         cli.main(["build", "--alg", "polylog", "--graph", "gen:grid:n=16",

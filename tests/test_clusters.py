@@ -9,13 +9,24 @@ from corpus import voronoi_clusters
 from congestspan import graph as gr
 from congestspan import polylog
 from congestspan.clusters import (ForestError, build_cluster_graph,
-                                  forest_centers, radius_sequence,
-                                  reference_supercluster)
+                                  forest_centers, radius_sequence)
+from congestspan.verify import reference_supercluster, superedge_scan
 
 
 def singletons(g):
     """The phase-0 partition as a center map: every vertex is its own center."""
     return {v: v for v in g.vertices}
+
+
+def witnesses(center_of, popular, g):
+    """The verifier's superedge witnesses."""
+    return superedge_scan(center_of, popular, g)[1]
+
+
+def reference(center_of, popular, g, ruling, delta):
+    """The verifier's reference exploration of its own scan of g."""
+    return reference_supercluster(*superedge_scan(center_of, popular, g),
+                                  ruling, delta)
 
 
 class TestSingletons:
@@ -66,47 +77,50 @@ class TestRadiusSequence:
 
 
 class TestVirtualGraph:
+    """The build's adjacency, and the witnesses of the verifier's scan."""
+
     def test_complete_all_popular(self):
         g = gr.generate_graph("complete", n=5)
         p = singletons(g)
         vg = build_cluster_graph(p, set(g.vertices), g)
-        assert len(vg.witness) == 10
-        assert sorted(vg.adjacency) == sorted(g.vertices)
-        assert all(len(vg.adjacency[c]) == 4 for c in vg.adjacency)
+        assert len(witnesses(p, set(g.vertices), g)) == 10
+        assert sorted(vg) == sorted(g.vertices)
+        assert all(len(vg[c]) == 4 for c in vg)
 
     def test_path_one_popular(self):
         g = gr.generate_graph("path", n=3)
         p = singletons(g)
-        vg = build_cluster_graph(p, {2}, g)
-        assert set(vg.witness) == {(1, 2), (2, 3)}
+        assert set(witnesses(p, {2}, g)) == {(1, 2), (2, 3)}
+        assert build_cluster_graph(p, {2}, g) == {1: (2,), 2: (1, 3), 3: (2,)}
 
     def test_no_popular_no_edges(self):
         g = gr.generate_graph("path", n=3)
         p = singletons(g)
-        vg = build_cluster_graph(p, set(), g)
-        assert len(vg.witness) == 0
+        assert len(witnesses(p, set(), g)) == 0
+        assert build_cluster_graph(p, set(), g) == {1: (), 2: (), 3: ()}
 
     def test_witness_is_lexicographically_smallest(self):
         # two clusters joined by several edges keep the smallest one
         g = gr.from_edges([(1, 4), (2, 3), (1, 2), (3, 4), (2, 4)])
         p = {1: 1, 2: 1, 3: 3, 4: 3}
-        vg = build_cluster_graph(p, {1, 3}, g)
-        assert vg.witness[(1, 3)] == (1, 4)
+        assert witnesses(p, {1, 3}, g)[(1, 3)] == (1, 4)
+        assert build_cluster_graph(p, {1, 3}, g) == {1: (3,), 3: (1,)}
 
     def test_dormant_vertices_carry_no_superedges(self):
         # vertex 2 is in no cluster: 1 and 3 only connect through it
         g = gr.generate_graph("path", n=3)
         p = {1: 1, 3: 3}
-        vg = build_cluster_graph(p, {1, 3}, g)
-        assert len(vg.witness) == 0
+        assert len(witnesses(p, {1, 3}, g)) == 0
+        assert build_cluster_graph(p, {1, 3}, g) == {1: (), 3: ()}
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_cluster_graph_equals_the_edge_scan_oracle(data):
     """Random partitions of random graphs, some vertices dormant, IDs up to
-    2^63 - 1: the same superedges and witnesses as the oracle, in the same
-    order, since the verifier reads both."""
+    2^63 - 1: the build's adjacency and the verifier's scan give the same
+    superedges as the oracle, and the scan the same witnesses, in the same
+    order."""
     n = data.draw(st.integers(2, 40), label="n")
     g = gr.generate_graph("gnp_connected", n=n,
                           p=data.draw(st.sampled_from([0.05, 0.2, 0.5, 1.0]), label="p"),
@@ -125,50 +139,47 @@ def test_cluster_graph_equals_the_edge_scan_oracle(data):
             center_of[v] = c
     popular = data.draw(st.sets(st.sampled_from(centers)), label="popular")
 
+    adjacency, witness = oracles.build_cluster_graph(center_of, popular, g)
     vg = build_cluster_graph(center_of, popular, g)
-    expected = oracles.build_cluster_graph(center_of, popular, g)
-    assert list(vg.adjacency.items()) == list(expected.adjacency.items())
-    assert list(vg.witness.items()) == list(expected.witness.items())
+    assert list(vg.items()) == list(adjacency.items())
+    scan_adjacency, scan_witness = superedge_scan(center_of, popular, g)
+    assert list(scan_adjacency.items()) == list(adjacency.items())
+    assert list(scan_witness.items()) == list(witness.items())
 
 
 class TestReferenceSupercluster:
     def test_everything_ruling_yields_identity(self):
         g = gr.generate_graph("complete", n=5)
         p = singletons(g)
-        vg = build_cluster_graph(p, set(g.vertices), g)
-        out = reference_supercluster(vg, set(g.vertices), delta=3)
+        out = reference(p, set(g.vertices), g, set(g.vertices), delta=3)
         assert all(j.witness is None for j in out.values())
         assert set(out) == set(g.vertices)
 
     def test_star_hub_absorbs_leaves(self):
         g = gr.from_edges([(1, v) for v in range(2, 6)])
         p = singletons(g)
-        vg = build_cluster_graph(p, {1}, g)
-        out = reference_supercluster(vg, {1}, delta=1)
+        out = reference(p, {1}, g, {1}, delta=1)
         assert set(out) == {1, 2, 3, 4, 5}
         assert sum(j.witness is not None for j in out.values()) == 4
 
     def test_path_depth_two(self):
         g = gr.generate_graph("path", n=3)
         p = singletons(g)
-        vg = build_cluster_graph(p, {1, 2, 3}, g)
-        out = reference_supercluster(vg, {1}, delta=2)
+        out = reference(p, {1, 2, 3}, g, {1}, delta=2)
         assert set(out) == {1, 2, 3}
         assert out[3].pred == 2 and out[3].wave == 2
 
     def test_depth_limit_respected(self):
         g = gr.generate_graph("path", n=5)
         p = singletons(g)
-        vg = build_cluster_graph(p, set(g.vertices), g)
-        out = reference_supercluster(vg, {1}, delta=2)
+        out = reference(p, set(g.vertices), g, {1}, delta=2)
         assert set(out) == {1, 2, 3}
 
     def test_min_root_wins_ties(self):
         # vertex 3 is reached by roots 2 and 4 simultaneously
         g = gr.generate_graph("path", n=5)
         p = singletons(g)
-        vg = build_cluster_graph(p, set(g.vertices), g)
-        out = reference_supercluster(vg, {2, 4}, delta=1)
+        out = reference(p, set(g.vertices), g, {2, 4}, delta=1)
         assert out[3].root == 2
 
 
@@ -232,10 +243,10 @@ def test_distributed_supercluster_matches_reference(n, seed, data):
     vg = build_cluster_graph(p, popular, g)
     ruling = []
     for c in sorted(popular):
-        if all(bfs_on_adjacency(vg.adjacency, c).get(r, 99) >= 3 for r in ruling):
+        if all(bfs_on_adjacency(vg, c).get(r, 99) >= 3 for r in ruling):
             ruling.append(c)
     delta = data.draw(st.integers(1, 3))
-    ref = reference_supercluster(vg, ruling, delta)
+    ref = reference(p, popular, g, ruling, delta)
     net = Net(g)
     orient = orientation_from_parents({c: dict(pm) for c, pm in parent_maps.items()})
     out = run_supercluster_bfs(net, orient, set(ruling), delta,
@@ -249,10 +260,9 @@ def test_reference_supercluster_properties(n, seed, data):
     g = gr.generate_graph("gnp_connected", n=n, p=0.25, seed=seed)
     p = singletons(g)
     popular = set(g.vertices)
-    vg = build_cluster_graph(p, popular, g)
     roots = data.draw(st.sets(st.sampled_from(sorted(g.vertices)), min_size=1, max_size=3))
     delta = data.draw(st.integers(1, 4))
-    out = reference_supercluster(vg, roots, delta)
+    out = reference(p, popular, g, roots, delta)
     dist = {}
     for r in roots:
         d = gr.bfs_on_adjacency(g.adjacency, r)

@@ -160,7 +160,7 @@ def test_supergraph_ruling_guarantee_random_clusters(n, q, seed, data):
     members, _ = knockout_ruling_set(g, a, q, parent_maps=p)
     vg = build_cluster_graph({v: c for c, pm in p.items() for v in pm},
                              set(centers), g)
-    verdict = check_ruling(vg.adjacency, members, a, 3, 2 * q)
+    verdict = check_ruling(vg, members, a, 3, 2 * q)
     assert verdict.ok, verdict.detail
 
 

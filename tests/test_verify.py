@@ -216,7 +216,7 @@ def _member_dropped(g, res):
     beta = 2 * res.params["ruling_q"]
     for m in sorted(snap.selected):
         near = set().union(*itertools.islice(
-            gr.bfs_layers(snap.vgraph.adjacency, snap.selected - {m}), beta + 1))
+            gr.bfs_layers(snap.vgraph, snap.selected - {m}), beta + 1))
         if snap.popular - near:
             snap.selected = snap.selected - {m}
             return
@@ -227,7 +227,7 @@ def _neighbour_added(g, res):
     snap = _ruling_phase(res)
     c = min(snap.selected)
     snap.selected = snap.selected | {min(
-        u for u in snap.vgraph.adjacency[c]
+        u for u in snap.vgraph[c]
         if u in snap.popular and u not in snap.selected)}
 
 
@@ -312,6 +312,43 @@ def test_supercluster_oracle_fails_a_redirected_join(clean_build, redirect):
     c = min(c for c, info in snap.joins.items() if info.wave >= 1)
     snap.joins[c] = redirect(snap, snap.joins[c], g)
     assert _failing(g, res) == ["supercluster_oracle"]
+
+
+def test_supercluster_oracle_fails_a_dropped_superedge(clean_build):
+    """The least superedge of the first explored phase, dropped from the
+    snapshot's virtual graph on both sides, fails the supercluster oracle
+    and no other verdict, which names the phase and the superedge's lower
+    center."""
+    g, res = clean_build
+    res = copy.deepcopy(res)
+    snap = next(s for s in res.snapshots if s.vgraph is not None)
+    a = min(c for c, near in snap.vgraph.items() if near)
+    b = snap.vgraph[a][0]
+    snap.vgraph[a] = snap.vgraph[a][1:]
+    snap.vgraph[b] = tuple(c for c in snap.vgraph[b] if c != a)
+    report = verify.verify_build(g, res)
+    assert {v["name"]: v["detail"] for v in report["verdicts"] if not v["ok"]} \
+        == {"supercluster_oracle": f"phase {snap.phase}: the virtual cluster "
+                                   f"graph differs from the edge scan at center {a}"}
+
+
+def test_oracles_fail_a_phase_without_a_cluster_forest():
+    """A vertex made its own parent in phase 0's map, in a sparse build of
+    G(64, 0.1), leaves the radius verdict without centers for that phase.
+    The partition verdict and both oracles, which take their centers from
+    it, fail and name the phase, instead of passing on the phases they
+    could not check."""
+    g = gr.generate_graph("gnp_connected", n=64, p=0.1, seed=1)
+    res = sparse.build_spanner(g, 3, Fraction(1, 3))
+    snap = res.snapshots[0]
+    v = min(snap.parent)
+    snap.parent = {**snap.parent, v: v}
+    report = verify.verify_build(g, res)
+    details = {d["name"]: d["detail"] for d in report["verdicts"] if not d["ok"]}
+    assert details["radius"].startswith("phase 0, span: ")
+    for name in ("partition", "supercluster_oracle", "knowledge_oracle"):
+        assert details[name] == ("phase 0 has no cluster forest "
+                                 "(see the radius verdict)"), name
 
 
 def test_knowledge_oracle_fails_a_forgotten_neighbour():

@@ -348,7 +348,7 @@ def test_corpus_stretch_and_ruling_match_oracles(alg):
         q = result.params["ruling_q"]
         for snap in result.snapshots:
             if snap.selected:
-                args = (snap.vgraph.adjacency, snap.selected, snap.popular, 3, 2 * q)
+                args = (snap.vgraph, snap.selected, snap.popular, 3, 2 * q)
                 assert check_ruling(*args) == oracles.check_ruling(*args), where
 
 
