@@ -94,7 +94,9 @@ def _bounds_block(result: BuildResult) -> dict:
 
 def _phase_rows(g: Graph, result: BuildResult) -> List[dict]:
     """report.json's per-phase rows, counted from the snapshots and ledger."""
-    charged = Counter((ch.phase, ch.kind) for ch in result.spanner.charges)
+    charged: Counter = Counter()
+    for ch in result.spanner.charges:
+        charged[ch.phase, ch.kind] += len(ch.edges)
     return [{
         "phase": snap.phase,
         "num_clusters": len(snap.centers()),

@@ -22,8 +22,7 @@ witness edge in canonical (min endpoint, max endpoint) order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from .graph import Edge, Graph, edge_key
 from . import comm
@@ -132,8 +131,8 @@ def build_cluster_graph(center_of: Dict[int, int], popular: Iterable[int],
     return out
 
 
-@dataclass(frozen=True)
-class JoinInfo:
+class JoinInfo(NamedTuple):
+    """How a cluster joined; a root has no pred and no witness edge."""
     root: int
     pred: Optional[int]
     witness: Optional[Edge]
@@ -174,28 +173,30 @@ def run_supercluster_bfs(net: Net, orient: Orientation, ruling: Set[int],
         # stage 0: the frontier centers stream the root ID to their members
         payload = {c: (joins[c].root,) for c in frontier}
         comm.downcast_single(net, orient, frontier, f"w{wave}.relay", payload)
-        # stage 1: frontier members broadcast the exploration; a member of an
-        # unjoined cluster keeps, per root, its least edge to a sender of it,
-        # as (root, smaller endpoint) -> other endpoint, so the aggregation
-        # below can reconstruct the exact minimal (root, witness edge)
+        # stage 1: frontier members broadcast the exploration; a member v of
+        # an unjoined cluster keeps, per root, the least sender s it heard it
+        # from: its least edge (min(s, v), max(s, v)) to that root's senders
         arrivals = comm.explore_hop(net, orient, f"w{wave}.explore",
                                     [(c, joins[c].root) for c in frontier],
                                     loud, unjoined)
-        cands = {v: {(root, min(s, v)): max(s, v) for root, s in heard.items()}
-                 for v, heard in arrivals.items()}
 
         # stage 2: three-stage minimal-candidate aggregation per reached
         # cluster; each has a member with a candidate, so every stage
-        # returns a value for each of them
-        reached = sorted({member_center[v] for v in cands})
-        vals1 = {v: min(pairs) for v, pairs in cands.items()}
+        # returns a value for each of them. Stage one converges the least
+        # (root, smaller endpoint), each member offering its least root
+        reached = sorted({member_center[v] for v in arrivals})
+        vals1 = {v: (root, min(heard[root], v))
+                 for v, heard in arrivals.items() for root in (min(heard),)}
         best1 = comm.upcast_best(net, orient, vals1, f"w{wave}.min1",
                                  centers=reached)
         # ask the members for the matching smallest other endpoint
         down1 = {c: best1[c] for c in reached}
         comm.downcast_single(net, orient, reached, f"w{wave}.win1", down1)
-        vals2 = {v: (mm,) for v, pairs in cands.items()
-                 if (mm := pairs.get(best1[member_center[v]])) is not None}
+        vals2 = {}
+        for v, heard in arrivals.items():
+            root, m = best1[member_center[v]]
+            if (s := heard.get(root)) is not None and min(s, v) == m:
+                vals2[v] = (max(s, v),)
         best2 = comm.upcast_best(net, orient, vals2, f"w{wave}.min2",
                                  centers=reached)
         # announce the winning edge; the endpoint inside the cluster adds it

@@ -115,60 +115,46 @@ def orient_clusters(net: Net, center_of: Dict[int, int],
 
     center_of maps each vertex of the clusters to its center, and tree_adj
     each vertex to its tree neighbours. Each vertex learns its center and its
-    parent, the tree neighbour it first heard the flood from.
+    parent, the tree neighbour it first heard the flood from. center_of,
+    parent and members of the result list the clusters by center ascending,
+    each cluster's vertices ascending.
     """
-    tree_nbrs = {v: tree_adj.get(v, ()) for v in center_of}
-    roots = [v for v, c in center_of.items() if v == c]
-    found = net.cast(label, sim.orient_flood, roots, tree_nbrs) if tree_nbrs else {}
-
-    groups: Dict[int, List[int]] = {}
-    for v in sorted(center_of):
+    vertices = sorted(center_of)
+    groups: Dict[int, List[int]] = {v: [] for v in vertices if center_of[v] == v}
+    roots = list(groups)
+    for v in vertices:
         groups.setdefault(center_of[v], []).append(v)
-    parent_maps: Dict[int, Dict[int, Optional[int]]] = {}
-    for center in sorted(groups):
-        pmap = parent_maps[center] = {}
+    tree_nbrs = {v: tree_adj.get(v, ()) for v in vertices}
+    found = net.cast(label, sim.orient_flood, roots, tree_nbrs) if tree_nbrs else {}
+    # cluster by cluster, centers ascending (a center that is no root came late)
+    for center in groups if len(groups) == len(roots) else sorted(groups):
         for v in groups[center]:
             if v not in found:
                 raise RuntimeError(f"orientation never reached vertex {v} "
                                    f"(cluster tree of {center} is not connected)")
-            got, pmap[v] = found[v]
-            if got != center:
-                raise RuntimeError(f"vertex {v} oriented to foreign center {got}")
-    return orientation_from_parents(parent_maps)
-
-
-def orientation_from_parents(parent_maps: Dict[int, Dict[int, Optional[int]]]) -> Orientation:
-    """Build an Orientation from already-known parent maps (no episode).
-
-    Used when the caller already holds one parent map per cluster (center ->
-    {member: parent}, None for the center), e.g. trees oriented earlier.
-    Depths come from one top-down pass from the centers, heights from the
-    same visiting order reversed.
-    """
-    center_of: Dict[int, int] = {}
-    parent: Dict[int, Optional[int]] = {}
-    children: Dict[int, List[int]] = {}
-    for center, pmap in parent_maps.items():
-        for v in sorted(pmap):
-            center_of[v] = center
-            parent[v] = pmap[v]
-            children.setdefault(v, [])
-            if pmap[v] is not None:
-                children.setdefault(pmap[v], []).append(v)
-    kids = {v: tuple(sorted(cs)) for v, cs in children.items()}
-    depth = dict.fromkeys(parent_maps, 0)
-    order = list(parent_maps)
-    for v in order:   # breadth first: the list grows while it is walked
-        for u in kids[v]:
-            depth[u] = depth[v] + 1
-            order.append(u)
-    height = dict.fromkeys(parent, 0)
-    for v in reversed(order):
-        p = parent[v]
+            if found[v][0] != center:
+                raise RuntimeError(f"vertex {v} oriented to foreign center "
+                                   f"{found[v][0]}")
+    members = {c: tuple(vs) for c, vs in groups.items()}
+    ordered = {v: c for c, vs in members.items() for v in vs}
+    parent = {v: found[v][1] for v in ordered}
+    # found lists the vertices by depth, then ID: children come out sorted,
+    # a parent's depth is known before its children's, and the reverse walk
+    # meets every child before its parent
+    children: Dict[int, List[int]] = {v: [] for v in found}
+    depth: Dict[int, int] = {}
+    for v, (_, p) in found.items():
+        depth[v] = 0 if p is None else depth[p] + 1
+        if p is not None:
+            children[p].append(v)
+    height = dict.fromkeys(found, 0)
+    for v in reversed(found):
+        p = found[v][1]
         if p is not None and height[p] <= height[v]:
             height[p] = height[v] + 1
-    members = {c: tuple(sorted(pmap)) for c, pmap in parent_maps.items()}
-    return Orientation(center_of, parent, kids, depth, height, members)
+    return Orientation(ordered, parent,
+                       {v: tuple(cs) for v, cs in children.items()},
+                       depth, height, members)
 
 
 def explore_hop(net: Net, orient: Orientation, label: str,

@@ -90,8 +90,8 @@ class _PolylogVariant:
                     targets[v] = sorted(nbr_clusters[v].values())
         comm.announce_edges(net, f"p{phase}.inter", targets)
         for v in sorted(targets):
-            for u in targets[v]:
-                spanner.add(edge_key(v, u), vertex=v, kind=INTER, phase=phase)
+            spanner.add(tuple(edge_key(v, u) for u in targets[v]), vertex=v,
+                        kind=INTER, phase=phase)
 
 
 def build_spanner(g: Graph, kappa: int) -> BuildResult:

@@ -46,11 +46,11 @@ and final states.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import (AbstractSet, Deque, Dict, Iterable, List, Mapping,
-                    Optional, Sequence, Set, Tuple)
+from typing import (AbstractSet, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Set, Tuple)
 
 from .graph import Edge, Graph, edge_key
 
@@ -526,44 +526,45 @@ def tree_collect(g: Graph, members: Iterable[int],
     those its children relay, in child order; it keeps those with a new key
     while it holds fewer than cap and forwards them to its parent FIFO, one
     per round. Returns member -> its store in admission order."""
-    edges = g.edge_set()
+    edges, width = g.edge_set(), config.ids_per_message
     stores: Dict[int, Dict[int, int]] = {v: {} for v in members}
-    # the forward queues; a root forwards nothing and has none
-    queues: Dict[int, Deque[Tuple[int, int]]] = {
-        v: deque() for v in stores if parent[v] is not None}
-
-    def admit(v: int, arrivals: Iterable[Tuple[int, int]]) -> None:
-        store, queue = stores[v], queues.get(v)
-        for key, payload in arrivals:
-            if key not in store and len(store) < cap:
-                store[key] = payload
-                if queue is not None:
-                    queue.append((key, payload))
-
-    for v in stores:
-        if items.get(v):
-            admit(v, sorted(items[v]))
-    busy = {v for v, queue in queues.items() if queue}
+    # forward queues, made at a vertex's first admission (a root has none);
+    # one never holds more than cap items, so a list serves
+    queues: Dict[int, List[Tuple[int, int]]] = defaultdict(list)
+    # round 0 admits each member's own items, every later round the relays
+    inbox: Dict[int, List[Tuple[int, int]]] = {
+        v: sorted(own) for v in stores if (own := items.get(v))}
+    busy, checked = set(), set()   # checked: a sender's parent edge, once
     counts: List[int] = []
-    while busy:
+    while True:
+        for p, arrivals in inbox.items():
+            store, admitted = stores[p], []
+            for key, payload in arrivals:
+                if key not in store and len(store) < cap:
+                    store[key] = payload
+                    admitted.append((key, payload))
+            if admitted and parent[p] is not None:
+                queues[p].extend(admitted)
+                busy.add(p)
+        if not busy:
+            break
         senders = sorted(busy)
-        inbox: Dict[int, List[Tuple[int, int]]] = defaultdict(list)
+        inbox = defaultdict(list)
         for v in senders:
-            item = queues[v].popleft()
-            if edge_key(v, parent[v]) not in edges:
-                raise _non_neighbor(v, parent[v])
-            if len(item) > config.ids_per_message:
-                raise _message_fault(v, Message(0, item), config.ids_per_message)
-            if not queues[v]:
+            queue = queues[v]
+            item = queue.pop(0)
+            if v not in checked:
+                checked.add(v)
+                if edge_key(v, parent[v]) not in edges:
+                    raise _non_neighbor(v, parent[v])
+            if len(item) > width:
+                raise _message_fault(v, Message(0, item), width)
+            if not queue:
                 busy.discard(v)
             inbox[parent[v]].append(item)
         counts.append(len(senders))
         if len(counts) > config.max_rounds:
             raise _over_budget(config, label)
-        for p, arrivals in inbox.items():
-            admit(p, arrivals)
-            if queues.get(p):
-                busy.add(p)
     trace = SimTrace(label=label, max_ids_per_message=2 if counts else 0)
     return _account(trace, counts, len(counts)), stores
 

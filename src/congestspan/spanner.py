@@ -15,10 +15,11 @@ and the verifier's counts are derived from the snapshots and the charges.
 A phase hands the next one its clusters as one vertex -> center map; their
 trees are the global tree adjacency, which the witness edges extend.
 
-Every edge enters the spanner with a charge record (vertex, kind, phase),
-charged to the phase that adds it. The verification layer audits the
-charging rules against these records, and reads the spanner at the start of
-each phase off them: the edges charged in earlier phases.
+Edges enter the spanner in charging steps, each leaving one charge record
+(vertex, kind, phase, edges), charged to the phase that adds it. The
+verification layer audits the charging rules against these records, and
+reads the spanner at the start of each phase off them: the edges charged in
+earlier phases.
 """
 
 from __future__ import annotations
@@ -39,10 +40,12 @@ INTER = "interconnect"
 
 
 class Charge(NamedTuple):
-    edge: Edge
+    """One charging step: a joined center's witness edge, a polylog vertex's
+    interconnection edges or a sparse center's, all charged to vertex."""
     vertex: int
     kind: str
     phase: int
+    edges: Tuple[Edge, ...]
 
 
 class SpannerEdgeSet:
@@ -53,33 +56,31 @@ class SpannerEdgeSet:
         self.edges: Set[Edge] = set()
         self.charges: List[Charge] = []
 
-    def add(self, e: Edge, vertex: int, kind: str, phase: int) -> None:
-        if e not in self._graph_edges:
-            raise ValueError(f"edge {e} is not an edge of the host graph")
-        self.edges.add(e)
-        self.charges.append(Charge(e, vertex, kind, phase))
+    def add(self, edges: Tuple[Edge, ...], vertex: int, kind: str, phase: int) -> None:
+        """Charge one step's edges to vertex; each must be an edge of G."""
+        if not self._graph_edges.issuperset(edges):
+            raise ValueError(f"edge {min(set(edges) - self._graph_edges)} "
+                             f"is not an edge of the host graph")
+        self.edges.update(edges)
+        self.charges.append(Charge(vertex, kind, phase, edges))
 
     def size(self) -> int:
         return len(self.edges)
-
-    def charges_by_vertex(self) -> Dict[int, List[Charge]]:
-        out: Dict[int, List[Charge]] = {}
-        for ch in self.charges:
-            out.setdefault(ch.vertex, []).append(ch)
-        return out
 
 
 @dataclass
 class PhaseSnapshot:
     """The build's one record of a phase: what the verifier needs, with the
-    charge ledger, to re-derive and audit it, and what the report counts.
-    parent, the only record of the phase's clusters, is the orientation's
-    parent map itself: every active vertex maps to its tree parent and a
-    center to None. settled is the set the build passed to interconnect;
-    joins maps each superclustered center to how it joined, and vgraph,
-    when the phase explored, is the virtual cluster graph it explored: each
-    center's sorted superedge neighbours. rounds is the simulated rounds
-    the phase took, and radius_actual its deepest tree."""
+    charge ledger (one Charge per charging step), to re-derive and audit it,
+    and what the report counts. parent, the only record of the phase's
+    clusters, is the orientation's parent map itself: every active vertex
+    maps to its tree parent and a center to None, cluster by cluster by
+    center ascending, each cluster's vertices ascending. settled is the set
+    the build passed to interconnect; joins maps each superclustered center
+    to how it joined, a JoinInfo tuple (root, pred, witness, wave), and
+    vgraph, when the phase explored, is the virtual cluster graph it
+    explored: each center's sorted superedge neighbours. rounds is the
+    simulated rounds the phase took, and radius_actual its deepest tree."""
     phase: int
     parent: Dict[int, Optional[int]]
     popular: FrozenSet[int]
@@ -166,7 +167,7 @@ def run_phases(g: Graph, variant: Variant, params: dict) -> BuildResult:
 
         for c, info in sorted(joins.items()):
             if info.witness is not None:
-                spanner.add(info.witness, vertex=c, kind=SUPER, phase=i)
+                spanner.add((info.witness,), vertex=c, kind=SUPER, phase=i)
                 a, b = info.witness
                 tree_adj[a].append(b)
                 tree_adj[b].append(a)

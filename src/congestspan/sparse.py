@@ -27,7 +27,7 @@ from .clusters import radius_sequence
 from .comm import Net, Orientation
 from .exact import (as_fraction, ceil_fraction, ceil_log2_int, count_le_pow,
                     floor_log2, npow_decimal, pow_ceil)
-from .graph import Graph, edge_key
+from .graph import Edge, Graph, edge_key
 from .rulingset import RulingParams
 from .spanner import INTER, BuildResult, SpannerEdgeSet, run_phases, trivial_result
 
@@ -99,7 +99,8 @@ class _SparseVariant:
     def detect(self, net: Net, orient: Orientation,
                nbr_clusters: Dict[int, Dict[int, int]], phase: int,
                is_final: bool) -> Tuple[Set[int], Dict[int, Dict[int, int]]]:
-        items = {v: [(cc, v) for cc in sorted(got)] for v, got in nbr_clusters.items()}
+        items = {v: [(cc, v) for cc in sorted(got)]
+                 for v, got in nbr_clusters.items() if got}
         # the final phase needs complete neighbor knowledge: no binding cap
         cap = self.params.n + 1 if is_final else self.params.degree_cap(phase)
         knowledge = comm.upcast_collect(net, orient, items, cap,
@@ -123,21 +124,18 @@ class _SparseVariant:
             return
         received = comm.downcast_payloads(net, orient, payloads,
                                           f"p{phase}.intercast")
-        adds: List[Tuple[int, int, int]] = []   # (adder, target, charged center)
+        adds: Dict[int, List[Edge]] = {}   # charged center -> its edges
         announce: Dict[int, List[int]] = {}
         for c in sorted(payloads):
             for v in orient.members[c]:
-                targets = []
-                for cc, y in received.get(v, ()):
-                    if y == v:
-                        u = nbr_clusters[v][cc]
-                        targets.append(u)
-                        adds.append((v, u, c))
+                targets = [nbr_clusters[v][cc] for cc, y in received.get(v, ())
+                           if y == v]
                 if targets:
                     announce[v] = sorted(targets)
+                    adds.setdefault(c, []).extend(edge_key(v, u) for u in targets)
         comm.announce_edges(net, f"p{phase}.inter", announce)
-        for v, u, c in adds:
-            spanner.add(edge_key(v, u), vertex=c, kind=INTER, phase=phase)
+        for c, edges in adds.items():
+            spanner.add(tuple(edges), vertex=c, kind=INTER, phase=phase)
 
 
 def build_spanner(g: Graph, kappa: int, rho) -> BuildResult:
@@ -249,7 +247,7 @@ def phase_size_assertions(result: BuildResult) -> List[str]:
     if not count_le_pow(sizes[ell], n, rho):
         failures.append(f"final phase holds {sizes[ell]} clusters, more than n^rho")
 
-    inter_early = sum(1 for ch in result.spanner.charges
+    inter_early = sum(len(ch.edges) for ch in result.spanner.charges
                       if ch.kind == INTER and ch.phase < ell)
     e0, el = params.deg_expos[0], params.deg_expos[ell - 1]
     with localcontext() as ctx:

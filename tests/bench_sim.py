@@ -73,7 +73,7 @@ def _kernel_explore_hop(g, orient, frontier, accept_all, listeners, config, labe
 def test_explore_hop(benchmark, round_inputs, impl):
     g, _, config = round_inputs
     vertices = sorted(g.vertices)
-    orient = comm.orientation_from_parents({v: {v: None} for v in vertices})
+    orient = oracles.orientation_from_parents({v: {v: None} for v in vertices})
     frontier = [(v, v) for v in vertices[:g.n // 4]]
     popular = set(vertices[::2])
     listeners = set(vertices[g.n // 4:])
@@ -102,7 +102,7 @@ def grid_tree():
     dist = gr.bfs_on_adjacency(g.adjacency, 1)
     parent = {v: min((u for u in g.adjacency[v] if dist[u] == dist[v] - 1),
                      default=None) for v in g.vertices}
-    orient = comm.orientation_from_parents({1: parent})
+    orient = oracles.orientation_from_parents({1: parent})
     payloads = {1: [(i + 1,) for i in range(64)]}
     items = {v: [(v, v)] for v in g.vertices}
     return g, orient, payloads, items
@@ -130,7 +130,7 @@ def test_tree_casts(benchmark, grid_tree, impl):
 @pytest.fixture(scope="module")
 def grid_alone():
     g = gr.generate_graph("grid", rows=48, cols=48)
-    orient = comm.orientation_from_parents({v: {v: None} for v in g.vertices})
+    orient = oracles.orientation_from_parents({v: {v: None} for v in g.vertices})
     payload = {v: (v,) for v in g.vertices}
     values = {v: (v, v) for v in g.vertices}
     return g, orient, payload, values

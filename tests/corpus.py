@@ -13,10 +13,11 @@ from typing import Iterator, List, Set, Tuple
 from congestspan import graph as gr
 from congestspan import polylog, sparse, verify
 from congestspan.clusters import build_cluster_graph, forest_centers
-from congestspan.comm import Net, orientation_from_parents
+from congestspan.comm import Net
 from congestspan.exact import ceil_log2_int
 from congestspan.rulingset import (RulingParams, check_ruling,
                                    run_knockout_schedule)
+from oracles import orientation_from_parents
 
 SIZES = (16, 32, 64, 128, 256)
 GNP_SEEDS = tuple(range(1, 21))
@@ -178,7 +179,8 @@ def run_supergraph_ruling_point(task: tuple) -> dict:
     if len(result.snapshots) < 2 or not result.snapshots[1].parent:
         return {"n": n, "seed": seed, "ok": True, "mode": "no-phase-1-clusters"}
     snap = result.snapshots[1]
-    at_start = {ch.edge for ch in result.spanner.charges if ch.phase < snap.phase}
+    at_start = {e for ch in result.spanner.charges if ch.phase < snap.phase
+                for e in ch.edges}
     center_of = forest_centers(snap.parent, at_start, snap.radius_bound)
     p = {}
     for v, parent in snap.parent.items():

@@ -101,8 +101,8 @@ MUTANTS: List[Mutant] = [
     Mutant("sparse.phase_size_assertions always []", "sparse.py",
            returns("phase_size_assertions", "[]")),
     Mutant("polylog interconnection cap loosened by one", "verify.py",
-           replace("count_lt_pow(len(inters), n, inter_expo)",
-                   "count_lt_pow(len(inters) - 1, n, inter_expo)")),
+           replace("elif inters > caps[0]:",
+                   "elif inters > caps[0] + 1:")),
     Mutant("congestion width cap raised to 3 ids", "verify.py",
            replace("if tr.max_ids_per_message > 2:",
                    "if tr.max_ids_per_message > 3:")),

@@ -607,7 +607,40 @@ def orient_clusters(g: Graph, center_of: Mapping[int, int],
             if prog.center != center:
                 raise RuntimeError(f"vertex {v} oriented to foreign center {prog.center}")
             pmap[v] = prog.parent
-    return trace, comm.orientation_from_parents(parent_maps)
+    return trace, orientation_from_parents(parent_maps)
+
+
+def orientation_from_parents(parent_maps: Dict[int, Dict[int, Optional[int]]]
+                             ) -> comm.Orientation:
+    """The Orientation of clusters whose parent maps are already known, one
+    per center (center -> {member: parent}, None for the center), without
+    an episode: what comm.orient_clusters returns once its flood has found
+    those parents. Depths come from one top-down pass from the centers,
+    heights from the same visiting order reversed."""
+    center_of: Dict[int, int] = {}
+    parent: Dict[int, Optional[int]] = {}
+    children: Dict[int, List[int]] = {}
+    for center, pmap in parent_maps.items():
+        for v in sorted(pmap):
+            center_of[v] = center
+            parent[v] = pmap[v]
+            children.setdefault(v, [])
+            if pmap[v] is not None:
+                children.setdefault(pmap[v], []).append(v)
+    kids = {v: tuple(sorted(cs)) for v, cs in children.items()}
+    depth = dict.fromkeys(parent_maps, 0)
+    order = list(parent_maps)
+    for v in order:   # breadth first: the list grows while it is walked
+        for u in kids[v]:
+            depth[u] = depth[v] + 1
+            order.append(u)
+    height = dict.fromkeys(parent, 0)
+    for v in reversed(order):
+        p = parent[v]
+        if p is not None and height[p] <= height[v]:
+            height[p] = height[v] + 1
+    members = {c: tuple(sorted(pmap)) for c, pmap in parent_maps.items()}
+    return comm.Orientation(center_of, parent, kids, depth, height, members)
 
 
 def block_widths(id_range: Tuple[int, int], q: int) -> List[int]:

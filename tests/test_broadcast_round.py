@@ -92,14 +92,14 @@ def _star_clusters(data, g):
         for v in _subset(data, sorted(set(g.vertices) - centers), "member"):
             c = data.draw(st.sampled_from(sorted(centers)), label="center")
             parent_maps[c][v] = c
-    return comm.orientation_from_parents(parent_maps)
+    return oracles.orientation_from_parents(parent_maps)
 
 
 def test_no_episode_without_senders():
     g = gr.generate_graph("cycle", n=8)
     net = comm.Net(g)
-    orient = comm.orientation_from_parents({v: {v: None} for v in g.vertices})
-    nobody = comm.orientation_from_parents({})
+    orient = oracles.orientation_from_parents({v: {v: None} for v in g.vertices})
+    nobody = oracles.orientation_from_parents({})
     assert comm.exchange_cluster_ids(net, nobody, "quiet") == {}
     assert comm.explore_hop(net, orient, "quiet", [], set(), set(g.vertices)) == {}
     assert net.trace.episodes == []
@@ -151,7 +151,7 @@ def test_explore_hop_keeps_the_least_sender_of_a_root():
     vertex 2 hears it twice and keeps only sender 1."""
     g = gr.generate_graph("path", n=3)
     net = comm.Net(g)
-    orient = comm.orientation_from_parents({v: {v: None} for v in g.vertices})
+    orient = oracles.orientation_from_parents({v: {v: None} for v in g.vertices})
     heard = comm.explore_hop(net, orient, "w1.explore", [(3, 5), (1, 5)],
                              {1, 2, 3}, {2})
     assert heard == {2: {5: 1}}
@@ -219,11 +219,11 @@ def test_exchange_gives_each_silent_vertex_its_own_dict():
     empty dict of its own."""
     g = gr.generate_graph("cycle", n=8)
     net = comm.Net(g)
-    orient = comm.orientation_from_parents({1: {1: None, 2: 1}, 6: {6: None}})
+    orient = oracles.orientation_from_parents({1: {1: None, 2: 1}, 6: {6: None}})
     heard = comm.exchange_cluster_ids(net, orient, "p0.exchange")
     assert heard == {1: {}, 2: {}, 6: {}}
     assert len({id(m) for m in heard.values()}) == 3
-    orient = comm.orientation_from_parents({1: {1: None}, 4: {4: None},
+    orient = oracles.orientation_from_parents({1: {1: None}, 4: {4: None},
                                             6: {6: None}})
     heard = comm.exchange_cluster_ids(net, orient, "p1.exchange")
     assert heard == {1: {}, 4: {}, 6: {}}

@@ -1,16 +1,18 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from corpus import voronoi_clusters
+from corpus import gnp_p, voronoi_clusters
 
 from congestspan import graph as gr
-from congestspan import polylog
+from congestspan import polylog, sparse
 from congestspan.clusters import (ForestError, build_cluster_graph,
                                   forest_centers, radius_sequence)
-from congestspan.verify import reference_supercluster, superedge_scan
+from congestspan.verify import (ALL_PAIRS_LIMIT, reference_supercluster,
+                                superedge_scan)
 
 
 def singletons(g):
@@ -230,7 +232,7 @@ class TestVerifyClusterTree:
 @given(n=st.integers(8, 36), seed=st.integers(0, 99), data=st.data())
 def test_distributed_supercluster_matches_reference(n, seed, data):
     from congestspan.clusters import run_supercluster_bfs
-    from congestspan.comm import Net, orientation_from_parents
+    from congestspan.comm import Net
     from congestspan.graph import bfs_on_adjacency
 
     g = gr.generate_graph("gnp_connected", n=n, p=0.2, seed=seed)
@@ -248,7 +250,7 @@ def test_distributed_supercluster_matches_reference(n, seed, data):
     delta = data.draw(st.integers(1, 3))
     ref = reference(p, popular, g, ruling, delta)
     net = Net(g)
-    orient = orientation_from_parents({c: dict(pm) for c, pm in parent_maps.items()})
+    orient = oracles.orientation_from_parents({c: dict(pm) for c, pm in parent_maps.items()})
     out = run_supercluster_bfs(net, orient, set(ruling), delta,
                                set(popular), vgraph=vg)
     assert out == ref
@@ -277,3 +279,31 @@ def test_reference_supercluster_properties(n, seed, data):
             u, w = j.witness
             assert v in (u, w)
             assert j.pred in (u, w)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [128, 256])
+@pytest.mark.parametrize("alg", ["polylog", "skeleton"])
+def test_exploration_matches_reference_beyond_the_verifier_limit(alg, n, seed):
+    """verify_build holds the joins to the reference exploration only at
+    n <= ALL_PAIRS_LIMIT. Here every explored phase of larger builds is held
+    to the reference exploration of the verifier's edge scan, with each
+    phase's centers read off its parent map and the spanner at its start."""
+    assert n > ALL_PAIRS_LIMIT
+    g = gr.generate_graph("gnp_connected", n=n, p=gnp_p(n), seed=seed)
+    if alg == "polylog":
+        res = polylog.build_spanner(g, 3)
+    else:
+        res = sparse.build_skeleton(g, Fraction(34, 100))
+    explored = 0
+    for snap in res.snapshots:
+        if snap.vgraph is None:
+            continue
+        at_start = {e for ch in res.spanner.charges if ch.phase < snap.phase
+                    for e in ch.edges}
+        center_of = forest_centers(snap.parent, at_start, snap.radius_bound)
+        adjacency, witness = superedge_scan(center_of, snap.popular, g)
+        assert reference_supercluster(adjacency, witness, snap.selected,
+                                      res.params["delta"]) == snap.joins
+        explored += any(j.witness is not None for j in snap.joins.values())
+    assert explored

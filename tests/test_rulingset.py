@@ -3,10 +3,11 @@ import re
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from oracles import orientation_from_parents
 from corpus import knockout_ruling_set, voronoi_clusters
 
 from congestspan import graph as gr
-from congestspan.comm import Net, orientation_from_parents
+from congestspan.comm import Net
 from congestspan.exact import ceil_log2_int
 from congestspan.rulingset import RulingParams, check_ruling, run_knockout_schedule
 

@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+
 from congestspan import comm
 from congestspan import graph as gr
 from congestspan import sim
@@ -124,7 +126,7 @@ def downcast(g, parent, payloads):
     """Rounds, and each vertex's received list, of the build's pipelined
     downcast of payloads from the root 1 of parent."""
     net = comm.Net(g)
-    orient = comm.orientation_from_parents({1: parent})
+    orient = oracles.orientation_from_parents({1: parent})
     received = comm.downcast_payloads(net, orient, {1: payloads}, "downcast")
     return net.trace.episodes[-1].rounds_elapsed, received
 
@@ -133,7 +135,7 @@ def upcast(g, parent, items, cap):
     """Rounds, and the root's key -> payload store, of the build's capped
     keyed collect of items to the root 1 of parent."""
     net = comm.Net(g)
-    orient = comm.orientation_from_parents({1: parent})
+    orient = oracles.orientation_from_parents({1: parent})
     stores = comm.upcast_collect(net, orient, items, cap, "upcast")
     return net.trace.episodes[-1].rounds_elapsed, stores[1]
 

@@ -173,6 +173,9 @@ class TestInterconnectCenterwise:
         variant.interconnect(net, orient, nbr_clusters, {4}, knowledge, 0, spanner)
         assert spanner.edges == {(1, 4), (2, 5), (3, 5)}
         assert all(c.vertex == 4 for c in spanner.charges)
+        # the center's interconnection is one charging step
+        assert [(c.kind, sorted(c.edges)) for c in spanner.charges] == [
+            ("interconnect", [(1, 4), (2, 5), (3, 5)])]
 
 
 class TestBounds:

@@ -103,7 +103,7 @@ def _setup(data):
     budget = data.draw(st.sampled_from([1, 2, 4, BIG_BUDGET, BIG_BUDGET]),
                        label="budget")
     config = SimConfig(ids_per_message=ids_cap, max_rounds=budget)
-    return g, parent_maps, comm.orientation_from_parents(parent_maps), config, rng
+    return g, parent_maps, oracles.orientation_from_parents(parent_maps), config, rng
 
 
 def _some(rng: random.Random, items):
@@ -377,14 +377,14 @@ def test_send_round_equals_oracle(data):
 # Each check sim.run makes, on a path 1 - 2 - 3 - 4 - 5.
 
 PATH = gr.generate_graph("path", n=5)
-CHAIN = comm.orientation_from_parents({1: {1: None, 2: 1, 3: 2, 4: 3, 5: 4}})
+CHAIN = oracles.orientation_from_parents({1: {1: None, 2: 1, 3: 2, 4: 3, 5: 4}})
 # 3 hangs off 1, which is not its graph neighbour
-BENT = comm.orientation_from_parents({1: {1: None, 2: 1, 3: 1, 4: 3, 5: 4}})
+BENT = oracles.orientation_from_parents({1: {1: None, 2: 1, 3: 1, 4: 3, 5: 4}})
 CHAIN_ADJ = {1: [2], 2: [1, 3], 3: [2, 4], 4: [3, 5], 5: [4]}
 # every cluster a single vertex, as in phase 0
-ALONE = comm.orientation_from_parents({v: {v: None} for v in PATH.vertices})
+ALONE = oracles.orientation_from_parents({v: {v: None} for v in PATH.vertices})
 # a chain of three beside two single-vertex clusters
-MIXED = comm.orientation_from_parents({1: {1: None, 2: 1, 3: 2}, 4: {4: None},
+MIXED = oracles.orientation_from_parents({1: {1: None, 2: 1, 3: 2}, 4: {4: None},
                                        5: {5: None}})
 
 
@@ -520,7 +520,7 @@ def test_best_upcast_round_budget_counts_sends_and_wakeups_only():
     # its leaf child 2, which sends at round 0; the last event is 3's wake-up
     # at round 2
     g = gr.from_edges([(1, 2), (1, 3), (3, 4), (4, 5)])
-    spider = comm.orientation_from_parents({1: {1: None, 2: 1, 3: 1, 4: 3, 5: 4}})
+    spider = oracles.orientation_from_parents({1: {1: None, 2: 1, 3: 1, 4: 3, 5: 4}})
     args = ([1], spider.parent, spider.height, {2: (6,)})
     for budget, expected in ((2, {1: (6,)}), (1, None)):
         kernel = _run(sim.best_upcast, g, *args, SimConfig(max_rounds=budget), "lbl")
@@ -567,7 +567,7 @@ def test_episodes_only_when_a_vertex_takes_part():
     assert net.trace.episodes == []
 
     # a vertex that takes part but sends nothing still makes an episode
-    single = comm.orientation_from_parents({3: {3: None}})
+    single = oracles.orientation_from_parents({3: {3: None}})
     comm.downcast_single(net, single, [3], "quiet")
     comm.announce_edges(net, "quiet", {2: []})
     assert _episodes(net) == [dataclasses.asdict(sim.SimTrace("quiet"))] * 2

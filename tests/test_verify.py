@@ -18,7 +18,7 @@ from congestspan.clusters import (JoinInfo, build_cluster_graph,
                                   run_supercluster_bfs)
 from congestspan.comm import Net
 from congestspan.exact import ceil_log2_int
-from congestspan.spanner import INTER, SUPER
+from congestspan.spanner import INTER, SUPER, Charge
 
 
 def floyd_warshall_edge_stretch(g, spanner_edges):
@@ -72,13 +72,13 @@ def test_radius_verdict_reads_the_phase_start_spanner_off_the_ledger():
     trees = {gr.edge_key(v, u) for v, u in res.snapshots[1].parent.items()
              if u is not None}
     k = next(i for i, ch in enumerate(res.spanner.charges)
-             if ch.phase == 0 and ch.kind == SUPER and ch.edge in trees)
+             if ch.phase == 0 and ch.kind == SUPER and ch.edges[0] in trees)
     moved = res.spanner.charges[k] = res.spanner.charges[k]._replace(phase=1)
     verdict = verify._radius_verdict(res)
     assert not verdict.ok
     assert verdict.detail.startswith("phase 1, cluster ")
     assert "tree-not-in-spanner" in verdict.detail
-    u, v = moved.edge
+    (u, v), = moved.edges
     assert f"({u},{v})" in verdict.detail or f"({v},{u})" in verdict.detail
 
 
@@ -182,7 +182,7 @@ def sparse_gnp_build(request):
     """A build on G(128, 0.02), whose every verdict passes. The graph is
     sparse enough that phase 0's virtual graph is long (one ruling member
     alone dominates some popular clusters) and that some vertices reach
-    their interconnection cap in phase 0: five charges, since
+    their interconnection cap in phase 0: five charged edges, since
     5^3 < 128 <= 6^3 and both caps are below n^(1/3) there."""
     g = gr.generate_graph("gnp_connected", n=128, p=0.02, seed=1)
     if request.param == "polylog":
@@ -232,13 +232,14 @@ def _neighbour_added(g, res):
 
 
 def _charge_over_cap(g, res):
-    """One more INTER charge for the least vertex with five in a phase."""
+    """One more INTER edge charged to the least vertex with five in a phase,
+    as a charging step of its own."""
     per = collections.defaultdict(list)
     for ch in res.spanner.charges:
         if ch.kind == INTER:
-            per[ch.vertex, ch.phase].append(ch)
-    at_cap = min(k for k, chs in per.items() if len(chs) == 5)
-    res.spanner.charges.append(per[at_cap][0])
+            per[ch.vertex, ch.phase] += ch.edges
+    v, phase = min(k for k, edges in per.items() if len(edges) == 5)
+    res.spanner.charges.append(Charge(v, INTER, phase, tuple(per[v, phase][:1])))
 
 
 @pytest.mark.parametrize("tamper, failing", [
@@ -294,11 +295,11 @@ def test_an_emptied_ruling_set_fails(n, p, seed, failing):
 
 
 def _root_redirected(snap, info, g):
-    return dataclasses.replace(info, root=min(snap.centers() - {info.root}))
+    return info._replace(root=min(snap.centers() - {info.root}))
 
 
 def _witness_redirected(snap, info, g):
-    return dataclasses.replace(info, witness=min(g.edge_set() - {info.witness}))
+    return info._replace(witness=min(g.edge_set() - {info.witness}))
 
 
 @pytest.mark.parametrize("redirect", [_root_redirected, _witness_redirected],
