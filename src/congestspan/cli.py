@@ -17,7 +17,7 @@ import sys
 from collections import Counter
 from multiprocessing import Pool
 from pathlib import Path
-from typing import Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set
 
 from . import __version__, comm, polylog, sparse, verify
 from .exact import as_fraction
@@ -56,6 +56,15 @@ def parse_graph_spec(spec: str) -> Graph:
     return load_graph(spec)
 
 
+def _float_or_none(figure: Callable[[], float]) -> Optional[float]:
+    """figure(), or None (null in the report) when it does not fit in a float."""
+    try:
+        value = figure()
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
 def _bounds_block(result: BuildResult) -> dict:
     n = result.params["n"]
     kappa = result.params["kappa"]
@@ -72,7 +81,8 @@ def _bounds_block(result: BuildResult) -> dict:
             "size": float(n) ** (1.0 + 1.0 / kappa),
             "size_formula": "n^(1 + 1/kappa)",
             "rounds_model_formula": "(4*ceil(log2 n) + 1)^(kappa-1)",
-            "rounds_model": float(4 * math.ceil(math.log2(max(n, 2))) + 1) ** (kappa - 1),
+            "rounds_model": _float_or_none(
+                lambda: float(4 * math.ceil(math.log2(max(n, 2))) + 1) ** (kappa - 1)),
         }
     rho = as_fraction(result.params["rho"])
     ell = sparse.degree_schedule(n, kappa, rho).ell if n >= 2 else 0
@@ -82,13 +92,15 @@ def _bounds_block(result: BuildResult) -> dict:
         "stretch_checked_formula":
             "4*R_ell + 1; R_0 = 0, R_{i+1} = (2*delta+1)*R_i + delta, "
             "delta = ceil(2/rho)",
-        "stretch_closed_form": sparse.stretch_bound(rho, ell + 1),
+        "stretch_closed_form": _float_or_none(
+            lambda: sparse.stretch_bound(rho, ell + 1)),
         "stretch_closed_form_formula":
             "2*(4/rho + 1)^(ell+1) + 1 (conservative exponent)",
         "size": float(n) ** (1.0 + 1.0 / kappa) + n,
         "size_formula": "n^(1 + 1/kappa) + n",
         "rounds_model_formula": "n^rho * (4/rho + 1)^(ell+1)",
-        "rounds_model": float(n) ** float(rho) * float(4 / rho + 1) ** (ell + 1),
+        "rounds_model": _float_or_none(
+            lambda: float(n) ** float(rho) * float(4 / rho + 1) ** (ell + 1)),
     }
 
 

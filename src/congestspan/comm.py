@@ -13,10 +13,10 @@ heard the hop, so sim.broadcast_heard delivers it. Both kernels take each
 sender's one ID, and a hop crosses only the superedges with a popular side:
 the kernels' accept_all is the vertices of popular clusters. Every other
 episode is a tree cast or a one-round per-edge send (orient_flood,
-tree_downcast, best_upcast, flag_upcast, tree_collect, send_round). An
-episode in which no vertex takes part is not recorded. The orchestrator
-only moves results between episodes, never inventing knowledge a vertex
-could not have accumulated locally.
+tree_downcast, best_upcast, send_round, and tree_collect, which converges
+both flags and keyed items). An episode in which no vertex takes part is not
+recorded. The orchestrator only moves results between episodes, never
+inventing knowledge a vertex could not have accumulated locally.
 
 On the wire a message is a tuple of at most IDS_PER_MESSAGE vertex IDs; what
 it means follows from the episode it belongs to, so it carries no tag, and a
@@ -215,9 +215,12 @@ def announce_edges(net: Net, label: str, targets: Dict[int, Sequence[int]]) -> N
 
 def upcast_flags(net: Net, orient: Orientation, flagged: Set[int], label: str) -> Set[int]:
     """Centers whose cluster contains at least one flagged vertex."""
-    if not orient.center_of:
+    if not orient.parent:
         return set()
-    return net.cast(label, sim.flag_upcast, orient.parent, flagged)
+    # a collect with cap 1 of one key, held by every flagged vertex; a flag
+    # carries no ID
+    items = dict.fromkeys(flagged, ((0, 0),))
+    return set(net.cast(label, sim.tree_collect, orient.parent, items, 1, 0))
 
 
 def downcast_single(net: Net, orient: Orientation, centers: Iterable[int], label: str,
@@ -252,16 +255,15 @@ def downcast_payloads(net: Net, orient: Orientation,
 def upcast_collect(net: Net, orient: Orientation,
                    items: Dict[int, Sequence[Tuple[int, int]]], cap: int,
                    label: str) -> Dict[int, Dict[int, int]]:
-    """Pipelined keyed collection toward each center, dedup with cap.
+    """Pipelined keyed collection toward each center, dedup with cap, in
+    messages of two IDs, a key and a payload.
 
-    Returns center -> {key: payload} in admission order.
+    Returns each center that collected an item -> {key: payload} in
+    admission order.
     """
-    wanted = set(orient.members)
-    if not wanted:
+    if not orient.parent:
         return {}
-    members = [v for c in wanted for v in orient.members[c]]
-    stores = net.cast(label, sim.tree_collect, members, orient.parent, items, cap)
-    return {c: stores[c] for c in wanted}
+    return net.cast(label, sim.tree_collect, orient.parent, items, cap, 2)
 
 
 def upcast_best(net: Net, orient: Orientation,

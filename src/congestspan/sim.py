@@ -27,16 +27,17 @@ each ID; ``broadcast_heard`` for one in which listeners keep only whether
 they heard a sender they accept. Both take ``{sender: ID}`` and one rule: a
 listener in ``accept_all`` accepts every sender, any other listener only the
 senders in ``accept_all``.
-``orient_flood``, ``tree_downcast``, ``best_upcast``, ``flag_upcast`` and
-``tree_collect`` for the casts inside cluster trees, walked level by level
-(the collect round by round); and ``send_round`` for one round of per-edge
-sends. Each kernel fixes its own mode, that of the programs it stands for
-(broadcast for the first two, congest for the others), and writes it into its
-trace; only ``run`` reads ``config.mode``. No build calls ``run``: it is the
-tests' reference engine, which runs those programs and holds the kernels to
-them. A cluster tree with no edge sends nothing in any tree cast, so the tree
-kernels do no work for it: its root only keeps the episode on the record and,
-in a downcast, wakes once per payload.
+``orient_flood``, ``tree_downcast``, ``best_upcast`` and ``tree_collect``
+(the one convergecast of flags and keyed items) for the casts inside cluster
+trees, walked level by level (the collect round by round); and
+``send_round`` for one round of per-edge sends. Each kernel fixes its own
+mode, that of the programs it stands for (broadcast for the first two,
+congest for the others), and writes it into its trace; only ``run`` reads
+``config.mode``. No build calls ``run``: it is the tests' reference engine,
+which runs those programs and holds the kernels to them. A cluster tree with
+no edge sends nothing in any tree cast, so the tree kernels do no work for
+it: its root only keeps the episode on the record and, in a downcast, wakes
+once per payload.
 
 Determinism: vertices are stepped in ascending ID order, inboxes are keyed by
 sender in ascending order, and per-edge FIFO order is preserved by the
@@ -323,18 +324,17 @@ def broadcast_heard(g: Graph, ids: Mapping[int, int],
 def _check_message(v: int, msg: Message, cap: int, max_scalar: int,
                    trace: SimTrace) -> None:
     if len(msg.ids) > cap or abs(msg.scalar) > max_scalar:
-        raise _message_fault(v, msg, cap)
+        raise _message_fault(v, len(msg.ids), cap, msg.scalar)
     if len(msg.ids) > trace.max_ids_per_message:
         trace.max_ids_per_message = len(msg.ids)
 
 
-def _message_fault(v: int, msg: Message, cap: int) -> ModelViolation:
-    """What run() raises when v sends msg, which carries more than cap IDs or
-    a scalar out of range."""
-    if len(msg.ids) > cap:
-        return ModelViolation(
-            f"vertex {v}: message carries {len(msg.ids)} ids, capacity {cap}")
-    return ModelViolation(f"vertex {v}: scalar {msg.scalar} out of range")
+def _message_fault(v: int, ids: int, cap: int, scalar: int = 0) -> ModelViolation:
+    """What run() raises when v sends a message of ids IDs and the given
+    scalar, which carries more than cap IDs or a scalar out of range."""
+    if ids > cap:
+        return ModelViolation(f"vertex {v}: message carries {ids} ids, capacity {cap}")
+    return ModelViolation(f"vertex {v}: scalar {scalar} out of range")
 
 
 def _non_neighbor(v: int, to: int) -> ModelViolation:
@@ -407,7 +407,7 @@ def tree_downcast(g: Graph, children: Mapping[int, Sequence[int]],
         # the root sends payload j at round j, checking its first child's
         # edge before the message; this fault goes first on a tie
         if bad is not None and (bad or edge_key(root, kids[0]) in edges):
-            fault = _message_fault(root, Message(0, queue[bad]), cap)
+            fault = _message_fault(root, len(queue[bad]), cap)
             faults.append((bad, root, fault))
         level, depth = [root], 0
         while True:
@@ -467,7 +467,7 @@ def best_upcast(g: Graph, roots: Iterable[int],
             if edge_key(v, p) not in edges:
                 raise _non_neighbor(v, p)
             if len(ids) > cap:
-                raise _message_fault(v, Message(0, ids), cap)
+                raise _message_fault(v, len(ids), cap)
             trace.max_ids_per_message = max(trace.max_ids_per_message, len(ids))
             held = best.get(p)
             best[p] = ids if held is None else min(held, ids)
@@ -481,92 +481,65 @@ def best_upcast(g: Graph, roots: Iterable[int],
     return _account(trace, counts, len(counts)), {r: best.get(r) for r in roots}
 
 
-def flag_upcast(g: Graph, parent: Mapping[int, Optional[int]],
-                flagged: Iterable[int], config: SimConfig, label: str = ""
-                ) -> Tuple[SimTrace, Set[int]]:
-    """OR upcast in congest mode: a flagged vertex of parent's trees sends
-    its parent a flag at round 0, any other vertex the round it first hears
-    one. Returns the roots that are flagged or hear a flag."""
-    edges = g.edge_set()
-    raised: Set[int] = set()
-    senders = []
-    for v in flagged:
-        if v in parent:
-            if parent[v] is None:
-                raised.add(v)
-            else:
-                senders.append(v)
-    done = set(senders)
-    counts: List[int] = []
-    while senders:
-        counts.append(len(senders))
-        above = []
-        for v in sorted(senders):
-            p = parent[v]
-            if edge_key(v, p) not in edges:
-                raise _non_neighbor(v, p)
-            if parent[p] is None:
-                raised.add(p)
-            elif p not in done:
-                done.add(p)
-                above.append(p)
-        if len(counts) > config.max_rounds:
-            raise _over_budget(config, label)
-        senders = above
-    return _account(SimTrace(label=label), counts, len(counts)), raised
-
-
-def tree_collect(g: Graph, members: Iterable[int],
-                 parent: Mapping[int, Optional[int]],
+def tree_collect(g: Graph, parent: Mapping[int, Optional[int]],
                  items: Mapping[int, Sequence[Tuple[int, int]]], cap: int,
-                 config: SimConfig, label: str = ""
+                 ids: int, config: SimConfig, label: str = ""
                  ) -> Tuple[SimTrace, Dict[int, Dict[int, int]]]:
-    """Capped, deduplicating keyed collect in congest mode: each member
-    admits (key, payload) items, its own in ascending order, then each round
-    those its children relay, in child order; it keeps those with a new key
-    while it holds fewer than cap and forwards them to its parent FIFO, one
-    per round. Returns member -> its store in admission order."""
-    edges, width = g.edge_set(), config.ids_per_message
-    stores: Dict[int, Dict[int, int]] = {v: {} for v in members}
-    # forward queues, made at a vertex's first admission (a root has none);
-    # one never holds more than cap items, so a list serves
+    """Capped, deduplicating keyed collect in congest mode up the trees of
+    parent: each vertex admits (key, payload) items, its own in ascending
+    order, then those its children send it, in child order; it keeps those
+    with a new key while it holds fewer than cap and forwards them to its
+    parent FIFO, one per round, in messages of ids IDs. items holds vertices
+    of parent only. Returns each root that admitted an item -> its store in
+    admission order. Cap 1 and one key make it the OR up-cast."""
+    edges, limit = g.edge_set(), config.ids_per_message
+    # a store and a forward queue are made at a vertex's first admission (a
+    # root has no queue); a queue never holds more than cap items, so a list
+    # serves, and it is dropped once empty
+    stores: Dict[int, Dict[int, int]] = {}
     queues: Dict[int, List[Tuple[int, int]]] = defaultdict(list)
-    # round 0 admits each member's own items, every later round the relays
-    inbox: Dict[int, List[Tuple[int, int]]] = {
-        v: sorted(own) for v in stores if (own := items.get(v))}
-    busy, checked = set(), set()   # checked: a sender's parent edge, once
+    for v, own in items.items():   # round 0: each vertex's own items
+        store: Dict[int, int] = {}
+        for key, payload in sorted(own):
+            if len(store) == cap:
+                break
+            store.setdefault(key, payload)
+        if store:
+            stores[v] = store
+            if parent[v] is not None:
+                queues[v] = list(store.items())
+    checked: Set[int] = set()   # the senders whose parent edge was checked
     counts: List[int] = []
-    while True:
-        for p, arrivals in inbox.items():
-            store, admitted = stores[p], []
-            for key, payload in arrivals:
-                if key not in store and len(store) < cap:
-                    store[key] = payload
-                    admitted.append((key, payload))
-            if admitted and parent[p] is not None:
-                queues[p].extend(admitted)
-                busy.add(p)
-        if not busy:
-            break
-        senders = sorted(busy)
-        inbox = defaultdict(list)
+    while queues:
+        senders = sorted(queues)   # a queue made in this round sends from the next
         for v in senders:
-            queue = queues[v]
+            queue, p = queues[v], parent[v]
             item = queue.pop(0)
+            if not queue:
+                del queues[v]
             if v not in checked:
                 checked.add(v)
-                if edge_key(v, parent[v]) not in edges:
-                    raise _non_neighbor(v, parent[v])
-            if len(item) > width:
-                raise _message_fault(v, Message(0, item), width)
-            if not queue:
-                busy.discard(v)
-            inbox[parent[v]].append(item)
+                if edge_key(v, p) not in edges:
+                    raise _non_neighbor(v, p)
+                if ids > limit:
+                    raise _message_fault(v, ids, limit)
+            # p admits the item as it is sent, so it hears its children in
+            # order; a first admission always succeeds, as cap > 0 here
+            store = stores.get(p)
+            if store is None:
+                stores[p] = {item[0]: item[1]}
+            elif item[0] not in store and len(store) < cap:
+                store[item[0]] = item[1]
+            else:
+                continue
+            if parent[p] is not None:
+                queues[p].append(item)
         counts.append(len(senders))
         if len(counts) > config.max_rounds:
             raise _over_budget(config, label)
-    trace = SimTrace(label=label, max_ids_per_message=2 if counts else 0)
-    return _account(trace, counts, len(counts)), stores
+    trace = SimTrace(label=label, max_ids_per_message=ids if counts else 0)
+    roots = {v: store for v, store in stores.items() if parent[v] is None}
+    return _account(trace, counts, len(counts)), roots
 
 
 def orient_flood(g: Graph, roots: Iterable[int],

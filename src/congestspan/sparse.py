@@ -119,7 +119,7 @@ class _SparseVariant:
         if not settled:
             return
         payloads = {c: list(knowledge[c].items())
-                    for c in sorted(settled) if knowledge[c]}
+                    for c in sorted(settled) if c in knowledge}
         if not payloads:
             return
         received = comm.downcast_payloads(net, orient, payloads,

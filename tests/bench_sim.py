@@ -28,6 +28,12 @@ grid, a pipelined downcast of 64 payloads from the root (147k messages in
 157 rounds) and then a collect of one item per vertex capped at 64 (57k
 messages in 64 rounds).
 
+The OR up-cast: on the same tree, every 20th vertex raises a flag (116 of
+2 304) and the flags converge to the root; the kernel side is the collect
+with cap 1 of one shared key in messages of no ID, as comm.upcast_flags runs
+it, the oracle side one FlagUpcast program per vertex (586 messages in 8
+rounds: a flag stops at the first flagged vertex above it).
+
 The phase-0 casts: both sides run, on the 48 x 48 grid split into 2 304
 single-vertex clusters, as every phase 0 is, a downcast of a one-ID payload
 from every center and then a best-value upcast of one value per vertex to
@@ -108,7 +114,11 @@ def grid_tree():
     return g, orient, payloads, items
 
 
-@pytest.mark.parametrize("impl", [(sim.tree_downcast, sim.tree_collect),
+def _kernel_collect(g, parent, items, cap, config, label):
+    return sim.tree_collect(g, parent, items, cap, 2, config, label)
+
+
+@pytest.mark.parametrize("impl", [(sim.tree_downcast, _kernel_collect),
                                   (oracles.tree_downcast, oracles.tree_collect)],
                          ids=["kernel", "oracle"])
 def test_tree_casts(benchmark, grid_tree, impl):
@@ -118,13 +128,28 @@ def test_tree_casts(benchmark, grid_tree, impl):
 
     def casts():
         down, _ = downcast(g, orient.children, payloads, config, "down")
-        up, stores = collect(g, g.vertices, orient.parent, items, 64, config,
-                             "collect")
+        up, stores = collect(g, orient.parent, items, 64, config, "collect")
         return down, up, stores
 
     down, up, stores = benchmark(casts)
     assert down.messages_total == 64 * (g.n - 1)
     assert len(stores[1]) == 64
+
+
+def _kernel_or(g, parent, flagged, config, label):
+    trace, stores = sim.tree_collect(g, parent, {v: [(0, 0)] for v in flagged},
+                                     1, 0, config, label)
+    return trace, set(stores)
+
+
+@pytest.mark.parametrize("impl", [_kernel_or, oracles.flag_upcast],
+                         ids=["kernel", "oracle"])
+def test_or_upcast(benchmark, grid_tree, impl):
+    g, orient, _, _ = grid_tree
+    flagged = set(sorted(g.vertices)[::20])
+    trace, raised = benchmark(impl, g, orient.parent, flagged, SimConfig(), "or")
+    assert raised == {1}
+    assert trace.max_ids_per_message == 0
 
 
 @pytest.fixture(scope="module")

@@ -556,14 +556,14 @@ def flag_upcast(g: Graph, parent: Mapping[int, Optional[int]],
                    if parent[v] is None and prog.flag}
 
 
-def tree_collect(g: Graph, members: Iterable[int],
-                 parent: Mapping[int, Optional[int]],
+def tree_collect(g: Graph, parent: Mapping[int, Optional[int]],
                  items: Mapping[int, Sequence[Tuple[int, int]]], cap: int,
                  config: SimConfig, label: str = ""
                  ) -> Tuple[SimTrace, Dict[int, Dict[int, int]]]:
-    """One TreeCollect per member; the result is every non-empty store."""
-    programs = {v: TreeCollect(parent[v], items.get(v, ()), cap)
-                for v in members}
+    """One TreeCollect per vertex of parent; the result is every non-empty
+    store, relays' included."""
+    programs = {v: TreeCollect(p, items.get(v, ()), cap)
+                for v, p in parent.items()}
     trace = sim.run(g, programs, config, label=label)
     return trace, {v: prog.store for v, prog in programs.items() if prog.store}
 

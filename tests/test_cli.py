@@ -9,6 +9,21 @@ from congestspan import cli
 from congestspan import graph as gr
 
 
+# builds that pass verification, though closed-form bounds of their report
+# do not fit in a float (those keys are listed; they are null)
+OVERFLOWING = [
+    ({"alg": "skeleton", "graph": "gen:cycle:n=3", "rho": "0.001"},
+     ["rounds_model", "stretch_closed_form"]),
+    ({"alg": "polylog", "graph": "gen:path:n=5", "kappa": 1000}, ["rounds_model"]),
+]
+
+
+def _parameter_flags(point: dict) -> list:
+    """The --kappa and --rho flags of a bench point."""
+    return [arg for key in ("kappa", "rho") if key in point
+            for arg in (f"--{key}", str(point[key]))]
+
+
 class TestGraphSpec:
     def test_generator_spec(self):
         g = cli.parse_graph_spec("gen:gnp_connected:n=20,p=0.2,seed=3")
@@ -80,6 +95,17 @@ class TestBuild:
         assert "PASS" in capsys.readouterr().out
         report = json.loads((tmp_path / "o" / "report.json").read_text())
         assert report["config"]["kappa"] == kappa
+
+    @pytest.mark.parametrize("point, nulls", OVERFLOWING,
+                             ids=[p["alg"] for p, _ in OVERFLOWING])
+    def test_bounds_past_a_float_are_null(self, point, nulls, tmp_path, capsys):
+        rc = cli.main(["build", "--alg", point["alg"], "--graph", point["graph"],
+                       *_parameter_flags(point), "--out", str(tmp_path / "o")])
+        assert rc == 0
+        assert "PASS" in capsys.readouterr().out
+        bounds = json.loads((tmp_path / "o" / "report.json").read_text())["bounds"]
+        assert sorted(k for k, v in bounds.items() if v is None) == nulls
+        assert isinstance(bounds["size"], float)
 
     def test_report_roundtrips(self, tmp_path):
         out = tmp_path / "o"
@@ -421,6 +447,17 @@ class TestBench:
         assert [r["ok"] for r in rows] == [True, True, False]
         assert rows[2]["error"]
         assert (tmp_path / "b" / "bench.csv").exists()
+
+    def test_bounds_past_a_float_are_null(self, tmp_path):
+        sfile = tmp_path / "series.json"
+        sfile.write_text(json.dumps([point for point, _ in OVERFLOWING]))
+        rc = cli.main(["bench", "--series", str(sfile), "--out",
+                       str(tmp_path / "b"), "--workers", "1"])
+        assert rc == 0
+        rows = json.loads((tmp_path / "b" / "bench.json").read_text())["rows"]
+        assert [(r["ok"], r["error"], r["rounds_model"]) for r in rows] == [
+            (True, None, None)] * 2
+        assert all(isinstance(r["size_bound"], float) for r in rows)
 
     def test_empty_series(self, tmp_path):
         sfile = tmp_path / "series.json"

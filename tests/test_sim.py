@@ -133,11 +133,12 @@ def downcast(g, parent, payloads):
 
 def upcast(g, parent, items, cap):
     """Rounds, and the root's key -> payload store, of the build's capped
-    keyed collect of items to the root 1 of parent."""
+    keyed collect of items to the root 1 of parent; a root that collected
+    nothing has no store."""
     net = comm.Net(g)
     orient = oracles.orientation_from_parents({1: parent})
     stores = comm.upcast_collect(net, orient, items, cap, "upcast")
-    return net.trace.episodes[-1].rounds_elapsed, stores[1]
+    return net.trace.episodes[-1].rounds_elapsed, stores.get(1, {})
 
 
 class TestDowncast:

@@ -1,12 +1,14 @@
 """The tree-cast kernels against the programs they replaced.
 
-Each sim kernel (tree_downcast, best_upcast, flag_upcast, tree_collect,
-orient_flood, send_round) must return the trace that ``sim.run`` returns for
-one program per vertex (the oracles in oracles.py), every field of it, and
-the same result, or raise what ``sim.run`` raises, with the same text. The
-comm functions built on the kernels must return what the program versions
-returned and record the oracle's whole trace as the episode, and no episode
-when no vertex takes part. Clusters of a single vertex, the shape of phase 0,
+Each sim kernel (tree_downcast, best_upcast, tree_collect, orient_flood,
+send_round) must return the trace that ``sim.run`` returns for one program
+per vertex (the oracles in oracles.py), every field of it, and the same
+result, or raise what ``sim.run`` raises, with the same text. tree_collect
+runs both convergecasts: keyed items, against the TreeCollect programs, and
+the OR up-cast, a collect with cap 1 of one shared key in messages of no ID,
+against the FlagUpcast programs. The comm functions built on the kernels
+must return what the program versions returned and record the oracle's
+whole trace as the episode, and no episode when no vertex takes part. Clusters of a single vertex, the shape of phase 0,
 take part but send nothing; they get cases of their own.
 """
 
@@ -150,6 +152,21 @@ def _comm(call):
         return type(exc), str(exc)
 
 
+def _keyed_collect(g, parent, items, cap, config, label):
+    """The collect as comm.upcast_collect runs it: each message carries a key
+    and a payload, two IDs."""
+    return sim.tree_collect(g, parent, items, cap, 2, config, label)
+
+
+def _or_collect(g, parent, flagged, config, label):
+    """The OR up-cast as comm.upcast_flags runs it: a collect with cap 1 of
+    one key that every flagged vertex holds, in messages of no ID; returns
+    (trace, the roots it reached)."""
+    trace, stores = sim.tree_collect(g, parent, {v: [(0, 0)] for v in flagged},
+                                     1, 0, config, label)
+    return trace, set(stores)
+
+
 def _random_ids(rng, g, cap, bad) -> tuple:
     """An ID tuple of at most cap IDs, or now and then one more when bad."""
     width = rng.randint(0, cap + (1 if bad and rng.random() < 0.3 else 0))
@@ -233,7 +250,7 @@ def test_flag_upcast_equals_oracle(data):
     if rng.random() < 0.3:
         flagged.add(rng.choice(sorted(orient.members)))
 
-    kernel = _run(sim.flag_upcast, g, orient.parent, flagged, config, "lbl")
+    kernel = _run(_or_collect, g, orient.parent, flagged, config, "lbl")
     oracle = _run(oracles.flag_upcast, g, orient.parent, flagged, config, "lbl")
     assert kernel == oracle
 
@@ -255,31 +272,35 @@ def test_collect_equals_oracle(data):
     items = {v: [(rng.choice(keys), rng.choice(g.vertices))
                  for _ in range(rng.randint(0, 3))]
              for v in orient.center_of if rng.random() < 0.6}
-    wanted = _some(rng, orient.members)
-    members = [v for c in wanted for v in orient.members[c]]
+    # the trees of some clusters only
+    parent = {v: orient.parent[v] for c in _some(rng, orient.members)
+              for v in orient.members[c]}
 
-    def in_order(stores):
-        return {v: list(s.items()) for v, s in stores.items() if s}
+    def in_order(stores, parent):
+        """The roots' non-empty stores, each as its list of items."""
+        return {v: list(s.items()) for v, s in stores.items()
+                if s and parent[v] is None}
 
-    kernel, stores = _run(sim.tree_collect, g, members, orient.parent, items,
-                          cap, config, "lbl")
-    oracle, expected = _run(oracles.tree_collect, g, members, orient.parent,
-                            items, cap, config, "lbl")
+    inside = {v: x for v, x in items.items() if v in parent}
+    kernel, stores = _run(_keyed_collect, g, parent, inside, cap, config, "lbl")
+    oracle, expected = _run(oracles.tree_collect, g, parent, inside, cap,
+                            config, "lbl")
     assert kernel == oracle
     if expected is not None:
-        assert in_order(stores) == in_order(expected)
+        assert all(parent[v] is None for v in stores)
+        assert in_order(stores, parent) == in_order(expected, parent)
 
     # upcast_collect collects toward every center
-    members = [v for c in orient.members for v in orient.members[c]]
-    oracle, expected = _run(oracles.tree_collect, g, members, orient.parent,
-                            items, cap, config, "lbl")
+    oracle, expected = _run(oracles.tree_collect, g, orient.parent, items, cap,
+                            config, "lbl")
     net = _net(g, config)
     got = _comm(lambda: comm.upcast_collect(net, orient, items, cap, "lbl"))
     if expected is None:
         assert got == oracle
         return
-    assert [(c, list(s.items())) for c, s in got.items()] == [
-        (c, list(expected.get(c, {}).items())) for c in set(orient.members)]
+    assert all(orient.parent[c] is None for c in got)
+    assert {c: list(s.items()) for c, s in got.items()} == in_order(
+        expected, orient.parent)
     assert _episodes(net) == ([oracle] if orient.members else [])
 
 
@@ -417,17 +438,17 @@ def _cases():
            oracles.best_upcast,
            ([1], CHAIN.parent, CHAIN.height, {}), tight,
            RoundBudgetExceeded)
-    yield ("flag upcast: parent not a neighbour", sim.flag_upcast,
+    yield ("flag upcast: parent not a neighbour", _or_collect,
            oracles.flag_upcast, (BENT.parent, {5}), ok, ModelViolation)
-    yield ("flag upcast: round budget", sim.flag_upcast, oracles.flag_upcast,
+    yield ("flag upcast: round budget", _or_collect, oracles.flag_upcast,
            (CHAIN.parent, {5}), tight, RoundBudgetExceeded)
-    yield ("collect: too many ids", sim.tree_collect, oracles.tree_collect,
-           (CHAIN.parent, CHAIN.parent, {3: [(9, 3)]}, 5),
+    yield ("collect: too many ids", _keyed_collect, oracles.tree_collect,
+           (CHAIN.parent, {3: [(9, 3)]}, 5),
            SimConfig(ids_per_message=1), ModelViolation)
-    yield ("collect: parent not a neighbour", sim.tree_collect, oracles.tree_collect,
-           (BENT.parent, BENT.parent, {5: [(9, 5), (8, 5)]}, 5), ok, ModelViolation)
-    yield ("collect: round budget", sim.tree_collect, oracles.tree_collect,
-           (CHAIN.parent, CHAIN.parent, {5: [(9, 5)], 4: [(8, 4)]}, 5), tight,
+    yield ("collect: parent not a neighbour", _keyed_collect, oracles.tree_collect,
+           (BENT.parent, {5: [(9, 5), (8, 5)]}, 5), ok, ModelViolation)
+    yield ("collect: round budget", _keyed_collect, oracles.tree_collect,
+           (CHAIN.parent, {5: [(9, 5)], 4: [(8, 4)]}, 5), tight,
            RoundBudgetExceeded)
     yield ("orient: tree neighbour not a neighbour", sim.orient_flood,
            oracles.orient_flood, ([1], {**CHAIN_ADJ, 2: [1, 3, 5]}), ok,
@@ -450,6 +471,30 @@ def test_kernel_raises_what_run_raises(name, kernel, oracle, args, config,
     got = _run(kernel, PATH, *args, config, "lbl")
     assert got == _run(oracle, PATH, *args, config, "lbl")
     assert got[0][0] is expected
+
+
+def _no_fault_cases():
+    """(name, kernel, oracle, args, config) in which sim.run raises nothing
+    and the kernel must not either."""
+    # cap 0 admits nothing, so no vertex may get a queue: an empty one would
+    # be popped (IndexError)
+    yield ("collect: cap 0", _keyed_collect, oracles.tree_collect,
+           (CHAIN.parent, {5: [(9, 5)], 3: [(8, 3), (7, 3)], 1: [(6, 1)]}, 0),
+           SimConfig())
+    # a flag carries no ID, so messages of one ID hold it: the width checked
+    # is the caller's, not the two entries of the shared item ("carries 2
+    # ids")
+    yield ("flag upcast: messages of one ID", _or_collect, oracles.flag_upcast,
+           (CHAIN.parent, {5, 3}), SimConfig(ids_per_message=1))
+
+
+@pytest.mark.parametrize("name, kernel, oracle, args, config",
+                         list(_no_fault_cases()),
+                         ids=[c[0] for c in _no_fault_cases()])
+def test_kernel_runs_what_run_runs(name, kernel, oracle, args, config):
+    got = _run(kernel, PATH, *args, config, "lbl")
+    assert got == _run(oracle, PATH, *args, config, "lbl")
+    assert isinstance(got[0], dict)
 
 
 def _edge_free_cases():
@@ -488,7 +533,7 @@ def test_edge_free_trees_equal_oracle(name, kernel, oracle, args, config):
 
 def test_single_vertex_clusters_record_the_oracle_episodes():
     net = comm.Net(PATH)
-    config, members = net.config, list(PATH.vertices)
+    config = net.config
     # 1's payload is oversize, but it is never sent
     payload = {1: (1, 2, 3), 2: (2,), 3: (3,)}
     assert comm.downcast_single(net, ALONE, [1, 2, 3, 5], "down", payload) is None
@@ -505,10 +550,10 @@ def test_single_vertex_clusters_record_the_oracle_episodes():
 
     items = {1: [(30, 1), (10, 1)], 3: [(20, 3), (20, 4)], 5: []}
     got = comm.upcast_collect(net, ALONE, items, 1, "collect")
-    collect, stores = _run(oracles.tree_collect, PATH, members, ALONE.parent,
-                           items, 1, config, "collect")
-    assert got == {c: stores.get(c, {}) for c in members}
-    assert got == {1: {10: 1}, 2: {}, 3: {20: 3}, 4: {}, 5: {}}
+    collect, stores = _run(oracles.tree_collect, PATH, ALONE.parent, items, 1,
+                           config, "collect")
+    # only the centers that collected an item have a store
+    assert got == stores == {1: {10: 1}, 3: {20: 3}}
 
     assert _episodes(net) == [down, best, collect]
     assert [(e["label"], e["messages_total"]) for e in _episodes(net)] == [
