@@ -29,14 +29,28 @@ from . import comm
 from .comm import Net, Orientation
 
 
-def radius_sequence(delta: int, ell: int) -> Tuple[int, ...]:
+# the most decimal digits Python converts an int to text with by default;
+# the reports and verdicts write a stretch bound out in full
+MAX_BOUND_DIGITS = 4300
+
+
+def radius_sequence(delta: int, ell: int, scale: int = 1) -> Tuple[int, ...]:
     """Cluster-radius bounds per phase, R_i bounding Rad(P_i): R_0 = 0 and
-    R_{i+1} = (2*delta+1)*R_i + delta, for i in [0, ell]."""
+    R_{i+1} = (2*delta+1)*R_i + delta, for i in [0, ell].
+
+    Raises ValueError when the stretch bound scale*R_ell + 1 would have more
+    than MAX_BOUND_DIGITS digits, as soon as some R_i shows it: R_i at least
+    triples per step, so that takes at most about 9 000 steps, whatever ell.
+    """
     if delta < 1 or ell < 0:
         raise ValueError("need delta >= 1 and ell >= 0")
+    limit = 10 ** MAX_BOUND_DIGITS
     values = [0]
     for _ in range(ell):
         values.append((2 * delta + 1) * values[-1] + delta)
+        if scale * values[-1] + 1 >= limit:
+            raise ValueError(f"the stretch bound {scale}*R_ell + 1 at ell = {ell}, "
+                             f"delta = {delta} has more than {MAX_BOUND_DIGITS} digits")
     return tuple(values)
 
 

@@ -14,9 +14,10 @@ sender's one ID, and a hop crosses only the superedges with a popular side:
 the kernels' accept_all is the vertices of popular clusters. Every other
 episode is a tree cast or a one-round per-edge send (orient_flood,
 tree_downcast, best_upcast, send_round, and tree_collect, which converges
-both flags and keyed items). An episode in which no vertex takes part is not
-recorded. The orchestrator only moves results between episodes, never
-inventing knowledge a vertex could not have accumulated locally.
+the keys vertices hold, each with its holder; a flag is one shared key). An
+episode in which no vertex takes part is not recorded. The orchestrator
+only moves results between episodes, never inventing knowledge a vertex
+could not have accumulated locally.
 
 On the wire a message is a tuple of at most IDS_PER_MESSAGE vertex IDs; what
 it means follows from the episode it belongs to, so it carries no tag, and a
@@ -101,12 +102,12 @@ class Orientation:
     center_of: Dict[int, int]
     parent: Dict[int, Optional[int]]
     children: Dict[int, Tuple[int, ...]]
-    depth: Dict[int, int]
     height: Dict[int, int]
     members: Dict[int, Tuple[int, ...]]
 
     def max_depth(self) -> int:
-        return max(self.depth.values(), default=0)
+        """The deepest vertex's depth: the largest height of a center."""
+        return max(map(self.height.__getitem__, self.members), default=0)
 
 
 def orient_clusters(net: Net, center_of: Dict[int, int],
@@ -139,12 +140,9 @@ def orient_clusters(net: Net, center_of: Dict[int, int],
     ordered = {v: c for c, vs in members.items() for v in vs}
     parent = {v: found[v][1] for v in ordered}
     # found lists the vertices by depth, then ID: children come out sorted,
-    # a parent's depth is known before its children's, and the reverse walk
-    # meets every child before its parent
+    # and the reverse walk meets every child before its parent
     children: Dict[int, List[int]] = {v: [] for v in found}
-    depth: Dict[int, int] = {}
     for v, (_, p) in found.items():
-        depth[v] = 0 if p is None else depth[p] + 1
         if p is not None:
             children[p].append(v)
     height = dict.fromkeys(found, 0)
@@ -154,7 +152,7 @@ def orient_clusters(net: Net, center_of: Dict[int, int],
             height[p] = height[v] + 1
     return Orientation(ordered, parent,
                        {v: tuple(cs) for v, cs in children.items()},
-                       depth, height, members)
+                       height, members)
 
 
 def explore_hop(net: Net, orient: Orientation, label: str,
@@ -219,7 +217,7 @@ def upcast_flags(net: Net, orient: Orientation, flagged: Set[int], label: str) -
         return set()
     # a collect with cap 1 of one key, held by every flagged vertex; a flag
     # carries no ID
-    items = dict.fromkeys(flagged, ((0, 0),))
+    items = dict.fromkeys(flagged, (0,))
     return set(net.cast(label, sim.tree_collect, orient.parent, items, 1, 0))
 
 
@@ -239,27 +237,23 @@ def downcast_single(net: Net, orient: Orientation, centers: Iterable[int], label
 
 def downcast_payloads(net: Net, orient: Orientation,
                       center_payloads: Dict[int, Sequence[Tuple[int, ...]]],
-                      label: str) -> Dict[int, Sequence[Tuple[int, ...]]]:
+                      label: str) -> None:
     """Pipelined downcast of a list of ID tuples from each center to its
-    members, passed through as they are.
-
-    Returns, per member, the tuples it received: its center's list.
+    members. Every member receives its center's list, in order, so the
+    caller reads what a member heard off center_payloads itself.
     """
-    if not center_payloads:
-        return {}
-    net.cast(label, sim.tree_downcast, orient.children, center_payloads)
-    return {v: payloads for c, payloads in center_payloads.items()
-            for v in orient.members[c]}
+    if center_payloads:
+        net.cast(label, sim.tree_downcast, orient.children, center_payloads)
 
 
 def upcast_collect(net: Net, orient: Orientation,
-                   items: Dict[int, Sequence[Tuple[int, int]]], cap: int,
+                   items: Mapping[int, Iterable[int]], cap: int,
                    label: str) -> Dict[int, Dict[int, int]]:
-    """Pipelined keyed collection toward each center, dedup with cap, in
-    messages of two IDs, a key and a payload.
+    """Pipelined keyed collection toward each center, dedup with cap, of the
+    keys each vertex holds, in messages of two IDs, a key and its holder.
 
-    Returns each center that collected an item -> {key: payload} in
-    admission order.
+    Returns each center that collected a key -> {key: holder} in admission
+    order.
     """
     if not orient.parent:
         return {}

@@ -58,7 +58,8 @@ class _PolylogVariant:
         self.ell = params.ell
         self.delta = params.delta
         self.ruling_params = RulingParams(q=max(1, ceil_log2_int(params.n)))
-        self.radius_bounds = radius_sequence(self.delta, self.ell)
+        # refuses a stretch bound 2*R_ell + 1 too long to print
+        self.radius_bounds = radius_sequence(self.delta, self.ell, 2)
 
     def threshold_expo(self, phase: int) -> Fraction:
         return self.params.tau_expo
@@ -119,8 +120,7 @@ def stretch_bound_exact(n: int, kappa: int) -> int:
     if kappa == 1 or n == 1:
         return 1
     params = PolylogParams(n=n, kappa=kappa)
-    radii = radius_sequence(params.delta, params.ell)
-    return 2 * radii[params.ell] + 1
+    return 2 * radius_sequence(params.delta, params.ell, 2)[-1] + 1
 
 
 def size_bound_holds(result: BuildResult) -> bool:

@@ -28,16 +28,17 @@ they heard a sender they accept. Both take ``{sender: ID}`` and one rule: a
 listener in ``accept_all`` accepts every sender, any other listener only the
 senders in ``accept_all``.
 ``orient_flood``, ``tree_downcast``, ``best_upcast`` and ``tree_collect``
-(the one convergecast of flags and keyed items) for the casts inside cluster
-trees, walked level by level (the collect round by round); and
-``send_round`` for one round of per-edge sends. Each kernel fixes its own
-mode, that of the programs it stands for (broadcast for the first two,
-congest for the others), and writes it into its trace; only ``run`` reads
-``config.mode``. No build calls ``run``: it is the tests' reference engine,
-which runs those programs and holds the kernels to them. A cluster tree with
-no edge sends nothing in any tree cast, so the tree kernels do no work for
-it: its root only keeps the episode on the record and, in a downcast, wakes
-once per payload.
+(the one convergecast, of the keys vertices hold, each sent with its
+holder; a flag is one shared key) for the casts inside cluster trees,
+walked level by level (the collect round by round); and ``send_round`` for
+one round of per-edge sends. Each kernel fixes its own mode, that of the
+programs it stands for (broadcast for the first two, congest for the
+others), and writes it into its trace; only ``run`` reads ``config.mode``.
+No build calls ``run``: it is the tests' reference engine, which runs those
+programs and holds the kernels to them. A cluster tree with no edge sends
+nothing in any tree cast, so the tree kernels do no work for it: its root
+only keeps the episode on the record and, in a downcast, wakes once per
+payload.
 
 Determinism: vertices are stepped in ascending ID order, inboxes are keyed by
 sender in ascending order, and per-edge FIFO order is preserved by the
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import (AbstractSet, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Set, Tuple)
 
@@ -482,28 +483,27 @@ def best_upcast(g: Graph, roots: Iterable[int],
 
 
 def tree_collect(g: Graph, parent: Mapping[int, Optional[int]],
-                 items: Mapping[int, Sequence[Tuple[int, int]]], cap: int,
+                 items: Mapping[int, Iterable[int]], cap: int,
                  ids: int, config: SimConfig, label: str = ""
                  ) -> Tuple[SimTrace, Dict[int, Dict[int, int]]]:
     """Capped, deduplicating keyed collect in congest mode up the trees of
-    parent: each vertex admits (key, payload) items, its own in ascending
-    order, then those its children send it, in child order; it keeps those
-    with a new key while it holds fewer than cap and forwards them to its
-    parent FIFO, one per round, in messages of ids IDs. items holds vertices
-    of parent only. Returns each root that admitted an item -> its store in
-    admission order. Cap 1 and one key make it the OR up-cast."""
+    parent: items maps a vertex of parent to the keys it holds, and each key
+    travels with its holder as payload. A vertex admits its own keys in
+    ascending order, then the (key, payload) items its children send it, in
+    child order; it keeps those with a new key while it holds fewer than cap
+    and forwards them to its parent FIFO, one per round, in messages of ids
+    IDs. Returns each root that admitted an item -> its store, key ->
+    payload, in admission order. Cap 1 and one key make it the OR up-cast."""
     edges, limit = g.edge_set(), config.ids_per_message
     # a store and a forward queue are made at a vertex's first admission (a
     # root has no queue); a queue never holds more than cap items, so a list
     # serves, and it is dropped once empty
     stores: Dict[int, Dict[int, int]] = {}
     queues: Dict[int, List[Tuple[int, int]]] = defaultdict(list)
-    for v, own in items.items():   # round 0: each vertex's own items
-        store: Dict[int, int] = {}
-        for key, payload in sorted(own):
-            if len(store) == cap:
-                break
-            store.setdefault(key, payload)
+    for v, own in items.items():   # round 0: each vertex's own keys
+        store = dict.fromkeys(sorted(own), v)
+        if len(store) > cap:
+            store = dict.fromkeys(islice(store, cap), v)
         if store:
             stores[v] = store
             if parent[v] is not None:

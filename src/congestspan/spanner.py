@@ -159,10 +159,10 @@ def run_phases(g: Graph, variant: Variant, params: dict) -> BuildResult:
         if not is_final and popular:
             vgraph = build_cluster_graph(orient.center_of, popular, g)
             selected = rulingset.run_knockout_schedule(
-                net, orient, set(popular), variant.ruling_params, g.id_range,
-                popular=set(popular), label=f"p{i}.rs")
+                net, orient, popular, variant.ruling_params, g.id_range,
+                popular=popular, label=f"p{i}.rs")
             joins = run_supercluster_bfs(net, orient, selected, variant.delta,
-                                         set(popular), vgraph=vgraph)
+                                         popular, vgraph=vgraph)
         settled = orient.members.keys() - joins.keys()
 
         for c, info in sorted(joins.items()):

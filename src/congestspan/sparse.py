@@ -42,6 +42,7 @@ class SparseParams:
     ell: int
     delta: int
     deg_expos: Tuple[Fraction, ...]   # exponent of deg_i, phases 0..ell-1
+    radius_bounds: Tuple[int, ...]    # R_0..R_ell
 
     @property
     def ruling_q(self) -> int:
@@ -55,7 +56,10 @@ class SparseParams:
 
 
 def degree_schedule(n: int, kappa: int, rho) -> SparseParams:
-    """Compute and validate the phase schedule for given (kappa, rho)."""
+    """Compute and validate the phase schedule for given (kappa, rho). The
+    schedule depends on kappa and rho alone, so one whose stretch bound
+    4*R_ell + 1 is too long to print is refused at every n, before its
+    phases are listed."""
     if not isinstance(kappa, int) or kappa < 2:
         raise ValueError(f"kappa must be an integer >= 2, got {kappa}")
     rho = as_fraction(rho)
@@ -65,6 +69,7 @@ def degree_schedule(n: int, kappa: int, rho) -> SparseParams:
     i0 = floor_log2(kappa * rho)
     ell = i0 + ceil_fraction(Fraction(kappa + 1) / (kappa * rho)) - 1
     delta = ceil_fraction(2 / rho)
+    radii = radius_sequence(delta, ell, 4)
     expos = []
     for i in range(ell):
         if i <= i0:
@@ -72,7 +77,8 @@ def degree_schedule(n: int, kappa: int, rho) -> SparseParams:
         else:
             expos.append(rho)
     return SparseParams(n=n, kappa=kappa, rho=rho, i0=i0, ell=ell,
-                        delta=delta, deg_expos=tuple(expos))
+                        delta=delta, deg_expos=tuple(expos),
+                        radius_bounds=radii)
 
 
 def skeleton_kappa(n: int) -> int:
@@ -89,7 +95,7 @@ class _SparseVariant:
         self.ell = params.ell
         self.delta = params.delta
         self.ruling_params = RulingParams(q=params.ruling_q)
-        self.radius_bounds = radius_sequence(self.delta, self.ell)
+        self.radius_bounds = params.radius_bounds
 
     def threshold_expo(self, phase: int) -> Optional[Fraction]:
         if phase < self.params.ell:
@@ -99,11 +105,9 @@ class _SparseVariant:
     def detect(self, net: Net, orient: Orientation,
                nbr_clusters: Dict[int, Dict[int, int]], phase: int,
                is_final: bool) -> Tuple[Set[int], Dict[int, Dict[int, int]]]:
-        items = {v: [(cc, v) for cc in sorted(got)]
-                 for v, got in nbr_clusters.items() if got}
         # the final phase needs complete neighbor knowledge: no binding cap
         cap = self.params.n + 1 if is_final else self.params.degree_cap(phase)
-        knowledge = comm.upcast_collect(net, orient, items, cap,
+        knowledge = comm.upcast_collect(net, orient, nbr_clusters, cap,
                                         f"p{phase}.collect")
         popular: Set[int] = set()
         if not is_final:
@@ -116,23 +120,18 @@ class _SparseVariant:
                      nbr_clusters: Dict[int, Dict[int, int]], settled: Set[int],
                      knowledge: Dict[int, Dict[int, int]], phase: int,
                      spanner: SpannerEdgeSet) -> None:
-        if not settled:
-            return
         payloads = {c: list(knowledge[c].items())
                     for c in sorted(settled) if c in knowledge}
-        if not payloads:
-            return
-        received = comm.downcast_payloads(net, orient, payloads,
-                                          f"p{phase}.intercast")
+        comm.downcast_payloads(net, orient, payloads, f"p{phase}.intercast")
         adds: Dict[int, List[Edge]] = {}   # charged center -> its edges
         announce: Dict[int, List[int]] = {}
-        for c in sorted(payloads):
-            for v in orient.members[c]:
-                targets = [nbr_clusters[v][cc] for cc, y in received.get(v, ())
-                           if y == v]
-                if targets:
-                    announce[v] = sorted(targets)
-                    adds.setdefault(c, []).extend(edge_key(v, u) for u in targets)
+        for c, pairs in payloads.items():
+            # every member heard c's list; each witness keeps its own pairs
+            heard: Dict[int, List[int]] = {}
+            for cc, y in pairs:
+                heard.setdefault(y, []).append(nbr_clusters[y][cc])
+            adds[c] = [edge_key(v, u) for v in sorted(heard) for u in heard[v]]
+            announce.update((v, sorted(us)) for v, us in heard.items())
         comm.announce_edges(net, f"p{phase}.inter", announce)
         for c, edges in adds.items():
             spanner.add(tuple(edges), vertex=c, kind=INTER, phase=phase)
@@ -185,9 +184,7 @@ def stretch_bound_exact(n: int, kappa: int, rho) -> int:
     """The checked per-edge bound 4*R_ell + 1 from the radius recurrence."""
     if n == 1:
         return 1
-    params = degree_schedule(n, kappa, rho)
-    radii = radius_sequence(params.delta, params.ell)
-    return 4 * radii[params.ell] + 1
+    return 4 * degree_schedule(n, kappa, rho).radius_bounds[-1] + 1
 
 
 def size_bound_holds(result: BuildResult) -> bool:

@@ -25,7 +25,7 @@ the others only those with the bit set (about 8k messages).
 
 The tree casts: both sides run, on the BFS tree from vertex 1 of the 48 x 48
 grid, a pipelined downcast of 64 payloads from the root (147k messages in
-157 rounds) and then a collect of one item per vertex capped at 64 (57k
+157 rounds) and then a collect of one key per vertex capped at 64 (57k
 messages in 64 rounds).
 
 The OR up-cast: on the same tree, every 20th vertex raises a flag (116 of
@@ -110,7 +110,7 @@ def grid_tree():
                      default=None) for v in g.vertices}
     orient = oracles.orientation_from_parents({1: parent})
     payloads = {1: [(i + 1,) for i in range(64)]}
-    items = {v: [(v, v)] for v in g.vertices}
+    items = {v: (v,) for v in g.vertices}
     return g, orient, payloads, items
 
 
@@ -137,7 +137,7 @@ def test_tree_casts(benchmark, grid_tree, impl):
 
 
 def _kernel_or(g, parent, flagged, config, label):
-    trace, stores = sim.tree_collect(g, parent, {v: [(0, 0)] for v in flagged},
+    trace, stores = sim.tree_collect(g, parent, {v: (0,) for v in flagged},
                                      1, 0, config, label)
     return trace, set(stores)
 

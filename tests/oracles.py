@@ -317,22 +317,23 @@ class TreeDowncast(NodeProgram):
 class TreeCollect(NodeProgram):
     """Upcast of keyed items with dedup and a per-vertex storage cap.
 
-    Items are (key, payload) pairs; a vertex saves an item only if the key is
-    new to it and it has stored fewer than ``cap`` items, then forwards it to
-    the parent, one per round. Own items are admitted before relayed ones, in
+    Items are (key, payload) pairs, a vertex's own being its keys, each with
+    the vertex as payload; a vertex saves an item only if the key is new to
+    it and it has stored fewer than ``cap`` items, then forwards it to the
+    parent, one per round. Own items are admitted before relayed ones, in
     ascending key order. The root's store is the collected knowledge.
     """
 
     __slots__ = ("parent", "cap", "store", "outq")
 
-    def __init__(self, parent: Optional[int], own_items: Sequence[Tuple[int, int]],
+    def __init__(self, vertex: int, parent: Optional[int], own_keys: Iterable[int],
                  cap: int):
         self.parent = parent
         self.cap = cap
         self.store: Dict[int, int] = {}
         self.outq: List[Tuple[int, int]] = []
-        for key, payload in sorted(own_items):
-            self._admit(key, payload)
+        for key in sorted(own_keys):
+            self._admit(key, vertex)
 
     def _admit(self, key: int, payload: int) -> None:
         if key in self.store or len(self.store) >= self.cap:
@@ -557,12 +558,12 @@ def flag_upcast(g: Graph, parent: Mapping[int, Optional[int]],
 
 
 def tree_collect(g: Graph, parent: Mapping[int, Optional[int]],
-                 items: Mapping[int, Sequence[Tuple[int, int]]], cap: int,
+                 items: Mapping[int, Iterable[int]], cap: int,
                  config: SimConfig, label: str = ""
                  ) -> Tuple[SimTrace, Dict[int, Dict[int, int]]]:
-    """One TreeCollect per vertex of parent; the result is every non-empty
-    store, relays' included."""
-    programs = {v: TreeCollect(p, items.get(v, ()), cap)
+    """One TreeCollect per vertex of parent, holding the keys items lists for
+    it; the result is every non-empty store, relays' included."""
+    programs = {v: TreeCollect(v, p, items.get(v, ()), cap)
                 for v, p in parent.items()}
     trace = sim.run(g, programs, config, label=label)
     return trace, {v: prog.store for v, prog in programs.items() if prog.store}
@@ -615,8 +616,8 @@ def orientation_from_parents(parent_maps: Dict[int, Dict[int, Optional[int]]]
     """The Orientation of clusters whose parent maps are already known, one
     per center (center -> {member: parent}, None for the center), without
     an episode: what comm.orient_clusters returns once its flood has found
-    those parents. Depths come from one top-down pass from the centers,
-    heights from the same visiting order reversed."""
+    those parents. Heights come from a breadth-first visiting order from the
+    centers, walked in reverse."""
     center_of: Dict[int, int] = {}
     parent: Dict[int, Optional[int]] = {}
     children: Dict[int, List[int]] = {}
@@ -628,19 +629,16 @@ def orientation_from_parents(parent_maps: Dict[int, Dict[int, Optional[int]]]
             if pmap[v] is not None:
                 children.setdefault(pmap[v], []).append(v)
     kids = {v: tuple(sorted(cs)) for v, cs in children.items()}
-    depth = dict.fromkeys(parent_maps, 0)
     order = list(parent_maps)
     for v in order:   # breadth first: the list grows while it is walked
-        for u in kids[v]:
-            depth[u] = depth[v] + 1
-            order.append(u)
+        order.extend(kids[v])
     height = dict.fromkeys(parent, 0)
     for v in reversed(order):
         p = parent[v]
         if p is not None and height[p] <= height[v]:
             height[p] = height[v] + 1
     members = {c: tuple(sorted(pmap)) for c, pmap in parent_maps.items()}
-    return comm.Orientation(center_of, parent, kids, depth, height, members)
+    return comm.Orientation(center_of, parent, kids, height, members)
 
 
 def block_widths(id_range: Tuple[int, int], q: int) -> List[int]:

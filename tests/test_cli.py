@@ -17,6 +17,17 @@ OVERFLOWING = [
     ({"alg": "polylog", "graph": "gen:path:n=5", "kappa": 1000}, ["rounds_model"]),
 ]
 
+# parameters whose exact stretch bound has more digits than Python turns an
+# int into text with by default, each refused before it builds; the last
+# schedule has about 100 000 phases
+UNPRINTABLE = [
+    {"alg": "polylog", "graph": "gen:path:n=5", "kappa": 5000},
+    {"alg": "skeleton", "graph": "gen:path:n=30", "rho": "0.0003"},
+    {"alg": "skeleton", "graph": "gen:path:n=30", "rho": "0.00001"},
+]
+UNPRINTABLE_IDS = ["polylog kappa 5000", "skeleton rho 0.0003",
+                   "skeleton rho 0.00001"]
+
 
 def _parameter_flags(point: dict) -> list:
     """The --kappa and --rho flags of a bench point."""
@@ -262,6 +273,18 @@ class TestMalformedInput:
             errors.append(capsys.readouterr().err)
         assert errors[0].startswith("error: ") and errors[0] == errors[1]
 
+    @pytest.mark.parametrize("point", UNPRINTABLE, ids=UNPRINTABLE_IDS)
+    def test_unprintable_stretch_bound_exits_2(self, point, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = cli.main(["build", "--alg", point["alg"], "--graph", point["graph"],
+                       *_parameter_flags(point), "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the stretch bound ")
+        assert "more than 4300 digits" in captured.err
+        assert not out.exists()   # refused before the build
+
     @pytest.mark.parametrize("flag, config", [
         (["--rho", "1/0"], None), ([], '{"rho": "1/0"}')], ids=["flag", "config"])
     def test_zero_denominator_rho_exits_2(self, flag, config, tmp_path, capsys,
@@ -458,6 +481,19 @@ class TestBench:
         assert [(r["ok"], r["error"], r["rounds_model"]) for r in rows] == [
             (True, None, None)] * 2
         assert all(isinstance(r["size_bound"], float) for r in rows)
+
+    def test_unprintable_stretch_bound_fails_the_point(self, tmp_path):
+        sfile = tmp_path / "series.json"
+        sfile.write_text(json.dumps(UNPRINTABLE))
+        rc = cli.main(["bench", "--series", str(sfile), "--out",
+                       str(tmp_path / "b"), "--workers", "1"])
+        assert rc == 1
+        rows = json.loads((tmp_path / "b" / "bench.json").read_text())["rows"]
+        assert [r["point"] for r in rows] == UNPRINTABLE
+        for r in rows:
+            assert not r["ok"]
+            assert r["error"].startswith("ValueError: the stretch bound ")
+            assert "more than 4300 digits" in r["error"]
 
     def test_empty_series(self, tmp_path):
         sfile = tmp_path / "series.json"

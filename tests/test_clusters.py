@@ -77,6 +77,25 @@ class TestRadiusSequence:
         with pytest.raises(ValueError):
             radius_sequence(0, 3)
 
+    def test_refuses_a_stretch_bound_too_long_to_print(self):
+        # the stretch bound scale*R_ell + 1 may have 4300 digits, the most
+        # Python turns into text by default; ell is the last phase it fits
+        limit = 10 ** 4300
+        for scale in (1, 2, 4):
+            ell, radius = 0, 0
+            while scale * (9 * radius + 4) + 1 < limit:
+                ell, radius = ell + 1, 9 * radius + 4
+            bound = scale * radius_sequence(4, ell, scale)[-1] + 1
+            assert bound == scale * radius + 1
+            assert len(str(bound)) == 4300
+            with pytest.raises(ValueError, match="more than 4300 digits"):
+                radius_sequence(4, ell + 1, scale)
+
+    def test_refusal_stops_early(self):
+        # refused at R_4507, long before the end of the sequence
+        with pytest.raises(ValueError, match="ell = 1000000000000,"):
+            radius_sequence(4, 10 ** 12)
+
 
 class TestVirtualGraph:
     """The build's adjacency, and the witnesses of the verifier's scan."""

@@ -2,10 +2,10 @@
 
 orient_clusters learns the trees through a simulated flood from the centers;
 oracles.orientation_from_parents starts from parent maps that are already
-known. Depths and heights are also checked against their definitions,
-computed here by walking each tree directly. The key order of center_of,
-parent and members must match too: the snapshot's parent map is the
-orientation's, and its order feeds every later phase.
+known. Heights, and the deepest vertex's depth, are also checked against
+their definitions, computed here by walking each tree directly. The key
+order of center_of, parent and members must match too: the snapshot's
+parent map is the orientation's, and its order feeds every later phase.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -16,7 +16,7 @@ from oracles import orientation_from_parents
 from congestspan import graph as gr
 from congestspan.comm import Net, orient_clusters
 
-FIELDS = ("center_of", "parent", "children", "depth", "height", "members")
+FIELDS = ("center_of", "parent", "children", "height", "members")
 ORDERED = ("center_of", "parent", "members")
 
 
@@ -53,5 +53,5 @@ def test_orientation_from_parents_matches_flood(n, seed, data):
             u, up = parent[u], up + 1
             height[u] = max(height[u], up)
         depth[v] = up
-    assert known.depth == depth
     assert known.height == height
+    assert known.max_depth() == flooded.max_depth() == max(depth.values())

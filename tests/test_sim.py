@@ -123,18 +123,23 @@ def star_tree(n):
 
 
 def downcast(g, parent, payloads):
-    """Rounds, and each vertex's received list, of the build's pipelined
-    downcast of payloads from the root 1 of parent."""
+    """Rounds of the build's pipelined downcast of payloads from the root 1
+    of parent, and each vertex's received list under the oracle's programs,
+    which must be the root's list at every member."""
     net = comm.Net(g)
     orient = oracles.orientation_from_parents({1: parent})
-    received = comm.downcast_payloads(net, orient, {1: payloads}, "downcast")
-    return net.trace.episodes[-1].rounds_elapsed, received
+    assert comm.downcast_payloads(net, orient, {1: payloads}, "downcast") is None
+    trace, received = oracles.tree_downcast(g, orient.children, {1: payloads},
+                                            net.config, "downcast")
+    assert trace == net.trace.episodes[-1]
+    assert received == dict.fromkeys(orient.members[1], list(payloads))
+    return trace.rounds_elapsed, received
 
 
 def upcast(g, parent, items, cap):
-    """Rounds, and the root's key -> payload store, of the build's capped
-    keyed collect of items to the root 1 of parent; a root that collected
-    nothing has no store."""
+    """Rounds, and the root's key -> holder store, of the build's capped
+    collect of the keys each vertex of items holds to the root 1 of parent;
+    a root that collected nothing has no store."""
     net = comm.Net(g)
     orient = oracles.orientation_from_parents({1: parent})
     stores = comm.upcast_collect(net, orient, items, cap, "upcast")
@@ -165,20 +170,20 @@ class TestDowncast:
 class TestUpcast:
     def test_below_cap_collects_everything(self):
         g, parent = path_tree(3)
-        items = {3: [(10, 3), (11, 3), (12, 3)]}
+        items = {3: [10, 11, 12]}
         rounds, store = upcast(g, parent, items, cap=10)
         assert set(store) == {10, 11, 12}
         assert rounds <= 10 + 2
 
     def test_cap_limits_root_knowledge(self):
         g, parent = star_tree(6)
-        items = {v: [(100 + v, v)] for v in range(2, 7)}
+        items = {v: [100 + v] for v in range(2, 7)}
         rounds, store = upcast(g, parent, items, cap=2)
         assert len(store) == 2
 
     def test_duplicates_counted_once(self):
         g, parent = star_tree(4)
-        items = {2: [(55, 2)], 3: [(55, 3)], 4: [(66, 4)]}
+        items = {2: [55], 3: [55], 4: [66]}
         _, store = upcast(g, parent, items, cap=10)
         assert set(store) == {55, 66}
         # first arrival wins: ascending child order puts vertex 2's copy first
@@ -216,7 +221,7 @@ def test_upcast_round_bound_and_cap(n, cap, seed, data):
     all_keys = set()
     for v in g.vertices:
         ks = data.draw(st.lists(st.integers(1000, 1015), max_size=3, unique=True))
-        items[v] = [(k, v) for k in ks]
+        items[v] = ks
         all_keys.update(ks)
     rounds, store = upcast(g, parent, items, cap=cap)
     assert len(store) == min(cap, len(store))

@@ -177,6 +177,27 @@ class TestInterconnectCenterwise:
         assert [(c.kind, sorted(c.edges)) for c in spanner.charges] == [
             ("interconnect", [(1, 4), (2, 5), (3, 5)])]
 
+    def test_one_member_witnesses_two_clusters(self):
+        # cluster {4,5,6} with center 4: 5 borders clusters 1 and 2, 6
+        # borders cluster 1 too, but 5's copy of key 1 reaches 4 first, so
+        # 5 witnesses both clusters and 4 and 6 witness none
+        g = gr.from_edges([(4, 5), (4, 6), (1, 5), (2, 5), (1, 6)])
+        net = Net(g)
+        orient = orient_clusters(net, {1: 1, 2: 2, 4: 4, 5: 4, 6: 4},
+                                 {4: [5, 6], 5: [4], 6: [4]}, "orient")
+        nbr_clusters = exchange_cluster_ids(net, orient, "exchange")
+        variant = _SparseVariant(degree_schedule(6, 3, Fraction(1, 3)))
+        _, knowledge = variant.detect(net, orient, nbr_clusters, 0, True)
+        assert list(knowledge[4].items()) == [(1, 5), (2, 5)]
+        from congestspan.spanner import SpannerEdgeSet
+        spanner = SpannerEdgeSet(g)
+        variant.interconnect(net, orient, nbr_clusters, {4}, knowledge, 0, spanner)
+        assert [(c.vertex, c.kind, c.edges) for c in spanner.charges] == [
+            (4, "interconnect", ((1, 5), (2, 5)))]
+        # only the witness announces, one message per edge
+        announce = net.trace.episodes[-1]
+        assert (announce.label, announce.messages_total) == ("p0.inter", 2)
+
 
 class TestBounds:
     def test_closed_form_values(self):

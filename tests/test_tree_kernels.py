@@ -4,9 +4,11 @@ Each sim kernel (tree_downcast, best_upcast, tree_collect, orient_flood,
 send_round) must return the trace that ``sim.run`` returns for one program
 per vertex (the oracles in oracles.py), every field of it, and the same
 result, or raise what ``sim.run`` raises, with the same text. tree_collect
-runs both convergecasts: keyed items, against the TreeCollect programs, and
-the OR up-cast, a collect with cap 1 of one shared key in messages of no ID,
-against the FlagUpcast programs. The comm functions built on the kernels
+runs both convergecasts: the keys vertices hold, each with its holder as
+payload, against the TreeCollect programs, and the OR up-cast, a collect
+with cap 1 of one shared key in messages of no ID, against the FlagUpcast
+programs. A downcast returns nothing, so the oracle's programs must have
+received their center's list at every member. The comm functions built on the kernels
 must return what the program versions returned and record the oracle's
 whole trace as the episode, and no episode when no vertex takes part. Clusters of a single vertex, the shape of phase 0,
 take part but send nothing; they get cases of their own.
@@ -154,7 +156,7 @@ def _comm(call):
 
 def _keyed_collect(g, parent, items, cap, config, label):
     """The collect as comm.upcast_collect runs it: each message carries a key
-    and a payload, two IDs."""
+    and its holder, two IDs."""
     return sim.tree_collect(g, parent, items, cap, 2, config, label)
 
 
@@ -162,7 +164,7 @@ def _or_collect(g, parent, flagged, config, label):
     """The OR up-cast as comm.upcast_flags runs it: a collect with cap 1 of
     one key that every flagged vertex holds, in messages of no ID; returns
     (trace, the roots it reached)."""
-    trace, stores = sim.tree_collect(g, parent, {v: [(0, 0)] for v in flagged},
+    trace, stores = sim.tree_collect(g, parent, {v: (0,) for v in flagged},
                                      1, 0, config, label)
     return trace, set(stores)
 
@@ -195,7 +197,11 @@ def test_downcast_equals_oracle(data):
     if received is None:
         assert got == oracle
         return
-    assert {v: list(ids) for v, ids in got.items()} == received
+    assert got is None
+    # every member received its center's list, which the sparse
+    # interconnect reads off the center's list itself
+    assert received == {v: list(q) for c, q in payloads.items()
+                        for v in orient.members[c]}
     assert _episodes(net) == ([oracle] if payloads else [])
 
     # downcast_single is the one-payload case, with no result
@@ -269,8 +275,7 @@ def test_collect_equals_oracle(data):
     g, _, orient, config, rng = _setup(data)
     cap = data.draw(st.sampled_from([0, 1, 2, 3, 50]), label="cap")
     keys = rng.sample(range(1, 10 ** 6), 6)
-    items = {v: [(rng.choice(keys), rng.choice(g.vertices))
-                 for _ in range(rng.randint(0, 3))]
+    items = {v: [rng.choice(keys) for _ in range(rng.randint(0, 3))]
              for v in orient.center_of if rng.random() < 0.6}
     # the trees of some clusters only
     parent = {v: orient.parent[v] for c in _some(rng, orient.members)
@@ -443,12 +448,12 @@ def _cases():
     yield ("flag upcast: round budget", _or_collect, oracles.flag_upcast,
            (CHAIN.parent, {5}), tight, RoundBudgetExceeded)
     yield ("collect: too many ids", _keyed_collect, oracles.tree_collect,
-           (CHAIN.parent, {3: [(9, 3)]}, 5),
+           (CHAIN.parent, {3: [9]}, 5),
            SimConfig(ids_per_message=1), ModelViolation)
     yield ("collect: parent not a neighbour", _keyed_collect, oracles.tree_collect,
-           (BENT.parent, {5: [(9, 5), (8, 5)]}, 5), ok, ModelViolation)
+           (BENT.parent, {5: [9, 8]}, 5), ok, ModelViolation)
     yield ("collect: round budget", _keyed_collect, oracles.tree_collect,
-           (CHAIN.parent, {5: [(9, 5)], 4: [(8, 4)]}, 5), tight,
+           (CHAIN.parent, {5: [9], 4: [8]}, 5), tight,
            RoundBudgetExceeded)
     yield ("orient: tree neighbour not a neighbour", sim.orient_flood,
            oracles.orient_flood, ([1], {**CHAIN_ADJ, 2: [1, 3, 5]}), ok,
@@ -479,11 +484,11 @@ def _no_fault_cases():
     # cap 0 admits nothing, so no vertex may get a queue: an empty one would
     # be popped (IndexError)
     yield ("collect: cap 0", _keyed_collect, oracles.tree_collect,
-           (CHAIN.parent, {5: [(9, 5)], 3: [(8, 3), (7, 3)], 1: [(6, 1)]}, 0),
+           (CHAIN.parent, {5: [9], 3: [8, 7], 1: [6]}, 0),
            SimConfig())
     # a flag carries no ID, so messages of one ID hold it: the width checked
-    # is the caller's, not the two entries of the shared item ("carries 2
-    # ids")
+    # is the caller's, not the two entries of a (key, holder) item ("carries
+    # 2 ids")
     yield ("flag upcast: messages of one ID", _or_collect, oracles.flag_upcast,
            (CHAIN.parent, {5, 3}), SimConfig(ids_per_message=1))
 
@@ -548,7 +553,7 @@ def test_single_vertex_clusters_record_the_oracle_episodes():
                           ALONE.height, {1: (4, 1), 4: (1, 3)}, config, "best")
     assert got == expected == {1: (4, 1), 4: (1, 3), 5: None}
 
-    items = {1: [(30, 1), (10, 1)], 3: [(20, 3), (20, 4)], 5: []}
+    items = {1: [30, 10], 3: [20, 20], 5: []}
     got = comm.upcast_collect(net, ALONE, items, 1, "collect")
     collect, stores = _run(oracles.tree_collect, PATH, ALONE.parent, items, 1,
                            config, "collect")

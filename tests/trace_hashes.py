@@ -1,4 +1,4 @@
-"""Three equivalence hashes over the acceptance corpus builds.
+"""Equivalence hashes over the acceptance corpus builds.
 
 Not collected by the test suite (the file name does not match test_*.py).
 Run it from anywhere with
@@ -6,8 +6,8 @@ Run it from anywhere with
     python3 tests/trace_hashes.py
 
 It builds each of the 750 points of ``corpus.build_tasks()`` in order and
-prints three sha256 digests, per algorithm the simulated cost summed over its
-builds, and a fourth digest over the benchmark instances:
+prints four sha256 digests, per algorithm the simulated cost summed over its
+builds, and a fifth digest over the benchmark instances:
 
 - ``reports``: over the concatenation of
   ``json.dumps(cli.build_report(g, result), sort_keys=True)`` of every build,
@@ -16,6 +16,9 @@ builds, and a fourth digest over the benchmark instances:
   one ``(label, mode, rounds, messages, max_ids)`` tuple per episode;
 - ``chosen``: over ``repr`` of each build's sorted spanner edges and, per
   phase, its sorted popular set, selected set and joins, in build order;
+- ``ledger``: over ``repr`` of each build's charge records, in ledger
+  order, and of each sparse phase's ``knowledge`` map (center -> {cluster:
+  witness}, in admission order), in build order;
 - ``polylog`` and ``sparse``: the total rounds, messages and episodes;
 - ``bench``: over ``repr`` of each build's ``chosen`` record and episode
   tuples, for every instance of seed 1 of the four benchmark workloads in
@@ -25,7 +28,8 @@ builds, and a fourth digest over the benchmark instances:
 A change meant to affect only wall time must leave all of them alone; a
 change to the protocol states its cost change across the corpus by the
 totals, and one that must pick the same spanners, ruling sets and joins
-leaves ``chosen`` and ``bench`` alone. Uses the standard library only, apart
+leaves ``chosen`` and ``bench`` alone, and one that must charge the same
+edges to the same vertices leaves ``ledger`` alone. Uses the standard library only, apart
 from the package, the corpus helpers and the benchmark workloads, which it
 imports from this checkout.
 """
@@ -71,6 +75,14 @@ def chosen_record(result) -> tuple:
              for snap in result.snapshots])
 
 
+def ledger_record(result) -> tuple:
+    """A build's charge records in ledger order and each sparse phase's
+    knowledge map."""
+    return (result.spanner.charges,
+            [snap.knowledge for snap in result.snapshots
+             if snap.knowledge is not None])
+
+
 def bench_digest() -> str:
     """sha256 over the chosen record and episode tuples of every benchmark
     instance of BENCH_SEED."""
@@ -84,10 +96,12 @@ def bench_digest() -> str:
 
 
 def hashes() -> dict:
-    """{"builds", "reports", "episodes", "chosen"} over every corpus point,
+    """{"builds", "reports", "episodes", "chosen", "ledger"} over every
+    corpus point,
     per algorithm the summed rounds, messages and episodes of its builds,
     and "bench" over the benchmark instances."""
-    reports, chosen, episodes = hashlib.sha256(), hashlib.sha256(), []
+    reports, chosen, ledger = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    episodes = []
     totals = {alg: dict.fromkeys(("rounds", "messages", "episodes"), 0)
               for alg in ("polylog", "sparse")}
     tasks = corpus.build_tasks()
@@ -97,13 +111,14 @@ def hashes() -> dict:
                                   sort_keys=True).encode())
         episodes.append(episode_tuples(result))
         chosen.update(repr(chosen_record(result)).encode())
+        ledger.update(repr(ledger_record(result)).encode())
         cost = totals[task[0]]
         cost["rounds"] += result.trace.rounds_total
         cost["messages"] += result.trace.messages_total
         cost["episodes"] += len(result.trace.episodes)
     return {"builds": len(tasks), "reports": reports.hexdigest(),
             "episodes": hashlib.sha256(repr(episodes).encode()).hexdigest(),
-            "chosen": chosen.hexdigest(),
+            "chosen": chosen.hexdigest(), "ledger": ledger.hexdigest(),
             **{alg: ", ".join(f"{k} {v}" for k, v in cost.items())
                for alg, cost in totals.items()},
             "bench": bench_digest()}
