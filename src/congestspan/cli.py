@@ -85,8 +85,10 @@ def _bounds_block(result: BuildResult) -> dict:
                 lambda: float(4 * math.ceil(math.log2(max(n, 2))) + 1) ** (kappa - 1)),
         }
     rho = as_fraction(result.params["rho"])
-    ell = sparse.degree_schedule(n, kappa, rho).ell if n >= 2 else 0
-    exact = sparse.stretch_bound_exact(n, kappa, rho)
+    # one schedule gives both ell and the checked bound 4*R_ell + 1
+    schedule = sparse.degree_schedule(n, kappa, rho) if n >= 2 else None
+    ell = schedule.ell if schedule else 0
+    exact = 4 * schedule.radius_bounds[-1] + 1 if schedule else 1
     return {
         "stretch_checked": exact,
         "stretch_checked_formula":

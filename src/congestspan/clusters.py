@@ -6,14 +6,16 @@ spanner built so far. A phase's clusters are recorded once, as the parent map
 of the orientation: every active vertex maps to its tree parent and a center
 to None. forest_centers checks such a map against a spanner edge set and a
 depth bound and derives each vertex's center from it. The virtual cluster
-graph (build_cluster_graph) keeps only which clusters its superedges join,
-as a sorted neighbour tuple per center; the verifier derives each
-superedge's witness edge from its own scan of G. Popular clusters are
-merged into superclusters by a bounded-depth BFS over that graph, executed
-through the simulator (run_supercluster_bfs), which returns the joins by
-center, from which stitch_superclusters maps the next phase's vertices to
-centers. verify.reference_supercluster is the centralized exploration that
-the verifier holds the joins to.
+graph (build_cluster_graph) comes from the cluster-ID exchange, without a
+second look at G: a cluster's superedges go to the clusters its members
+heard in it. It keeps only which clusters they join, as a sorted neighbour
+tuple per center; the verifier derives each superedge's witness edge from
+its own scan of G. Popular clusters are merged into superclusters by a
+bounded-depth BFS over that graph, executed through the simulator
+(run_supercluster_bfs), which returns the joins by center, from which
+stitch_superclusters maps the next phase's vertices to centers.
+verify.reference_supercluster is the centralized exploration that the
+verifier holds the joins to.
 
 Tie-breaking is deterministic everywhere: on simultaneous arrivals a cluster
 joins the exploration with the smallest root-center ID, then the smallest
@@ -22,9 +24,9 @@ witness edge in canonical (min endpoint, max endpoint) order.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Set, Tuple
 
-from .graph import Edge, Graph, edge_key
+from .graph import Edge, edge_key
 from . import comm
 from .comm import Net, Orientation
 
@@ -114,15 +116,18 @@ def forest_centers(parent: Dict[int, Optional[int]], spanner_edges: Set[Edge],
 
 
 def build_cluster_graph(center_of: Dict[int, int], popular: Iterable[int],
-                        g: Graph) -> Dict[int, Tuple[int, ...]]:
+                        nbr_clusters: Mapping[int, Mapping[int, int]]
+                        ) -> Dict[int, Tuple[int, ...]]:
     """The virtual cluster graph: each center, ascending, maps to the sorted
     centers of its neighbouring clusters across a superedge.
 
     Superedges are exactly the adjacent cluster pairs with a popular side.
-    center_of maps every active vertex to its cluster center. Edges touching
-    other vertices (dormant ones) are ignored; they connect no current
-    clusters. A cluster's neighbours are the union of its members' neighbour
-    centers, kept only where popular when the cluster itself is not.
+    center_of maps every active vertex to its cluster center, and
+    nbr_clusters each of them to its map from the other clusters it borders
+    (their centers) to a neighbour in each, as the cluster-ID exchange
+    returns it; dormant vertices are silent in the exchange, so they connect
+    no clusters. A cluster's neighbours are the union of its members' keys,
+    kept only where popular when the cluster itself is not.
     """
     popular_set = frozenset(popular)
     members: Dict[int, List[int]] = {}
@@ -131,14 +136,9 @@ def build_cluster_graph(center_of: Dict[int, int], popular: Iterable[int],
     unknown = popular_set.difference(members)
     if unknown:
         raise ValueError(f"popular clusters not in the partition: {sorted(unknown)}")
-    adjacency, center = g.adjacency, center_of.get
     out: Dict[int, Tuple[int, ...]] = {}
     for c in sorted(members):
-        near: Set[Optional[int]] = set()
-        for v in members[c]:
-            near.update(map(center, adjacency[v]))
-        near.discard(c)
-        near.discard(None)
+        near = set().union(*map(nbr_clusters.__getitem__, members[c]))
         if c not in popular_set:
             near &= popular_set
         out[c] = tuple(sorted(near))

@@ -165,9 +165,8 @@ def explore_hop(net: Net, orient: Orientation, label: str,
     order, each listener outside the frontier that heard a root across a
     superedge (its own or the sender's cluster is popular) -> {root: the
     least sender it heard that root from across one}."""
-    ids: Dict[int, int] = {}
-    for c, root in frontier:
-        ids.update(dict.fromkeys(orient.members[c], root))
+    members = orient.members
+    ids = {v: root for c, root in frontier for v in members[c]}
     return net.cast(label, sim.broadcast_ids, ids, listeners - ids.keys(),
                     accept_all) if ids else {}
 
@@ -180,9 +179,8 @@ def knockout_hop(net: Net, orient: Orientation, label: str,
     (the vertices of popular clusters), as explore_hop does. Returns the
     active vertices that do not send and heard the hop across a superedge
     with a popular side."""
-    ids: Dict[int, int] = {}
-    for c in frontier:
-        ids.update(dict.fromkeys(orient.members[c], c))
+    members = orient.members
+    ids = {v: c for c in frontier for v in members[c]}
     return net.cast(label, sim.broadcast_heard, ids, orient.center_of.keys(),
                     accept_all) if ids else set()
 

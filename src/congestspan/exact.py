@@ -1,7 +1,7 @@
 """Exact comparisons of integer counts against fractional powers of n.
 
 Thresholds like n^(1/k) are irrational in general, so float powers are not
-trustworthy at the boundaries (256**(1/8) evaluates slightly above 2.0).
+trustworthy at the boundaries (3125**(1/5) evaluates slightly above 5.0).
 Every comparison here is done in big-integer arithmetic: for expo = p/q,
 count >= n^(p/q) iff count^q >= n^p. Sums of several such powers, which have
 no integer reformulation, go through Decimal with generous precision.

@@ -22,8 +22,8 @@ from typing import Dict, List, Set, Tuple
 from . import comm
 from .clusters import radius_sequence
 from .comm import Net, Orientation
-from .exact import ceil_log2_int, count_ge_pow, count_le_pow
-from .graph import Graph, edge_key
+from .exact import ceil_log2_int, count_le_pow, pow_ceil
+from .graph import Graph
 from .rulingset import RulingParams
 from .spanner import INTER, BuildResult, SpannerEdgeSet, run_phases, trivial_result
 
@@ -69,9 +69,9 @@ class _PolylogVariant:
                is_final: bool) -> Tuple[Set[int], None]:
         if is_final:
             return set(), None
-        n, tau = self.params.n, self.params.tau_expo
-        flagged = {v for v, got in nbr_clusters.items()
-                   if count_ge_pow(len(got), n, tau)}
+        # a count reaches n^(1/kappa) exactly when it reaches its ceiling
+        threshold = pow_ceil(self.params.n, self.params.tau_expo)
+        flagged = {v for v, got in nbr_clusters.items() if len(got) >= threshold}
         popular = comm.upcast_flags(net, orient, flagged, f"p{phase}.popflag")
         if popular:
             comm.downcast_single(net, orient, popular, f"p{phase}.popbit")
@@ -91,8 +91,8 @@ class _PolylogVariant:
                     targets[v] = sorted(nbr_clusters[v].values())
         comm.announce_edges(net, f"p{phase}.inter", targets)
         for v in sorted(targets):
-            spanner.add(tuple(edge_key(v, u) for u in targets[v]), vertex=v,
-                        kind=INTER, phase=phase)
+            spanner.add(tuple((v, u) if v < u else (u, v) for u in targets[v]),
+                        vertex=v, kind=INTER, phase=phase)
 
 
 def build_spanner(g: Graph, kappa: int) -> BuildResult:

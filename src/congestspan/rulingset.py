@@ -45,8 +45,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import (AbstractSet, Dict, Iterable, List, Optional, Sequence,
-                    Set, Tuple)
+from typing import (AbstractSet, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Set, Tuple)
 
 from . import comm
 from .comm import Net, Orientation
@@ -128,22 +128,17 @@ def _block_widths(width: int, t: int) -> List[int]:
     return widths
 
 
-def _child_block(ident: int, lo: int, widths: List[int], level: int) -> int:
-    """Index of ident's level-(level+1) block within its level-level interval."""
-    off = ident - lo
-    return (off % widths[level]) // widths[level + 1]
-
-
 # ---------------------------------------------------------------------------
 # The knock-out flood over the virtual cluster graph.
 
 def _flood(net: Net, orient: Orientation, initiators: Sequence[int],
-           accept_all: AbstractSet[int], trivial: bool, targets: AbstractSet[int],
-           label: str) -> Set[int]:
-    """Flood a knock-out from the initiator clusters, a breadth-first search
-    of KNOCKOUT_DEPTH waves on the virtual cluster graph; returns the
-    clusters (centers) it reached, initiators included, except that the
-    last wave reports only the clusters among targets.
+           accept_all: AbstractSet[int], trivial: bool,
+           block_of: Mapping[int, int], block: int, label: str) -> Set[int]:
+    """Flood a knock-out from the initiator clusters, whose child block is
+    block, a breadth-first search of KNOCKOUT_DEPTH waves on the virtual
+    cluster graph; returns the clusters (centers) it reached, initiators
+    included, except that the last wave reports only the clusters that
+    block_of maps to a later block.
 
     Each wave's frontier is the clusters first reached in the wave before:
     their centers send a flag down their trees, their members broadcast the
@@ -151,9 +146,10 @@ def _flood(net: Net, orient: Orientation, initiators: Sequence[int],
     accept_all holds the vertices of popular clusters: hops cross only the
     superedges with a popular side, as in the phase's virtual cluster graph.
     trivial says every cluster is a single vertex, so no tree cast is needed.
-    No one relays the last wave, so its up-cast runs only in the clusters of
-    targets, the ones the flood can knock out; each member knows from its
-    center's ID and its popular bit whether its cluster is one of them.
+    No one relays the last wave, so its up-cast runs only in the clusters
+    the flood can knock out; unless trivial, block_of maps every popular
+    cluster to its child block, and each member knows from its center's ID
+    and its popular bit whether its cluster is one of them.
     """
     reached = set(initiators)
     frontier = sorted(initiators)
@@ -166,7 +162,8 @@ def _flood(net: Net, orient: Orientation, initiators: Sequence[int],
                                 accept_all)
         if not trivial:
             if wave == KNOCKOUT_DEPTH:
-                got = {v for v in got if orient.center_of[v] in targets}
+                center_of = orient.center_of
+                got = {v for v in got if block_of.get(center_of[v], block) > block}
             got = comm.upcast_flags(net, orient, got,
                                     f"{label}.k{wave}.up") if got else set()
         frontier = sorted(got - reached)
@@ -182,10 +179,12 @@ def run_knockout_schedule(net: Net, orient: Orientation, candidates: Set[int],
     candidates, which must all be popular clusters.
 
     Per level, only the blocks holding an alive candidate are visited, in
-    ascending order, so the work never depends on the ID-range width. The
-    level's last child block K never floods, since no block comes after it,
-    and a flood's last wave converges only in the popular clusters of the
-    blocks after the flooding one.
+    ascending order, so the work never depends on the ID-range width. Each
+    level maps the clusters to their child blocks once: the alive
+    candidates, and unless every cluster is a single vertex, the popular
+    clusters too. The level's last child block K never floods, since no
+    block comes after it, and a flood's last wave converges only in the
+    popular clusters of the blocks after the flooding one.
     """
     lo, hi = id_range
     width = hi - lo + 1
@@ -197,19 +196,20 @@ def run_knockout_schedule(net: Net, orient: Orientation, candidates: Set[int],
     accept_all = {v for v, c in orient.center_of.items() if c in popular}
     trivial = orient.max_depth() == 0
     for level in range(len(widths) - 2, -1, -1):
-        last = (widths[level] - 1) // widths[level + 1]
+        wide, narrow = widths[level], widths[level + 1]
+        last = (wide - 1) // narrow
+        # the index of a cluster's child block within its interval
+        block_of = {c: (c - lo) % wide // narrow
+                    for c in (alive if trivial else alive | popular)}
         blocks: Dict[int, List[int]] = {}
         for c in sorted(alive):
-            blocks.setdefault(_child_block(c, lo, widths, level), []).append(c)
+            blocks.setdefault(block_of[c], []).append(c)
         for block in sorted(blocks):
             senders = [c for c in blocks[block] if c in alive]
             if block == last or not senders:
                 continue
-            later = set() if trivial else {
-                c for c in popular if _child_block(c, lo, widths, level) > block}
-            heard = _flood(net, orient, senders, accept_all, trivial, later,
-                           f"{label}.L{level}.b{block}")
-            for c in heard:
-                if c in alive and _child_block(c, lo, widths, level) > block:
-                    alive.discard(c)
+            heard = _flood(net, orient, senders, accept_all, trivial, block_of,
+                           block, f"{label}.L{level}.b{block}")
+            alive.difference_update([c for c in heard
+                                     if c in alive and block_of[c] > block])
     return alive

@@ -307,14 +307,12 @@ def broadcast_heard(g: Graph, ids: Mapping[int, int],
     listeners. Two set unions deliver the senders, so the work grows with
     their degrees and the listeners reached, not n."""
     adjacency = g.adjacency
-    loud: List[Sequence[int]] = []    # the neighbours of senders in accept_all
-    quiet: List[Sequence[int]] = []
-    for v in ids:
-        nbrs = adjacency.get(v)
-        if nbrs is None:
-            unknown = min(ids.keys() - adjacency.keys())
-            raise ValueError(f"broadcast from unknown vertex {unknown}")
-        (loud if v in accept_all else quiet).append(nbrs)
+    if not adjacency.keys() >= ids.keys():
+        unknown = min(ids.keys() - adjacency.keys())
+        raise ValueError(f"broadcast from unknown vertex {unknown}")
+    # the neighbours of the senders in accept_all, and of the others
+    loud = [adjacency[v] for v in ids if v in accept_all]
+    quiet = [adjacency[v] for v in ids if v not in accept_all]
     heard = set().union(*loud) | (set().union(*quiet) & accept_all)
     heard = (heard & listeners) - ids.keys()
     sent = sum(map(len, loud)) + sum(map(len, quiet))
@@ -374,7 +372,7 @@ def _per_edge(v: int, edges: AbstractSet[Edge], targets: Iterable[int]) -> int:
     edges is the graph's edge set."""
     dests: Set[int] = set()
     for u in targets:
-        if edge_key(v, u) not in edges:
+        if ((v, u) if v < u else (u, v)) not in edges:
             raise _non_neighbor(v, u)
         if u in dests:
             raise _two_on_edge(v, u)

@@ -157,7 +157,7 @@ def run_phases(g: Graph, variant: Variant, params: dict) -> BuildResult:
         selected: Set[int] = set()
         joins: Dict[int, JoinInfo] = {}
         if not is_final and popular:
-            vgraph = build_cluster_graph(orient.center_of, popular, g)
+            vgraph = build_cluster_graph(orient.center_of, popular, nbr_clusters)
             selected = rulingset.run_knockout_schedule(
                 net, orient, popular, variant.ruling_params, g.id_range,
                 popular=popular, label=f"p{i}.rs")

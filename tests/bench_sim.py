@@ -23,6 +23,16 @@ it accepts. Every eighth vertex sends its ID and, as the scalar, its popular
 bit; the lower half of the vertices, the popular ones, accept every message,
 the others only those with the bit set (about 8k messages).
 
+The clustered knock-out hop: both sides deliver, on the 48 x 48 grid cut
+into 144 clusters of 4 x 4 vertices, every other one popular, a hop of the
+knock-out flood from the 72 clusters of the even block rows, as
+comm.knockout_hop sends it: the sender map of every member of the frontier
+to its center, then the round, whose listeners, the vertices of the other
+clusters, keep whether they heard a sender they accept (about 4k messages).
+The kernel side is comm.knockout_hop itself, so it sees the per-cluster
+cost of the sender map, the oracle side the same map built by a loop and
+oracles.broadcast_heard.
+
 The tree casts: both sides run, on the BFS tree from vertex 1 of the 48 x 48
 grid, a pipelined downcast of 64 payloads from the root (147k messages in
 157 rounds) and then a collect of one key per vertex capped at 64 (57k
@@ -100,6 +110,50 @@ def test_knockout_hop(benchmark, round_inputs, impl):
     assert trace.messages_total == sum(len(g.adjacency[v]) for v in ids)
     # every other vertex hears a popular sender
     assert len(heard) == g.n - len(ids)
+
+
+@pytest.fixture(scope="module")
+def grid_blocks():
+    g = gr.generate_graph("grid", rows=48, cols=48)
+    parent_maps = {}   # 4 x 4 blocks, each a comb hanging off its top row
+    for r0 in range(0, 48, 4):
+        for c0 in range(0, 48, 4):
+            center = r0 * 48 + c0 + 1
+            parent_maps[center] = {
+                r * 48 + c + 1: (None if (r, c) == (r0, c0) else
+                                 r * 48 + c if r == r0 else (r - 1) * 48 + c + 1)
+                for r in range(r0, r0 + 4) for c in range(c0, c0 + 4)}
+    orient = oracles.orientation_from_parents(parent_maps)
+    centers = list(parent_maps)
+    popular = set(centers[::2])
+    accept_all = {v for v, c in orient.center_of.items() if c in popular}
+    frontier = [c for c in centers if (c - 1) // 48 % 8 == 0]
+    return g, orient, frontier, accept_all
+
+
+def _kernel_knockout_hop(g, orient, frontier, accept_all):
+    net = comm.Net(g)
+    heard = comm.knockout_hop(net, orient, "k1.x", frontier, accept_all)
+    return net.trace.episodes[0], heard
+
+
+def _oracle_knockout_hop(g, orient, frontier, accept_all):
+    ids = {}
+    for c in frontier:
+        for v in orient.members[c]:
+            ids[v] = c
+    return oracles.broadcast_heard(g, ids, orient.center_of.keys(), accept_all,
+                                   comm.Net(g).config, "k1.x")
+
+
+@pytest.mark.parametrize("impl", [_kernel_knockout_hop, _oracle_knockout_hop],
+                         ids=["kernel", "oracle"])
+def test_clustered_knockout_hop(benchmark, grid_blocks, impl):
+    g, orient, frontier, accept_all = grid_blocks
+    trace, heard = benchmark(impl, g, orient, frontier, accept_all)
+    senders = [v for c in frontier for v in orient.members[c]]
+    assert trace.messages_total == sum(len(g.adjacency[v]) for v in senders)
+    assert heard and not heard & set(senders)
 
 
 @pytest.fixture(scope="module")

@@ -17,7 +17,7 @@ from congestspan.comm import Net
 from congestspan.exact import ceil_log2_int
 from congestspan.rulingset import (RulingParams, check_ruling,
                                    run_knockout_schedule)
-from oracles import orientation_from_parents
+from oracles import exchange_maps, orientation_from_parents
 
 SIZES = (16, 32, 64, 128, 256)
 GNP_SEEDS = tuple(range(1, 21))
@@ -193,7 +193,8 @@ def run_supergraph_ruling_point(task: tuple) -> dict:
         a, popular = set(p), None
         mode = "all-clusters"
     members, _ = knockout_ruling_set(g, a, q, parent_maps=p, popular=popular)
-    vg = build_cluster_graph(center_of, popular if popular is not None else set(p), g)
+    vg = build_cluster_graph(center_of, popular if popular is not None else set(p),
+                             exchange_maps(center_of, g))
     verdict = check_ruling(vg, members, a, 3, 2 * q)
     return {"n": n, "seed": seed, "ok": verdict.ok, "mode": mode,
             "detail": verdict.detail, "members": len(members)}

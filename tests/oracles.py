@@ -5,13 +5,15 @@ replaced: one full BFS of H from every vertex for the edge stretch, one full
 BFS from every member for a ruling set, a membership test per edge for the
 symmetry of a graph's adjacency lists, every cluster pair's edges gathered
 from the whole edge set for the virtual cluster graph (the build's adjacency
-and the verifier's scan with its witnesses), and one program per
-vertex stepped through the event loop for a one-shot broadcast round (also
-with each inbox folded to whether it holds an accepted message, to the
-largest accepted scalar, or to the least accepted sender of each ID, as in
-the exchange and the exploration hop) and for each tree-cast episode. They
-are slow but obviously right, so the tests hold the fast versions to them
-result for result. Each episode oracle takes the arguments of the sim kernel
+and the verifier's scan with its witnesses) and for each active vertex's
+neighbouring clusters (what the cluster-ID exchange gives it, the input of
+the build's adjacency), and one program per vertex stepped through the
+event loop for a one-shot broadcast round (also with each inbox folded to
+whether it holds an accepted message, to the largest accepted scalar, or to
+the least accepted sender of each ID, as in the exchange and the
+exploration hop) and for each tree-cast episode. They are slow but
+obviously right, so the tests hold the fast versions to them result for
+result. Each episode oracle takes the arguments of the sim kernel
 it checks and returns sim.run's trace with the programs' results. The
 knock-out timetable is kept in full, with the flood it first had: every
 block that holds an alive candidate floods, its messages carry the hops
@@ -132,6 +134,21 @@ def build_cluster_graph(center_of: Mapping[int, int], popular: Iterable[int],
                                  | {a for a, b in witness if b == c}))
                  for c in sorted(set(center_of.values()))}
     return adjacency, witness
+
+
+def exchange_maps(center_of: Mapping[int, int], g: Graph) -> Dict[int, Dict[int, int]]:
+    """What the cluster-ID exchange gives every active vertex (a key of
+    center_of), from a scan of g's edges: the center of each other cluster
+    it borders -> its least active neighbour in that cluster."""
+    maps: Dict[int, Dict[int, int]] = {v: {} for v in center_of}
+    for u, v in g.edge_set():
+        cu, cv = center_of.get(u), center_of.get(v)
+        if cu is None or cv is None or cu == cv:
+            continue
+        for x, y, cy in ((u, v, cv), (v, u, cu)):
+            if y < maps[x].get(cy, y + 1):
+                maps[x][cy] = y
+    return maps
 
 
 class BroadcastOnce(NodeProgram):

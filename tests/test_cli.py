@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from congestspan import cli
 from congestspan import graph as gr
+from congestspan import sparse
 
 
 # builds that pass verification, though closed-form bounds of their report
@@ -117,6 +118,22 @@ class TestBuild:
         bounds = json.loads((tmp_path / "o" / "report.json").read_text())["bounds"]
         assert sorted(k for k, v in bounds.items() if v is None) == nulls
         assert isinstance(bounds["size"], float)
+
+    def test_bounds_run_one_sparse_schedule(self, monkeypatch):
+        # ell and the checked stretch bound come from the same schedule
+        result = sparse.build_skeleton(gr.generate_graph("cycle", n=3), "0.001")
+        exact = sparse.stretch_bound_exact(3, result.params["kappa"], "0.001")
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return schedule(*args)
+
+        schedule = sparse.degree_schedule
+        monkeypatch.setattr(sparse, "degree_schedule", counted)
+        bounds = cli._bounds_block(result)
+        assert len(calls) == 1
+        assert bounds["stretch_checked"] == exact
 
     def test_report_roundtrips(self, tmp_path):
         out = tmp_path / "o"

@@ -11,6 +11,7 @@ from congestspan import graph as gr
 from congestspan import polylog, sparse
 from congestspan.clusters import (ForestError, build_cluster_graph,
                                   forest_centers, radius_sequence)
+from congestspan.comm import Net, Orientation, exchange_cluster_ids
 from congestspan.verify import (ALL_PAIRS_LIMIT, reference_supercluster,
                                 superedge_scan)
 
@@ -103,7 +104,7 @@ class TestVirtualGraph:
     def test_complete_all_popular(self):
         g = gr.generate_graph("complete", n=5)
         p = singletons(g)
-        vg = build_cluster_graph(p, set(g.vertices), g)
+        vg = build_cluster_graph(p, set(g.vertices), oracles.exchange_maps(p, g))
         assert len(witnesses(p, set(g.vertices), g)) == 10
         assert sorted(vg) == sorted(g.vertices)
         assert all(len(vg[c]) == 4 for c in vg)
@@ -112,27 +113,31 @@ class TestVirtualGraph:
         g = gr.generate_graph("path", n=3)
         p = singletons(g)
         assert set(witnesses(p, {2}, g)) == {(1, 2), (2, 3)}
-        assert build_cluster_graph(p, {2}, g) == {1: (2,), 2: (1, 3), 3: (2,)}
+        assert build_cluster_graph(p, {2}, oracles.exchange_maps(p, g)) \
+            == {1: (2,), 2: (1, 3), 3: (2,)}
 
     def test_no_popular_no_edges(self):
         g = gr.generate_graph("path", n=3)
         p = singletons(g)
         assert len(witnesses(p, set(), g)) == 0
-        assert build_cluster_graph(p, set(), g) == {1: (), 2: (), 3: ()}
+        assert build_cluster_graph(p, set(), oracles.exchange_maps(p, g)) \
+            == {1: (), 2: (), 3: ()}
 
     def test_witness_is_lexicographically_smallest(self):
         # two clusters joined by several edges keep the smallest one
         g = gr.from_edges([(1, 4), (2, 3), (1, 2), (3, 4), (2, 4)])
         p = {1: 1, 2: 1, 3: 3, 4: 3}
         assert witnesses(p, {1, 3}, g)[(1, 3)] == (1, 4)
-        assert build_cluster_graph(p, {1, 3}, g) == {1: (3,), 3: (1,)}
+        assert build_cluster_graph(p, {1, 3}, oracles.exchange_maps(p, g)) \
+            == {1: (3,), 3: (1,)}
 
     def test_dormant_vertices_carry_no_superedges(self):
         # vertex 2 is in no cluster: 1 and 3 only connect through it
         g = gr.generate_graph("path", n=3)
         p = {1: 1, 3: 3}
         assert len(witnesses(p, {1, 3}, g)) == 0
-        assert build_cluster_graph(p, {1, 3}, g) == {1: (), 3: ()}
+        assert build_cluster_graph(p, {1, 3}, oracles.exchange_maps(p, g)) \
+            == {1: (), 3: ()}
 
 
 @settings(max_examples=200, deadline=None)
@@ -161,11 +166,39 @@ def test_cluster_graph_equals_the_edge_scan_oracle(data):
     popular = data.draw(st.sets(st.sampled_from(centers)), label="popular")
 
     adjacency, witness = oracles.build_cluster_graph(center_of, popular, g)
-    vg = build_cluster_graph(center_of, popular, g)
+    vg = build_cluster_graph(center_of, popular,
+                             oracles.exchange_maps(center_of, g))
     assert list(vg.items()) == list(adjacency.items())
     scan_adjacency, scan_witness = superedge_scan(center_of, popular, g)
     assert list(scan_adjacency.items()) == list(adjacency.items())
     assert list(scan_witness.items()) == list(witness.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_exchange_equals_the_edge_scan_oracle(data):
+    """Random partitions of random graphs, some vertices dormant, IDs up to
+    2^63 - 1: every active vertex hears from the exchange the least active
+    neighbour in each other cluster it borders, as the edge scan finds it."""
+    n = data.draw(st.integers(2, 40), label="n")
+    g = gr.generate_graph("gnp_connected", n=n,
+                          p=data.draw(st.sampled_from([0.05, 0.2, 0.5, 1.0]), label="p"),
+                          seed=data.draw(st.integers(0, 10 ** 6), label="seed"))
+    if data.draw(st.booleans(), label="wide ids"):
+        new_id = dict(zip(g.vertices, random.Random(n).sample(range(1, 2 ** 63), n)))
+        g = gr.from_edges((new_id[u], new_id[v]) for u, v in g.edges())
+    centers = data.draw(st.lists(st.sampled_from(g.vertices), min_size=1,
+                                 unique=True), label="centers")
+    center_of = {c: c for c in centers}
+    for v in g.vertices:
+        if v not in center_of:
+            c = data.draw(st.sampled_from([None, *centers]), label="center")
+            if c is not None:
+                center_of[v] = c
+    # the exchange reads only the orientation's vertex -> center map
+    orient = Orientation(center_of, {}, {}, {}, {})
+    heard = exchange_cluster_ids(Net(g), orient, "exchange")
+    assert heard == oracles.exchange_maps(center_of, g)
 
 
 class TestReferenceSupercluster:
@@ -251,7 +284,6 @@ class TestVerifyClusterTree:
 @given(n=st.integers(8, 36), seed=st.integers(0, 99), data=st.data())
 def test_distributed_supercluster_matches_reference(n, seed, data):
     from congestspan.clusters import run_supercluster_bfs
-    from congestspan.comm import Net
     from congestspan.graph import bfs_on_adjacency
 
     g = gr.generate_graph("gnp_connected", n=n, p=0.2, seed=seed)
@@ -261,7 +293,7 @@ def test_distributed_supercluster_matches_reference(n, seed, data):
     parent_maps = voronoi_clusters(g, centers)
     p = {v: c for c, pm in parent_maps.items() for v in pm}
     popular = data.draw(st.sets(st.sampled_from(centers), min_size=1))
-    vg = build_cluster_graph(p, popular, g)
+    vg = build_cluster_graph(p, popular, oracles.exchange_maps(p, g))
     ruling = []
     for c in sorted(popular):
         if all(bfs_on_adjacency(vg, c).get(r, 99) >= 3 for r in ruling):

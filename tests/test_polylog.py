@@ -35,6 +35,24 @@ class TestDetectPopular:
         clusters = ({1: 1, 2: 1, 3: 3}, {1: [2], 2: [1]})
         assert detect_on_singletons(g, 2, clusters) == set()
 
+    def test_path_four_exact_square_root(self):
+        # 4^(1/2) = 2 exactly: the two interior vertices have 2 foreign clusters
+        g = gr.generate_graph("path", n=4)
+        assert detect_on_singletons(g, 2) == {2, 3}
+
+    def test_path_256_exact_eighth_root(self):
+        # 256^(1/8) = 2 exactly: every interior vertex, with its 2 foreign
+        # clusters, is popular
+        g = gr.generate_graph("path", n=256)
+        assert detect_on_singletons(g, 8) == set(range(2, 256))
+
+    def test_exact_fifth_root_a_float_puts_above(self):
+        # 3125^(1/5) = 5 exactly, but 3125 ** (1/5) reads 5.000000000000001:
+        # vertex 1 has 5 foreign clusters, every other vertex at most 3
+        g = gr.from_edges([(i, i + 1) for i in range(1, 3125)]
+                          + [(1, 3), (1, 4), (1, 5), (1, 6)])
+        assert detect_on_singletons(g, 5) == {1}
+
     def test_threshold_above_every_degree(self):
         # path on 12 vertices: two foreign clusters < 12^(1/2), nobody popular
         g = gr.generate_graph("path", n=12)

@@ -159,8 +159,9 @@ def test_supergraph_ruling_guarantee_random_clusters(n, q, seed, data):
     p = voronoi_clusters(g, centers)
     a = data.draw(st.sets(st.sampled_from(centers), min_size=1))
     members, _ = knockout_ruling_set(g, a, q, parent_maps=p)
-    vg = build_cluster_graph({v: c for c, pm in p.items() for v in pm},
-                             set(centers), g)
+    center_of = {v: c for c, pm in p.items() for v in pm}
+    vg = build_cluster_graph(center_of, set(centers),
+                             oracles.exchange_maps(center_of, g))
     verdict = check_ruling(vg, members, a, 3, 2 * q)
     assert verdict.ok, verdict.detail
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from corpus import knockout_ruling_set
+from oracles import exchange_maps
 
 from congestspan import graph as gr
 from congestspan import polylog, sim, sparse, verify
@@ -115,7 +116,7 @@ def test_phase_counts_verdict_needs_settled_and_joins_to_split_the_centers(
 def test_supercluster_requires_separated_ruling():
     g = gr.generate_graph("path", n=4)
     p = {v: v for v in g.vertices}
-    vg = build_cluster_graph(p, set(g.vertices), g)
+    vg = build_cluster_graph(p, set(g.vertices), exchange_maps(p, g))
     net = Net(g)
     from congestspan.comm import orient_clusters
     orient = orient_clusters(net, {v: v for v in g.vertices}, {}, "o")
