@@ -21,12 +21,16 @@ from typing import Callable, Dict, List, Optional, Set
 
 from . import __version__, comm, polylog, sparse, verify
 from .exact import as_fraction
-from .clusters import forest_centers
 from .graph import (Edge, Graph, GraphError, edge_key, generate_graph, load_graph,
                     read_edge_lines, save_edgelist)
 from .spanner import INTER, SUPER, BuildResult, PhaseSnapshot
 
 SCHEMA_VERSION = 2
+
+
+def _not_json(constant: str):
+    """parse_constant for json.loads, which takes NaN and Infinity otherwise."""
+    raise ValueError(f"{constant} is not a JSON value")
 
 
 def _input_error(message: str) -> int:
@@ -85,10 +89,8 @@ def _bounds_block(result: BuildResult) -> dict:
                 lambda: float(4 * math.ceil(math.log2(max(n, 2))) + 1) ** (kappa - 1)),
         }
     rho = as_fraction(result.params["rho"])
-    # one schedule gives both ell and the checked bound 4*R_ell + 1
-    schedule = sparse.degree_schedule(n, kappa, rho) if n >= 2 else None
-    ell = schedule.ell if schedule else 0
-    exact = 4 * schedule.radius_bounds[-1] + 1 if schedule else 1
+    exact = sparse.stretch_bound_exact(n, kappa, rho)
+    ell = result.params.get("ell", 0)   # a single vertex runs no phase
     return {
         "stretch_checked": exact,
         "stretch_checked_formula":
@@ -158,7 +160,7 @@ def build_report(g: Graph, result: BuildResult) -> dict:
 def _cluster_dump(snap: PhaseSnapshot, spanner_edges: Set[Edge]) -> dict:
     """One phase's clusters, by center, from the snapshot's parent map."""
     # every tree edge is in the final spanner, and no depth reaches n
-    center_of = forest_centers(snap.parent, spanner_edges, len(snap.parent))
+    center_of = verify.forest_centers(snap.parent, spanner_edges, len(snap.parent))
     members: Dict[int, List[int]] = {}
     for v in sorted(snap.parent):
         members.setdefault(center_of[v], []).append(v)
@@ -196,8 +198,8 @@ def cmd_build(args: argparse.Namespace) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         save_edgelist(result.spanner.edges, str(outdir / "spanner.edges"),
                       header=f"spanner of {args.graph} via {args.alg}")
-        (outdir / "report.json").write_text(json.dumps(report, indent=2,
-                                                       sort_keys=True))
+        (outdir / "report.json").write_text(json.dumps(
+            report, indent=2, sort_keys=True, allow_nan=False))
         if args.dump_clusters:
             snaps = [_cluster_dump(s, result.spanner.edges)
                      for s in result.snapshots]
@@ -225,7 +227,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _input_error(str(exc))
     report = verify.verify_spanner_file(g, spanner_graph_edges, bound=args.bound)
     report["schema_version"] = SCHEMA_VERSION
-    out = json.dumps(report, indent=2, sort_keys=True)
+    out = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     if args.out:
         Path(args.out).write_text(out)
     else:
@@ -260,7 +262,7 @@ def _bench_point(point: dict) -> dict:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     try:
-        series = json.loads(Path(args.series).read_text())
+        series = json.loads(Path(args.series).read_text(), parse_constant=_not_json)
     except (OSError, ValueError) as exc:
         return _input_error(f"--series {args.series}: {exc}")
     if not isinstance(series, list):
@@ -283,7 +285,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     else:
         rows = [_bench_point(p) for p in series]
     (outdir / "bench.json").write_text(json.dumps(
-        {"schema_version": SCHEMA_VERSION, "rows": rows}, indent=2, sort_keys=True))
+        {"schema_version": SCHEMA_VERSION, "rows": rows}, indent=2, sort_keys=True,
+        allow_nan=False))
     fields = ["alg", "graph", "kappa", "rho", "n", "graph_edges", "spanner_edges",
               "rounds", "max_edge_stretch", "stretch_bound", "size_bound",
               "rounds_model", "ok", "error"]

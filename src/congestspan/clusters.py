@@ -4,18 +4,19 @@ Both spanner constructions work phase by phase on a collection of disjoint
 clusters, each with a designated center and a spanning tree living inside the
 spanner built so far. A phase's clusters are recorded once, as the parent map
 of the orientation: every active vertex maps to its tree parent and a center
-to None. forest_centers checks such a map against a spanner edge set and a
-depth bound and derives each vertex's center from it. The virtual cluster
-graph (build_cluster_graph) comes from the cluster-ID exchange, without a
-second look at G: a cluster's superedges go to the clusters its members
-heard in it. It keeps only which clusters they join, as a sorted neighbour
-tuple per center; the verifier derives each superedge's witness edge from
-its own scan of G. Popular clusters are merged into superclusters by a
-bounded-depth BFS over that graph, executed through the simulator
-(run_supercluster_bfs), which returns the joins by center, from which
-stitch_superclusters maps the next phase's vertices to centers.
-verify.reference_supercluster is the centralized exploration that the
-verifier holds the joins to.
+to None; the verifier's forest check holds such a map to the spanner and
+to its own radius bound. The virtual cluster graph
+(build_cluster_graph) comes from the cluster-ID exchange, without a second
+look at G: a cluster's superedges go to the clusters its members heard in it.
+It keeps only which clusters they join, as a sorted neighbour tuple per
+center; the verifier derives each superedge's witness edge from its own scan
+of G. Popular clusters are merged into superclusters by a bounded-depth BFS
+over that graph, executed through the simulator (run_supercluster_bfs), which
+returns the joins by center, from which stitch_superclusters maps the next
+phase's vertices to centers. The exploration takes the ruling set as given:
+the verifier checks it to be (3, 2q)-ruling on the virtual cluster graph, and
+holds the joins to its centralized exploration,
+verify.reference_supercluster.
 
 Tie-breaking is deterministic everywhere: on simultaneous arrivals a cluster
 joins the exploration with the smallest root-center ID, then the smallest
@@ -54,65 +55,6 @@ def radius_sequence(delta: int, ell: int, scale: int = 1) -> Tuple[int, ...]:
             raise ValueError(f"the stretch bound {scale}*R_ell + 1 at ell = {ell}, "
                              f"delta = {delta} has more than {MAX_BOUND_DIGITS} digits")
     return tuple(values)
-
-
-class ForestError(ValueError):
-    """A parent map that fails forest_centers. failure names the check: span
-    (a cycle), members-only (a parent that is not an active vertex),
-    tree-not-in-spanner or depth."""
-
-    def __init__(self, failure: str, detail: str, cluster: Optional[int] = None):
-        where = "" if cluster is None else f"cluster {cluster}: "
-        super().__init__(f"{where}{failure}: {detail}")
-        self.failure, self.detail, self.cluster = failure, detail, cluster
-
-    def __reduce__(self):
-        # args holds the message only; a worker's exception is rebuilt in the
-        # parent from the constructor's own arguments
-        return type(self), (self.failure, self.detail, self.cluster)
-
-
-def forest_centers(parent: Dict[int, Optional[int]], spanner_edges: Set[Edge],
-                   bound: int) -> Dict[int, int]:
-    """Check that a phase's parent map is a forest of cluster trees inside
-    the spanner, and return each vertex's center, the root of its tree.
-
-    The keys of parent are the active vertices; each maps to its tree parent,
-    and a center to None. Every parent must be an active vertex, the parent
-    pointers must not cycle, every tree edge must lie in spanner_edges, and
-    no vertex may lie deeper than bound. A walk up stops at the first vertex
-    of known depth, so every tree edge is checked once. Raises ForestError on
-    the first failure.
-    """
-    center: Dict[int, int] = {}
-    depth: Dict[int, int] = {}
-    for v in parent:
-        path = []
-        w = v
-        while w not in depth:
-            p = parent[w]
-            if p is None:
-                center[w], depth[w] = w, 0
-                break
-            if p not in parent:
-                raise ForestError("members-only",
-                                  f"parent {p} of {w} is not an active vertex")
-            depth[w] = -1   # on this walk's path: reaching it again is a cycle
-            path.append(w)
-            w = p
-        d = depth[w]
-        if d < 0:
-            raise ForestError("span", f"the parent pointers cycle through {w}")
-        c = center[w]
-        for x in reversed(path):
-            if edge_key(x, parent[x]) not in spanner_edges:
-                raise ForestError("tree-not-in-spanner", f"tree edge ({x},"
-                                  f"{parent[x]}) missing from the spanner", c)
-            d += 1
-            center[x], depth[x] = c, d
-        if d > bound:
-            raise ForestError("depth", f"vertex {v} at depth {d} > bound {bound}", c)
-    return center
 
 
 def build_cluster_graph(center_of: Dict[int, int], popular: Iterable[int],
@@ -157,13 +99,12 @@ class JoinInfo(NamedTuple):
 # Distributed superclustering through the simulator.
 
 def run_supercluster_bfs(net: Net, orient: Orientation, ruling: Set[int],
-                         delta: int, popular: Set[int],
-                         vgraph: Dict[int, Tuple[int, ...]]) -> Dict[int, JoinInfo]:
-    """Simulate the depth-delta exploration of the virtual cluster graph
-    vgraph; maps the center of every joined cluster to how it joined.
+                         delta: int, popular: Set[int]) -> Dict[int, JoinInfo]:
+    """Simulate the depth-delta exploration of the virtual cluster graph from
+    the ruling clusters; maps the center of every joined cluster to how it
+    joined.
 
-    ruling must be 3-separated in vgraph, or ValueError is raised. Per
-    wave: the frontier clusters, those that joined in the last wave, stream
+    Per wave: the frontier clusters, those that joined in the last wave, stream
     the root ID down their trees, members broadcast it in one exploration
     hop, whose listeners keep the least sender of each root across a
     superedge (its accept_all, the vertices of the popular clusters, is
@@ -173,7 +114,6 @@ def run_supercluster_bfs(net: Net, orient: Orientation, ruling: Set[int],
     to the spanner. Every wave is a fixed slot of the schedule, so no
     message carries the hops left.
     """
-    _require_separated(vgraph, ruling)
     roots = sorted(ruling)
     joins: Dict[int, JoinInfo] = {r: JoinInfo(r, None, None, 0) for r in roots}
     member_center = orient.center_of
@@ -228,20 +168,6 @@ def run_supercluster_bfs(net: Net, orient: Orientation, ruling: Set[int],
         frontier = reached
 
     return joins
-
-
-def _require_separated(vgraph: Dict[int, Tuple[int, ...]], ruling: Set[int]) -> None:
-    """Hard precondition: no two ruling clusters within virtual distance 2."""
-    ruling = set(ruling)
-    for c in sorted(ruling):
-        near = set(vgraph.get(c, ()))
-        for mid in vgraph.get(c, ()):
-            near.update(vgraph.get(mid, ()))
-        close = (near & ruling) - {c}
-        if close:
-            raise ValueError(
-                f"ruling clusters {c} and {min(close)} are not 3-separated "
-                f"in the virtual cluster graph")
 
 
 def stitch_superclusters(center_of: Dict[int, int],

@@ -10,7 +10,9 @@ edge to every neighboring cluster (smallest-ID neighbor inside it).
 
 Resulting guarantees, checked by the verification layer: per-edge stretch at
 most 2*R_ell + 1 for the phase radius recurrence, and at most n^(1+1/kappa)
-edges overall.
+edges overall. PolylogParams is the whole schedule, delta, q and the radius
+bounds R_i; the verifier derives it again from n and kappa, and holds the
+cluster counts to |P_i| <= n^((kappa-i)/kappa) itself.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .clusters import radius_sequence
 from .comm import Net, Orientation
 from .exact import ceil_log2_int, count_le_pow, pow_ceil
 from .graph import Graph
-from .rulingset import RulingParams
 from .spanner import INTER, BuildResult, SpannerEdgeSet, run_phases, trivial_result
 
 
@@ -49,17 +50,22 @@ class PolylogParams:
     def tau_expo(self) -> Fraction:
         return Fraction(1, self.kappa)
 
+    @property
+    def ruling_q(self) -> int:
+        return max(1, ceil_log2_int(self.n))
+
+    @property
+    def radius_bounds(self) -> Tuple[int, ...]:
+        """R_0..R_ell. Raises ValueError for a stretch bound 2*R_ell + 1 too
+        long to print, and for a single vertex, whose delta is 0."""
+        return radius_sequence(self.delta, self.ell, 2)
+
 
 class _PolylogVariant:
     name = "polylog"
 
     def __init__(self, params: PolylogParams):
         self.params = params
-        self.ell = params.ell
-        self.delta = params.delta
-        self.ruling_params = RulingParams(q=max(1, ceil_log2_int(params.n)))
-        # refuses a stretch bound 2*R_ell + 1 too long to print
-        self.radius_bounds = radius_sequence(self.delta, self.ell, 2)
 
     def threshold_expo(self, phase: int) -> Fraction:
         return self.params.tau_expo
@@ -100,9 +106,9 @@ def build_spanner(g: Graph, kappa: int) -> BuildResult:
     kappa is checked even on a single vertex, which needs no phases."""
     params = PolylogParams(n=g.n, kappa=kappa)
     if g.n == 1:
-        return trivial_result(g, "polylog", {"kappa": kappa, "n": 1})
+        return trivial_result("polylog", {"kappa": kappa, "n": 1})
     run_info = {"kappa": kappa, "n": g.n, "delta": params.delta,
-                "ell": params.ell, "ruling_q": max(1, ceil_log2_int(g.n))}
+                "ell": params.ell, "ruling_q": params.ruling_q}
     return run_phases(g, _PolylogVariant(params), run_info)
 
 
@@ -119,8 +125,7 @@ def stretch_bound_exact(n: int, kappa: int) -> int:
     """The tighter per-edge bound 2*R_ell + 1 from the radius recurrence."""
     if kappa == 1 or n == 1:
         return 1
-    params = PolylogParams(n=n, kappa=kappa)
-    return 2 * radius_sequence(params.delta, params.ell, 2)[-1] + 1
+    return 2 * PolylogParams(n=n, kappa=kappa).radius_bounds[-1] + 1
 
 
 def size_bound_holds(result: BuildResult) -> bool:
@@ -129,17 +134,3 @@ def size_bound_holds(result: BuildResult) -> bool:
     kappa = result.params["kappa"]
     return count_le_pow(result.spanner.size(), n, Fraction(kappa + 1, kappa))
 
-
-def size_assertions(result: BuildResult) -> List[str]:
-    """Per-phase cluster-count bounds: |P_i| <= n^((kappa-i)/kappa)."""
-    n = result.params["n"]
-    kappa = result.params["kappa"]
-    failures = []
-    for snap in result.snapshots:
-        expo = Fraction(kappa - snap.phase, kappa)
-        clusters = len(snap.centers())
-        if not count_le_pow(clusters, n, expo):
-            failures.append(
-                f"phase {snap.phase}: {clusters} clusters exceed "
-                f"n^({kappa - snap.phase}/{kappa})")
-    return failures

@@ -1,9 +1,9 @@
-"""Deterministic ruling sets of a phase's popular clusters, and their check.
+"""Deterministic ruling sets of a phase's popular clusters.
 
 Each phase grows its superclusters around a ruling set of the popular
 clusters on the phase's virtual cluster graph; run_knockout_schedule
-computes it inside the simulated network, and check_ruling is the exact
-check the verifier applies to the result.
+computes it inside the simulated network, and the verifier's exact check
+holds the result to (3, 2q)-ruling.
 
 The construction recursively splits the candidate ID range into t blocks,
 solves the blocks in parallel, and merges them sequentially: each surviving
@@ -42,16 +42,12 @@ alive, which no vertex knows.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import islice
-from typing import (AbstractSet, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Set, Tuple)
+from typing import AbstractSet, Dict, List, Mapping, Sequence, Set, Tuple
 
 from . import comm
 from .comm import Net, Orientation
 from .exact import nth_root_ceil
-from .graph import bfs_layers
 
 
 class RulingError(ValueError):
@@ -70,51 +66,6 @@ class RulingParams:
     def __post_init__(self):
         if self.q < 1:
             raise RulingError("need q >= 1")
-
-
-@dataclass(frozen=True)
-class RulingVerdict:
-    ok: bool
-    failure: Optional[str] = None
-    detail: str = ""
-
-
-def check_ruling(adjacency: Dict[int, Sequence[int]], members: Iterable[int],
-                 target: Iterable[int], alpha: int, beta: int) -> RulingVerdict:
-    """Exact verification: alpha-separation and beta-domination.
-
-    Separation searches from each member only to depth alpha - 1, the
-    radius a violation can lie within; domination takes exact distances from
-    one multi-source BFS of all members. A failure names the first offending
-    pair or target in ID order. adjacency may be a Graph's or a phase's
-    virtual cluster graph, which maps each center to its superedge
-    neighbours.
-    """
-    member_set = set(members)
-    target_set = set(target)
-    members = sorted(member_set)
-    extra = [m for m in members if m not in target_set]
-    if extra:
-        return RulingVerdict(False, "membership",
-                             f"member {extra[0]} is outside the target set")
-    for m in members:
-        near: Dict[int, int] = {}
-        for d, layer in enumerate(islice(bfs_layers(adjacency, (m,)), alpha)):
-            near.update(dict.fromkeys(layer & member_set, d))
-        later = [m2 for m2 in near if m2 > m]
-        if later:
-            m2 = min(later)
-            return RulingVerdict(False, "separation",
-                                 f"members {m} and {m2} at distance {near[m2]} < {alpha}")
-    dist: Dict[int, float] = {}
-    for d, layer in enumerate(bfs_layers(adjacency, members)):
-        dist.update(dict.fromkeys(layer, d))
-    for t in sorted(target_set):
-        d = dist.get(t, math.inf)
-        if d > beta:
-            return RulingVerdict(False, "domination",
-                                 f"target {t} at distance {d} > {beta} from every member")
-    return RulingVerdict(True)
 
 
 # ---------------------------------------------------------------------------

@@ -49,18 +49,15 @@ class Charge(NamedTuple):
 
 
 class SpannerEdgeSet:
-    """The growing spanner with its charge ledger."""
+    """The growing spanner with its charge ledger. The verifier checks that
+    it is a subgraph of G."""
 
-    def __init__(self, g: Graph):
-        self._graph_edges = g.edge_set()
+    def __init__(self):
         self.edges: Set[Edge] = set()
         self.charges: List[Charge] = []
 
     def add(self, edges: Tuple[Edge, ...], vertex: int, kind: str, phase: int) -> None:
-        """Charge one step's edges to vertex; each must be an edge of G."""
-        if not self._graph_edges.issuperset(edges):
-            raise ValueError(f"edge {min(set(edges) - self._graph_edges)} "
-                             f"is not an edge of the host graph")
+        """Charge one step's edges to vertex."""
         self.edges.update(edges)
         self.charges.append(Charge(vertex, kind, phase, edges))
 
@@ -80,7 +77,9 @@ class PhaseSnapshot:
     to how it joined, a JoinInfo tuple (root, pred, witness, wave), and
     vgraph, when the phase explored, is the virtual cluster graph it
     explored: each center's sorted superedge neighbours. rounds is the
-    simulated rounds the phase took, and radius_actual its deepest tree."""
+    simulated rounds the phase took, radius_actual its deepest tree and
+    radius_bound the build's R_i, which only the report reads: the verifier
+    derives its own."""
     phase: int
     parent: Dict[int, Optional[int]]
     popular: FrozenSet[int]
@@ -112,12 +111,17 @@ class BuildResult:
         return self.trace.rounds_total
 
 
-class Variant(Protocol):
-    name: str
+class Schedule(Protocol):
+    """What the phase loop reads of a construction's schedule."""
     ell: int
     delta: int
-    ruling_params: RulingParams
+    ruling_q: int
     radius_bounds: Tuple[int, ...]
+
+
+class Variant(Protocol):
+    name: str
+    params: Schedule
 
     def threshold_expo(self, phase: int) -> Optional[Fraction]: ...
 
@@ -131,23 +135,26 @@ class Variant(Protocol):
                      phase: int, spanner: SpannerEdgeSet) -> None: ...
 
 
-def trivial_result(g: Graph, algorithm: str, params: dict) -> BuildResult:
+def trivial_result(algorithm: str, params: dict) -> BuildResult:
     """Single-vertex graphs need no phases and no edges."""
     return BuildResult(
-        algorithm=algorithm, params=params, spanner=SpannerEdgeSet(g),
+        algorithm=algorithm, params=params, spanner=SpannerEdgeSet(),
         snapshots=[], trace=comm.BuildTrace())
 
 
 def run_phases(g: Graph, variant: Variant, params: dict) -> BuildResult:
+    sched = variant.params
+    radius_bounds = sched.radius_bounds   # refuses a bound too long to print
+    ruling_params = RulingParams(q=sched.ruling_q)
     net = Net(g)
-    spanner = SpannerEdgeSet(g)
+    spanner = SpannerEdgeSet()
     tree_adj: Dict[int, List[int]] = {v: [] for v in g.vertices}
     center_of: Dict[int, int] = {v: v for v in g.vertices}   # the next clusters
     snapshots: List[PhaseSnapshot] = []
 
-    for i in range(variant.ell + 1):
+    for i in range(sched.ell + 1):
         rounds_mark = net.trace.rounds_total
-        is_final = i == variant.ell
+        is_final = i == sched.ell
 
         orient = comm.orient_clusters(net, center_of, tree_adj, f"p{i}.orient")
         nbr_clusters = comm.exchange_cluster_ids(net, orient, f"p{i}.exchange")
@@ -159,10 +166,9 @@ def run_phases(g: Graph, variant: Variant, params: dict) -> BuildResult:
         if not is_final and popular:
             vgraph = build_cluster_graph(orient.center_of, popular, nbr_clusters)
             selected = rulingset.run_knockout_schedule(
-                net, orient, popular, variant.ruling_params, g.id_range,
+                net, orient, popular, ruling_params, g.id_range,
                 popular=popular, label=f"p{i}.rs")
-            joins = run_supercluster_bfs(net, orient, selected, variant.delta,
-                                         popular, vgraph=vgraph)
+            joins = run_supercluster_bfs(net, orient, selected, sched.delta, popular)
         settled = orient.members.keys() - joins.keys()
 
         for c, info in sorted(joins.items()):
@@ -183,7 +189,7 @@ def run_phases(g: Graph, variant: Variant, params: dict) -> BuildResult:
             joins=joins,
             vgraph=vgraph,
             knowledge=knowledge,
-            radius_bound=variant.radius_bounds[i],
+            radius_bound=radius_bounds[i],
             radius_actual=orient.max_depth(),
             threshold_expo=variant.threshold_expo(i),
             rounds=net.trace.rounds_total - rounds_mark,

@@ -13,12 +13,15 @@ tree and each named witness adds one edge.
 With kappa = ceil(log2 n) + 1 the edge bound n^(1+1/kappa) + n is at most 3n:
 the skeleton preset, which takes kappa = ceil(1/rho) instead where rho is
 too small for that kappa.
+
+degree_schedule derives the whole schedule from n, kappa and rho: the
+thresholds, delta, q and the radius bounds R_i. The verifier derives it
+again, once per build, and holds the per-phase counting inequalities to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -26,9 +29,8 @@ from . import comm
 from .clusters import radius_sequence
 from .comm import Net, Orientation
 from .exact import (as_fraction, ceil_fraction, ceil_log2_int, count_le_pow,
-                    floor_log2, npow_decimal, pow_ceil)
+                    floor_log2, pow_ceil)
 from .graph import Edge, Graph, edge_key
-from .rulingset import RulingParams
 from .spanner import INTER, BuildResult, SpannerEdgeSet, run_phases, trivial_result
 
 
@@ -92,10 +94,6 @@ class _SparseVariant:
 
     def __init__(self, params: SparseParams):
         self.params = params
-        self.ell = params.ell
-        self.delta = params.delta
-        self.ruling_params = RulingParams(q=params.ruling_q)
-        self.radius_bounds = params.radius_bounds
 
     def threshold_expo(self, phase: int) -> Optional[Fraction]:
         if phase < self.params.ell:
@@ -142,8 +140,8 @@ def build_spanner(g: Graph, kappa: int, rho) -> BuildResult:
     kappa and rho are checked even on a single vertex, which needs no phases."""
     params = degree_schedule(g.n, kappa, rho)
     if g.n == 1:
-        return trivial_result(g, "sparse", {"kappa": kappa, "rho": str(params.rho),
-                                            "n": 1})
+        return trivial_result("sparse", {"kappa": kappa, "rho": str(params.rho),
+                                         "n": 1})
     run_info = {
         "kappa": kappa, "rho": str(params.rho), "rho_float": float(params.rho),
         "n": g.n, "delta": params.delta, "ell": params.ell, "i0": params.i0,
@@ -193,67 +191,4 @@ def size_bound_holds(result: BuildResult) -> bool:
     kappa = result.params["kappa"]
     extra = result.spanner.size() - n
     return extra <= 0 or count_le_pow(extra, n, Fraction(kappa + 1, kappa))
-
-
-def phase_size_assertions(result: BuildResult) -> List[str]:
-    """Check every per-phase counting inequality of the construction.
-
-    Single-power comparisons are exact big-integer checks; the one aggregate
-    bound that mixes several fractional powers uses 60-digit decimals.
-    """
-    if result.algorithm != "sparse":
-        raise ValueError("phase size assertions apply to sparse runs")
-    if not result.snapshots:
-        return []
-    n = result.params["n"]
-    params = degree_schedule(n, result.params["kappa"],
-                             as_fraction(result.params["rho"]))
-    kappa, rho, i0, ell = params.kappa, params.rho, params.i0, params.ell
-    sizes = {snap.phase: len(snap.centers()) for snap in result.snapshots}
-    selected = {snap.phase: len(snap.selected) for snap in result.snapshots}
-    settled = {snap.phase: len(snap.settled) for snap in result.snapshots}
-    failures: List[str] = []
-
-    def deg_pow(count: int, expo: Fraction) -> int:
-        # count * n^expo <= bound  <=>  count^q * n^p <= bound^q
-        return count ** expo.denominator * n ** expo.numerator
-
-    for i in range(ell):
-        e = params.deg_expos[i]
-        room = sizes[i] - settled[i] - selected[i]
-        if room < 0 or deg_pow(selected[i], e) > room ** e.denominator:
-            failures.append(
-                f"phase {i}: settled count {settled[i]} exceeds "
-                f"|P_i| - |Q_i|*(deg_i+1)")
-    for i in range(1, ell + 1):
-        e = params.deg_expos[i - 1]
-        if deg_pow(sizes[i], e) > sizes[i - 1] ** e.denominator:
-            failures.append(
-                f"phase {i}: {sizes[i]} clusters exceed the previous count "
-                f"divided by deg_{i - 1}")
-    for i in range(0, min(i0 + 1, ell) + 1):
-        expo = Fraction(kappa - (2 ** i - 1), kappa)
-        if not count_le_pow(sizes[i], n, expo):
-            failures.append(
-                f"phase {i}: {sizes[i]} clusters exceed the exponential-stage bound")
-    for i in range(i0 + 1, ell + 1):
-        expo = 1 + Fraction(1, kappa) - (i - i0) * rho
-        if not count_le_pow(sizes[i], n, expo):
-            failures.append(
-                f"phase {i}: {sizes[i]} clusters exceed the fixed-stage bound")
-    if not count_le_pow(sizes[ell], n, rho):
-        failures.append(f"final phase holds {sizes[ell]} clusters, more than n^rho")
-
-    inter_early = sum(len(ch.edges) for ch in result.spanner.charges
-                      if ch.kind == INTER and ch.phase < ell)
-    e0, el = params.deg_expos[0], params.deg_expos[ell - 1]
-    with localcontext() as ctx:
-        ctx.prec = 60
-        bound = (Decimal(sizes[0]) * npow_decimal(n, e0)
-                 - Decimal(sizes[ell]) * (npow_decimal(n, 2 * el) + npow_decimal(n, el)))
-    if Decimal(inter_early) > bound:
-        failures.append(
-            f"{inter_early} interconnection edges before the final phase exceed "
-            f"the aggregate bound {bound:.4f}")
-    return failures
 

@@ -1,15 +1,18 @@
 """Oracle verification of everything a build claims.
 
-Every check here is independent of the construction code paths it audits:
-stretch exactly for every graph edge, each phase's parent map as a forest of
-cluster trees inside the spanner at that phase's start (the edges the charge
-ledger records for earlier phases), which gives the centers the other phase
-checks use, and the charge ledger against the counting rules. At n <= 64,
-each explored phase's virtual cluster graph is also held to the verifier's
-own scan of G (superedge_scan, which also finds each superedge's witness
-edge), its joins to the centralized reference exploration of that scan, and
-neighbor knowledge to a direct edge scan. A report whose verdicts all pass
-is the acceptance currency of the package.
+Every check here is independent of the construction code paths it audits,
+and reads its bounds off the schedule that verify_build derives once from n,
+kappa and rho: the spanner as a subgraph of G, stretch exactly for every
+graph edge, each phase's parent map as a forest of cluster trees inside the
+spanner at that phase's start (the edges the charge ledger records for
+earlier phases), which gives the centers the other phase checks use, each
+ruling set as (3, 2q)-ruling, and the charge ledger and the cluster counts
+against the counting rules. At n <= 64, each explored phase's virtual
+cluster graph is also held to the verifier's own scan of G (superedge_scan,
+which also finds each superedge's witness edge), its joins to the
+centralized reference exploration of that scan, and neighbor knowledge to a
+direct edge scan. A report whose verdicts all pass is the acceptance
+currency of the package.
 
 Per-edge stretch peels the spanner to its 2-core, which is empty exactly when
 the spanner is a forest, and searches only the core, by one bit-parallel BFS
@@ -23,18 +26,21 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice
 from typing import (AbstractSet, Callable, Dict, Iterable, List, Optional,
-                    Sequence, Set, Tuple)
+                    Sequence, Set, Tuple, Union)
 
 from . import polylog as polylog_mod
 from . import sparse as sparse_mod
-from .clusters import ForestError, JoinInfo, forest_centers
-from .exact import as_fraction, count_lt_pow
-from .graph import Edge, Graph, bfs_on_adjacency, subgraph_adjacency
-from .rulingset import check_ruling
+from .clusters import JoinInfo
+from .exact import as_fraction, count_le_pow, count_lt_pow, npow_decimal
+from .graph import (Edge, Graph, bfs_layers, bfs_on_adjacency, edge_key,
+                    subgraph_adjacency)
 from .spanner import INTER, SUPER, BuildResult, Charge
+
+Schedule = Union[polylog_mod.PolylogParams, sparse_mod.SparseParams]
 
 ALL_PAIRS_LIMIT = 64
 
@@ -377,10 +383,18 @@ def verify_spanner_file(g: Graph, spanner_edges: Set[Edge],
     return {
         "verdicts": [v.as_dict() for v in verdicts],
         "max_edge_stretch": None if stretch == math.inf else stretch,
-        "max_pair_stretch": pair_stretch,
+        "max_pair_stretch": None if pair_stretch == math.inf else pair_stretch,
         "spanner_size": len(spanner_edges),
         "passed": all(v.ok for v in verdicts),
     }
+
+
+def _schedule(result: BuildResult) -> Schedule:
+    """The construction's schedule, from n, kappa and (sparse) rho alone."""
+    n, kappa = result.params["n"], result.params["kappa"]
+    if result.algorithm == "sparse":
+        return sparse_mod.degree_schedule(n, kappa, as_fraction(result.params["rho"]))
+    return polylog_mod.PolylogParams(n, kappa)
 
 
 def verify_build(g: Graph, result: BuildResult) -> dict:
@@ -389,23 +403,28 @@ def verify_build(g: Graph, result: BuildResult) -> dict:
     n = g.n
     is_sparse = result.algorithm == "sparse"
     kappa = result.params["kappa"]
+    sched = _schedule(result)
+    # the per-edge bound of the radius recurrence, 2*R_ell + 1 for polylog
+    # and 4*R_ell + 1 for sparse; a single vertex has no phases and no radii
+    stretch_cap = 1 if n == 1 else (4 if is_sparse else 2) * sched.radius_bounds[-1] + 1
 
-    if is_sparse:
-        stretch_cap = sparse_mod.stretch_bound_exact(
-            n, kappa, as_fraction(result.params["rho"]))
+    # stretch, measured only on a subgraph of g
+    outside = result.spanner.edges - g.edge_set()
+    stretch: float = math.inf
+    if outside:
+        verdicts.append(Verdict(
+            "stretch", False, f"stretch not measured: {len(outside)} edges "
+                              f"outside the graph, first {min(outside)}"))
     else:
-        stretch_cap = polylog_mod.stretch_bound_exact(n, kappa)
-
-    # stretch
-    stretch, witness = max_edge_stretch(g, result.spanner.edges)
-    verdicts.append(Verdict(
-        "stretch", stretch <= stretch_cap,
-        f"max per-edge stretch {stretch} vs bound {stretch_cap}"
-        + (f" (witness {witness})" if witness else "")))
-    if n <= ALL_PAIRS_LIMIT:
-        pair = max_pair_stretch(g, result.spanner.edges)
-        verdicts.append(Verdict("stretch_all_pairs", pair <= stretch_cap,
-                                f"all-pairs stretch {pair} vs bound {stretch_cap}"))
+        stretch, witness = max_edge_stretch(g, result.spanner.edges)
+        verdicts.append(Verdict(
+            "stretch", stretch <= stretch_cap,
+            f"max per-edge stretch {stretch} vs bound {stretch_cap}"
+            + (f" (witness {witness})" if witness else "")))
+        if n <= ALL_PAIRS_LIMIT:
+            pair = max_pair_stretch(g, result.spanner.edges)
+            verdicts.append(Verdict("stretch_all_pairs", pair <= stretch_cap,
+                                    f"all-pairs stretch {pair} vs bound {stretch_cap}"))
 
     # size
     if is_sparse:
@@ -420,15 +439,15 @@ def verify_build(g: Graph, result: BuildResult) -> dict:
 
     # per-phase structure
     centers: List[Dict[int, int]] = []
-    verdicts.append(_radius_verdict(result, centers))
+    verdicts.append(_radius_verdict(result, sched, centers))
     verdicts.append(_partition_verdict(g, result, centers))
     verdicts.append(_popular_settled_verdict(result))
-    verdicts.append(_ruling_verdict(result))
-    verdicts.append(_charge_verdict(result))
-    verdicts.append(_phase_counting_verdict(result))
+    verdicts.append(_ruling_verdict(result, sched))
+    verdicts.append(_charge_verdict(result, sched))
+    verdicts.append(_phase_counting_verdict(result, sched))
     verdicts.append(_congestion_verdict(result))
     if n <= ALL_PAIRS_LIMIT:
-        verdicts.append(_supercluster_oracle_verdict(g, result, centers))
+        verdicts.append(_supercluster_oracle_verdict(g, result, sched, centers))
         if is_sparse:
             verdicts.append(_knowledge_oracle_verdict(g, result, centers))
 
@@ -441,21 +460,86 @@ def verify_build(g: Graph, result: BuildResult) -> dict:
     }
 
 
-def _radius_verdict(result: BuildResult,
+class ForestError(ValueError):
+    """A parent map that fails forest_centers. failure names the check: span
+    (a cycle), members-only (a parent that is not an active vertex),
+    tree-not-in-spanner or depth."""
+
+    def __init__(self, failure: str, detail: str, cluster: Optional[int] = None):
+        where = "" if cluster is None else f"cluster {cluster}: "
+        super().__init__(f"{where}{failure}: {detail}")
+        self.failure, self.detail, self.cluster = failure, detail, cluster
+
+    def __reduce__(self):
+        # args holds the message only; a worker's exception is rebuilt in the
+        # parent from the constructor's own arguments
+        return type(self), (self.failure, self.detail, self.cluster)
+
+
+def forest_centers(parent: Dict[int, Optional[int]], spanner_edges: Set[Edge],
+                   bound: int) -> Dict[int, int]:
+    """Check that a phase's parent map is a forest of cluster trees inside
+    the spanner, and return each vertex's center, the root of its tree.
+
+    The keys of parent are the active vertices; each maps to its tree parent,
+    and a center to None. Every parent must be an active vertex, the parent
+    pointers must not cycle, every tree edge must lie in spanner_edges, and
+    no vertex may lie deeper than bound. A walk up stops at the first vertex
+    of known depth, so every tree edge is checked once. Raises ForestError on
+    the first failure.
+    """
+    center: Dict[int, int] = {}
+    depth: Dict[int, int] = {}
+    for v in parent:
+        path = []
+        w = v
+        while w not in depth:
+            p = parent[w]
+            if p is None:
+                center[w], depth[w] = w, 0
+                break
+            if p not in parent:
+                raise ForestError("members-only",
+                                  f"parent {p} of {w} is not an active vertex")
+            depth[w] = -1   # on this walk's path: reaching it again is a cycle
+            path.append(w)
+            w = p
+        d = depth[w]
+        if d < 0:
+            raise ForestError("span", f"the parent pointers cycle through {w}")
+        c = center[w]
+        for x in reversed(path):
+            if edge_key(x, parent[x]) not in spanner_edges:
+                raise ForestError("tree-not-in-spanner", f"tree edge ({x},"
+                                  f"{parent[x]}) missing from the spanner", c)
+            d += 1
+            center[x], depth[x] = c, d
+        if d > bound:
+            raise ForestError("depth", f"vertex {v} at depth {d} > bound {bound}", c)
+    return center
+
+
+def _radius_verdict(result: BuildResult, sched: Schedule,
                     centers: Optional[List[Dict[int, int]]] = None) -> Verdict:
     """Check each snapshot's parent map against the spanner at its phase
-    start; appends to centers, if given, each forest's map to the centers."""
+    start and the schedule's radius bound R_i; appends to centers, if given,
+    each forest's map to the centers."""
     # one walk of the ledger in phase order: before each snapshot is checked,
     # at_start has grown to the edges charged in the phases before it
     charges = sorted(result.spanner.charges, key=lambda ch: ch.phase)
     at_start: Set[Edge] = set()
     k = 0
+    # a single vertex runs no phase, and its schedule has no radii
+    bounds = sched.radius_bounds if result.snapshots else ()
     for snap in result.snapshots:
         while k < len(charges) and charges[k].phase < snap.phase:
             at_start.update(charges[k].edges)
             k += 1
+        # a snapshot numbered past the last phase is held to the largest
+        # bound, R_ell; the other verdicts judge its clusters
+        bound = bounds[min(snap.phase, len(bounds) - 1)]
         try:
-            center_of = forest_centers(snap.parent, at_start, snap.radius_bound)
+            center_of = forest_centers(snap.parent, at_start, bound)
         except ForestError as exc:
             return Verdict("radius", False, f"phase {snap.phase}, {exc}")
         if centers is not None:
@@ -505,31 +589,71 @@ def _popular_settled_verdict(result: BuildResult) -> Verdict:
                    "every popular cluster was superclustered")
 
 
-def _ruling_verdict(result: BuildResult) -> Verdict:
+@dataclass(frozen=True)
+class RulingVerdict:
+    ok: bool
+    failure: Optional[str] = None
+    detail: str = ""
+
+
+def check_ruling(adjacency: Dict[int, Sequence[int]], members: Iterable[int],
+                 target: Iterable[int], alpha: int, beta: int) -> RulingVerdict:
+    """Exact verification: alpha-separation and beta-domination.
+
+    Separation searches from each member only to depth alpha - 1, the
+    radius a violation can lie within; domination takes exact distances from
+    one multi-source BFS of all members. A failure names the first offending
+    pair or target in ID order. adjacency may be a Graph's or a phase's
+    virtual cluster graph, which maps each center to its superedge
+    neighbours.
+    """
+    member_set = set(members)
+    target_set = set(target)
+    members = sorted(member_set)
+    extra = [m for m in members if m not in target_set]
+    if extra:
+        return RulingVerdict(False, "membership",
+                             f"member {extra[0]} is outside the target set")
+    for m in members:
+        near: Dict[int, int] = {}
+        for d, layer in enumerate(islice(bfs_layers(adjacency, (m,)), alpha)):
+            near.update(dict.fromkeys(layer & member_set, d))
+        later = [m2 for m2 in near if m2 > m]
+        if later:
+            m2 = min(later)
+            return RulingVerdict(False, "separation",
+                                 f"members {m} and {m2} at distance {near[m2]} < {alpha}")
+    dist: Dict[int, float] = {}
+    for d, layer in enumerate(bfs_layers(adjacency, members)):
+        dist.update(dict.fromkeys(layer, d))
+    for t in sorted(target_set):
+        d = dist.get(t, math.inf)
+        if d > beta:
+            return RulingVerdict(False, "domination",
+                                 f"target {t} at distance {d} > {beta} from every member")
+    return RulingVerdict(True)
+
+
+def _ruling_verdict(result: BuildResult, sched: Schedule) -> Verdict:
     for snap in result.snapshots:
         if snap.vgraph is None:
             continue
         rv = check_ruling(snap.vgraph, snap.selected, snap.popular,
-                          alpha=3, beta=2 * result.params["ruling_q"])
+                          alpha=3, beta=2 * sched.ruling_q)
         if not rv.ok:
             return Verdict("ruling", False,
                            f"phase {snap.phase}: {rv.failure}: {rv.detail}")
     return Verdict("ruling", True, "every phase ruling set is (3, 2q)-ruling")
 
 
-def _charge_verdict(result: BuildResult) -> Verdict:
-    n = result.params["n"]
-    kappa = result.params["kappa"]
+def _charge_verdict(result: BuildResult, sched: Schedule) -> Verdict:
+    n, kappa = sched.n, sched.kappa
     is_sparse = result.algorithm == "sparse"
     final_phase = len(result.snapshots) - 1
     final_sizes = {snap.phase: len(snap.centers()) for snap in result.snapshots}
     # once per verdict, each exact cap n^e sets: the largest k with
     # count_lt_pow(k, n, e); sparse has one per phase, polylog one for all
-    if is_sparse:
-        expos = sparse_mod.degree_schedule(
-            n, kappa, as_fraction(result.params["rho"])).deg_expos
-    else:
-        expos = (Fraction(1, kappa),)
+    expos = sched.deg_expos if is_sparse else (sched.tau_expo,)
     caps = [next(k for k in count() if not count_lt_pow(k + 1, n, e))
             for e in expos]
     by_vertex: Dict[int, List[Charge]] = {}
@@ -569,11 +693,17 @@ def _charge_verdict(result: BuildResult) -> Verdict:
     return Verdict("charges", True, "charge ledger within the per-vertex caps")
 
 
-def _phase_counting_verdict(result: BuildResult) -> Verdict:
+def _phase_counting_verdict(result: BuildResult, sched: Schedule) -> Verdict:
     if result.algorithm == "sparse":
-        failures = sparse_mod.phase_size_assertions(result)
-    else:
-        failures = polylog_mod.size_assertions(result)
+        failures = _sparse_count_failures(result, sched)
+    else:   # |P_i| <= n^((kappa-i)/kappa)
+        n, kappa = sched.n, sched.kappa
+        failures = []
+        for snap in result.snapshots:
+            clusters = len(snap.centers())
+            if not count_le_pow(clusters, n, Fraction(kappa - snap.phase, kappa)):
+                failures.append(f"phase {snap.phase}: {clusters} clusters "
+                                f"exceed n^({kappa - snap.phase}/{kappa})")
     # the settled and the superclustered clusters split the phase's clusters
     for snap in result.snapshots:
         joined = snap.joins.keys()
@@ -582,6 +712,63 @@ def _phase_counting_verdict(result: BuildResult) -> Verdict:
     if failures:
         return Verdict("phase_counts", False, "; ".join(failures[:3]))
     return Verdict("phase_counts", True, "all per-phase counting bounds hold")
+
+
+def _sparse_count_failures(result: BuildResult,
+                           sched: sparse_mod.SparseParams) -> List[str]:
+    """Every per-phase counting inequality of the sparse construction: exact
+    big-integer checks, but for the one aggregate bound that mixes several
+    fractional powers, which uses 60-digit decimals."""
+    if not result.snapshots:
+        return []
+    n, kappa, rho, i0, ell = sched.n, sched.kappa, sched.rho, sched.i0, sched.ell
+    sizes = {snap.phase: len(snap.centers()) for snap in result.snapshots}
+    selected = {snap.phase: len(snap.selected) for snap in result.snapshots}
+    settled = {snap.phase: len(snap.settled) for snap in result.snapshots}
+    failures: List[str] = []
+
+    def deg_pow(count: int, expo: Fraction) -> int:
+        # count * n^expo <= bound  <=>  count^q * n^p <= bound^q
+        return count ** expo.denominator * n ** expo.numerator
+
+    for i in range(ell):
+        e = sched.deg_expos[i]
+        room = sizes[i] - settled[i] - selected[i]
+        if room < 0 or deg_pow(selected[i], e) > room ** e.denominator:
+            failures.append(
+                f"phase {i}: settled count {settled[i]} exceeds "
+                f"|P_i| - |Q_i|*(deg_i+1)")
+    for i in range(1, ell + 1):
+        e = sched.deg_expos[i - 1]
+        if deg_pow(sizes[i], e) > sizes[i - 1] ** e.denominator:
+            failures.append(
+                f"phase {i}: {sizes[i]} clusters exceed the previous count "
+                f"divided by deg_{i - 1}")
+    for i in range(0, min(i0 + 1, ell) + 1):
+        expo = Fraction(kappa - (2 ** i - 1), kappa)
+        if not count_le_pow(sizes[i], n, expo):
+            failures.append(
+                f"phase {i}: {sizes[i]} clusters exceed the exponential-stage bound")
+    for i in range(i0 + 1, ell + 1):
+        expo = 1 + Fraction(1, kappa) - (i - i0) * rho
+        if not count_le_pow(sizes[i], n, expo):
+            failures.append(
+                f"phase {i}: {sizes[i]} clusters exceed the fixed-stage bound")
+    if not count_le_pow(sizes[ell], n, rho):
+        failures.append(f"final phase holds {sizes[ell]} clusters, more than n^rho")
+
+    inter_early = sum(len(ch.edges) for ch in result.spanner.charges
+                      if ch.kind == INTER and ch.phase < ell)
+    e0, el = sched.deg_expos[0], sched.deg_expos[ell - 1]
+    with localcontext() as ctx:
+        ctx.prec = 60
+        bound = (Decimal(sizes[0]) * npow_decimal(n, e0)
+                 - Decimal(sizes[ell]) * (npow_decimal(n, 2 * el) + npow_decimal(n, el)))
+    if Decimal(inter_early) > bound:
+        failures.append(
+            f"{inter_early} interconnection edges before the final phase exceed "
+            f"the aggregate bound {bound:.4f}")
+    return failures
 
 
 def _congestion_verdict(result: BuildResult) -> Verdict:
@@ -665,7 +852,7 @@ def reference_supercluster(adjacency: Dict[int, Tuple[int, ...]],
     return joins
 
 
-def _supercluster_oracle_verdict(g: Graph, result: BuildResult,
+def _supercluster_oracle_verdict(g: Graph, result: BuildResult, sched: Schedule,
                                  centers: List[Dict[int, int]]) -> Verdict:
     """Each explored phase's virtual graph against superedge_scan of G with
     the centers of the radius verdict, and its joins against the reference
@@ -683,7 +870,7 @@ def _supercluster_oracle_verdict(g: Graph, result: BuildResult,
                            f"phase {snap.phase}: the virtual cluster graph "
                            f"differs from the edge scan at center {c}")
         ref = reference_supercluster(adjacency, witness, snap.selected,
-                                     result.params["delta"])
+                                     sched.delta)
         if ref != snap.joins:
             diff = {c for c in set(ref) | set(snap.joins)
                     if ref.get(c) != snap.joins.get(c)}

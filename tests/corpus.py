@@ -12,11 +12,11 @@ from typing import Iterator, List, Set, Tuple
 
 from congestspan import graph as gr
 from congestspan import polylog, sparse, verify
-from congestspan.clusters import build_cluster_graph, forest_centers
+from congestspan.clusters import build_cluster_graph
 from congestspan.comm import Net
 from congestspan.exact import ceil_log2_int
-from congestspan.rulingset import (RulingParams, check_ruling,
-                                   run_knockout_schedule)
+from congestspan.rulingset import RulingParams, run_knockout_schedule
+from congestspan.verify import check_ruling, forest_centers
 from oracles import exchange_maps, orientation_from_parents
 
 SIZES = (16, 32, 64, 128, 256)

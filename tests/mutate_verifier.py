@@ -96,10 +96,14 @@ MUTANTS: List[Mutant] = [
            returns("size_bound_holds", "True")),
     Mutant("sparse.size_bound_holds always True", "sparse.py",
            returns("size_bound_holds", "True")),
-    Mutant("polylog.size_assertions always []", "polylog.py",
-           returns("size_assertions", "[]")),
-    Mutant("sparse.phase_size_assertions always []", "sparse.py",
-           returns("phase_size_assertions", "[]")),
+    Mutant("polylog cluster-count bound never fails", "verify.py",
+           replace("if not count_le_pow(clusters, n, Fraction(kappa - snap.phase, kappa)):",
+                   "if False:")),
+    Mutant("sparse counting checks always []", "verify.py",
+           returns("_sparse_count_failures", "[]")),
+    Mutant("subgraph check finds no edge outside the graph", "verify.py",
+           replace("outside = result.spanner.edges - g.edge_set()",
+                   "outside = set()")),
     Mutant("polylog interconnection cap loosened by one", "verify.py",
            replace("elif inters > caps[0]:",
                    "elif inters > caps[0] + 1:")),

@@ -33,8 +33,9 @@ from congestspan import comm, sim
 from congestspan.graph import (Edge, Graph, GraphError, bfs_on_adjacency, edge_key,
                                subgraph_adjacency)
 from congestspan.exact import nth_root_ceil
-from congestspan.rulingset import KNOCKOUT_DEPTH, RulingParams, RulingVerdict
+from congestspan.rulingset import KNOCKOUT_DEPTH, RulingParams
 from congestspan.sim import Message, NodeApi, NodeProgram, SimConfig, SimTrace
+from congestspan.verify import RulingVerdict
 
 
 def max_edge_stretch(g: Graph, spanner_edges: Set[Edge]) -> Tuple[float, Optional[Edge]]:

@@ -120,7 +120,7 @@ class TestBuild:
         assert isinstance(bounds["size"], float)
 
     def test_bounds_run_one_sparse_schedule(self, monkeypatch):
-        # ell and the checked stretch bound come from the same schedule
+        # the checked stretch bound derives the one schedule; ell is the build's
         result = sparse.build_skeleton(gr.generate_graph("cycle", n=3), "0.001")
         exact = sparse.stretch_bound_exact(3, result.params["kappa"], "0.001")
         calls = []
@@ -323,9 +323,9 @@ class TestMalformedInput:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: --out")
 
-    @pytest.mark.parametrize("text", [None, "{", "{}", "[1]"],
+    @pytest.mark.parametrize("text", [None, "{", "{}", "[1]", '[{"kappa": NaN}]'],
                              ids=["missing", "not json", "not a list",
-                                  "entry not an object"])
+                                  "entry not an object", "not a JSON number"])
     def test_bad_series_exits_2(self, text, tmp_path, capsys):
         series = tmp_path / "series.json"
         if text is not None:
@@ -423,6 +423,22 @@ class TestVerify:
         report = json.loads(capsys.readouterr().out)
         finite = [v for v in report["verdicts"] if v["name"] == "stretch_finite"][0]
         assert not finite["ok"] and "(2, 3)" in finite["detail"]
+
+    def test_output_is_strict_json(self, tmp_path, capsys):
+        """A spanner that leaves a pair of vertices disconnected, on a graph
+        of n <= 64, has no finite all-pairs stretch: the report writes null
+        there, not the Infinity that strict JSON parsers reject."""
+        sp = tmp_path / "s.edges"
+        sp.write_text("1 2\n2 3\n")
+        rc = cli.main(["verify", "--graph", "gen:path:n=5", "--spanner", str(sp)])
+        assert rc == 1
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        report = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert report["max_edge_stretch"] is None
+        assert report["max_pair_stretch"] is None
 
     def test_not_a_subgraph(self, tmp_path, capsys):
         sp = tmp_path / "h.edges"

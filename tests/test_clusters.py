@@ -9,11 +9,10 @@ from corpus import gnp_p, voronoi_clusters
 
 from congestspan import graph as gr
 from congestspan import polylog, sparse
-from congestspan.clusters import (ForestError, build_cluster_graph,
-                                  forest_centers, radius_sequence)
+from congestspan.clusters import build_cluster_graph, radius_sequence
 from congestspan.comm import Net, Orientation, exchange_cluster_ids
-from congestspan.verify import (ALL_PAIRS_LIMIT, reference_supercluster,
-                                superedge_scan)
+from congestspan.verify import (ALL_PAIRS_LIMIT, ForestError, forest_centers,
+                                reference_supercluster, superedge_scan)
 
 
 def singletons(g):
@@ -302,8 +301,7 @@ def test_distributed_supercluster_matches_reference(n, seed, data):
     ref = reference(p, popular, g, ruling, delta)
     net = Net(g)
     orient = oracles.orientation_from_parents({c: dict(pm) for c, pm in parent_maps.items()})
-    out = run_supercluster_bfs(net, orient, set(ruling), delta,
-                               set(popular), vgraph=vg)
+    out = run_supercluster_bfs(net, orient, set(ruling), delta, set(popular))
     assert out == ref
 
 

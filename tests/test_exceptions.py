@@ -15,11 +15,11 @@ from importlib import import_module
 import pytest
 
 import congestspan
-from congestspan import clusters, graph, rulingset, sim
+from congestspan import graph, rulingset, sim, verify
 
 EXAMPLES = [
-    clusters.ForestError("depth", "vertex 5 at depth 2 > bound 1", 1),
-    clusters.ForestError("span", "the parent pointers cycle through 2"),
+    verify.ForestError("depth", "vertex 5 at depth 2 > bound 1", 1),
+    verify.ForestError("span", "the parent pointers cycle through 2"),
     graph.GraphError("graph is disconnected"),
     graph.GraphParseError("line 3: expected two vertex IDs"),
     rulingset.RulingError("need q >= 1 and c >= 1"),
@@ -52,6 +52,6 @@ def test_exception_round_trips_through_pickle(exc):
 def test_forest_error_in_a_worker_reaches_the_parent():
     cyclic = {1: None, 2: 3, 3: 4, 4: 2}
     with multiprocessing.get_context("spawn").Pool(1) as pool:
-        pending = pool.starmap_async(clusters.forest_centers, [(cyclic, set(), 5)])
-        with pytest.raises(clusters.ForestError, match="^span: "):
+        pending = pool.starmap_async(verify.forest_centers, [(cyclic, set(), 5)])
+        with pytest.raises(verify.ForestError, match="^span: "):
             pending.get(timeout=60)

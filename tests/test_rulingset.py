@@ -9,7 +9,8 @@ from corpus import knockout_ruling_set, voronoi_clusters
 from congestspan import graph as gr
 from congestspan.comm import Net
 from congestspan.exact import ceil_log2_int
-from congestspan.rulingset import RulingParams, check_ruling, run_knockout_schedule
+from congestspan.rulingset import RulingParams, run_knockout_schedule
+from congestspan.verify import check_ruling
 
 FLOOD_LABEL = re.compile(r"^rs\.L(\d+)\.b(\d+)\.k\d+\.(?:down|x|up)$")
 

@@ -7,9 +7,13 @@ from congestspan import cli
 from congestspan import graph as gr
 from congestspan import sparse, verify
 from congestspan.comm import Net, exchange_cluster_ids, orient_clusters
-from congestspan.sparse import (_SparseVariant, degree_schedule,
-                                phase_size_assertions, skeleton_kappa,
+from congestspan.sparse import (_SparseVariant, degree_schedule, skeleton_kappa,
                                 stretch_bound)
+
+
+def phase_size_assertions(res):
+    """The verifier's sparse per-phase counting checks, on its own schedule."""
+    return verify._sparse_count_failures(res, verify._schedule(res))
 
 
 class TestDegreeSchedule:
@@ -154,7 +158,7 @@ class TestInterconnectCenterwise:
         variant = _SparseVariant(degree_schedule(5, 3, Fraction(1, 3)))
         popular, knowledge = variant.detect(net, orient, nbr_clusters, 0, False)
         from congestspan.spanner import SpannerEdgeSet
-        spanner = SpannerEdgeSet(g)
+        spanner = SpannerEdgeSet()
         variant.interconnect(net, orient, nbr_clusters, {2}, knowledge, 0, spanner)
         assert spanner.edges == {(1, 2)}
         assert spanner.charges[0].vertex == 2
@@ -169,7 +173,7 @@ class TestInterconnectCenterwise:
         variant = _SparseVariant(degree_schedule(5, 3, Fraction(1, 3)))
         popular, knowledge = variant.detect(net, orient, nbr_clusters, 0, True)
         from congestspan.spanner import SpannerEdgeSet
-        spanner = SpannerEdgeSet(g)
+        spanner = SpannerEdgeSet()
         variant.interconnect(net, orient, nbr_clusters, {4}, knowledge, 0, spanner)
         assert spanner.edges == {(1, 4), (2, 5), (3, 5)}
         assert all(c.vertex == 4 for c in spanner.charges)
@@ -190,7 +194,7 @@ class TestInterconnectCenterwise:
         _, knowledge = variant.detect(net, orient, nbr_clusters, 0, True)
         assert list(knowledge[4].items()) == [(1, 5), (2, 5)]
         from congestspan.spanner import SpannerEdgeSet
-        spanner = SpannerEdgeSet(g)
+        spanner = SpannerEdgeSet()
         variant.interconnect(net, orient, nbr_clusters, {4}, knowledge, 0, spanner)
         assert [(c.vertex, c.kind, c.edges) for c in spanner.charges] == [
             (4, "interconnect", ((1, 5), (2, 5)))]

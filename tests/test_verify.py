@@ -11,13 +11,10 @@ from fractions import Fraction
 import pytest
 
 from corpus import knockout_ruling_set
-from oracles import exchange_maps
 
 from congestspan import graph as gr
 from congestspan import polylog, sim, sparse, verify
-from congestspan.clusters import (JoinInfo, build_cluster_graph,
-                                  run_supercluster_bfs)
-from congestspan.comm import Net
+from congestspan.clusters import JoinInfo
 from congestspan.exact import ceil_log2_int
 from congestspan.spanner import INTER, SUPER, Charge
 
@@ -69,13 +66,14 @@ def test_radius_verdict_reads_the_phase_start_spanner_off_the_ledger():
     must name it."""
     g = gr.generate_graph("gnp_connected", n=128, p=0.08, seed=4)
     res = sparse.build_skeleton(g, Fraction(34, 100))
-    assert verify._radius_verdict(res).ok
+    sched = verify._schedule(res)
+    assert verify._radius_verdict(res, sched).ok
     trees = {gr.edge_key(v, u) for v, u in res.snapshots[1].parent.items()
              if u is not None}
     k = next(i for i, ch in enumerate(res.spanner.charges)
              if ch.phase == 0 and ch.kind == SUPER and ch.edges[0] in trees)
     moved = res.spanner.charges[k] = res.spanner.charges[k]._replace(phase=1)
-    verdict = verify._radius_verdict(res)
+    verdict = verify._radius_verdict(res, sched)
     assert not verdict.ok
     assert verdict.detail.startswith("phase 1, cluster ")
     assert "tree-not-in-spanner" in verdict.detail
@@ -105,24 +103,13 @@ def test_phase_counts_verdict_needs_settled_and_joins_to_split_the_centers(
     clusters must be disjoint and together be the phase's clusters."""
     g = gr.generate_graph("gnp_connected", n=128, p=0.05, seed=3)
     res = polylog.build_spanner(g, 3)
-    assert verify._phase_counting_verdict(res).ok
+    sched = verify._schedule(res)
+    assert verify._phase_counting_verdict(res, sched).ok
     phase, snap = mutate(res.snapshots)
     res.snapshots[phase] = snap
-    verdict = verify._phase_counting_verdict(res)
+    verdict = verify._phase_counting_verdict(res, sched)
     assert not verdict.ok
     assert verdict.detail == f"phase {phase}: settled + joined != cluster count"
-
-
-def test_supercluster_requires_separated_ruling():
-    g = gr.generate_graph("path", n=4)
-    p = {v: v for v in g.vertices}
-    vg = build_cluster_graph(p, set(g.vertices), exchange_maps(p, g))
-    net = Net(g)
-    from congestspan.comm import orient_clusters
-    orient = orient_clusters(net, {v: v for v in g.vertices}, {}, "o")
-    with pytest.raises(ValueError, match="3-separated"):
-        run_supercluster_bfs(net, orient, {1, 2}, delta=2,
-                             popular=set(g.vertices), vgraph=vg)
 
 
 def test_aglp_round_regression():
@@ -241,6 +228,18 @@ def _charge_over_cap(g, res):
             per[ch.vertex, ch.phase] += ch.edges
     v, phase = min(k for k, edges in per.items() if len(edges) == 5)
     res.spanner.charges.append(Charge(v, INTER, phase, tuple(per[v, phase][:1])))
+
+
+def test_ruling_verdict_takes_its_own_q():
+    """In this skeleton build of the 12 x 12 grid, a ruling member dropped
+    leaves a popular cluster at distance 7 > 2q = 6 from the other members.
+    That fails the ruling verdict even when the build's params claim a q
+    ten times as large: the verdict's 2q comes from its own schedule."""
+    g = gr.generate_graph("grid", n=144)
+    res = sparse.build_skeleton(g, Fraction(34, 100))
+    _member_dropped(g, res)
+    res.params["ruling_q"] *= 10
+    assert _failing(g, res) == ["ruling"]
 
 
 @pytest.mark.parametrize("tamper, failing", [
@@ -380,3 +379,58 @@ def test_size_verdict_fails_when_the_spanner_is_the_graph(build):
     assert _failing(g, res) == []
     res.spanner.edges |= g.edge_set()
     assert _failing(g, res) == ["size"]
+
+
+def test_radius_verdict_takes_its_own_bounds(clean_build):
+    """The build's own radius bound of its deepest phase, lowered below that
+    phase's deepest tree, fails nothing: the radius verdict holds the trees
+    to the R_i of the verifier's schedule."""
+    g, res = clean_build
+    res = copy.deepcopy(res)
+    snap = max(res.snapshots, key=lambda s: s.radius_actual)
+    assert snap.radius_actual >= 1
+    snap.radius_bound = snap.radius_actual - 1
+    assert _failing(g, res) == []
+
+
+@pytest.mark.parametrize("delta", [0, 1])
+def test_supercluster_oracle_takes_its_own_delta(clean_build, delta):
+    """The build's params with another exploration depth change no verdict
+    at n <= 64: the reference exploration runs to the verifier's delta."""
+    g, res = clean_build
+    res = copy.deepcopy(res)
+    res.params["delta"] = delta
+    assert _failing(g, res) == []
+
+
+def test_sparse_verification_derives_one_schedule(monkeypatch):
+    """verify_build derives the sparse schedule once, and every verdict
+    reads its bounds off that one schedule."""
+    g = gr.generate_graph("gnp_connected", n=64, p=0.1, seed=1)
+    res = sparse.build_skeleton(g, Fraction(34, 100))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return schedule(*args)
+
+    schedule = sparse.degree_schedule
+    monkeypatch.setattr(sparse, "degree_schedule", counted)
+    assert verify.verify_build(g, res)["passed"]
+    assert len(calls) == 1
+
+
+def test_stretch_verdict_fails_a_spanner_edge_outside_the_graph(clean_build):
+    """A shortcut between two vertices of G that is no edge of G, added to
+    the spanner, fails the stretch verdict, which names it instead of
+    measuring a stretch, and the report's max_edge_stretch is null."""
+    g, res = clean_build
+    res = copy.deepcopy(res)
+    u = min(g.vertices)
+    v = min(set(g.vertices) - set(g.adjacency[u]) - {u})
+    res.spanner.edges.add((u, v))
+    report = verify.verify_build(g, res)
+    details = {d["name"]: d["detail"] for d in report["verdicts"] if not d["ok"]}
+    assert details["stretch"] == (f"stretch not measured: 1 edges outside the "
+                                  f"graph, first {(u, v)}")
+    assert report["max_edge_stretch"] is None

@@ -26,9 +26,8 @@ from corpus import _rho, build_tasks, make_graph
 
 from congestspan import graph as gr
 from congestspan import polylog, sparse, verify
-from congestspan.clusters import forest_centers
 from congestspan.graph import subgraph_adjacency
-from congestspan.rulingset import check_ruling
+from congestspan.verify import check_ruling, forest_centers
 
 
 def _random_graph(data, max_n: int = 40) -> gr.Graph:
