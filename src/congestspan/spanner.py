@@ -20,13 +20,21 @@ Edges enter the spanner in charging steps, each leaving one charge record
 verification layer audits the charging rules against these records, and
 reads the spanner at the start of each phase off them: the edges charged in
 earlier phases.
+
+run_phases runs with the cyclic garbage collector paused (collector_paused),
+as verify.verify_build does. That is safe because neither makes a reference
+cycle, which tests/test_collector.py pins: reference counting frees all
+they drop.
 """
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Protocol, Set, Tuple
+from typing import (Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Protocol,
+                    Set, Tuple)
 
 from . import comm, rulingset
 from .clusters import (JoinInfo, build_cluster_graph, run_supercluster_bfs,
@@ -135,6 +143,22 @@ class Variant(Protocol):
                      phase: int, spanner: SpannerEdgeSet) -> None: ...
 
 
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Runs its block with the cyclic garbage collector off, and restores the
+    caller's setting on exit, also when the block raises. The build and the
+    verifier make no reference cycles (a tier-1 test holds them to it), so a
+    collection inside them finds nothing to free: reference counting frees
+    all they drop."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def trivial_result(algorithm: str, params: dict) -> BuildResult:
     """Single-vertex graphs need no phases and no edges."""
     return BuildResult(
@@ -143,61 +167,62 @@ def trivial_result(algorithm: str, params: dict) -> BuildResult:
 
 
 def run_phases(g: Graph, variant: Variant, params: dict) -> BuildResult:
-    sched = variant.params
-    radius_bounds = sched.radius_bounds   # refuses a bound too long to print
-    ruling_params = RulingParams(q=sched.ruling_q)
-    net = Net(g)
-    spanner = SpannerEdgeSet()
-    tree_adj: Dict[int, List[int]] = {v: [] for v in g.vertices}
-    center_of: Dict[int, int] = {v: v for v in g.vertices}   # the next clusters
-    snapshots: List[PhaseSnapshot] = []
+    with collector_paused():
+        sched = variant.params
+        radius_bounds = sched.radius_bounds   # refuses a bound too long to print
+        ruling_params = RulingParams(q=sched.ruling_q)
+        net = Net(g)
+        spanner = SpannerEdgeSet()
+        tree_adj: Dict[int, List[int]] = {v: [] for v in g.vertices}
+        center_of: Dict[int, int] = {v: v for v in g.vertices}   # the next clusters
+        snapshots: List[PhaseSnapshot] = []
 
-    for i in range(sched.ell + 1):
-        rounds_mark = net.trace.rounds_total
-        is_final = i == sched.ell
+        for i in range(sched.ell + 1):
+            rounds_mark = net.trace.rounds_total
+            is_final = i == sched.ell
 
-        orient = comm.orient_clusters(net, center_of, tree_adj, f"p{i}.orient")
-        nbr_clusters = comm.exchange_cluster_ids(net, orient, f"p{i}.exchange")
+            orient = comm.orient_clusters(net, center_of, tree_adj, f"p{i}.orient")
+            nbr_clusters = comm.exchange_cluster_ids(net, orient, f"p{i}.exchange")
 
-        popular, knowledge = variant.detect(net, orient, nbr_clusters, i, is_final)
-        vgraph: Optional[Dict[int, Tuple[int, ...]]] = None
-        selected: Set[int] = set()
-        joins: Dict[int, JoinInfo] = {}
-        if not is_final and popular:
-            vgraph = build_cluster_graph(orient.center_of, popular, nbr_clusters)
-            selected = rulingset.run_knockout_schedule(
-                net, orient, popular, ruling_params, g.id_range,
-                popular=popular, label=f"p{i}.rs")
-            joins = run_supercluster_bfs(net, orient, selected, sched.delta, popular)
-        settled = orient.members.keys() - joins.keys()
+            popular, knowledge = variant.detect(net, orient, nbr_clusters, i, is_final)
+            vgraph: Optional[Dict[int, Tuple[int, ...]]] = None
+            selected: Set[int] = set()
+            joins: Dict[int, JoinInfo] = {}
+            if not is_final and popular:
+                vgraph = build_cluster_graph(orient.center_of, popular, nbr_clusters)
+                selected = rulingset.run_knockout_schedule(
+                    net, orient, popular, ruling_params, g.id_range,
+                    popular=popular, label=f"p{i}.rs")
+                joins = run_supercluster_bfs(net, orient, selected, sched.delta, popular)
+            settled = orient.members.keys() - joins.keys()
 
-        for c, info in sorted(joins.items()):
-            if info.witness is not None:
-                spanner.add((info.witness,), vertex=c, kind=SUPER, phase=i)
-                a, b = info.witness
-                tree_adj[a].append(b)
-                tree_adj[b].append(a)
+            for c, info in sorted(joins.items()):
+                if info.witness is not None:
+                    spanner.add((info.witness,), vertex=c, kind=SUPER, phase=i)
+                    a, b = info.witness
+                    tree_adj[a].append(b)
+                    tree_adj[b].append(a)
 
-        variant.interconnect(net, orient, nbr_clusters, settled, knowledge, i, spanner)
+            variant.interconnect(net, orient, nbr_clusters, settled, knowledge, i, spanner)
 
-        snapshots.append(PhaseSnapshot(
-            phase=i,
-            parent=orient.parent,
-            popular=frozenset(popular),
-            selected=frozenset(selected),
-            settled=frozenset(settled),
-            joins=joins,
-            vgraph=vgraph,
-            knowledge=knowledge,
-            radius_bound=radius_bounds[i],
-            radius_actual=orient.max_depth(),
-            threshold_expo=variant.threshold_expo(i),
-            rounds=net.trace.rounds_total - rounds_mark,
-        ))
+            snapshots.append(PhaseSnapshot(
+                phase=i,
+                parent=orient.parent,
+                popular=frozenset(popular),
+                selected=frozenset(selected),
+                settled=frozenset(settled),
+                joins=joins,
+                vgraph=vgraph,
+                knowledge=knowledge,
+                radius_bound=radius_bounds[i],
+                radius_actual=orient.max_depth(),
+                threshold_expo=variant.threshold_expo(i),
+                rounds=net.trace.rounds_total - rounds_mark,
+            ))
 
-        center_of = stitch_superclusters(orient.center_of, joins)
+            center_of = stitch_superclusters(orient.center_of, joins)
 
-    return BuildResult(
-        algorithm=variant.name, params=params, spanner=spanner,
-        snapshots=snapshots, trace=net.trace)
+        return BuildResult(
+            algorithm=variant.name, params=params, spanner=spanner,
+            snapshots=snapshots, trace=net.trace)
 

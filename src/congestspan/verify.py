@@ -6,13 +6,16 @@ kappa and rho: the spanner as a subgraph of G, stretch exactly for every
 graph edge, each phase's parent map as a forest of cluster trees inside the
 spanner at that phase's start (the edges the charge ledger records for
 earlier phases), which gives the centers the other phase checks use, each
-ruling set as (3, 2q)-ruling, and the charge ledger and the cluster counts
-against the counting rules. At n <= 64, each explored phase's virtual
-cluster graph is also held to the verifier's own scan of G (superedge_scan,
-which also finds each superedge's witness edge), its joins to the
-centralized reference exploration of that scan, and neighbor knowledge to a
-direct edge scan. A report whose verdicts all pass is the acceptance
-currency of the package.
+ruling set as (3, 2q)-ruling, the snapshots as numbered 0..ell, one per
+phase, and the charge ledger and the cluster counts against the counting
+rules. At n <= 64, each explored phase's virtual cluster graph is also held
+to the verifier's own scan of G (superedge_scan, which also finds each
+superedge's witness edge), its joins to the centralized reference
+exploration of that scan, and neighbor knowledge to a direct edge scan. A
+report whose verdicts all pass is the acceptance currency of the package.
+verify_build runs with the cyclic garbage collector paused
+(spanner.collector_paused); it makes no reference cycle, which
+tests/test_collector.py pins, so reference counting frees all it drops.
 
 Per-edge stretch peels the spanner to its 2-core, which is empty exactly when
 the spanner is a forest, and searches only the core, by one bit-parallel BFS
@@ -28,7 +31,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import count, islice
+from itertools import count, islice, zip_longest
 from typing import (AbstractSet, Callable, Dict, Iterable, List, Optional,
                     Sequence, Set, Tuple, Union)
 
@@ -38,7 +41,7 @@ from .clusters import JoinInfo
 from .exact import as_fraction, count_le_pow, count_lt_pow, npow_decimal
 from .graph import (Edge, Graph, bfs_layers, bfs_on_adjacency, edge_key,
                     subgraph_adjacency)
-from .spanner import INTER, SUPER, BuildResult, Charge
+from .spanner import INTER, SUPER, BuildResult, Charge, collector_paused
 
 Schedule = Union[polylog_mod.PolylogParams, sparse_mod.SparseParams]
 
@@ -399,65 +402,66 @@ def _schedule(result: BuildResult) -> Schedule:
 
 def verify_build(g: Graph, result: BuildResult) -> dict:
     """Full audit of a build result; returns the report verdict block."""
-    verdicts: List[Verdict] = []
-    n = g.n
-    is_sparse = result.algorithm == "sparse"
-    kappa = result.params["kappa"]
-    sched = _schedule(result)
-    # the per-edge bound of the radius recurrence, 2*R_ell + 1 for polylog
-    # and 4*R_ell + 1 for sparse; a single vertex has no phases and no radii
-    stretch_cap = 1 if n == 1 else (4 if is_sparse else 2) * sched.radius_bounds[-1] + 1
+    with collector_paused():
+        verdicts: List[Verdict] = []
+        n = g.n
+        is_sparse = result.algorithm == "sparse"
+        kappa = result.params["kappa"]
+        sched = _schedule(result)
+        # the per-edge bound of the radius recurrence, 2*R_ell + 1 for polylog
+        # and 4*R_ell + 1 for sparse; a single vertex has no phases and no radii
+        stretch_cap = 1 if n == 1 else (4 if is_sparse else 2) * sched.radius_bounds[-1] + 1
 
-    # stretch, measured only on a subgraph of g
-    outside = result.spanner.edges - g.edge_set()
-    stretch: float = math.inf
-    if outside:
-        verdicts.append(Verdict(
-            "stretch", False, f"stretch not measured: {len(outside)} edges "
-                              f"outside the graph, first {min(outside)}"))
-    else:
-        stretch, witness = max_edge_stretch(g, result.spanner.edges)
-        verdicts.append(Verdict(
-            "stretch", stretch <= stretch_cap,
-            f"max per-edge stretch {stretch} vs bound {stretch_cap}"
-            + (f" (witness {witness})" if witness else "")))
-        if n <= ALL_PAIRS_LIMIT:
-            pair = max_pair_stretch(g, result.spanner.edges)
-            verdicts.append(Verdict("stretch_all_pairs", pair <= stretch_cap,
-                                    f"all-pairs stretch {pair} vs bound {stretch_cap}"))
+        # stretch, measured only on a subgraph of g
+        outside = result.spanner.edges - g.edge_set()
+        stretch: float = math.inf
+        if outside:
+            verdicts.append(Verdict(
+                "stretch", False, f"stretch not measured: {len(outside)} edges "
+                                  f"outside the graph, first {min(outside)}"))
+        else:
+            stretch, witness = max_edge_stretch(g, result.spanner.edges)
+            verdicts.append(Verdict(
+                "stretch", stretch <= stretch_cap,
+                f"max per-edge stretch {stretch} vs bound {stretch_cap}"
+                + (f" (witness {witness})" if witness else "")))
+            if n <= ALL_PAIRS_LIMIT:
+                pair = max_pair_stretch(g, result.spanner.edges)
+                verdicts.append(Verdict("stretch_all_pairs", pair <= stretch_cap,
+                                        f"all-pairs stretch {pair} vs bound {stretch_cap}"))
 
-    # size
-    if is_sparse:
-        ok = sparse_mod.size_bound_holds(result)
-        bound_text = f"n^(1+1/{kappa}) + n"
-    else:
-        ok = polylog_mod.size_bound_holds(result)
-        bound_text = f"n^(1+1/{kappa})"
-    verdicts.append(Verdict(
-        "size", ok, f"{result.spanner.size()} edges vs {bound_text} "
-                    f"= {n ** (1 + 1 / kappa) + (n if is_sparse else 0):.2f}"))
-
-    # per-phase structure
-    centers: List[Dict[int, int]] = []
-    verdicts.append(_radius_verdict(result, sched, centers))
-    verdicts.append(_partition_verdict(g, result, centers))
-    verdicts.append(_popular_settled_verdict(result))
-    verdicts.append(_ruling_verdict(result, sched))
-    verdicts.append(_charge_verdict(result, sched))
-    verdicts.append(_phase_counting_verdict(result, sched))
-    verdicts.append(_congestion_verdict(result))
-    if n <= ALL_PAIRS_LIMIT:
-        verdicts.append(_supercluster_oracle_verdict(g, result, sched, centers))
+        # size
         if is_sparse:
-            verdicts.append(_knowledge_oracle_verdict(g, result, centers))
+            ok = sparse_mod.size_bound_holds(result)
+            bound_text = f"n^(1+1/{kappa}) + n"
+        else:
+            ok = polylog_mod.size_bound_holds(result)
+            bound_text = f"n^(1+1/{kappa})"
+        verdicts.append(Verdict(
+            "size", ok, f"{result.spanner.size()} edges vs {bound_text} "
+                        f"= {n ** (1 + 1 / kappa) + (n if is_sparse else 0):.2f}"))
 
-    return {
-        "verdicts": [v.as_dict() for v in verdicts],
-        "max_edge_stretch": None if stretch == math.inf else stretch,
-        "stretch_bound": stretch_cap,
-        "spanner_size": result.spanner.size(),
-        "passed": all(v.ok for v in verdicts),
-    }
+        # per-phase structure
+        centers: List[Dict[int, int]] = []
+        verdicts.append(_radius_verdict(result, sched, centers))
+        verdicts.append(_partition_verdict(g, result, centers))
+        verdicts.append(_popular_settled_verdict(result))
+        verdicts.append(_ruling_verdict(result, sched))
+        verdicts.append(_charge_verdict(result, sched))
+        verdicts.append(_phase_counting_verdict(result, sched))
+        verdicts.append(_congestion_verdict(result))
+        if n <= ALL_PAIRS_LIMIT:
+            verdicts.append(_supercluster_oracle_verdict(g, result, sched, centers))
+            if is_sparse:
+                verdicts.append(_knowledge_oracle_verdict(g, result, centers))
+
+        return {
+            "verdicts": [v.as_dict() for v in verdicts],
+            "max_edge_stretch": None if stretch == math.inf else stretch,
+            "stretch_bound": stretch_cap,
+            "spanner_size": result.spanner.size(),
+            "passed": all(v.ok for v in verdicts),
+        }
 
 
 class ForestError(ValueError):
@@ -694,6 +698,16 @@ def _charge_verdict(result: BuildResult, sched: Schedule) -> Verdict:
 
 
 def _phase_counting_verdict(result: BuildResult, sched: Schedule) -> Verdict:
+    # one snapshot per phase of the schedule, numbered 0..ell; a single
+    # vertex has no phases. The counts below index the snapshots by phase.
+    want = list(range(sched.ell + 1)) if sched.n > 1 else []
+    got = [snap.phase for snap in result.snapshots]
+    if got != want:
+        k = next(k for k, (a, b) in enumerate(zip_longest(got, want)) if a != b)
+        what = "missing" if k == len(got) else f"numbered {got[k]}"
+        return Verdict("phase_counts", False,
+                       f"snapshot {k} {what}: the schedule has {len(want)} "
+                       f"phases, numbered from 0")
     if result.algorithm == "sparse":
         failures = _sparse_count_failures(result, sched)
     else:   # |P_i| <= n^((kappa-i)/kappa)

@@ -276,6 +276,37 @@ def test_phase_counts_fails_a_phase_with_more_clusters_than_vertices(
         == {"phase_counts": f"phase 0: {g.n + 1} clusters exceed {bound}"}
 
 
+def _skeleton_of_the_grid():
+    g = gr.generate_graph("grid", n=144)
+    return g, sparse.build_skeleton(g, Fraction(34, 100))
+
+
+def _polylog_of_gnp():
+    g = gr.generate_graph("gnp_connected", n=48, p=0.1, seed=2)
+    return g, polylog.build_spanner(g, 3)
+
+
+@pytest.mark.parametrize("build, renumber, detail", [
+    (_skeleton_of_the_grid, lambda snaps: snaps[1:],
+     "snapshot 0 numbered 1: the schedule has 5 phases, numbered from 0"),
+    (_polylog_of_gnp, lambda snaps: snaps + snaps[-1:],
+     "snapshot 3 numbered 2: the schedule has 3 phases, numbered from 0"),
+    (_polylog_of_gnp, lambda snaps: snaps[:-1],
+     "snapshot 2 missing: the schedule has 3 phases, numbered from 0"),
+], ids=["sparse phase 0 dropped", "polylog last phase twice",
+        "polylog last phase dropped"])
+def test_phase_counts_needs_one_snapshot_per_phase(build, renumber, detail):
+    """The snapshots must be numbered 0..ell, one per phase of the schedule.
+    Each of these edits fails phase_counts alone; the counting checks, which
+    read the snapshots by phase, do not run on them."""
+    g, res = build()
+    assert _failing(g, res) == []
+    res.snapshots = renumber(res.snapshots)
+    report = verify.verify_build(g, res)
+    assert {v["name"]: v["detail"] for v in report["verdicts"] if not v["ok"]} \
+        == {"phase_counts": detail}
+
+
 @pytest.mark.parametrize("n, p, seed, failing", [
     (128, 0.05, 4, ["ruling"]),
     (64, 0.1, 1, ["ruling", "supercluster_oracle"]),
