@@ -69,14 +69,15 @@ def _float_or_none(figure: Callable[[], float]) -> Optional[float]:
     return value if math.isfinite(value) else None
 
 
-def _bounds_block(result: BuildResult) -> dict:
+def _bounds_block(result: BuildResult, sched: verify.Schedule,
+                  stretch_checked: int) -> dict:
+    """The report's bounds; stretch_checked is the verifier's cap."""
     n = result.params["n"]
     kappa = result.params["kappa"]
     if result.algorithm == "polylog":
-        exact = polylog.stretch_bound_exact(n, kappa)
         closed = polylog.stretch_bound(n, kappa) if n >= 2 else 1
         return {
-            "stretch_checked": exact,
+            "stretch_checked": stretch_checked,
             "stretch_checked_formula":
                 "2*R_ell + 1; R_0 = 0, R_{i+1} = (2*delta+1)*R_i + delta, "
                 "delta = 2*ceil(log2 n), ell = kappa - 1",
@@ -88,11 +89,10 @@ def _bounds_block(result: BuildResult) -> dict:
             "rounds_model": _float_or_none(
                 lambda: float(4 * math.ceil(math.log2(max(n, 2))) + 1) ** (kappa - 1)),
         }
-    rho = as_fraction(result.params["rho"])
-    exact = sparse.stretch_bound_exact(n, kappa, rho)
-    ell = result.params.get("ell", 0)   # a single vertex runs no phase
+    rho = sched.rho
+    ell = 0 if n == 1 else sched.ell   # a single vertex runs no phase
     return {
-        "stretch_checked": exact,
+        "stretch_checked": stretch_checked,
         "stretch_checked_formula":
             "4*R_ell + 1; R_0 = 0, R_{i+1} = (2*delta+1)*R_i + delta, "
             "delta = ceil(2/rho)",
@@ -108,21 +108,45 @@ def _bounds_block(result: BuildResult) -> dict:
     }
 
 
-def _phase_rows(g: Graph, result: BuildResult) -> List[dict]:
-    """report.json's per-phase rows, counted from the snapshots and ledger."""
+def _thresholds(result: BuildResult, sched: verify.Schedule) -> List[float]:
+    """Each phase's popularity threshold; 0.0 for the sparse final phase."""
+    n = float(result.params["n"])
+    if result.algorithm == "polylog":
+        return [n ** float(sched.tau_expo)] * (sched.ell + 1)
+    return [n ** float(e) for e in sched.deg_expos] + [0.0]
+
+
+def _schedule_config(result: BuildResult, sched: verify.Schedule) -> dict:
+    """The schedule's keys of the config block; a single vertex has none."""
+    if result.params["n"] == 1:
+        return {}
+    keys = {"delta": sched.delta, "ell": sched.ell, "ruling_q": sched.ruling_q}
+    if result.algorithm == "sparse":
+        keys.update(i0=sched.i0, rho_float=float(sched.rho),
+                    deg_thresholds=_thresholds(result, sched)[:-1])
+    return keys
+
+
+def _phase_rows(result: BuildResult, sched: verify.Schedule) -> List[dict]:
+    """report.json's per-phase rows, counted from the snapshots and ledger,
+    with each phase's bounds from the schedule: null for a snapshot numbered
+    outside it, which the phase_counts verdict fails."""
+    if not result.snapshots:   # a single vertex: no phase and no radii
+        return []
     charged: Counter = Counter()
     for ch in result.spanner.charges:
         charged[ch.phase, ch.kind] += len(ch.edges)
+    radius_bounds = dict(enumerate(sched.radius_bounds))
+    thresholds = dict(enumerate(_thresholds(result, sched)))
     return [{
         "phase": snap.phase,
         "num_clusters": len(snap.centers()),
         "num_popular": len(snap.popular),
         "num_selected": len(snap.selected),
         "num_settled": len(snap.settled),
-        "radius_bound": snap.radius_bound,
+        "radius_bound": radius_bounds.get(snap.phase),
         "radius_actual": snap.radius_actual,
-        "threshold": (float(g.n) ** float(snap.threshold_expo)
-                      if snap.threshold_expo is not None else 0.0),
+        "threshold": thresholds.get(snap.phase),
         "edges_super": charged[snap.phase, SUPER],
         "edges_inter": charged[snap.phase, INTER],
         "rounds": snap.rounds,
@@ -131,6 +155,7 @@ def _phase_rows(g: Graph, result: BuildResult) -> List[dict]:
 
 def build_report(g: Graph, result: BuildResult) -> dict:
     verification = verify.verify_build(g, result)
+    sched = verify.schedule(result)
     return {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
@@ -141,8 +166,9 @@ def build_report(g: Graph, result: BuildResult) -> dict:
             "meta": g.meta,
         },
         "config": {"algorithm": result.algorithm, **result.params,
+                   **_schedule_config(result, sched),
                    "ids_per_message": comm.IDS_PER_MESSAGE},
-        "phases": _phase_rows(g, result),
+        "phases": _phase_rows(result, sched),
         "trace": {
             **result.trace.summary(),
             "episodes": [
@@ -151,7 +177,7 @@ def build_report(g: Graph, result: BuildResult) -> dict:
                 for ep in result.trace.episodes
             ],
         },
-        "bounds": _bounds_block(result),
+        "bounds": _bounds_block(result, sched, verification["stretch_bound"]),
         "verification": verification,
         "passed": verification["passed"],
     }
@@ -242,7 +268,8 @@ def _bench_point(point: dict) -> dict:
         result = run_build(point.get("alg", "polylog"), g,
                            point.get("kappa"), point.get("rho"))
         verification = verify.verify_build(g, result)
-        bounds = _bounds_block(result)
+        bounds = _bounds_block(result, verify.schedule(result),
+                               verification["stretch_bound"])
         return {
             "point": point,
             "ok": bool(verification["passed"]),

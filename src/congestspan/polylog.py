@@ -11,8 +11,9 @@ edge to every neighboring cluster (smallest-ID neighbor inside it).
 Resulting guarantees, checked by the verification layer: per-edge stretch at
 most 2*R_ell + 1 for the phase radius recurrence, and at most n^(1+1/kappa)
 edges overall. PolylogParams is the whole schedule, delta, q and the radius
-bounds R_i; the verifier derives it again from n and kappa, and holds the
-cluster counts to |P_i| <= n^((kappa-i)/kappa) itself.
+bounds R_i; the build records none of it, and the verifier and the report
+derive it again (verify.schedule). The verifier holds the cluster counts to
+|P_i| <= n^((kappa-i)/kappa).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .clusters import radius_sequence
 from .comm import Net, Orientation
 from .exact import ceil_log2_int, count_le_pow, pow_ceil
 from .graph import Graph
-from .spanner import INTER, BuildResult, SpannerEdgeSet, run_phases, trivial_result
+from .spanner import INTER, BuildResult, SpannerEdgeSet, run_phases
 
 
 @dataclass(frozen=True)
@@ -67,9 +68,6 @@ class _PolylogVariant:
     def __init__(self, params: PolylogParams):
         self.params = params
 
-    def threshold_expo(self, phase: int) -> Fraction:
-        return self.params.tau_expo
-
     def detect(self, net: Net, orient: Orientation,
                nbr_clusters: Dict[int, Dict[int, int]], phase: int,
                is_final: bool) -> Tuple[Set[int], None]:
@@ -78,10 +76,7 @@ class _PolylogVariant:
         # a count reaches n^(1/kappa) exactly when it reaches its ceiling
         threshold = pow_ceil(self.params.n, self.params.tau_expo)
         flagged = {v for v, got in nbr_clusters.items() if len(got) >= threshold}
-        popular = comm.upcast_flags(net, orient, flagged, f"p{phase}.popflag")
-        if popular:
-            comm.downcast_single(net, orient, popular, f"p{phase}.popbit")
-        return popular, None
+        return comm.upcast_flags(net, orient, flagged, f"p{phase}.popflag"), None
 
     def interconnect(self, net: Net, orient: Orientation,
                      nbr_clusters: Dict[int, Dict[int, int]], settled: Set[int],
@@ -105,11 +100,7 @@ def build_spanner(g: Graph, kappa: int) -> BuildResult:
     """Run the construction; returns the spanner with its phase snapshots.
     kappa is checked even on a single vertex, which needs no phases."""
     params = PolylogParams(n=g.n, kappa=kappa)
-    if g.n == 1:
-        return trivial_result("polylog", {"kappa": kappa, "n": 1})
-    run_info = {"kappa": kappa, "n": g.n, "delta": params.delta,
-                "ell": params.ell, "ruling_q": params.ruling_q}
-    return run_phases(g, _PolylogVariant(params), run_info)
+    return run_phases(g, _PolylogVariant(params), {"kappa": kappa, "n": g.n})
 
 
 def stretch_bound(n: int, kappa: int) -> int:
@@ -119,13 +110,6 @@ def stretch_bound(n: int, kappa: int) -> int:
     if kappa < 1:
         raise ValueError("need kappa >= 1")
     return (4 * ceil_log2_int(n) + 1) ** (kappa - 1) + 1
-
-
-def stretch_bound_exact(n: int, kappa: int) -> int:
-    """The tighter per-edge bound 2*R_ell + 1 from the radius recurrence."""
-    if kappa == 1 or n == 1:
-        return 1
-    return 2 * PolylogParams(n=n, kappa=kappa).radius_bounds[-1] + 1
 
 
 def size_bound_holds(result: BuildResult) -> bool:

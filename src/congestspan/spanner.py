@@ -12,6 +12,8 @@ cluster" always mean a cluster of the current phase. Each phase leaves one
 record, its snapshot: the orientation's parent map, the only record of the
 phase's clusters, and the sets the phase chose. The report's per-phase rows
 and the verifier's counts are derived from the snapshots and the charges.
+The build records no bound: the verifier and the report each derive the
+radii, thresholds and stretch bound from n, kappa and rho (verify.schedule).
 A phase hands the next one its clusters as one vertex -> center map; their
 trees are the global tree adjacency, which the witness edges extend.
 
@@ -32,7 +34,6 @@ from __future__ import annotations
 import gc
 from contextlib import contextmanager
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import (Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Protocol,
                     Set, Tuple)
 
@@ -85,9 +86,8 @@ class PhaseSnapshot:
     to how it joined, a JoinInfo tuple (root, pred, witness, wave), and
     vgraph, when the phase explored, is the virtual cluster graph it
     explored: each center's sorted superedge neighbours. rounds is the
-    simulated rounds the phase took, radius_actual its deepest tree and
-    radius_bound the build's R_i, which only the report reads: the verifier
-    derives its own."""
+    simulated rounds the phase took and radius_actual its deepest tree. It
+    holds no bound, since the schedule determines those."""
     phase: int
     parent: Dict[int, Optional[int]]
     popular: FrozenSet[int]
@@ -96,9 +96,7 @@ class PhaseSnapshot:
     joins: Dict[int, JoinInfo]
     vgraph: Optional[Dict[int, Tuple[int, ...]]]
     knowledge: Optional[Dict[int, Dict[int, int]]]
-    radius_bound: int
     radius_actual: int
-    threshold_expo: Optional[Fraction]
     rounds: int
 
     def centers(self) -> Set[int]:
@@ -108,6 +106,7 @@ class PhaseSnapshot:
 
 @dataclass
 class BuildResult:
+    """A build's inputs (params: n, kappa, rho and preset) and choices."""
     algorithm: str
     params: dict
     spanner: SpannerEdgeSet
@@ -130,8 +129,6 @@ class Schedule(Protocol):
 class Variant(Protocol):
     name: str
     params: Schedule
-
-    def threshold_expo(self, phase: int) -> Optional[Fraction]: ...
 
     def detect(self, net: Net, orient: Orientation,
                nbr_clusters: Dict[int, Dict[int, int]], phase: int,
@@ -159,17 +156,14 @@ def collector_paused() -> Iterator[None]:
             gc.enable()
 
 
-def trivial_result(algorithm: str, params: dict) -> BuildResult:
-    """Single-vertex graphs need no phases and no edges."""
-    return BuildResult(
-        algorithm=algorithm, params=params, spanner=SpannerEdgeSet(),
-        snapshots=[], trace=comm.BuildTrace())
-
-
 def run_phases(g: Graph, variant: Variant, params: dict) -> BuildResult:
+    """The build of g, recorded with params, its inputs. A single vertex
+    needs no phases and no edges."""
+    if g.n == 1:
+        return BuildResult(variant.name, params, SpannerEdgeSet(), [], comm.BuildTrace())
     with collector_paused():
         sched = variant.params
-        radius_bounds = sched.radius_bounds   # refuses a bound too long to print
+        sched.radius_bounds   # refuses a stretch bound too long to print
         ruling_params = RulingParams(q=sched.ruling_q)
         net = Net(g)
         spanner = SpannerEdgeSet()
@@ -189,6 +183,7 @@ def run_phases(g: Graph, variant: Variant, params: dict) -> BuildResult:
             selected: Set[int] = set()
             joins: Dict[int, JoinInfo] = {}
             if not is_final and popular:
+                comm.downcast_single(net, orient, popular, f"p{i}.popbit")
                 vgraph = build_cluster_graph(orient.center_of, popular, nbr_clusters)
                 selected = rulingset.run_knockout_schedule(
                     net, orient, popular, ruling_params, g.id_range,
@@ -214,9 +209,7 @@ def run_phases(g: Graph, variant: Variant, params: dict) -> BuildResult:
                 joins=joins,
                 vgraph=vgraph,
                 knowledge=knowledge,
-                radius_bound=radius_bounds[i],
                 radius_actual=orient.max_depth(),
-                threshold_expo=variant.threshold_expo(i),
                 rounds=net.trace.rounds_total - rounds_mark,
             ))
 

@@ -15,15 +15,16 @@ the skeleton preset, which takes kappa = ceil(1/rho) instead where rho is
 too small for that kappa.
 
 degree_schedule derives the whole schedule from n, kappa and rho: the
-thresholds, delta, q and the radius bounds R_i. The verifier derives it
-again, once per build, and holds the per-phase counting inequalities to it.
+thresholds, delta, q and the radius bounds R_i. The build records none of
+it; the verifier and the report derive it again (verify.schedule), and the
+verifier holds the per-phase counting inequalities to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from . import comm
 from .clusters import radius_sequence
@@ -31,7 +32,7 @@ from .comm import Net, Orientation
 from .exact import (as_fraction, ceil_fraction, ceil_log2_int, count_le_pow,
                     floor_log2, pow_ceil)
 from .graph import Edge, Graph, edge_key
-from .spanner import INTER, BuildResult, SpannerEdgeSet, run_phases, trivial_result
+from .spanner import INTER, BuildResult, SpannerEdgeSet, run_phases
 
 
 @dataclass(frozen=True)
@@ -95,11 +96,6 @@ class _SparseVariant:
     def __init__(self, params: SparseParams):
         self.params = params
 
-    def threshold_expo(self, phase: int) -> Optional[Fraction]:
-        if phase < self.params.ell:
-            return self.params.deg_expos[phase]
-        return None
-
     def detect(self, net: Net, orient: Orientation,
                nbr_clusters: Dict[int, Dict[int, int]], phase: int,
                is_final: bool) -> Tuple[Set[int], Dict[int, Dict[int, int]]]:
@@ -110,8 +106,6 @@ class _SparseVariant:
         popular: Set[int] = set()
         if not is_final:
             popular = {c for c, lc in knowledge.items() if len(lc) >= cap}
-        if popular:
-            comm.downcast_single(net, orient, sorted(popular), f"p{phase}.popbit")
         return popular, knowledge
 
     def interconnect(self, net: Net, orient: Orientation,
@@ -139,16 +133,8 @@ def build_spanner(g: Graph, kappa: int, rho) -> BuildResult:
     """Run the construction; rho may be a Fraction, float, or 'p/q' string.
     kappa and rho are checked even on a single vertex, which needs no phases."""
     params = degree_schedule(g.n, kappa, rho)
-    if g.n == 1:
-        return trivial_result("sparse", {"kappa": kappa, "rho": str(params.rho),
-                                         "n": 1})
-    run_info = {
-        "kappa": kappa, "rho": str(params.rho), "rho_float": float(params.rho),
-        "n": g.n, "delta": params.delta, "ell": params.ell, "i0": params.i0,
-        "ruling_q": params.ruling_q,
-        "deg_thresholds": [float(g.n) ** float(e) for e in params.deg_expos],
-    }
-    return run_phases(g, _SparseVariant(params), run_info)
+    return run_phases(g, _SparseVariant(params),
+                      {"kappa": kappa, "rho": str(params.rho), "n": g.n})
 
 
 def build_skeleton(g: Graph, rho) -> BuildResult:
@@ -176,13 +162,6 @@ def stretch_bound(rho, ell: int) -> float:
     if ell < 0:
         raise ValueError("need ell >= 0")
     return float(2 * (4 / rho + 1) ** ell + 1)
-
-
-def stretch_bound_exact(n: int, kappa: int, rho) -> int:
-    """The checked per-edge bound 4*R_ell + 1 from the radius recurrence."""
-    if n == 1:
-        return 1
-    return 4 * degree_schedule(n, kappa, rho).radius_bounds[-1] + 1
 
 
 def size_bound_holds(result: BuildResult) -> bool:

@@ -2,8 +2,9 @@
 
 Every check here is independent of the construction code paths it audits,
 and reads its bounds off the schedule that verify_build derives once from n,
-kappa and rho: the spanner as a subgraph of G, stretch exactly for every
-graph edge, each phase's parent map as a forest of cluster trees inside the
+kappa and rho (schedule; the report derives it too, and the build records
+no bound): the spanner as a subgraph of G, stretch exactly for every graph
+edge, each phase's parent map as a forest of cluster trees inside the
 spanner at that phase's start (the edges the charge ledger records for
 earlier phases), which gives the centers the other phase checks use, each
 ruling set as (3, 2q)-ruling, the snapshots as numbered 0..ell, one per
@@ -392,8 +393,9 @@ def verify_spanner_file(g: Graph, spanner_edges: Set[Edge],
     }
 
 
-def _schedule(result: BuildResult) -> Schedule:
-    """The construction's schedule, from n, kappa and (sparse) rho alone."""
+def schedule(result: BuildResult) -> Schedule:
+    """The construction's schedule, from n, kappa and (sparse) rho alone: the
+    one derivation of its radii, thresholds and stretch bound."""
     n, kappa = result.params["n"], result.params["kappa"]
     if result.algorithm == "sparse":
         return sparse_mod.degree_schedule(n, kappa, as_fraction(result.params["rho"]))
@@ -407,7 +409,7 @@ def verify_build(g: Graph, result: BuildResult) -> dict:
         n = g.n
         is_sparse = result.algorithm == "sparse"
         kappa = result.params["kappa"]
-        sched = _schedule(result)
+        sched = schedule(result)
         # the per-edge bound of the radius recurrence, 2*R_ell + 1 for polylog
         # and 4*R_ell + 1 for sparse; a single vertex has no phases and no radii
         stretch_cap = 1 if n == 1 else (4 if is_sparse else 2) * sched.radius_bounds[-1] + 1

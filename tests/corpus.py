@@ -181,7 +181,8 @@ def run_supergraph_ruling_point(task: tuple) -> dict:
     snap = result.snapshots[1]
     at_start = {e for ch in result.spanner.charges if ch.phase < snap.phase
                 for e in ch.edges}
-    center_of = forest_centers(snap.parent, at_start, snap.radius_bound)
+    center_of = forest_centers(snap.parent, at_start,
+                               verify.schedule(result).radius_bounds[1])
     p = {}
     for v, parent in snap.parent.items():
         p.setdefault(center_of[v], {})[v] = parent

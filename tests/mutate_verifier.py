@@ -124,6 +124,9 @@ MUTANTS: List[Mutant] = [
     Mutant("superedge scan keeps the largest witness, not the least", "verify.py",
            replace("witness.setdefault((cu, cv) if cu < cv else (cv, cu), (v, u))",
                    "witness[(cu, cv) if cu < cv else (cv, cu)] = (v, u)")),
+    Mutant("core search reports its hits one round late", "verify.py",
+           replace("batch_max, batch_pair = k, hit",
+                   "batch_max, batch_pair = k + 1, hit")),
 ]
 
 

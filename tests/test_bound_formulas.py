@@ -1,5 +1,5 @@
-"""The bound formulas that build and verifier share, pinned to the paper's
-closed forms in exact integers.
+"""The bound formulas of the schedule that verifier and report derive
+(verify.schedule), pinned to the paper's closed forms in exact integers.
 
 With delta the exploration depth and ell the last phase, the cluster radii
 R_0 = 0, R_{i+1} = (2 delta + 1) R_i + delta sum to
@@ -16,7 +16,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from congestspan import polylog, sparse
+from congestspan import polylog, sparse, verify
 from congestspan.exact import count_ge_pow, count_le_pow, count_lt_pow
 
 NS = (2, 3, 4, 5, 16, 17, 64, 100, 128, 256, 1000, 1024, 2048, 4096)
@@ -63,6 +63,12 @@ def _floor_pow(n: int, p: int, q: int) -> int:
     return m
 
 
+def _last_radius(algorithm: str, **params) -> int:
+    """R_ell of the schedule verify.schedule derives from params."""
+    build = SimpleNamespace(algorithm=algorithm, params=params)
+    return verify.schedule(build).radius_bounds[-1]
+
+
 def _result(n: int, kappa: int, size: int):
     return SimpleNamespace(params={"n": n, "kappa": kappa},
                            spanner=SimpleNamespace(size=lambda: size))
@@ -77,7 +83,7 @@ def test_grid_holds_both_boundaries():
 @pytest.mark.parametrize("kappa", KAPPAS)
 def test_polylog_stretch_is_the_closed_form(n, kappa):
     closed = (4 * _ceil_log2(n) + 1) ** (kappa - 1)
-    assert polylog.stretch_bound_exact(n, kappa) == closed
+    assert 2 * _last_radius("polylog", n=n, kappa=kappa) + 1 == closed
     assert polylog.stretch_bound(n, kappa) == closed + 1
 
 
@@ -85,12 +91,13 @@ def test_polylog_stretch_is_the_closed_form(n, kappa):
 def test_sparse_stretch_is_the_closed_form(n, kappa, rho):
     ell = _floor_log2(kappa * rho) + _ceil(Fraction(kappa + 1) / (kappa * rho)) - 1
     delta = _ceil(2 / rho)
-    assert sparse.stretch_bound_exact(n, kappa, rho) == 2 * (2 * delta + 1) ** ell - 1
+    exact = 4 * _last_radius("sparse", n=n, kappa=kappa, rho=rho) + 1
+    assert exact == 2 * (2 * delta + 1) ** ell - 1
     paper = 2 * (4 / rho + 1) ** ell + 1
     assert sparse.stretch_bound(rho, ell) == float(paper)
     if (2 / rho).denominator == 1:
         # delta = 2/rho exactly: two below the paper's 2 (4/rho + 1)^ell + 1
-        assert sparse.stretch_bound_exact(n, kappa, rho) == paper - 2
+        assert exact == paper - 2
 
 
 @pytest.mark.parametrize("n", NS)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import string
@@ -7,7 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from congestspan import cli
 from congestspan import graph as gr
-from congestspan import sparse
+from congestspan import polylog, sparse
 
 
 # builds that pass verification, though closed-form bounds of their report
@@ -120,9 +121,10 @@ class TestBuild:
         assert isinstance(bounds["size"], float)
 
     def test_bounds_run_one_sparse_schedule(self, monkeypatch):
-        # the checked stretch bound derives the one schedule; ell is the build's
-        result = sparse.build_skeleton(gr.generate_graph("cycle", n=3), "0.001")
-        exact = sparse.stretch_bound_exact(3, result.params["kappa"], "0.001")
+        # the report derives the schedule once for its bounds, config and
+        # phase rows, beside the one derivation in verify_build
+        g = gr.generate_graph("cycle", n=3)
+        result = sparse.build_skeleton(g, "0.001")
         calls = []
 
         def counted(*args):
@@ -131,9 +133,25 @@ class TestBuild:
 
         schedule = sparse.degree_schedule
         monkeypatch.setattr(sparse, "degree_schedule", counted)
-        bounds = cli._bounds_block(result)
-        assert len(calls) == 1
-        assert bounds["stretch_checked"] == exact
+        report = cli.build_report(g, result)
+        assert len(calls) == 2
+        radii = schedule(*calls[0]).radius_bounds
+        assert report["bounds"]["stretch_checked"] == \
+            report["verification"]["stretch_bound"] == 4 * radii[-1] + 1
+        assert [row["radius_bound"] for row in report["phases"]] == list(radii)
+
+    def test_report_of_a_phase_outside_the_schedule(self):
+        # a copy of the last phase numbered 99 fails phase_counts; its row
+        # is still reported, with no bound, since the schedule has none
+        g = gr.generate_graph("gnp_connected", n=48, p=0.1, seed=2)
+        result = polylog.build_spanner(g, 3)
+        result.snapshots.append(dataclasses.replace(result.snapshots[-1], phase=99))
+        report = cli.build_report(g, result)
+        assert not report["passed"]
+        assert "phase_counts" in [v["name"] for v in
+                                  report["verification"]["verdicts"] if not v["ok"]]
+        row = report["phases"][-1]
+        assert (row["phase"], row["radius_bound"], row["threshold"]) == (99, None, None)
 
     def test_report_roundtrips(self, tmp_path):
         out = tmp_path / "o"
@@ -170,6 +188,22 @@ class TestBuild:
         assert rc == 0
         data = (out / "report.json").read_bytes()
         assert len(json.loads(data)["phases"]) > 1
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    @pytest.mark.parametrize("alg_args, digest", [
+        (["polylog", "--kappa", "2"],
+         "7cad83ee2e76db004106265b4b79170a23d6560538e74d953756c12c3f2c7ff3"),
+        (["skeleton", "--rho", "0.34"],
+         "51319a418138fc0f7c9a72d4306dea3831f3a897b9f1a34f6e118365d5544656"),
+    ], ids=["polylog", "skeleton"])
+    def test_single_vertex_report_is_pinned(self, tmp_path, alg_args, digest):
+        # a single vertex runs no phase: no schedule keys in config, no rows
+        out = tmp_path / "o"
+        rc = cli.main(["build", "--alg", *alg_args, "--graph", "gen:path:n=1",
+                       "--out", str(out)])
+        assert rc == 0
+        data = (out / "report.json").read_bytes()
+        assert json.loads(data)["phases"] == []
         assert hashlib.sha256(data).hexdigest() == digest
 
     def test_config_file_supplies_defaults(self, tmp_path):
@@ -503,6 +537,22 @@ class TestBench:
         assert [r["ok"] for r in rows] == [True, True, False]
         assert rows[2]["error"]
         assert (tmp_path / "b" / "bench.csv").exists()
+
+    def test_bench_json_is_pinned(self, tmp_path):
+        # one passing polylog point and one passing sparse point, bounds included
+        series = [
+            {"alg": "polylog", "graph": "gen:grid:n=16", "kappa": 3},
+            {"alg": "sparse", "graph": "gen:gnp_connected:n=32,p=0.2,seed=5",
+             "kappa": 3, "rho": "1/3"},
+        ]
+        sfile = tmp_path / "series.json"
+        sfile.write_text(json.dumps(series))
+        rc = cli.main(["bench", "--series", str(sfile), "--out",
+                       str(tmp_path / "b"), "--workers", "1"])
+        assert rc == 0
+        data = (tmp_path / "b" / "bench.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == (
+            "655c1a65b1a94bb61942cad31977d1c9af293d0c64ff18e13e616c023e029b2d")
 
     def test_bounds_past_a_float_are_null(self, tmp_path):
         sfile = tmp_path / "series.json"

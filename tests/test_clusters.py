@@ -8,7 +8,7 @@ import oracles
 from corpus import gnp_p, voronoi_clusters
 
 from congestspan import graph as gr
-from congestspan import polylog, sparse
+from congestspan import polylog, sparse, verify
 from congestspan.clusters import build_cluster_graph, radius_sequence
 from congestspan.comm import Net, Orientation, exchange_cluster_ids
 from congestspan.verify import (ALL_PAIRS_LIMIT, ForestError, forest_centers,
@@ -344,15 +344,17 @@ def test_exploration_matches_reference_beyond_the_verifier_limit(alg, n, seed):
         res = polylog.build_spanner(g, 3)
     else:
         res = sparse.build_skeleton(g, Fraction(34, 100))
+    sched = verify.schedule(res)
     explored = 0
     for snap in res.snapshots:
         if snap.vgraph is None:
             continue
         at_start = {e for ch in res.spanner.charges if ch.phase < snap.phase
                     for e in ch.edges}
-        center_of = forest_centers(snap.parent, at_start, snap.radius_bound)
+        center_of = forest_centers(snap.parent, at_start,
+                                   sched.radius_bounds[snap.phase])
         adjacency, witness = superedge_scan(center_of, snap.popular, g)
         assert reference_supercluster(adjacency, witness, snap.selected,
-                                      res.params["delta"]) == snap.joins
+                                      sched.delta) == snap.joins
         explored += any(j.witness is not None for j in snap.joins.values())
     assert explored

@@ -151,11 +151,8 @@ class TestBounds:
     def test_stretch_bound_n16_k3(self):
         assert polylog.stretch_bound(16, 3) == 17 ** 2 + 1 == 290
 
-    def test_kappa_one_exact_bound_is_one(self):
-        assert polylog.stretch_bound_exact(16, 1) == 1
-
     def test_exact_vs_closed_form_slack(self):
         for n in (4, 16, 64, 256):
             for kappa in (2, 3, 4):
-                assert polylog.stretch_bound_exact(n, kappa) <= \
-                    polylog.stretch_bound(n, kappa)
+                exact = 2 * PolylogParams(n, kappa).radius_bounds[-1] + 1
+                assert exact <= polylog.stretch_bound(n, kappa)

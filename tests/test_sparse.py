@@ -13,7 +13,7 @@ from congestspan.sparse import (_SparseVariant, degree_schedule, skeleton_kappa,
 
 def phase_size_assertions(res):
     """The verifier's sparse per-phase counting checks, on its own schedule."""
-    return verify._sparse_count_failures(res, verify._schedule(res))
+    return verify._sparse_count_failures(res, verify.schedule(res))
 
 
 class TestDegreeSchedule:
@@ -128,7 +128,7 @@ class TestBuild:
         res = sparse.build_spanner(g, 9, Fraction(17, 50))
         assert sparse.size_bound_holds(res)   # n^(10/9) + n ~ 471 + 256
         stretch, _ = verify.max_edge_stretch(g, res.spanner.edges)
-        assert stretch <= sparse.stretch_bound_exact(256, 9, Fraction(17, 50))
+        assert stretch <= 4 * verify.schedule(res).radius_bounds[-1] + 1
         assert not phase_size_assertions(res)
 
     def test_full_verification_on_mixed_corpus(self):
@@ -225,8 +225,8 @@ class TestBounds:
     def test_exact_bound_uses_recurrence(self):
         from congestspan.clusters import radius_sequence
         p = degree_schedule(64, 7, Fraction(17, 50))
-        expected = 4 * radius_sequence(p.delta, p.ell)[p.ell] + 1
-        assert sparse.stretch_bound_exact(64, 7, Fraction(17, 50)) == expected
+        assert p.radius_bounds == radius_sequence(p.delta, p.ell)
+        assert len(p.radius_bounds) == p.ell + 1
 
     def test_skeleton_preset(self):
         assert skeleton_kappa(64) == 7

@@ -16,7 +16,7 @@ from congestspan import graph as gr
 from congestspan import polylog, sim, sparse, verify
 from congestspan.clusters import JoinInfo
 from congestspan.exact import ceil_log2_int
-from congestspan.spanner import INTER, SUPER, Charge
+from congestspan.spanner import INTER, SUPER, Charge, PhaseSnapshot
 
 
 def floyd_warshall_edge_stretch(g, spanner_edges):
@@ -66,7 +66,7 @@ def test_radius_verdict_reads_the_phase_start_spanner_off_the_ledger():
     must name it."""
     g = gr.generate_graph("gnp_connected", n=128, p=0.08, seed=4)
     res = sparse.build_skeleton(g, Fraction(34, 100))
-    sched = verify._schedule(res)
+    sched = verify.schedule(res)
     assert verify._radius_verdict(res, sched).ok
     trees = {gr.edge_key(v, u) for v, u in res.snapshots[1].parent.items()
              if u is not None}
@@ -103,7 +103,7 @@ def test_phase_counts_verdict_needs_settled_and_joins_to_split_the_centers(
     clusters must be disjoint and together be the phase's clusters."""
     g = gr.generate_graph("gnp_connected", n=128, p=0.05, seed=3)
     res = polylog.build_spanner(g, 3)
-    sched = verify._schedule(res)
+    sched = verify.schedule(res)
     assert verify._phase_counting_verdict(res, sched).ok
     phase, snap = mutate(res.snapshots)
     res.snapshots[phase] = snap
@@ -201,7 +201,7 @@ def _member_dropped(g, res):
     """Drops the least member without which some popular cluster lies
     farther than 2q from every member in the virtual graph."""
     snap = _ruling_phase(res)
-    beta = 2 * res.params["ruling_q"]
+    beta = 2 * verify.schedule(res).ruling_q
     for m in sorted(snap.selected):
         near = set().union(*itertools.islice(
             gr.bfs_layers(snap.vgraph, snap.selected - {m}), beta + 1))
@@ -233,12 +233,10 @@ def _charge_over_cap(g, res):
 def test_ruling_verdict_takes_its_own_q():
     """In this skeleton build of the 12 x 12 grid, a ruling member dropped
     leaves a popular cluster at distance 7 > 2q = 6 from the other members.
-    That fails the ruling verdict even when the build's params claim a q
-    ten times as large: the verdict's 2q comes from its own schedule."""
+    That fails the ruling verdict, whose 2q comes from its own schedule."""
     g = gr.generate_graph("grid", n=144)
     res = sparse.build_skeleton(g, Fraction(34, 100))
     _member_dropped(g, res)
-    res.params["ruling_q"] *= 10
     assert _failing(g, res) == ["ruling"]
 
 
@@ -412,26 +410,25 @@ def test_size_verdict_fails_when_the_spanner_is_the_graph(build):
     assert _failing(g, res) == ["size"]
 
 
-def test_radius_verdict_takes_its_own_bounds(clean_build):
-    """The build's own radius bound of its deepest phase, lowered below that
-    phase's deepest tree, fails nothing: the radius verdict holds the trees
-    to the R_i of the verifier's schedule."""
-    g, res = clean_build
-    res = copy.deepcopy(res)
-    snap = max(res.snapshots, key=lambda s: s.radius_actual)
-    assert snap.radius_actual >= 1
-    snap.radius_bound = snap.radius_actual - 1
-    assert _failing(g, res) == []
+# what each PhaseSnapshot field records: the build's choices and measurements
+SNAPSHOT_FIELDS = {
+    "phase", "rounds", "radius_actual",          # measured
+    "parent", "vgraph", "knowledge",             # the phase's clusters and maps
+    "popular", "selected", "settled", "joins",   # chosen
+}
 
 
-@pytest.mark.parametrize("delta", [0, 1])
-def test_supercluster_oracle_takes_its_own_delta(clean_build, delta):
-    """The build's params with another exploration depth change no verdict
-    at n <= 64: the reference exploration runs to the verifier's delta."""
-    g, res = clean_build
-    res = copy.deepcopy(res)
-    res.params["delta"] = delta
-    assert _failing(g, res) == []
+def test_build_records_only_its_inputs_and_choices():
+    """params holds the build's inputs and no derived key, and no snapshot
+    field is one the schedule determines (a radius bound or a threshold):
+    the verifier and the report derive those from the inputs alone."""
+    g = gr.generate_graph("gnp_connected", n=32, p=0.2, seed=1)
+    assert set(polylog.build_spanner(g, 3).params) == {"kappa", "n"}
+    assert set(sparse.build_spanner(g, 3, Fraction(1, 3)).params) == \
+        {"kappa", "rho", "n"}
+    assert set(sparse.build_skeleton(g, Fraction(34, 100)).params) == \
+        {"kappa", "rho", "n", "preset"}
+    assert {f.name for f in dataclasses.fields(PhaseSnapshot)} == SNAPSHOT_FIELDS
 
 
 def test_sparse_verification_derives_one_schedule(monkeypatch):

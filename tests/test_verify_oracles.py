@@ -344,7 +344,7 @@ def test_corpus_stretch_and_ruling_match_oracles(alg):
         stretch_detail = next(v["detail"] for v in report["verdicts"]
                               if v["name"] == "stretch")
         assert stretch_detail.endswith(f"(witness {witness})"), where
-        q = result.params["ruling_q"]
+        q = verify.schedule(result).ruling_q
         for snap in result.snapshots:
             if snap.selected:
                 args = (snap.vgraph, snap.selected, snap.popular, 3, 2 * q)
@@ -354,8 +354,10 @@ def test_corpus_stretch_and_ruling_match_oracles(alg):
 def test_partition_names_first_vertex_settled_twice():
     g = gr.generate_graph("gnp_connected", n=48, p=0.1, seed=2)
     result = polylog.build_spanner(g, 3)
+    radius_bounds = verify.schedule(result).radius_bounds
+
     def center_of(s):
-        return forest_centers(s.parent, result.spanner.edges, s.radius_bound)
+        return forest_centers(s.parent, result.spanner.edges, radius_bounds[s.phase])
 
     # a phase whose first settled cluster (in set order) has several members
     first = next(s for s in result.snapshots if s.settled and
