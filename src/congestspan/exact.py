@@ -76,18 +76,6 @@ def pow_ceil(n: int, expo: Fraction) -> int:
     return k
 
 
-def nth_root_ceil(x: int, q: int) -> int:
-    """Smallest integer t with t**q >= x."""
-    if x < 1 or q < 1:
-        raise ValueError("need x >= 1 and q >= 1")
-    t = max(1, int(x ** (1.0 / q)))
-    while t ** q < x:
-        t += 1
-    while t > 1 and (t - 1) ** q >= x:
-        t -= 1
-    return t
-
-
 def floor_log2(x: Fraction) -> int:
     """Largest k with 2**k <= x, for positive rational x."""
     if x <= 0:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import inspect
 import math
 import random
-from collections import deque
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 Edge = Tuple[int, int]
@@ -94,20 +93,12 @@ class Graph:
         return len(self.edge_set())
 
     def is_connected(self) -> bool:
-        start = self.vertices[0]
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in self.adjacency[v]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == self.n
+        return sum(map(len, bfs_layers(self.adjacency, self.vertices[:1]))) == self.n
 
 
-def from_edges(edges: Iterable[Edge], meta: Optional[dict] = None) -> Graph:
-    adj: Dict[int, List[int]] = {}
+def from_edges(edges: Iterable[Edge], meta: Optional[dict] = None, n: int = 0) -> Graph:
+    """The graph of edges, whose vertices are their endpoints and 1..n."""
+    adj: Dict[int, List[int]] = {v: [] for v in range(1, n + 1)}
     for u, v in edges:
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
@@ -186,10 +177,7 @@ def generate_graph(kind: str, seed: int = 0, **params) -> Graph:
 
 def _gen_path(n: int, seed: int = 0) -> Graph:
     _check_n(n)
-    if n == 1:
-        return Graph({1: []}, meta={"kind": "path", "n": n})
-    g = from_edges([(i, i + 1) for i in range(1, n)], meta={"kind": "path", "n": n})
-    return g
+    return from_edges([(i, i + 1) for i in range(1, n)], {"kind": "path", "n": n}, n)
 
 
 def _gen_cycle(n: int, seed: int = 0) -> Graph:
@@ -197,15 +185,13 @@ def _gen_cycle(n: int, seed: int = 0) -> Graph:
     if n < 3:
         raise GraphError("cycle needs n >= 3")
     edges = [(i, i + 1) for i in range(1, n)] + [(1, n)]
-    return from_edges(edges, meta={"kind": "cycle", "n": n})
+    return from_edges(edges, {"kind": "cycle", "n": n}, n)
 
 
 def _gen_complete(n: int, seed: int = 0) -> Graph:
     _check_n(n)
-    if n == 1:
-        return Graph({1: []}, meta={"kind": "complete", "n": n})
     edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
-    return from_edges(edges, meta={"kind": "complete", "n": n})
+    return from_edges(edges, {"kind": "complete", "n": n}, n)
 
 
 def _gen_grid(n: Optional[int] = None, rows: Optional[int] = None,
@@ -217,8 +203,6 @@ def _gen_grid(n: Optional[int] = None, rows: Optional[int] = None,
     if not all(isinstance(x, int) and x >= 1 for x in (rows, cols)):
         raise GraphError(f"grid needs integer rows, cols >= 1, "
                          f"got {rows!r}, {cols!r}")
-    if rows * cols == 1:
-        return Graph({1: []}, meta={"kind": "grid", "rows": rows, "cols": cols})
     edges = []
     vid = lambda r, c: r * cols + c + 1
     for r in range(rows):
@@ -227,7 +211,7 @@ def _gen_grid(n: Optional[int] = None, rows: Optional[int] = None,
                 edges.append((vid(r, c), vid(r, c + 1)))
             if r + 1 < rows:
                 edges.append((vid(r, c), vid(r + 1, c)))
-    return from_edges(edges, meta={"kind": "grid", "rows": rows, "cols": cols})
+    return from_edges(edges, {"kind": "grid", "rows": rows, "cols": cols}, rows * cols)
 
 
 def _near_square(n: int) -> Tuple[int, int]:
@@ -241,11 +225,9 @@ def _near_square(n: int) -> Tuple[int, int]:
 
 def _gen_random_tree(n: int, seed: int = 0) -> Graph:
     _check_n(n)
-    if n == 1:
-        return Graph({1: []}, meta={"kind": "random_tree", "n": n, "seed": seed})
     rnd = random.Random(seed)
     edges = [(rnd.randint(1, v - 1), v) for v in range(2, n + 1)]
-    return from_edges(edges, meta={"kind": "random_tree", "n": n, "seed": seed})
+    return from_edges(edges, {"kind": "random_tree", "n": n, "seed": seed}, n)
 
 
 def _gen_gnp_connected(n: int, p: float, seed: int = 0) -> Graph:
@@ -276,9 +258,7 @@ def _gen_gnp_connected(n: int, p: float, seed: int = 0) -> Graph:
         comps = _components(n, edges)
     meta = {"kind": "gnp_connected", "n": n, "p": p, "seed": seed,
             "augmented_edges": added, "num_edges": len(edges)}
-    if n == 1:
-        return Graph({1: []}, meta=meta)
-    return from_edges(edges, meta=meta)
+    return from_edges(edges, meta, n)
 
 
 def _components(n: int, edges: Set[Edge]) -> List[List[int]]:
@@ -328,20 +308,6 @@ def subgraph_adjacency(vertices: Iterable[int],
     for v in adj:
         adj[v].sort()
     return adj
-
-
-def bfs_on_adjacency(adj: Dict[int, Iterable[int]], source: int) -> Dict[int, int]:
-    """Exact hop distances from source to every vertex it reaches in adj."""
-    dist: Dict[int, int] = {source: 0}
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        d = dist[v] + 1
-        for u in adj[v]:
-            if u not in dist:
-                dist[u] = d
-                queue.append(u)
-    return dist
 
 
 def bfs_layers(adj: Dict[int, Iterable[int]], sources: Iterable[int]) -> Iterator[Set[int]]:

@@ -43,16 +43,12 @@ alive, which no vertex knows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import AbstractSet, Dict, List, Mapping, Sequence, Set, Tuple
 
 from . import comm
 from .comm import Net, Orientation
-from .exact import nth_root_ceil
-
-
-class RulingError(ValueError):
-    pass
-
+from .exact import pow_ceil
 
 # how many hops on the virtual cluster graph a knock-out flood travels
 KNOCKOUT_DEPTH = 2
@@ -62,10 +58,6 @@ KNOCKOUT_DEPTH = 2
 class RulingParams:
     """q bounds the recursion depth."""
     q: int
-
-    def __post_init__(self):
-        if self.q < 1:
-            raise RulingError("need q >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +134,7 @@ def run_knockout_schedule(net: Net, orient: Orientation, candidates: Set[int],
     alive: Set[int] = set(candidates)
     if width <= 1 or len(alive) <= 1:
         return alive
-    t = max(2, nth_root_ceil(width, params.q))
+    t = max(2, pow_ceil(width, Fraction(1, params.q)))
     widths = _block_widths(width, t)
     accept_all = {v for v, c in orient.center_of.items() if c in popular}
     trivial = orient.max_depth() == 0

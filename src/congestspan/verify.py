@@ -40,8 +40,7 @@ from . import polylog as polylog_mod
 from . import sparse as sparse_mod
 from .clusters import JoinInfo
 from .exact import as_fraction, count_le_pow, count_lt_pow, npow_decimal
-from .graph import (Edge, Graph, bfs_layers, bfs_on_adjacency, edge_key,
-                    subgraph_adjacency)
+from .graph import Edge, Graph, bfs_layers, edge_key, subgraph_adjacency
 from .spanner import INTER, SUPER, BuildResult, Charge, collector_paused
 
 Schedule = Union[polylog_mod.PolylogParams, sparse_mod.SparseParams]
@@ -341,8 +340,8 @@ def max_pair_stretch(g: Graph, spanner_edges: Set[Edge]) -> float:
     adj_h = subgraph_adjacency(g.vertices, spanner_edges)
     worst = 1.0
     for u in g.vertices:
-        dg = bfs_on_adjacency(g.adjacency, u)
-        dh = bfs_on_adjacency(adj_h, u)
+        dg, dh = ({v: d for d, layer in enumerate(bfs_layers(adj, (u,))) for v in layer}
+                  for adj in (g.adjacency, adj_h))
         for v in g.vertices:
             if v <= u:
                 continue

@@ -159,7 +159,7 @@ def test_clustered_knockout_hop(benchmark, grid_blocks, impl):
 @pytest.fixture(scope="module")
 def grid_tree():
     g = gr.generate_graph("grid", rows=48, cols=48)
-    dist = gr.bfs_on_adjacency(g.adjacency, 1)
+    dist = oracles.bfs_distances(g.adjacency, 1)
     parent = {v: min((u for u in g.adjacency[v] if dist[u] == dist[v] - 1),
                      default=None) for v in g.vertices}
     orient = oracles.orientation_from_parents({1: parent})

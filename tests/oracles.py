@@ -24,18 +24,31 @@ heard it.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import replace
 from functools import partial
 from typing import (AbstractSet, Dict, Iterable, List, Mapping,
                     Optional, Sequence, Set, Tuple)
 
 from congestspan import comm, sim
-from congestspan.graph import (Edge, Graph, GraphError, bfs_on_adjacency, edge_key,
-                               subgraph_adjacency)
-from congestspan.exact import nth_root_ceil
+from congestspan.graph import Edge, Graph, GraphError, edge_key, subgraph_adjacency
 from congestspan.rulingset import KNOCKOUT_DEPTH, RulingParams
 from congestspan.sim import Message, NodeApi, NodeProgram, SimConfig, SimTrace
 from congestspan.verify import RulingVerdict
+
+
+def bfs_distances(adj: Mapping[int, Iterable[int]], source: int) -> Dict[int, int]:
+    """Hop distances from source to every vertex it reaches in adj, by a
+    queue-driven breadth-first search; a source outside adj is a KeyError."""
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        for u in adj[v]:
+            if u not in dist:
+                dist[u] = dist[v] + 1
+                queue.append(u)
+    return dist
 
 
 def max_edge_stretch(g: Graph, spanner_edges: Set[Edge]) -> Tuple[float, Optional[Edge]]:
@@ -46,7 +59,7 @@ def max_edge_stretch(g: Graph, spanner_edges: Set[Edge]) -> Tuple[float, Optiona
     worst: float = 0.0
     worst_edge: Optional[Edge] = None
     for u in g.vertices:
-        dist = bfs_on_adjacency(adj_h, u)
+        dist = bfs_distances(adj_h, u)
         for v in g.adjacency[u]:
             if v < u:
                 continue
@@ -82,7 +95,7 @@ def validate_graph(adjacency: Mapping[int, Sequence[int]]) -> None:
         if u not in adjacency[v] or v not in adjacency[u]:
             raise GraphError(f"asymmetric adjacency on edge ({u},{v})")
     start = next(iter(adjacency))
-    if len(bfs_on_adjacency(adjacency, start)) != len(adjacency):
+    if len(bfs_distances(adjacency, start)) != len(adjacency):
         raise GraphError("graph is disconnected")
 
 
@@ -98,7 +111,7 @@ def check_ruling(adjacency: Dict[int, Sequence[int]], members: Iterable[int],
                              f"member {extra[0]} is outside the target set")
     dist_from_member: Dict[int, Dict[int, float]] = {}
     for m in members:
-        dist_from_member[m] = bfs_on_adjacency(adjacency, m)
+        dist_from_member[m] = bfs_distances(adjacency, m)
     for i, m in enumerate(members):
         for m2 in members[i + 1:]:
             d = dist_from_member[m].get(m2, math.inf)
@@ -664,7 +677,9 @@ def block_widths(id_range: Tuple[int, int], q: int) -> List[int]:
     into t = ceil(width ** (1/q)) (at least 2) blocks per level, down to 1."""
     lo, hi = id_range
     widths = [hi - lo + 1]
-    t = max(2, nth_root_ceil(widths[0], q))
+    t = 2
+    while t ** q < widths[0]:
+        t += 1
     while widths[-1] > 1:
         widths.append(-(-widths[-1] // t))
     return widths

@@ -283,7 +283,6 @@ class TestVerifyClusterTree:
 @given(n=st.integers(8, 36), seed=st.integers(0, 99), data=st.data())
 def test_distributed_supercluster_matches_reference(n, seed, data):
     from congestspan.clusters import run_supercluster_bfs
-    from congestspan.graph import bfs_on_adjacency
 
     g = gr.generate_graph("gnp_connected", n=n, p=0.2, seed=seed)
     verts = sorted(g.vertices)
@@ -295,7 +294,7 @@ def test_distributed_supercluster_matches_reference(n, seed, data):
     vg = build_cluster_graph(p, popular, oracles.exchange_maps(p, g))
     ruling = []
     for c in sorted(popular):
-        if all(bfs_on_adjacency(vg, c).get(r, 99) >= 3 for r in ruling):
+        if all(oracles.bfs_distances(vg, c).get(r, 99) >= 3 for r in ruling):
             ruling.append(c)
     delta = data.draw(st.integers(1, 3))
     ref = reference(p, popular, g, ruling, delta)
@@ -316,7 +315,7 @@ def test_reference_supercluster_properties(n, seed, data):
     out = reference(p, popular, g, roots, delta)
     dist = {}
     for r in roots:
-        d = gr.bfs_on_adjacency(g.adjacency, r)
+        d = oracles.bfs_distances(g.adjacency, r)
         for v, dv in d.items():
             dist[v] = min(dist.get(v, float("inf")), dv)
     # joined iff within delta of some root (the supergraph here equals g)

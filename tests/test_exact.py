@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from congestspan.exact import (as_fraction, ceil_fraction, ceil_log2_int,
                                count_ge_pow, count_le_pow, count_lt_pow,
-                               floor_log2, npow_decimal, nth_root_ceil,
-                               pow_ceil)
+                               floor_log2, npow_decimal, pow_ceil)
 
 
 class TestAsFraction:
@@ -53,12 +52,10 @@ class TestPowerComparisons:
         assert pow_ceil(256, Fraction(1, 8)) == 2
         assert pow_ceil(5, Fraction(1, 3)) == 2     # 5^(1/3) ~ 1.71
         assert pow_ceil(1, Fraction(7, 2)) == 1
-
-    def test_nth_root_ceil(self):
-        assert nth_root_ceil(256, 8) == 2
-        assert nth_root_ceil(257, 8) == 3
-        assert nth_root_ceil(1, 4) == 1
-        assert nth_root_ceil(10, 1) == 10
+        # integer roots: the least t with t**q >= x
+        assert pow_ceil(257, Fraction(1, 8)) == 3
+        assert pow_ceil(1, Fraction(1, 4)) == 1
+        assert pow_ceil(10, Fraction(1, 1)) == 10
 
 
 class TestLogsAndCeil:

@@ -15,14 +15,13 @@ from importlib import import_module
 import pytest
 
 import congestspan
-from congestspan import graph, rulingset, sim, verify
+from congestspan import graph, sim, verify
 
 EXAMPLES = [
     verify.ForestError("depth", "vertex 5 at depth 2 > bound 1", 1),
     verify.ForestError("span", "the parent pointers cycle through 2"),
     graph.GraphError("graph is disconnected"),
     graph.GraphParseError("line 3: expected two vertex IDs"),
-    rulingset.RulingError("need q >= 1 and c >= 1"),
     sim.ModelViolation("a message carried 3 ids"),
     sim.RoundBudgetExceeded("episode o did not finish within 9 rounds"),
 ]

@@ -101,14 +101,19 @@ class TestGenerate:
             gr.generate_graph("mystery", n=3)
 
 
+def _distances(adj, source):
+    """Hop distances from source, read off bfs_layers."""
+    return {v: d for d, layer in enumerate(gr.bfs_layers(adj, [source])) for v in layer}
+
+
 class TestBfs:
     def test_path_distances(self):
         g = gr.generate_graph("path", n=3)
-        assert gr.bfs_on_adjacency(g.adjacency, 1) == {1: 0, 2: 1, 3: 2}
+        assert _distances(g.adjacency, 1) == {1: 0, 2: 1, 3: 2}
 
     def test_complete_distances(self):
         g = gr.generate_graph("complete", n=5)
-        d = gr.bfs_on_adjacency(g.adjacency, 3)
+        d = _distances(g.adjacency, 3)
         assert d[3] == 0
         assert all(d[v] == 1 for v in g.vertices if v != 3)
 
@@ -117,21 +122,21 @@ class TestBfs:
         g = gr.generate_graph("cycle", n=8)
         removed = (1, 8)
         rest = [e for e in g.edges() if e != removed]
-        d = gr.bfs_on_adjacency(gr.subgraph_adjacency(g.vertices, rest), 1)
+        d = _distances(gr.subgraph_adjacency(g.vertices, rest), 1)
         assert d[8] == 7
 
     def test_unreachable_is_inf(self):
         """An unreachable vertex has no entry: its distance is the inf that
         callers read with dist.get(v, math.inf)."""
         g = gr.generate_graph("path", n=4)
-        d = gr.bfs_on_adjacency(gr.subgraph_adjacency(g.vertices, [(1, 2)]), 1)
+        d = _distances(gr.subgraph_adjacency(g.vertices, [(1, 2)]), 1)
         assert d == {1: 0, 2: 1}
         assert d.get(3, math.inf) == d.get(4, math.inf) == math.inf
 
     def test_unknown_source(self):
         g = gr.generate_graph("path", n=4)
         with pytest.raises(KeyError):
-            gr.bfs_on_adjacency(g.adjacency, 99)
+            _distances(g.adjacency, 99)
 
 
 @settings(max_examples=40, deadline=None)
@@ -154,15 +159,15 @@ def test_bfs_triangle_inequality_and_subgraph_dominance(n, seed, data):
     a = data.draw(st.sampled_from(verts))
     b = data.draw(st.sampled_from(verts))
     c = data.draw(st.sampled_from(verts))
-    da = gr.bfs_on_adjacency(g.adjacency, a)
-    db = gr.bfs_on_adjacency(g.adjacency, b)
+    da = _distances(g.adjacency, a)
+    db = _distances(g.adjacency, b)
     assert da[a] == 0
     assert da[c] <= da[b] + db[c]
     # dropping an edge can only increase distances
     edges = list(g.edges())
     dropped = data.draw(st.sampled_from(edges))
     rest = [e for e in edges if e != dropped]
-    dr = gr.bfs_on_adjacency(gr.subgraph_adjacency(g.vertices, rest), a)
+    dr = _distances(gr.subgraph_adjacency(g.vertices, rest), a)
     for v in g.vertices:
         assert dr.get(v, math.inf) >= da[v]
 

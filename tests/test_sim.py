@@ -194,7 +194,7 @@ class TestUpcast:
 @given(n=st.integers(2, 20), m=st.integers(0, 12), seed=st.integers(0, 99))
 def test_downcast_round_bound(n, m, seed):
     g = gr.generate_graph("random_tree", n=n, seed=seed)
-    dist = gr.bfs_on_adjacency(g.adjacency, 1)
+    dist = oracles.bfs_distances(g.adjacency, 1)
     parent = {1: None}
     for v in g.vertices:
         if v != 1:
@@ -211,7 +211,7 @@ def test_downcast_round_bound(n, m, seed):
        data=st.data())
 def test_upcast_round_bound_and_cap(n, cap, seed, data):
     g = gr.generate_graph("random_tree", n=n, seed=seed)
-    dist = gr.bfs_on_adjacency(g.adjacency, 1)
+    dist = oracles.bfs_distances(g.adjacency, 1)
     parent = {1: None}
     for v in g.vertices:
         if v != 1:
