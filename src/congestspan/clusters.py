@@ -35,6 +35,7 @@ from .comm import Net, Orientation
 # the most decimal digits Python converts an int to text with by default;
 # the reports and verdicts write a stretch bound out in full
 MAX_BOUND_DIGITS = 4300
+_BOUND_LIMIT = 10 ** MAX_BOUND_DIGITS
 
 
 def radius_sequence(delta: int, ell: int, scale: int = 1) -> Tuple[int, ...]:
@@ -47,11 +48,10 @@ def radius_sequence(delta: int, ell: int, scale: int = 1) -> Tuple[int, ...]:
     """
     if delta < 1 or ell < 0:
         raise ValueError("need delta >= 1 and ell >= 0")
-    limit = 10 ** MAX_BOUND_DIGITS
     values = [0]
     for _ in range(ell):
         values.append((2 * delta + 1) * values[-1] + delta)
-        if scale * values[-1] + 1 >= limit:
+        if scale * values[-1] + 1 >= _BOUND_LIMIT:
             raise ValueError(f"the stretch bound {scale}*R_ell + 1 at ell = {ell}, "
                              f"delta = {delta} has more than {MAX_BOUND_DIGITS} digits")
     return tuple(values)

@@ -64,11 +64,13 @@ class RulingParams:
 # Block arithmetic for the ID-range recursion.
 
 def _block_widths(width: int, t: int) -> List[int]:
-    """Interval width per recursion level, from the full range down to 1."""
-    widths = [width]
-    while widths[-1] > 1:
-        widths.append(-(-widths[-1] // t))
-    return widths
+    """Interval width per recursion level: t**L, ..., t, 1, where L is the
+    least exponent with t**L >= width, so that every interval splits into t
+    intervals of the level below."""
+    widths = [1]
+    while widths[-1] < width:
+        widths.append(widths[-1] * t)
+    return widths[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +142,7 @@ def run_knockout_schedule(net: Net, orient: Orientation, candidates: Set[int],
     trivial = orient.max_depth() == 0
     for level in range(len(widths) - 2, -1, -1):
         wide, narrow = widths[level], widths[level + 1]
-        last = (wide - 1) // narrow
+        last = (min(wide, width) - 1) // narrow
         # the index of a cluster's child block within its interval
         block_of = {c: (c - lo) % wide // narrow
                     for c in (alive if trivial else alive | popular)}

@@ -127,6 +127,15 @@ MUTANTS: List[Mutant] = [
     Mutant("core search reports its hits one round late", "verify.py",
            replace("batch_max, batch_pair = k, hit",
                    "batch_max, batch_pair = k + 1, hit")),
+    # the build's knock-out blocks, whose levels must nest
+    Mutant("knock-out widths rounded up per level", "rulingset.py",
+           replace("""    widths = [1]
+    while widths[-1] < width:
+        widths.append(widths[-1] * t)
+    return widths[::-1]""", """    widths = [width]
+    while widths[-1] > 1:
+        widths.append(-(-widths[-1] // t))
+    return widths""")),
 ]
 
 

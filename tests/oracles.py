@@ -18,7 +18,9 @@ it checks and returns sim.run's trace with the programs' results. The
 knock-out timetable is kept in full, with the flood it first had: every
 block that holds an alive candidate floods, its messages carry the hops
 left, and every wave converges the most hops heard in every cluster that
-heard it.
+heard it; its blocks are nested intervals, split from the top and found by
+containment, not by the build's arithmetic on offsets. Every search here is
+bfs_distances, a plain queue-driven BFS, not the package's bfs_layers.
 """
 
 from __future__ import annotations
@@ -672,17 +674,50 @@ def orientation_from_parents(parent_maps: Dict[int, Dict[int, Optional[int]]]
     return comm.Orientation(center_of, parent, kids, height, members)
 
 
-def block_widths(id_range: Tuple[int, int], q: int) -> List[int]:
-    """The knock-out timetable's interval width per level: the ID range split
-    into t = ceil(width ** (1/q)) (at least 2) blocks per level, down to 1."""
+def knockout_recursion(id_range: Tuple[int, int], q: int) -> Tuple[int, Tuple[int, int]]:
+    """(t, the top interval) of the knock-out recursion on id_range, whose
+    width is W: t is the least integer t >= 2 with t**q >= W, found by
+    bisection, and the top interval starts at the range's low end and has
+    width t**L, the least power of t that is at least W."""
     lo, hi = id_range
-    widths = [hi - lo + 1]
-    t = 2
-    while t ** q < widths[0]:
-        t += 1
-    while widths[-1] > 1:
-        widths.append(-(-widths[-1] // t))
-    return widths
+    width = hi - lo + 1
+    low, high = 2, max(2, width)
+    while low < high:
+        mid = (low + high) // 2
+        if mid ** q >= width:
+            high = mid
+        else:
+            low = mid + 1
+    top = 1
+    while top < width:
+        top *= low
+    return low, (lo, lo + top - 1)
+
+
+def block_path(c: int, top: Tuple[int, int], t: int) -> List[int]:
+    """The child block of ID c at each level of the recursion, from the top:
+    the interval top, of width t**L, splits into t child intervals of equal
+    width, each of those into t more, down to single IDs, and at each level
+    c lies in exactly one child of the interval that holds it."""
+    path = []
+    a, b = top
+    while a < b:
+        step = (b - a + 1) // t
+        children = [(a + j * step, a + (j + 1) * step - 1) for j in range(t)]
+        j = next(j for j, (x, y) in enumerate(children) if x <= c <= y)
+        path.append(j)
+        a, b = children[j]
+    return path
+
+
+def last_blocks(id_range: Tuple[int, int], q: int) -> List[int]:
+    """Per level from the top, the last child block that an ID of id_range
+    lies in: at the top level, the block of the range's high end, since the
+    top interval may reach past it; below, t - 1, since the first interval
+    of each lower level, of width at most t**(L-1) < W, lies in the range."""
+    t, top = knockout_recursion(id_range, q)
+    path = block_path(id_range[1], top, t)
+    return path[:1] + [t - 1] * (len(path) - 1)
 
 
 def _hop_count_round(g: Graph, sends: Dict[int, Message],
@@ -708,18 +743,20 @@ def knockout_schedule(net: "comm.Net", orient: "comm.Orientation",
     listener keeps the most it hears, every wave converges that maximum in
     every cluster that heard it (a height-scheduled upcast), and a cluster
     relays once, while hops are left. A later block's alive candidate that
-    heard an earlier block's flood drops out. The hops and the upcasts run
-    on the program oracles above."""
-    lo = id_range[0]
-    widths = block_widths(id_range, params.q)
+    heard an earlier block's flood drops out. A candidate's block at each
+    level is the child of block_path's nested intervals that contains it.
+    The hops and the upcasts run on the program oracles above."""
+    t, top = knockout_recursion(id_range, params.q)
     alive = set(candidates)
-    if widths[0] <= 1 or len(alive) <= 1:
+    if id_range[0] == id_range[1] or len(alive) <= 1:
         return alive
+    paths = {c: block_path(c, top, t) for c in alive}
     accept_all = {v for v, c in orient.center_of.items() if c in popular}
     trivial = orient.max_depth() == 0
-    for level in range(len(widths) - 2, -1, -1):
+    levels = len(block_path(top[0], top, t))   # every path has one block per level
+    for level in range(levels - 1, -1, -1):
         def block_of(c: int) -> int:
-            return (c - lo) % widths[level] // widths[level + 1]
+            return paths[c][level]
         for block in sorted({block_of(c) for c in alive}):
             senders = sorted(c for c in alive if block_of(c) == block)
             if not senders:
@@ -754,5 +791,5 @@ def knockout_schedule(net: "comm.Net", orient: "comm.Orientation",
                 frontier = [(c, h - 1) for c, h in sorted(got.items())
                             if h >= 1 and c not in relayed]
                 relayed.update(c for c, _ in frontier)
-            alive -= {c for c in heard if block_of(c) > block}
+            alive -= {c for c in heard & alive if block_of(c) > block}
     return alive

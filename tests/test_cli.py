@@ -64,6 +64,16 @@ class TestBuild:
         assert report["verification"]["passed"] is True
         assert (tmp_path / "o" / "spanner.edges").exists()
 
+    @pytest.mark.parametrize("graph, kappa", [("gen:path:n=17", "5"),
+                                              ("gen:grid:n=20", "3")])
+    def test_knockout_blocks_nest(self, graph, kappa, tmp_path, capsys):
+        # ID ranges of 17 and 20 at t = 2: knock-out blocks that did not nest
+        # left two ruling members at distance 2 on both
+        rc = cli.main(["build", "--alg", "polylog", "--graph", graph,
+                       "--kappa", kappa, "--out", str(tmp_path / "o")])
+        assert rc == 0
+        assert capsys.readouterr().out.startswith("PASS")
+
     def test_rho_out_of_range_fails_cleanly(self, tmp_path, capsys):
         rc = cli.main(["build", "--alg", "sparse", "--graph", "gen:cycle:n=8",
                        "--kappa", "3", "--rho", "0.6", "--out", str(tmp_path / "o")])
@@ -172,13 +182,13 @@ class TestBuild:
         phases = json.loads(data)
         assert [len(s["clusters"]) for s in phases] == [128, 6, 1, 0, 0]
         assert hashlib.sha256(data).hexdigest() == (
-            "bdcc6043e2d4dc62721e4bb33720b9b76d61a4a96e3e930208f325beb7c792ef")
+            "06e2b4e5158f0848970df5878108828210b03f35a5767999585be88e05a53698")
 
     @pytest.mark.parametrize("alg_args, digest", [
         (["polylog", "--kappa", "3"],
          "b0e8b65b23bf30830ac008147f274054cbcd60873e41e46eb62a25090fa6c447"),
         (["skeleton", "--rho", "0.34"],
-         "f5d02231269b64d3ebf3c7c8517d1a7090cf95090fb61581f13a00b9350bc743"),
+         "707af27e00fd76d7e23fd03fe9c84c7d7d5f608754250fb26a440e680c59756d"),
     ], ids=["polylog", "skeleton"])
     def test_report_is_pinned(self, tmp_path, alg_args, digest):
         # the whole report, per-phase rows included

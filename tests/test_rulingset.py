@@ -1,10 +1,10 @@
 import re
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from oracles import orientation_from_parents
-from corpus import knockout_ruling_set, voronoi_clusters
+from corpus import gnp_p, knockout_ruling_set, voronoi_clusters
 
 from congestspan import graph as gr
 from congestspan.comm import Net
@@ -167,13 +167,13 @@ def test_supergraph_ruling_guarantee_random_clusters(n, q, seed, data):
     assert verdict.ok, verdict.detail
 
 
-def _draw_ids(g: gr.Graph, data) -> gr.Graph:
-    """g itself, or g relabelled with IDs drawn from a wider range, so that a
-    level's last interval can be a partial one."""
-    if not data.draw(st.booleans(), label="wide ids"):
+def _draw_ids(g: gr.Graph, draw, top: int = 10 ** 6) -> gr.Graph:
+    """g itself, or g relabelled with IDs that draw takes from [1, top], so
+    that a level's last interval can be a partial one."""
+    if not draw(st.booleans(), label="wide ids"):
         return g
-    ids = data.draw(st.lists(st.integers(1, 10 ** 6), min_size=g.n,
-                             max_size=g.n, unique=True), label="ids")
+    ids = draw(st.lists(st.integers(1, top), min_size=g.n, max_size=g.n,
+                        unique=True), label="ids")
     new = dict(zip(sorted(g.vertices), ids))
     return gr.from_edges((new[u], new[v]) for u, v in g.edges())
 
@@ -190,10 +190,10 @@ def _assert_schedule_matches_full_timetable(g, parent_maps, popular, candidates,
     assert fast.trace.messages_total <= full.trace.messages_total
     assert len(fast.trace.episodes) <= len(full.trace.episodes)
     # every block the full timetable floods but the last, K, of its level
-    widths = oracles.block_widths(g.id_range, q)
+    last = oracles.last_blocks(g.id_range, q)
     assert _flooded_blocks(fast) == {
         (level, block) for level, block in _flooded_blocks(full)
-        if block != (widths[level] - 1) // widths[level + 1]}
+        if block != last[level]}
 
 
 def _flooded_blocks(net: Net):
@@ -205,7 +205,7 @@ def _flooded_blocks(net: Net):
 @given(n=st.integers(2, 40), q=st.integers(2, 4), seed=st.integers(0, 500),
        data=st.data())
 def test_schedule_equals_full_timetable_on_random_graphs(n, q, seed, data):
-    g = _draw_ids(gr.generate_graph("gnp_connected", n=n, p=0.2, seed=seed), data)
+    g = _draw_ids(gr.generate_graph("gnp_connected", n=n, p=0.2, seed=seed), data.draw)
     verts = sorted(g.vertices)
     popular = data.draw(st.sets(st.sampled_from(verts), min_size=1), label="popular")
     candidates = data.draw(st.sets(st.sampled_from(sorted(popular)), min_size=1),
@@ -218,7 +218,7 @@ def test_schedule_equals_full_timetable_on_random_graphs(n, q, seed, data):
 @given(n=st.integers(4, 40), q=st.integers(2, 4), seed=st.integers(0, 500),
        data=st.data())
 def test_schedule_equals_full_timetable_on_cluster_forests(n, q, seed, data):
-    g = _draw_ids(gr.generate_graph("gnp_connected", n=n, p=0.2, seed=seed), data)
+    g = _draw_ids(gr.generate_graph("gnp_connected", n=n, p=0.2, seed=seed), data.draw)
     verts = sorted(g.vertices)
     centers = sorted(data.draw(st.sets(st.sampled_from(verts), min_size=2,
                                        max_size=max(2, n // 3)), label="centers"))
@@ -227,3 +227,47 @@ def test_schedule_equals_full_timetable_on_cluster_forests(n, q, seed, data):
                            label="candidates")
     _assert_schedule_matches_full_timetable(
         g, voronoi_clusters(g, centers), popular, candidates, q)
+
+
+@st.composite
+def _knockout_cases(draw):
+    """A connected G(n, p) whose n is not a power of two, maybe relabelled
+    with wide IDs; singleton clusters or a random cluster forest on it; its
+    popular clusters, the candidates among them, and q."""
+    n = draw(st.integers(3, 60).filter(lambda n: n & (n - 1)), label="n")
+    p = draw(st.sampled_from([gnp_p(n), 0.2]), label="p")
+    g = _draw_ids(gr.generate_graph("gnp_connected", n=n, p=p,
+                                    seed=draw(st.integers(0, 500), label="seed")),
+                  draw, 2 ** 40)
+    verts = sorted(g.vertices)
+    if draw(st.booleans(), label="cluster forest"):
+        parent_maps = voronoi_clusters(g, draw(st.sets(
+            st.sampled_from(verts), min_size=2, max_size=max(2, n // 3)), label="centers"))
+    else:
+        parent_maps = {v: {v: None} for v in verts}
+    popular = draw(st.sets(st.sampled_from(sorted(parent_maps)), min_size=1),
+                   label="popular")
+    candidates = draw(st.sets(st.sampled_from(sorted(popular)), min_size=1),
+                      label="candidates")
+    return g, parent_maps, popular, candidates, draw(st.integers(2, 6), label="q")
+
+
+# polylog's phase 0 on the path of 17 at kappa = 5: q = 5, so t = 2, and
+# every inner vertex is a popular candidate
+_PATH17 = gr.generate_graph("path", n=17)
+_PATH17_Q5 = (_PATH17, {v: {v: None} for v in _PATH17.vertices},
+              set(range(2, 17)), set(range(2, 17)), 5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_knockout_cases())
+@example(case=_PATH17_Q5)
+def test_knockout_schedule_rules_the_virtual_graph(case):
+    g, parent_maps, popular, candidates, q = case
+    members = run_knockout_schedule(Net(g), orientation_from_parents(parent_maps),
+                                    set(candidates), RulingParams(q=q),
+                                    g.id_range, popular, "rs")
+    center_of = {v: c for c, pm in parent_maps.items() for v in pm}
+    vgraph, _ = oracles.build_cluster_graph(center_of, popular, g)
+    verdict = check_ruling(vgraph, members, candidates, 3, 2 * q)
+    assert verdict.ok, verdict.detail
