@@ -1,10 +1,11 @@
-"""Undirected unweighted graphs: loading, generation, and the BFS distance oracle.
+"""Undirected unweighted graphs: loading, generation, and breadth-first search.
 
 Vertices are positive integers with distinct IDs. Generators number vertices
-1..n; loaded graphs may use any distinct IDs in [1, 2^64 - 1], and the observed
-ID interval is kept on the graph because the ruling-set block splitting needs
-an explicit ID range. All neighbor lists are sorted ascending so that every
-"arbitrary" choice made downstream is deterministic.
+1..n through from_edges, one vertex alone included; loaded graphs may use any
+distinct IDs in [1, 2^64 - 1], and the observed ID interval is kept on the
+graph because the ruling-set block splitting needs an explicit ID range. All
+neighbor lists are sorted ascending so that every "arbitrary" choice made
+downstream is deterministic. bfs_layers is the one search.
 """
 
 from __future__ import annotations
@@ -296,7 +297,7 @@ _GENERATORS = {
 
 
 # ---------------------------------------------------------------------------
-# BFS distances over an adjacency map: the graph's own, or that of an
+# Breadth-first search over an adjacency map: the graph's own, or that of an
 # edge-restricted subgraph from subgraph_adjacency.
 
 def subgraph_adjacency(vertices: Iterable[int],

@@ -9,8 +9,12 @@ The construction recursively splits the candidate ID range into t blocks,
 solves the blocks in parallel, and merges them sequentially: each surviving
 candidate of an earlier block floods a knock-out message KNOCKOUT_DEPTH = 2
 hops deep, and any still-alive candidate of a later block that hears it
-drops out. With t chosen so that t**q covers the ID range, the recursion has
-at most q levels, which yields a (3, 2q)-ruling set.
+drops out. t is the least integer of at least 2 with t**q >= W, the width of
+the ID range, and the blocks are nested powers of t: the top interval has
+width t**L, the least power of t that is at least W, so L <= q, and every
+interval of width t**(l+1) splits into t blocks of width t**l. Two distinct
+IDs therefore lie in different blocks of one interval at some level, and
+with at most q levels the result is a (3, 2q)-ruling set.
 
 Because the recursion tree is pure ID arithmetic on the globally known range,
 every vertex can compute the whole merge timetable locally; the only traffic
@@ -30,14 +34,15 @@ not with the width of the ID range.
 
 No flood is sent that cannot knock out a candidate. A level of K + 1 child
 blocks floods at most K times: block K, the last, has no later block, so it
-never floods. No one relays a flood's last wave, so that wave's up-cast
-runs only in the popular clusters of the blocks after the flooding one,
-since a candidate is a popular cluster. Every vertex can make both cuts
-from what it knows: K from the global ID range and the timetable, its
-cluster's block from its center's ID (learnt in the orient flood), and
-whether its cluster is popular from the popular bit (sent down the tree
-after the popularity call). Neither cut looks at which candidates are still
-alive, which no vertex knows.
+never floods. At the top level, whose interval may reach past the range, K
+is the last block that the range reaches. No one relays a flood's last
+wave, so that wave's up-cast runs only in the popular clusters of the
+blocks after the flooding one, since a candidate is a popular cluster.
+Every vertex can make both cuts from what it knows: K from the global ID
+range and the timetable, its cluster's block from its center's ID (learnt
+in the orient flood), and whether its cluster is popular from the popular
+bit (sent down the tree after the popularity call). Neither cut looks at
+which candidates are still alive, which no vertex knows.
 """
 
 from __future__ import annotations
@@ -127,9 +132,10 @@ def run_knockout_schedule(net: Net, orient: Orientation, candidates: Set[int],
     ascending order, so the work never depends on the ID-range width. Each
     level maps the clusters to their child blocks once: the alive
     candidates, and unless every cluster is a single vertex, the popular
-    clusters too. The level's last child block K never floods, since no
-    block comes after it, and a flood's last wave converges only in the
-    popular clusters of the blocks after the flooding one.
+    clusters too. The level's last child block K, at the top level the last
+    that the ID range reaches, never floods, since no block comes after it,
+    and a flood's last wave converges only in the popular clusters of the
+    blocks after the flooding one.
     """
     lo, hi = id_range
     width = hi - lo + 1
