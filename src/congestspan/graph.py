@@ -5,7 +5,7 @@ Vertices are positive integers with distinct IDs. Generators number vertices
 distinct IDs in [1, 2^64 - 1], and the observed ID interval is kept on the
 graph because the ruling-set block splitting needs an explicit ID range. All
 neighbor lists are sorted ascending so that every "arbitrary" choice made
-downstream is deterministic. bfs_layers is the one search.
+downstream is deterministic. bfs_layers is the module's one search.
 """
 
 from __future__ import annotations

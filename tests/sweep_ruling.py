@@ -18,7 +18,8 @@ the ruling or phase_counts verdict, and 0 otherwise; the polylog size
 verdict is reported but does not fail the sweep (see ROADMAP item 1).
 
 tests/test_ruling_sweep.py runs a slice of it in tier-1. Uses the standard
-library only, apart from the package, which it imports from this checkout.
+library only, apart from the package and the corpus helpers, which it
+imports from this checkout.
 """
 
 from __future__ import annotations
