@@ -52,7 +52,10 @@ class TestPowerComparisons:
         assert pow_ceil(256, Fraction(1, 8)) == 2
         assert pow_ceil(5, Fraction(1, 3)) == 2     # 5^(1/3) ~ 1.71
         assert pow_ceil(1, Fraction(7, 2)) == 1
+
+    def test_nth_root_ceil(self):
         # integer roots: the least t with t**q >= x
+        assert pow_ceil(256, Fraction(1, 8)) == 2
         assert pow_ceil(257, Fraction(1, 8)) == 3
         assert pow_ceil(1, Fraction(1, 4)) == 1
         assert pow_ceil(10, Fraction(1, 1)) == 10
