@@ -23,7 +23,7 @@ from . import __version__, comm, polylog, sparse, verify
 from .exact import as_fraction
 from .graph import (Edge, Graph, GraphError, edge_key, generate_graph, load_graph,
                     read_edge_lines, save_edgelist)
-from .spanner import INTER, SUPER, BuildResult, PhaseSnapshot
+from .spanner import INTER, SUPER, BuildResult, PhaseSnapshot, Schedule
 
 SCHEMA_VERSION = 2
 
@@ -69,15 +69,14 @@ def _float_or_none(figure: Callable[[], float]) -> Optional[float]:
     return value if math.isfinite(value) else None
 
 
-def _bounds_block(result: BuildResult, sched: verify.Schedule,
-                  stretch_checked: int) -> dict:
-    """The report's bounds; stretch_checked is the verifier's cap."""
-    n = result.params["n"]
-    kappa = result.params["kappa"]
+def _bounds_block(result: BuildResult, sched: Schedule) -> dict:
+    """The report's bounds; stretch_checked is the schedule's, which the
+    verifier holds the build to."""
+    n, kappa = sched.n, sched.kappa
     if result.algorithm == "polylog":
         closed = polylog.stretch_bound(n, kappa) if n >= 2 else 1
         return {
-            "stretch_checked": stretch_checked,
+            "stretch_checked": sched.stretch_bound,
             "stretch_checked_formula":
                 "2*R_ell + 1; R_0 = 0, R_{i+1} = (2*delta+1)*R_i + delta, "
                 "delta = 2*ceil(log2 n), ell = kappa - 1",
@@ -92,7 +91,7 @@ def _bounds_block(result: BuildResult, sched: verify.Schedule,
     rho = sched.rho
     ell = 0 if n == 1 else sched.ell   # a single vertex runs no phase
     return {
-        "stretch_checked": stretch_checked,
+        "stretch_checked": sched.stretch_bound,
         "stretch_checked_formula":
             "4*R_ell + 1; R_0 = 0, R_{i+1} = (2*delta+1)*R_i + delta, "
             "delta = ceil(2/rho)",
@@ -108,15 +107,16 @@ def _bounds_block(result: BuildResult, sched: verify.Schedule,
     }
 
 
-def _thresholds(result: BuildResult, sched: verify.Schedule) -> List[float]:
-    """Each phase's popularity threshold; 0.0 for the sparse final phase."""
-    n = float(result.params["n"])
-    if result.algorithm == "polylog":
-        return [n ** float(sched.tau_expo)] * (sched.ell + 1)
-    return [n ** float(e) for e in sched.deg_expos] + [0.0]
+def _thresholds(result: BuildResult, sched: Schedule) -> List[float]:
+    """Each phase's popularity threshold n^(e_i). The polylog final phase
+    keeps the threshold, which still caps each vertex's interconnection
+    edges there; the sparse one reads 0.0."""
+    n = float(sched.n)
+    values = [n ** float(e) for e in sched.threshold_expos]
+    return values + [values[-1] if result.algorithm == "polylog" else 0.0]
 
 
-def _schedule_config(result: BuildResult, sched: verify.Schedule) -> dict:
+def _schedule_config(result: BuildResult, sched: Schedule) -> dict:
     """The schedule's keys of the config block; a single vertex has none."""
     if result.params["n"] == 1:
         return {}
@@ -127,7 +127,7 @@ def _schedule_config(result: BuildResult, sched: verify.Schedule) -> dict:
     return keys
 
 
-def _phase_rows(result: BuildResult, sched: verify.Schedule) -> List[dict]:
+def _phase_rows(result: BuildResult, sched: Schedule) -> List[dict]:
     """report.json's per-phase rows, counted from the snapshots and ledger,
     with each phase's bounds from the schedule: null for a snapshot numbered
     outside it, which the phase_counts verdict fails."""
@@ -177,7 +177,7 @@ def build_report(g: Graph, result: BuildResult) -> dict:
                 for ep in result.trace.episodes
             ],
         },
-        "bounds": _bounds_block(result, sched, verification["stretch_bound"]),
+        "bounds": _bounds_block(result, sched),
         "verification": verification,
         "passed": verification["passed"],
     }
@@ -268,8 +268,7 @@ def _bench_point(point: dict) -> dict:
         result = run_build(point.get("alg", "polylog"), g,
                            point.get("kappa"), point.get("rho"))
         verification = verify.verify_build(g, result)
-        bounds = _bounds_block(result, verify.schedule(result),
-                               verification["stretch_bound"])
+        bounds = _bounds_block(result, verify.schedule(result))
         return {
             "point": point,
             "ok": bool(verification["passed"]),

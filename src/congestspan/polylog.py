@@ -10,15 +10,15 @@ edge to every neighboring cluster (smallest-ID neighbor inside it).
 
 Resulting guarantees, checked by the verification layer: per-edge stretch at
 most 2*R_ell + 1 for the phase radius recurrence, and at most n^(1+1/kappa)
-edges overall. PolylogParams is the whole schedule, delta, q and the radius
-bounds R_i; the build records none of it, and the verifier and the report
-derive it again (verify.schedule). The verifier holds the cluster counts to
-|P_i| <= n^((kappa-i)/kappa).
+edges overall. polylog_schedule builds the whole schedule, a
+spanner.Schedule: delta, q, the radius bounds R_i, the stretch bound and the
+threshold exponent 1/kappa. The build records none of it, and the verifier
+and the report build it again (verify.schedule). The verifier holds the
+cluster counts to |P_i| <= n^((kappa-i)/kappa).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Set, Tuple
 
@@ -27,46 +27,30 @@ from .clusters import radius_sequence
 from .comm import Net, Orientation
 from .exact import ceil_log2_int, count_le_pow, pow_ceil
 from .graph import Graph
-from .spanner import INTER, BuildResult, SpannerEdgeSet, run_phases
+from .spanner import INTER, BuildResult, Schedule, SpannerEdgeSet, run_phases
 
 
-@dataclass(frozen=True)
-class PolylogParams:
-    n: int
-    kappa: int
-
-    def __post_init__(self):
-        if not isinstance(self.kappa, int) or self.kappa < 2:
-            raise ValueError(f"kappa must be an integer >= 2, got {self.kappa}")
-
-    @property
-    def ell(self) -> int:
-        return self.kappa - 1
-
-    @property
-    def delta(self) -> int:
-        return 2 * ceil_log2_int(self.n)
-
-    @property
-    def tau_expo(self) -> Fraction:
-        return Fraction(1, self.kappa)
-
-    @property
-    def ruling_q(self) -> int:
-        return max(1, ceil_log2_int(self.n))
-
-    @property
-    def radius_bounds(self) -> Tuple[int, ...]:
-        """R_0..R_ell. Raises ValueError for a stretch bound 2*R_ell + 1 too
-        long to print, and for a single vertex, whose delta is 0."""
-        return radius_sequence(self.delta, self.ell, 2)
+def polylog_schedule(n: int, kappa: int) -> Schedule:
+    """The schedule on n vertices: ell = kappa - 1, delta = 2*ceil(log2 n),
+    q = ceil(log2 n) (at least 1), the threshold n^(1/kappa) at every
+    non-final phase and the stretch bound 2*R_ell + 1. Raises ValueError for
+    a kappa below 2 and for a stretch bound too long to print. A single
+    vertex, whose delta is 0, has no radii and no thresholds."""
+    if not isinstance(kappa, int) or kappa < 2:
+        raise ValueError(f"kappa must be an integer >= 2, got {kappa}")
+    ell, delta = kappa - 1, 2 * ceil_log2_int(n)
+    radii = radius_sequence(delta, ell, 2) if n > 1 else ()
+    return Schedule(n=n, kappa=kappa, ell=ell, delta=delta,
+                    ruling_q=max(1, ceil_log2_int(n)), radius_bounds=radii,
+                    stretch_bound=2 * radii[-1] + 1 if n > 1 else 1,
+                    threshold_expos=(Fraction(1, kappa),) * ell if n > 1 else ())
 
 
 class _PolylogVariant:
     name = "polylog"
 
-    def __init__(self, params: PolylogParams):
-        self.params = params
+    def __init__(self, schedule: Schedule):
+        self.schedule = schedule
 
     def detect(self, net: Net, orient: Orientation,
                nbr_clusters: Dict[int, Dict[int, int]], phase: int,
@@ -74,7 +58,7 @@ class _PolylogVariant:
         if is_final:
             return set(), None
         # a count reaches n^(1/kappa) exactly when it reaches its ceiling
-        threshold = pow_ceil(self.params.n, self.params.tau_expo)
+        threshold = pow_ceil(self.schedule.n, self.schedule.threshold_expos[phase])
         flagged = {v for v, got in nbr_clusters.items() if len(got) >= threshold}
         return comm.upcast_flags(net, orient, flagged, f"p{phase}.popflag"), None
 
@@ -99,8 +83,8 @@ class _PolylogVariant:
 def build_spanner(g: Graph, kappa: int) -> BuildResult:
     """Run the construction; returns the spanner with its phase snapshots.
     kappa is checked even on a single vertex, which needs no phases."""
-    params = PolylogParams(n=g.n, kappa=kappa)
-    return run_phases(g, _PolylogVariant(params), {"kappa": kappa, "n": g.n})
+    schedule = polylog_schedule(g.n, kappa)
+    return run_phases(g, _PolylogVariant(schedule), {"kappa": kappa, "n": g.n})
 
 
 def stretch_bound(n: int, kappa: int) -> int:

@@ -12,8 +12,10 @@ cluster" always mean a cluster of the current phase. Each phase leaves one
 record, its snapshot: the orientation's parent map, the only record of the
 phase's clusters, and the sets the phase chose. The report's per-phase rows
 and the verifier's counts are derived from the snapshots and the charges.
-The build records no bound: the verifier and the report each derive the
-radii, thresholds and stretch bound from n, kappa and rho (verify.schedule).
+Each construction's schedule is one frozen Schedule, built before the phase
+loop from n, kappa and rho alone: the phase count, delta, q, the radius
+bounds, the stretch bound and the thresholds. The build records none of it:
+the verifier and the report build the same record again (verify.schedule).
 A phase hands the next one its clusters as one vertex -> center map; their
 trees are the global tree adjacency, which the witness edges extend.
 
@@ -34,6 +36,7 @@ from __future__ import annotations
 import gc
 from contextlib import contextmanager
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import (Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Protocol,
                     Set, Tuple)
 
@@ -118,17 +121,31 @@ class BuildResult:
         return self.trace.rounds_total
 
 
-class Schedule(Protocol):
-    """What the phase loop reads of a construction's schedule."""
+@dataclass(frozen=True)
+class Schedule:
+    """A construction's whole schedule on n vertices, fixed by n, kappa and
+    rho before any phase runs: phases 0..ell, the exploration depth delta,
+    the q of each (3, 2q)-ruling set, the radius bounds R_0..R_ell, the
+    per-edge stretch bound they give (1 for a single vertex, which runs no
+    phase) and threshold_expos, the exponent e_i of each non-final phase's
+    popularity threshold n^(e_i). Only sparse sets rho and i0, the last
+    phase of its exponential stage. polylog.polylog_schedule and
+    sparse.degree_schedule build it."""
+    n: int
+    kappa: int
     ell: int
     delta: int
     ruling_q: int
     radius_bounds: Tuple[int, ...]
+    stretch_bound: int
+    threshold_expos: Tuple[Fraction, ...]
+    rho: Optional[Fraction] = None
+    i0: Optional[int] = None
 
 
 class Variant(Protocol):
     name: str
-    params: Schedule
+    schedule: Schedule
 
     def detect(self, net: Net, orient: Orientation,
                nbr_clusters: Dict[int, Dict[int, int]], phase: int,
@@ -162,8 +179,7 @@ def run_phases(g: Graph, variant: Variant, params: dict) -> BuildResult:
     if g.n == 1:
         return BuildResult(variant.name, params, SpannerEdgeSet(), [], comm.BuildTrace())
     with collector_paused():
-        sched = variant.params
-        sched.radius_bounds   # refuses a stretch bound too long to print
+        sched = variant.schedule
         ruling_params = RulingParams(q=sched.ruling_q)
         net = Net(g)
         spanner = SpannerEdgeSet()

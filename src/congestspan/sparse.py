@@ -14,15 +14,15 @@ With kappa = ceil(log2 n) + 1 the edge bound n^(1+1/kappa) + n is at most 3n:
 the skeleton preset, which takes kappa = ceil(1/rho) instead where rho is
 too small for that kappa.
 
-degree_schedule derives the whole schedule from n, kappa and rho: the
-thresholds, delta, q and the radius bounds R_i. The build records none of
-it; the verifier and the report derive it again (verify.schedule), and the
-verifier holds the per-phase counting inequalities to it.
+degree_schedule builds the whole schedule from n, kappa and rho, a
+spanner.Schedule: the threshold exponents, delta, q, the radius bounds R_i
+and the stretch bound 4*R_ell + 1. The build records none of it; the
+verifier and the report build it again (verify.schedule), and the verifier
+holds the per-phase counting inequalities to it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Set, Tuple
 
@@ -32,37 +32,17 @@ from .comm import Net, Orientation
 from .exact import (as_fraction, ceil_fraction, ceil_log2_int, count_le_pow,
                     floor_log2, pow_ceil)
 from .graph import Edge, Graph, edge_key
-from .spanner import INTER, BuildResult, SpannerEdgeSet, run_phases
+from .spanner import INTER, BuildResult, Schedule, SpannerEdgeSet, run_phases
 
 
-@dataclass(frozen=True)
-class SparseParams:
-    """Validated parameters plus the whole degree-threshold schedule."""
-    n: int
-    kappa: int
-    rho: Fraction
-    i0: int
-    ell: int
-    delta: int
-    deg_expos: Tuple[Fraction, ...]   # exponent of deg_i, phases 0..ell-1
-    radius_bounds: Tuple[int, ...]    # R_0..R_ell
-
-    @property
-    def ruling_q(self) -> int:
-        # 2q <= delta keeps the ruling set's domination radius within the
-        # exploration depth, so every popular cluster gets superclustered
-        return max(2, self.delta // 2)
-
-    def degree_cap(self, phase: int) -> int:
-        """Smallest integer >= deg_phase: the convergecast store capacity."""
-        return pow_ceil(self.n, self.deg_expos[phase])
-
-
-def degree_schedule(n: int, kappa: int, rho) -> SparseParams:
-    """Compute and validate the phase schedule for given (kappa, rho). The
-    schedule depends on kappa and rho alone, so one whose stretch bound
+def degree_schedule(n: int, kappa: int, rho) -> Schedule:
+    """Compute and validate the phase schedule for given (kappa, rho). Its
+    phases depend on kappa and rho alone, so one whose stretch bound
     4*R_ell + 1 is too long to print is refused at every n, before its
-    phases are listed."""
+    phases are listed. q = delta // 2 (at least 2): 2q <= delta keeps the
+    ruling set's domination radius within the exploration depth, so every
+    popular cluster gets superclustered. A single vertex runs no phase, and
+    its stretch bound is 1."""
     if not isinstance(kappa, int) or kappa < 2:
         raise ValueError(f"kappa must be an integer >= 2, got {kappa}")
     rho = as_fraction(rho)
@@ -73,15 +53,12 @@ def degree_schedule(n: int, kappa: int, rho) -> SparseParams:
     ell = i0 + ceil_fraction(Fraction(kappa + 1) / (kappa * rho)) - 1
     delta = ceil_fraction(2 / rho)
     radii = radius_sequence(delta, ell, 4)
-    expos = []
-    for i in range(ell):
-        if i <= i0:
-            expos.append(Fraction(2 ** i, kappa))
-        else:
-            expos.append(rho)
-    return SparseParams(n=n, kappa=kappa, rho=rho, i0=i0, ell=ell,
-                        delta=delta, deg_expos=tuple(expos),
-                        radius_bounds=radii)
+    # deg_i = n^(2^i/kappa) up to phase i0, then n^rho
+    expos = tuple(Fraction(2 ** i, kappa) if i <= i0 else rho for i in range(ell))
+    return Schedule(n=n, kappa=kappa, ell=ell, delta=delta,
+                    ruling_q=max(2, delta // 2), radius_bounds=radii,
+                    stretch_bound=4 * radii[-1] + 1 if n > 1 else 1,
+                    threshold_expos=expos, rho=rho, i0=i0)
 
 
 def skeleton_kappa(n: int) -> int:
@@ -93,14 +70,16 @@ def skeleton_kappa(n: int) -> int:
 class _SparseVariant:
     name = "sparse"
 
-    def __init__(self, params: SparseParams):
-        self.params = params
+    def __init__(self, schedule: Schedule):
+        self.schedule = schedule
 
     def detect(self, net: Net, orient: Orientation,
                nbr_clusters: Dict[int, Dict[int, int]], phase: int,
                is_final: bool) -> Tuple[Set[int], Dict[int, Dict[int, int]]]:
-        # the final phase needs complete neighbor knowledge: no binding cap
-        cap = self.params.n + 1 if is_final else self.params.degree_cap(phase)
+        # the convergecast stores the least integer >= deg_i; the final phase
+        # needs complete neighbor knowledge: no binding cap
+        sched = self.schedule
+        cap = sched.n + 1 if is_final else pow_ceil(sched.n, sched.threshold_expos[phase])
         knowledge = comm.upcast_collect(net, orient, nbr_clusters, cap,
                                         f"p{phase}.collect")
         popular: Set[int] = set()
@@ -132,9 +111,9 @@ class _SparseVariant:
 def build_spanner(g: Graph, kappa: int, rho) -> BuildResult:
     """Run the construction; rho may be a Fraction, float, or 'p/q' string.
     kappa and rho are checked even on a single vertex, which needs no phases."""
-    params = degree_schedule(g.n, kappa, rho)
-    return run_phases(g, _SparseVariant(params),
-                      {"kappa": kappa, "rho": str(params.rho), "n": g.n})
+    schedule = degree_schedule(g.n, kappa, rho)
+    return run_phases(g, _SparseVariant(schedule),
+                      {"kappa": kappa, "rho": str(schedule.rho), "n": g.n})
 
 
 def build_skeleton(g: Graph, rho) -> BuildResult:

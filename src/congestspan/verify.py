@@ -1,9 +1,9 @@
 """Oracle verification of everything a build claims.
 
 Every check here is independent of the construction code paths it audits,
-and reads its bounds off the schedule that verify_build derives once from n,
-kappa and rho (schedule; the report derives it too, and the build records
-no bound): the spanner as a subgraph of G, stretch exactly for every graph
+and reads its bounds off one spanner.Schedule, which verify_build builds
+once from n, kappa and rho (schedule; the report builds it too, and the build
+records no bound): the spanner as a subgraph of G, stretch exactly for every graph
 edge, each phase's parent map as a forest of cluster trees inside the
 spanner at that phase's start (the edges the charge ledger records for
 earlier phases), which gives the centers the other phase checks use, each
@@ -34,16 +34,14 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import count, islice, zip_longest
 from typing import (AbstractSet, Callable, Dict, Iterable, List, Optional,
-                    Sequence, Set, Tuple, Union)
+                    Sequence, Set, Tuple)
 
 from . import polylog as polylog_mod
 from . import sparse as sparse_mod
 from .clusters import JoinInfo
 from .exact import as_fraction, count_le_pow, count_lt_pow, npow_decimal
 from .graph import Edge, Graph, bfs_layers, edge_key, subgraph_adjacency
-from .spanner import INTER, SUPER, BuildResult, Charge, collector_paused
-
-Schedule = Union[polylog_mod.PolylogParams, sparse_mod.SparseParams]
+from .spanner import INTER, SUPER, BuildResult, Charge, Schedule, collector_paused
 
 ALL_PAIRS_LIMIT = 64
 
@@ -394,11 +392,11 @@ def verify_spanner_file(g: Graph, spanner_edges: Set[Edge],
 
 def schedule(result: BuildResult) -> Schedule:
     """The construction's schedule, from n, kappa and (sparse) rho alone: the
-    one derivation of its radii, thresholds and stretch bound."""
+    one record of its radii, thresholds and stretch bound."""
     n, kappa = result.params["n"], result.params["kappa"]
     if result.algorithm == "sparse":
         return sparse_mod.degree_schedule(n, kappa, as_fraction(result.params["rho"]))
-    return polylog_mod.PolylogParams(n, kappa)
+    return polylog_mod.polylog_schedule(n, kappa)
 
 
 def verify_build(g: Graph, result: BuildResult) -> dict:
@@ -409,9 +407,7 @@ def verify_build(g: Graph, result: BuildResult) -> dict:
         is_sparse = result.algorithm == "sparse"
         kappa = result.params["kappa"]
         sched = schedule(result)
-        # the per-edge bound of the radius recurrence, 2*R_ell + 1 for polylog
-        # and 4*R_ell + 1 for sparse; a single vertex has no phases and no radii
-        stretch_cap = 1 if n == 1 else (4 if is_sparse else 2) * sched.radius_bounds[-1] + 1
+        stretch_cap = sched.stretch_bound
 
         # stretch, measured only on a subgraph of g
         outside = result.spanner.edges - g.edge_set()
@@ -534,8 +530,7 @@ def _radius_verdict(result: BuildResult, sched: Schedule,
     charges = sorted(result.spanner.charges, key=lambda ch: ch.phase)
     at_start: Set[Edge] = set()
     k = 0
-    # a single vertex runs no phase, and its schedule has no radii
-    bounds = sched.radius_bounds if result.snapshots else ()
+    bounds = sched.radius_bounds
     for snap in result.snapshots:
         while k < len(charges) and charges[k].phase < snap.phase:
             at_start.update(charges[k].edges)
@@ -656,11 +651,13 @@ def _charge_verdict(result: BuildResult, sched: Schedule) -> Verdict:
     is_sparse = result.algorithm == "sparse"
     final_phase = len(result.snapshots) - 1
     final_sizes = {snap.phase: len(snap.centers()) for snap in result.snapshots}
-    # once per verdict, each exact cap n^e sets: the largest k with
-    # count_lt_pow(k, n, e); sparse has one per phase, polylog one for all
-    expos = sched.deg_expos if is_sparse else (sched.tau_expo,)
+    # once per verdict, the exact cap each non-final phase's threshold n^e
+    # sets: the largest k with count_lt_pow(k, n, e)
     caps = [next(k for k in count() if not count_lt_pow(k + 1, n, e))
-            for e in expos]
+            for e in sched.threshold_expos]
+    # polylog holds each vertex to the one threshold of all its phases; a
+    # single vertex has none, and no edge to charge
+    vertex_cap = caps[0] if caps else 0
     by_vertex: Dict[int, List[Charge]] = {}
     for ch in result.spanner.charges:
         by_vertex.setdefault(ch.vertex, []).append(ch)
@@ -691,7 +688,7 @@ def _charge_verdict(result: BuildResult, sched: Schedule) -> Verdict:
                     return Verdict("charges", False,
                                    f"center {v} charged {inters} edges in the "
                                    f"final phase with {final_sizes[ph]} clusters")
-        elif inters > caps[0]:
+        elif inters > vertex_cap:
             return Verdict("charges", False,
                            f"vertex {v} charged {inters} interconnection "
                            f"edges, not below n^(1/{kappa})")
@@ -729,8 +726,7 @@ def _phase_counting_verdict(result: BuildResult, sched: Schedule) -> Verdict:
     return Verdict("phase_counts", True, "all per-phase counting bounds hold")
 
 
-def _sparse_count_failures(result: BuildResult,
-                           sched: sparse_mod.SparseParams) -> List[str]:
+def _sparse_count_failures(result: BuildResult, sched: Schedule) -> List[str]:
     """Every per-phase counting inequality of the sparse construction: exact
     big-integer checks, but for the one aggregate bound that mixes several
     fractional powers, which uses 60-digit decimals."""
@@ -747,14 +743,14 @@ def _sparse_count_failures(result: BuildResult,
         return count ** expo.denominator * n ** expo.numerator
 
     for i in range(ell):
-        e = sched.deg_expos[i]
+        e = sched.threshold_expos[i]
         room = sizes[i] - settled[i] - selected[i]
         if room < 0 or deg_pow(selected[i], e) > room ** e.denominator:
             failures.append(
                 f"phase {i}: settled count {settled[i]} exceeds "
                 f"|P_i| - |Q_i|*(deg_i+1)")
     for i in range(1, ell + 1):
-        e = sched.deg_expos[i - 1]
+        e = sched.threshold_expos[i - 1]
         if deg_pow(sizes[i], e) > sizes[i - 1] ** e.denominator:
             failures.append(
                 f"phase {i}: {sizes[i]} clusters exceed the previous count "
@@ -774,7 +770,7 @@ def _sparse_count_failures(result: BuildResult,
 
     inter_early = sum(len(ch.edges) for ch in result.spanner.charges
                       if ch.kind == INTER and ch.phase < ell)
-    e0, el = sched.deg_expos[0], sched.deg_expos[ell - 1]
+    e0, el = sched.threshold_expos[0], sched.threshold_expos[ell - 1]
     with localcontext() as ctx:
         ctx.prec = 60
         bound = (Decimal(sizes[0]) * npow_decimal(n, e0)

@@ -3,7 +3,7 @@ import pytest
 from congestspan import graph as gr
 from congestspan import polylog, verify
 from congestspan.comm import Net, exchange_cluster_ids, orient_clusters
-from congestspan.polylog import PolylogParams, _PolylogVariant
+from congestspan.polylog import _PolylogVariant, polylog_schedule
 
 
 def detect_on_singletons(g, kappa, clusters=None):
@@ -13,7 +13,7 @@ def detect_on_singletons(g, kappa, clusters=None):
     center_of, tree_adj = clusters or ({v: v for v in g.vertices}, {})
     orient = orient_clusters(net, center_of, tree_adj, "orient")
     nbr_clusters = exchange_cluster_ids(net, orient, "exchange")
-    variant = _PolylogVariant(PolylogParams(n=g.n, kappa=kappa))
+    variant = _PolylogVariant(polylog_schedule(g.n, kappa))
     popular, _ = variant.detect(net, orient, nbr_clusters, 0, False)
     return popular
 
@@ -114,7 +114,7 @@ def interconnect_directly(g, settled, clusters=None):
     center_of, tree_adj = clusters or ({v: v for v in g.vertices}, {})
     orient = orient_clusters(net, center_of, tree_adj, "orient")
     nbr_clusters = exchange_cluster_ids(net, orient, "exchange")
-    variant = _PolylogVariant(PolylogParams(n=g.n, kappa=2))
+    variant = _PolylogVariant(polylog_schedule(g.n, 2))
     spanner = SpannerEdgeSet()
     variant.interconnect(net, orient, nbr_clusters, settled, None, 0, spanner)
     return spanner
@@ -154,5 +154,5 @@ class TestBounds:
     def test_exact_vs_closed_form_slack(self):
         for n in (4, 16, 64, 256):
             for kappa in (2, 3, 4):
-                exact = 2 * PolylogParams(n, kappa).radius_bounds[-1] + 1
+                exact = 2 * polylog_schedule(n, kappa).radius_bounds[-1] + 1
                 assert exact <= polylog.stretch_bound(n, kappa)

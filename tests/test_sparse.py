@@ -7,6 +7,7 @@ from congestspan import cli
 from congestspan import graph as gr
 from congestspan import sparse, verify
 from congestspan.comm import Net, exchange_cluster_ids, orient_clusters
+from congestspan.exact import pow_ceil
 from congestspan.sparse import (_SparseVariant, degree_schedule, skeleton_kappa,
                                 stretch_bound)
 
@@ -20,10 +21,10 @@ class TestDegreeSchedule:
     def test_n256_k8_quarter(self):
         p = degree_schedule(256, 8, Fraction(1, 4))
         assert p.i0 == 1
-        assert p.deg_expos[0] == Fraction(1, 8)      # 256^(1/8) = 2
-        assert p.deg_expos[1] == Fraction(2, 8)      # 256^(1/4) = 4
-        assert all(e == Fraction(1, 4) for e in p.deg_expos[2:])
-        assert p.degree_cap(0) == 2 and p.degree_cap(1) == 4
+        assert p.threshold_expos[0] == Fraction(1, 8)      # 256^(1/8) = 2
+        assert p.threshold_expos[1] == Fraction(2, 8)      # 256^(1/4) = 4
+        assert all(e == Fraction(1, 4) for e in p.threshold_expos[2:])
+        assert [pow_ceil(p.n, e) for e in p.threshold_expos[:2]] == [2, 4]
 
     def test_kappa_rho_product_one(self):
         p = degree_schedule(64, 3, Fraction(1, 3))
@@ -45,11 +46,11 @@ class TestDegreeSchedule:
                                (skeleton_kappa(n), Fraction(9, 20))]:
                 p = degree_schedule(n, kappa, rho)
                 assert p.ell >= 2
-                for e in p.deg_expos:
+                for e in p.threshold_expos:
                     assert e <= p.rho                     # deg_i <= n^rho
                 for i in range(p.ell - 1):
-                    assert p.deg_expos[i + 1] <= 2 * p.deg_expos[i]
-                assert p.deg_expos[p.i0] >= p.rho / 2     # deg_{i0} >= n^(rho/2)
+                    assert p.threshold_expos[i + 1] <= 2 * p.threshold_expos[i]
+                assert p.threshold_expos[p.i0] >= p.rho / 2     # deg_{i0} >= n^(rho/2)
                 assert 2 * p.ruling_q <= p.delta
 
     def test_string_and_float_rho_accepted(self):

@@ -13,10 +13,10 @@ import pytest
 from corpus import knockout_ruling_set
 
 from congestspan import graph as gr
-from congestspan import polylog, sim, sparse, verify
+from congestspan import cli, polylog, sim, sparse, verify
 from congestspan.clusters import JoinInfo
 from congestspan.exact import ceil_log2_int
-from congestspan.spanner import INTER, SUPER, Charge, PhaseSnapshot
+from congestspan.spanner import INTER, SUPER, Charge, PhaseSnapshot, Schedule
 
 
 def floyd_warshall_edge_stretch(g, spanner_edges):
@@ -177,7 +177,7 @@ def sparse_gnp_build(request):
         res = polylog.build_spanner(g, 3)
     else:
         res = sparse.build_spanner(g, 3, Fraction(1, 3))
-        assert sparse.degree_schedule(128, 3, Fraction(1, 3)).deg_expos[0] \
+        assert sparse.degree_schedule(128, 3, Fraction(1, 3)).threshold_expos[0] \
             == Fraction(1, 3)
     assert verify.verify_build(g, res)["passed"]
     return g, res
@@ -429,6 +429,43 @@ def test_build_records_only_its_inputs_and_choices():
     assert set(sparse.build_skeleton(g, Fraction(34, 100)).params) == \
         {"kappa", "rho", "n", "preset"}
     assert {f.name for f in dataclasses.fields(PhaseSnapshot)} == SNAPSHOT_FIELDS
+
+
+BUILDS = {
+    "polylog": lambda g: polylog.build_spanner(g, 3),
+    "sparse": lambda g: sparse.build_spanner(g, 3, Fraction(1, 3)),
+    "skeleton": lambda g: sparse.build_skeleton(g, Fraction(34, 100)),
+}
+
+
+@pytest.mark.parametrize("alg", sorted(BUILDS))
+def test_schedule_is_one_record(alg):
+    """verify.schedule hands the verifier and the report one frozen
+    spanner.Schedule, and both take the stretch bound from it."""
+    g = gr.generate_graph("gnp_connected", n=32, p=0.2, seed=1)
+    res = BUILDS[alg](g)
+    sched = verify.schedule(res)
+    assert type(sched) is Schedule
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sched.delta = 1
+    report = cli.build_report(g, res)
+    assert sched.stretch_bound == report["verification"]["stretch_bound"] \
+        == report["bounds"]["stretch_checked"]
+    assert (sched.n, sched.kappa) == (res.params["n"], res.params["kappa"])
+    assert len(sched.radius_bounds) == sched.ell + 1
+    assert len(sched.threshold_expos) == sched.ell
+
+
+def test_unprintable_polylog_schedule_is_refused_before_the_build(
+        monkeypatch, tmp_path, capsys):
+    """polylog builds its schedule before the phase loop, so a kappa whose
+    stretch bound is too long to print exits 2 without running a phase."""
+    runs = []
+    monkeypatch.setattr(polylog, "run_phases", lambda *args: runs.append(args))
+    rc = cli.main(["build", "--alg", "polylog", "--graph", "gen:path:n=5",
+                   "--kappa", "5000", "--out", str(tmp_path / "o")])
+    assert rc == 2 and runs == []
+    assert capsys.readouterr().err.startswith("error: the stretch bound ")
 
 
 def test_sparse_verification_derives_one_schedule(monkeypatch):
