@@ -322,9 +322,7 @@ def bfs_layers(adj: Dict[int, Iterable[int]], sources: Iterable[int]) -> Iterato
     layer = set(seen)
     while layer:
         yield layer
-        nxt: Set[int] = set()
-        for v in layer:
-            nxt.update(adj[v])
+        nxt = set().union(*map(adj.__getitem__, layer))
         nxt -= seen
         seen |= nxt
         layer = nxt
