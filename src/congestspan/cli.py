@@ -82,8 +82,8 @@ def _bounds_block(result: BuildResult, sched: Schedule) -> dict:
                 "delta = 2*ceil(log2 n), ell = kappa - 1",
             "stretch_closed_form": closed,
             "stretch_closed_form_formula": "(4*ceil(log2 n) + 1)^(kappa-1) + 1",
-            "size": float(n) ** (1.0 + 1.0 / kappa),
-            "size_formula": "n^(1 + 1/kappa)",
+            "size": float(polylog.size_bound(n, kappa)),
+            "size_formula": "(n - 1) + n*(ceil(n^(1/kappa)) - 1)",
             "rounds_model_formula": "(4*ceil(log2 n) + 1)^(kappa-1)",
             "rounds_model": _float_or_none(
                 lambda: float(4 * math.ceil(math.log2(max(n, 2))) + 1) ** (kappa - 1)),

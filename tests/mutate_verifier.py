@@ -107,8 +107,8 @@ MUTANTS: List[Mutant] = [
     Mutant("phase-numbering check never fails", "verify.py",
            replace("if got != want:", "if False:")),
     Mutant("polylog interconnection cap loosened by one", "verify.py",
-           replace("elif inters > caps[0]:",
-                   "elif inters > caps[0] + 1:")),
+           replace("elif inters > vertex_cap:",
+                   "elif inters > vertex_cap + 1:")),
     Mutant("congestion width cap raised to 3 ids", "verify.py",
            replace("if tr.max_ids_per_message > 2:",
                    "if tr.max_ids_per_message > 3:")),

@@ -7,8 +7,10 @@ R_ell = ((2 delta + 1)^ell - 1) / 2. So the polylog stretch 2 R_ell + 1 is
 (4 ceil(log2 n) + 1)^(kappa - 1), and the sparse stretch 4 R_ell + 1 is
 2 (2 ceil(2/rho) + 1)^ell - 1, with
 ell = floor(log2(kappa rho)) + ceil((kappa + 1) / (kappa rho)) - 1. The size
-bounds are |H| <= n^(1 + 1/kappa) (polylog) and |H| <= n^(1 + 1/kappa) + n
-(sparse), and count <= n^(p/q) means count^q <= n^p.
+bounds are |H| <= (n - 1) + n (ceil(n^(1/kappa)) - 1) (polylog: at most n - 1
+superclustering edges and ceil(n^(1/kappa)) - 1 interconnection edges per
+vertex) and |H| <= n^(1 + 1/kappa) + n (sparse), and count <= n^(p/q) means
+count^q <= n^p.
 """
 
 from fractions import Fraction
@@ -63,6 +65,14 @@ def _floor_pow(n: int, p: int, q: int) -> int:
     return m
 
 
+def _ceil_root(n: int, kappa: int) -> int:
+    """Least c >= 1 with c^kappa >= n."""
+    c = 1
+    while c ** kappa < n:
+        c += 1
+    return c
+
+
 def _last_radius(algorithm: str, **params) -> int:
     """R_ell of the schedule verify.schedule derives from params."""
     build = SimpleNamespace(algorithm=algorithm, params=params)
@@ -105,8 +115,11 @@ def test_sparse_stretch_is_the_closed_form(n, kappa, rho):
 def test_size_bounds_are_the_closed_forms(n, kappa):
     top = _floor_pow(n, kappa + 1, kappa)   # floor(n^(1 + 1/kappa))
     assert top ** kappa <= n ** (kappa + 1) < (top + 1) ** kappa
-    for size in (0, 1, top - 1, top, top + 1, top + n, top + n + 1):
-        assert polylog.size_bound_holds(_result(n, kappa, size)) == (size <= top)
+    charged = (n - 1) + n * (_ceil_root(n, kappa) - 1)
+    assert top - 1 <= charged < top + n
+    for size in (0, 1, top - 1, top, top + 1, top + n, top + n + 1,
+                 charged, charged + 1):
+        assert polylog.size_bound_holds(_result(n, kappa, size)) == (size <= charged)
         assert sparse.size_bound_holds(_result(n, kappa, size)) == (size <= top + n)
 
 

@@ -74,6 +74,19 @@ class TestBuild:
         assert rc == 0
         assert capsys.readouterr().out.startswith("PASS")
 
+    def test_small_gnp_at_large_kappa_passes_size(self, tmp_path, capsys):
+        # 27 edges: more than 18^(9/8) = 25.83, within the charge caps'
+        # 17 + 18*(ceil(18^(1/8)) - 1) = 35
+        rc = cli.main(["build", "--alg", "polylog", "--graph",
+                       "gen:gnp_connected:n=18,p=0.3212,seed=18", "--kappa", "8",
+                       "--out", str(tmp_path / "o")])
+        assert rc == 0
+        assert capsys.readouterr().out.startswith("PASS polylog n=18 |H|=27 ")
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        size, = (v for v in report["verification"]["verdicts"] if v["name"] == "size")
+        assert size["detail"] == "27 edges vs (n-1) + n*(ceil(n^(1/8)) - 1) = 35"
+        assert report["bounds"]["size"] == 35.0
+
     def test_rho_out_of_range_fails_cleanly(self, tmp_path, capsys):
         rc = cli.main(["build", "--alg", "sparse", "--graph", "gen:cycle:n=8",
                        "--kappa", "3", "--rho", "0.6", "--out", str(tmp_path / "o")])
@@ -186,7 +199,7 @@ class TestBuild:
 
     @pytest.mark.parametrize("alg_args, digest", [
         (["polylog", "--kappa", "3"],
-         "b0e8b65b23bf30830ac008147f274054cbcd60873e41e46eb62a25090fa6c447"),
+         "4aaaf68d2e29739e5568c1e4d96a1a5eda00d084c87e3713ff17299358575c1b"),
         (["skeleton", "--rho", "0.34"],
          "707af27e00fd76d7e23fd03fe9c84c7d7d5f608754250fb26a440e680c59756d"),
     ], ids=["polylog", "skeleton"])
@@ -202,7 +215,7 @@ class TestBuild:
 
     @pytest.mark.parametrize("alg_args, digest", [
         (["polylog", "--kappa", "2"],
-         "7cad83ee2e76db004106265b4b79170a23d6560538e74d953756c12c3f2c7ff3"),
+         "7efa73510fa19294dfd35ecd958caf0a6eb554619af15777df199171f463d63e"),
         (["skeleton", "--rho", "0.34"],
          "51319a418138fc0f7c9a72d4306dea3831f3a897b9f1a34f6e118365d5544656"),
     ], ids=["polylog", "skeleton"])
@@ -562,7 +575,7 @@ class TestBench:
         assert rc == 0
         data = (tmp_path / "b" / "bench.json").read_bytes()
         assert hashlib.sha256(data).hexdigest() == (
-            "655c1a65b1a94bb61942cad31977d1c9af293d0c64ff18e13e616c023e029b2d")
+            "83459707c55eb00a44bd8347fe710abe38658964ddd8701ad2345bd6ceb00f08")
 
     def test_bounds_past_a_float_are_null(self, tmp_path):
         sfile = tmp_path / "series.json"

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from corpus import knockout_ruling_set
+from corpus import gnp_p, knockout_ruling_set
 
 from congestspan import graph as gr
 from congestspan import cli, polylog, sim, sparse, verify
@@ -408,6 +408,22 @@ def test_size_verdict_fails_when_the_spanner_is_the_graph(build):
     assert _failing(g, res) == []
     res.spanner.edges |= g.edge_set()
     assert _failing(g, res) == ["size"]
+
+
+def test_polylog_size_verdict_is_exact_at_the_charge_bound():
+    """G(18, 2 ln 18 / 18) at kappa = 8 builds 27 edges, past 18^(9/8) =
+    25.83. The charge caps bound a polylog spanner by (n - 1) +
+    n*(ceil(n^(1/kappa)) - 1) = 17 + 18*(2 - 1) = 35 edges: padded with
+    edges of G to 35 it passes the size verdict, and one edge more fails it."""
+    g = gr.generate_graph("gnp_connected", n=18, p=gnp_p(18), seed=18)
+    res = polylog.build_spanner(g, 8)
+    assert res.spanner.size() == 27 and _failing(g, res) == []
+    spare = sorted(g.edge_set() - res.spanner.edges)
+    res.spanner.edges.update(spare[:8])
+    assert res.spanner.size() == polylog.size_bound(18, 8) == 35
+    assert "size" not in _failing(g, res)
+    res.spanner.edges.add(spare[8])
+    assert "size" in _failing(g, res)
 
 
 # what each PhaseSnapshot field records: the build's choices and measurements
