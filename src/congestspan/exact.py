@@ -16,9 +16,15 @@ from typing import Union
 Rational = Union[int, float, str, Fraction]
 
 
+# the most decimal digits Python converts a str to an int with by default;
+# a decimal string's exponent is held to it too, since 10^exponent is built
+MAX_DIGITS = 4300
+
+
 def as_fraction(x: Rational) -> Fraction:
     """Exact rational from int, Fraction, decimal string, or 'p/q' string;
-    a q of 0 is a ValueError, like any other malformed string.
+    a q of 0 is a ValueError, like any other malformed string, and so is an
+    exponent past MAX_DIGITS, as in 1e-999999999.
 
     Floats are converted through their shortest repr so that 0.34 means
     34/100, not the binary expansion of the double.
@@ -35,6 +41,9 @@ def as_fraction(x: Rational) -> Fraction:
             if not den:
                 raise ValueError(f"{x!r} has a zero denominator")
             return Fraction(num, den)
+        exponent = x.lower().partition("e")[2].strip().lstrip("+-")
+        if exponent.isdecimal() and int(exponent) > MAX_DIGITS:
+            raise ValueError(f"{x!r} has an exponent past {MAX_DIGITS}")
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as a rational")
 

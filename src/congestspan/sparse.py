@@ -23,6 +23,7 @@ holds the per-phase counting inequalities to it.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, List, Set, Tuple
 
@@ -35,14 +36,21 @@ from .graph import Edge, Graph, edge_key
 from .spanner import INTER, BuildResult, Schedule, SpannerEdgeSet, run_phases
 
 
+# the most that the common denominator of kappa and rho may be: the exact
+# comparisons with n^(2^i/kappa), n^rho and n^(1 + 1/kappa - j*rho) raise
+# counts and n to powers of about that degree, whose cost grows with it
+MAX_POWER_DEGREE = 2 ** 16
+
+
 def degree_schedule(n: int, kappa: int, rho) -> Schedule:
     """Compute and validate the phase schedule for given (kappa, rho). Its
     phases depend on kappa and rho alone, so one whose stretch bound
     4*R_ell + 1 is too long to print is refused at every n, before its
-    phases are listed. q = delta // 2 (at least 2): 2q <= delta keeps the
-    ruling set's domination radius within the exploration depth, so every
-    popular cluster gets superclustered. A single vertex runs no phase, and
-    its stretch bound is 1."""
+    phases are listed, and so is one whose kappa and rho have a common
+    denominator above MAX_POWER_DEGREE. q = delta // 2 (at least 2):
+    2q <= delta keeps the ruling set's domination radius within the
+    exploration depth, so every popular cluster gets superclustered. A
+    single vertex runs no phase, and its stretch bound is 1."""
     if not isinstance(kappa, int) or kappa < 2:
         raise ValueError(f"kappa must be an integer >= 2, got {kappa}")
     rho = as_fraction(rho)
@@ -53,6 +61,10 @@ def degree_schedule(n: int, kappa: int, rho) -> Schedule:
     ell = i0 + ceil_fraction(Fraction(kappa + 1) / (kappa * rho)) - 1
     delta = ceil_fraction(2 / rho)
     radii = radius_sequence(delta, ell, 4)
+    degree = math.lcm(kappa, rho.denominator)
+    if degree > MAX_POWER_DEGREE:
+        raise ValueError(f"kappa = {kappa} and rho = {rho} need exact powers of "
+                         f"degree {degree}, more than {MAX_POWER_DEGREE}")
     # deg_i = n^(2^i/kappa) up to phase i0, then n^rho
     expos = tuple(Fraction(2 ** i, kappa) if i <= i0 else rho for i in range(ell))
     return Schedule(n=n, kappa=kappa, ell=ell, delta=delta,

@@ -1,7 +1,13 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
+import signal
 import string
+import tempfile
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -615,3 +621,94 @@ class TestBench:
         rc = cli.main(["bench", "--series", str(sfile), "--out",
                        str(tmp_path / "b"), "--workers", "4"])
         assert rc == 0
+
+
+# Generated builds: every generator kind on 1 to 64 vertices, with kappa and
+# rho drawn from small, extreme and invalid values, strings that do not parse
+# among them. The largest kappa and the smallest rho give stretch bounds too
+# long to print, or sparse exponents of too high a degree, which are refused
+# before the build.
+GEN_KINDS = ("path", "cycle", "complete", "grid", "random_tree", "gnp_connected")
+# the first branch of each is drawn as often as the others together, so that
+# most sparse draws are valid
+KAPPAS = st.one_of(st.integers(2, 12), st.one_of(
+    st.none(), st.integers(-2, 1),
+    st.sampled_from([64, 1000, 3000, 5000, 10 ** 6, 2 ** 64])))
+RHOS = st.one_of(
+    st.fractions(min_value=Fraction(1, 12), max_value=Fraction(1, 2),
+                 max_denominator=64).map(str),
+    st.one_of(st.none(),
+              st.fractions(min_value=0, max_value=1, max_denominator=64).map(str),
+              st.sampled_from(["0.34", "1/10", "0.49", "1/2", "0.001", "0.0003",
+                               "1e-4", "-1/3", "1/0", "nan", "inf", "x",
+                               "0.3400000001", "1e-999999999", "1e999999999"])))
+P_VALUES = st.one_of(st.floats(0.01, 1.0).map(repr),
+                     st.sampled_from(["0", "1.5", "-0.1", "nan"]))
+BUILD_SECONDS = 30
+
+
+@st.composite
+def build_flags(draw) -> list:
+    """build's flags but --out: an algorithm, a generator spec and the
+    kappa and rho it was drawn, each left out when drawn None."""
+    kind = draw(st.sampled_from(GEN_KINDS))
+    spec = f"gen:{kind}:n={draw(st.integers(1, 64))}"
+    if kind in ("random_tree", "gnp_connected"):
+        spec += f",seed={draw(st.integers(0, 2 ** 32))}"
+    if kind == "gnp_connected":
+        spec += f",p={draw(P_VALUES)}"
+    flags = ["--alg", draw(st.sampled_from(["polylog", "sparse", "skeleton"])),
+             "--graph", spec]
+    for name, values in (("--kappa", KAPPAS), ("--rho", RHOS)):
+        value = draw(values)
+        if value is not None:
+            flags += [name, str(value)]
+    return flags
+
+
+class BuildTimeout(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Raises BuildTimeout in the block once seconds of wall time pass."""
+    def expire(signum, frame):
+        raise BuildTimeout(f"the build ran past {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@settings(max_examples=40, deadline=None)
+@given(flags=build_flags())
+def test_every_build_passes_or_exits_2(flags):
+    """A build exits 0 with a passing strict-JSON report, or 2 with an error
+    line and no report, in bounded time: never 1, never a traceback. A flag
+    value that argparse takes for an option, as in --rho -1/3, exits 2
+    through argparse, whose last line names the error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out, err = io.StringIO(), io.StringIO()
+        with time_limit(BUILD_SECONDS), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            try:
+                rc = cli.main(["build", *flags, "--out", tmp + "/o"])
+            except SystemExit as exc:   # argparse refused a flag
+                rc = exc.code
+        lines = err.getvalue().splitlines()
+        report_file = Path(tmp) / "o" / "report.json"
+        if rc == 2:
+            # one line of ours, or argparse's usage and error lines
+            assert lines[-1].startswith("error: ") or ": error: " in lines[-1]
+            assert len(lines) == 1 or lines[0].startswith("usage: ")
+            assert not report_file.exists()
+        else:
+            assert rc == 0, err.getvalue()
+            assert out.getvalue().startswith("PASS ")
+            report = json.loads(report_file.read_text(),
+                                parse_constant=cli._not_json)
+            assert report["passed"] is True

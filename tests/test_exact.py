@@ -33,6 +33,16 @@ class TestAsFraction:
             as_fraction("1/0")
 
 
+    def test_exponent_past_the_digit_limit_is_a_value_error(self):
+        # 10^999999999 would take minutes to build; the limit is the one
+        # Python puts on str -> int conversion
+        assert as_fraction("1e-4300") == Fraction(1, 10 ** 4300)
+        assert as_fraction("2.5E+3") == 2500
+        for text in ("1e-4301", "1e999999999", "1E-999999999"):
+            with pytest.raises(ValueError, match="exponent past 4300"):
+                as_fraction(text)
+
+
 class TestPowerComparisons:
     def test_float_slop_boundary(self):
         # 256**(1/8) == 2 exactly, although the double is 2.0000000000000004

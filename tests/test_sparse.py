@@ -53,6 +53,18 @@ class TestDegreeSchedule:
                 assert p.threshold_expos[p.i0] >= p.rho / 2     # deg_{i0} >= n^(rho/2)
                 assert 2 * p.ruling_q <= p.delta
 
+    def test_power_degree_is_bounded(self):
+        # the exact comparisons raise counts to powers of degree
+        # lcm(kappa, den rho); past MAX_POWER_DEGREE they would run for
+        # minutes, so the schedule is refused, at every n
+        assert sparse.MAX_POWER_DEGREE == 2 ** 16
+        assert degree_schedule(64, 2 ** 16, Fraction(1, 4)).ell == 18
+        for n in (1, 64):
+            for kappa, rho in [(2 ** 16, Fraction(1, 3)), (2 ** 64, "0.34"),
+                               (3, "0.3400000001")]:
+                with pytest.raises(ValueError, match="need exact powers of degree"):
+                    degree_schedule(n, kappa, rho)
+
     def test_string_and_float_rho_accepted(self):
         a = degree_schedule(64, 8, "0.34")
         b = degree_schedule(64, 8, 0.34)
