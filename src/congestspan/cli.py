@@ -108,9 +108,8 @@ def _bounds_block(result: BuildResult, sched: Schedule) -> dict:
 
 
 def _thresholds(result: BuildResult, sched: Schedule) -> List[float]:
-    """Each phase's popularity threshold n^(e_i). The polylog final phase
-    keeps the threshold, which still caps each vertex's interconnection
-    edges there; the sparse one reads 0.0."""
+    """Each phase's threshold n^(e_i); polylog's last phase keeps its cap on
+    interconnection edges, n^(1/kappa), and sparse's reads 0.0."""
     n = float(sched.n)
     values = [n ** float(e) for e in sched.threshold_expos]
     return values + [values[-1] if result.algorithm == "polylog" else 0.0]

@@ -27,15 +27,15 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Set, Tuple
 
+from .exact import MAX_DIGITS
 from .graph import Edge, edge_key
 from . import comm
 from .comm import Net, Orientation
 
 
-# the most decimal digits Python converts an int to text with by default;
-# the reports and verdicts write a stretch bound out in full
-MAX_BOUND_DIGITS = 4300
-_BOUND_LIMIT = 10 ** MAX_BOUND_DIGITS
+# the reports and verdicts write a stretch bound out in full, so it may
+# have at most MAX_DIGITS digits
+_BOUND_LIMIT = 10 ** MAX_DIGITS
 
 
 def radius_sequence(delta: int, ell: int, scale: int = 1) -> Tuple[int, ...]:
@@ -43,7 +43,7 @@ def radius_sequence(delta: int, ell: int, scale: int = 1) -> Tuple[int, ...]:
     R_{i+1} = (2*delta+1)*R_i + delta, for i in [0, ell].
 
     Raises ValueError when the stretch bound scale*R_ell + 1 would have more
-    than MAX_BOUND_DIGITS digits, as soon as some R_i shows it: R_i at least
+    than MAX_DIGITS digits, as soon as some R_i shows it: R_i at least
     triples per step, so that takes at most about 9 000 steps, whatever ell.
     """
     if delta < 1 or ell < 0:
@@ -53,7 +53,7 @@ def radius_sequence(delta: int, ell: int, scale: int = 1) -> Tuple[int, ...]:
         values.append((2 * delta + 1) * values[-1] + delta)
         if scale * values[-1] + 1 >= _BOUND_LIMIT:
             raise ValueError(f"the stretch bound {scale}*R_ell + 1 at ell = {ell}, "
-                             f"delta = {delta} has more than {MAX_BOUND_DIGITS} digits")
+                             f"delta = {delta} has more than {MAX_DIGITS} digits")
     return tuple(values)
 
 

@@ -16,8 +16,8 @@ from typing import Union
 Rational = Union[int, float, str, Fraction]
 
 
-# the most decimal digits Python converts a str to an int with by default;
-# a decimal string's exponent is held to it too, since 10^exponent is built
+# the most decimal digits Python converts between an int and text by
+# default; a decimal exponent is held to it too, since 10^exponent is built
 MAX_DIGITS = 4300
 
 

@@ -12,10 +12,9 @@ Resulting guarantees, checked by the verification layer: per-edge stretch at
 most 2*R_ell + 1 for the phase radius recurrence, and at most
 (n - 1) + n*(ceil(n^(1/kappa)) - 1) edges overall (size_bound), the
 n^(1+1/kappa) of the paper with n^(1/kappa) rounded up. polylog_schedule
-builds the whole schedule, a spanner.Schedule: delta, q, the radius bounds R_i, the stretch bound and the
-threshold exponent 1/kappa. The build records none of it, and the verifier
-and the report build it again (verify.schedule). The verifier holds the
-cluster counts to |P_i| <= n^((kappa-i)/kappa).
+builds the whole schedule, a spanner.Schedule; the build records none of
+it, and the verifier and the report build it again (verify.schedule). The
+verifier holds the cluster counts to |P_i| <= n^((kappa-i)/kappa).
 """
 
 from __future__ import annotations
@@ -32,11 +31,10 @@ from .spanner import INTER, BuildResult, Schedule, SpannerEdgeSet, run_phases
 
 
 def polylog_schedule(n: int, kappa: int) -> Schedule:
-    """The schedule on n vertices: ell = kappa - 1, delta = 2*ceil(log2 n),
-    q = ceil(log2 n) (at least 1), the threshold n^(1/kappa) at every
-    non-final phase and the stretch bound 2*R_ell + 1. Raises ValueError for
-    a kappa below 2 and for a stretch bound too long to print. A single
-    vertex, whose delta is 0, has no radii and no thresholds."""
+    """ell = kappa - 1, delta = 2*ceil(log2 n), q = max(1, ceil(log2 n)), the
+    threshold n^(1/kappa) and the stretch bound 2*R_ell + 1. Raises
+    ValueError for a kappa below 2 or a stretch bound too long to print. A
+    single vertex, whose delta is 0, has no radii and no thresholds."""
     if not isinstance(kappa, int) or kappa < 2:
         raise ValueError(f"kappa must be an integer >= 2, got {kappa}")
     ell, delta = kappa - 1, 2 * ceil_log2_int(n)
@@ -98,22 +96,18 @@ def stretch_bound(n: int, kappa: int) -> int:
 
 
 def size_bound(n: int, kappa: int) -> int:
-    """(n - 1) + n*(ceil(n^(1/kappa)) - 1), the most edges that a build within
-    the charge verdict's caps can have. Every edge of H is charged to a
-    vertex, as a superclustering or an interconnection edge.
-    - A superclustering edge joins a cluster to another and ends the center
-      it is charged to as a center. There are n singletons at phase 0 and at
-      least one cluster at the last, so there are at most n - 1 of them.
-    - A vertex is charged at most the largest count below n^(1/kappa),
-      ceil(n^(1/kappa)) - 1, interconnection edges.
-    The sum is n*ceil(n^(1/kappa)) - 1. It lies below n^(1 + 1/kappa) + n,
-    and above n^(1 + 1/kappa) unless n^(1/kappa) is within 1/n below an
-    integer: 767 against 645.08 for 128 vertices at kappa = 3, and 35
-    against 25.83 for 18 at kappa = 8."""
+    """The most edges within the charge verdict's caps. Each edge is charged
+    as a superclustering edge, which ends its center as a center: with one
+    cluster at least left at the last phase, there are at most n - 1. Each
+    vertex is charged at most ceil(n^(1/kappa)) - 1 interconnection edges,
+    the most below n^(1/kappa). The sum, n*ceil(n^(1/kappa)) - 1, lies below
+    n^(1+1/kappa) + n, and above n^(1+1/kappa) unless n^(1/kappa) is within
+    1/n below an integer: 35 against 25.83 for 18 vertices at kappa = 8."""
     return (n - 1) + n * (pow_ceil(n, Fraction(1, kappa)) - 1)
 
 
 def size_bound_holds(result: BuildResult) -> bool:
     """|H| <= size_bound(n, kappa), compared exactly."""
-    return result.spanner.size() <= size_bound(result.params["n"], result.params["kappa"])
+    n, kappa = result.params["n"], result.params["kappa"]
+    return result.spanner.size() <= size_bound(n, kappa)
 

@@ -123,14 +123,12 @@ class BuildResult:
 
 @dataclass(frozen=True)
 class Schedule:
-    """A construction's whole schedule on n vertices, fixed by n, kappa and
-    rho before any phase runs: phases 0..ell, the exploration depth delta,
-    the q of each (3, 2q)-ruling set, the radius bounds R_0..R_ell, the
-    per-edge stretch bound they give (1 for a single vertex, which runs no
-    phase) and threshold_expos, the exponent e_i of each non-final phase's
-    popularity threshold n^(e_i). Only sparse sets rho and i0, the last
-    phase of its exponential stage. polylog.polylog_schedule and
-    sparse.degree_schedule build it."""
+    """A construction's schedule, fixed by n, kappa and rho: phases 0..ell,
+    the exploration depth delta, the q of each (3, 2q)-ruling set, the radius
+    bounds R_0..R_ell, the stretch bound they give (1 for a single vertex)
+    and the exponent e_i of each non-final phase's threshold n^(e_i). Only
+    sparse sets rho and i0, the last phase of its exponential stage.
+    polylog.polylog_schedule and sparse.degree_schedule build it."""
     n: int
     kappa: int
     ell: int

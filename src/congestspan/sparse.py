@@ -36,9 +36,8 @@ from .graph import Edge, Graph, edge_key
 from .spanner import INTER, BuildResult, Schedule, SpannerEdgeSet, run_phases
 
 
-# the most that the common denominator of kappa and rho may be: the exact
-# comparisons with n^(2^i/kappa), n^rho and n^(1 + 1/kappa - j*rho) raise
-# counts and n to powers of about that degree, whose cost grows with it
+# the largest common denominator of kappa and rho: exact comparisons with
+# n^(2^i/kappa), n^rho or n^(1 + 1/kappa - j*rho) raise counts to its power
 MAX_POWER_DEGREE = 2 ** 16
 
 

@@ -2,16 +2,16 @@
 
 Every check here is independent of the construction code paths it audits,
 and reads its bounds off one spanner.Schedule, which verify_build builds
-once from n, kappa and rho (schedule; the report builds it too, and the build
-records no bound): the spanner as a subgraph of G, stretch exactly for every graph
-edge, each phase's parent map as a forest of cluster trees inside the
-spanner at that phase's start (the edges the charge ledger records for
-earlier phases), which gives the centers the other phase checks use, each
-ruling set as (3, 2q)-ruling, the snapshots as numbered 0..ell, one per
-phase, and the charge ledger and the cluster counts against the counting
-rules. At n <= 64, each explored phase's virtual cluster graph is also held
-to the verifier's own scan of G (superedge_scan, which also finds each
-superedge's witness edge), its joins to the centralized reference
+once from n, kappa and rho (schedule; the report builds it too, and the
+build records no bound): the spanner as a subgraph of G, stretch exactly for
+every graph edge, each phase's parent map as a forest of cluster trees
+inside the spanner at that phase's start (the edges the charge ledger
+records for earlier phases), which gives the centers the other phase checks
+use, each ruling set as (3, 2q)-ruling, the snapshots as numbered 0..ell,
+one per phase, and the charge ledger and the cluster counts against the
+counting rules. At n <= 64, each explored phase's virtual cluster graph is
+also held to the verifier's own scan of G (superedge_scan, which also finds
+each superedge's witness edge), its joins to the centralized reference
 exploration of that scan, and neighbor knowledge to a direct edge scan. A
 report whose verdicts all pass is the acceptance currency of the package.
 verify_build runs with the cyclic garbage collector paused
@@ -530,14 +530,13 @@ def _radius_verdict(result: BuildResult, sched: Schedule,
     charges = sorted(result.spanner.charges, key=lambda ch: ch.phase)
     at_start: Set[Edge] = set()
     k = 0
-    bounds = sched.radius_bounds
     for snap in result.snapshots:
         while k < len(charges) and charges[k].phase < snap.phase:
             at_start.update(charges[k].edges)
             k += 1
         # a snapshot numbered past the last phase is held to the largest
         # bound, R_ell; the other verdicts judge its clusters
-        bound = bounds[min(snap.phase, len(bounds) - 1)]
+        bound = sched.radius_bounds[min(snap.phase, sched.ell)]
         try:
             center_of = forest_centers(snap.parent, at_start, bound)
         except ForestError as exc:

@@ -472,18 +472,6 @@ def test_schedule_is_one_record(alg):
     assert len(sched.threshold_expos) == sched.ell
 
 
-def test_unprintable_polylog_schedule_is_refused_before_the_build(
-        monkeypatch, tmp_path, capsys):
-    """polylog builds its schedule before the phase loop, so a kappa whose
-    stretch bound is too long to print exits 2 without running a phase."""
-    runs = []
-    monkeypatch.setattr(polylog, "run_phases", lambda *args: runs.append(args))
-    rc = cli.main(["build", "--alg", "polylog", "--graph", "gen:path:n=5",
-                   "--kappa", "5000", "--out", str(tmp_path / "o")])
-    assert rc == 2 and runs == []
-    assert capsys.readouterr().err.startswith("error: the stretch bound ")
-
-
 def test_sparse_verification_derives_one_schedule(monkeypatch):
     """verify_build derives the sparse schedule once, and every verdict
     reads its bounds off that one schedule."""
