@@ -34,14 +34,15 @@ def polylog_schedule(n: int, kappa: int) -> Schedule:
     """ell = kappa - 1, delta = 2*ceil(log2 n), q = max(1, ceil(log2 n)), the
     threshold n^(1/kappa) and the stretch bound 2*R_ell + 1. Raises
     ValueError for a kappa below 2 or a stretch bound too long to print. A
-    single vertex, whose delta is 0, has no radii and no thresholds."""
+    single vertex, whose delta is 0, has no thresholds and one radius,
+    R_0 = 0."""
     if not isinstance(kappa, int) or kappa < 2:
         raise ValueError(f"kappa must be an integer >= 2, got {kappa}")
     ell, delta = kappa - 1, 2 * ceil_log2_int(n)
-    radii = radius_sequence(delta, ell, 2) if n > 1 else ()
+    radii = radius_sequence(delta, ell, 2) if n > 1 else (0,)
     return Schedule(n=n, kappa=kappa, ell=ell, delta=delta,
                     ruling_q=max(1, ceil_log2_int(n)), radius_bounds=radii,
-                    stretch_bound=2 * radii[-1] + 1 if n > 1 else 1,
+                    stretch_bound=2 * radii[-1] + 1,
                     threshold_expos=(Fraction(1, kappa),) * ell if n > 1 else ())
 
 

@@ -536,7 +536,7 @@ def _radius_verdict(result: BuildResult, sched: Schedule,
             k += 1
         # a snapshot numbered past the last phase is held to the largest
         # bound, R_ell; the other verdicts judge its clusters
-        bound = sched.radius_bounds[min(snap.phase, sched.ell)]
+        bound = sched.radius_bounds[min(snap.phase, len(sched.radius_bounds) - 1)]
         try:
             center_of = forest_centers(snap.parent, at_start, bound)
         except ForestError as exc:

@@ -472,6 +472,20 @@ def test_schedule_is_one_record(alg):
     assert len(sched.threshold_expos) == sched.ell
 
 
+@pytest.mark.parametrize("alg", ["polylog", "sparse"])
+def test_a_phase_forged_onto_a_single_vertex_fails_phase_counts(alg):
+    """A single vertex runs no phase. A snapshot forged onto its build fails
+    phase_counts, and no verdict raises: the polylog schedule of one vertex
+    has the one radius R_0 = 0."""
+    g = gr.generate_graph("path", n=1)
+    res = BUILDS[alg](g)
+    res.snapshots.append(PhaseSnapshot(
+        phase=0, parent={1: None}, popular=frozenset(), selected=frozenset(),
+        settled=frozenset({1}), joins={}, vgraph=None, knowledge=None,
+        radius_actual=0, rounds=0))
+    assert _failing(g, res) == ["phase_counts"]
+
+
 def test_sparse_verification_derives_one_schedule(monkeypatch):
     """verify_build derives the sparse schedule once, and every verdict
     reads its bounds off that one schedule."""
