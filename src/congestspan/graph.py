@@ -1,11 +1,13 @@
 """Undirected unweighted graphs: loading, generation, and breadth-first search.
 
 Vertices are positive integers with distinct IDs. Generators number vertices
-1..n through from_edges, one vertex alone included; loaded graphs may use any
-distinct IDs in [1, 2^64 - 1], and the observed ID interval is kept on the
-graph because the ruling-set block splitting needs an explicit ID range. All
-neighbor lists are sorted ascending so that every "arbitrary" choice made
-downstream is deterministic. bfs_layers is the module's one search.
+1..n, one vertex alone included; loaded graphs may use any distinct IDs in
+[1, 2^64 - 1], and the observed ID interval is kept on the graph because the
+ruling-set block splitting needs an explicit ID range. All neighbor lists
+are sorted ascending so that every "arbitrary" choice made downstream is
+deterministic. bfs_layers is the module's one search. G(n, p) reads the
+words of CPython's random() in bulk; the tests hold it to the graphs of one
+random() call per vertex pair, oracles.gnp_connected.
 """
 
 from __future__ import annotations
@@ -234,51 +236,63 @@ def _gen_random_tree(n: int, seed: int = 0) -> Graph:
 def _gen_gnp_connected(n: int, p: float, seed: int = 0) -> Graph:
     """G(n, p), made connected by stitching components with random tree edges.
 
-    Augmentation, when needed, is recorded in the graph metadata.
+    Pair u < v is an edge when its draw of random(), taken u-major, is below
+    p. CPython's random() is (a * 2^26 + b) / 2^53, a and b the top 27 and
+    26 bits of two successive 32-bit words: the 8 bytes of one draw in
+    getrandbits(64 * k).to_bytes(8 * k, "little"). Byte 3 decides a draw
+    unless it is the top byte of cut - 1. Augmentation is recorded in meta.
     """
     _check_n(n)
     if not (0.0 < p <= 1.0):
         raise GraphError(f"gnp_connected needs p in (0, 1], got {p}")
     rnd = random.Random(seed)
-    draw = rnd.random
-    edges: Set[Edge] = set()
-    for u in range(1, n + 1):
-        edges.update([(u, v) for v in range(u + 1, n + 1) if draw() < p])
-    added = 0
-    comps = _components(n, edges)
+    cut = math.ceil(p * 2 ** 53)   # a draw is below p iff a * 2^26 + b < cut
+    tie = (cut - 1) >> 45   # the top byte that leaves a draw undecided
+    below = bytes(b < tie for b in range(256))
+    adj: Dict[int, List[int]] = {v: [] for v in range(1, n + 1)}
+    for u in range(1, n):
+        draws = rnd.getrandbits(64 * (n - u)).to_bytes(8 * (n - u), "little")
+        tops = draws[3::8]
+        hits = tops.translate(below)
+        row = []
+        j = hits.find(1)
+        while j >= 0:
+            row.append(u + 1 + j)
+            j = hits.find(1, j + 1)
+        j = tops.find(tie)
+        while j >= 0:
+            w = int.from_bytes(draws[8 * j:8 * j + 8], "little")
+            if ((w & 0xFFFFFFFF) >> 5 << 26 | w >> 38) < cut:
+                row.append(u + 1 + j)
+            j = tops.find(tie, j + 1)
+        adj[u] += row
+        for v in row:
+            adj[v].append(u)
+    # components in order of their least vertex, each sorted
+    comps: List[List[int]] = []
+    seen: Set[int] = set()
+    for v in adj:
+        if v not in seen:
+            comps.append(sorted(set().union(*bfs_layers(adj, (v,)))))
+            seen.update(comps[-1])
+    added = len(comps) - 1
     while len(comps) > 1:
         # join two random components with a random edge, tree-style
-        a = comps[rnd.randrange(len(comps))]
-        b = comps[rnd.randrange(len(comps))]
-        while b is a:
-            b = comps[rnd.randrange(len(comps))]
-        u = a[rnd.randrange(len(a))]
-        v = b[rnd.randrange(len(b))]
-        edges.add(edge_key(u, v))
-        added += 1
-        comps = _components(n, edges)
+        i = rnd.randrange(len(comps))
+        k = rnd.randrange(len(comps))
+        while k == i:
+            k = rnd.randrange(len(comps))
+        u = comps[i][rnd.randrange(len(comps[i]))]
+        v = comps[k][rnd.randrange(len(comps[k]))]
+        adj[u].append(v)
+        adj[v].append(u)
+        i, k = min(i, k), max(i, k)   # the lower place keeps the order
+        comps[i] = sorted(comps[i] + comps[k])
+        del comps[k]
     meta = {"kind": "gnp_connected", "n": n, "p": p, "seed": seed,
-            "augmented_edges": added, "num_edges": len(edges)}
-    return from_edges(edges, meta, n)
-
-
-def _components(n: int, edges: Set[Edge]) -> List[List[int]]:
-    parent = list(range(n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    groups: Dict[int, List[int]] = {}
-    for v in range(1, n + 1):
-        groups.setdefault(find(v), []).append(v)
-    return list(groups.values())
+            "augmented_edges": added,
+            "num_edges": sum(map(len, adj.values())) // 2}
+    return Graph(adj, meta)
 
 
 def _check_n(n: int) -> None:

@@ -30,8 +30,8 @@ from typing import Dict, List, Set, Tuple
 from . import comm
 from .clusters import radius_sequence
 from .comm import Net, Orientation
-from .exact import (as_fraction, ceil_fraction, ceil_log2_int, count_le_pow,
-                    floor_log2, pow_ceil)
+from .exact import (MAX_DIGITS, as_fraction, ceil_fraction, ceil_log2_int,
+                    count_le_pow, floor_log2, pow_ceil)
 from .graph import Edge, Graph, edge_key
 from .spanner import INTER, BuildResult, Schedule, SpannerEdgeSet, run_phases
 
@@ -54,22 +54,31 @@ def degree_schedule(n: int, kappa: int, rho) -> Schedule:
         raise ValueError(f"kappa must be an integer >= 2, got {kappa}")
     rho = as_fraction(rho)
     if not (Fraction(1, kappa) <= rho < Fraction(1, 2)):
-        raise ValueError(
-            f"rho must satisfy 1/kappa <= rho < 1/2, got {rho} with kappa={kappa}")
+        raise ValueError(f"rho must satisfy 1/kappa <= rho < 1/2, got "
+                         f"{_shown(rho)} with kappa={kappa}")
     i0 = floor_log2(kappa * rho)
     ell = i0 + ceil_fraction(Fraction(kappa + 1) / (kappa * rho)) - 1
     delta = ceil_fraction(2 / rho)
     radii = radius_sequence(delta, ell, 4)
     degree = math.lcm(kappa, rho.denominator)
     if degree > MAX_POWER_DEGREE:
-        raise ValueError(f"kappa = {kappa} and rho = {rho} need exact powers of "
-                         f"degree {degree}, more than {MAX_POWER_DEGREE}")
+        raise ValueError(f"kappa = {kappa} and rho = {_shown(rho)} need exact "
+                         f"powers of degree {_shown(degree)}, more than "
+                         f"{MAX_POWER_DEGREE}")
     # deg_i = n^(2^i/kappa) up to phase i0, then n^rho
     expos = tuple(Fraction(2 ** i, kappa) if i <= i0 else rho for i in range(ell))
     return Schedule(n=n, kappa=kappa, ell=ell, delta=delta,
                     ruling_q=max(2, delta // 2), radius_bounds=radii,
                     stretch_bound=4 * radii[-1] + 1 if n > 1 else 1,
                     threshold_expos=expos, rho=rho, i0=i0)
+
+
+def _shown(x) -> str:
+    """x as text, unless it has more digits than Python prints."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"a number of over {MAX_DIGITS} digits"
 
 
 def skeleton_kappa(n: int) -> int:

@@ -32,7 +32,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import count, islice, zip_longest
+from itertools import count, groupby, islice, zip_longest
 from typing import (AbstractSet, Callable, Dict, Iterable, List, Optional,
                     Sequence, Set, Tuple)
 
@@ -650,10 +650,13 @@ def _charge_verdict(result: BuildResult, sched: Schedule) -> Verdict:
     is_sparse = result.algorithm == "sparse"
     final_phase = len(result.snapshots) - 1
     final_sizes = {snap.phase: len(snap.centers()) for snap in result.snapshots}
-    # once per verdict, the exact cap each non-final phase's threshold n^e
-    # sets: the largest k with count_lt_pow(k, n, e)
-    caps = [next(k for k in count() if not count_lt_pow(k + 1, n, e))
-            for e in sched.threshold_expos]
+    # the exact cap each non-final phase's threshold n^e sets, the largest k
+    # with count_lt_pow(k, n, e), found once per run of equal exponents:
+    # polylog repeats 1/kappa in every phase
+    caps: List[int] = []
+    for e, run in groupby(sched.threshold_expos):
+        cap = next(k for k in count() if not count_lt_pow(k + 1, n, e))
+        caps += [cap] * len(list(run))
     # polylog holds each vertex to the one threshold of all its phases; a
     # single vertex has none, and no edge to charge
     vertex_cap = caps[0] if caps else 0

@@ -3,18 +3,19 @@
 These are the straightforward versions that the package's fast paths
 replaced: one full BFS of H from every vertex for the edge stretch, one full
 BFS from every member for a ruling set, a membership test per edge for the
-symmetry of a graph's adjacency lists, every cluster pair's edges gathered
-from the whole edge set for the virtual cluster graph (the build's adjacency
-and the verifier's scan with its witnesses) and for each active vertex's
-neighbouring clusters (what the cluster-ID exchange gives it, the input of
-the build's adjacency), and one program per vertex stepped through the
-event loop for a one-shot broadcast round (also with each inbox folded to
-whether it holds an accepted message, to the largest accepted scalar, or to
-the least accepted sender of each ID, as in the exchange and the
-exploration hop) and for each tree-cast episode. They are slow but
-obviously right, so the tests hold the fast versions to them result for
-result. Each episode oracle takes the arguments of the sim kernel
-it checks and returns sim.run's trace with the programs' results. The
+symmetry of a graph's adjacency lists, one random() call per vertex pair for
+G(n, p) with every component found again after each stitching edge, every
+cluster pair's edges gathered from the whole edge set for the virtual
+cluster graph (the build's adjacency and the verifier's scan with its
+witnesses) and for each active vertex's neighbouring clusters (what the
+cluster-ID exchange gives it, the input of the build's adjacency), and one
+program per vertex stepped through the event loop for a one-shot broadcast
+round (also with each inbox folded to whether it holds an accepted message,
+to the largest accepted scalar, or to the least accepted sender of each ID,
+as in the exchange and the exploration hop) and for each tree-cast episode.
+They are slow but obviously right, so the tests hold the fast versions to
+them result for result. Each episode oracle takes the arguments of the sim
+kernel it checks and returns sim.run's trace with the programs' results. The
 knock-out timetable is kept in full, with the flood it first had: every
 block that holds an alive candidate floods, its messages carry the hops
 left, and every wave converges the most hops heard in every cluster that
@@ -26,6 +27,7 @@ bfs_distances, a plain queue-driven BFS, not the package's bfs_layers.
 from __future__ import annotations
 
 import math
+import random
 from collections import deque
 from dataclasses import replace
 from functools import partial
@@ -33,7 +35,8 @@ from typing import (AbstractSet, Dict, Iterable, List, Mapping,
                     Optional, Sequence, Set, Tuple)
 
 from congestspan import comm, sim
-from congestspan.graph import Edge, Graph, GraphError, edge_key, subgraph_adjacency
+from congestspan.graph import (Edge, Graph, GraphError, edge_key, from_edges,
+                               subgraph_adjacency)
 from congestspan.rulingset import KNOCKOUT_DEPTH, RulingParams
 from congestspan.sim import Message, NodeApi, NodeProgram, SimConfig, SimTrace
 from congestspan.verify import RulingVerdict
@@ -99,6 +102,56 @@ def validate_graph(adjacency: Mapping[int, Sequence[int]]) -> None:
     start = next(iter(adjacency))
     if len(bfs_distances(adjacency, start)) != len(adjacency):
         raise GraphError("graph is disconnected")
+
+
+def gnp_connected(n: int, p: float, seed: int = 0) -> Graph:
+    """graph.generate_graph("gnp_connected", ...) as it was first written:
+    one random() call per vertex pair, and a union-find over every edge
+    after each stitching edge."""
+    if not isinstance(n, int) or n < 1:
+        raise GraphError(f"need integer n >= 1, got {n!r}")
+    if not (0.0 < p <= 1.0):
+        raise GraphError(f"gnp_connected needs p in (0, 1], got {p}")
+    rnd = random.Random(seed)
+    draw = rnd.random
+    edges: Set[Edge] = set()
+    for u in range(1, n + 1):
+        edges.update([(u, v) for v in range(u + 1, n + 1) if draw() < p])
+    added = 0
+    comps = _components(n, edges)
+    while len(comps) > 1:
+        # join two random components with a random edge, tree-style
+        a = comps[rnd.randrange(len(comps))]
+        b = comps[rnd.randrange(len(comps))]
+        while b is a:
+            b = comps[rnd.randrange(len(comps))]
+        u = a[rnd.randrange(len(a))]
+        v = b[rnd.randrange(len(b))]
+        edges.add(edge_key(u, v))
+        added += 1
+        comps = _components(n, edges)
+    meta = {"kind": "gnp_connected", "n": n, "p": p, "seed": seed,
+            "augmented_edges": added, "num_edges": len(edges)}
+    return from_edges(edges, meta, n)
+
+
+def _components(n: int, edges: Set[Edge]) -> List[List[int]]:
+    parent = list(range(n + 1))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+    groups: Dict[int, List[int]] = {}
+    for v in range(1, n + 1):
+        groups.setdefault(find(v), []).append(v)
+    return list(groups.values())
 
 
 def check_ruling(adjacency: Dict[int, Sequence[int]], members: Iterable[int],

@@ -99,6 +99,16 @@ class TestBuild:
         assert rc == 2
         assert "rho" in capsys.readouterr().err
 
+    def test_rho_past_the_digit_limit_names_the_range(self, tmp_path, capsys):
+        # 10^4300 has 4 301 digits, one more than Python turns into text
+        rc = cli.main(["build", "--alg", "skeleton", "--rho", "1e4300", "--graph",
+                       "gen:path:n=4", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: rho must satisfy 1/kappa <= rho < 1/2, got a number of over "
+            "4300 digits with kappa=3\n")
+        assert not (tmp_path / "o").exists()
+
     def test_tree_input_emits_input_edges(self, tmp_path):
         rc = cli.main(["build", "--alg", "sparse", "--graph",
                        "gen:random_tree:n=20,seed=4", "--kappa", "3",

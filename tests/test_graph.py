@@ -1,7 +1,10 @@
+import hashlib
+import json
 import math
+import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 
@@ -75,12 +78,17 @@ class TestGenerate:
         assert g.num_edges() == 39
 
     def test_gnp_connected_fixed_seed_regression(self):
-        # frozen on first generation; guards generator determinism
-        g = gr.generate_graph("gnp_connected", n=64, p=0.1, seed=7)
-        assert g.is_connected()
-        assert g.num_edges() == g.meta["num_edges"]
-        first_run_edge_count = 213
-        assert g.num_edges() == first_run_edge_count
+        # sha256 of the sorted edge list and the meta, recorded with the
+        # per-pair generator (oracles.gnp_connected); the last two need
+        # stitching, the last 2 118 stitching edges
+        pins = {(64, 0.1, 7): "0bc6c247afb32849bc2649cfd71a0dbbb6ee7491f63e2dac4ad26d3ef82571f6",
+                (40, 0.01, 1): "4c81f47b22eaa5ce3e92b38acf11bb502dde1c7026f1ce0370c667a9ac93efcb",
+                (3000, 0.0002, 1): "8d72c0880fffd222dc662e93bf0014628dd904a382f3c720715aa191c2f7f316"}
+        for (n, p, seed), digest in pins.items():
+            g = gr.generate_graph("gnp_connected", n=n, p=p, seed=seed)
+            assert g.num_edges() == g.meta["num_edges"]
+            text = repr(sorted(g.edges())) + json.dumps(g.meta, sort_keys=True)
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, (n, p, seed)
 
     def test_gnp_augmentation_recorded(self):
         g = gr.generate_graph("gnp_connected", n=40, p=0.01, seed=1)
@@ -149,6 +157,42 @@ def test_generated_graphs_satisfy_invariants(n, p, seed):
             assert u != v
     assert g.is_connected()
     assert g.edge_set() == set(g.edges())
+
+
+# p at the edges of the generator's byte decision, where the top byte of
+# cut - 1 is 0 (from the least positive double to 1/256), 63, 254 or 255
+# (every draw a hit, and one draw value short of it)
+BYTE_EDGE_P = [1, 1.0, 5e-324, 2 ** -45, 3 * 2 ** -44, 1 / 256, 255 / 256,
+               1 - 2 ** -53, 0.25]
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 80), seed=st.integers(),
+       p=st.one_of(st.floats(0, 1, exclude_min=True), st.sampled_from(BYTE_EDGE_P),
+                   st.floats(1e-4, 0.05)))
+@example(n=40, p=0.01, seed=1)
+def test_gnp_generator_equals_per_pair_oracle(n, p, seed):
+    """The bulk draws give the graph and meta of one random() call per pair;
+    a low p leaves many components, whose stitching reads the RNG after the
+    pair draws."""
+    g = gr.generate_graph("gnp_connected", n=n, p=p, seed=seed)
+    want = oracles.gnp_connected(n, p, seed)
+    assert g.adjacency == want.adjacency
+    assert g.meta == want.meta
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gnp_draw_equal_to_p_is_not_an_edge(seed):
+    """A p equal to a pair's own draw puts that draw on the byte boundary,
+    where only its exact decode finds it not below p; one double up, it is
+    below. Random p reaches such a draw about once in 2^45."""
+    n = 8
+    draw = random.Random(seed).random
+    for x in [draw() for _ in range(n * (n - 1) // 2)]:
+        for p in (x, math.nextafter(x, 2)):
+            g = gr.generate_graph("gnp_connected", n=n, p=p, seed=seed)
+            want = oracles.gnp_connected(n, p, seed)
+            assert (g.adjacency, g.meta) == (want.adjacency, want.meta), p
 
 
 @settings(max_examples=25, deadline=None)
