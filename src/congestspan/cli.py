@@ -233,7 +233,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         return _input_error(f"--out {outdir}: {exc}")
     status = "PASS" if report["passed"] else "FAIL"
     print(f"{status} {args.alg} n={g.n} |H|={result.spanner.size()} "
-          f"rounds={result.rounds_total} -> {outdir}")
+          f"rounds={result.trace.rounds_total} -> {outdir}")
     if not report["passed"]:
         for v in report["verification"]["verdicts"]:
             if not v["ok"]:
@@ -274,7 +274,7 @@ def _bench_point(point: dict) -> dict:
             "n": g.n,
             "graph_edges": g.num_edges(),
             "spanner_edges": result.spanner.size(),
-            "rounds": result.rounds_total,
+            "rounds": result.trace.rounds_total,
             "max_edge_stretch": verification["max_edge_stretch"],
             "stretch_bound": verification["stretch_bound"],
             "size_bound": bounds["size"],

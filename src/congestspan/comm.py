@@ -26,11 +26,11 @@ episode's accept_all. Every Net runs its episodes under the same SimConfig,
 built from IDS_PER_MESSAGE and MAX_ROUNDS_PER_EPISODE.
 
 The kernel fixes an episode's mode: the two broadcast kernels run in
-broadcast mode, the others in congest mode. Round accounting sums the
-episodes into a BuildTrace, which keeps each kernel's SimTrace as it was
-returned (label, mode, rounds, messages per round, widest message), so
-model-compliance checks (message size, broadcast-only knockout rounds) can be
-audited after a run. A second message on one edge in one round never reaches
+broadcast mode, the others in congest mode. A build's BuildTrace keeps each
+kernel's SimTrace as it was returned (label, mode, widest message, messages
+per round) and nothing else: its rounds, messages and widest message are
+read off the episodes, so model-compliance checks (message size,
+broadcast-only knockout rounds) audit the episodes themselves after a run. A second message on one edge in one round never reaches
 the trace: the kernels refuse it.
 """
 
@@ -51,19 +51,24 @@ MAX_ROUNDS_PER_EPISODE = 4_000_000
 
 @dataclass
 class BuildTrace:
-    """Aggregated accounting across all episodes of a build; each episode is
-    the trace its kernel returned."""
+    """A build's episodes, each the trace its kernel returned; the build's
+    totals are read off them."""
     episodes: List[sim.SimTrace] = field(default_factory=list)
-    rounds_total: int = 0
-    messages_total: int = 0
-    max_ids_per_message: int = 0
 
     def absorb(self, trace: sim.SimTrace) -> None:
         self.episodes.append(trace)
-        self.rounds_total += trace.rounds_elapsed
-        self.messages_total += trace.messages_total
-        self.max_ids_per_message = max(self.max_ids_per_message,
-                                       trace.max_ids_per_message)
+
+    @property
+    def rounds_total(self) -> int:
+        return sum(ep.rounds_elapsed for ep in self.episodes)
+
+    @property
+    def messages_total(self) -> int:
+        return sum(ep.messages_total for ep in self.episodes)
+
+    @property
+    def max_ids_per_message(self) -> int:
+        return max((ep.max_ids_per_message for ep in self.episodes), default=0)
 
     def summary(self) -> dict:
         return {

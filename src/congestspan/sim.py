@@ -40,6 +40,9 @@ nothing in any tree cast, so the tree kernels do no work for it: its root
 only keeps the episode on the record and, in a downcast, wakes once per
 payload.
 
+An episode's record, its SimTrace, stores no total: its rounds and messages
+are read off its per-round message counts.
+
 Determinism: vertices are stepped in ascending ID order, inboxes are keyed by
 sender in ascending order, and per-edge FIFO order is preserved by the
 pipelined tree casts. Two runs with identical inputs produce identical traces
@@ -92,17 +95,22 @@ class SimConfig:
 
 @dataclass
 class SimTrace:
-    """Accounting for one episode.
-
-    per_round_message_counts[r] is the number of messages sent at round r
-    (delivered at round r+1).
-    """
+    """One episode's record. per_round_message_counts[r] is the number of
+    messages sent at round r (delivered at round r+1); the counts are empty
+    or end in a nonzero count, and every total is read off them."""
     label: str = ""
     mode: str = CONGEST
-    rounds_elapsed: int = 0
-    messages_total: int = 0
     max_ids_per_message: int = 0
     per_round_message_counts: List[int] = field(default_factory=list)
+
+    @property
+    def rounds_elapsed(self) -> int:
+        """The round of the last delivery."""
+        return len(self.per_round_message_counts)
+
+    @property
+    def messages_total(self) -> int:
+        return sum(self.per_round_message_counts)
 
 
 class NodeApi:
@@ -207,12 +215,7 @@ def run(g: Graph, programs: Dict[int, NodeProgram], config: SimConfig,
             api._wake = None
         return sent
 
-    def record(rnd: int, sent: int) -> None:
-        trace.messages_total += sent
-        while len(trace.per_round_message_counts) < rnd:
-            trace.per_round_message_counts.append(0)
-        trace.per_round_message_counts.append(sent)
-
+    counts = trace.per_round_message_counts
     # round 0: every program starts, possibly sending into round 1
     pending: Dict[int, List[Tuple[int, Message]]] = {}
     start_sent = 0
@@ -221,10 +224,9 @@ def run(g: Graph, programs: Dict[int, NodeProgram], config: SimConfig,
         programs[v].on_start(api)
         start_sent += collect(v, api, pending)
     if start_sent:
-        record(0, start_sent)
+        counts.append(start_sent)
 
     rnd = 0
-    last_activity = 0
     while True:
         next_wake = min((r for r, vs in wakeups.items()
                          if any(w in live for w in vs)), default=None)
@@ -243,8 +245,6 @@ def run(g: Graph, programs: Dict[int, NodeProgram], config: SimConfig,
         woken = wakeups.pop(rnd, [])
         active = sorted(set(k for k in inboxes if k in live)
                         | set(w for w in woken if w in live))
-        if inboxes:
-            last_activity = rnd
 
         sent_this_round = 0
         for v in active:
@@ -259,10 +259,8 @@ def run(g: Graph, programs: Dict[int, NodeProgram], config: SimConfig,
             programs[v].on_round(api, inbox_map)
             sent_this_round += collect(v, api, pending)
         if sent_this_round:
-            record(rnd, sent_this_round)
-            last_activity = rnd
+            counts += [0] * (rnd - len(counts)) + [sent_this_round]
 
-    trace.rounds_elapsed = last_activity
     return trace
 
 
@@ -290,8 +288,7 @@ def broadcast_ids(g: Graph, ids: Mapping[int, int], listeners: AbstractSet[int],
         src = ids if u in accept_all else loud
         if got := {src[v]: v for v in reversed(adjacency.get(u, ())) if v in src}:
             heard[u] = got
-    trace = SimTrace(label=label, mode=BROADCAST, max_ids_per_message=1 if ids else 0)
-    return _account(trace, [sent], 1 if sent else 0), heard
+    return _account(SimTrace(label, BROADCAST, 1 if ids else 0), [sent]), heard
 
 
 def broadcast_heard(g: Graph, ids: Mapping[int, int],
@@ -316,8 +313,7 @@ def broadcast_heard(g: Graph, ids: Mapping[int, int],
     heard = set().union(*loud) | (set().union(*quiet) & accept_all)
     heard = (heard & listeners) - ids.keys()
     sent = sum(map(len, loud)) + sum(map(len, quiet))
-    trace = SimTrace(label=label, mode=BROADCAST, max_ids_per_message=1 if ids else 0)
-    return _account(trace, [sent], 1 if sent else 0), heard
+    return _account(SimTrace(label, BROADCAST, 1 if ids else 0), [sent]), heard
 
 
 def _check_message(v: int, msg: Message, cap: int, max_scalar: int,
@@ -357,13 +353,12 @@ def _over_budget(config: SimConfig, label: str) -> RoundBudgetExceeded:
 # violations round by round, in vertex order within a round, and stops on
 # entering a round past max_rounds.
 
-def _account(trace: SimTrace, counts: List[int], rounds: int) -> SimTrace:
-    """trace, with the messages sent per round and the rounds elapsed."""
+def _account(trace: SimTrace, counts: List[int]) -> SimTrace:
+    """trace, with the messages sent per round, up to the last round that
+    sends."""
     while counts and not counts[-1]:
         counts.pop()
     trace.per_round_message_counts = counts
-    trace.messages_total = sum(counts)
-    trace.rounds_elapsed = rounds
     return trace
 
 
@@ -393,7 +388,7 @@ def tree_downcast(g: Graph, children: Mapping[int, Sequence[int]],
     trace = SimTrace(label=label)
     steps: List[int] = []   # steps[r]: the change in messages per round at r
     faults: List[Tuple[int, int, ModelViolation]] = []   # (round, vertex, error)
-    rounds = last = 0
+    last = 0
     for root, queue in payloads.items():
         k = len(queue)
         if not k:
@@ -425,14 +420,14 @@ def tree_downcast(g: Graph, children: Mapping[int, Sequence[int]],
             steps[depth] += len(below)
             steps[depth + k] -= len(below)
             level, depth = below, depth + 1
-        rounds = max(rounds, k - 1 + depth)
         trace.max_ids_per_message = max(trace.max_ids_per_message, *map(len, queue))
     first = min(faults, key=lambda f: f[:2], default=None)
     if first and first[0] <= config.max_rounds:
         raise first[2]
-    if max(last, rounds) > config.max_rounds:
+    _account(trace, list(accumulate(steps)))
+    if max(last, trace.rounds_elapsed) > config.max_rounds:
         raise _over_budget(config, label)
-    return _account(trace, list(accumulate(steps)), rounds), None
+    return trace, None
 
 
 def best_upcast(g: Graph, roots: Iterable[int],
@@ -477,7 +472,7 @@ def best_upcast(g: Graph, roots: Iterable[int],
     woken = max((height[r] for r in roots), default=0) - 1
     if max(len(counts), woken) > config.max_rounds:
         raise _over_budget(config, label)
-    return _account(trace, counts, len(counts)), {r: best.get(r) for r in roots}
+    return _account(trace, counts), {r: best.get(r) for r in roots}
 
 
 def tree_collect(g: Graph, parent: Mapping[int, Optional[int]],
@@ -537,7 +532,7 @@ def tree_collect(g: Graph, parent: Mapping[int, Optional[int]],
             raise _over_budget(config, label)
     trace = SimTrace(label=label, max_ids_per_message=ids if counts else 0)
     roots = {v: store for v, store in stores.items() if parent[v] is None}
-    return _account(trace, counts, len(counts)), roots
+    return _account(trace, counts), roots
 
 
 def orient_flood(g: Graph, roots: Iterable[int],
@@ -570,7 +565,7 @@ def orient_flood(g: Graph, roots: Iterable[int],
             found[u] = (found[heard[u]][0], heard[u])
     # one ID and the sender's depth, which is below the scalar bound
     trace = SimTrace(label=label, max_ids_per_message=1 if counts else 0)
-    return _account(trace, counts, len(counts)), found
+    return _account(trace, counts), found
 
 
 def send_round(g: Graph, targets: Mapping[int, Sequence[int]],
@@ -579,4 +574,4 @@ def send_round(g: Graph, targets: Mapping[int, Sequence[int]],
     message to each neighbour it lists."""
     edges = g.edge_set()
     sent = sum(_per_edge(v, edges, targets[v]) for v in sorted(targets))
-    return _account(SimTrace(label=label), [sent], 1 if sent else 0), None
+    return _account(SimTrace(label=label), [sent]), None

@@ -116,10 +116,6 @@ class BuildResult:
     snapshots: List[PhaseSnapshot]
     trace: comm.BuildTrace
 
-    @property
-    def rounds_total(self) -> int:
-        return self.trace.rounds_total
-
 
 @dataclass(frozen=True)
 class Schedule:
@@ -186,7 +182,7 @@ def run_phases(g: Graph, variant: Variant, params: dict) -> BuildResult:
         snapshots: List[PhaseSnapshot] = []
 
         for i in range(sched.ell + 1):
-            rounds_mark = net.trace.rounds_total
+            first = len(net.trace.episodes)
             is_final = i == sched.ell
 
             orient = comm.orient_clusters(net, center_of, tree_adj, f"p{i}.orient")
@@ -224,7 +220,7 @@ def run_phases(g: Graph, variant: Variant, params: dict) -> BuildResult:
                 vgraph=vgraph,
                 knowledge=knowledge,
                 radius_actual=orient.max_depth(),
-                rounds=net.trace.rounds_total - rounds_mark,
+                rounds=sum(e.rounds_elapsed for e in net.trace.episodes[first:]),
             ))
 
             center_of = stitch_superclusters(orient.center_of, joins)

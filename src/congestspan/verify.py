@@ -8,12 +8,14 @@ every graph edge, each phase's parent map as a forest of cluster trees
 inside the spanner at that phase's start (the edges the charge ledger
 records for earlier phases), which gives the centers the other phase checks
 use, each ruling set as (3, 2q)-ruling, the snapshots as numbered 0..ell,
-one per phase, and the charge ledger and the cluster counts against the
-counting rules. At n <= 64, each explored phase's virtual cluster graph is
-also held to the verifier's own scan of G (superedge_scan, which also finds
-each superedge's witness edge), its joins to the centralized reference
-exploration of that scan, and neighbor knowledge to a direct edge scan. A
-report whose verdicts all pass is the acceptance currency of the package.
+one per phase, the charge ledger as the spanner's one account of its edges
+(their union is the spanner), the ledger and the cluster counts against the
+counting rules, and the recorded episodes' widest message and modes. At
+n <= 64, each explored phase's virtual cluster graph is also held to the
+verifier's own scan of G (superedge_scan, which also finds each superedge's
+witness edge), its joins to the centralized reference exploration of that
+scan, and neighbor knowledge to a direct edge scan. A report whose verdicts
+all pass is the acceptance currency of the package.
 verify_build runs with the cyclic garbage collector paused
 (spanner.collector_paused); it makes no reference cycle, which
 tests/test_collector.py pins, so reference counting frees all it drops.
@@ -32,7 +34,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import count, groupby, islice, zip_longest
+from itertools import chain, count, groupby, islice, zip_longest
+from operator import attrgetter
 from typing import (AbstractSet, Callable, Dict, Iterable, List, Optional,
                     Sequence, Set, Tuple)
 
@@ -646,6 +649,16 @@ def _ruling_verdict(result: BuildResult, sched: Schedule) -> Verdict:
 
 
 def _charge_verdict(result: BuildResult, sched: Schedule) -> Verdict:
+    # the ledger is the spanner's one account of its edges: their union
+    # must be the spanner, since the radius verdict reads trees off it
+    spanner = result.spanner
+    charged = set(chain.from_iterable(map(attrgetter("edges"), spanner.charges)))
+    if charged != spanner.edges:
+        edge = min(charged ^ spanner.edges)
+        return Verdict("charges", False,
+                       f"spanner edge {edge} is charged to no vertex"
+                       if edge in spanner.edges else
+                       f"charged edge {edge} is not in the spanner")
     n, kappa = sched.n, sched.kappa
     is_sparse = result.algorithm == "sparse"
     final_phase = len(result.snapshots) - 1
@@ -661,7 +674,7 @@ def _charge_verdict(result: BuildResult, sched: Schedule) -> Verdict:
     # single vertex has none, and no edge to charge
     vertex_cap = caps[0] if caps else 0
     by_vertex: Dict[int, List[Charge]] = {}
-    for ch in result.spanner.charges:
+    for ch in spanner.charges:
         by_vertex.setdefault(ch.vertex, []).append(ch)
     for v, charges in by_vertex.items():
         supers = inters = 0

@@ -106,6 +106,8 @@ MUTANTS: List[Mutant] = [
                    "outside = set()")),
     Mutant("phase-numbering check never fails", "verify.py",
            replace("if got != want:", "if False:")),
+    Mutant("ledger tie never fails", "verify.py",
+           replace("if charged != spanner.edges:", "if False:")),
     Mutant("polylog interconnection cap loosened by one", "verify.py",
            replace("elif inters > vertex_cap:",
                    "elif inters > vertex_cap + 1:")),

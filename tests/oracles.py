@@ -674,6 +674,13 @@ def send_round(g: Graph, targets: Mapping[int, Sequence[int]],
     return sim.run(g, programs, config, label=label), None
 
 
+def ends_on_a_send(trace: SimTrace) -> bool:
+    """Whether trace's per-round counts are empty or end in a nonzero count,
+    which makes the length of the counts the round of its last delivery."""
+    counts = trace.per_round_message_counts
+    return not counts or counts[-1] != 0
+
+
 def orient_clusters(g: Graph, center_of: Mapping[int, int],
                     tree_adj: Mapping[int, Sequence[int]], config: SimConfig,
                     label: str = "") -> Tuple[SimTrace, "comm.Orientation"]:

@@ -116,7 +116,7 @@ def test_no_episode_without_senders():
     assert comm.knockout_hop(net, orient, "pop", [1], {1}) == {2, 8}
     assert comm.knockout_hop(net, orient, "unpop", [1], {2}) == {2}
     assert net.trace.episodes == [
-        sim.SimTrace(label, sim.BROADCAST, 1, 2, 1, [2])
+        sim.SimTrace(label, sim.BROADCAST, 1, [2])
         for label in ("loud", "edge", "pop", "unpop")]
 
 
@@ -156,7 +156,7 @@ def test_explore_hop_keeps_the_least_sender_of_a_root():
                              {1, 2, 3}, {2})
     assert heard == {2: {5: 1}}
     assert net.trace.episodes == [
-        sim.SimTrace("w1.explore", sim.BROADCAST, 1, 2, 1, [2])]
+        sim.SimTrace("w1.explore", sim.BROADCAST, 1, [2])]
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +173,7 @@ def _ids_both(g, ids, listeners, accept_all, config):
         except (ModelViolation, ValueError) as exc:
             out.append((type(exc), str(exc)))
         else:
+            assert oracles.ends_on_a_send(trace)
             out.append((dataclasses.asdict(trace), _heard(listeners, heard)))
     return out
 
@@ -193,7 +194,8 @@ def test_id_kernel_equals_projected_program_oracle(data):
     assert kernel == oracle
     trace, calls = kernel
     sent = sum(len(g.adjacency[v]) for v in ids)
-    assert (trace["rounds_elapsed"], trace["messages_total"]) == (1 if sent else 0, sent)
+    counts = trace["per_round_message_counts"]
+    assert (len(counts), sum(counts)) == (1 if sent else 0, sent)
     assert trace["max_ids_per_message"] == (1 if ids else 0)
     heard = {u for v in ids for u in g.adjacency[v]
              if u in accept_all or v in accept_all} & set(listeners)
@@ -229,7 +231,7 @@ def test_exchange_gives_each_silent_vertex_its_own_dict():
     assert heard == {1: {}, 4: {}, 6: {}}
     assert len({id(m) for m in heard.values()}) == 3
     assert net.trace.episodes == [
-        sim.SimTrace(label, sim.BROADCAST, 1, 6, 1, [6])
+        sim.SimTrace(label, sim.BROADCAST, 1, [6])
         for label in ("p0.exchange", "p1.exchange")]
 
 
@@ -267,6 +269,7 @@ def _heard_both(g, sends, listeners, accept_all, config):
         except (ModelViolation, ValueError) as exc:
             out.append((type(exc), str(exc)))
         else:
+            assert oracles.ends_on_a_send(trace)
             out.append((dataclasses.asdict(trace), sorted(heard)))
     return out
 
@@ -290,7 +293,8 @@ def test_max_kernel_equals_folded_program_oracle(data):
     kernel, oracle = _heard_both(g, ids, listeners, accept_all, config)
     assert kernel == oracle
     trace, heard = kernel
-    assert trace["messages_total"] == sum(len(g.adjacency[v]) for v in ids)
+    assert sum(trace["per_round_message_counts"]) \
+        == sum(len(g.adjacency[v]) for v in ids)
     assert not ids.keys() & set(heard)
 
 

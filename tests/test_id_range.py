@@ -4,9 +4,11 @@ The knock-out schedule splits the ID range into blocks; it must visit only
 the blocks that hold a candidate. With IDs up to 2**63 - 1 a walk over every
 block would never finish, so each build here runs under a generous wall bound.
 Any relabelling with distinct positive IDs up to 2**63 - 1 must still build
-and verify.
+and verify, and a shift of every ID by one constant must leave the build
+itself unchanged: the knock-out's blocks read IDs as offsets from the least.
 """
 
+import dataclasses
 import random
 import time
 from fractions import Fraction
@@ -16,6 +18,8 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from congestspan import graph as gr
 from congestspan import polylog, sparse
+from congestspan.clusters import JoinInfo
+from congestspan.spanner import Charge
 from congestspan.verify import verify_build
 
 MAX_ID = 2 ** 63 - 1
@@ -73,3 +77,58 @@ def test_random_relabelling_builds_and_verifies(kind, n, seed, ids):
                   lambda: sparse.build_skeleton(g, Fraction(34, 100))):
         report = verify_build(g, build())
         assert report["passed"], [v for v in report["verdicts"] if not v["ok"]]
+
+
+def _shift(g: gr.Graph, c: int) -> gr.Graph:
+    return gr.Graph({v + c: [u + c for u in nbrs]
+                     for v, nbrs in g.adjacency.items()}, g.meta)
+
+
+def _unshifted(result, c: int):
+    """(snapshots, ledger, spanner) of result with every ID moved down by c."""
+    def vx(v):
+        return None if v is None else v - c
+
+    def edge(e):
+        return None if e is None else (e[0] - c, e[1] - c)
+
+    def ids(vs):
+        return frozenset(v - c for v in vs)
+
+    def maps(m):
+        return None if m is None else {k - c: {a - c: b - c for a, b in d.items()}
+                                       for k, d in m.items()}
+    snapshots = [dataclasses.replace(
+        snap,
+        parent={v - c: vx(p) for v, p in snap.parent.items()},
+        popular=ids(snap.popular), selected=ids(snap.selected),
+        settled=ids(snap.settled),
+        joins={k - c: JoinInfo(j.root - c, vx(j.pred), edge(j.witness), j.wave)
+               for k, j in snap.joins.items()},
+        vgraph=None if snap.vgraph is None else {
+            k - c: tuple(v - c for v in vs) for k, vs in snap.vgraph.items()},
+        knowledge=maps(snap.knowledge)) for snap in result.snapshots]
+    ledger = [Charge(ch.vertex - c, ch.kind, ch.phase, tuple(map(edge, ch.edges)))
+              for ch in result.spanner.charges]
+    return snapshots, ledger, set(map(edge, result.spanner.edges))
+
+
+@settings(max_examples=50, deadline=None)
+@given(kind=st.sampled_from(["gnp_connected", "grid", "random_tree", "cycle"]),
+       n=st.integers(8, 64), seed=st.integers(0, 10 ** 6), data=st.data())
+def test_a_shift_of_every_id_leaves_the_build_unchanged(kind, n, seed, data):
+    """Shifting every ID by c, up to 2**63 - 1 minus the largest, gives the
+    same episode list (labels, modes, widths and per-round counts), the same
+    snapshots, ledger and spanner, once mapped back."""
+    params = {"n": n, "seed": seed}
+    if kind == "gnp_connected":
+        params["p"] = 0.2
+    g = gr.generate_graph(kind, **params)
+    c = data.draw(st.integers(1, MAX_ID - max(g.vertices)), label="c")
+    moved = _shift(g, c)
+    for build in (lambda g: polylog.build_spanner(g, 2),
+                  lambda g: sparse.build_skeleton(g, Fraction(34, 100))):
+        result, shifted = build(g), build(moved)
+        assert shifted.trace.episodes == result.trace.episodes
+        assert _unshifted(shifted, c) == (result.snapshots, result.spanner.charges,
+                                          result.spanner.edges)

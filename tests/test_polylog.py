@@ -76,7 +76,7 @@ class TestBuild:
         g = gr.generate_graph("path", n=1)
         res = polylog.build_spanner(g, 2)
         assert res.spanner.size() == 0
-        assert res.rounds_total == 0
+        assert res.trace.rounds_total == 0
 
     def test_invalid_kappa(self):
         g = gr.generate_graph("path", n=4)

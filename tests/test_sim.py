@@ -132,6 +132,7 @@ def downcast(g, parent, payloads):
     trace, received = oracles.tree_downcast(g, orient.children, {1: payloads},
                                             net.config, "downcast")
     assert trace == net.trace.episodes[-1]
+    assert oracles.ends_on_a_send(trace)
     assert received == dict.fromkeys(orient.members[1], list(payloads))
     return trace.rounds_elapsed, received
 
@@ -143,7 +144,9 @@ def upcast(g, parent, items, cap):
     net = comm.Net(g)
     orient = oracles.orientation_from_parents({1: parent})
     stores = comm.upcast_collect(net, orient, items, cap, "upcast")
-    return net.trace.episodes[-1].rounds_elapsed, stores.get(1, {})
+    trace = net.trace.episodes[-1]
+    assert oracles.ends_on_a_send(trace)
+    return trace.rounds_elapsed, stores.get(1, {})
 
 
 class TestDowncast:

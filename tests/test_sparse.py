@@ -121,7 +121,7 @@ class TestBuild:
     def test_single_vertex(self):
         g = gr.generate_graph("path", n=1)
         res = sparse.build_spanner(g, 3, Fraction(1, 3))
-        assert res.spanner.size() == 0 and res.rounds_total == 0
+        assert res.spanner.size() == 0 and res.trace.rounds_total == 0
 
     def test_single_vertex_reports_the_parsed_rho(self):
         """One vertex spells rho as every larger graph does."""

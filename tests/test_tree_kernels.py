@@ -132,6 +132,7 @@ def _run(impl, *args):
         trace, result = impl(*args)
     except RuntimeError as exc:   # ModelViolation, RoundBudgetExceeded, orient
         return (type(exc), str(exc)), None
+    assert oracles.ends_on_a_send(trace)
     return dataclasses.asdict(trace), result
 
 
@@ -143,6 +144,7 @@ def _net(g, config) -> comm.Net:
 
 def _episodes(net: comm.Net):
     """The recorded episodes, each the kernel's whole trace as a dict."""
+    assert all(map(oracles.ends_on_a_send, net.trace.episodes))
     return [dataclasses.asdict(e) for e in net.trace.episodes]
 
 
@@ -530,7 +532,7 @@ def test_edge_free_trees_equal_oracle(name, kernel, oracle, args, config):
     got = _run(kernel, PATH, *args, config, "lbl")
     expected = _run(oracle, PATH, *args, config, "lbl")
     assert got[0] == expected[0]
-    assert got[0]["messages_total"] == 0
+    assert sum(got[0]["per_round_message_counts"]) == 0
     if kernel is sim.best_upcast:   # each root keeps its own value
         roots, values = args[0], args[3]
         assert got[1] == expected[1] == {r: values.get(r) for r in roots}
@@ -561,7 +563,8 @@ def test_single_vertex_clusters_record_the_oracle_episodes():
     assert got == stores == {1: {10: 1}, 3: {20: 3}}
 
     assert _episodes(net) == [down, best, collect]
-    assert [(e["label"], e["messages_total"]) for e in _episodes(net)] == [
+    assert [(e["label"], sum(e["per_round_message_counts"]))
+            for e in _episodes(net)] == [
         ("down", 0), ("best", 0), ("collect", 0)]
 
 

@@ -145,7 +145,9 @@ def _in_congest_mode(suffix):
 
 
 def _three_ids(trace):
-    trace.max_ids_per_message = 3
+    i = next(i for i, ep in enumerate(trace.episodes) if ep.max_ids_per_message)
+    trace.episodes[i] = dataclasses.replace(trace.episodes[i],
+                                            max_ids_per_message=3)
 
 
 @pytest.mark.parametrize("tamper", [_in_congest_mode(".k1.x"),
@@ -155,8 +157,8 @@ def _three_ids(trace):
                               "three ids in a message"])
 def test_congestion_verdict_alone_fails_a_tampered_trace(clean_build, tamper):
     """The build's last knock-out or exploration hop recorded in congest
-    mode, or a message with three IDs, fails congestion and no other
-    verdict."""
+    mode, or its first episode that sends IDs recorded with a message of
+    three, fails congestion and no other verdict."""
     g, res = clean_build
     trace = copy.deepcopy(res.trace)
     tamper(trace)
@@ -401,13 +403,47 @@ def test_knowledge_oracle_fails_a_forgotten_neighbour():
 ], ids=["polylog", "sparse"])
 def test_size_verdict_fails_when_the_spanner_is_the_graph(build):
     """K_16 has 120 edges, past both 16^(4/3) ~ 40.3 and 16^(4/3) + 16:
-    adding every edge of G to a build's spanner fails the size verdict and
-    no other."""
+    adding every edge of G to a build's spanner fails the size verdict, and
+    the charges verdict, since no vertex is charged for the added edges."""
     g = gr.generate_graph("complete", n=16)
     res = build(g)
     assert _failing(g, res) == []
     res.spanner.edges |= g.edge_set()
-    assert _failing(g, res) == ["size"]
+    assert _failing(g, res) == ["charges", "size"]
+
+
+def _polylog_of_gnp200():
+    g = gr.generate_graph("gnp_connected", n=200, p=0.05, seed=3)
+    return g, polylog.build_spanner(g, 3)
+
+
+@pytest.mark.parametrize("build", [_polylog_of_gnp200, _skeleton_of_the_grid],
+                         ids=["polylog gnp", "skeleton grid"])
+def test_charges_verdict_fails_an_uncharged_spanner_edge(build):
+    """An edge of G that no charge records, added to the spanner, keeps
+    every bound of these builds, and fails the charges verdict alone, which
+    names it."""
+    g, res = build()
+    assert _failing(g, res) == []
+    edge = min(g.edge_set() - res.spanner.edges)
+    res.spanner.edges.add(edge)
+    report = verify.verify_build(g, res)
+    assert {v["name"]: v["detail"] for v in report["verdicts"] if not v["ok"]} \
+        == {"charges": f"spanner edge {edge} is charged to no vertex"}
+
+
+def test_charges_verdict_fails_a_charged_edge_missing_from_the_spanner():
+    """The radius verdict reads the cluster trees off the ledger, so a
+    superclustering edge of the grid's skeleton, a tree edge of the next
+    phase, dropped from the spanner alone keeps every other verdict; the
+    charges verdict names it."""
+    g, res = _skeleton_of_the_grid()
+    edge = min(e for ch in res.spanner.charges if ch.kind == SUPER
+               for e in ch.edges)
+    res.spanner.edges.remove(edge)
+    report = verify.verify_build(g, res)
+    assert {v["name"]: v["detail"] for v in report["verdicts"] if not v["ok"]} \
+        == {"charges": f"charged edge {edge} is not in the spanner"}
 
 
 def test_polylog_size_verdict_is_exact_at_the_charge_bound():
