@@ -30,8 +30,9 @@ broadcast mode, the others in congest mode. A build's BuildTrace keeps each
 kernel's SimTrace as it was returned (label, mode, widest message, messages
 per round) and nothing else: its rounds, messages and widest message are
 read off the episodes, so model-compliance checks (message size,
-broadcast-only knockout rounds) audit the episodes themselves after a run. A second message on one edge in one round never reaches
-the trace: the kernels refuse it.
+broadcast-only knockout rounds) audit the episodes themselves after a run.
+A second message on one edge in one round never reaches the trace: the
+kernels refuse it.
 """
 
 from __future__ import annotations
