@@ -21,16 +21,20 @@ verify_build runs with the cyclic garbage collector paused
 tests/test_collector.py pins, so reference counting frees all it drops.
 
 Per-edge stretch peels the spanner to its 2-core, which is empty exactly when
-the spanner is a forest, and searches only the core, by one bit-parallel BFS
-per batch of sources; an edge with a peeled endpoint is a walk to the lowest
-common ancestor in the peeled forest, or is measured from the heights of its
-endpoints over their anchors in the core.
+the spanner is a forest, and searches only the core; an edge with a peeled
+endpoint is a walk to the lowest common ancestor in the peeled forest, or is
+measured from the heights of its endpoints over their anchors in the core. A
+core of at most STRETCH_BATCH vertices is searched once: a ball grows from
+every core vertex, and the balls of two vertices at distance d meet at a
+midpoint after ceil(d / 2) levels, for the core's graph edges and the
+anchors' pairs alike. A larger core takes one bit-parallel BFS per batch of
+sources, once for each of the two sets of pairs.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -64,39 +68,22 @@ def max_edge_stretch(g: Graph, spanner_edges: Set[Edge]) -> Tuple[float, Optiona
 
     Returns (inf, edge) if some graph edge's endpoints are disconnected in
     the spanner. Every edge is measured exactly. H is peeled to its 2-core C
-    (_peel), which is empty when H is a forest. A graph edge between two
-    vertices of C is measured by _bit_bfs on C, which keeps only the largest
-    distance and the least edge at it. Every path from a peeled vertex x out
-    of the trees of its anchor passes through the anchor, so an edge (u, v)
-    with a peeled endpoint has d_H(u, v) = the walk to the lowest common
-    ancestor if a(u) = a(v), h(u) + h(v) + d_C(a(u), a(v)) if both anchors
-    lie in C, and inf otherwise. A second _bit_bfs on C records d_C for
-    each pair of anchors that such an edge joins. The witness is the first
-    edge, in vertex then adjacency order, that attains the maximum.
+    (_peel), which is empty when H is a forest. Every path from a peeled
+    vertex x out of the trees of its anchor passes through the anchor, so an
+    edge (u, v) with a peeled endpoint has d_H(u, v) = the walk to the
+    lowest common ancestor if a(u) = a(v), h(u) + h(v) + d_C(a(u), a(v)) if
+    both anchors lie in C, and inf otherwise. The graph edges between two
+    vertices of C need only the largest d_C and the least edge at it; the
+    pairs of anchors that the other edges join need every d_C. A core of at
+    most STRETCH_BATCH vertices measures both sets in one _meet_search;
+    a larger one runs _bit_bfs, one batch of sources at a time, once for
+    each set. The witness is the first edge, in vertex then adjacency
+    order, that attains the maximum.
     """
     adj_h = subgraph_adjacency(g.vertices, spanner_edges)
     core, index, nbrs, parent, height, anchor = _peel(g.vertices, adj_h,
                                                       spanner_edges)
     del adj_h   # the core search keeps its own copy, by core index
-
-    def inner(lo: int, hi: int) -> Dict[int, int]:
-        # each graph edge between two core vertices, from its lower end
-        pending: Dict[int, int] = {}
-        for s in range(lo, hi):
-            bit, c = 1 << (s - lo), core[s]
-            for t in g.adjacency[c]:
-                if t > c:
-                    x = index.get(t)
-                    if x is not None:
-                        pending[x] = pending.get(x, 0) | bit
-        return pending
-
-    def crossing(lo: int, hi: int) -> Dict[int, int]:
-        mask = (1 << (hi - lo)) - 1
-        return {x: w >> lo & mask for x, w in pairs.items() if w >> lo & mask}
-
-    core_worst, (i, x) = _bit_bfs(nbrs, inner)
-    core_edge = (core[i], core[x]) if core_worst else None
     # the higher ends of each graph edge with a peeled endpoint, by its lower
     # end, in vertex then adjacency order: a strict > below keeps the first
     # edge at the maximum
@@ -111,17 +98,22 @@ def max_edge_stretch(g: Graph, spanner_edges: Set[Edge]) -> Tuple[float, Optiona
                     if c in index:
                         ends.setdefault(c, []).append(u)
     ends = dict(sorted(ends.items()))
-    pairs: Dict[int, int] = {}   # anchor index -> bit s for each lower anchor s
+    pairs: Set[Tuple[int, int]] = set()   # (lower, higher) anchor index
     for u, targets in ends.items():
         i = index.get(anchor[u])
         if i is not None:
             for v in targets:
                 j = index.get(anchor[v])
                 if j is not None and i != j:
-                    pairs[max(i, j)] = pairs.get(max(i, j), 0) | 1 << min(i, j)
-    d_core: Dict[Tuple[int, int], int] = {}
-    if pairs:
-        _bit_bfs(nbrs, crossing, d_core)
+                    pairs.add((i, j) if i < j else (j, i))
+    # each graph edge between two core vertices, as (lower, higher) index,
+    # in index order, which is vertex order
+    inner = [(s, x) for s, c in enumerate(core)
+             for x in map(index.get, g.adjacency[c][bisect_right(g.adjacency[c], c):])
+             if x is not None]
+    search = _meet_search if len(core) <= STRETCH_BATCH else _batched_search
+    core_worst, (i, x), d_core = search(nbrs, inner, sorted(pairs))
+    core_edge = (core[i], core[x]) if core_worst else None
     near = _tree_distances(parent, height, anchor)
     worst: float = 0.0
     worst_edge: Optional[Edge] = None
@@ -142,12 +134,38 @@ def max_edge_stretch(g: Graph, spanner_edges: Set[Edge]) -> Tuple[float, Optiona
     return worst, worst_edge
 
 
-# sources per bit-parallel BFS of _bit_bfs: each vertex holds ints of this
-# many bits, whatever the range of the vertex IDs. Wider batches share more
+# the width, in bits, of the ints that a core search keeps per vertex,
+# whatever the range of the vertex IDs: a core of at most this many vertices
+# is searched whole by _meet_search, one bit per core vertex; a larger one by
+# _bit_bfs, with its sources in batches of this many. Wider ints share more
 # work for O(n * STRETCH_BATCH) bits of memory. On the polylog spanners of
-# G(2048, 2 ln n / n), 1024 took about a quarter longer than 2048 and 256
-# over three times as long.
+# G(2048, 2 ln n / n), _bit_bfs in batches of 1024 took about a quarter
+# longer than in batches of 2048, and in batches of 256 over three times as
+# long.
 STRETCH_BATCH = 2048
+
+
+def _batched_search(nbrs: List[List[int]], edges: List[Tuple[int, int]],
+                    pairs: List[Tuple[int, int]]
+                    ) -> Tuple[float, Tuple[int, int], Dict[Tuple[int, int], int]]:
+    """_meet_search's answer by _bit_bfs, for a graph of more than
+    STRETCH_BATCH vertices: one search for edges and one that records the
+    distance of every connected pair of pairs, each from the lower ends of
+    its pairs, which are given in ascending order."""
+    def targets(ordered: List[Tuple[int, int]]) -> Callable[[int, int], Dict[int, int]]:
+        def pending(lo: int, hi: int) -> Dict[int, int]:
+            # each pair whose lower end is a source of the batch lo..hi-1
+            want: Dict[int, int] = {}
+            for s, x in ordered[bisect_left(ordered, (lo,)):bisect_left(ordered, (hi,))]:
+                want[x] = want.get(x, 0) | 1 << (s - lo)
+            return want
+        return pending
+
+    worst, pair = _bit_bfs(nbrs, targets(edges))
+    d_core: Dict[Tuple[int, int], int] = {}
+    if pairs:
+        _bit_bfs(nbrs, targets(pairs), d_core)
+    return worst, pair, d_core
 
 
 def _peel(vertices: Sequence[int], adj: Dict[int, List[int]], edges: Set[Edge]) -> tuple:
@@ -193,6 +211,74 @@ def _peel(vertices: Sequence[int], adj: Dict[int, List[int]], edges: Set[Edge]) 
                 height[r], anchor[r] = 0, r
                 _hang(adj, r, parent, height, anchor)
     return core, index, nbrs, parent, height, anchor
+
+
+def _meet_search(nbrs: List[List[int]], edges: List[Tuple[int, int]],
+                 pairs: List[Tuple[int, int]]
+                 ) -> Tuple[float, Tuple[int, int], Dict[Tuple[int, int], int]]:
+    """Hop distances on the graph of vertex indices 0..n-1 with adjacency
+    lists nbrs, between the two ends of each index pair: over edges, given
+    in ascending order, the largest and the least pair at it, or (inf, the
+    least disconnected pair); and the distance of every connected pair of
+    pairs, recorded in the returned map.
+
+    Level k gives each vertex s its ball, the int whose bit t is set for
+    every t within k hops of s: ball_k[s] is ball_{k-1}[s] or'ed with the
+    ball_{k-1} of its neighbours. Two balls meet at a midpoint of the pair:
+    a pair (s, x) that met at no earlier level is at least 2k - 1 apart, and
+    is exactly 2k - 1 apart if ball_k[s] & ball_{k-1}[x], else 2k if
+    ball_k[s] & ball_k[x]. So a pair at distance d is measured at level
+    ceil(d / 2). Once no ball grows, every pair still pending is
+    disconnected.
+    """
+    balls = [1 << s for s in range(len(nbrs))]
+    worst: float = 0.0
+    worst_pair = (0, 0)
+    record: Dict[Tuple[int, int], int] = {}
+    k = 0
+    while edges or pairs:
+        grown = []
+        for b, ns in zip(balls, nbrs):
+            for y in ns:
+                b |= balls[y]
+            grown.append(b)
+        if grown == balls:
+            break
+        k += 1
+        odd, even = 2 * k - 1, 2 * k
+        first_odd = first_even = None
+        left = []
+        for pair in edges:
+            s, x = pair
+            b = grown[s]
+            if b & balls[x]:
+                if first_odd is None:
+                    first_odd = pair
+            elif b & grown[x]:
+                if first_even is None:
+                    first_even = pair
+            else:
+                left.append(pair)
+        edges = left
+        if first_even is not None:
+            worst, worst_pair = even, first_even
+        elif first_odd is not None:
+            worst, worst_pair = odd, first_odd
+        left = []
+        for pair in pairs:
+            s, x = pair
+            b = grown[s]
+            if b & balls[x]:
+                record[pair] = odd
+            elif b & grown[x]:
+                record[pair] = even
+            else:
+                left.append(pair)
+        pairs = left
+        balls = grown
+    if edges:
+        return math.inf, edges[0], record
+    return worst, worst_pair, record
 
 
 def _bit_bfs(nbrs: List[List[int]], targets: Callable[[int, int], Dict[int, int]],

@@ -129,6 +129,8 @@ MUTANTS: List[Mutant] = [
     Mutant("core search reports its hits one round late", "verify.py",
            replace("batch_max, batch_pair = k, hit",
                    "batch_max, batch_pair = k + 1, hit")),
+    Mutant("meet search records an odd distance 2k - 1 as 2k", "verify.py",
+           replace("odd, even = 2 * k - 1, 2 * k", "odd, even = 2 * k, 2 * k")),
     # the build's knock-out blocks, whose levels must nest
     Mutant("knock-out widths rounded up per level", "rulingset.py",
            replace("""    widths = [1]

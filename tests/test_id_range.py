@@ -6,9 +6,12 @@ block would never finish, so each build here runs under a generous wall bound.
 Any relabelling with distinct positive IDs up to 2**63 - 1 must still build
 and verify, and a shift of every ID by one constant must leave the build
 itself unchanged: the knock-out's blocks read IDs as offsets from the least.
+The verifier reads no ID order at all: under any bijection of the vertices
+into [1, 2**63) it reports the same stretch values and verdict flags.
 """
 
 import dataclasses
+import math
 import random
 import time
 from fractions import Fraction
@@ -16,8 +19,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
+import oracles
+
 from congestspan import graph as gr
-from congestspan import polylog, sparse
+from congestspan import polylog, sparse, verify
 from congestspan.clusters import JoinInfo
 from congestspan.spanner import Charge
 from congestspan.verify import verify_build
@@ -132,3 +137,57 @@ def test_a_shift_of_every_id_leaves_the_build_unchanged(kind, n, seed, data):
         assert shifted.trace.episodes == result.trace.episodes
         assert _unshifted(shifted, c) == (result.snapshots, result.spanner.charges,
                                           result.spanner.edges)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["gnp_connected", "grid", "random_tree", "cycle"]),
+       n=st.integers(3, 80), seed=st.integers(0, 10 ** 6),
+       h=st.sampled_from(["polylog", "skeleton", 1.0, 0.85, 0.6]),
+       bound=st.sampled_from([None, 1, 3, 8]),
+       width=st.sampled_from([1, 3, verify.STRETCH_BATCH]), data=st.data())
+def test_a_bijection_of_the_ids_leaves_the_verdicts_unchanged(
+        kind, n, seed, h, bound, width, data):
+    """Under a random bijection of V into [1, 2**63), max_edge_stretch's
+    value and verify_spanner_file's stretch values, sizes and verdict flags
+    do not change; H is a built spanner or a random edge subset, often a
+    disconnecting one, and its core is searched in batches of width (or in
+    one search, if it fits). A witness may change, but mapped back it is
+    still an edge of G whose ends are that far apart in H."""
+    params = {"seed": seed}
+    if kind == "grid":
+        params.update(rows=max(2, n // 8), cols=8)
+    else:
+        params["n"] = n
+    if kind == "gnp_connected":
+        params["p"] = 0.15
+    g = gr.generate_graph(kind, **params)
+    if h == "polylog":
+        edges = polylog.build_spanner(g, 2).spanner.edges
+    elif h == "skeleton":
+        edges = sparse.build_skeleton(g, Fraction(34, 100)).spanner.edges
+    else:
+        rnd = random.Random(seed)
+        edges = {e for e in g.edges() if rnd.random() < h}
+    ids = data.draw(st.lists(st.integers(1, MAX_ID - 1), min_size=g.n,
+                             max_size=g.n, unique=True), label="ids")
+    new_id = dict(zip(g.vertices, ids))
+    old_id = dict(zip(ids, g.vertices))
+    moved = _relabel(g, ids)
+    moved_edges = {gr.edge_key(new_id[u], new_id[v]) for u, v in edges}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "STRETCH_BATCH", width)
+        before, after = (verify.max_edge_stretch(*gh)
+                         for gh in ((g, edges), (moved, moved_edges)))
+        reports = [verify.verify_spanner_file(*gh, bound=bound)
+                   for gh in ((g, edges), (moved, moved_edges))]
+    assert repr(after[0]) == repr(before[0])
+    if after[1] is not None:
+        u, v = (old_id[x] for x in after[1])
+        assert v in g.adjacency[u]
+        d = oracles.bfs_distances(gr.subgraph_adjacency(g.vertices, edges), u)
+        assert d.get(v, math.inf) == before[0]
+
+    def values(report):
+        return ({k: repr(x) for k, x in report.items() if k != "verdicts"},
+                [(x["name"], x["ok"]) for x in report["verdicts"]])
+    assert values(reports[1]) == values(reports[0])

@@ -1,11 +1,13 @@
 """The verifier's bounded searches against slow, obviously right oracles.
 
 ``max_edge_stretch`` peels the spanner to its 2-core, which is empty when the
-spanner is a forest, and runs one bit-parallel BFS per batch of sources on
-the core only, each source stopping once its higher-ID neighbours are
-measured (the batch width is narrowed in the tests so that sources span
-several batches); the peeled trees are measured by walks to the lowest
-common ancestor and from their anchors in the core;
+spanner is a forest, and searches the core only: a core of at most
+STRETCH_BATCH vertices by one search of balls that meet in the middle, a
+larger one by a bit-parallel BFS per batch of sources, each source stopping
+once its higher-ID neighbours are measured (the tests narrow the batch width
+so that a core takes the batched search and its sources span several
+batches); the peeled trees are measured by walks to the lowest common
+ancestor and from their anchors in the core;
 ``check_ruling`` searches separation only to depth
 alpha - 1. Both must return exactly what the all-sources versions in
 ``oracles.py`` return, witness edge and failure text included; the stretch
@@ -218,12 +220,14 @@ def test_batched_stretch_later_batches(width, wide_ids, cut):
     assert repr(got) == repr(expected) == repr(oracles.max_edge_stretch(g, sub))
 
 
-def _cored_spanner(data):
+def _cored_spanner(data, beside=None):
     """H: a 2-core C (a cycle 1..c with a few chords), pendant trees hanging
-    off C, and sometimes a second cycle or tree components beside them. G: H
-    plus random extra edges between pendant vertices or from a pendant
-    vertex to C, which often join two pendant trees of one anchor, plus one
-    edge more between consecutive components of H, which H lacks."""
+    off C, and sometimes (or as beside asks) a second cycle or tree
+    components beside them. G: H plus random extra edges between pendant
+    vertices or from a pendant vertex to C, which often join two pendant
+    trees of one anchor, plus one edge more between consecutive components
+    of H, which H lacks, so that H is connected exactly when beside is
+    "nothing"."""
     c = data.draw(st.integers(3, 14), label="core size")
     h = {gr.edge_key(i, i % c + 1) for i in range(1, c + 1)}
     chords = [(u, v) for u in range(1, c + 1) for v in range(u + 2, c + 1)
@@ -238,8 +242,9 @@ def _cored_spanner(data):
     for x in range(c + 1, c + p + 1):
         h.add((rnd.choice([*anchors, *range(c + 1, x)]), x))
     n = c + p
-    beside = data.draw(st.sampled_from(["nothing", "nothing", "a cycle", "trees"]),
-                       label="beside")
+    if beside is None:
+        beside = data.draw(st.sampled_from(["nothing", "nothing", "a cycle", "trees"]),
+                           label="beside")
     if beside == "a cycle":
         h |= {(n + 1, n + 2), (n + 2, n + 3), (n + 1, n + 3)}
         n += 3
@@ -290,6 +295,45 @@ def test_core_stretch_equals_all_sources_oracle(data):
         mp.setattr(verify, "STRETCH_BATCH", width)
         got = verify.max_edge_stretch(g, sub)
     assert repr(got) == repr(oracles.max_edge_stretch(g, sub))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), connected=st.booleans())
+def test_the_core_size_picks_the_search(data, connected):
+    """A core of STRETCH_BATCH vertices is measured by one _meet_search, and
+    one vertex more takes the batched _bit_bfs: at both sides of that limit
+    the answer is the oracle's, value type included, on a connected H and on
+    one that disconnects a graph edge (inf)."""
+    g, sub = _cored_spanner(data, beside="nothing" if connected else
+                            data.draw(st.sampled_from(["a cycle", "trees"]),
+                                      label="beside"))
+    size = len(verify._peel(g.vertices, subgraph_adjacency(g.vertices, sub), sub)[0])
+    expected = oracles.max_edge_stretch(g, sub)
+    assert (expected[0] < math.inf) == connected
+    for width, search in ((size, "_meet_search"), (size - 1, "_bit_bfs")):
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify, "STRETCH_BATCH", width)
+            for name in ("_meet_search", "_bit_bfs"):
+                def spy(*args, _name=name, _search=getattr(verify, name)):
+                    calls.append(_name)
+                    return _search(*args)
+                mp.setattr(verify, name, spy)
+            got = verify.max_edge_stretch(g, sub)
+        assert set(calls) == {search}, width
+        assert repr(got) == repr(expected), width
+
+
+@pytest.mark.parametrize("vertex", [1, 2 ** 63 - 1])
+def test_an_empty_core_is_measured_at_width_zero(vertex):
+    """A single vertex has a core of 0 vertices, so STRETCH_BATCH = 0 still
+    takes _meet_search, which runs no level: (0.0, None), as the oracle."""
+    g = gr.Graph({vertex: []})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "STRETCH_BATCH", 0)
+        mp.setattr(verify, "_bit_bfs", None)   # a call would fail
+        result = verify.max_edge_stretch(g, set())
+    assert repr(result) == repr(oracles.max_edge_stretch(g, set())) == "(0.0, None)"
 
 
 @pytest.mark.parametrize("vertex", [1, 2 ** 63 - 1])
