@@ -27,8 +27,9 @@ measured from the heights of its endpoints over their anchors in the core. A
 core of at most STRETCH_BATCH vertices is searched once: a ball grows from
 every core vertex, and the balls of two vertices at distance d meet at a
 midpoint after ceil(d / 2) levels, for the core's graph edges and the
-anchors' pairs alike. A larger core takes one bit-parallel BFS per batch of
-sources, once for each of the two sets of pairs.
+anchors' pairs alike, until the frontiers of the pairs left grow thin. Those
+pairs, and a larger core, take one bit-parallel BFS per batch of sources,
+once for each of the two sets of pairs.
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ def max_edge_stretch(g: Graph, spanner_edges: Set[Edge]) -> Tuple[float, Optiona
 
 # the width, in bits, of the ints that a core search keeps per vertex,
 # whatever the range of the vertex IDs: a core of at most this many vertices
-# is searched whole by _meet_search, one bit per core vertex; a larger one by
+# is searched by _meet_search, one bit per core vertex; a larger one by
 # _bit_bfs, with its sources in batches of this many. Wider ints share more
 # work for O(n * STRETCH_BATCH) bits of memory. On the polylog spanners of
 # G(2048, 2 ln n / n), _bit_bfs in batches of 1024 took about a quarter
@@ -144,14 +145,25 @@ def max_edge_stretch(g: Graph, spanner_edges: Set[Edge]) -> Tuple[float, Optiona
 # long.
 STRETCH_BATCH = 2048
 
+# _meet_search grows every ball at every level, while _bit_bfs advances only
+# the frontiers of the sources still pending. Once those frontiers cover
+# under 1 / THIN_FRONTIER of the core, _meet_search hands the pairs left to
+# _bit_bfs. On a long cycle of the core they are a few vertices: for a
+# chord of a 2000-cycle that H lacks, balls alone took 205 ms, the hand-off
+# 12 ms and _bit_bfs alone 13 ms. No frontier of the benchmark's G(n, p)
+# polylog spanners is thin; on its grid skeletons, 4 took a fifth longer
+# than 16, and never handing over 4% less (in process, 2 vCPUs).
+THIN_FRONTIER = 16
+
 
 def _batched_search(nbrs: List[List[int]], edges: List[Tuple[int, int]],
                     pairs: List[Tuple[int, int]]
                     ) -> Tuple[float, Tuple[int, int], Dict[Tuple[int, int], int]]:
-    """_meet_search's answer by _bit_bfs, for a graph of more than
-    STRETCH_BATCH vertices: one search for edges and one that records the
-    distance of every connected pair of pairs, each from the lower ends of
-    its pairs, which are given in ascending order."""
+    """_meet_search's answer by _bit_bfs, for a core of more than
+    STRETCH_BATCH vertices or the pairs that _meet_search hands over: one
+    search for edges and one that records the distance of every connected
+    pair of pairs, each from the lower ends of its pairs, which are given in
+    ascending order."""
     def targets(ordered: List[Tuple[int, int]]) -> Callable[[int, int], Dict[int, int]]:
         def pending(lo: int, hi: int) -> Dict[int, int]:
             # each pair whose lower end is a source of the batch lo..hi-1
@@ -229,7 +241,9 @@ def _meet_search(nbrs: List[List[int]], edges: List[Tuple[int, int]],
     is exactly 2k - 1 apart if ball_k[s] & ball_{k-1}[x], else 2k if
     ball_k[s] & ball_k[x]. So a pair at distance d is measured at level
     ceil(d / 2). Once no ball grows, every pair still pending is
-    disconnected.
+    disconnected. Once the frontiers of the lower ends still pending are
+    thin (THIN_FRONTIER), _batched_search measures the pairs left; they are
+    all farther apart than any pair measured so far.
     """
     balls = [1 << s for s in range(len(nbrs))]
     worst: float = 0.0
@@ -275,7 +289,20 @@ def _meet_search(nbrs: List[List[int]], edges: List[Tuple[int, int]],
             else:
                 left.append(pair)
         pairs = left
+        # the union of this level's frontiers of the lower ends left, up to
+        # the size at which it is no longer thin
+        frontier = 0
+        for s in {s for s, _ in chain(edges, pairs)}:
+            frontier |= grown[s] & ~balls[s]
+            if THIN_FRONTIER * frontier.bit_count() >= len(nbrs):
+                break
         balls = grown
+        if (edges or pairs) and THIN_FRONTIER * frontier.bit_count() < len(nbrs):
+            far, far_pair, far_record = _batched_search(nbrs, edges, pairs)
+            record.update(far_record)
+            if edges:
+                return far, far_pair, record
+            break
     if edges:
         return math.inf, edges[0], record
     return worst, worst_pair, record

@@ -131,6 +131,9 @@ MUTANTS: List[Mutant] = [
                    "batch_max, batch_pair = k + 1, hit")),
     Mutant("meet search records an odd distance 2k - 1 as 2k", "verify.py",
            replace("odd, even = 2 * k - 1, 2 * k", "odd, even = 2 * k, 2 * k")),
+    Mutant("meet search's hand-off keeps its own maximum, not the far one", "verify.py",
+           replace("                return far, far_pair, record",
+                   "                return worst, worst_pair, record")),
     # the build's knock-out blocks, whose levels must nest
     Mutant("knock-out widths rounded up per level", "rulingset.py",
            replace("""    widths = [1]

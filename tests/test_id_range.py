@@ -139,7 +139,10 @@ def test_a_shift_of_every_id_leaves_the_build_unchanged(kind, n, seed, data):
                                           result.spanner.edges)
 
 
-@settings(max_examples=80, deadline=None)
+# no shrink phase, as above: a shrink step builds and verifies again, and a
+# failing example took minutes to shrink
+@settings(max_examples=80, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(kind=st.sampled_from(["gnp_connected", "grid", "random_tree", "cycle"]),
        n=st.integers(3, 80), seed=st.integers(0, 10 ** 6),
        h=st.sampled_from(["polylog", "skeleton", 1.0, 0.85, 0.6]),
