@@ -7,9 +7,9 @@ larger one, and the pairs whose frontiers have grown thin, by a bit-parallel
 BFS per batch of sources, each source stopping once its higher-ID neighbours
 are measured (the tests narrow the batch width so that a core takes the
 batched search and its sources span several batches, and widen what counts
-as thin so that the meet search hands over early); the peeled trees are measured by walks to the lowest common
-ancestor and from their anchors in the core;
-``check_ruling`` searches separation only to depth
+as thin so that the meet search hands over early); the peeled trees are
+measured by walks to the lowest common ancestor and from their anchors in
+the core; ``check_ruling`` searches separation only to depth
 alpha - 1. Both must return exactly what the all-sources versions in
 ``oracles.py`` return, witness edge and failure text included; the stretch
 value is also checked against networkx shortest paths.
@@ -182,9 +182,9 @@ def _non_forest_spanner(data, max_n: int = 40):
 
 def _thin_frontier(data) -> int:
     """A THIN_FRONTIER for the meet search: 0 hands every pair left after
-    the first level to _bit_bfs, 1 any whose frontiers leave a vertex out,
-    and the default does so on these small cores only once the frontiers
-    are empty, which leaves disconnected pairs."""
+    the first level to _bit_bfs, 1 those whose frontiers leave a vertex
+    out, and the default, on cores this small, mostly those whose frontiers
+    are empty, which are disconnected."""
     return data.draw(st.sampled_from([0, 1, 2, verify.THIN_FRONTIER]),
                      label="thin frontier")
 
