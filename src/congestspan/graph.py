@@ -316,12 +316,13 @@ _GENERATORS = {
 
 def subgraph_adjacency(vertices: Iterable[int],
                        edges: Iterable[Edge]) -> Dict[int, List[int]]:
+    """The adjacency lists of (vertices, edges), each in the order in which
+    edges lists its edges, not sorted: every reader takes distances, sets or
+    the least of a set from it, which no order changes."""
     adj: Dict[int, List[int]] = {v: [] for v in vertices}
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    for v in adj:
-        adj[v].sort()
     return adj
 
 
