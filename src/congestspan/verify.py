@@ -23,7 +23,11 @@ tests/test_collector.py pins, so reference counting frees all it drops.
 Per-edge stretch peels the spanner to its 2-core, which is empty exactly when
 the spanner is a forest, and searches only the core; an edge with a peeled
 endpoint is a walk to the lowest common ancestor in the peeled forest, or is
-measured from the heights of its endpoints over their anchors in the core. A
+measured from the heights of its endpoints over their anchors in the core.
+The path through a shared anchor bounds the walk by the sum of the two
+heights, so an edge whose bound is at most the maximum so far is not walked:
+it cannot exceed that maximum, and only an edge that strictly exceeds it
+replaces the witness, so the first edge at the maximum stays the witness. A
 core of at most STRETCH_BATCH vertices is searched once: a ball grows from
 every core vertex, and the balls of two vertices at distance d meet at a
 midpoint after ceil(d / 2) levels, for the core's graph edges and the
@@ -73,7 +77,12 @@ def max_edge_stretch(g: Graph, spanner_edges: Set[Edge]) -> Tuple[float, Optiona
     vertex x out of the trees of its anchor passes through the anchor, so an
     edge (u, v) with a peeled endpoint has d_H(u, v) = the walk to the
     lowest common ancestor if a(u) = a(v), h(u) + h(v) + d_C(a(u), a(v)) if
-    both anchors lie in C, and inf otherwise. The graph edges between two
+    both anchors lie in C, and inf otherwise. The path through the shared
+    anchor bounds the walk, d_H(u, v) <= h(u) + h(v), and an edge whose
+    bound is at most the maximum so far is not walked: it cannot exceed that
+    maximum, and only an edge that strictly exceeds it replaces the witness,
+    so value and witness are those of walking every edge. Cross-anchor and
+    disconnected edges are always measured. The graph edges between two
     vertices of C need only the largest d_C and the least edge at it; the
     pairs of anchors that the other edges join need every d_C. A core of at
     most STRETCH_BATCH vertices measures both sets in one _meet_search;
@@ -115,14 +124,17 @@ def max_edge_stretch(g: Graph, spanner_edges: Set[Edge]) -> Tuple[float, Optiona
     search = _meet_search if len(core) <= STRETCH_BATCH else _batched_search
     core_worst, (i, x), d_core = search(nbrs, inner, sorted(pairs))
     core_edge = (core[i], core[x]) if core_worst else None
-    near = _tree_distances(parent, height, anchor)
     worst: float = 0.0
     worst_edge: Optional[Edge] = None
     for u, targets in ends.items():
-        dist = near(u, targets)
+        a_u, h_u = anchor[u], height[u]
         for v in targets:
-            d = dist.get(v)
-            if d is None:
+            if anchor[v] == a_u:
+                # the path through the anchor bounds the walk
+                if h_u + height[v] <= worst:
+                    continue
+                d = _tree_distance(parent, height, u, v)
+            else:
                 i, j = index.get(anchor[u]), index.get(anchor[v])
                 d = math.inf
                 if i is not None and j is not None:
@@ -419,34 +431,25 @@ def _hang(adj: Dict[int, List[int]], r: int, parent: Dict[int, int],
         layer = nxt
 
 
-def _tree_distances(parent: Dict[int, int], depth: Dict[int, int],
-                    root: Dict[int, int]) -> Callable[[int, List[int]], Dict[int, int]]:
-    """The search (source, targets) -> {target: hop distance} over the
-    targets with source's root, in the forest of parent and depth: the walk
-    to the lowest common ancestor lifts the deeper endpoint to the other's
-    depth, then both together, in d(u, v) steps."""
-    def distances(source: int, targets: List[int]) -> Dict[int, int]:
-        dist: Dict[int, int] = {}
-        r, d_source = root[source], depth[source]
-        for v in targets:
-            if root[v] != r:
-                continue
-            dv = depth[v]
-            a, da = source, d_source
-            b, db = v, dv
-            while da > db:
-                a = parent[a]
-                da -= 1
-            while db > da:
-                b = parent[b]
-                db -= 1
-            while a != b:
-                a, b = parent[a], parent[b]
-                da -= 1
-            dist[v] = d_source + dv - 2 * da
-        return dist
-
-    return distances
+def _tree_distance(parent: Dict[int, int], depth: Dict[int, int],
+                   u: int, v: int) -> int:
+    """The hop distance of u and v, which share a root, in the forest of
+    parent and depth: the walk to the lowest common ancestor lifts the
+    deeper endpoint to the other's depth, then both together, in d(u, v)
+    steps."""
+    a, da = u, depth[u]
+    b, db = v, depth[v]
+    d = da + db
+    while da > db:
+        a = parent[a]
+        da -= 1
+    while db > da:
+        b = parent[b]
+        db -= 1
+    while a != b:
+        a, b = parent[a], parent[b]
+        da -= 1
+    return d - 2 * da
 
 
 def max_pair_stretch(g: Graph, spanner_edges: Set[Edge]) -> float:

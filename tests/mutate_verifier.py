@@ -118,9 +118,11 @@ MUTANTS: List[Mutant] = [
            replace("d = height[u] + height[v] + d_core.get(",
                    "d = d_core.get(")),
     Mutant("core stretch takes |h(u) - h(v)| for same-anchor edges", "verify.py",
-           replace("dist = near(u, targets)",
-                   "dist = {v: abs(height[u] - height[v]) for v in targets "
-                   "if anchor[v] == anchor[u]}")),
+           replace("d = _tree_distance(parent, height, u, v)",
+                   "d = abs(h_u - height[v])")),
+    Mutant("walk bound takes max(h(u), h(v)) for h(u) + h(v)", "verify.py",
+           replace("if h_u + height[v] <= worst:",
+                   "if max(h_u, height[v]) <= worst:")),
     Mutant("tree walk skips its joint lift to the common ancestor", "verify.py",
            replace("while a != b:", "while False:")),
     Mutant("superedge scan keeps the largest witness, not the least", "verify.py",

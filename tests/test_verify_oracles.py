@@ -150,8 +150,9 @@ def test_forest_stretch_matches_networkx(data):
 @given(data=st.data())
 def test_peel_leaves_no_core_exactly_on_forests(data):
     """_peel leaves networkx's 2-core, which is empty exactly when H is a
-    forest; the walks over the forest it then hangs give every pair in one
-    component its networkx distance, and leave out pairs in two."""
+    forest; the forest it then hangs gives two vertices one anchor exactly
+    when they share a component, and the walk over it gives every such pair
+    its networkx distance."""
     if data.draw(st.booleans(), label="tree based"):
         g, sub = _tree_and_spanner(data, max_n=25)
     else:
@@ -163,11 +164,11 @@ def test_peel_leaves_no_core_exactly_on_forests(data):
     assert set(core) == set(nx.k_core(h, 2))
     assert (not core) == nx.is_forest(h)
     if not core:
-        search = verify._tree_distances(parent, height, anchor)
         dist = dict(nx.all_pairs_shortest_path_length(h))
         for u in g.vertices:
-            others = [v for v in g.vertices if v != u]
-            assert search(u, others) == {v: d for v, d in dist[u].items() if v != u}
+            assert {v for v in g.vertices if anchor[v] == anchor[u]} == set(dist[u])
+            for v, d in dist[u].items():
+                assert verify._tree_distance(parent, height, u, v) == d
 
 
 def _non_forest_spanner(data, max_n: int = 40):
@@ -337,6 +338,101 @@ def test_the_core_size_picks_the_search(data, connected):
         # the meet search may hand the pairs left to _bit_bfs
         assert calls[0] == search and "_meet_search" not in calls[1:], width
         assert repr(got) == repr(expected), width
+
+
+def _recursive_tree(rnd: random.Random, first: int, last: int) -> set:
+    """A random recursive tree on first..last: each vertex hangs from an
+    earlier one, so the tree is a few levels deep and bushy."""
+    return {(rnd.randrange(first, x), x) for x in range(first + 1, last + 1)}
+
+
+def _leaf_edges(rnd: random.Random, tree: set, first: int, last: int,
+                size: int) -> list:
+    """Up to size random pairs of leaves of tree among first..last."""
+    inner = {u for u, _ in tree}
+    leaves = [x for x in range(first, last + 1) if x not in inner]
+    pairs = [(a, b) for a in leaves for b in leaves if a < b]
+    return rnd.sample(pairs, min(len(pairs), size))
+
+
+def _bounded_walk_instance(data):
+    """G and H for the walk bound, of one of three kinds:
+
+    - "deep forest": H a random recursive tree, G = H plus many edges
+      between its leaves, of many lengths, so that a later edge often beats
+      the maximum of the earlier ones by a walk whose bound is larger;
+    - "cut after maximum": H two trees (each sometimes with a chord, so a
+      core), the first on the lower IDs with leaf edges in G, and G's one
+      edge between them from the last vertex of the first, so the
+      disconnected edge comes after the first tree's maximum, and every
+      same-anchor edge between cannot beat it;
+    - "core tie": H a cycle of 2m to 2m + 3 vertices with two paths of m
+      edges in all hanging from one of them; G adds a chord at cycle
+      distance m and the edge between the paths' ends, at tree distance m,
+      so the core's maximum ties the peeled one and the least of the two
+      edges is the witness.
+    """
+    kind = data.draw(st.sampled_from(["deep forest", "cut after maximum", "core tie"]),
+                     label="kind")
+    rnd = random.Random(data.draw(st.integers(0, 10 ** 6), label="edge seed"))
+    keep_order = False
+    if kind == "deep forest":
+        n = data.draw(st.integers(4, 40), label="n")
+        h = _recursive_tree(rnd, 1, n)
+        extra = _leaf_edges(rnd, h, 1, n, data.draw(st.integers(1, 40), label="leaf edges"))
+    elif kind == "cut after maximum":
+        a = data.draw(st.integers(3, 25), label="first tree")
+        n = a + data.draw(st.integers(1, 10), label="second tree")
+        h = _recursive_tree(rnd, 1, a) | _recursive_tree(rnd, a + 1, n)
+        extra = _leaf_edges(rnd, h, 1, a, data.draw(st.integers(1, 25), label="leaf edges"))
+        for first, last in ((1, a), (a + 1, n)):
+            chords = [(u, v) for u in range(first, last + 1)
+                      for v in range(u + 2, last + 1) if (u, v) not in h]
+            if chords and data.draw(st.booleans(), label="chord"):
+                h.add(rnd.choice(chords))
+        extra.append((a, rnd.randint(a + 1, n)))
+        keep_order = True   # the cut edge stays after the first tree's edges
+    else:
+        m = data.draw(st.integers(2, 5), label="tie")
+        k = data.draw(st.integers(2 * m, 2 * m + 3), label="cycle")
+        h = {(i, i % k + 1) for i in range(1, k + 1)}
+        c = rnd.randint(1, k)
+        ends = []
+        n = k
+        split = data.draw(st.integers(0, m // 2), label="split")
+        for length in (split, m - split):
+            x = c
+            for _ in range(length):
+                n += 1
+                h.add((x, n))
+                x = n
+            ends.append(x)
+        for _ in range(data.draw(st.integers(0, 8), label="pendant vertices")):
+            n += 1
+            h.add((rnd.randint(1, n - 1), n))
+        extra = [(1, 1 + m), tuple(ends)]
+    ids = list(range(1, n + 1))
+    if data.draw(st.booleans(), label="wide ids"):
+        ids = rnd.sample(range(1, 2 ** 63), n)
+    elif not keep_order:
+        rnd.shuffle(ids)
+    if keep_order:
+        ids.sort()
+    new_id = dict(zip(range(1, n + 1), ids))
+
+    def relabel(edges):
+        return {gr.edge_key(new_id[u], new_id[v]) for u, v in edges}
+
+    return gr.from_edges(relabel(h | set(extra))), relabel(h)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_bounded_walks_keep_value_and_witness(data):
+    """Skipping the walks whose bound through the anchor cannot beat the
+    maximum so far leaves the all-sources oracle's value and witness."""
+    g, sub = _bounded_walk_instance(data)
+    assert repr(verify.max_edge_stretch(g, sub)) == repr(oracles.max_edge_stretch(g, sub))
 
 
 @pytest.mark.parametrize("vertex", [1, 2 ** 63 - 1])
