@@ -8,8 +8,9 @@ BFS per batch of sources, each source stopping once its higher-ID neighbours
 are measured (the tests narrow the batch width so that a core takes the
 batched search and its sources span several batches, and widen what counts
 as thin so that the meet search hands over early); the peeled trees are
-measured by walks to the lowest common ancestor and from their anchors in
-the core; ``check_ruling`` searches separation only to depth
+measured by walks to the lowest common ancestor, skipped where the path
+through the anchor cannot beat the maximum so far, and from their anchors
+in the core; ``check_ruling`` searches separation only to depth
 alpha - 1. Both must return exactly what the all-sources versions in
 ``oracles.py`` return, witness edge and failure text included; the stretch
 value is also checked against networkx shortest paths.
@@ -364,8 +365,8 @@ def _bounded_walk_instance(data):
     - "cut after maximum": H two trees (each sometimes with a chord, so a
       core), the first on the lower IDs with leaf edges in G, and G's one
       edge between them from the last vertex of the first, so the
-      disconnected edge comes after the first tree's maximum, and every
-      same-anchor edge between cannot beat it;
+      disconnected edge comes after the first tree's maximum, once the
+      walks that cannot beat it are skipped;
     - "core tie": H a cycle of 2m to 2m + 3 vertices with two paths of m
       edges in all hanging from one of them; G adds a chord at cycle
       distance m and the edge between the paths' ends, at tree distance m,
@@ -414,10 +415,10 @@ def _bounded_walk_instance(data):
     ids = list(range(1, n + 1))
     if data.draw(st.booleans(), label="wide ids"):
         ids = rnd.sample(range(1, 2 ** 63), n)
-    elif not keep_order:
-        rnd.shuffle(ids)
     if keep_order:
         ids.sort()
+    else:
+        rnd.shuffle(ids)
     new_id = dict(zip(range(1, n + 1), ids))
 
     def relabel(edges):
