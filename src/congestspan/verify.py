@@ -81,8 +81,11 @@ def max_edge_stretch(g: Graph, spanner_edges: Set[Edge]) -> Tuple[float, Optiona
     anchor bounds the walk, d_H(u, v) <= h(u) + h(v), and an edge whose
     bound is at most the maximum so far is not walked: it cannot exceed that
     maximum, and only an edge that strictly exceeds it replaces the witness,
-    so value and witness are those of walking every edge. Cross-anchor and
-    disconnected edges are always measured. The graph edges between two
+    so value and witness are those of walking every edge. For the same
+    reason, when H is one tree (C is empty and every vertex has one
+    anchor), the pass over the edges ends once the maximum reaches twice
+    the tree's height. Cross-anchor and disconnected edges are always
+    measured. The graph edges between two
     vertices of C need only the largest d_C and the least edge at it; the
     pairs of anchors that the other edges join need every d_C. A core of at
     most STRETCH_BATCH vertices measures both sets in one _meet_search;
@@ -126,7 +129,14 @@ def max_edge_stretch(g: Graph, spanner_edges: Set[Edge]) -> Tuple[float, Optiona
     core_edge = (core[i], core[x]) if core_worst else None
     worst: float = 0.0
     worst_edge: Optional[Edge] = None
+    # with no core and one anchor, H is one tree, and no edge exceeds twice
+    # its height
+    bound = math.inf
+    if not core and len(set(anchor.values())) == 1:
+        bound = 2 * max(height.values())
     for u, targets in ends.items():
+        if worst >= bound:
+            break
         a_u, h_u = anchor[u], height[u]
         for v in targets:
             if anchor[v] == a_u:

@@ -10,6 +10,16 @@ of the cluster-ID exchange, about 65k messages: every vertex sends its ID,
 accepts every sender, and gets ID -> least sender back, here each neighbour
 mapped to itself.
 
+The clustered exchange round: both sides deliver, on the same graph cut into
+8 clusters of 64 vertices (the k-th least vertex joins the cluster of the
+(k mod 8)-th), the exchange round as a later phase sends it: every vertex
+sends its center and accepts every sender, and gets center -> least
+neighbour in that cluster back. A listener has about 128 neighbours but
+only 8 IDs in flight, so the kernel ends each listener's walk up its
+adjacency once it has heard all 8, a few neighbours in, as on
+dense-polylog in phase 1 and in the exploration hops; the oracle steps a
+program per vertex and folds every inbox.
+
 The exploration hop: both sides deliver, on the same graph split into
 singleton clusters, a hop of the exploration wave: the lowest quarter of the
 vertices sends its ID as the root (about 16k messages), every other vertex
@@ -76,6 +86,22 @@ def test_exchange_round(benchmark, round_inputs, impl):
                              "p0.exchange")
     assert trace.messages_total == 2 * g.num_edges()
     assert heard == {u: {v: v for v in g.adjacency[u]} for u in g.vertices}
+
+
+@pytest.mark.parametrize("impl", [sim.broadcast_ids, oracles.broadcast_ids],
+                         ids=["kernel", "oracle"])
+def test_clustered_exchange_round(benchmark, round_inputs, impl):
+    g, listeners, config = round_inputs
+    vertices = sorted(g.vertices)
+    center_of = {v: vertices[k % 8] for k, v in enumerate(vertices)}
+    trace, heard = benchmark(impl, g, center_of, listeners, listeners, config,
+                             "p1.exchange")
+    assert trace.messages_total == 2 * g.num_edges()
+    least = {u: {} for u in g.vertices}
+    for u in g.vertices:
+        for v in g.adjacency[u]:   # ascending: the first is the least
+            least[u].setdefault(center_of[v], v)
+    assert heard == least
 
 
 def _kernel_explore_hop(g, orient, frontier, accept_all, listeners, config, label):

@@ -6,11 +6,15 @@ return the trace that oracle returns and reject what ``sim.run`` rejects.
 ``sim.broadcast_ids``, the round of the cluster-ID exchange and of every
 exploration hop, must equal it with one single-ID message per sender and
 each inbox folded to the least accepted sender of each ID, for the same
-listeners in the same order, keyed by each listener's own ID object.
-``sim.broadcast_heard``, the knock-out hop's round, takes the same
-``{sender: ID}`` map; it must equal the oracle with the senders deaf and each
-inbox folded to whether it holds an accepted message, and hold exactly the
-listeners outside the senders that ``sim.broadcast_ids`` gives a map.
+listeners in the same order, keyed by each listener's own ID object; half
+its draws share a few IDs among many senders, so that a listener hears
+every ID in flight to it before its last neighbour and the kernel's walk
+stops early. ``sim.broadcast_heard``, the knock-out hop's round, takes the
+same ``{sender: ID}`` map, drawn from a few IDs too, with most vertices
+listening, so that its unions fill and stop; it must equal the oracle with
+the senders deaf and each inbox folded to whether it holds an accepted
+message, and hold exactly the listeners outside the senders that
+``sim.broadcast_ids`` gives a map.
 ``comm.explore_hop`` must keep, per root, the least sender of the oracle's
 arrivals that cross a superedge, and ``comm.exchange_cluster_ids`` give each
 active vertex the least active neighbour in each other cluster it borders.
@@ -183,10 +187,22 @@ def _ids_both(g, ids, listeners, accept_all, config):
 def test_id_kernel_equals_projected_program_oracle(data):
     g = _random_graph(data)
     own = _own_ids(g)
-    ids = {own[v]: data.draw(st.sampled_from(g.vertices), label="id")
-           for v in _subset(data, g.vertices, "sender")}
+    if data.draw(st.booleans(), label="few ids"):
+        # a few IDs, each shared by the senders that draw it, as the members
+        # of one cluster share their center, and most vertices listening: a
+        # listener then often hears every ID in flight to it before its
+        # last neighbour
+        vertices = st.sampled_from(g.vertices)
+        pool = data.draw(st.lists(vertices, min_size=1, max_size=4), label="pool")
+        senders = data.draw(st.sets(vertices, min_size=1), label="senders")
+        listening = set(g.vertices) - data.draw(st.sets(vertices), label="deaf")
+    else:
+        pool = g.vertices
+        senders = _subset(data, g.vertices, "sender")
+        listening = _subset(data, g.vertices, "listener")
+    ids = {own[v]: data.draw(st.sampled_from(pool), label="id") for v in senders}
     accept_all, listeners = _accept_all_and_listeners(
-        data, g, {own[v] for v in _subset(data, g.vertices, "listener")})
+        data, g, {own[v] for v in listening})
     config = SimConfig(ids_per_message=data.draw(st.integers(1, 3), label="cap"),
                        mode=sim.BROADCAST)
 

@@ -6,8 +6,11 @@ block would never finish, so each build here runs under a generous wall bound.
 Any relabelling with distinct positive IDs up to 2**63 - 1 must still build
 and verify, and a shift of every ID by one constant must leave the build
 itself unchanged: the knock-out's blocks read IDs as offsets from the least.
-The verifier reads no ID order at all: under any bijection of the vertices
-into [1, 2**63) it reports the same stretch values and verdict flags.
+Under any bijection of the vertices into [1, 2**63), the verifier reports the
+same stretch values and verdict flags, for a spanner file and for a build
+mapped alike; the one verdict that reads ID order is the supercluster
+oracle, which re-derives the protocol's least-ID choices of the joins, so
+for a build the bijection must keep the order for it.
 """
 
 import dataclasses
@@ -24,7 +27,7 @@ import oracles
 from congestspan import graph as gr
 from congestspan import polylog, sparse, verify
 from congestspan.clusters import JoinInfo
-from congestspan.spanner import Charge
+from congestspan.spanner import Charge, SpannerEdgeSet
 from congestspan.verify import verify_build
 
 MAX_ID = 2 ** 63 - 1
@@ -89,31 +92,32 @@ def _shift(g: gr.Graph, c: int) -> gr.Graph:
                      for v, nbrs in g.adjacency.items()}, g.meta)
 
 
-def _unshifted(result, c: int):
-    """(snapshots, ledger, spanner) of result with every ID moved down by c."""
+def _mapped(result, to):
+    """(snapshots, ledger, spanner) of result with every ID v replaced by
+    to[v]."""
     def vx(v):
-        return None if v is None else v - c
+        return None if v is None else to[v]
 
     def edge(e):
-        return None if e is None else (e[0] - c, e[1] - c)
+        return None if e is None else gr.edge_key(to[e[0]], to[e[1]])
 
     def ids(vs):
-        return frozenset(v - c for v in vs)
+        return frozenset(map(to.__getitem__, vs))
 
     def maps(m):
-        return None if m is None else {k - c: {a - c: b - c for a, b in d.items()}
+        return None if m is None else {to[k]: {to[a]: to[b] for a, b in d.items()}
                                        for k, d in m.items()}
     snapshots = [dataclasses.replace(
         snap,
-        parent={v - c: vx(p) for v, p in snap.parent.items()},
+        parent={to[v]: vx(p) for v, p in snap.parent.items()},
         popular=ids(snap.popular), selected=ids(snap.selected),
         settled=ids(snap.settled),
-        joins={k - c: JoinInfo(j.root - c, vx(j.pred), edge(j.witness), j.wave)
+        joins={to[k]: JoinInfo(to[j.root], vx(j.pred), edge(j.witness), j.wave)
                for k, j in snap.joins.items()},
         vgraph=None if snap.vgraph is None else {
-            k - c: tuple(v - c for v in vs) for k, vs in snap.vgraph.items()},
+            to[k]: tuple(sorted(map(to.__getitem__, vs))) for k, vs in snap.vgraph.items()},
         knowledge=maps(snap.knowledge)) for snap in result.snapshots]
-    ledger = [Charge(ch.vertex - c, ch.kind, ch.phase, tuple(map(edge, ch.edges)))
+    ledger = [Charge(to[ch.vertex], ch.kind, ch.phase, tuple(map(edge, ch.edges)))
               for ch in result.spanner.charges]
     return snapshots, ledger, set(map(edge, result.spanner.edges))
 
@@ -135,7 +139,8 @@ def test_a_shift_of_every_id_leaves_the_build_unchanged(kind, n, seed, data):
                   lambda g: sparse.build_skeleton(g, Fraction(34, 100))):
         result, shifted = build(g), build(moved)
         assert shifted.trace.episodes == result.trace.episodes
-        assert _unshifted(shifted, c) == (result.snapshots, result.spanner.charges,
+        back = {v + c: v for v in g.vertices}
+        assert _mapped(shifted, back) == (result.snapshots, result.spanner.charges,
                                           result.spanner.edges)
 
 
@@ -194,3 +199,50 @@ def test_a_bijection_of_the_ids_leaves_the_verdicts_unchanged(
         return ({k: repr(x) for k, x in report.items() if k != "verdicts"},
                 [(x["name"], x["ok"]) for x in report["verdicts"]])
     assert values(reports[1]) == values(reports[0])
+
+
+# no shrink phase, as above
+@settings(max_examples=25, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(kind=st.sampled_from(["gnp_connected", "grid", "random_tree", "cycle"]),
+       n=st.integers(3, 64), seed=st.integers(0, 10 ** 6),
+       build=st.sampled_from(["polylog", "skeleton"]),
+       keep_order=st.booleans(), data=st.data())
+def test_a_bijection_of_a_build_leaves_verify_build_unchanged(
+        kind, n, seed, build, keep_order, data):
+    """verify_build on the image of a build under a random bijection of V
+    into [1, 2**63), G and the build's record (snapshots, ledger and
+    spanner; the episodes name no vertex) mapped alike, gives the same
+    max_edge_stretch, the same all-pairs stretch (n <= 64 here) and the
+    same verdict flags. The one exception is the supercluster oracle under
+    a bijection that changes the order of the IDs: it re-derives the joins
+    the protocol picks, the least (root ID, witness edge) per cluster, and
+    the image of the build's joins need not be those of the mapped IDs."""
+    params = {"seed": seed}
+    if kind == "grid":
+        params.update(rows=max(2, n // 8), cols=8)
+    else:
+        params["n"] = n
+    if kind == "gnp_connected":
+        params["p"] = 0.15
+    g = gr.generate_graph(kind, **params)
+    result = (polylog.build_spanner(g, 2) if build == "polylog"
+              else sparse.build_skeleton(g, Fraction(34, 100)))
+    ids = data.draw(st.lists(st.integers(1, MAX_ID - 1), min_size=g.n,
+                             max_size=g.n, unique=True), label="ids")
+    if keep_order:
+        ids.sort()
+    snapshots, ledger, edges = _mapped(result, dict(zip(g.vertices, ids)))
+    spanner = SpannerEdgeSet()
+    spanner.edges, spanner.charges = edges, ledger
+    image = dataclasses.replace(result, spanner=spanner, snapshots=snapshots)
+
+    def values(report):
+        pair = [v["detail"] for v in report["verdicts"]
+                if v["name"] == "stretch_all_pairs"]
+        flags = [(v["name"], v["ok"]) for v in report["verdicts"]
+                 if keep_order or v["name"] != "supercluster_oracle"]
+        return report["max_edge_stretch"], pair, flags
+    before = values(verify_build(g, result))
+    assert before[1], "the all-pairs stretch is measured"
+    assert values(verify_build(_relabel(g, ids), image)) == before
