@@ -85,12 +85,11 @@ def max_edge_stretch(g: Graph, spanner_edges: Set[Edge]) -> Tuple[float, Optiona
     reason, when H is one tree (C is empty and every vertex has one
     anchor), the pass over the edges ends once the maximum reaches twice
     the tree's height. Cross-anchor and disconnected edges are always
-    measured. The graph edges between two
-    vertices of C need only the largest d_C and the least edge at it; the
-    pairs of anchors that the other edges join need every d_C. A core of at
-    most STRETCH_BATCH vertices measures both sets in one _meet_search;
-    a larger one runs _bit_bfs, one batch of sources at a time, once for
-    each set. The witness is the first edge, in vertex then adjacency
+    measured. The graph edges between two vertices of C need only the
+    largest d_C and the least edge at it; the pairs of anchors that the
+    other edges join need every d_C. A core of at most STRETCH_BATCH
+    vertices measures both sets in one _meet_search; a larger one runs
+    _bit_bfs, one batch of sources at a time, once for each set. The witness is the first edge, in vertex then adjacency
     order, that attains the maximum.
     """
     adj_h = subgraph_adjacency(g.vertices, spanner_edges)

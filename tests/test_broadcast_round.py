@@ -11,9 +11,9 @@ its draws share a few IDs among many senders, so that a listener hears
 every ID in flight to it before its last neighbour and the kernel's walk
 stops early. ``sim.broadcast_heard``, the knock-out hop's round, takes the
 same ``{sender: ID}`` map, drawn from a few IDs too, with most vertices
-listening, so that its unions fill and stop; it must equal the oracle with
-the senders deaf and each inbox folded to whether it holds an accepted
-message, and hold exactly the listeners outside the senders that
+listening, so that its unions can fill and stop; it must equal the oracle
+with the senders deaf and each inbox folded to whether it holds an
+accepted message, and hold exactly the listeners outside the senders that
 ``sim.broadcast_ids`` gives a map.
 ``comm.explore_hop`` must keep, per root, the least sender of the oracle's
 arrivals that cross a superedge, and ``comm.exchange_cluster_ids`` give each
